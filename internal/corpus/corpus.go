@@ -98,11 +98,22 @@ func pow(base, exp int) int {
 	return out
 }
 
+// glue is the stop-word sprinkling renderDoc mixes into every document.
+var glue = []string{"the", "and", "of", "in", "with", "for"}
+
+// Fixed framing of a rendered document, around the category name.
+const (
+	docHead = "<html><head><title>"
+	docMid  = "</title><style>p{margin:0}</style></head><body><p>"
+	docTail = ".</p></body></html>"
+)
+
 // renderDoc emits one HTML document: a title, a summary paragraph of
 // category-focused tokens mixed with the category's topic-hierarchy
 // terms, and a sprinkling of stop words so the cleaning pipeline has
-// real work to do.
-func renderDoc(rng *rand.Rand, cfg Config, name string, char, topics []string, vocab []string, zipfW []float64) string {
+// real work to do. subset is scratch of capacity >= len(char), reused
+// across documents.
+func renderDoc(rng *rand.Rand, cfg Config, name string, char, topics []string, vocab []string, zipfW []float64, subset []string) string {
 	// Document length jitters around the mean, and each document uses
 	// its own subset of the category's characteristic terms with its
 	// own focus — real articles in one category vary in vocabulary and
@@ -113,7 +124,7 @@ func renderDoc(rng *rand.Rand, cfg Config, name string, char, topics []string, v
 		length = 1
 	}
 	if len(char) > 4 {
-		subset := append([]string(nil), char...)
+		subset = append(subset[:0], char...)
 		rng.Shuffle(len(subset), func(i, j int) { subset[i], subset[j] = subset[j], subset[i] })
 		keep := len(subset)/2 + rng.Intn(len(subset)/2+1)
 		char = subset[:keep]
@@ -122,11 +133,14 @@ func renderDoc(rng *rand.Rand, cfg Config, name string, char, topics []string, v
 	if focus > 0.95 {
 		focus = 0.95
 	}
-	glue := []string{"the", "and", "of", "in", "with", "for"}
 	var sb strings.Builder
-	sb.WriteString("<html><head><title>")
+	// A token with its separator, glue and inflection takes 11.8 bytes
+	// at the median document and 13.3 at the 99th percentile (default
+	// config); 13 keeps nearly every document to one allocation.
+	sb.Grow(len(docHead) + len(name) + len(docMid) + 13*length + len(docTail))
+	sb.WriteString(docHead)
 	sb.WriteString(name)
-	sb.WriteString("</title><style>p{margin:0}</style></head><body><p>")
+	sb.WriteString(docMid)
 	for t := 0; t < length; t++ {
 		if t > 0 {
 			sb.WriteByte(' ')
@@ -144,9 +158,12 @@ func renderDoc(rng *rand.Rand, cfg Config, name string, char, topics []string, v
 		default:
 			word = vocab[sampleZipf(rng, zipfW)]
 		}
-		sb.WriteString(inflect(rng, word))
+		// A random inflection gives the Porter stemmer real suffixes to
+		// strip; the stem stays the vocabulary word.
+		sb.WriteString(word)
+		sb.WriteString(inflMap[rng.Intn(len(inflMap))])
 	}
-	sb.WriteString(".</p></body></html>")
+	sb.WriteString(docTail)
 	return sb.String()
 }
 
@@ -176,12 +193,6 @@ func makeVocabulary(rng *rand.Rand, n int) []string {
 		out = append(out, w)
 	}
 	return out
-}
-
-// inflect appends a random inflection so the Porter stemmer has real
-// suffixes to strip; the stem stays the vocabulary word.
-func inflect(rng *rand.Rand, stem string) string {
-	return stem + inflMap[rng.Intn(len(inflMap))]
 }
 
 // capitalize upper-cases the first ASCII letter of a vocabulary word.
@@ -226,8 +237,9 @@ func sampleZipf(rng *rand.Rand, cum []float64) int {
 // embed every document in the union vocabulary of kept terms.
 func (c *Corpus) Vectorize(f int) (*dataset.Labeled, error) {
 	cleaned := make([][]string, len(c.Docs))
+	cl := text.NewCleaner()
 	for i, d := range c.Docs {
-		cleaned[i] = text.Clean(d)
+		cleaned[i] = cl.Clean(d)
 	}
 	pts, _, err := text.VectorizeTopTerms(cleaned, f)
 	if err != nil {

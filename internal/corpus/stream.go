@@ -1,10 +1,12 @@
 package corpus
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/analytic"
 	"repro/internal/matrix"
@@ -114,6 +116,7 @@ func GenerateStream(cfg Config, fn func(doc string, label int) error) (*Meta, er
 	}
 
 	topics := make([]string, 0, levels)
+	subset := make([]string, 0, cfg.CharTerms) // renderDoc's shuffle scratch
 	for i := 0; i < cfg.NumDocs; i++ {
 		c := i * k / cfg.NumDocs // balanced categories
 		topics = topics[:0]
@@ -122,7 +125,7 @@ func GenerateStream(cfg Config, fn func(doc string, label int) error) (*Meta, er
 			topics = append(topics, topicTerms[l][code%fanout])
 			code /= fanout
 		}
-		doc := renderDoc(rng, cfg, names[c], charTerms[c], topics, vocab, zipfW)
+		doc := renderDoc(rng, cfg, names[c], charTerms[c], topics, vocab, zipfW, subset)
 		if err := fn(doc, c); err != nil {
 			return nil, err
 		}
@@ -134,8 +137,8 @@ func GenerateStream(cfg Config, fn func(doc string, label int) error) (*Meta, er
 // document, clean it, keep its top-f terms by tf-idf, project into dims
 // dense dimensions, and hand the L2-normalized row to fn. It is the
 // streaming twin of Generate + VectorizeDense and produces bitwise-
-// identical rows, holding only the document-frequency table and the
-// lazily-grown projection rows in memory (O(vocabulary), not O(N)).
+// identical rows, holding only per-term tables and the lazily-grown
+// projection rows in memory (O(vocabulary), not O(N)).
 //
 // Two passes drive it: the first streams the corpus to count document
 // frequencies (exactly VectorizeTopTerms' df map), the second re-streams
@@ -143,10 +146,18 @@ func GenerateStream(cfg Config, fn func(doc string, label int) error) (*Meta, er
 // discovering the union vocabulary in the same first-use order as the
 // batch path, and drawing each new term's Gaussian projection row from
 // the same sequential rng stream that fills the batch projection matrix
-// row-major. Per-document term sets are disjoint keys with a total sort
-// order, so the map-iteration nondeterminism sorts away identically in
-// both paths; zero-skipping accumulation mirrors matrix.Mul and the
-// norm mirrors matrix.Norm2, making every float op order-identical.
+// row-major.
+//
+// Both passes share one text.Cleaner and work on its int32 term ids:
+// df, idf, per-document tf and the projection-row index are slices
+// indexed by term id, and a stamp of the last document that touched a
+// term replaces the per-document sets. Ids stand one-to-one for stems,
+// so the term set of every document is the batch path's; the kept-term
+// order is the same total order (weight descending, then stem), so the
+// batch path's map-iteration nondeterminism and this path's first-
+// occurrence order sort away identically; zero-skipping accumulation
+// mirrors matrix.Mul and the norm mirrors matrix.Norm2, making every
+// float op order-identical.
 //
 // The row slice passed to fn is reused; fn must not retain it.
 func StreamDense(cfg Config, f, dims int, seed int64, fn func(row []float64, label int) error) (*Meta, error) {
@@ -156,15 +167,29 @@ func StreamDense(cfg Config, f, dims int, seed int64, fn func(row []float64, lab
 	if dims < 1 {
 		return nil, fmt.Errorf("corpus: dims=%d", dims)
 	}
+	if cfg.NumDocs > math.MaxInt32 {
+		return nil, fmt.Errorf("corpus: NumDocs=%d exceeds the %d documents the int32 document stamps and frequency counts can hold", cfg.NumDocs, math.MaxInt32)
+	}
+
+	cl := text.NewCleaner()
+	var ids []int32 // the current document's term ids
+	// Per-term tables, indexed by term id and grown as the Cleaner
+	// assigns ids. stamp[t] is the 1-based number, within the current
+	// pass, of the last document that contained t.
+	var df, stamp []int32
+	var doc int32
 
 	// Pass 1: document frequencies over the cleaned token streams.
-	df := map[string]int{}
-	seen := map[string]bool{}
-	meta, err := GenerateStream(cfg, func(doc string, _ int) error {
-		clear(seen)
-		for _, t := range text.Clean(doc) {
-			if !seen[t] {
-				seen[t] = true
+	meta, err := GenerateStream(cfg, func(html string, _ int) error {
+		doc++
+		ids = cl.AppendIDs(ids[:0], html)
+		for len(df) < cl.Terms() {
+			df = append(df, 0)
+			stamp = append(stamp, 0)
+		}
+		for _, t := range ids {
+			if stamp[t] != doc {
+				stamp[t] = doc
 				df[t]++
 			}
 		}
@@ -177,12 +202,13 @@ func StreamDense(cfg Config, f, dims int, seed int64, fn func(row []float64, lab
 		return nil, fmt.Errorf("corpus: corpus has no usable terms")
 	}
 	n := float64(cfg.NumDocs)
-	idf := func(t string) float64 {
-		v := math.Log(n / float64(df[t]))
+	idf := make([]float64, len(df))
+	for t, d := range df {
+		v := math.Log(n / float64(d))
 		if v <= 0 {
 			v = 1e-9
 		}
-		return v
+		idf[t] = v
 	}
 
 	// Pass 2: score, project, emit. Projection rows are drawn lazily in
@@ -191,54 +217,60 @@ func StreamDense(cfg Config, f, dims int, seed int64, fn func(row []float64, lab
 	// bits in both.
 	projRng := rand.New(rand.NewSource(seed ^ 0x5EED))
 	scale := 1 / math.Sqrt(float64(dims))
-	vocabIndex := map[string]int{}
+	rowIndex := make([]int32, len(df)) // term id → projection row + 1; 0 = not yet discovered
 	var projRows [][]float64
-	rowOf := func(term string) int {
-		j, ok := vocabIndex[term]
-		if !ok {
-			j = len(projRows)
-			vocabIndex[term] = j
+	rowOf := func(t int32) int {
+		if rowIndex[t] == 0 {
 			pr := make([]float64, dims)
 			for c := range pr {
 				pr[c] = projRng.NormFloat64() * scale
 			}
 			projRows = append(projRows, pr)
+			rowIndex[t] = int32(len(projRows))
 		}
-		return j
+		return int(rowIndex[t]) - 1
 	}
 
 	type weighted struct {
-		term string
+		term int32
 		w    float64
 	}
 	var ws []weighted
 	var ents []sparseEntry
-	tf := map[string]int{}
+	tf := make([]int32, len(df)) // per-document counts, valid where stamp[t] == doc
+	clear(stamp)
+	doc = 0
 	row := make([]float64, dims)
-	_, err = GenerateStream(cfg, func(doc string, label int) error {
+	_, err = GenerateStream(cfg, func(html string, label int) error {
 		for i := range row {
 			row[i] = 0
 		}
-		toks := text.Clean(doc)
-		if len(toks) == 0 {
+		doc++
+		ids = cl.AppendIDs(ids[:0], html)
+		if len(ids) == 0 {
 			// Mirrors the batch path: a document with no usable terms
 			// keeps its zero row.
 			return fn(row, label)
 		}
-		clear(tf)
-		for _, t := range toks {
+		ws = ws[:0]
+		for _, t := range ids {
+			if stamp[t] != doc {
+				stamp[t] = doc
+				tf[t] = 0
+				ws = append(ws, weighted{term: t})
+			}
 			tf[t]++
 		}
-		ws = ws[:0]
-		invLen := 1 / float64(len(toks))
-		for t, c := range tf {
-			ws = append(ws, weighted{t, float64(c) * invLen * idf(t)})
+		invLen := 1 / float64(len(ids))
+		for i := range ws {
+			t := ws[i].term
+			ws[i].w = float64(tf[t]) * invLen * idf[t]
 		}
-		sort.Slice(ws, func(a, b int) bool {
-			if !matrix.ApproxEqual(ws[a].w, ws[b].w, 0) {
-				return ws[a].w > ws[b].w
+		slices.SortFunc(ws, func(a, b weighted) int {
+			if c := cmp.Compare(b.w, a.w); c != 0 {
+				return c
 			}
-			return ws[a].term < ws[b].term
+			return strings.Compare(cl.Stem(a.term), cl.Stem(b.term))
 		})
 		if len(ws) > f {
 			ws = ws[:f]
@@ -250,7 +282,7 @@ func StreamDense(cfg Config, f, dims int, seed int64, fn func(row []float64, lab
 		for _, w := range ws {
 			ents = append(ents, sparseEntry{rowOf(w.term), w.w})
 		}
-		sort.Slice(ents, func(a, b int) bool { return ents[a].j < ents[b].j })
+		slices.SortFunc(ents, func(a, b sparseEntry) int { return cmp.Compare(a.j, b.j) })
 		norm := norm2Entries(ents)
 		if !matrix.IsZero(norm) {
 			inv := 1 / norm

@@ -81,42 +81,56 @@ func TestGenerateStreamValidation(t *testing.T) {
 // batch Generate + VectorizeDense pipeline, so shard files written from
 // the stream feed the sharded driver the exact in-memory dataset.
 func TestStreamDenseBitwiseIdentity(t *testing.T) {
-	cfg := Config{NumDocs: 200, NumCategories: 8, Seed: 77}
-	const f, dims, seed = 11, 12, 5
-	c, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := c.VectorizeDense(f, dims, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	i := 0
-	meta, err := StreamDense(cfg, f, dims, seed, func(row []float64, label int) error {
-		if len(row) != dims {
-			t.Fatalf("row %d has %d dims", i, len(row))
+	for _, tc := range []struct {
+		cfg     Config
+		f, dims int
+		seed    int64
+	}{
+		{Config{NumDocs: 200, NumCategories: 8, Seed: 77}, 11, 12, 5},
+		{Config{NumDocs: 331, NumCategories: 13, VocabSize: 600, TokensPerDoc: 40, Seed: 3}, 5, 7, 91},
+	} {
+		c, err := Generate(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		want := batch.Points.Row(i)
-		for j, v := range row {
-			if math.Float64bits(v) != math.Float64bits(want[j]) {
-				t.Fatalf("row %d col %d: stream %x batch %x (%v vs %v)",
-					i, j, math.Float64bits(v), math.Float64bits(want[j]), v, want[j])
+		sparse, err := c.Vectorize(tc.f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch, err := c.VectorizeDense(tc.f, tc.dims, tc.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := 0
+		meta, err := StreamDense(tc.cfg, tc.f, tc.dims, tc.seed, func(row []float64, label int) error {
+			if len(row) != tc.dims {
+				t.Fatalf("row %d has %d dims", i, len(row))
 			}
+			want := batch.Points.Row(i)
+			for j, v := range row {
+				if math.Float64bits(v) != math.Float64bits(want[j]) {
+					t.Fatalf("row %d col %d: stream %x batch %x (%v vs %v)",
+						i, j, math.Float64bits(v), math.Float64bits(want[j]), v, want[j])
+				}
+			}
+			if label != batch.Labels[i] {
+				t.Fatalf("label %d = %d, batch %d", i, label, batch.Labels[i])
+			}
+			i++
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if label != batch.Labels[i] {
-			t.Fatalf("label %d = %d, batch %d", i, label, batch.Labels[i])
+		if i != tc.cfg.NumDocs {
+			t.Fatalf("streamed %d rows, want %d", i, tc.cfg.NumDocs)
 		}
-		i++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if i != cfg.NumDocs {
-		t.Fatalf("streamed %d rows, want %d", i, cfg.NumDocs)
-	}
-	if meta.Categories != c.Categories {
-		t.Fatalf("categories %d vs %d", meta.Categories, c.Categories)
+		if meta.Categories != c.Categories {
+			t.Fatalf("categories %d vs %d", meta.Categories, c.Categories)
+		}
+		if meta.Terms != sparse.Points.Cols() {
+			t.Fatalf("Meta.Terms = %d, batch tf-idf matrix has %d columns", meta.Terms, sparse.Points.Cols())
+		}
 	}
 }
 
@@ -131,5 +145,23 @@ func TestStreamDenseValidation(t *testing.T) {
 	}
 	if _, err := StreamDense(Config{NumDocs: 0}, 11, 4, 1, fn); err == nil {
 		t.Error("empty corpus accepted")
+	}
+	// One document more than the int32 document stamps can number must
+	// be refused up front, not after 2^31 documents wrap the counts.
+	tooMany := int64(math.MaxInt32) + 1
+	if _, err := StreamDense(Config{NumDocs: int(tooMany), NumCategories: 2, Seed: 1}, 11, 4, 1, fn); err == nil {
+		t.Error("NumDocs beyond int32 accepted")
+	}
+}
+
+// BenchmarkStreamDense measures one full two-pass ingest at the size of
+// the repository benchmark's corpus-local workload.
+func BenchmarkStreamDense(b *testing.B) {
+	cfg := Config{NumDocs: 4096, VocabSize: 8192, Seed: 1}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := StreamDense(cfg, 11, 16, 1, func([]float64, int) error { return nil }); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

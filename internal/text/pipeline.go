@@ -2,53 +2,74 @@ package text
 
 import (
 	"strings"
+	"sync"
 	"unicode"
 )
 
 // StripHTML removes tags and script/style bodies from an HTML fragment,
 // returning the raw text with tags replaced by spaces (step (i) of the
-// paper's cleaning pipeline).
+// paper's cleaning pipeline). Together with Tokenize it is the
+// specification Cleaner's fused scanner is fuzz-checked against; the
+// production path never materializes the stripped text.
 func StripHTML(s string) string {
 	var sb strings.Builder
 	sb.Grow(len(s))
 	inTag := false
-	var skipUntil string // closing tag that ends a skipped element
-	i := 0
-	lower := strings.ToLower(s)
-	for i < len(s) {
+	skip := "" // element whose closing tag ends the skipped body
+	for i := 0; i < len(s); i++ {
 		c := s[i]
-		if !inTag && c == '<' {
-			if skipUntil == "" {
-				for _, elem := range []string{"script", "style"} {
-					open := "<" + elem
-					if strings.HasPrefix(lower[i:], open) {
-						skipUntil = "</" + elem
-						break
-					}
-				}
-			} else if strings.HasPrefix(lower[i:], skipUntil) {
-				skipUntil = ""
-			}
-			inTag = true
-			i++
-			continue
-		}
-		if inTag {
+		switch {
+		case inTag:
 			if c == '>' {
 				inTag = false
 				sb.WriteByte(' ')
 			}
-			i++
-			continue
+		case c == '<':
+			skip = skipAfterTag(s[i+1:], skip)
+			inTag = true
+		case skip == "":
+			sb.WriteByte(c)
 		}
-		if skipUntil != "" {
-			i++
-			continue
-		}
-		sb.WriteByte(c)
-		i++
 	}
 	return sb.String()
+}
+
+// skipAfterTag is the script/style state transition at a '<': tag is
+// the input following it and skip the element whose body is currently
+// being dropped ("" for none). Outside a skipped body an opening
+// <script or <style starts one; inside, only that element's closing
+// tag ends it. Tag names are matched by ASCII case folding on the
+// input itself, as HTML defines them — lower-casing a copy of the
+// document first would shift byte offsets wherever a rune's lower-case
+// form has a different length (U+0130, U+212A).
+func skipAfterTag(tag, skip string) string {
+	if skip == "" {
+		for _, elem := range [...]string{"script", "style"} {
+			if hasPrefixFold(tag, elem) {
+				return elem
+			}
+		}
+		return ""
+	}
+	if len(tag) > 0 && tag[0] == '/' && hasPrefixFold(tag[1:], skip) {
+		return ""
+	}
+	return skip
+}
+
+// hasPrefixFold reports whether s starts with the lower-case ASCII
+// word prefix, ignoring the case of ASCII letters in s only
+// (strings.EqualFold would also accept U+017F for 's').
+func hasPrefixFold(s, prefix string) bool {
+	if len(s) < len(prefix) {
+		return false
+	}
+	for i := 0; i < len(prefix); i++ {
+		if s[i]|0x20 != prefix[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // Tokenize lower-cases the text and splits it on any non-letter rune,
@@ -83,16 +104,24 @@ yourself yourselves`) {
 // IsStopWord reports whether the lower-case token is on the stop list.
 func IsStopWord(w string) bool { return stopWords[w] }
 
+var cleaners = sync.Pool{New: func() any { return NewCleaner() }}
+
+// maxPooledForms retires a pooled Cleaner whose memo has outgrown any
+// natural-language vocabulary, so input with unbounded distinct tokens
+// (identifiers, hashes) cannot pin unbounded memory behind Clean. An
+// explicit Cleaner has no such cap; its owner decides its lifetime.
+const maxPooledForms = 1 << 18
+
 // Clean runs the full pipeline on raw HTML: strip tags, tokenize,
-// drop stop words and single-letter tokens, and stem what remains.
+// drop stop words and single-letter tokens, and stem what remains. It
+// borrows a Cleaner from a pool, so a loop of Clean calls shares the
+// word-form memo like an explicit Cleaner does: a fresh Cleaner per
+// document spends on building its two maps what the fused scan saves.
 func Clean(html string) []string {
-	toks := Tokenize(StripHTML(html))
-	out := toks[:0]
-	for _, t := range toks {
-		if len(t) < 2 || IsStopWord(t) {
-			continue
-		}
-		out = append(out, PorterStem(t))
+	c := cleaners.Get().(*Cleaner)
+	out := c.Clean(html)
+	if len(c.memo) <= maxPooledForms {
+		cleaners.Put(c)
 	}
 	return out
 }

@@ -13,7 +13,18 @@ func PorterStem(word string) string {
 	if len(word) <= 2 {
 		return word
 	}
-	w := []byte(word)
+	return string(stemBytes([]byte(word)))
+}
+
+// stemBytes is PorterStem on a mutable buffer: it stems w in place and
+// returns the stem as a prefix of w's storage. No rule lengthens a word
+// (suffixes are replaced by shorter-or-equal ones, and the step-1b 'e'
+// restoration follows the removal of at least two bytes), so nothing is
+// allocated.
+func stemBytes(w []byte) []byte {
+	if len(w) <= 2 {
+		return w
+	}
 	w = step1a(w)
 	w = step1b(w)
 	w = step1c(w)
@@ -21,8 +32,7 @@ func PorterStem(word string) string {
 	w = step3(w)
 	w = step4(w)
 	w = step5a(w)
-	w = step5b(w)
-	return string(w)
+	return step5b(w)
 }
 
 // isConsonant reports whether w[i] is a consonant in Porter's sense:

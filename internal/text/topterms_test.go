@@ -107,6 +107,21 @@ func TestStripHTMLEdgeCases(t *testing.T) {
 			t.Errorf("StripHTML(%q) = %q, want contains %q", in, got, wantContains)
 		}
 	}
+	// U+0130 and U+212A lower-case to shorter encodings: matching tag
+	// names in a lower-cased copy with the original's offsets used to
+	// miss every <script>/<style> after one of them.
+	for _, in := range []string{
+		"İstanbul <script>evil payload</script> world",
+		"\u212Aelvin <STYLE>evil payload</STYLE> world",
+	} {
+		got := StripHTML(in)
+		if strings.Contains(got, "evil") || !strings.Contains(got, "world") {
+			t.Errorf("StripHTML(%q) = %q, want the element body dropped and the tail kept", in, got)
+		}
+	}
+	if got := strings.Join(Clean("İstanbul <script>evil payload</script> world"), " "); got != "istanbul world" {
+		t.Errorf("Clean kept a script body after U+0130: %q", got)
+	}
 }
 
 func TestCleanDropsShortTokens(t *testing.T) {
