@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"strconv"
@@ -95,27 +96,42 @@ func (r *mapReduceRunner) Solve(ctx context.Context, p *Plan, part *lsh.Partitio
 	return solutionsFromLabelPairs(part, labelPairs, p.Points.Rows(), p.Cfg.Compression)
 }
 
+// sigKeyLen is the fixed length of a stage-1 record key:
+// two hex digits of table, ':', sixteen hex digits of signature.
+const sigKeyLen = 2 + 1 + 16
+
 // encodeSigKey formats a stage-1 record key as "<table>:<signature>"
-// with fixed-width hex fields, so the shuffle groups per (table,
-// signature) and keys sort in (table, signature) order.
+// with fixed-width lower-case hex fields (the bytes of
+// fmt.Sprintf("%02x:%016x", table, sig); table is an ensemble index,
+// below lsh.MaxTables and so always one byte), so the shuffle groups
+// per (table, signature) and keys sort in (table, signature) order.
+// Runs once per row per table in every stage-1 mapper, hence no fmt:
+// one allocation, the string.
 func encodeSigKey(table int, sig uint64) string {
-	return fmt.Sprintf("%02x:%016x", table, sig)
+	var raw [1 + 8]byte
+	raw[0] = byte(table)
+	binary.BigEndian.PutUint64(raw[1:], sig)
+	var b [sigKeyLen]byte
+	hex.Encode(b[:2], raw[:1])
+	b[2] = ':'
+	hex.Encode(b[3:], raw[1:])
+	return string(b[:])
 }
 
-// decodeSigKey is the inverse of encodeSigKey.
+// decodeSigKey is the inverse of encodeSigKey; it allocates nothing.
+// Hex digits of either case are accepted, anything else is an error.
 func decodeSigKey(key string) (table int, sig uint64, err error) {
-	if len(key) != 19 || key[2] != ':' {
+	if len(key) != sigKeyLen || key[2] != ':' {
 		return 0, 0, fmt.Errorf("core: bad signature key %q", key)
 	}
-	t, err := strconv.ParseUint(key[:2], 16, 8)
-	if err != nil {
+	var raw [1 + 8]byte
+	if _, err := hex.Decode(raw[:1], []byte(key[:2])); err != nil {
 		return 0, 0, fmt.Errorf("core: bad table in key %q: %w", key, err)
 	}
-	sig, err = strconv.ParseUint(key[3:], 16, 64)
-	if err != nil {
+	if _, err := hex.Decode(raw[1:], []byte(key[3:])); err != nil {
 		return 0, 0, fmt.Errorf("core: bad signature in key %q: %w", key, err)
 	}
-	return int(t), sig, nil
+	return int(raw[0]), binary.BigEndian.Uint64(raw[1:]), nil
 }
 
 // signaturesFromPairs reassembles the per-point per-table signature set
@@ -151,25 +167,36 @@ func signaturesFromPairs(sigPairs []mapreduce.Pair, n, tables int) (*lsh.Signatu
 // label. The shared assembly path then offsets the solutions exactly
 // like every other runner's.
 func solutionsFromLabelPairs(part *lsh.Partition, pairs []mapreduce.Pair, n int, packed bool) ([]BucketSolution, error) {
-	type slot struct{ bucket, pos int }
-	where := make(map[int]slot, n)
+	// bucketOf[i] / posOf[i] locate point i in the partition until its
+	// label arrives. The stream must label every point of every bucket
+	// exactly once and carry every bucket's stats record: a lost or
+	// repeated record is an error, not a silent label 0 or last write
+	// wins.
+	const (
+		unknownPoint  = -1 // in no bucket
+		labelledPoint = -2 // label already seen
+	)
+	bucketOf := make([]int32, n)
+	posOf := make([]int32, n)
+	for i := range bucketOf {
+		bucketOf[i] = unknownPoint
+	}
 	sigOf := make(map[uint64]int, len(part.Buckets))
 	sols := make([]BucketSolution, len(part.Buckets))
+	labelled := make([]int, len(part.Buckets))
+	hasStats := make([]bool, len(part.Buckets))
 	for bi, b := range part.Buckets {
 		sols[bi].Labels = make([]int, len(b.Indices))
 		sigOf[b.Signature] = bi
 		for pi, idx := range b.Indices {
-			where[idx] = slot{bi, pi}
+			if idx < 0 || idx >= n {
+				return nil, fmt.Errorf("core: bucket %x holds out-of-range point %d", b.Signature, idx)
+			}
+			bucketOf[idx], posOf[idx] = int32(bi), int32(pi)
 		}
-	}
-	isStats := func(v []byte) bool {
-		if packed {
-			return len(v) != 12 && len(v) > 0 && v[0] == packedStatsKind
-		}
-		return len(v) >= bucketStatsLen
 	}
 	for _, p := range pairs {
-		if isStats(p.Value) {
+		if isStatsRecord(p.Value, packed) {
 			sig, err := strconv.ParseUint(p.Key, 16, 64)
 			if err != nil {
 				return nil, fmt.Errorf("core: bad stats key %q: %w", p.Key, err)
@@ -178,6 +205,10 @@ func solutionsFromLabelPairs(part *lsh.Partition, pairs []mapreduce.Pair, n int,
 			if !ok {
 				return nil, fmt.Errorf("core: stats for unknown bucket %x", sig)
 			}
+			if hasStats[bi] {
+				return nil, fmt.Errorf("core: duplicate stats for bucket %x", sig)
+			}
+			hasStats[bi] = true
 			if packed {
 				if err := decodePackedBucketStats(p.Value, &sols[bi]); err != nil {
 					return nil, err
@@ -191,14 +222,36 @@ func solutionsFromLabelPairs(part *lsh.Partition, pairs []mapreduce.Pair, n int,
 			return nil, fmt.Errorf("core: label payload length %d", len(p.Value))
 		}
 		idx, local, k := decodeLabel(p.Value)
-		s, ok := where[idx]
-		if !ok {
+		if idx < 0 || idx >= n || bucketOf[idx] == unknownPoint {
 			return nil, fmt.Errorf("core: label for out-of-range point %d", idx)
 		}
-		sols[s.bucket].Labels[s.pos] = local
-		sols[s.bucket].K = k
+		bi := bucketOf[idx]
+		if bi == labelledPoint {
+			return nil, fmt.Errorf("core: duplicate label for point %d", idx)
+		}
+		bucketOf[idx] = labelledPoint
+		sols[bi].Labels[posOf[idx]] = local
+		sols[bi].K = k
+		labelled[bi]++
+	}
+	for bi, b := range part.Buckets {
+		if labelled[bi] != len(b.Indices) {
+			return nil, fmt.Errorf("core: bucket %x: %d of %d points labelled", b.Signature, labelled[bi], len(b.Indices))
+		}
+		if !hasStats[bi] {
+			return nil, fmt.Errorf("core: bucket %x: missing stats record", b.Signature)
+		}
 	}
 	return sols, nil
+}
+
+// isStatsRecord tells a stage-2 output record's kind: a per-bucket
+// stats record, or else a 12-byte label record.
+func isStatsRecord(v []byte, packed bool) bool {
+	if packed {
+		return len(v) != 12 && len(v) > 0 && v[0] == packedStatsKind
+	}
+	return len(v) >= bucketStatsLen
 }
 
 // bucketStatsLen is the fixed prefix of a stats record: NNZ, Fill bits,
@@ -308,12 +361,8 @@ func LSHJob(prefix string, points *matrix.Dense, hashers []*lsh.Hasher) *mapredu
 			}
 			return nil
 		},
-		Reduce: func(key string, values [][]byte, emit mapreduce.Emit) error {
-			for _, v := range values {
-				emit(key, v)
-			}
-			return nil
-		},
+		Reduce:         mapreduce.IdentityReduceFunc,
+		IdentityReduce: true,
 	}
 	mapreduce.Register(job)
 	return job
@@ -333,10 +382,8 @@ func ClusterJob(prefix string, points *matrix.Dense, cfg Config, sigma float64, 
 	job := &mapreduce.Job{
 		Name:        prefix + "/cluster",
 		NumReducers: 4,
-		Map: func(key string, value []byte, emit mapreduce.Emit) error {
-			emit(key, value) // identity: buckets are already formed
-			return nil
-		},
+		Map:         mapreduce.IdentityMapFunc, // buckets are already formed
+		IdentityMap: true,
 		Reduce: func(key string, values [][]byte, emit mapreduce.Emit) error {
 			// Reducers may run concurrently, so the sub-Gram scratch is
 			// per-invocation; it is still reused across this key's values.

@@ -180,12 +180,8 @@ func newShardedLSHJob(conf []byte) (*mapreduce.Job, error) {
 				return nil
 			})
 		},
-		Reduce: func(key string, values [][]byte, emit mapreduce.Emit) error {
-			for _, v := range values {
-				emit(key, v)
-			}
-			return nil
-		},
+		Reduce:         mapreduce.IdentityReduceFunc,
+		IdentityReduce: true,
 	}, nil
 }
 
@@ -220,10 +216,8 @@ func newShardedClusterJob(conf []byte) (*mapreduce.Job, error) {
 	}
 	return &mapreduce.Job{
 		NumReducers: 4,
-		Map: func(key string, value []byte, emit mapreduce.Emit) error {
-			emit(key, value) // identity: buckets are already formed
-			return nil
-		},
+		Map:         mapreduce.IdentityMapFunc, // buckets are already formed
+		IdentityMap: true,
 		Reduce: func(key string, values [][]byte, emit mapreduce.Emit) error {
 			r, err := cachedShardReader(sc.Dir)
 			if err != nil {

@@ -141,12 +141,8 @@ func newShippedLSHJob(conf []byte) (*mapreduce.Job, error) {
 			}
 			return nil
 		},
-		Reduce: func(key string, values [][]byte, emit mapreduce.Emit) error {
-			for _, v := range values {
-				emit(key, v)
-			}
-			return nil
-		},
+		Reduce:         mapreduce.IdentityReduceFunc,
+		IdentityReduce: true,
 	}, nil
 }
 
@@ -164,10 +160,8 @@ func newShippedClusterJob(conf []byte) (*mapreduce.Job, error) {
 	}
 	return &mapreduce.Job{
 		NumReducers: 4,
-		Map: func(key string, value []byte, emit mapreduce.Emit) error {
-			emit(key, value)
-			return nil
-		},
+		Map:         mapreduce.IdentityMapFunc, // buckets arrive formed and encoded
+		IdentityMap: true,
 		Reduce: func(key string, values [][]byte, emit mapreduce.Emit) error {
 			for _, v := range values {
 				var payload bucketPayload

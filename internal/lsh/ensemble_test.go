@@ -186,16 +186,16 @@ func TestProbeSequenceMarginOrder(t *testing.T) {
 	probes := probeSequence(0b0000, 4, margins, 2, 100, nil, sc)
 
 	want := []uint64{
-		0b0010,          // flip bit 1 (margin .1)
-		0b1000,          // bit 3 (.3)
-		0b1010,          // bits 1+3 (.4)
-		0b0100,          // bit 2 (.5)
-		0b0110,          // bits 1+2 (.6)
-		0b1100,          // bits 2+3 (.8)
-		0b0001,          // bit 0 (.9)
-		0b0011,          // bits 0+1 (1.0)
-		0b1001,          // bits 0+3 (1.2)
-		0b0101,          // bits 0+2 (1.4)
+		0b0010, // flip bit 1 (margin .1)
+		0b1000, // bit 3 (.3)
+		0b1010, // bits 1+3 (.4)
+		0b0100, // bit 2 (.5)
+		0b0110, // bits 1+2 (.6)
+		0b1100, // bits 2+3 (.8)
+		0b0001, // bit 0 (.9)
+		0b0011, // bits 0+1 (1.0)
+		0b1001, // bits 0+3 (1.2)
+		0b0101, // bits 0+2 (1.4)
 	}
 	if !reflect.DeepEqual(probes, want) {
 		t.Fatalf("probe order:\ngot  %04b\nwant %04b", probes, want)

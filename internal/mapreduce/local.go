@@ -39,7 +39,7 @@ func (l *Local) RunContext(ctx context.Context, job *Job, input []Pair) (_ []Pai
 		workers = runtime.GOMAXPROCS(0)
 	}
 	numReducers := job.numReducers()
-	ctr := &Counters{InputRecords: len(input), ReduceTasks: numReducers}
+	ctr := &Counters{InputRecords: len(input)}
 
 	var ss *spillSet
 	if job.SpillBytes > 0 {
@@ -48,9 +48,13 @@ func (l *Local) RunContext(ctx context.Context, job *Job, input []Pair) (_ []Pai
 	}
 
 	tasks := splits(input, job.splitSize())
-	ctr.MapTasks = len(tasks)
+	if !job.IdentityMap {
+		ctr.MapTasks = len(tasks)
+	}
 
-	// Map phase: each task produces per-partition output slices.
+	// Map phase: each task produces per-partition output slices. An
+	// identity map is elided — the split is its own output — but still
+	// partitioned and sorted on the pool like any other task's.
 	type mapResult struct {
 		parts [][]Pair
 		err   error
@@ -67,31 +71,35 @@ func (l *Local) RunContext(ctx context.Context, job *Job, input []Pair) (_ []Pai
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			var local []Pair
-			emit := func(k string, v []byte) {
-				local = append(local, Pair{k, v})
-			}
-			for _, rec := range tasks[t] {
+			if job.IdentityMap {
 				if err := ctx.Err(); err != nil {
 					results[t].err = fmt.Errorf("mapreduce: %s map: %w", job.Name, err)
 					return
 				}
-				if err := job.Map(rec.Key, rec.Value, emit); err != nil {
-					results[t].err = fmt.Errorf("mapreduce: %s map: %w", job.Name, err)
-					return
+				local = identityMapOutput(job, tasks[t])
+			} else {
+				emit := func(k string, v []byte) {
+					local = append(local, Pair{k, v})
+				}
+				for _, rec := range tasks[t] {
+					if err := ctx.Err(); err != nil {
+						results[t].err = fmt.Errorf("mapreduce: %s map: %w", job.Name, err)
+						return
+					}
+					if err := job.Map(rec.Key, rec.Value, emit); err != nil {
+						results[t].err = fmt.Errorf("mapreduce: %s map: %w", job.Name, err)
+						return
+					}
 				}
 			}
 			mapOutputs.Add(int64(len(local)))
-			if job.Combine != nil {
-				combined, err := runCombine(job.Combine, local)
-				if err != nil {
-					results[t].err = fmt.Errorf("mapreduce: %s combine: %w", job.Name, err)
-					return
-				}
-				local = combined
-			}
 			// Map-side sort: each partition leaves the task as a
 			// key-sorted run, so the shuffle below is a pure merge.
-			parts := partitionSorted(job, numReducers, local)
+			parts, err := mapSideRuns(job, numReducers, local)
+			if err != nil {
+				results[t].err = fmt.Errorf("mapreduce: %s combine: %w", job.Name, err)
+				return
+			}
 			if ss != nil {
 				// Out-of-core mode: runs go to the spill manager (keyed by
 				// task index, the merge's tie-break order) instead of
@@ -112,6 +120,9 @@ func (l *Local) RunContext(ctx context.Context, job *Job, input []Pair) (_ []Pai
 		}
 	}
 	ctr.MapOutputs = int(mapOutputs.Load())
+	if !job.IdentityReduce {
+		ctr.ReduceTasks = numReducers
+	}
 
 	type reduceResult struct {
 		out []Pair
@@ -126,7 +137,8 @@ func (l *Local) RunContext(ctx context.Context, job *Job, input []Pair) (_ []Pai
 		// still-buffered memory runs, in map-task order) through a
 		// grouper straight into the reducer, so the partition is never
 		// resident as one slice. Same merge order, same groups, same
-		// output as the in-memory path.
+		// output as the in-memory path. An identity reduce is elided: the
+		// merged stream is the partition's output.
 		if err := ss.seal(); err != nil {
 			return nil, nil, fmt.Errorf("mapreduce: %s: %w", job.Name, err)
 		}
@@ -136,6 +148,9 @@ func (l *Local) RunContext(ctx context.Context, job *Job, input []Pair) (_ []Pai
 				defer wg.Done()
 				sem <- struct{}{}
 				defer func() { <-sem }()
+				if ctx.Err() != nil {
+					return // reported once, after the phase
+				}
 				runs := ss.partitionRuns(p)
 				g := &grouper{fn: func(key string, values [][]byte) error {
 					if err := ctx.Err(); err != nil {
@@ -145,9 +160,16 @@ func (l *Local) RunContext(ctx context.Context, job *Job, input []Pair) (_ []Pai
 						red[p].out = append(red[p].out, Pair{k, v})
 					})
 				}}
+				deliver := g.add
+				if job.IdentityReduce {
+					deliver = func(kv Pair) error {
+						red[p].out = append(red[p].out, kv)
+						return nil
+					}
+				}
 				merr := MergeRunReaders(runs, func(kv Pair) error {
 					shuffleBytes.Add(int64(len(kv.Key) + len(kv.Value)))
-					return g.add(kv)
+					return deliver(kv)
 				})
 				if merr == nil {
 					merr = g.flush()
@@ -178,6 +200,9 @@ func (l *Local) RunContext(ctx context.Context, job *Job, input []Pair) (_ []Pai
 				defer wg.Done()
 				sem <- struct{}{}
 				defer func() { <-sem }()
+				if ctx.Err() != nil {
+					return // reported once, after the phase
+				}
 				runs := make([][]Pair, 0, len(results))
 				for _, r := range results {
 					if p < len(r.parts) && len(r.parts[p]) > 0 {
@@ -196,8 +221,13 @@ func (l *Local) RunContext(ctx context.Context, job *Job, input []Pair) (_ []Pai
 		wg.Wait()
 		ctr.ShuffleBytes = shuffleBytes.Load()
 
-		// Reduce phase.
+		// Reduce phase. An identity reduce is elided: the merged
+		// partitions are the output.
 		for p := range partitions {
+			if job.IdentityReduce {
+				red[p].out = partitions[p]
+				continue
+			}
 			wg.Add(1)
 			go func(p int) {
 				defer wg.Done()

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 )
 
 // Pair is one key/value record. Values are opaque bytes; typed adapters
@@ -36,8 +37,27 @@ type Job struct {
 	Name string
 	// Map is required.
 	Map MapFunc
-	// Reduce is required. (An identity reduce emits values unchanged.)
+	// Reduce is required.
 	Reduce ReduceFunc
+	// IdentityMap declares that Map behaves exactly like IdentityMapFunc
+	// (emit the record unchanged) and IdentityReduce that Reduce behaves
+	// exactly like IdentityReduceFunc (emit the group's values, in order,
+	// under its key). The job's author states them next to the closure
+	// they describe — a property of the job, not a runtime setting. An
+	// executor does not dispatch a declared phase: for an identity map it
+	// partitions and sorts each input split itself and feeds the usual
+	// run/spill path; for an identity reduce the merged partitions are
+	// the output. Output pairs are byte-identical, in the same order, to
+	// executing the closures on either executor at any SpillBytes and
+	// Compress setting; a declaration that does not match its closure
+	// changes the output (the elision tests show how that is caught).
+	// Map and Reduce stay required: they are the specification the
+	// declarations are tested against. The decision is the executor's
+	// alone (on TCP, the master's): no frame kind, hello or task field
+	// changes, and workers — including external cmd/dascworker processes
+	// — simply never see the elided phase's tasks.
+	IdentityMap    bool
+	IdentityReduce bool
 	// Combine optionally pre-aggregates map output per split before the
 	// shuffle, with reduce semantics.
 	Combine ReduceFunc
@@ -71,20 +91,28 @@ type Job struct {
 
 // Counters reports work volume for a run, mirroring Hadoop job counters.
 type Counters struct {
-	MapTasks     int
-	ReduceTasks  int
+	// MapTasks / ReduceTasks count the tasks the executor dispatched to
+	// its workers: zero for a phase the job declares an identity (see
+	// Job.IdentityMap), whose records the executor moves itself.
+	MapTasks    int
+	ReduceTasks int
+	// InputRecords, MapOutputs and OutputRecords count records and do
+	// not depend on whether a phase was dispatched or elided.
 	InputRecords int
 	MapOutputs   int
 	// ShuffleBytes sizes the map output crossing the shuffle. The Local
 	// executor reports the key+value byte sum (no wire exists); the TCP
 	// executor reports the actual encoded bytes of the map-result frames
 	// received from workers, which is always at least the Local
-	// approximation (framing adds sequence numbers and length prefixes).
+	// approximation (framing adds sequence numbers and length prefixes)
+	// — and therefore zero when the map phase is elided: the records
+	// reach the shuffle without crossing the wire.
 	ShuffleBytes  int64
 	OutputRecords int
 	// WireBytesOut / WireBytesIn count every encoded byte the TCP
-	// master wrote to / read from worker sockets across both phases,
-	// including hellos and frame headers. Zero for the Local executor.
+	// master wrote to / read from worker sockets across the dispatched
+	// phases, including hellos and frame headers (an elided phase moves
+	// no bytes). Zero for the Local executor.
 	WireBytesOut int64
 	WireBytesIn  int64
 	// EncodeNanos / DecodeNanos are the master-side wall time spent
@@ -154,6 +182,24 @@ func (c *Counters) Add(o *Counters) {
 	c.ShardCoalescedReads += o.ShardCoalescedReads
 	c.CompressedBytes += o.CompressedBytes
 	c.CompressNanos += o.CompressNanos
+}
+
+// IdentityMapFunc and IdentityReduceFunc are the pass-through phases
+// Job.IdentityMap and Job.IdentityReduce stand for. A job that forwards
+// its records through one side (DASC's stage-1 reduce only groups, its
+// stage-2 map only hands on the buckets the driver formed) sets the
+// function and the declaration together; the function is what runs when
+// the declaration is cleared, and what the elision tests compare with.
+func IdentityMapFunc(key string, value []byte, emit Emit) error {
+	emit(key, value)
+	return nil
+}
+
+func IdentityReduceFunc(key string, values [][]byte, emit Emit) error {
+	for _, v := range values {
+		emit(key, v)
+	}
+	return nil
 }
 
 // Executor runs jobs.
@@ -285,6 +331,31 @@ func partitionSorted(job *Job, numReducers int, local []Pair) [][]Pair {
 		sortPairs(part)
 	}
 	return parts
+}
+
+// mapSideRuns turns one map task's output into its per-partition sorted
+// runs, applying the job's combiner first (the only source of an
+// error). Shared by the Local executor, the TCP worker and the TCP
+// master's elided map phase.
+func mapSideRuns(job *Job, numReducers int, local []Pair) ([][]Pair, error) {
+	if job.Combine != nil {
+		combined, err := runCombine(job.Combine, local)
+		if err != nil {
+			return nil, err
+		}
+		local = combined
+	}
+	return partitionSorted(job, numReducers, local), nil
+}
+
+// identityMapOutput is the output of an elided map task: the split
+// itself. The combiner sorts its input in place, so a job that has one
+// gets a copy and the caller's input stays untouched.
+func identityMapOutput(job *Job, split []Pair) []Pair {
+	if job.Combine != nil {
+		return slices.Clone(split)
+	}
+	return split
 }
 
 // runCombine applies a combiner to one split's map output.

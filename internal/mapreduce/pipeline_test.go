@@ -273,6 +273,65 @@ func TestTCPWireCountersMeterRealTraffic(t *testing.T) {
 	}
 }
 
+// TestCountersUnderElision pins what the counters mean when a job
+// declares an identity phase: MapTasks/ReduceTasks count dispatched
+// tasks only, the record counters do not move, and on TCP an elided map
+// phase ships nothing, so ShuffleBytes (map-result frames received) is
+// zero and the inbound wire total shrinks to the reduce results.
+func TestCountersUnderElision(t *testing.T) {
+	job := &Job{Name: "ctr-elide", NumReducers: 3, SplitSize: 32, Map: IdentityMapFunc, Reduce: IdentityReduceFunc}
+	Register(job)
+	input := shuffleHeavyInput(256)
+	m, stop := startCluster(t, 2)
+	defer stop()
+
+	for _, exec := range []Executor{&Local{}, m} {
+		run := func(identityMap, identityReduce bool) *Counters {
+			t.Helper()
+			j := *job
+			j.IdentityMap, j.IdentityReduce = identityMap, identityReduce
+			_, ctr, err := exec.Run(&j, input)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ctr
+		}
+		full, noMap, noReduce := run(false, false), run(true, false), run(false, true)
+		if full.MapTasks != 8 || full.ReduceTasks != 3 {
+			t.Fatalf("%T: executed job dispatched %d map / %d reduce tasks, want 8 / 3", exec, full.MapTasks, full.ReduceTasks)
+		}
+		if noMap.MapTasks != 0 || noMap.ReduceTasks != 3 {
+			t.Fatalf("%T: elided map dispatched %d map / %d reduce tasks, want 0 / 3", exec, noMap.MapTasks, noMap.ReduceTasks)
+		}
+		if noReduce.MapTasks != 8 || noReduce.ReduceTasks != 0 {
+			t.Fatalf("%T: elided reduce dispatched %d map / %d reduce tasks, want 8 / 0", exec, noReduce.MapTasks, noReduce.ReduceTasks)
+		}
+		for name, c := range map[string]*Counters{"map": noMap, "reduce": noReduce} {
+			if c.InputRecords != full.InputRecords || c.MapOutputs != full.MapOutputs || c.OutputRecords != full.OutputRecords {
+				t.Fatalf("%T: eliding the %s phase moved the record counters: %+v vs %+v", exec, name, c, full)
+			}
+		}
+		if exec != Executor(m) {
+			if noMap.ShuffleBytes != full.ShuffleBytes || noReduce.ShuffleBytes != full.ShuffleBytes {
+				t.Fatalf("Local ShuffleBytes moved: %d / %d vs %d", noMap.ShuffleBytes, noReduce.ShuffleBytes, full.ShuffleBytes)
+			}
+			continue
+		}
+		if full.ShuffleBytes <= 0 || noReduce.ShuffleBytes != full.ShuffleBytes {
+			t.Fatalf("TCP ShuffleBytes with the map dispatched: %d executed, %d with the reduce elided", full.ShuffleBytes, noReduce.ShuffleBytes)
+		}
+		if noMap.ShuffleBytes != 0 {
+			t.Fatalf("TCP ShuffleBytes = %d with the map phase elided; no map-result frame crossed the wire", noMap.ShuffleBytes)
+		}
+		if noReduce.WireBytesIn != noReduce.ShuffleBytes {
+			t.Fatalf("elided reduce: WireBytesIn %d, want only the %d map-result bytes", noReduce.WireBytesIn, noReduce.ShuffleBytes)
+		}
+		if noMap.WireBytesOut >= full.WireBytesOut || noReduce.WireBytesOut >= full.WireBytesOut {
+			t.Fatalf("WireBytesOut did not shrink: %d executed, %d / %d elided", full.WireBytesOut, noMap.WireBytesOut, noReduce.WireBytesOut)
+		}
+	}
+}
+
 // TestCountersAdd covers the aggregation helper the pipeline runners
 // use to accumulate per-job counters into one report.
 func TestCountersAdd(t *testing.T) {

@@ -74,8 +74,7 @@ func appendRunRecord(buf []byte, p Pair) []byte {
 // pairDiskBytes is a pair's framed size on disk; the spill budget is
 // accounted in these units so the budget bounds real file bytes.
 func pairDiskBytes(p Pair) int64 {
-	return int64(uvarintLen(uint64(len(p.Key)))) + int64(len(p.Key)) +
-		int64(uvarintLen(uint64(len(p.Value)))) + int64(len(p.Value))
+	return int64(wireFieldSize(len(p.Key)) + wireFieldSize(len(p.Value)))
 }
 
 // fileRun streams one spilled segment's records back. It reads through

@@ -278,7 +278,8 @@ func (m *Master) workers() []*workerConn {
 var _ ContextExecutor = (*Master)(nil)
 
 // Run implements Executor: map tasks and reduce partitions are farmed
-// out to connected workers; the shuffle happens on the master.
+// out to connected workers; the shuffle happens on the master, and so
+// does a phase the job declares an identity (see Job.IdentityMap).
 func (m *Master) Run(job *Job, input []Pair) ([]Pair, *Counters, error) {
 	return m.RunContext(context.Background(), job, input)
 }
@@ -316,7 +317,7 @@ func (m *Master) RunContext(ctx context.Context, job *Job, input []Pair) (_ []Pa
 	}
 	workers := m.workers()
 	numReducers := job.numReducers()
-	ctr := &Counters{InputRecords: len(input), ReduceTasks: numReducers}
+	ctr := &Counters{InputRecords: len(input)}
 	// Frame compression is per-job: arm every connection's codec for
 	// task frames out, and tell workers (taskFlagCompress) to compress
 	// result frames back. v1/v2 peers ignore both.
@@ -352,30 +353,31 @@ func (m *Master) RunContext(ctx context.Context, job *Job, input []Pair) (_ []Pa
 		}
 	}
 	mapTasks := splits(input, job.splitSize())
-	ctr.MapTasks = len(mapTasks)
-	msgs := make([]taskMsg, len(mapTasks))
-	for i, t := range mapTasks {
-		msgs[i] = taskMsg{Seq: i, JobName: job.Name, Phase: "map", Conf: job.Conf, NumReducers: numReducers, Records: t, Flags: taskFlags}
+	var mapResults []resultMsg
+	if job.IdentityMap {
+		mapResults, err = m.elidedMap(ctx, job, mapTasks, sink)
+	} else {
+		ctr.MapTasks = len(mapTasks)
+		msgs := make([]taskMsg, len(mapTasks))
+		for i, t := range mapTasks {
+			msgs[i] = taskMsg{Seq: i, JobName: job.Name, Phase: "map", Conf: job.Conf, NumReducers: numReducers, Records: t, Flags: taskFlags}
+		}
+		mapResults, err = m.dispatch(ctx, workers, msgs, sink)
 	}
-	mapResults, err := m.dispatch(ctx, workers, msgs, sink)
 	if err != nil {
 		return nil, nil, err
 	}
 	// The shuffle bytes are the map-result frames that just crossed the
-	// wire — actual encoded bytes, not the key+value approximation.
+	// wire — actual encoded bytes, not the key+value approximation (and
+	// none at all when the map phase was elided).
 	ctr.ShuffleBytes = sumWireStats(workers).bytesIn - wireBefore.bytesIn
 
-	// ---- shuffle + reduce dispatch ----
-	rmsgs := make([]taskMsg, 0, numReducers)
+	// ---- shuffle ----
+	var partitions [][]Pair // in-memory mode only; spilled partitions are re-merged on demand
 	if ss != nil {
 		ctr.MapOutputs = sunkOutputs
 		if serr := ss.seal(); serr != nil {
 			return nil, nil, fmt.Errorf("mapreduce: %s: %w", job.Name, serr)
-		}
-		for p := 0; p < numReducers; p++ {
-			p := p
-			rmsgs = append(rmsgs, taskMsg{Seq: p, JobName: job.Name, Phase: "reduce", Conf: job.Conf, Flags: taskFlags,
-				load: func() ([]Pair, error) { return ss.materialize(p) }})
 		}
 	} else {
 		// In-memory shuffle: per-partition k-way merge of the map-side
@@ -388,7 +390,7 @@ func (m *Master) RunContext(ctx context.Context, job *Job, input []Pair) (_ []Pa
 				ctr.MapOutputs += len(pairs)
 			}
 		}
-		partitions := make([][]Pair, numReducers)
+		partitions = make([][]Pair, numReducers)
 		var shuffleWG sync.WaitGroup
 		for p := 0; p < numReducers; p++ {
 			shuffleWG.Add(1)
@@ -404,22 +406,49 @@ func (m *Master) RunContext(ctx context.Context, job *Job, input []Pair) (_ []Pa
 			}(p)
 		}
 		shuffleWG.Wait()
-		for p := 0; p < numReducers; p++ {
-			rmsgs = append(rmsgs, taskMsg{Seq: p, JobName: job.Name, Phase: "reduce", Conf: job.Conf, Records: partitions[p], Flags: taskFlags})
-		}
 	}
 
 	// ---- reduce phase ----
-	redResults, err := m.dispatch(ctx, workers, rmsgs, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Workers return reduce output key-sorted; assembly is the same
-	// tie-broken merge, in partition order.
-	outRuns := make([][]Pair, 0, len(redResults))
-	for _, res := range redResults {
-		if len(res.Parts) > 0 && len(res.Parts[0]) > 0 {
-			outRuns = append(outRuns, res.Parts[0])
+	// Dispatched or elided, the output is one key-sorted run per
+	// partition and assembly is the same tie-broken merge, in partition
+	// order.
+	outRuns := make([][]Pair, 0, numReducers)
+	var redResults []resultMsg
+	if job.IdentityReduce {
+		for p := 0; p < numReducers; p++ {
+			if cerr := ctx.Err(); cerr != nil {
+				return nil, nil, m.cancelled(cerr)
+			}
+			var pairs []Pair
+			if ss != nil {
+				if pairs, err = ss.materialize(p); err != nil {
+					return nil, nil, fmt.Errorf("mapreduce: %s: partition %d: %w", job.Name, p, err)
+				}
+			} else {
+				pairs = partitions[p]
+			}
+			outRuns = append(outRuns, nilEmptyValues(pairs))
+		}
+	} else {
+		ctr.ReduceTasks = numReducers
+		rmsgs := make([]taskMsg, numReducers)
+		for p := range rmsgs {
+			rmsgs[p] = taskMsg{Seq: p, JobName: job.Name, Phase: "reduce", Conf: job.Conf, Flags: taskFlags}
+			if ss != nil {
+				rmsgs[p].load = func() ([]Pair, error) { return ss.materialize(p) }
+			} else {
+				rmsgs[p].Records = partitions[p]
+			}
+		}
+		redResults, err = m.dispatch(ctx, workers, rmsgs, nil)
+		if err != nil {
+			return nil, nil, err
+		}
+		// Workers return reduce output key-sorted.
+		for _, res := range redResults {
+			if len(res.Parts) > 0 {
+				outRuns = append(outRuns, res.Parts[0])
+			}
 		}
 	}
 	out := MergeRuns(outRuns)
@@ -439,6 +468,56 @@ func (m *Master) RunContext(ctx context.Context, job *Job, input []Pair) (_ []Pa
 	}
 	ctr.ShardReadBytes += foreignShardBytes(mapResults, redResults)
 	return out, ctr, nil
+}
+
+// elidedMap is the map phase of a job that declares Job.IdentityMap: no
+// task is dispatched — each split is its own map output, so the master
+// partitions and sorts it exactly as a worker would have and hands the
+// runs to the same sink (or result slots) the dispatched phase fills.
+// Splits are handled one after another: an identity map's records are
+// already in the master's memory and partitioning them costs less than
+// encoding them would have.
+func (m *Master) elidedMap(ctx context.Context, job *Job, tasks [][]Pair, sink func(*resultMsg) error) ([]resultMsg, error) {
+	results := make([]resultMsg, len(tasks))
+	for i, split := range tasks {
+		if err := ctx.Err(); err != nil {
+			return nil, m.cancelled(err)
+		}
+		parts, err := mapSideRuns(job, job.numReducers(), identityMapOutput(job, split))
+		if err != nil {
+			return nil, fmt.Errorf("mapreduce: task %d: %w", i, err)
+		}
+		results[i] = resultMsg{Seq: i, Parts: parts}
+		if sink != nil {
+			if err := sink(&results[i]); err != nil {
+				return nil, fmt.Errorf("mapreduce: task %d result: %w", i, err)
+			}
+			results[i].Parts = nil
+		}
+	}
+	return results, nil
+}
+
+// cancelled tears the master down after a cancellation and returns the
+// error RunContext reports. In-flight exchanges leave unusable byte
+// streams behind (see RunContext); a cancel during an elided phase
+// closes the master too, so every cancelled master behaves alike and
+// workers see a clean disconnect.
+func (m *Master) cancelled(err error) error {
+	_ = m.Close()
+	return fmt.Errorf("mapreduce: job cancelled: %w", err)
+}
+
+// nilEmptyValues rewrites empty values to nil in place, as the frame
+// codec decodes them (parser.bytes): an elided reduce must hand back
+// exactly what the partition's round trip to a worker would have.
+func nilEmptyValues(pairs []Pair) []Pair {
+	for i := range pairs {
+		if len(pairs[i].Value) == 0 {
+			pairs[i].Value = nil
+		}
+	}
+	return pairs
 }
 
 // foreignShardBytes folds the shard meters external workers shipped on
@@ -625,8 +704,7 @@ func (m *Master) dispatch(ctx context.Context, workers []*workerConn, tasks []ta
 	if err := ctx.Err(); err != nil {
 		// The abandoned streams are unusable; tear the master down so
 		// workers see a clean disconnect rather than corrupt frames.
-		_ = m.Close()
-		return nil, fmt.Errorf("mapreduce: job cancelled: %w", err)
+		return nil, m.cancelled(err)
 	}
 	d.mu.Lock()
 	failure, done := d.failure, d.done
@@ -880,15 +958,12 @@ func executeTask(task taskMsg) (res resultMsg) {
 				return res
 			}
 		}
-		if job.Combine != nil {
-			combined, err := runCombine(job.Combine, local)
-			if err != nil {
-				res.Err = err.Error()
-				return res
-			}
-			local = combined
+		parts, err := mapSideRuns(job, task.NumReducers, local)
+		if err != nil {
+			res.Err = err.Error()
+			return res
 		}
-		res.Parts = partitionSorted(job, task.NumReducers, local)
+		res.Parts = parts
 	case "reduce":
 		pairs := task.Records
 		sortPairs(pairs) // master pre-merges, so this is the O(n) fast path

@@ -62,6 +62,7 @@ import (
 	"math"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -366,14 +367,16 @@ func (s *sliceWriter) Write(p []byte) (int, error) {
 const hdrReserve = binary.MaxVarintLen64
 
 // sendFrame serializes body (appended by fill after the kind byte),
-// prefixes its length, and writes the frame with a single Write. At
+// prefixes its length, and writes the frame with a single Write. size
+// is the exact number of bytes fill appends, so the pooled buffer grows
+// at most once per frame however large the payload. At
 // wire v3 with compression enabled, bodies at or above
 // CompressThreshold are deflated into a 'C' wrapper frame when that
 // actually shrinks them.
-func (c *frameCodec) sendFrame(kind byte, fill func(b []byte) []byte) (int, error) {
+func (c *frameCodec) sendFrame(kind byte, size int, fill func(b []byte) []byte) (int, error) {
 	eb := encBufPool.Get().(*encBuf)
 	start := time.Now()
-	b := append(eb.b[:0], make([]byte, hdrReserve)...)
+	b := slices.Grow(eb.b[:0], hdrReserve+1+size)[:hdrReserve]
 	b = append(b, kind)
 	b = fill(b)
 	bodyLen := len(b) - hdrReserve
@@ -500,30 +503,40 @@ func (c *frameCodec) inflateFrame(p []byte) ([]byte, error) {
 	return raw, nil
 }
 
-// readChunk bounds how much readExactly commits to ahead of the bytes
-// actually arriving.
+// readChunk caps readExactly's first allocation, and with it what a
+// frame that never arrives can cost.
 const readChunk = 64 << 10
 
-// readExactly reads exactly n bytes, growing the buffer chunk by chunk
-// as data arrives: a corrupt or hostile length prefix that promises a
-// gigabyte backed by a short stream fails after at most one chunk of
-// allocation instead of reserving the declared size up front.
+// readExactly reads exactly n bytes. The buffer starts at n halved
+// until it fits one readChunk and doubles back up to n, each time only
+// once it is full, reading straight into the grown buffer. The sizes
+// are n/2ᵏ, …, n/2, n, so however large the body is it is copied less
+// than once in total and all allocations together stay under 2n; and
+// since every buffer after the first is (at most one byte over) twice
+// the bytes that have actually arrived, a corrupt or hostile length
+// prefix that promises a gigabyte backed by a short stream fails after
+// a few chunks instead of reserving the declared size up front.
 func readExactly(r io.Reader, n int) ([]byte, error) {
-	if n <= readChunk {
-		buf := make([]byte, n)
-		_, err := io.ReadFull(r, buf)
-		return buf, err
+	halvings := 0
+	for n>>halvings > readChunk {
+		halvings++
 	}
-	buf := make([]byte, 0, readChunk)
-	for len(buf) < n {
-		step := min(n-len(buf), readChunk)
-		off := len(buf)
-		buf = append(buf, make([]byte, step)...)
-		if _, err := io.ReadFull(r, buf[off:]); err != nil {
+	buf := make([]byte, n>>halvings)
+	got := 0
+	for {
+		m, err := io.ReadFull(r, buf[got:])
+		got += m
+		if err != nil {
 			return nil, err
 		}
+		if halvings == 0 {
+			return buf, nil
+		}
+		halvings--
+		grown := make([]byte, n>>halvings)
+		copy(grown, buf)
+		buf = grown
 	}
-	return buf, nil
 }
 
 // uvarintLen is the encoded size of v.
@@ -546,12 +559,26 @@ func appendWireString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-func (c *frameCodec) writeTask(t *taskMsg) (int, error) {
-	kind := byte(frameTask)
+// wireFieldSize is the encoded size of an n-byte str/bytes field.
+func wireFieldSize(n int) int { return uvarintLen(uint64(n)) + n }
+
+// taskFrame picks the frame kind t travels in at this codec's version
+// and computes the exact size of the fields writeTask appends after the
+// kind byte.
+func (c *frameCodec) taskFrame(t *taskMsg) (kind byte, size int) {
+	kind = frameTask
+	size = uvarintLen(uint64(t.Seq)) + wireFieldSize(len(t.JobName)) + wireFieldSize(len(t.Phase)) +
+		wireFieldSize(len(t.Conf)) + uvarintLen(uint64(t.NumReducers)) + pairsWireSize(t.Records)
 	if c.version >= WireVersionPacked && t.Flags != 0 {
 		kind = frameTaskFlags
+		size += uvarintLen(t.Flags)
 	}
-	return c.sendFrame(kind, func(b []byte) []byte {
+	return kind, size
+}
+
+func (c *frameCodec) writeTask(t *taskMsg) (int, error) {
+	kind, size := c.taskFrame(t)
+	return c.sendFrame(kind, size, func(b []byte) []byte {
 		if kind == frameTaskFlags {
 			b = binary.AppendUvarint(b, t.Flags)
 		}
@@ -564,12 +591,23 @@ func (c *frameCodec) writeTask(t *taskMsg) (int, error) {
 	})
 }
 
-func (c *frameCodec) writeResult(r *resultMsg) (int, error) {
-	kind := byte(frameResult)
+// resultFrame is taskFrame's counterpart for writeResult.
+func (c *frameCodec) resultFrame(r *resultMsg) (kind byte, size int) {
+	kind = frameResult
+	size = uvarintLen(uint64(r.Seq)) + wireFieldSize(len(r.Err)) + uvarintLen(uint64(len(r.Parts)))
+	for _, part := range r.Parts {
+		size += pairsWireSize(part)
+	}
 	if c.version >= WireVersionPacked && r.ShardTok != 0 {
 		kind = frameResultIO
+		size += uvarintLen(r.ShardTok) + uvarintLen(uint64(max(r.ShardStart, 0))) + uvarintLen(uint64(max(r.ShardEnd, 0)))
 	}
-	return c.sendFrame(kind, func(b []byte) []byte {
+	return kind, size
+}
+
+func (c *frameCodec) writeResult(r *resultMsg) (int, error) {
+	kind, size := c.resultFrame(r)
+	return c.sendFrame(kind, size, func(b []byte) []byte {
 		if kind == frameResultIO {
 			b = binary.AppendUvarint(b, r.ShardTok)
 			b = binary.AppendUvarint(b, uint64(max(r.ShardStart, 0)))
@@ -592,6 +630,15 @@ func appendPairs(b []byte, pairs []Pair) []byte {
 		b = appendWireBytes(b, p.Value)
 	}
 	return b
+}
+
+// pairsWireSize is the exact number of bytes appendPairs appends.
+func pairsWireSize(pairs []Pair) int {
+	size := uvarintLen(uint64(len(pairs)))
+	for _, p := range pairs {
+		size += int(pairDiskBytes(p))
+	}
+	return size
 }
 
 func (c *frameCodec) readTask(t *taskMsg) (int, error) {

@@ -226,8 +226,8 @@ func helloPeers(t *testing.T, workerMax, masterMax byte) (workerV, masterV byte,
 func TestWireHelloNegotiation(t *testing.T) {
 	cases := []struct{ worker, master, want byte }{
 		{WireVersionFrames, WireVersionFrames, WireVersionFrames},
-		{WireVersionGob, WireVersionFrames, WireVersionGob},    // old worker, new master
-		{WireVersionFrames, WireVersionGob, WireVersionGob},    // new worker, old master
+		{WireVersionGob, WireVersionFrames, WireVersionGob},           // old worker, new master
+		{WireVersionFrames, WireVersionGob, WireVersionGob},           // new worker, old master
 		{WireVersionFrames + 5, WireVersionFrames, WireVersionFrames}, // future worker
 	}
 	for _, c := range cases {

@@ -5,7 +5,9 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
+	"io"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -148,12 +150,12 @@ func TestWireV2GoldenFrameBytes(t *testing.T) {
 
 	var want []byte
 	body := []byte{frameTask}
-	body = binary.AppendUvarint(body, 7)          // Seq
-	body = append(body, 2, 'j', 'b')              // JobName
-	body = append(body, 3, 'm', 'a', 'p')         // Phase
-	body = append(body, 2, 1, 2)                  // Conf
-	body = append(body, 3)                        // NumReducers
-	body = append(body, 1, 1, 'k', 1, 'v')        // Records
+	body = binary.AppendUvarint(body, 7)   // Seq
+	body = append(body, 2, 'j', 'b')       // JobName
+	body = append(body, 3, 'm', 'a', 'p')  // Phase
+	body = append(body, 2, 1, 2)           // Conf
+	body = append(body, 3)                 // NumReducers
+	body = append(body, 1, 1, 'k', 1, 'v') // Records
 	want = binary.AppendUvarint(want, uint64(len(body)))
 	want = append(want, body...)
 
@@ -169,9 +171,9 @@ func TestWireV2GoldenFrameBytes(t *testing.T) {
 	res := resultMsg{Seq: 9, Parts: [][]Pair{{{Key: "a", Value: []byte("b")}}}}
 	var wantRes []byte
 	rbody := []byte{frameResult}
-	rbody = binary.AppendUvarint(rbody, 9)  // Seq
-	rbody = append(rbody, 0)                // Err
-	rbody = append(rbody, 1)                // len(Parts)
+	rbody = binary.AppendUvarint(rbody, 9) // Seq
+	rbody = append(rbody, 0)               // Err
+	rbody = append(rbody, 1)               // len(Parts)
 	rbody = append(rbody, 1, 1, 'a', 1, 'b')
 	wantRes = binary.AppendUvarint(wantRes, uint64(len(rbody)))
 	wantRes = append(wantRes, rbody...)
@@ -351,23 +353,77 @@ func TestWireV3HelloNegotiation(t *testing.T) {
 }
 
 // TestReadExactlyBoundedByStream checks the hostile-length defense: a
-// huge declared size backed by a short stream errors out without the
-// reader ever holding more than the arrived bytes plus one chunk.
+// huge declared size backed by a short stream errors out having
+// allocated no more than twice the bytes that arrived plus one chunk.
 func TestReadExactlyBoundedByStream(t *testing.T) {
 	if _, err := readExactly(strings.NewReader("short"), 1<<29); err == nil {
 		t.Fatal("short stream satisfied a huge declared length")
 	}
+	stream := bytes.Repeat([]byte{'x'}, 100<<10)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := readExactly(bytes.NewReader(stream), 1<<29)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a 100 KiB stream satisfied a 512 MiB declared length")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("a lying 512 MiB prefix over 100 KiB made the receiver allocate %d bytes", grew)
+	}
+
 	payload := strings.Repeat("x", 3*readChunk+17)
-	got, err := readExactly(strings.NewReader(payload+"tail"), len(payload))
+	r := strings.NewReader(payload + "tail")
+	got, err := readExactly(r, len(payload))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != payload {
 		t.Fatal("multi-chunk read mismatch")
 	}
+	if len(got) != cap(got) {
+		t.Fatalf("body buffer over-allocated: len %d cap %d", len(got), cap(got))
+	}
+	if rest, _ := io.ReadAll(r); string(rest) != "tail" {
+		t.Fatalf("readExactly consumed past the body: %q left unread", rest)
+	}
 	small, err := readExactly(strings.NewReader("abc"), 3)
 	if err != nil || string(small) != "abc" {
 		t.Fatalf("small read = %q, %v", small, err)
+	}
+}
+
+// TestWireEncodeSizeExact pins the sizes taskFrame and resultFrame
+// compute up front to the bytes writeTask and writeResult then append,
+// for every frame kind: an undercount would silently bring back the
+// regrowth the size exists to avoid.
+func TestWireEncodeSizeExact(t *testing.T) {
+	pairs := append(compressiblePairs(300), Pair{}, Pair{Key: "k"}, Pair{Value: []byte{1}})
+	tasks := []taskMsg{
+		{Seq: 3, JobName: "job", Phase: "map", NumReducers: 4, Records: pairs},
+		{Seq: 200, JobName: "job", Phase: "reduce", Conf: []byte("conf"), Flags: taskFlagCompress, Records: pairs[:1]},
+		{},
+	}
+	results := []resultMsg{
+		{Seq: 1, Parts: [][]Pair{pairs, nil, pairs[:2]}},
+		{Seq: 300, Err: "boom", ShardTok: 9, ShardStart: 1 << 20, ShardEnd: 1 << 40},
+		{},
+	}
+	frameSize := func(size int) int { return uvarintLen(uint64(1+size)) + 1 + size }
+	for _, version := range []byte{WireVersionFrames, WireVersionPacked} {
+		var buf writeBuffer
+		enc := &frameCodec{w: &buf, st: &wireStats{}, version: version}
+		for i := range tasks {
+			_, size := enc.taskFrame(&tasks[i])
+			if n, err := enc.writeTask(&tasks[i]); err != nil || n != frameSize(size) {
+				t.Fatalf("v%d task %d: wrote %d bytes (%v), sized %d", version, i, n, err, frameSize(size))
+			}
+		}
+		for i := range results {
+			_, size := enc.resultFrame(&results[i])
+			if n, err := enc.writeResult(&results[i]); err != nil || n != frameSize(size) {
+				t.Fatalf("v%d result %d: wrote %d bytes (%v), sized %d", version, i, n, err, frameSize(size))
+			}
+		}
 	}
 }
 

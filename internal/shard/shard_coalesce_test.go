@@ -26,7 +26,7 @@ func TestReadRowsIntoMatchesReadRow(t *testing.T) {
 	cases := [][]int{
 		{0},
 		{49, 0},
-		{7, 7, 7},                      // duplicates share one read
+		{7, 7, 7},                     // duplicates share one read
 		{6, 7, 8, 13, 14, 20, 21, 22}, // runs crossing shard boundaries
 		nil,
 	}
