@@ -8,11 +8,17 @@ import (
 	"repro/internal/matrix"
 )
 
-// referenceLloyd is the pre-bounds implementation, kept verbatim as the
-// oracle: full assignment scan every iteration, sequential centroid
-// accumulation, separate final inertia sweep. The bounded production
-// path must reproduce its labels bit for bit.
-func referenceLloyd(points *matrix.Dense, cfg Config) *Result {
+// referenceLloyd is the unaccelerated algorithm, kept as the oracle:
+// the pre-tile single-pair seeding, a full assignment scan every
+// iteration (strict `<`, ascending index), a separate final inertia
+// sweep, the pre-tile farthest-point repair, and no early stop other
+// than Lloyd's own movement test. It shares with Run only what defines
+// the summation order of the result: accumulate (sequential, or
+// fixed-block partial sums under Run's own n/Workers rule) and the
+// block-order inertia fold. The bounded production path must reproduce
+// its labels, centroids, iteration count and inertia bit for bit. It
+// also returns how many empty clusters it repaired.
+func referenceLloyd(points *matrix.Dense, cfg Config) (*Result, int) {
 	n := points.Rows()
 	if cfg.MaxIter <= 0 {
 		cfg.MaxIter = 100
@@ -22,10 +28,14 @@ func referenceLloyd(points *matrix.Dense, cfg Config) *Result {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	d := points.Cols()
-	centroids := seedPlusPlus(points, cfg.K, rng)
+	centroids := referenceSeedPlusPlus(points, cfg.K, rng)
 	labels := make([]int, n)
 	counts := make([]int, cfg.K)
 	sums := matrix.NewDense(cfg.K, d)
+	var upd *updateScratch
+	if n >= parallelUpdateCutoff && cfg.Workers > 1 {
+		upd = newUpdateScratch(n, cfg.K, d)
+	}
 	assign := func() {
 		k := centroids.Rows()
 		for i := 0; i < n; i++ {
@@ -39,30 +49,19 @@ func referenceLloyd(points *matrix.Dense, cfg Config) *Result {
 			labels[i] = best
 		}
 	}
+	repairs := 0
 	var iter int
 	for iter = 0; iter < cfg.MaxIter; iter++ {
 		assign()
-		for i := range counts {
-			counts[i] = 0
-		}
-		for i := range sums.Data() {
-			sums.Data()[i] = 0
-		}
-		for i := 0; i < n; i++ {
-			c := labels[i]
-			counts[c]++
-			row := sums.Row(c)
-			for j, v := range points.Row(i) {
-				row[j] += v
-			}
-		}
+		accumulate(points, labels, counts, sums, cfg.Workers, upd)
 		var moved float64
 		for c := 0; c < cfg.K; c++ {
 			if counts[c] == 0 {
-				far := farthestPoint(points, centroids, labels)
+				far := referenceFarthestPoint(points, centroids, labels)
 				copy(sums.Row(c), points.Row(far))
 				counts[c] = 1
 				labels[far] = c
+				repairs++
 			}
 			inv := 1 / float64(counts[c])
 			newRow := sums.Row(c)
@@ -83,15 +82,113 @@ func referenceLloyd(points *matrix.Dense, cfg Config) *Result {
 	}
 	assign()
 	var inertia float64
-	for i := 0; i < n; i++ {
-		inertia += matrix.SqDist(points.Row(i), centroids.Row(labels[i]))
+	for lo := 0; lo < n; lo += assignBlockRows {
+		var block float64
+		for i := lo; i < min(lo+assignBlockRows, n); i++ {
+			block += matrix.SqDist(points.Row(i), centroids.Row(labels[i]))
+		}
+		inertia += block
 	}
-	return &Result{Labels: labels, Centroids: centroids, Inertia: inertia, Iterations: iter}
+	return &Result{Labels: labels, Centroids: centroids, Inertia: inertia, Iterations: iter}, repairs
 }
 
-// TestBoundedMatchesReferenceLloyd: across a spread of shapes and
-// seeds, the Hamerly-accelerated Run must produce the exact labels,
-// centroid bits, and iteration count of the unaccelerated oracle.
+// referenceSeedPlusPlus is k-means++ one pair at a time.
+func referenceSeedPlusPlus(points *matrix.Dense, k int, rng *rand.Rand) *matrix.Dense {
+	n, d := points.Rows(), points.Cols()
+	centroids := matrix.NewDense(k, d)
+	first := rng.Intn(n)
+	copy(centroids.Row(0), points.Row(first))
+
+	dist2 := make([]float64, n)
+	for i := 0; i < n; i++ {
+		dist2[i] = matrix.SqDist(points.Row(i), centroids.Row(0))
+	}
+	for c := 1; c < k; c++ {
+		var total float64
+		for _, v := range dist2 {
+			total += v
+		}
+		var pick int
+		if total <= 0 {
+			pick = rng.Intn(n)
+		} else {
+			r := rng.Float64() * total
+			var acc float64
+			pick = n - 1
+			for i, v := range dist2 {
+				acc += v
+				if acc >= r {
+					pick = i
+					break
+				}
+			}
+		}
+		copy(centroids.Row(c), points.Row(pick))
+		for i := 0; i < n; i++ {
+			if d2 := matrix.SqDist(points.Row(i), centroids.Row(c)); d2 < dist2[i] {
+				dist2[i] = d2
+			}
+		}
+	}
+	return centroids
+}
+
+// referenceFarthestPoint is the repair's sweep one pair at a time.
+func referenceFarthestPoint(points, centroids *matrix.Dense, labels []int) int {
+	worst, worstD := 0, -1.0
+	for i := 0; i < points.Rows(); i++ {
+		if d := matrix.SqDist(points.Row(i), centroids.Row(labels[i])); d > worstD {
+			worst, worstD = i, d
+		}
+	}
+	return worst
+}
+
+// lloydEvals is the number of point-to-centroid distances Lloyd's
+// algorithm evaluates for a run of the given shape: seeding, one full
+// scan per iteration, the final scan — n·k each.
+func lloydEvals(n, k, iterations int) int64 {
+	return int64(n) * int64(k) * int64(iterations+2)
+}
+
+// requireMatchesLloyd runs cfg through Run and the oracle and fails
+// unless labels, centroid bits, iteration count and inertia bits are
+// equal and Run evaluated no more distances than Lloyd. It returns both
+// results and the oracle's repair count.
+func requireMatchesLloyd(t testing.TB, pts *matrix.Dense, cfg Config) (got, want *Result, repairs int) {
+	t.Helper()
+	got, err := Run(pts, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, repairs = referenceLloyd(pts, cfg)
+	n, d := pts.Rows(), pts.Cols()
+	if got.Iterations != want.Iterations {
+		t.Fatalf("n=%d d=%d %+v: iterations %d, oracle %d", n, d, cfg, got.Iterations, want.Iterations)
+	}
+	for i := range want.Labels {
+		if got.Labels[i] != want.Labels[i] {
+			t.Fatalf("n=%d d=%d %+v: label[%d] = %d, oracle %d", n, d, cfg, i, got.Labels[i], want.Labels[i])
+		}
+	}
+	gd, wd := got.Centroids.Data(), want.Centroids.Data()
+	for i := range wd {
+		if math.Float64bits(gd[i]) != math.Float64bits(wd[i]) {
+			t.Fatalf("n=%d d=%d %+v: centroid bit drift at %d: %v vs %v", n, d, cfg, i, gd[i], wd[i])
+		}
+	}
+	if math.Float64bits(got.Inertia) != math.Float64bits(want.Inertia) {
+		t.Fatalf("n=%d d=%d %+v: inertia %v, oracle %v (must be bitwise equal)", n, d, cfg, got.Inertia, want.Inertia)
+	}
+	if lloyd := lloydEvals(n, cfg.K, got.Iterations); got.DistanceEvals <= 0 || got.DistanceEvals > lloyd {
+		t.Fatalf("n=%d d=%d %+v: %d distance evaluations, Lloyd makes %d", n, d, cfg, got.DistanceEvals, lloyd)
+	}
+	return got, want, repairs
+}
+
+// TestBoundedMatchesReferenceLloyd: across a spread of small shapes and
+// seeds, Run must produce the exact labels, centroid bits, iteration
+// count and inertia of the unaccelerated oracle.
 func TestBoundedMatchesReferenceLloyd(t *testing.T) {
 	cases := []struct {
 		n, d, k int
@@ -102,6 +199,7 @@ func TestBoundedMatchesReferenceLloyd(t *testing.T) {
 		{200, 8, 7, 2.5}, // mid-size, moderate separation
 		{64, 2, 8, 0.5},  // many clusters, crowded plane
 		{50, 5, 50, 3},   // k == n degenerate
+		{700, 3, 17, 1},  // k > d: 3 groups of 5–6 centroids share a bound
 	}
 	for _, tc := range cases {
 		for seed := int64(0); seed < 6; seed++ {
@@ -114,33 +212,153 @@ func TestBoundedMatchesReferenceLloyd(t *testing.T) {
 					row[j] = float64(c)*tc.sep + rng.NormFloat64()
 				}
 			}
-			cfg := Config{K: tc.k, Seed: seed, Workers: 1}
-			got, err := Run(pts, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := referenceLloyd(pts, cfg)
-			if got.Iterations != want.Iterations {
-				t.Fatalf("n=%d k=%d seed=%d: iterations %d vs %d", tc.n, tc.k, seed, got.Iterations, want.Iterations)
-			}
-			for i := range want.Labels {
-				if got.Labels[i] != want.Labels[i] {
-					t.Fatalf("n=%d k=%d seed=%d: label[%d] = %d, oracle %d",
-						tc.n, tc.k, seed, i, got.Labels[i], want.Labels[i])
-				}
-			}
-			gd, wd := got.Centroids.Data(), want.Centroids.Data()
-			for i := range wd {
-				if gd[i] != wd[i] {
-					t.Fatalf("n=%d k=%d seed=%d: centroid bit drift at %d: %v vs %v",
-						tc.n, tc.k, seed, i, gd[i], wd[i])
-				}
-			}
-			if math.Abs(got.Inertia-want.Inertia) > 1e-9*(1+want.Inertia) {
-				t.Fatalf("inertia %v vs oracle %v", got.Inertia, want.Inertia)
+			for _, workers := range []int{1, 4} {
+				requireMatchesLloyd(t, pts, Config{K: tc.k, Seed: seed, Workers: workers})
 			}
 		}
 	}
+}
+
+// unitRows generates n unit-norm d-dimensional rows around `centers`
+// random directions — the shape of an RFF-embedded bucket, whose rows
+// have norm ≈ 1. spread is the noise relative to the centre's unit
+// length: below ≈ 1 the clusters are separated, at 4 they overlap.
+func unitRows(seed int64, n, d, centers int, spread float64) *matrix.Dense {
+	rng := rand.New(rand.NewSource(seed))
+	dirs := matrix.NewDense(centers, d)
+	for i := range dirs.Data() {
+		dirs.Data()[i] = rng.NormFloat64()
+	}
+	matrix.NormalizeRows(dirs)
+	pts := matrix.NewDense(n, d)
+	noise := spread / math.Sqrt(float64(d))
+	for i := 0; i < n; i++ {
+		row := pts.Row(i)
+		for j, v := range dirs.Row(rng.Intn(centers)) {
+			row[j] = v + noise*rng.NormFloat64()
+		}
+	}
+	matrix.NormalizeRows(pts)
+	return pts
+}
+
+// TestBoundedMatchesLloydAtRunSizes: the oracle at the sizes the
+// pipeline runs — unit-norm 64-dimensional rows, above
+// 2·assignBlockRows (block-parallel assignment) and, at n = 5000 with
+// Workers 4, above parallelUpdateCutoff (block-parallel update).
+func TestBoundedMatchesLloydAtRunSizes(t *testing.T) {
+	for _, n := range []int{1024, 5000} {
+		for _, k := range []int{2, 10, 41} {
+			for _, spread := range []float64{0.15, 1} {
+				pts := unitRows(int64(n+k), n, 64, k, spread)
+				for _, workers := range []int{1, 4} {
+					requireMatchesLloyd(t, pts, Config{K: k, Seed: int64(k), Workers: workers})
+				}
+			}
+		}
+	}
+}
+
+// TestBoundedMatchesLloydOnTies: duplicate points and exact distance
+// ties. Small-integer lattice coordinates make every distance and every
+// centroid sum exact, so distinct centroids sit at exactly equal
+// distance from many points and Lloyd's lowest-index rule decides; with
+// fewer distinct points than clusters, seeding duplicates a centroid,
+// its higher-index copy stays empty and the repair runs.
+func TestBoundedMatchesLloydOnTies(t *testing.T) {
+	lattice := func(seed int64, n, d, side int) *matrix.Dense {
+		rng := rand.New(rand.NewSource(seed))
+		pts := matrix.NewDense(n, d)
+		for i := range pts.Data() {
+			pts.Data()[i] = float64(rng.Intn(side))
+		}
+		return pts
+	}
+	for seed := int64(0); seed < 8; seed++ {
+		for _, workers := range []int{1, 4} {
+			// 3^2 = 9 distinct points, 600 rows: duplicates everywhere.
+			requireMatchesLloyd(t, lattice(seed, 600, 2, 3), Config{K: 4, Seed: seed, Workers: workers})
+			// k > d on a lattice: grouped bounds with ties inside groups.
+			requireMatchesLloyd(t, lattice(seed, 700, 2, 5), Config{K: 9, Seed: seed, Workers: workers})
+			// k <= d, symmetric coordinates.
+			requireMatchesLloyd(t, lattice(seed, 520, 6, 2), Config{K: 5, Seed: seed, Workers: workers})
+		}
+	}
+
+	repaired := 0
+	for seed := int64(0); seed < 8; seed++ {
+		// 4 distinct points, 6 clusters: at least two stay empty.
+		_, _, repairs := requireMatchesLloyd(t, lattice(seed, 300, 2, 2), Config{K: 6, Seed: seed, Workers: 1, MaxIter: 12})
+		repaired += repairs
+	}
+	if repaired == 0 {
+		t.Fatal("the duplicate-point fixture must force empty-cluster repairs")
+	}
+}
+
+// TestDistanceEvalsCorpusShaped: on the shape of corpus-local's embedded
+// solve (3 298 overlapping unit-norm 64-dimensional rows, k = 41, tens
+// of iterations) the bounds must leave at most 45 % of Lloyd's distance
+// evaluations, at every worker count the same number.
+func TestDistanceEvalsCorpusShaped(t *testing.T) {
+	pts := unitRows(1, 3298, 64, 41, 4)
+	got, _, _ := requireMatchesLloyd(t, pts, Config{K: 41, Seed: 1, Workers: 1})
+	lloyd := lloydEvals(3298, 41, got.Iterations)
+	share := float64(got.DistanceEvals) / float64(lloyd)
+	t.Logf("%d iterations, %d of Lloyd's %d distance evaluations (%.1f %%)", got.Iterations, got.DistanceEvals, lloyd, 100*share)
+	if got.Iterations < 10 {
+		t.Fatalf("fixture converged in %d iterations; it must overlap enough to iterate", got.Iterations)
+	}
+	if share > 0.45 {
+		t.Fatalf("%.1f %% of Lloyd's distance evaluations, want <= 45 %%", 100*share)
+	}
+	for _, workers := range []int{2, 5} {
+		res, err := Run(pts, Config{K: 41, Seed: 1, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.DistanceEvals != got.DistanceEvals {
+			t.Fatalf("workers=%d: %d distance evaluations, %d with one worker", workers, res.DistanceEvals, got.DistanceEvals)
+		}
+	}
+}
+
+// FuzzRunMatchesLloyd drives the oracle comparison over shape, seed and
+// spread. Odd seeds draw lattice coordinates (duplicates and exact
+// ties), even seeds Gaussian ones; the parallel update cutoff is lowered
+// so that inputs of a few hundred rows reach every block-parallel path.
+func FuzzRunMatchesLloyd(f *testing.F) {
+	f.Add(uint16(200), uint8(8), uint8(7), int64(3), 2.5)
+	f.Add(uint16(700), uint8(3), uint8(17), int64(4), 1.0)
+	f.Add(uint16(600), uint8(2), uint8(6), int64(5), 3.0)
+	f.Add(uint16(50), uint8(5), uint8(50), int64(6), 0.5)
+	f.Add(uint16(640), uint8(40), uint8(30), int64(8), 0.2)
+	f.Fuzz(func(t *testing.T, nRaw uint16, dRaw, kRaw uint8, seed int64, spread float64) {
+		n := 1 + int(nRaw)%800
+		d := 1 + int(dRaw)%48
+		k := 1 + int(kRaw)%min(n, 48)
+		if math.IsNaN(spread) || math.IsInf(spread, 0) {
+			spread = 1
+		}
+		spread = math.Mod(math.Abs(spread), 16)
+		rng := rand.New(rand.NewSource(seed))
+		pts := matrix.NewDense(n, d)
+		for i := 0; i < n; i++ {
+			row := pts.Row(i)
+			c := float64(rng.Intn(k))
+			for j := range row {
+				if seed%2 != 0 {
+					row[j] = math.Round(c + spread*rng.NormFloat64())
+				} else {
+					row[j] = c + spread*rng.NormFloat64()
+				}
+			}
+		}
+		old := parallelUpdateCutoff
+		parallelUpdateCutoff = 300
+		defer func() { parallelUpdateCutoff = old }()
+		requireMatchesLloyd(t, pts, Config{K: k, Seed: seed, Workers: 1 + int(uint64(seed)>>1%4), MaxIter: 30})
+	})
 }
 
 // TestRunWorkerDeterminismWithInertia: labels AND inertia bits must not
