@@ -1,28 +1,23 @@
-// Command dascbench is the repository's JSON benchmark harness: it
-// times the hot paths of the DASC pipeline (blocked Gram engine,
-// sub-Gram, median-sigma, the end-to-end clusterer and the SC
-// baseline), of the per-bucket solve engine (dense vs thresholded-CSR
-// sparse eigensolve on one bucket-sized problem)
-// and of the MapReduce data plane (merge shuffle vs concat+sort, the
-// binary frame codec, and a shuffle-heavy TCP job under the pipelined
-// and lock-step wire configurations) with fixed iteration counts and
-// stdlib timing, and writes the results
+// Command dascbench runs the out-of-core million-point experiment: the
+// one thing the repository's benchmark (bench/, `bash bench/run.sh`)
+// does not do yet. It streams an Eq.-15 corpus of N documents into
+// shard files, clusters them with the sharded MapReduce driver over a
+// spill-enabled two-worker TCP cluster — once on the plain data plane,
+// once compressed — replays the measured bucket structure through the
+// EMR simulator, and writes wall times, data-plane counters and peak RSS
 // to BENCH_<n>.json, where <n> is the next free index in the output
-// directory. Unlike `go test -bench`, the output is machine-readable
-// and append-only across runs, so successive PRs leave a comparable
-// performance trail.
+// directory.
 //
 // Usage:
 //
-//	go run ./cmd/dascbench            # full run, writes BENCH_<n>.json
-//	go run ./cmd/dascbench -quick     # CI smoke: fewer iterations
-//	go run ./cmd/dascbench -iters 20  # explicit iteration count
-//	go run ./cmd/dascbench -out dir   # output directory (default ".")
-//	go run ./cmd/dascbench -note "…"  # free-form note stored in the file
+//	go run ./cmd/dascbench -scale 1000000   # writes BENCH_<n>.json
+//	go run ./cmd/dascbench -scale 100000 -spill 4194304 -scale-dir /data/shards
+//	go run ./cmd/dascbench -scale N -out dir -note "…"
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -31,40 +26,26 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"repro/internal/baseline"
-	"repro/internal/core"
-	"repro/internal/dataset"
-	"repro/internal/kernel"
-	"repro/internal/metrics"
 )
 
-// Result is one benchmark's record. Acc, GramFrac and Silhouette are
-// only set for the entries where clustering quality, Gram compression,
-// or labeling cohesion are meaningful (for the ensemble sweep, Acc is
-// the same-cluster pair recall of the merged partition).
+// Result is one phase's record; a field is set only for the phases it
+// is meaningful for.
 type Result struct {
-	Name        string  `json:"name"`
-	NsPerOp     int64   `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	Acc         float64 `json:"acc,omitempty"`
-	GramFrac    float64 `json:"gramfrac,omitempty"`
-	Silhouette  float64 `json:"silhouette,omitempty"`
-	// ShuffleBytes / EmbedBytes are the measured MapReduce counters of
-	// the embed wire benchmark (one run's shuffle traffic and map-side
-	// embedded record bytes); zero elsewhere.
-	ShuffleBytes int64 `json:"shuffle_bytes,omitempty"`
-	EmbedBytes   int64 `json:"embed_bytes,omitempty"`
-	// Out-of-core counters (spill benchmarks and -scale runs): bytes
-	// spilled to sorted run files, shard bytes demand-read by workers,
-	// and — for the EMR simulation — the modeled disk traffic.
+	Name    string `json:"name"`
+	NsPerOp int64  `json:"ns_per_op"`
+	// Acc is the sampled same-category pair recall of the clustering.
+	Acc          float64 `json:"acc,omitempty"`
+	ShuffleBytes int64   `json:"shuffle_bytes,omitempty"`
+	// Out-of-core counters: bytes spilled to sorted run files, shard
+	// bytes demand-read by workers, and — for the EMR simulation — the
+	// modeled disk traffic.
 	SpillBytes     int64 `json:"spill_bytes,omitempty"`
 	ShardReadBytes int64 `json:"shard_read_bytes,omitempty"`
 	DiskBytes      int64 `json:"disk_bytes,omitempty"`
-	// Compressed-data-plane counters (wire/spill benchmarks and -scale
-	// runs with Compression on): bytes the flate passes removed from
-	// the shuffle and spill streams, the resulting compressed/raw size
-	// ratio, and the wall time spent inside the codec.
+	// Compressed-data-plane counters (runs with Compression on): bytes
+	// the flate passes removed from the shuffle and spill streams, the
+	// resulting compressed/raw size ratio, and the wall time spent
+	// inside the codec.
 	CompressedBytes int64   `json:"compressed_bytes,omitempty"`
 	CompressRatio   float64 `json:"compress_ratio,omitempty"`
 	CompressNanos   int64   `json:"compress_ns,omitempty"`
@@ -72,10 +53,10 @@ type Result struct {
 	// files and how many of them served more than one row.
 	ShardReadOps   int64 `json:"shard_read_ops,omitempty"`
 	CoalescedReads int64 `json:"coalesced_reads,omitempty"`
-	// N and PeakRSSBytes describe -scale runs: the dataset size, and
-	// the process peak resident set (VmHWM) after the phase finished.
-	// InMemoryBytes is the footprint the batch (all-in-RAM) pipeline
-	// would need for the same phase, for comparison.
+	// N is the dataset size and PeakRSSBytes the process peak resident
+	// set (VmHWM) after the phase finished. InMemoryBytes is the
+	// footprint the batch (all-in-RAM) pipeline would need for the same
+	// phase, for comparison.
 	N             int64 `json:"n,omitempty"`
 	PeakRSSBytes  int64 `json:"peak_rss_bytes,omitempty"`
 	InMemoryBytes int64 `json:"inmemory_bytes,omitempty"`
@@ -85,29 +66,11 @@ type Result struct {
 type Report struct {
 	Note    string   `json:"note,omitempty"`
 	Date    string   `json:"date"`
-	Iters   int      `json:"iters"`
 	Results []Result `json:"results"`
 	// PeakRSSBytes is the process peak resident set at the end of the
 	// whole run (VmHWM from /proc/self/status, or Go heap Sys where
 	// unavailable).
 	PeakRSSBytes int64 `json:"peak_rss_bytes,omitempty"`
-}
-
-// measure runs f iters times and returns wall time and heap
-// allocations per op, both measured with the stdlib only.
-func measure(iters int, f func()) (nsPerOp, allocsPerOp int64) {
-	f() // warm-up: pools, caches, lazy init
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		f()
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-	n := int64(iters)
-	return elapsed.Nanoseconds() / n, int64(after.Mallocs-before.Mallocs) / n
 }
 
 // nextBenchPath returns <dir>/BENCH_<n>.json for the smallest n >= 1
@@ -124,120 +87,19 @@ func nextBenchPath(dir string) (string, error) {
 }
 
 func run() error {
-	quick := flag.Bool("quick", false, "CI smoke mode: fewer iterations")
-	iters := flag.Int("iters", 0, "iterations per benchmark (0 = 10, or 2 with -quick)")
 	out := flag.String("out", ".", "output directory for BENCH_<n>.json")
 	note := flag.String("note", "", "free-form note stored in the report")
-	scale := flag.Int("scale", 0, "out-of-core mode: corpus size N; replaces the micro suite")
-	scaleDir := flag.String("scale-dir", "", "shard directory for -scale (default: a temp dir, removed afterwards)")
-	spill := flag.Int64("spill", 32<<20, "spill budget in bytes for -scale runs")
+	scale := flag.Int("scale", 0, "corpus size N (required)")
+	scaleDir := flag.String("scale-dir", "", "shard directory (default: a temp dir, removed afterwards)")
+	spill := flag.Int64("spill", 32<<20, "spill budget in bytes")
 	flag.Parse()
-
-	it := *iters
-	if it <= 0 {
-		if *quick {
-			it = 2
-		} else {
-			it = 10
-		}
+	if *scale <= 0 {
+		return errors.New("-scale N is required; the regression benchmark is `bash bench/run.sh`")
 	}
-
-	if *scale > 0 {
-		rep := &Report{Note: *note, Date: time.Now().UTC().Format(time.RFC3339), Iters: 1}
-		if err := benchScale(rep, *scale, *scaleDir, *spill); err != nil {
-			return err
-		}
-		rep.PeakRSSBytes = peakRSS()
-		return writeReport(rep, *out)
-	}
-
-	// The datasets mirror the root go-test benchmarks (bench_test.go) so
-	// the two suites stay comparable: 512 x 64 for the Gram substrate,
-	// the 1024 x 32 mixture for the end-to-end comparison.
-	gramData, err := dataset.Mixture(dataset.MixtureConfig{N: 512, D: 64, K: 4, Seed: 3})
-	if err != nil {
+	rep := &Report{Note: *note, Date: time.Now().UTC().Format(time.RFC3339)}
+	if err := benchScale(rep, *scale, *scaleDir, *spill); err != nil {
 		return err
 	}
-	e2eData, err := dataset.Mixture(dataset.MixtureConfig{N: 1024, D: 32, K: 8, Noise: 0.03, Seed: 8})
-	if err != nil {
-		return err
-	}
-
-	rep := &Report{Note: *note, Date: time.Now().UTC().Format(time.RFC3339), Iters: it}
-	add := func(name string, acc, gramfrac float64, f func()) *Result {
-		ns, allocs := measure(it, f)
-		rep.Results = append(rep.Results, Result{
-			Name: name, NsPerOp: ns, AllocsPerOp: allocs, Acc: acc, GramFrac: gramfrac,
-		})
-		fmt.Printf("%-24s %12d ns/op %8d allocs/op\n", name, ns, allocs)
-		return &rep.Results[len(rep.Results)-1]
-	}
-
-	fast := kernel.NewGaussian(1)
-	generic := kernel.Func(fast.Eval) // same kernel, forced down the generic path
-	add("gram/fast", 0, 0, func() { kernel.Gram(gramData.Points, fast) })
-	add("gram/generic", 0, 0, func() { kernel.Gram(gramData.Points, generic) })
-
-	// One mid-size bucket: every third row, the shape the per-bucket
-	// solve stage feeds SubGram.
-	indices := make([]int, 0, gramData.Points.Rows()/3)
-	for i := 0; i < gramData.Points.Rows(); i += 3 {
-		indices = append(indices, i)
-	}
-	add("subgram/fast", 0, 0, func() { kernel.SubGram(gramData.Points, indices, fast) })
-	add("median-sigma", 0, 0, func() { kernel.MedianSigma(gramData.Points, 512, 7) })
-
-	var dascRes *core.Result
-	var dascErr error
-	add("dasc/cluster", 0, 0, func() {
-		dascRes, dascErr = core.Cluster(e2eData.Points, core.Config{K: 8, Seed: 1})
-	})
-	if dascErr != nil {
-		return dascErr
-	}
-	acc, err := metrics.Accuracy(e2eData.Labels, dascRes.Labels)
-	if err != nil {
-		return err
-	}
-	n := e2eData.Points.Rows()
-	last := &rep.Results[len(rep.Results)-1]
-	last.Acc = acc
-	last.GramFrac = float64(dascRes.GramBytes) / float64(kernel.GramBytes(n))
-
-	if !*quick {
-		var scRes *baseline.Result
-		var scErr error
-		add("sc/cluster", 0, 0, func() {
-			scRes, scErr = baseline.SC(e2eData.Points, baseline.Config{K: 8, Seed: 1})
-		})
-		if scErr != nil {
-			return scErr
-		}
-		scAcc, err := metrics.Accuracy(e2eData.Labels, scRes.Labels)
-		if err != nil {
-			return err
-		}
-		last := &rep.Results[len(rep.Results)-1]
-		last.Acc = scAcc
-		last.GramFrac = 1
-	}
-
-	if err := benchSolve(add, *quick); err != nil {
-		return err
-	}
-
-	if err := benchDataPlane(add, *quick); err != nil {
-		return err
-	}
-
-	if err := benchEmbedWire(add, *quick); err != nil {
-		return err
-	}
-
-	if err := benchEnsemble(add, *quick); err != nil {
-		return err
-	}
-
 	rep.PeakRSSBytes = peakRSS()
 	return writeReport(rep, *out)
 }

@@ -1,7 +1,7 @@
 package main
 
-// The -scale mode: the out-of-core million-point run (ISSUE §5.2 at
-// full width). It streams the Eq.-15 corpus through the two-pass dense
+// The out-of-core million-point run (the paper's §5.2 at full width).
+// It streams the Eq.-15 corpus through the two-pass dense
 // vectorizer straight into shard files, clusters the shards with the
 // sharded MapReduce driver over a spill-enabled TCP cluster, and
 // replays the measured bucket structure through the EMR simulator with
@@ -196,8 +196,7 @@ func runShardedTCP(dir string, cfg core.Config) (int64, *core.Result, error) {
 
 // sampledPairRecall samples `pairs` random point pairs and returns the
 // fraction of same-category pairs the clustering also puts in one
-// cluster — the sampled analogue of the ensemble sweep's pairRecall,
-// cheap enough for million-point runs.
+// cluster — cheap enough for million-point runs.
 func sampledPairRecall(truth, pred []int, pairs int) float64 {
 	if len(truth) < 2 || len(truth) != len(pred) {
 		return 0

@@ -1,9 +1,9 @@
 // Command dascworker is a standalone MapReduce worker process: it dials
 // the master, serves tasks until the master shuts down, and exits. The
-// closure-free DASC jobs (ClusterMapReduceShipped and the sharded
-// out-of-core jobs) are available to it through the factories
-// registered by the core package, so a real multi-process deployment
-// is:
+// DASC jobs whose rows travel in the records (ClusterMapReduceShipped)
+// or sit in shard files (ClusterMapReduceSharded) are available to it
+// through the factories registered by the core package, so a real
+// multi-process deployment is:
 //
 //	terminal 1:  dasc -algo dasc -mapreduce tcp-shipped -in data.csv
 //	terminal 2+: dascworker -master 127.0.0.1:<port>
@@ -11,8 +11,8 @@
 // For sharded jobs (core.ClusterMapReduceSharded) the shard directory
 // path inside the job conf must resolve on the worker's filesystem —
 // a shared mount in a real deployment. Workers cache one open shard
-// reader per directory for their lifetime; their demand-read bytes are
-// local and do not appear in the master's ShardReadBytes counter.
+// reader per directory for their lifetime and ship their read meter
+// back on result frames, so the master's ShardReadBytes counts them.
 package main
 
 import (

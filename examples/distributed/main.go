@@ -1,6 +1,6 @@
 // Distributed: run DASC as the paper's two MapReduce stages on a real
 // master/worker deployment — workers connect to the master over TCP
-// sockets and exchange gob-encoded tasks, the in-process equivalent of
+// sockets and exchange binary task frames, the in-process equivalent of
 // the paper's Hadoop cluster. The same job also runs on the in-process
 // Local executor to show the two produce identical clusterings.
 package main

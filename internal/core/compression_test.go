@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"testing"
@@ -9,9 +10,9 @@ import (
 	"repro/internal/mapreduce"
 )
 
-// TestCompressionLabelIdentityAcrossDrivers is the PR's central
-// contract: Config.Compression changes bytes moved and CPU spent in the
-// codec, never labels. Every driver, at every spill budget, must
+// TestCompressionLabelIdentityAcrossDrivers is Config.Compression's
+// contract: it changes bytes moved and CPU spent in the codec, never
+// labels. Every driver, at every spill budget, must
 // reproduce the uncompressed in-memory labels bit for bit.
 func TestCompressionLabelIdentityAcrossDrivers(t *testing.T) {
 	l := mixture(t, 240, 10, 3, 0.03, 51)
@@ -54,8 +55,7 @@ func TestCompressionLabelIdentityAcrossDrivers(t *testing.T) {
 		}
 	}
 
-	// And with compression off everything must still match — the flag's
-	// zero value is the prior release's exact data plane.
+	// And with compression off everything must still match.
 	off, err := ClusterMapReduceShipped(l.Points, Config{K: 3, Seed: 52}, &mapreduce.Local{})
 	check("shipped/local compression=off", off, err)
 }
@@ -110,9 +110,10 @@ func TestCompressionLabelIdentityOverTCP(t *testing.T) {
 	wg.Wait()
 }
 
-// TestCompressionEmbedShippedIdentity covers the packed embed-bucket
-// record ('e'): same labels as the raw 'E' record, strictly fewer
-// shipped bytes.
+// TestCompressionEmbedShippedIdentity runs the map-side embedding path
+// with Compression on and off: same labels, and the same embedded
+// records — the flag compresses frames and spill runs, it does not
+// choose a record layout.
 func TestCompressionEmbedShippedIdentity(t *testing.T) {
 	l := mixture(t, 300, 10, 3, 0.03, 17)
 	cfg := Config{K: 3, Seed: 5, EmbedDim: 16, EmbedCutoff: 40}
@@ -136,17 +137,17 @@ func TestCompressionEmbedShippedIdentity(t *testing.T) {
 		t.Fatal("missing MapReduce counters")
 	}
 	if off.MapReduce.EmbedBytes == 0 {
-		t.Skip("no buckets embedded at this size; nothing to compare")
+		t.Fatal("no buckets embedded at this size; nothing was compared")
 	}
-	if res.MapReduce.EmbedBytes >= off.MapReduce.EmbedBytes {
-		t.Fatalf("packed embed records %d bytes >= raw %d bytes",
+	if res.MapReduce.EmbedBytes != off.MapReduce.EmbedBytes {
+		t.Fatalf("embedded records are %d bytes with Compression, %d without",
 			res.MapReduce.EmbedBytes, off.MapReduce.EmbedBytes)
 	}
 }
 
-// TestPackedIndicesCodec pins the compact stage-2 index record: exact
-// round trip (sorted and unsorted), off-mode bytes identical to the
-// legacy encoding, and malformed inputs rejected.
+// TestPackedIndicesCodec pins the stage-2 index record: exact round
+// trip (sorted and unsorted), about a byte per index for the sorted runs
+// buckets are, and malformed inputs rejected.
 func TestPackedIndicesCodec(t *testing.T) {
 	cases := [][]int{
 		nil,
@@ -156,8 +157,7 @@ func TestPackedIndicesCodec(t *testing.T) {
 		{7, 7, 7},
 	}
 	for ci, idx := range cases {
-		packed := encodeIndicesConf(idx, true)
-		got, err := decodeIndicesConf(packed, true)
+		got, err := decodeIndices(encodeIndices(idx))
 		if err != nil {
 			t.Fatalf("case %d: %v", ci, err)
 		}
@@ -171,26 +171,23 @@ func TestPackedIndicesCodec(t *testing.T) {
 		}
 	}
 
-	// Sorted runs — the common bucket shape — must shrink vs 4 bytes/index.
 	sorted := make([]int, 500)
 	for i := range sorted {
 		sorted[i] = 1000 + i
 	}
-	if p, l := encodeIndicesConf(sorted, true), encodeIndicesConf(sorted, false); len(p) >= len(l) {
-		t.Fatalf("packed sorted indices %d bytes >= legacy %d", len(p), len(l))
-	}
-
-	legacy := encodeIndices([]int{1, 2, 3})
-	if conf := encodeIndicesConf([]int{1, 2, 3}, false); string(conf) != string(legacy) {
-		t.Fatal("off-mode index encoding diverged from legacy bytes")
+	if p := encodeIndices(sorted); len(p) >= 2*len(sorted) {
+		t.Fatalf("500 consecutive indices took %d bytes", len(p))
 	}
 
 	for name, buf := range map[string][]byte{
-		"trailing garbage": append(encodeIndicesConf([]int{1, 2}, true), 0),
+		"trailing garbage": append(encodeIndices([]int{1, 2}), 0),
 		"count lies":       {200},
 		"empty varint":     {0x80},
+		"empty":            {},
+		"negative index":   {1, 1},
+		"index > int32":    append([]byte{1}, binary.AppendVarint(nil, 1<<31)...),
 	} {
-		if _, err := decodeIndicesConf(buf, true); err == nil {
+		if _, err := decodeIndices(buf); err == nil {
 			t.Fatalf("%s accepted", name)
 		}
 	}
@@ -198,15 +195,15 @@ func TestPackedIndicesCodec(t *testing.T) {
 
 // TestPackedStatsCodec pins the 'S' stats record: round trip, the
 // ≥13-byte floor that keeps it disjoint from 12-byte labels, and
-// off-mode bytes identical to legacy.
+// malformed inputs rejected.
 func TestPackedStatsCodec(t *testing.T) {
 	s := BucketSolution{NNZ: 12345, Fill: 0.625, SolveNanos: 1 << 40, GramBytes: 9999, Solver: "dense"}
-	rec := encodeBucketStatsConf(s, true)
+	rec := encodeBucketStats(s)
 	if len(rec) < 13 {
-		t.Fatalf("packed stats record only %d bytes — can collide with labels", len(rec))
+		t.Fatalf("stats record only %d bytes — can collide with labels", len(rec))
 	}
 	var got BucketSolution
-	if err := decodePackedBucketStats(rec, &got); err != nil {
+	if err := decodeBucketStats(rec, &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.NNZ != s.NNZ || got.Fill != s.Fill || got.SolveNanos != s.SolveNanos ||
@@ -216,22 +213,18 @@ func TestPackedStatsCodec(t *testing.T) {
 
 	// Zero-valued stats with an empty solver is the smallest record; it
 	// must still clear 12 bytes.
-	if min := encodeBucketStatsConf(BucketSolution{}, true); len(min) <= 12 {
-		t.Fatalf("minimal packed stats record is %d bytes", len(min))
-	}
-
-	if off := encodeBucketStatsConf(s, false); string(off) != string(encodeBucketStats(s)) {
-		t.Fatal("off-mode stats encoding diverged from legacy bytes")
+	if min := encodeBucketStats(BucketSolution{}); len(min) <= 12 {
+		t.Fatalf("minimal stats record is %d bytes", len(min))
 	}
 
 	for name, buf := range map[string][]byte{
 		"empty":      {},
 		"wrong kind": {'X', 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1},
 		"bad ver":    {'S', 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1},
-		"truncated":  encodeBucketStatsConf(s, true)[:6],
+		"truncated":  encodeBucketStats(s)[:6],
 	} {
 		var tmp BucketSolution
-		if err := decodePackedBucketStats(buf, &tmp); err == nil {
+		if err := decodeBucketStats(buf, &tmp); err == nil {
 			t.Fatalf("%s accepted", name)
 		}
 	}

@@ -11,15 +11,18 @@
 //     (internal/spectral) and assemble global labels.
 //
 // There is exactly one implementation of that dataflow — the canonical
-// plan in pipeline.go — and four drivers that run it on interchangeable
-// backends via the Runner interface: Cluster (in-process worker pool),
-// ClusterIncremental (bounded-memory sequential waves), ClusterMapReduce
-// (two MapReduce stages on any mapreduce.Executor, the paper's Hadoop
-// formulation), and ClusterMapReduceShipped (the closure-free variant
-// whose workers may live in other OS processes). Every driver has a
-// Context-taking form; the plain forms wrap context.Background().
-// EMRFlow additionally builds an emr job flow whose task costs follow
-// §4.1's model, for the elasticity study of Table 3.
+// plan in pipeline.go — run on interchangeable backends via the Runner
+// interface: Cluster (in-process worker pool), ClusterIncremental
+// (bounded-memory sequential waves), and one MapReduce runner — the
+// paper's two Hadoop jobs on any mapreduce.Executor (mapreduce.go) —
+// over three row sources (rowsource.go): ClusterMapReduce (the resident
+// matrix, shared with in-process workers), ClusterMapReduceShipped (rows
+// inside the records, so workers may live in other OS processes) and
+// ClusterMapReduceSharded (rows in shard files, never resident). Every
+// driver has a Context-taking form; the plain forms wrap
+// context.Background(). EMRFlow additionally builds an emr job flow
+// whose task costs follow §4.1's model, for the elasticity study of
+// Table 3.
 package core
 
 import (
@@ -105,8 +108,7 @@ type Config struct {
 	// EmbedCutoff points skip the Gram + eigensolve entirely, running
 	// k-means on embedded rows instead. The MapReduce shipped driver
 	// embeds map-side and ships d′-dim records. 0 (the default) keeps
-	// every bucket on the exact Gram path, byte-identical to prior
-	// releases.
+	// every bucket on the exact Gram path.
 	EmbedDim int
 	// EmbedCutoff is the bucket size at or above which the embedded
 	// solve runs. Only consulted when EmbedDim > 0; 0 then defaults to
@@ -119,14 +121,11 @@ type Config struct {
 	// the shuffle merges from disk. 0 (the default) keeps the shuffle
 	// fully in memory; labels are bit-identical at any setting.
 	SpillBytes int64
-	// Compression turns on the lossless compressed data plane for the
-	// MapReduce drivers: jobs run with mapreduce.Job.Compress (deflated
-	// spill runs and, on wire v3 TCP links, deflated frames), stage-2
-	// bucket index lists and solver-stats records use compact varint
-	// encodings, and the shipped embed path ships packed ('e') embedded
-	// records. Labels are bit-identical with it on or off — only bytes
-	// moved and CPU spent in the codec change. Off by default, which
-	// keeps every byte stream identical to prior releases.
+	// Compression makes the MapReduce drivers run their jobs with
+	// mapreduce.Job.Compress: spill runs are deflated, and so are TCP
+	// frames large enough to gain from it. Labels are bit-identical
+	// with it on or off — only bytes moved and CPU spent in the codec
+	// change.
 	Compression bool
 	// FitSample is the number of evenly spaced rows the sharded driver
 	// reads to fit its plan (LSH thresholds, kernel bandwidth) without
@@ -373,7 +372,7 @@ func solveBucketsParallel(ctx context.Context, p *Plan, part *lsh.Partition) ([]
 					return
 				}
 				b := part.Buckets[bi]
-				sol, err := clusterOneBucket(p.Points, b.Indices, p.Cfg, n, kf, p.Embedder, &scratch)
+				sol, err := clusterOneBucket(bucket{points: p.Points, rows: b.Indices, ids: b.Indices}, p.Cfg, n, kf, p.Embedder, &scratch)
 				if err != nil {
 					errs[bi] = fmt.Errorf("core: bucket %x: %w", b.Signature, err)
 					continue
@@ -411,8 +410,8 @@ func BucketK(k, ni, n int) int {
 // willEmbed reports whether the embed policy claims a bucket of ni
 // points in a dataset of n — the engine's gate plus the trivial-bucket
 // short-circuits that precede it in clusterOneBucket. The shipped
-// driver commits to the embedded record shape with this predicate, so
-// it must stay exactly in step with the engine's decision.
+// driver embeds map-side the buckets this predicate names, so it must
+// stay exactly in step with the engine's decision.
 func willEmbed(cfg Config, ni, n int) bool {
 	if cfg.EmbedDim <= 0 || cfg.EmbedCutoff <= 0 || ni < cfg.EmbedCutoff {
 		return false
@@ -421,20 +420,54 @@ func willEmbed(cfg Config, ni, n int) bool {
 	return ki > 1 && ki < ni
 }
 
+// bucket is one LSH bucket as the solve stage sees it: row rows[i] of
+// points is the bucket's i-th point and ids[i] its dataset index (the
+// same list when points is the whole dataset). embedded marks a block
+// whose rows were already pushed through the plan's feature map.
+type bucket struct {
+	points   *matrix.Dense
+	rows     []int
+	ids      []int
+	embedded bool
+}
+
 // clusterOneBucket runs the per-bucket pipeline through the spectral
 // solve engine: sub-Gram (dense or thresholded CSR per the engine's
 // policy), normalized Laplacian, eigenvectors, K-means — or, for
 // buckets the embed policy claims, kernel embedding + k-means with no
-// Gram at all. Tiny buckets short-circuit with SolverTrivial.
+// Gram at all. Tiny buckets short-circuit with SolverTrivial. Every
+// runner solves its buckets here, whatever their rows' provenance.
 //
 // Dense sub-Grams (and embedded row blocks) are built inside *buf
 // (grown as needed and reused across calls — each worker owns one) and
 // consumed in place: the Laplacian overwrites it, so nothing retains
 // the buffer after the solve. buf may point to a nil slice on first
 // use; sparse solves never touch it.
-func clusterOneBucket(points *matrix.Dense, indices []int, cfg Config, n int, kf kernel.Kernel, emb embed.Embedder, buf *[]float64) (BucketSolution, error) {
-	ni := len(indices)
+func clusterOneBucket(b bucket, cfg Config, n int, kf kernel.Kernel, emb embed.Embedder, buf *[]float64) (BucketSolution, error) {
+	ni := len(b.rows)
 	ki := BucketK(cfg.K, ni, n)
+	if b.embedded {
+		// Only the k-means half is left to do. The driver embeds map-side
+		// exactly the buckets with 1 < ki < ni; anything else means the
+		// record and the configuration disagree.
+		if ki <= 1 || ki >= ni {
+			return BucketSolution{}, fmt.Errorf("embedded bucket of %d points plans %d clusters", ni, ki)
+		}
+		start := time.Now()
+		res, err := spectral.ClusterEmbeddedRows(b.points, spectral.Config{K: ki, Seed: cfg.Seed + int64(b.ids[0])})
+		if err != nil {
+			return BucketSolution{}, fmt.Errorf("embedded bucket: %w", err)
+		}
+		dim := b.points.Cols()
+		return BucketSolution{
+			Labels: res.Labels, K: ki,
+			Solver:     spectral.SolverEmbedded,
+			NNZ:        int64(ni) * int64(dim),
+			Fill:       float64(dim) / float64(ni),
+			SolveNanos: time.Since(start).Nanoseconds(),
+			GramBytes:  embed.Bytes(ni, dim),
+		}, nil
+	}
 	if ni == 1 || ki == 1 {
 		return BucketSolution{Labels: make([]int, ni), K: 1, Solver: SolverTrivial}, nil
 	}
@@ -447,13 +480,13 @@ func clusterOneBucket(points *matrix.Dense, indices []int, cfg Config, n int, kf
 	}
 	ecfg := spectral.EngineConfig{
 		K:            ki,
-		Seed:         cfg.Seed + int64(indices[0]),
+		Seed:         cfg.Seed + int64(b.ids[0]),
 		SparseCutoff: cfg.SparseCutoff,
 		Epsilon:      cfg.Epsilon,
 		Embedder:     emb,
 		EmbedCutoff:  cfg.EmbedCutoff,
 	}
-	res, stats, err := spectral.ClusterBucket(points, indices, kf, ecfg, buf)
+	res, stats, err := spectral.ClusterBucket(b.points, b.rows, kf, ecfg, buf)
 	if err == nil {
 		return BucketSolution{
 			Labels: res.Labels, K: ki,
@@ -463,10 +496,8 @@ func clusterOneBucket(points *matrix.Dense, indices []int, cfg Config, n int, kf
 	}
 	// Degenerate sub-Gram (e.g. all-zero similarities): fall back to
 	// K-means on the raw bucket points rather than failing the run.
-	bucketPts := matrix.NewDense(ni, points.Cols())
-	for i, idx := range indices {
-		copy(bucketPts.Row(i), points.Row(idx))
-	}
+	bucketPts := matrix.NewDense(ni, b.points.Cols())
+	matrix.GatherRows(bucketPts.Data(), b.points, b.rows)
 	km, kerr := kmeans.Run(bucketPts, kmeans.Config{K: ki, Seed: cfg.Seed})
 	if kerr != nil {
 		return BucketSolution{}, fmt.Errorf("spectral (%v) and kmeans fallback (%v) both failed", err, kerr)

@@ -3,12 +3,14 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/lsh"
 	"repro/internal/mapreduce"
 	"repro/internal/mapreduce/mrtest"
+	"repro/internal/spectral"
 )
 
 // capturingExec records every job a runner submits, with its input, and
@@ -27,62 +29,98 @@ func (c *capturingExec) Run(job *mapreduce.Job, input []mapreduce.Pair) ([]mapre
 // zeroSolveNanos canonicalizes a stage-2 output for comparison: the
 // per-bucket stats records carry the solve's wall time, the one field
 // of the stream that two executions of the same reducer do not share.
-func zeroSolveNanos(packed bool) func([]mapreduce.Pair) {
-	return func(pairs []mapreduce.Pair) {
-		for i, p := range pairs {
-			if !isStatsRecord(p.Value, packed) {
-				continue
-			}
-			var sol BucketSolution
-			if packed {
-				if err := decodePackedBucketStats(p.Value, &sol); err != nil {
-					continue // left as is; the comparison will show it
-				}
-			} else {
-				decodeBucketStats(p.Value, &sol)
-			}
-			sol.SolveNanos = 0
-			pairs[i].Value = encodeBucketStatsConf(sol, packed)
+func zeroSolveNanos(pairs []mapreduce.Pair) {
+	for i, p := range pairs {
+		if !isStatsRecord(p.Value) {
+			continue
 		}
+		var sol BucketSolution
+		if err := decodeBucketStats(p.Value, &sol); err != nil {
+			continue // left as is; the comparison will show it
+		}
+		sol.SolveNanos = 0
+		pairs[i].Value = encodeBucketStats(sol)
 	}
 }
 
-// TestCoreJobsElisionMatchesExecution holds the six DASC jobs — closure,
-// shipped and sharded runner × stage 1 and stage 2 — to their identity
-// declarations: each job a real run submits is captured with its real
-// input and re-run with the declared phase elided and executed, on Local
-// and over TCP, at every spill budget, compressed and not.
+// TestCoreJobsElisionMatchesExecution is the cross-source table: the one
+// MapReduce job pair over each of the three row sources, with the
+// shuffle in memory and spilled, compressed and not. Every run must
+// yield exactly what Cluster yields — labels, cluster count, Gram
+// accounting, per-bucket solver — and the two jobs each source submits
+// are captured with their real input and held to their identity
+// declarations: re-run with the declared phase elided and executed, on
+// Local and over TCP, at every spill budget, compressed and not.
+//
+// The dial puts buckets on both sides of the embed policy: above
+// EmbedCutoff (embedded map-side by the record-carried source, in the
+// reducer by the other two) and below it with more than one cluster to
+// find (the exact Gram path, on rows that arrived by value).
 func TestCoreJobsElisionMatchesExecution(t *testing.T) {
 	l := mixture(t, 400, 12, 6, 0.05, 60)
-	runners := []struct {
+	cfg := Config{K: 12, Seed: 61, M: 6, P: -1, Tables: 2, MaxMergedBucket: 100, EmbedDim: 16, EmbedCutoff: 100, FitSample: 400}
+	want, err := Cluster(l.Points, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Solvers[spectral.SolverEmbedded] == 0 || want.Solvers[spectral.SolverDenseEigen] == 0 {
+		t.Fatalf("the dial must put buckets on both sides of EmbedCutoff, got %v", want.Solvers)
+	}
+	dir := writeShardDir(t, l.Points, 64)
+	sources := []struct {
 		name string
-		cfg  Config
-		run  func(cfg Config, exec mapreduce.Executor) error
+		run  func(cfg Config, exec mapreduce.Executor) (*Result, error)
 	}{
-		{"closure", Config{K: 6, Seed: 61, M: 7, P: -1, Tables: 2}, func(cfg Config, exec mapreduce.Executor) error {
-			_, err := ClusterMapReduce(l.Points, cfg, exec, "elision-closure")
-			return err
+		{"closure", func(cfg Config, exec mapreduce.Executor) (*Result, error) {
+			return ClusterMapReduce(l.Points, cfg, exec, "elision-closure")
 		}},
-		{"shipped", Config{K: 6, Seed: 61, M: 7, P: -1, EmbedDim: 16, EmbedCutoff: 8}, func(cfg Config, exec mapreduce.Executor) error {
-			_, err := ClusterMapReduceShipped(l.Points, cfg, exec)
-			return err
+		{"shipped", func(cfg Config, exec mapreduce.Executor) (*Result, error) {
+			return ClusterMapReduceShipped(l.Points, cfg, exec)
 		}},
-		{"sharded", Config{K: 6, Seed: 61, M: 7, P: -1, FitSample: 400, Compression: true}, func(cfg Config, exec mapreduce.Executor) error {
-			_, err := ClusterMapReduceSharded(writeShardDir(t, l.Points, 64), cfg, exec)
-			return err
+		{"sharded", func(cfg Config, exec mapreduce.Executor) (*Result, error) {
+			return ClusterMapReduceSharded(dir, cfg, exec)
 		}},
 	}
-	for _, r := range runners {
-		t.Run(r.name, func(t *testing.T) {
+	for _, src := range sources {
+		t.Run(src.name, func(t *testing.T) {
 			var captured capturingExec
-			if err := r.run(r.cfg, &captured); err != nil {
-				t.Fatal(err)
+			for _, spill := range []int64{0, 512} {
+				for _, compress := range []bool{false, true} {
+					captured = capturingExec{}
+					c := cfg
+					c.SpillBytes, c.Compression = spill, compress
+					got, err := src.run(c, &captured)
+					if err != nil {
+						t.Fatalf("SpillBytes=%d Compression=%v: %v", spill, compress, err)
+					}
+					if !reflect.DeepEqual(got.Labels, want.Labels) || got.Clusters != want.Clusters ||
+						got.GramBytes != want.GramBytes || !reflect.DeepEqual(got.Solvers, want.Solvers) {
+						t.Fatalf("SpillBytes=%d Compression=%v: %d clusters, %d Gram bytes, solvers %v; Cluster has %d, %d, %v (labels equal: %v)",
+							spill, compress, got.Clusters, got.GramBytes, got.Solvers,
+							want.Clusters, want.GramBytes, want.Solvers, reflect.DeepEqual(got.Labels, want.Labels))
+					}
+					if (got.MapReduce.SpillBytes > 0) != (spill > 0) {
+						t.Fatalf("SpillBytes=%d: %d bytes spilled", spill, got.MapReduce.SpillBytes)
+					}
+					if src.name == "sharded" && (got.MapReduce.ShardReadBytes == 0 || got.MapReduce.ShardReadOps == 0) {
+						t.Fatalf("shard read accounting missing: %+v", got.MapReduce)
+					}
+				}
 			}
 			if len(captured.jobs) != 2 {
 				t.Fatalf("runner submitted %d jobs, want the two DASC stages", len(captured.jobs))
 			}
 			if buckets := len(captured.inputs[1]); buckets < 4 {
 				t.Fatalf("stage 2 has only %d buckets; the check wants them spread over the reduce partitions", buckets)
+			}
+			if src.name == "shipped" {
+				kinds := map[byte]int{}
+				for _, rec := range captured.inputs[1] {
+					kinds[rec.Value[0]]++
+				}
+				if kinds[mapreduce.RawBucketKind] == 0 || kinds[mapreduce.EmbedBucketKind] == 0 || len(kinds) != 2 {
+					t.Fatalf("stage-2 record kinds %v, want raw and embedded buckets side by side", kinds)
+				}
 			}
 			stage1, stage2 := captured.jobs[0], captured.jobs[1]
 			if !stage1.IdentityReduce || stage1.IdentityMap {
@@ -94,7 +132,7 @@ func TestCoreJobsElisionMatchesExecution(t *testing.T) {
 			if err := mrtest.CheckElision(stage1, captured.inputs[0], nil); err != nil {
 				t.Error(err)
 			}
-			if err := mrtest.CheckElision(stage2, captured.inputs[1], zeroSolveNanos(r.cfg.Compression)); err != nil {
+			if err := mrtest.CheckElision(stage2, captured.inputs[1], zeroSolveNanos); err != nil {
 				t.Error(err)
 			}
 		})
@@ -156,14 +194,14 @@ func TestSigKeyRejectsMalformed(t *testing.T) {
 
 // labelStream builds the stage-2 output a correct run produces for part:
 // one label record per point and one stats record per bucket.
-func labelStream(part *lsh.Partition, packed bool) []mapreduce.Pair {
+func labelStream(part *lsh.Partition) []mapreduce.Pair {
 	var out []mapreduce.Pair
 	for _, b := range part.Buckets {
 		key := fmt.Sprintf("%016x", b.Signature)
 		for pi, idx := range b.Indices {
 			out = append(out, mapreduce.Pair{Key: key, Value: encodeLabel(idx, pi%2, 2)})
 		}
-		out = append(out, mapreduce.Pair{Key: key, Value: encodeBucketStatsConf(BucketSolution{Solver: SolverTrivial, NNZ: 4}, packed)})
+		out = append(out, mapreduce.Pair{Key: key, Value: encodeBucketStats(BucketSolution{Solver: SolverTrivial, NNZ: 4})})
 	}
 	return out
 }
@@ -177,39 +215,38 @@ func TestSolutionsFromLabelPairsValidates(t *testing.T) {
 		{Signature: 0xb, Indices: []int{1, 5}},
 	}}
 	const n = 7 // point 3 and 6 are in no bucket
-	for _, packed := range []bool{false, true} {
-		good := labelStream(part, packed)
-		sols, err := solutionsFromLabelPairs(part, good, n, packed)
-		if err != nil {
-			t.Fatalf("packed=%v: complete stream rejected: %v", packed, err)
-		}
-		if fmt.Sprint(sols[0].Labels, sols[1].Labels) != "[0 1 0] [0 1]" || sols[0].K != 2 || sols[0].NNZ != 4 || sols[1].Solver != SolverTrivial {
-			t.Fatalf("packed=%v: decoded %+v", packed, sols)
-		}
-		without := func(i int) []mapreduce.Pair {
-			return append(append([]mapreduce.Pair(nil), good[:i]...), good[i+1:]...)
-		}
-		with := func(p mapreduce.Pair) []mapreduce.Pair {
-			return append(append([]mapreduce.Pair(nil), good...), p)
-		}
-		for name, c := range map[string]struct {
-			pairs []mapreduce.Pair
-			want  string
-		}{
-			"missing label":       {without(1), "2 of 3 points labelled"},
-			"missing last label":  {without(5), "1 of 2 points labelled"},
-			"missing stats":       {without(3), "missing stats"},
-			"duplicate label":     {with(good[0]), "duplicate label for point 0"},
-			"duplicate stats":     {with(good[3]), "duplicate stats"},
-			"unbucketed point":    {with(mapreduce.Pair{Key: good[0].Key, Value: encodeLabel(3, 0, 2)}), "out-of-range point 3"},
-			"point past the end":  {with(mapreduce.Pair{Key: good[0].Key, Value: encodeLabel(n, 0, 2)}), "out-of-range point 7"},
-			"stats, wrong bucket": {with(mapreduce.Pair{Key: "000000000000000c", Value: good[3].Value}), "unknown bucket"},
-			"empty stream":        {nil, "0 of 3 points labelled"},
-		} {
-			_, err := solutionsFromLabelPairs(part, c.pairs, n, packed)
-			if err == nil || !strings.Contains(err.Error(), c.want) {
-				t.Errorf("packed=%v, %s: err = %v, want it to mention %q", packed, name, err, c.want)
-			}
+	good := labelStream(part)
+	sols, err := solutionsFromLabelPairs(part, good, n)
+	if err != nil {
+		t.Fatalf("complete stream rejected: %v", err)
+	}
+	if fmt.Sprint(sols[0].Labels, sols[1].Labels) != "[0 1 0] [0 1]" || sols[0].K != 2 || sols[0].NNZ != 4 || sols[1].Solver != SolverTrivial {
+		t.Fatalf("decoded %+v", sols)
+	}
+	without := func(i int) []mapreduce.Pair {
+		return append(append([]mapreduce.Pair(nil), good[:i]...), good[i+1:]...)
+	}
+	with := func(p mapreduce.Pair) []mapreduce.Pair {
+		return append(append([]mapreduce.Pair(nil), good...), p)
+	}
+	for name, c := range map[string]struct {
+		pairs []mapreduce.Pair
+		want  string
+	}{
+		"missing label":       {without(1), "2 of 3 points labelled"},
+		"missing last label":  {without(5), "1 of 2 points labelled"},
+		"missing stats":       {without(3), "missing stats"},
+		"duplicate label":     {with(good[0]), "duplicate label for point 0"},
+		"duplicate stats":     {with(good[3]), "duplicate stats"},
+		"unbucketed point":    {with(mapreduce.Pair{Key: good[0].Key, Value: encodeLabel(3, 0, 2)}), "out-of-range point 3"},
+		"point past the end":  {with(mapreduce.Pair{Key: good[0].Key, Value: encodeLabel(n, 0, 2)}), "out-of-range point 7"},
+		"stats, wrong bucket": {with(mapreduce.Pair{Key: "000000000000000c", Value: good[3].Value}), "unknown bucket"},
+		"neither kind":        {with(mapreduce.Pair{Key: good[0].Key, Value: []byte("x")}), "label payload length 1"},
+		"empty stream":        {nil, "0 of 3 points labelled"},
+	} {
+		_, err := solutionsFromLabelPairs(part, c.pairs, n)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want it to mention %q", name, err, c.want)
 		}
 	}
 }

@@ -190,19 +190,21 @@ func TestMapReduceCarriesSolverStats(t *testing.T) {
 	}
 }
 
-// TestBucketStatsCodecRoundTrip pins the wire format of the stats
-// record, including its length-based separation from label records.
+// TestBucketStatsCodecRoundTrip pins the stats record's round trip and
+// its separation from label records.
 func TestBucketStatsCodecRoundTrip(t *testing.T) {
 	in := BucketSolution{
 		Solver: spectral.SolverSparseLanczos,
 		NNZ:    12345, Fill: 0.17, SolveNanos: 987654321, GramBytes: 98760,
 	}
 	blob := encodeBucketStats(in)
-	if len(blob) < bucketStatsLen || len(blob) == 12 {
-		t.Fatalf("stats record length %d collides with label records", len(blob))
+	if !isStatsRecord(blob) || isStatsRecord(encodeLabel('S', 0, 0)) {
+		t.Fatalf("stats record (%d bytes) and label records are not told apart", len(blob))
 	}
 	var out BucketSolution
-	decodeBucketStats(blob, &out)
+	if err := decodeBucketStats(blob, &out); err != nil {
+		t.Fatal(err)
+	}
 	if out.Solver != in.Solver || out.NNZ != in.NNZ || out.Fill != in.Fill ||
 		out.SolveNanos != in.SolveNanos || out.GramBytes != in.GramBytes {
 		t.Fatalf("round trip %+v -> %+v", in, out)

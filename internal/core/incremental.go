@@ -134,7 +134,7 @@ func (r *incrementalRunner) Solve(ctx context.Context, p *Plan, part *lsh.Partit
 				return nil, fmt.Errorf("core: incremental: %w", err)
 			}
 			b := part.Buckets[bi]
-			sol, err := clusterOneBucket(p.Points, b.Indices, p.Cfg, n, kf, p.Embedder, &scratch)
+			sol, err := clusterOneBucket(bucket{points: p.Points, rows: b.Indices, ids: b.Indices}, p.Cfg, n, kf, p.Embedder, &scratch)
 			if err != nil {
 				return nil, fmt.Errorf("core: bucket %x: %w", b.Signature, err)
 			}

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/gob"
 	"encoding/hex"
 	"fmt"
 	"math"
 	"strconv"
+	"time"
 
 	"repro/internal/embed"
 	"repro/internal/kernel"
@@ -15,19 +18,26 @@ import (
 	"repro/internal/matrix"
 )
 
-// ClusterMapReduce runs DASC as the paper's two MapReduce stages (§3.3)
-// on the given executor:
+// This file is DASC as the paper's two MapReduce jobs (§3.3), written
+// once against a rowSource (rowsource.go) and run by one Runner on any
+// mapreduce.Executor:
 //
-//	stage 1 (Algorithm 1): map each (index, vector) record to a
-//	  (signature, index) pair; the grouped reduce output is the raw
-//	  signature partition,
+//	stage 1 (Algorithm 1): map each input record's rows to one
+//	  (table:signature, index) pair per hash table; the grouped reduce
+//	  output is the raw signature partition,
 //	stage 2 (Algorithm 2): after the driver merges near-duplicate
-//	  signatures, each reducer computes its bucket's sub-similarity
-//	  matrix and runs spectral clustering, emitting per-point labels.
+//	  signatures, each reducer solves its buckets — sub-similarity
+//	  matrix and spectral clustering, or k-means on embedded rows —
+//	  emitting per-point labels and one stats record per bucket.
 //
-// The jobs are registered under names derived from jobPrefix so that
-// TCP workers in the same process can execute them (the points matrix
-// travels by closure, standing in for HDFS-distributed input splits).
+// The three public MapReduce drivers differ only in the rowSource they
+// hand the runner: where a worker gets row i.
+
+// ClusterMapReduce runs the two stages with the points matrix shared by
+// closure: the jobs are registered under names derived from jobPrefix,
+// so executor workers must live in the driver's address space (the
+// Local pool, or goroutine TCP workers) — the matrix stands in for
+// HDFS-distributed input splits.
 func ClusterMapReduce(points *matrix.Dense, cfg Config, exec mapreduce.Executor, jobPrefix string) (*Result, error) {
 	return ClusterMapReduceContext(context.Background(), points, cfg, exec, jobPrefix)
 }
@@ -37,64 +47,342 @@ func ClusterMapReduce(points *matrix.Dense, cfg Config, exec mapreduce.Executor,
 // mapreduce.ContextExecutor (Local and the TCP Master) abort in-flight
 // map and reduce work cooperatively.
 func ClusterMapReduceContext(ctx context.Context, points *matrix.Dense, cfg Config, exec mapreduce.Executor, jobPrefix string) (*Result, error) {
-	return RunPipeline(ctx, points, cfg, &mapReduceRunner{exec: exec, prefix: jobPrefix})
+	return RunPipeline(ctx, points, cfg, &mrRunner{exec: exec, src: &matrixRows{points: points, prefix: jobPrefix}})
 }
 
-// mapReduceRunner is the closure-carrying MapReduce backend: jobs
-// capture the points matrix, so executor workers must share the
-// driver's address space (goroutine TCP workers or the Local pool).
-type mapReduceRunner struct {
-	exec   mapreduce.Executor
-	prefix string
-	ctr    mapreduce.Counters
+// ClusterMapReduceShipped runs the two stages with all data shipped
+// through the records — vectors in stage 1, whole buckets (embedded
+// map-side where the embed policy claims them) in stage 2 — and all
+// configuration through the job Conf, so the executor's workers may
+// live in other OS processes (start them with cmd/dascworker): the full
+// Hadoop deployment model. Semantically identical to ClusterMapReduce.
+func ClusterMapReduceShipped(points *matrix.Dense, cfg Config, exec mapreduce.Executor) (*Result, error) {
+	return ClusterMapReduceShippedContext(context.Background(), points, cfg, exec)
 }
 
-func (*mapReduceRunner) Name() string      { return "mapreduce" }
-func (*mapReduceRunner) NeedsHasher() bool { return true }
+// ClusterMapReduceShippedContext is ClusterMapReduceShipped with
+// cancellation.
+func ClusterMapReduceShippedContext(ctx context.Context, points *matrix.Dense, cfg Config, exec mapreduce.Executor) (*Result, error) {
+	return RunPipeline(ctx, points, cfg, &mrRunner{exec: exec, src: &recordRows{points: points}})
+}
+
+// ClusterMapReduceSharded runs the two stages against a shard directory
+// written by internal/shard, never materializing the input matrix in
+// driver memory: stage-1 mappers stream their assigned shard row ranges
+// and stage-2 reducers demand-read only the rows their buckets
+// reference, so dataset size is bounded by disk, not RAM (combine with
+// Config.SpillBytes for an out-of-core shuffle too). The plan (LSH
+// thresholds, kernel bandwidth, feature map) is fitted from
+// Config.FitSample evenly spaced rows; FitSample >= N makes the labels
+// bit-identical to the in-memory drivers. Workers may live in other OS
+// processes provided they can open the same shard directory.
+func ClusterMapReduceSharded(dir string, cfg Config, exec mapreduce.Executor) (*Result, error) {
+	return ClusterMapReduceShardedContext(context.Background(), dir, cfg, exec)
+}
+
+// ClusterMapReduceShardedContext is ClusterMapReduceSharded with
+// cancellation.
+func ClusterMapReduceShardedContext(ctx context.Context, dir string, cfg Config, exec mapreduce.Executor) (*Result, error) {
+	start := time.Now()
+	ioBefore := workerShardIO()
+	// The driver uses the same process-wide cached reader as in-process
+	// workers: one set of handles per directory, shared by the fit
+	// sample, probe reads, and every local task.
+	src, err := openShardRows(dir)
+	if err != nil {
+		return nil, err
+	}
+	n := src.Rows()
+	cfg, radius, err := cfg.resolve(n)
+	if err != nil {
+		return nil, err
+	}
+	sample, err := src.fitSample(cfg.FitSample)
+	if err != nil {
+		return nil, fmt.Errorf("core: sharded fit sample: %w", err)
+	}
+	p, err := fitPlan(sample, cfg, radius, true)
+	if err != nil {
+		return nil, err
+	}
+	p.Points = nil // nothing past the fit reads the sample; do not keep it resident
+	// Margin-ordered probing reads rows on demand through the shard
+	// reader; without probing the partition stage touches no row.
+	var probe lsh.PointSource
+	if cfg.ProbeRadius > 0 {
+		probe = src
+	}
+	res, err := runStages(ctx, start, p, n, probe, &mrRunner{exec: exec, src: src})
+	if src.probeErr != nil {
+		return nil, fmt.Errorf("core: sharded probe rows: %w", src.probeErr)
+	}
+	if err != nil {
+		return nil, err
+	}
+	// Process-local shard-read accounting: exact when the executor's
+	// workers share this process; external TCP worker processes report
+	// their byte meter on result frames, which the master already folded
+	// into the stage counters (see mapreduce.Counters.ShardReadBytes).
+	ioAfter := workerShardIO()
+	res.MapReduce.ShardReadBytes += ioAfter.bytes - ioBefore.bytes
+	res.MapReduce.ShardReadOps += ioAfter.ops - ioBefore.ops
+	res.MapReduce.ShardCoalescedReads += ioAfter.coalesced - ioBefore.coalesced
+	return res, nil
+}
+
+// mrRunner is the MapReduce backend: both stages run as jobs on exec,
+// with src answering where their rows live.
+type mrRunner struct {
+	exec mapreduce.Executor
+	src  rowSource
+	ctr  mapreduce.Counters
+}
+
+func (*mrRunner) Name() string      { return "mapreduce" }
+func (*mrRunner) NeedsHasher() bool { return true }
 
 // MapReduceCounters reports the counters accumulated across both
-// stages; RunPipeline copies them onto the Result.
-func (r *mapReduceRunner) MapReduceCounters() *mapreduce.Counters { return &r.ctr }
+// stages; the pipeline puts them on the Result. A copy, so that a
+// retained Result does not keep the runner — and through its source the
+// dataset — alive.
+func (r *mrRunner) MapReduceCounters() *mapreduce.Counters {
+	ctr := r.ctr
+	return &ctr
+}
 
-func (r *mapReduceRunner) Signatures(ctx context.Context, p *Plan) (*lsh.SignatureSet, error) {
-	n := p.Points.Rows()
+// run publishes one stage's job for the executor's workers and runs it.
+func (r *mrRunner) run(ctx context.Context, p *Plan, job *mapreduce.Job, stage string, conf any, input []mapreduce.Pair) ([]mapreduce.Pair, error) {
+	if err := r.src.publish(job, stage, conf); err != nil {
+		return nil, err
+	}
+	job.SpillBytes = p.Cfg.SpillBytes
+	job.Compress = p.Cfg.Compression
+	out, ctr, err := mapreduce.RunWithContext(ctx, r.exec, job, input)
+	if err != nil {
+		return nil, fmt.Errorf("core: %s stage: %w", stage, err)
+	}
+	r.ctr.Add(ctr)
+	return out, nil
+}
+
+func (r *mrRunner) Signatures(ctx context.Context, p *Plan) (*lsh.SignatureSet, error) {
 	hashers, err := p.Hashers()
 	if err != nil {
 		return nil, err
 	}
-	lshJob := LSHJob(r.prefix, p.Points, hashers)
-	lshJob.SpillBytes = p.Cfg.SpillBytes
-	lshJob.Compress = p.Cfg.Compression
-	input := make([]mapreduce.Pair, n)
-	for i := 0; i < n; i++ {
-		input[i] = mapreduce.Pair{Key: strconv.Itoa(i)}
+	conf := lshConf{Dir: r.src.dir(), Tables: make([]lshTable, len(hashers))}
+	for t, h := range hashers {
+		conf.Tables[t] = lshTable{Dims: h.Dimensions(), Thresholds: h.Thresholds()}
 	}
-	sigPairs, ctr, err := mapreduce.RunWithContext(ctx, r.exec, lshJob, input)
+	job, err := newLSHJob(r.src, conf)
 	if err != nil {
-		return nil, fmt.Errorf("core: lsh stage: %w", err)
+		return nil, err
 	}
-	r.ctr.Add(ctr)
+	input, splitSize := r.src.lshInput()
+	job.SplitSize = splitSize
+	sigPairs, err := r.run(ctx, p, job, "lsh", conf, input)
+	if err != nil {
+		return nil, err
+	}
+	n, _ := r.src.shape()
 	return signaturesFromPairs(sigPairs, n, len(hashers))
 }
 
-func (r *mapReduceRunner) Solve(ctx context.Context, p *Plan, part *lsh.Partition) ([]BucketSolution, error) {
-	clusterJob := ClusterJob(r.prefix, p.Points, p.Cfg, p.Sigma, p.Embedder)
-	clusterJob.SpillBytes = p.Cfg.SpillBytes
-	clusterJob.Compress = p.Cfg.Compression
-	stage2Input := make([]mapreduce.Pair, len(part.Buckets))
+func (r *mrRunner) Solve(ctx context.Context, p *Plan, part *lsh.Partition) ([]BucketSolution, error) {
+	n, cols := r.src.shape()
+	conf := clusterConf{
+		Dir: r.src.dir(), N: n, Cols: cols,
+		K: p.Cfg.K, Sigma: p.Sigma, Seed: p.Cfg.Seed,
+		SparseCutoff: p.Cfg.SparseCutoff, Epsilon: p.Cfg.Epsilon,
+		EmbedDim: p.Cfg.EmbedDim, EmbedCutoff: p.Cfg.EmbedCutoff,
+	}
+	job, err := newClusterJob(r.src, conf)
+	if err != nil {
+		return nil, err
+	}
+	input := make([]mapreduce.Pair, len(part.Buckets))
+	var scratch []float64
 	for bi, b := range part.Buckets {
-		stage2Input[bi] = mapreduce.Pair{
-			Key:   fmt.Sprintf("%016x", b.Signature),
-			Value: encodeIndicesConf(b.Indices, p.Cfg.Compression),
+		value, err := r.src.encodeBucket(p, b.Indices, &scratch, &r.ctr)
+		if err != nil {
+			return nil, fmt.Errorf("core: bucket %x: %w", b.Signature, err)
+		}
+		input[bi] = mapreduce.Pair{Key: fmt.Sprintf("%016x", b.Signature), Value: value}
+	}
+	labelPairs, err := r.run(ctx, p, job, "cluster", conf, input)
+	if err != nil {
+		return nil, err
+	}
+	return solutionsFromLabelPairs(part, labelPairs, n)
+}
+
+// ---- the two jobs ----
+
+// lshTable is one ensemble table's fitted hash parameters.
+type lshTable struct {
+	Dims       []int
+	Thresholds []float64
+}
+
+// lshConf is the stage-1 configuration: every table's fitted hash
+// parameters, so a remote worker can compute the full signature set,
+// and the shard directory of a shard-backed source (see workerSource).
+type lshConf struct {
+	Dir    string
+	Tables []lshTable
+}
+
+// clusterConf is the stage-2 configuration: the source's shard
+// directory, the dataset shape, and the driver's solve-engine policy
+// (zero SparseCutoff/EmbedDim reproduce the dense path exactly). With
+// EmbedDim > 0 every worker refits the kernel embedding from (Cols,
+// EmbedDim, Sigma, Seed) — a pure function, so all hold bitwise the
+// driver's feature map.
+type clusterConf struct {
+	Dir          string
+	N, Cols      int
+	K            int
+	Sigma        float64
+	Seed         int64
+	SparseCutoff int
+	Epsilon      float64
+	EmbedDim     int
+	EmbedCutoff  int
+}
+
+// gobEncode / gobDecode move a job's configuration through Job.Conf —
+// Hadoop's JobConf analogue: one blob per job, rebuilt into the job by
+// the factories below in any process that imports this package.
+func gobEncode(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+func gobDecode(data []byte, v any) error {
+	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
+}
+
+// lshJobFromConf and clusterJobFromConf are the mapreduce.JobFactory
+// forms of the two job builders, registered for the sources whose
+// workers may live in other processes.
+func lshJobFromConf(blob []byte) (*mapreduce.Job, error) {
+	var c lshConf
+	if err := gobDecode(blob, &c); err != nil {
+		return nil, fmt.Errorf("core: lsh conf: %w", err)
+	}
+	src, err := workerSource(c.Dir)
+	if err != nil {
+		return nil, err
+	}
+	return newLSHJob(src, c)
+}
+
+func clusterJobFromConf(blob []byte) (*mapreduce.Job, error) {
+	var c clusterConf
+	if err := gobDecode(blob, &c); err != nil {
+		return nil, fmt.Errorf("core: cluster conf: %w", err)
+	}
+	src, err := workerSource(c.Dir)
+	if err != nil {
+		return nil, err
+	}
+	return newClusterJob(src, c)
+}
+
+// newLSHJob builds the stage-1 job (Algorithm 1, extended to the
+// multi-table ensemble): the source's mapper turns each input record
+// into its rows, each is hashed once per table with the shipped
+// thresholds and emits one (table:signature, index) record per table; the reducer
+// passes records through, so the executor's shuffle performs the
+// per-table signature grouping.
+func newLSHJob(src rowSource, c lshConf) (*mapreduce.Job, error) {
+	if len(c.Tables) == 0 {
+		return nil, fmt.Errorf("core: lsh conf has no tables")
+	}
+	for t, tab := range c.Tables {
+		if len(tab.Dims) != len(tab.Thresholds) || len(tab.Dims) == 0 {
+			return nil, fmt.Errorf("core: lsh conf table %d has %d dims, %d thresholds",
+				t, len(tab.Dims), len(tab.Thresholds))
 		}
 	}
-	labelPairs, ctr, err := mapreduce.RunWithContext(ctx, r.exec, clusterJob, stage2Input)
-	if err != nil {
-		return nil, fmt.Errorf("core: cluster stage: %w", err)
-	}
-	r.ctr.Add(ctr)
-	return solutionsFromLabelPairs(part, labelPairs, p.Points.Rows(), p.Cfg.Compression)
+	return &mapreduce.Job{
+		NumReducers: 4,
+		Map: src.mapRows(func(idx int, row []float64, emit mapreduce.Emit) error {
+			// The shuffle keeps the emitted value, so every row gets its
+			// own; the tables share it.
+			buf := binary.LittleEndian.AppendUint32(make([]byte, 0, 4), uint32(idx))
+			for t, tab := range c.Tables {
+				var sig uint64
+				for i, dim := range tab.Dims {
+					if dim < 0 || dim >= len(row) {
+						return fmt.Errorf("hash dimension %d outside vector of %d", dim, len(row))
+					}
+					if row[dim] > tab.Thresholds[i] {
+						sig |= 1 << uint(i)
+					}
+				}
+				emit(encodeSigKey(t, sig), buf)
+			}
+			return nil
+		}),
+		Reduce:         mapreduce.IdentityReduceFunc,
+		IdentityReduce: true,
+	}, nil
 }
+
+// newClusterJob builds the stage-2 job (Algorithm 2): each reduce value
+// is one merged bucket in the source's record form; the reducer has the
+// source open it, solves it with the engine every other driver uses,
+// and emits one (bucketSig, point/label/k) record per point plus the
+// bucket's stats record.
+func newClusterJob(src rowSource, c clusterConf) (*mapreduce.Job, error) {
+	if c.N < 1 || c.Cols < 1 || c.K < 1 || c.Sigma <= 0 || c.EmbedDim < 0 ||
+		(c.EmbedDim > 0 && c.EmbedCutoff < 1) {
+		return nil, fmt.Errorf("core: cluster conf %+v invalid", c)
+	}
+	cfg := Config{
+		K: c.K, Seed: c.Seed, SparseCutoff: c.SparseCutoff, Epsilon: c.Epsilon,
+		EmbedDim: c.EmbedDim, EmbedCutoff: c.EmbedCutoff,
+	}
+	kf := kernel.NewGaussian(c.Sigma)
+	var emb embed.Embedder
+	if c.EmbedDim > 0 {
+		var err error
+		if emb, err = embed.NewRFF(c.Cols, c.EmbedDim, c.Sigma, c.Seed); err != nil {
+			return nil, fmt.Errorf("core: embed: %w", err)
+		}
+	}
+	return &mapreduce.Job{
+		NumReducers: 4,
+		Map:         mapreduce.IdentityMapFunc, // buckets arrive formed and encoded
+		IdentityMap: true,
+		Reduce: func(key string, values [][]byte, emit mapreduce.Emit) error {
+			// Reducers may run concurrently, so the sub-Gram scratch is
+			// per-invocation; it is still reused across this key's values.
+			var scratch []float64
+			for _, v := range values {
+				b, err := src.openBucket(v)
+				if err != nil {
+					return err
+				}
+				sol, err := clusterOneBucket(b, cfg, c.N, kf, emb, &scratch)
+				if err != nil {
+					return err
+				}
+				for pos, idx := range b.ids {
+					emit(key, encodeLabel(idx, sol.Labels[pos], sol.K))
+				}
+				emit(key, encodeBucketStats(sol))
+			}
+			return nil
+		},
+	}, nil
+}
+
+// ---- record codecs: one encoding each ----
 
 // sigKeyLen is the fixed length of a stage-1 record key:
 // two hex digits of table, ':', sixteen hex digits of signature.
@@ -135,7 +423,7 @@ func decodeSigKey(key string) (table int, sig uint64, err error) {
 }
 
 // signaturesFromPairs reassembles the per-point per-table signature set
-// from stage-1 output records, shared by both MapReduce runners.
+// from stage-1 output records.
 func signaturesFromPairs(sigPairs []mapreduce.Pair, n, tables int) (*lsh.SignatureSet, error) {
 	sigs := lsh.NewSignatureSet(tables, n)
 	for _, p := range sigPairs {
@@ -145,6 +433,9 @@ func signaturesFromPairs(sigPairs []mapreduce.Pair, n, tables int) (*lsh.Signatu
 		}
 		if t >= tables {
 			return nil, fmt.Errorf("core: table %d out of range (have %d)", t, tables)
+		}
+		if len(p.Value) != 4 {
+			return nil, fmt.Errorf("core: signature payload length %d", len(p.Value))
 		}
 		idx := int(binary.LittleEndian.Uint32(p.Value))
 		if idx < 0 || idx >= n {
@@ -157,16 +448,13 @@ func signaturesFromPairs(sigPairs []mapreduce.Pair, n, tables int) (*lsh.Signatu
 
 // solutionsFromLabelPairs converts stage-2 output records back into
 // per-bucket solutions aligned with the partition — the inverse of the
-// reducers' emission, shared by both MapReduce runners. Two record
-// kinds share the stream, both keyed by the bucket signature: 12-byte
-// per-point (pointIndex, localLabel, k) triples and the per-bucket
-// solver stats records. In legacy mode (packed false) stats are the
-// fixed 32-byte-plus-solver layout and the kinds are length-
-// distinguished; in packed mode stats carry the 'S' marker and are at
-// least 13 bytes by construction, so a 12-byte record is always a
-// label. The shared assembly path then offsets the solutions exactly
-// like every other runner's.
-func solutionsFromLabelPairs(part *lsh.Partition, pairs []mapreduce.Pair, n int, packed bool) ([]BucketSolution, error) {
+// reducer's emission. Two record kinds share the stream, both keyed by
+// the bucket signature: 12-byte per-point (pointIndex, localLabel, k)
+// triples and the per-bucket solver stats records, which carry the 'S'
+// marker and are at least 13 bytes by construction, so a 12-byte record
+// is always a label. The shared assembly path then offsets the
+// solutions exactly like every other runner's.
+func solutionsFromLabelPairs(part *lsh.Partition, pairs []mapreduce.Pair, n int) ([]BucketSolution, error) {
 	// bucketOf[i] / posOf[i] locate point i in the partition until its
 	// label arrives. The stream must label every point of every bucket
 	// exactly once and carry every bucket's stats record: a lost or
@@ -196,7 +484,7 @@ func solutionsFromLabelPairs(part *lsh.Partition, pairs []mapreduce.Pair, n int,
 		}
 	}
 	for _, p := range pairs {
-		if isStatsRecord(p.Value, packed) {
+		if isStatsRecord(p.Value) {
 			sig, err := strconv.ParseUint(p.Key, 16, 64)
 			if err != nil {
 				return nil, fmt.Errorf("core: bad stats key %q: %w", p.Key, err)
@@ -209,16 +497,12 @@ func solutionsFromLabelPairs(part *lsh.Partition, pairs []mapreduce.Pair, n int,
 				return nil, fmt.Errorf("core: duplicate stats for bucket %x", sig)
 			}
 			hasStats[bi] = true
-			if packed {
-				if err := decodePackedBucketStats(p.Value, &sols[bi]); err != nil {
-					return nil, err
-				}
-			} else {
-				decodeBucketStats(p.Value, &sols[bi])
+			if err := decodeBucketStats(p.Value, &sols[bi]); err != nil {
+				return nil, err
 			}
 			continue
 		}
-		if len(p.Value) != 12 {
+		if len(p.Value) != labelLen {
 			return nil, fmt.Errorf("core: label payload length %d", len(p.Value))
 		}
 		idx, local, k := decodeLabel(p.Value)
@@ -245,59 +529,24 @@ func solutionsFromLabelPairs(part *lsh.Partition, pairs []mapreduce.Pair, n int,
 	return sols, nil
 }
 
-// isStatsRecord tells a stage-2 output record's kind: a per-bucket
-// stats record, or else a 12-byte label record.
-func isStatsRecord(v []byte, packed bool) bool {
-	if packed {
-		return len(v) != 12 && len(v) > 0 && v[0] == packedStatsKind
-	}
-	return len(v) >= bucketStatsLen
-}
+// statsKind opens a stats record: 'S', a zero version byte, uvarint
+// NNZ, 8-byte LE Fill bits, uvarint SolveNanos, uvarint GramBytes, then
+// the solver name. The two fixed leading bytes plus the 8-byte float
+// keep every stats record at least 13 bytes, so it can never collide
+// with a 12-byte label.
+const statsKind = 'S'
 
-// bucketStatsLen is the fixed prefix of a stats record: NNZ, Fill bits,
-// SolveNanos, GramBytes as little-endian uint64s, followed by the
-// solver name. Always longer than the 12-byte label records, so record
-// kinds are length-distinguished.
-const bucketStatsLen = 32
+// isStatsRecord tells a stage-2 output record's kind: a per-bucket
+// stats record, or else a label record.
+func isStatsRecord(v []byte) bool {
+	return len(v) != labelLen && len(v) > 0 && v[0] == statsKind
+}
 
 // encodeBucketStats packs a solution's solver accounting into one
 // stage-2 output record.
 func encodeBucketStats(s BucketSolution) []byte {
-	buf := make([]byte, bucketStatsLen+len(s.Solver))
-	binary.LittleEndian.PutUint64(buf[0:], uint64(s.NNZ))
-	binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(s.Fill))
-	binary.LittleEndian.PutUint64(buf[16:], uint64(s.SolveNanos))
-	binary.LittleEndian.PutUint64(buf[24:], uint64(s.GramBytes))
-	copy(buf[bucketStatsLen:], s.Solver)
-	return buf
-}
-
-// decodeBucketStats unpacks a stats record into the solution's
-// accounting fields, leaving Labels and K untouched.
-func decodeBucketStats(buf []byte, s *BucketSolution) {
-	s.NNZ = int64(binary.LittleEndian.Uint64(buf[0:]))
-	s.Fill = math.Float64frombits(binary.LittleEndian.Uint64(buf[8:]))
-	s.SolveNanos = int64(binary.LittleEndian.Uint64(buf[16:]))
-	s.GramBytes = int64(binary.LittleEndian.Uint64(buf[24:]))
-	s.Solver = string(buf[bucketStatsLen:])
-}
-
-// packedStatsKind opens a compact stats record in Compression mode:
-// 'S', a zero version byte, uvarint NNZ, 8-byte LE Fill bits, uvarint
-// SolveNanos, uvarint GramBytes, then the solver name. The two fixed
-// leading bytes plus the 8-byte float keep every packed stats record
-// at least 13 bytes, so it can never collide with a 12-byte label.
-const packedStatsKind = 'S'
-
-// encodeBucketStatsConf packs a solution's solver accounting in the
-// legacy fixed layout, or the compact varint layout when the job runs
-// with Config.Compression.
-func encodeBucketStatsConf(s BucketSolution, packed bool) []byte {
-	if !packed {
-		return encodeBucketStats(s)
-	}
 	buf := make([]byte, 0, 2+3*binary.MaxVarintLen64+8+len(s.Solver))
-	buf = append(buf, packedStatsKind, 0)
+	buf = append(buf, statsKind, 0)
 	buf = binary.AppendUvarint(buf, uint64(s.NNZ))
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.Fill))
 	buf = binary.AppendUvarint(buf, uint64(s.SolveNanos))
@@ -305,28 +554,28 @@ func encodeBucketStatsConf(s BucketSolution, packed bool) []byte {
 	return append(buf, s.Solver...)
 }
 
-// decodePackedBucketStats is the inverse of the packed arm of
-// encodeBucketStatsConf.
-func decodePackedBucketStats(buf []byte, s *BucketSolution) error {
-	if len(buf) < 2 || buf[0] != packedStatsKind || buf[1] != 0 {
-		return fmt.Errorf("core: bad packed stats record")
+// decodeBucketStats unpacks a stats record into the solution's
+// accounting fields, leaving Labels and K untouched.
+func decodeBucketStats(buf []byte, s *BucketSolution) error {
+	if len(buf) < 2 || buf[0] != statsKind || buf[1] != 0 {
+		return fmt.Errorf("core: bad stats record")
 	}
 	rest := buf[2:]
 	nnz, n := binary.Uvarint(rest)
 	if n <= 0 || len(rest[n:]) < 8 {
-		return fmt.Errorf("core: truncated packed stats record")
+		return fmt.Errorf("core: truncated stats record")
 	}
 	rest = rest[n:]
 	fill := math.Float64frombits(binary.LittleEndian.Uint64(rest))
 	rest = rest[8:]
 	nanos, n := binary.Uvarint(rest)
 	if n <= 0 {
-		return fmt.Errorf("core: truncated packed stats record")
+		return fmt.Errorf("core: truncated stats record")
 	}
 	rest = rest[n:]
 	gram, n := binary.Uvarint(rest)
 	if n <= 0 {
-		return fmt.Errorf("core: truncated packed stats record")
+		return fmt.Errorf("core: truncated stats record")
 	}
 	s.NNZ = int64(nnz)
 	s.Fill = fill
@@ -336,112 +585,12 @@ func decodePackedBucketStats(buf []byte, s *BucketSolution) error {
 	return nil
 }
 
-// LSHJob builds the stage-1 MapReduce job (Algorithm 1, extended to the
-// multi-table ensemble): the mapper hashes its input vector once per
-// table and emits one (table:signature, index) record per table; the
-// reducer passes records through, so the executor's shuffle performs
-// the per-table signature grouping.
-func LSHJob(prefix string, points *matrix.Dense, hashers []*lsh.Hasher) *mapreduce.Job {
-	job := &mapreduce.Job{
-		Name:        prefix + "/lsh",
-		NumReducers: 4,
-		Map: func(key string, value []byte, emit mapreduce.Emit) error {
-			idx, err := strconv.Atoi(key)
-			if err != nil {
-				return fmt.Errorf("bad point index %q: %w", key, err)
-			}
-			if idx < 0 || idx >= points.Rows() {
-				return fmt.Errorf("point index %d out of range", idx)
-			}
-			row := points.Row(idx)
-			var buf [4]byte
-			binary.LittleEndian.PutUint32(buf[:], uint32(idx))
-			for t, h := range hashers {
-				emit(encodeSigKey(t, h.Signature(row)), buf[:])
-			}
-			return nil
-		},
-		Reduce:         mapreduce.IdentityReduceFunc,
-		IdentityReduce: true,
-	}
-	mapreduce.Register(job)
-	return job
-}
-
-// ClusterJob builds the stage-2 MapReduce job (Algorithm 2): each
-// reduce key is one merged bucket; the reducer computes the bucket's
-// sub-similarity matrix and runs spectral clustering — or, with embed
-// mode on, embeds the bucket rows and runs k-means — emitting one
-// (bucketSig, point/label/k) record per point. This closure runner
-// shares the driver's memory, so only indices travel through the
-// shuffle either way; the shipped runner is where map-side embedding
-// shrinks the wire payloads.
-func ClusterJob(prefix string, points *matrix.Dense, cfg Config, sigma float64, emb embed.Embedder) *mapreduce.Job {
-	n := points.Rows()
-	kf := kernel.NewGaussian(sigma)
-	job := &mapreduce.Job{
-		Name:        prefix + "/cluster",
-		NumReducers: 4,
-		Map:         mapreduce.IdentityMapFunc, // buckets are already formed
-		IdentityMap: true,
-		Reduce: func(key string, values [][]byte, emit mapreduce.Emit) error {
-			// Reducers may run concurrently, so the sub-Gram scratch is
-			// per-invocation; it is still reused across this key's values.
-			var scratch []float64
-			for _, v := range values {
-				indices, err := decodeIndicesConf(v, cfg.Compression)
-				if err != nil {
-					return err
-				}
-				sol, err := clusterOneBucket(points, indices, cfg, n, kf, emb, &scratch)
-				if err != nil {
-					return err
-				}
-				for pi, idx := range indices {
-					emit(key, encodeLabel(idx, sol.Labels[pi], sol.K))
-				}
-				emit(key, encodeBucketStatsConf(sol, cfg.Compression))
-			}
-			return nil
-		},
-	}
-	mapreduce.Register(job)
-	return job
-}
-
-// encodeIndices packs point indices as little-endian uint32s.
+// encodeIndices packs a bucket index list — the stage-2 record of the
+// sources whose reducers find the rows themselves — as a uvarint count
+// followed by zigzag-varint deltas. Bucket index lists are sorted
+// ascending, so the deltas are small positive integers and the record
+// costs about one byte per point.
 func encodeIndices(indices []int) []byte {
-	buf := make([]byte, 4*len(indices))
-	for i, idx := range indices {
-		binary.LittleEndian.PutUint32(buf[i*4:], uint32(idx))
-	}
-	return buf
-}
-
-func decodeIndices(buf []byte) ([]int, error) {
-	if len(buf)%4 != 0 {
-		return nil, fmt.Errorf("core: index payload length %d", len(buf))
-	}
-	out := make([]int, len(buf)/4)
-	for i := range out {
-		v := binary.LittleEndian.Uint32(buf[i*4:])
-		if v > math.MaxInt32 {
-			return nil, fmt.Errorf("core: index %d overflows", v)
-		}
-		out[i] = int(v)
-	}
-	return out, nil
-}
-
-// encodeIndicesConf packs a bucket index list in the legacy 4-byte-LE
-// layout, or — when the job runs with Config.Compression — as a
-// uvarint count followed by zigzag-varint deltas. Bucket index lists
-// are sorted ascending, so the deltas are small positive integers and
-// the record shrinks toward one byte per point.
-func encodeIndicesConf(indices []int, packed bool) []byte {
-	if !packed {
-		return encodeIndices(indices)
-	}
 	buf := binary.AppendUvarint(make([]byte, 0, 1+2*len(indices)), uint64(len(indices)))
 	prev := 0
 	for _, idx := range indices {
@@ -451,45 +600,45 @@ func encodeIndicesConf(indices []int, packed bool) []byte {
 	return buf
 }
 
-// decodeIndicesConf is the inverse of encodeIndicesConf. Every decoded
-// index must fit int32 and be non-negative, mirroring decodeIndices.
-func decodeIndicesConf(buf []byte, packed bool) ([]int, error) {
-	if !packed {
-		return decodeIndices(buf)
-	}
+// decodeIndices is the inverse of encodeIndices. Every decoded index
+// must be non-negative and fit int32, and nothing may follow the list.
+func decodeIndices(buf []byte) ([]int, error) {
 	count, n := binary.Uvarint(buf)
 	if n <= 0 {
-		return nil, fmt.Errorf("core: bad packed index count")
+		return nil, fmt.Errorf("core: bad index count")
 	}
 	rest := buf[n:]
 	// Each delta occupies at least one byte, so the declared count bounds
 	// the allocation before it happens.
 	if count > uint64(len(rest)) {
-		return nil, fmt.Errorf("core: packed index count %d exceeds payload %d", count, len(rest))
+		return nil, fmt.Errorf("core: index count %d exceeds payload %d", count, len(rest))
 	}
 	out := make([]int, count)
 	prev := int64(0)
 	for i := range out {
 		d, n := binary.Varint(rest)
 		if n <= 0 {
-			return nil, fmt.Errorf("core: truncated packed index list")
+			return nil, fmt.Errorf("core: truncated index list")
 		}
 		rest = rest[n:]
 		prev += d
 		if prev < 0 || prev > math.MaxInt32 {
-			return nil, fmt.Errorf("core: packed index %d out of range", prev)
+			return nil, fmt.Errorf("core: index %d out of range", prev)
 		}
 		out[i] = int(prev)
 	}
 	if len(rest) != 0 {
-		return nil, fmt.Errorf("core: %d trailing bytes after packed index list", len(rest))
+		return nil, fmt.Errorf("core: %d trailing bytes after index list", len(rest))
 	}
 	return out, nil
 }
 
+// labelLen is the size of a label record.
+const labelLen = 12
+
 // encodeLabel packs (pointIndex, localLabel, bucketK).
 func encodeLabel(idx, label, k int) []byte {
-	buf := make([]byte, 12)
+	buf := make([]byte, labelLen)
 	binary.LittleEndian.PutUint32(buf[0:], uint32(idx))
 	binary.LittleEndian.PutUint32(buf[4:], uint32(label))
 	binary.LittleEndian.PutUint32(buf[8:], uint32(k))

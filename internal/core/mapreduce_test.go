@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/kernel"
 	"repro/internal/mapreduce"
 	"repro/internal/matrix"
 	"repro/internal/metrics"
@@ -119,7 +120,7 @@ func TestIndexCodecRoundTrip(t *testing.T) {
 		t.Fatalf("round trip: %v -> %v", in, out)
 	}
 	if _, err := decodeIndices([]byte{1, 2, 3}); err == nil {
-		t.Fatal("expected error for misaligned payload")
+		t.Fatal("expected error for a payload longer than its count")
 	}
 }
 
@@ -127,5 +128,17 @@ func TestLabelCodecRoundTrip(t *testing.T) {
 	idx, label, k := decodeLabel(encodeLabel(7, 3, 11))
 	if idx != 7 || label != 3 || k != 11 {
 		t.Fatalf("round trip: %d %d %d", idx, label, k)
+	}
+}
+
+// TestClusterOneBucketEmpty feeds the solve an empty bucket — what an
+// index list with count zero decodes to on a worker: an empty solution,
+// not a panic.
+func TestClusterOneBucketEmpty(t *testing.T) {
+	l := mixture(t, 20, 4, 2, 0.03, 5)
+	var scratch []float64
+	sol, err := clusterOneBucket(bucket{points: l.Points}, Config{K: 2, Seed: 1}, 20, kernel.NewGaussian(1), nil, &scratch)
+	if err != nil || len(sol.Labels) != 0 {
+		t.Fatalf("empty bucket: %+v, %v", sol, err)
 	}
 }

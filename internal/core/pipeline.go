@@ -30,7 +30,8 @@ import (
 // the dataset, the defaulted configuration, the fitted hash ensemble,
 // the merge radius, and the kernel bandwidth.
 type Plan struct {
-	// Points is the dataset, one row per point.
+	// Points is the dataset, one row per point; nil in the sharded
+	// driver's plan, which is fitted on a sample and never holds it.
 	Points *matrix.Dense
 	// Cfg is the configuration with every default resolved (K, M,
 	// Tables, Workers filled in).
@@ -91,7 +92,7 @@ type BucketSolution struct {
 
 // Runner executes the backend-specific pipeline stages. Implementations
 // exist for the in-process worker pool, the bounded-memory incremental
-// driver, and the two MapReduce formulations.
+// driver, and MapReduce (one runner over three row sources).
 type Runner interface {
 	// Name identifies the runner in errors.
 	Name() string
@@ -112,11 +113,16 @@ type Runner interface {
 // span/threshold hashers even when Config.Family is set (the behaviour
 // of the distributed drivers, whose jobs ship hash thresholds).
 func NewPlan(points *matrix.Dense, cfg Config, needsHasher bool) (*Plan, error) {
-	n := points.Rows()
-	cfg, radius, err := cfg.resolve(n)
+	cfg, radius, err := cfg.resolve(points.Rows())
 	if err != nil {
 		return nil, err
 	}
+	return fitPlan(points, cfg, radius, needsHasher)
+}
+
+// fitPlan is NewPlan past the resolution of cfg: the sharded driver
+// resolves against the dataset's N and fits on a sample of it.
+func fitPlan(points *matrix.Dense, cfg Config, radius int, needsHasher bool) (*Plan, error) {
 	ecfg := lsh.EnsembleConfig{
 		Tables:          cfg.Tables,
 		ProbeRadius:     cfg.ProbeRadius,
@@ -159,14 +165,24 @@ func NewPlan(points *matrix.Dense, cfg Config, needsHasher bool) (*Plan, error) 
 }
 
 // RunPipeline executes the canonical DASC dataflow on the given runner.
-// All four public drivers delegate here, so for a fixed seed they
-// produce identical labels regardless of the execution backend.
+// Every public driver of a resident matrix delegates here, so for a
+// fixed seed they produce identical labels regardless of the execution
+// backend.
 func RunPipeline(ctx context.Context, points *matrix.Dense, cfg Config, r Runner) (*Result, error) {
 	start := time.Now()
 	p, err := NewPlan(points, cfg, r.NeedsHasher())
 	if err != nil {
 		return nil, err
 	}
+	return runStages(ctx, start, p, points.Rows(), points, r)
+}
+
+// runStages is the stage sequence of every driver, past the plan fit
+// (start is when the driver began, for Result.Elapsed): n is the dataset
+// size (the plan of the sharded driver is fitted on a sample) and probe
+// the row access of margin-ordered probing, nil when the plan does not
+// probe.
+func runStages(ctx context.Context, start time.Time, p *Plan, n int, probe lsh.PointSource, r Runner) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: %s: %w", r.Name(), err)
 	}
@@ -176,9 +192,9 @@ func RunPipeline(ctx context.Context, points *matrix.Dense, cfg Config, r Runner
 	if err != nil {
 		return nil, err
 	}
-	if sigs.Len() != points.Rows() || sigs.NumTables() != p.Ensemble.Tables() {
+	if sigs.Len() != n || sigs.NumTables() != p.Ensemble.Tables() {
 		return nil, fmt.Errorf("core: %s produced %d signatures x %d tables for %d points x %d tables",
-			r.Name(), sigs.Len(), sigs.NumTables(), points.Rows(), p.Ensemble.Tables())
+			r.Name(), sigs.Len(), sigs.NumTables(), n, p.Ensemble.Tables())
 	}
 
 	// Stage 2: bucket-merge, always on the driver (the paper merges
@@ -186,7 +202,7 @@ func RunPipeline(ctx context.Context, points *matrix.Dense, cfg Config, r Runner
 	// merges within each table (Eq. 6), then across tables and probe
 	// hits; with Tables=1 and ProbeRadius=0 this is byte-identical to
 	// the single-signature partition.
-	part, err := p.Ensemble.Partition(p.Points, sigs, p.Radius)
+	part, err := p.Ensemble.Partition(probe, sigs, p.Radius)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", r.Name(), err)
 	}
@@ -201,7 +217,7 @@ func RunPipeline(ctx context.Context, points *matrix.Dense, cfg Config, r Runner
 	}
 
 	// Stage 4: global label assembly.
-	res, err := assembleSolutions(part, sols, points.Rows())
+	res, err := assembleSolutions(part, sols, n)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", r.Name(), err)
 	}

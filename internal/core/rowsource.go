@@ -1,0 +1,391 @@
+package core
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"strconv"
+	"sync"
+	"time"
+
+	"repro/internal/mapreduce"
+	"repro/internal/matrix"
+	"repro/internal/shard"
+)
+
+// rowSource answers the questions the MapReduce drivers disagree on —
+// all of them forms of "where does a worker get row i":
+//
+//	source      stage-1 record      stage-2 record          workers
+//	matrixRows  row index           index list              this process (closure over the matrix)
+//	recordRows  index + vector      indices + rows by value any process
+//	shardRows   shard row range     index list              any process that can open the shard directory
+//
+// The two jobs in mapreduce.go are written against this interface only.
+// Driver-side methods (lshInput, encodeBucket, publish) run on a source
+// built by a public driver; mapper/reducer-side methods (mapRows,
+// openBucket) also run on the source a worker process rebuilds from the
+// job Conf (workerSource).
+type rowSource interface {
+	// shape is the dataset's: N rows of cols coordinates.
+	shape() (rows, cols int)
+	// dir is what a worker in another process needs to rebuild the
+	// source: the shard directory, or "" when rows reach workers inside
+	// the records (or by closure).
+	dir() string
+	// lshInput returns the stage-1 input records and how many of them
+	// make one map task.
+	lshInput() (input []mapreduce.Pair, splitSize int)
+	// mapRows returns the stage-1 mapper: it decodes an input record and
+	// calls fn once per row the record stands for, in row order, handing
+	// the task's emit through (so no closure is built per record).
+	mapRows(fn rowFunc) mapreduce.MapFunc
+	// encodeBucket encodes one bucket of the partition as a stage-2
+	// value, metering any map-side embedding into ctr. scratch is the
+	// caller's, reused from bucket to bucket and dropped with the loop.
+	encodeBucket(p *Plan, indices []int, scratch *[]float64, ctr *mapreduce.Counters) ([]byte, error)
+	// openBucket decodes a stage-2 value into the bucket's rows.
+	openBucket(value []byte) (bucket, error)
+	// publish names a job built on this source after its stage ("lsh" or
+	// "cluster") and makes it runnable by the executor's workers: by
+	// name in this process, or by attaching conf for the registered
+	// factories.
+	publish(job *mapreduce.Job, stage string, conf any) error
+}
+
+// rowFunc is what a stage-1 mapper does with one row of the dataset.
+type rowFunc func(idx int, row []float64, emit mapreduce.Emit) error
+
+func init() {
+	for _, kind := range []string{"shipped", "sharded"} {
+		mapreduce.RegisterFactory("dasc/"+kind+"-lsh", lshJobFromConf)
+		mapreduce.RegisterFactory("dasc/"+kind+"-cluster", clusterJobFromConf)
+	}
+	// Workers ship this process-cumulative meter back on TCP results so
+	// a master in another process can account our shard reads.
+	mapreduce.SetShardMeter(func() int64 { return workerShardIO().bytes })
+}
+
+// workerSource rebuilds, from a job Conf, the source a task runs
+// against: shard-backed when the conf names a directory, record-carried
+// otherwise. Either way only its mapper/reducer side is used.
+func workerSource(dir string) (rowSource, error) {
+	if dir == "" {
+		return &recordRows{}, nil
+	}
+	return openShardRows(dir)
+}
+
+// publishConf is publish for the factory-registered sources: the job
+// travels as its name plus the gob blob of its configuration.
+func publishConf(job *mapreduce.Job, name string, conf any) (err error) {
+	job.Name = name
+	job.Conf, err = gobEncode(conf)
+	return err
+}
+
+// identity returns [0, n): the rows of a block that holds exactly one
+// bucket.
+func identity(n int) []int {
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	return all
+}
+
+// ---- matrix-backed: rows are the driver's resident matrix ----
+
+// matrixRows shares the points matrix with its workers by closure, so
+// they must live in the driver's address space; only indices travel
+// through the shuffle. Its jobs are registered by name under prefix.
+type matrixRows struct {
+	points *matrix.Dense
+	prefix string
+}
+
+func (m *matrixRows) shape() (int, int) { return m.points.Rows(), m.points.Cols() }
+func (m *matrixRows) dir() string       { return "" }
+
+func (m *matrixRows) lshInput() ([]mapreduce.Pair, int) {
+	input := make([]mapreduce.Pair, m.points.Rows())
+	for i := range input {
+		input[i] = mapreduce.Pair{Key: strconv.Itoa(i)}
+	}
+	return input, 0
+}
+
+func (m *matrixRows) mapRows(fn rowFunc) mapreduce.MapFunc {
+	return func(key string, _ []byte, emit mapreduce.Emit) error {
+		idx, err := strconv.Atoi(key)
+		if err != nil {
+			return fmt.Errorf("bad point index %q: %w", key, err)
+		}
+		if idx < 0 || idx >= m.points.Rows() {
+			return fmt.Errorf("point index %d out of range", idx)
+		}
+		return fn(idx, m.points.Row(idx), emit)
+	}
+}
+
+func (m *matrixRows) encodeBucket(_ *Plan, indices []int, _ *[]float64, _ *mapreduce.Counters) ([]byte, error) {
+	return encodeIndices(indices), nil
+}
+
+func (m *matrixRows) openBucket(value []byte) (bucket, error) {
+	indices, err := decodeIndices(value)
+	return bucket{points: m.points, rows: indices, ids: indices}, err
+}
+
+func (m *matrixRows) publish(job *mapreduce.Job, stage string, _ any) error {
+	job.Name = m.prefix + "/" + stage
+	mapreduce.Register(job)
+	return nil
+}
+
+// ---- record-carried: rows travel by value ----
+
+// recordRows puts the vectors inside the records (HDFS's input splits
+// analogue), so its jobs carry no pointer into the driver's memory.
+// Buckets the embed policy claims are embedded map-side — "embed and
+// conquer": the d′-dim record replaces ni·d raw coordinates with ni·d′
+// embedded ones and the worker needs no kernel, no Gram scratch and no
+// eigensolver for them. points is nil on the worker side.
+type recordRows struct {
+	points *matrix.Dense
+}
+
+func (s *recordRows) shape() (int, int) { return s.points.Rows(), s.points.Cols() }
+func (s *recordRows) dir() string       { return "" }
+
+func (s *recordRows) lshInput() ([]mapreduce.Pair, int) {
+	input := make([]mapreduce.Pair, s.points.Rows())
+	for i := range input {
+		input[i] = mapreduce.Pair{Key: strconv.Itoa(i), Value: encodeVector(s.points.Row(i))}
+	}
+	return input, 0
+}
+
+func (s *recordRows) mapRows(fn rowFunc) mapreduce.MapFunc {
+	return func(key string, value []byte, emit mapreduce.Emit) error {
+		idx, err := strconv.Atoi(key)
+		if err != nil {
+			return fmt.Errorf("bad point index %q: %w", key, err)
+		}
+		vec, err := decodeVector(value)
+		if err != nil {
+			return err
+		}
+		return fn(idx, vec, emit)
+	}
+}
+
+func (s *recordRows) encodeBucket(p *Plan, indices []int, scratch *[]float64, ctr *mapreduce.Counters) ([]byte, error) {
+	ni, kind, dim := len(indices), byte(mapreduce.RawBucketKind), s.points.Cols()
+	embedded := p.Embedder != nil && willEmbed(p.Cfg, ni, s.points.Rows())
+	if embedded {
+		kind, dim = mapreduce.EmbedBucketKind, p.Embedder.Dim()
+	}
+	if cap(*scratch) < ni*dim {
+		*scratch = make([]float64, ni*dim)
+	}
+	rows := (*scratch)[:ni*dim]
+	if embedded {
+		start := time.Now()
+		err := p.Embedder.TransformInto(rows, s.points, indices)
+		ctr.EmbedNanos += time.Since(start).Nanoseconds()
+		if err != nil {
+			return nil, err
+		}
+	} else {
+		matrix.GatherRows(rows, s.points, indices)
+	}
+	rec := mapreduce.AppendBucketRows(make([]byte, 0, 1+2*binary.MaxVarintLen64+ni*(binary.MaxVarintLen32+8*dim)), kind, indices, dim, rows)
+	if embedded {
+		ctr.EmbedBytes += int64(len(rec))
+	}
+	return rec, nil
+}
+
+func (s *recordRows) openBucket(value []byte) (bucket, error) {
+	kind, indices, dim, rows, err := mapreduce.ParseBucketRows(value)
+	if err != nil {
+		return bucket{}, err
+	}
+	pts, err := matrix.NewDenseData(len(indices), dim, rows)
+	return bucket{points: pts, rows: identity(len(indices)), ids: indices, embedded: kind == mapreduce.EmbedBucketKind}, err
+}
+
+func (s *recordRows) publish(job *mapreduce.Job, stage string, conf any) error {
+	return publishConf(job, "dasc/shipped-"+stage, conf)
+}
+
+// encodeVector packs a float64 vector little-endian.
+func encodeVector(v []float64) []byte {
+	buf := make([]byte, 8*len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(x))
+	}
+	return buf
+}
+
+func decodeVector(buf []byte) ([]float64, error) {
+	if len(buf) == 0 || len(buf)%8 != 0 {
+		return nil, fmt.Errorf("core: vector payload length %d", len(buf))
+	}
+	out := make([]float64, len(buf)/8)
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
+	}
+	return out, nil
+}
+
+// ---- shard-backed: rows stay in shard files ----
+
+// shardRows leaves the matrix in a shard directory (internal/shard):
+// stage 1 maps over shard row ranges — each mapper streams exactly its
+// range from the process-local reader — and stage 2 ships only index
+// lists, the reducer hydrating each bucket's rows on demand. The driver
+// additionally uses it as the lsh.PointSource of margin-ordered probing.
+type shardRows struct {
+	path string
+	r    *shard.Reader
+	// probeErr is the first read failure of a probe (Row cannot fail, so
+	// it returns a zero row and the driver checks this after the run).
+	probeErr error
+}
+
+// shardReaders caches one open shard.Reader per directory for the
+// lifetime of the process — the HDFS-block-cache analogue. The readers
+// are never closed (their handles die with the process, and every task
+// of every job over the same input shares them); reads go through
+// ReadAt, so one reader serves concurrent tasks.
+var shardReaders sync.Map // dir -> *shard.Reader
+
+// openShardRows returns the source over the process-wide reader for
+// dir, opening it on first use. A racing open closes the loser.
+func openShardRows(dir string) (*shardRows, error) {
+	if v, ok := shardReaders.Load(dir); ok {
+		return &shardRows{path: dir, r: v.(*shard.Reader)}, nil
+	}
+	r, err := shard.Open(dir)
+	if err != nil {
+		return nil, fmt.Errorf("core: shard input: %w", err)
+	}
+	if v, loaded := shardReaders.LoadOrStore(dir, r); loaded {
+		if cerr := r.Close(); cerr != nil {
+			return nil, fmt.Errorf("core: shard input: %w", cerr)
+		}
+		r = v.(*shard.Reader)
+	}
+	return &shardRows{path: dir, r: r}, nil
+}
+
+// shardIO is a reading of the process's shard meters.
+type shardIO struct{ bytes, ops, coalesced int64 }
+
+// workerShardIO sums the bytes, ReadAt calls and coalesced reads of
+// every reader in this process's cache, for the sharded driver's delta
+// accounting and the meter TCP workers ship back.
+func workerShardIO() (total shardIO) {
+	shardReaders.Range(func(_, v any) bool {
+		r := v.(*shard.Reader)
+		total.bytes += r.BytesRead()
+		total.ops += r.ReadOps()
+		total.coalesced += r.CoalescedReads()
+		return true
+	})
+	return total
+}
+
+func (s *shardRows) shape() (int, int) { return s.r.Rows(), s.r.Cols() }
+func (s *shardRows) dir() string       { return s.path }
+
+// lshInput is one record, and one map task, per shard row range (the
+// HDFS-input-split analogue).
+func (s *shardRows) lshInput() ([]mapreduce.Pair, int) {
+	ranges := s.r.Ranges()
+	input := make([]mapreduce.Pair, len(ranges))
+	for i, rg := range ranges {
+		input[i] = mapreduce.Pair{Key: strconv.Itoa(i), Value: encodeRowRange(rg[0], rg[1]-rg[0])}
+	}
+	return input, 1
+}
+
+func (s *shardRows) mapRows(fn rowFunc) mapreduce.MapFunc {
+	return func(_ string, value []byte, emit mapreduce.Emit) error {
+		start, count, err := decodeRowRange(value)
+		if err != nil {
+			return err
+		}
+		return s.r.Stream(start, count, func(idx int, row []float64) error { return fn(idx, row, emit) })
+	}
+}
+
+func (s *shardRows) encodeBucket(_ *Plan, indices []int, _ *[]float64, _ *mapreduce.Counters) ([]byte, error) {
+	return encodeIndices(indices), nil
+}
+
+// openBucket demand-reads one bucket's rows into a dense ni×d block —
+// the only rows of the matrix this reduce task ever touches. Bucket
+// index lists are sorted ascending, so the coalescing gather turns a
+// bucket that lands inside one shard into a few large reads.
+func (s *shardRows) openBucket(value []byte) (bucket, error) {
+	indices, err := decodeIndices(value)
+	if err != nil {
+		return bucket{}, err
+	}
+	pts := matrix.NewDense(len(indices), s.r.Cols())
+	err = s.r.ReadRowsInto(indices, pts.Row)
+	return bucket{points: pts, rows: identity(len(indices)), ids: indices}, err
+}
+
+func (s *shardRows) publish(job *mapreduce.Job, stage string, conf any) error {
+	return publishConf(job, "dasc/sharded-"+stage, conf)
+}
+
+// encodeRowRange / decodeRowRange pack a stage-1 input record: one
+// half-open shard row range [start, start+count).
+func encodeRowRange(start, count int) []byte {
+	buf := make([]byte, 8)
+	binary.LittleEndian.PutUint32(buf[0:], uint32(start))
+	binary.LittleEndian.PutUint32(buf[4:], uint32(count))
+	return buf
+}
+
+func decodeRowRange(buf []byte) (start, count int, err error) {
+	if len(buf) != 8 {
+		return 0, 0, fmt.Errorf("core: row range payload length %d", len(buf))
+	}
+	return int(binary.LittleEndian.Uint32(buf[0:])), int(binary.LittleEndian.Uint32(buf[4:])), nil
+}
+
+// Rows and Row make the source the lsh.PointSource of margin-ordered
+// probing. Row allocates per call; the partition stage only consults it
+// when ProbeRadius > 0.
+func (s *shardRows) Rows() int { return s.r.Rows() }
+
+func (s *shardRows) Row(i int) []float64 {
+	row, err := s.r.ReadRow(i, nil)
+	if err != nil {
+		if s.probeErr == nil {
+			s.probeErr = err
+		}
+		return make([]float64, s.r.Cols())
+	}
+	return row
+}
+
+// fitSample reads min(size, N) evenly spaced rows into a dense fit
+// matrix. With size >= N this is the full matrix in row order, which
+// makes every downstream fit identical to the in-memory drivers'.
+func (s *shardRows) fitSample(size int) (*matrix.Dense, error) {
+	n := s.r.Rows()
+	m := min(size, n)
+	indices := make([]int, m)
+	for i := range indices {
+		indices[i] = i * n / m // evenly spaced; identity i==idx when m == n
+	}
+	sample := matrix.NewDense(m, s.r.Cols())
+	return sample, s.r.ReadRowsInto(indices, sample.Row)
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/mapreduce"
@@ -137,27 +138,36 @@ func TestShardedCancellation(t *testing.T) {
 	}
 }
 
-// TestShardedConfValidation pins the factory-side conf checks.
+// TestShardedConfValidation pins the factory-side conf checks of a
+// shard-backed source: the directory must open, and the conf is held to
+// the same checks as any other source's.
 func TestShardedConfValidation(t *testing.T) {
-	if _, err := newShardedLSHJob([]byte("junk")); err == nil {
-		t.Error("garbage lsh conf accepted")
+	l := mixture(t, 40, 4, 2, 0.03, 3)
+	dir := writeShardDir(t, l.Points, 16)
+	table := []lshTable{{Dims: []int{0}, Thresholds: []float64{0}}}
+	for name, conf := range map[string]lshConf{
+		"no such directory": {Dir: filepath.Join(dir, "missing"), Tables: table},
+		"no tables":         {Dir: dir},
+	} {
+		blob, err := gobEncode(conf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := lshJobFromConf(blob); err == nil {
+			t.Errorf("lsh conf with %s accepted", name)
+		}
 	}
-	blob, err := gobEncode(shardedLSHConf{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := newShardedLSHJob(blob); err == nil {
-		t.Error("empty lsh conf accepted")
-	}
-	if _, err := newShardedClusterJob([]byte("junk")); err == nil {
-		t.Error("garbage cluster conf accepted")
-	}
-	blob, err = gobEncode(shardedClusterConf{Dir: "x", C: clusterConf{N: 0, K: 1, Sigma: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := newShardedClusterJob(blob); err == nil {
-		t.Error("invalid cluster conf accepted")
+	for name, conf := range map[string]clusterConf{
+		"no such directory": {Dir: filepath.Join(dir, "missing"), N: 40, Cols: 4, K: 2, Sigma: 1},
+		"N = 0":             {Dir: dir, N: 0, Cols: 4, K: 1, Sigma: 1},
+	} {
+		blob, err := gobEncode(conf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := clusterJobFromConf(blob); err == nil {
+			t.Errorf("cluster conf with %s accepted", name)
+		}
 	}
 	if _, err := ClusterMapReduceSharded(t.TempDir(), Config{}, &mapreduce.Local{}); err == nil {
 		t.Error("empty shard dir accepted")

@@ -168,24 +168,31 @@ func TestShippedCodecs(t *testing.T) {
 }
 
 func TestShippedJobFactoriesValidateConf(t *testing.T) {
-	if _, err := newShippedLSHJob([]byte("garbage")); err == nil {
+	if _, err := lshJobFromConf([]byte("garbage")); err == nil {
 		t.Fatal("expected gob error")
 	}
 	blob, err := gobEncode(lshConf{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := newShippedLSHJob(blob); err == nil {
+	if _, err := lshJobFromConf(blob); err == nil {
 		t.Fatal("expected empty-conf error")
 	}
-	if _, err := newShippedClusterJob([]byte("garbage")); err == nil {
-		t.Fatal("expected gob error")
-	}
-	blob, err = gobEncode(clusterConf{N: 0, K: 1, Sigma: 1})
+	blob, err = gobEncode(lshConf{Tables: []lshTable{{Dims: []int{0, 1}, Thresholds: []float64{0}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := newShippedClusterJob(blob); err == nil {
+	if _, err := lshJobFromConf(blob); err == nil {
+		t.Fatal("expected a table with 2 dims and 1 threshold to be refused")
+	}
+	if _, err := clusterJobFromConf([]byte("garbage")); err == nil {
+		t.Fatal("expected gob error")
+	}
+	blob, err = gobEncode(clusterConf{N: 0, Cols: 2, K: 1, Sigma: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := clusterJobFromConf(blob); err == nil {
 		t.Fatal("expected invalid-conf error")
 	}
 }

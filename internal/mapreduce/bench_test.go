@@ -147,8 +147,8 @@ func BenchmarkWireLargeFrame(b *testing.B) {
 		Records: []Pair{{Key: "00000000000000aa", Value: make([]byte, payload)}}}
 	var st wireStats
 	var stream bytes.Buffer
-	enc := &frameCodec{w: &stream, st: &st, version: WireVersionPacked}
-	dec := &frameCodec{br: bufio.NewReaderSize(&stream, 1<<16), st: &st, version: WireVersionPacked}
+	enc := &frameCodec{w: &stream, st: &st}
+	dec := &frameCodec{br: bufio.NewReaderSize(&stream, 1<<16), st: &st}
 	b.SetBytes(payload)
 	b.ReportAllocs()
 	var recvAlloc uint64

@@ -240,7 +240,7 @@ func TestTCPHungWorkerHitsIOTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = conn.Close() }()
-	if _, err := sendHello(conn, WireVersionLatest, time.Second, &wireStats{}); err != nil {
+	if err := sendHello(conn, time.Second, &wireStats{}); err != nil {
 		t.Fatal(err)
 	}
 

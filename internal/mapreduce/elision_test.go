@@ -15,9 +15,18 @@ import (
 	"repro/internal/mapreduce/mrtest"
 )
 
+// sumReduce adds up its values. An empty value counts as zero — and
+// must arrive as nil, on every path a record can take to a reducer or a
+// combiner: that is the Executor empty-value rule.
 func sumReduce(k string, vs [][]byte, emit mapreduce.Emit) error {
 	total := 0
 	for _, v := range vs {
+		if len(v) == 0 {
+			if v != nil {
+				return fmt.Errorf("key %q: an empty value was delivered as %#v, not nil", k, v)
+			}
+			continue
+		}
 		n, err := strconv.Atoi(string(v))
 		if err != nil {
 			return err
@@ -41,15 +50,22 @@ func wordLines(n int) []mapreduce.Pair {
 		}
 		input[i] = mapreduce.Pair{Key: strconv.Itoa(i), Value: []byte(sb.String())}
 	}
+	if n > 0 {
+		input[n/2].Value = []byte{} // an empty line
+	}
 	return input
 }
 
 // tokenCounts is the stage-2 shape: n (word, count) records whose map
-// phase has nothing left to do.
+// phase has nothing left to do. Every 16th count is an empty value that
+// is not nil.
 func tokenCounts(n int) []mapreduce.Pair {
 	input := make([]mapreduce.Pair, n)
 	for i := range input {
 		input[i] = mapreduce.Pair{Key: fmt.Sprintf("w%02d", (i*5)%17), Value: []byte(strconv.Itoa(1 + i%3))}
+		if i%16 == 15 {
+			input[i].Value = []byte{}
+		}
 	}
 	return input
 }
@@ -64,7 +80,10 @@ func tokenCounts(n int) []mapreduce.Pair {
 func TestElisionMatchesExecution(t *testing.T) {
 	tokenize := &mapreduce.Job{
 		Name: "elide/tokenize", NumReducers: 3, SplitSize: 128,
-		Map: func(_ string, v []byte, emit mapreduce.Emit) error {
+		Map: func(k string, v []byte, emit mapreduce.Emit) error {
+			if len(v) == 0 && v != nil {
+				return fmt.Errorf("line %s: an empty value was delivered as %#v, not nil", k, v)
+			}
 			for _, w := range strings.Fields(string(v)) {
 				emit(w, []byte("1"))
 			}

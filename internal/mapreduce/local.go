@@ -78,27 +78,27 @@ func (l *Local) RunContext(ctx context.Context, job *Job, input []Pair) (_ []Pai
 				}
 				local = identityMapOutput(job, tasks[t])
 			} else {
-				emit := func(k string, v []byte) {
-					local = append(local, Pair{k, v})
-				}
+				emit := collect(&local)
 				for _, rec := range tasks[t] {
 					if err := ctx.Err(); err != nil {
 						results[t].err = fmt.Errorf("mapreduce: %s map: %w", job.Name, err)
 						return
 					}
-					if err := job.Map(rec.Key, rec.Value, emit); err != nil {
+					if err := job.Map(rec.Key, emptyToNil(rec.Value), emit); err != nil {
 						results[t].err = fmt.Errorf("mapreduce: %s map: %w", job.Name, err)
 						return
 					}
 				}
 			}
-			mapOutputs.Add(int64(len(local)))
 			// Map-side sort: each partition leaves the task as a
 			// key-sorted run, so the shuffle below is a pure merge.
 			parts, err := mapSideRuns(job, numReducers, local)
 			if err != nil {
 				results[t].err = fmt.Errorf("mapreduce: %s combine: %w", job.Name, err)
 				return
+			}
+			for _, part := range parts {
+				mapOutputs.Add(int64(len(part)))
 			}
 			if ss != nil {
 				// Out-of-core mode: runs go to the spill manager (keyed by
@@ -152,13 +152,12 @@ func (l *Local) RunContext(ctx context.Context, job *Job, input []Pair) (_ []Pai
 					return // reported once, after the phase
 				}
 				runs := ss.partitionRuns(p)
+				emit := collect(&red[p].out)
 				g := &grouper{fn: func(key string, values [][]byte) error {
 					if err := ctx.Err(); err != nil {
 						return err
 					}
-					return job.Reduce(key, values, func(k string, v []byte) {
-						red[p].out = append(red[p].out, Pair{k, v})
-					})
+					return job.Reduce(key, values, emit)
 				}}
 				deliver := g.add
 				if job.IdentityReduce {
@@ -238,13 +237,12 @@ func (l *Local) RunContext(ctx context.Context, job *Job, input []Pair) (_ []Pai
 				// contract check against custom shuffles.
 				pairs := partitions[p]
 				sortPairs(pairs)
+				emit := collect(&red[p].out)
 				err := groupSorted(pairs, func(key string, values [][]byte) error {
 					if err := ctx.Err(); err != nil {
 						return err
 					}
-					return job.Reduce(key, values, func(k string, v []byte) {
-						red[p].out = append(red[p].out, Pair{k, v})
-					})
+					return job.Reduce(key, values, emit)
 				})
 				if err != nil {
 					red[p].err = fmt.Errorf("mapreduce: %s reduce: %w", job.Name, err)

@@ -4,7 +4,7 @@
 // shuffle, and a reduce phase over grouped keys, with an optional
 // combiner. Two executors are provided — Local, a bounded goroutine
 // worker pool, and TCP, a master/worker deployment over real sockets
-// with gob-encoded task traffic (see tcp.go).
+// speaking one binary frame format (see tcp.go and wire.go).
 package mapreduce
 
 import (
@@ -12,11 +12,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"slices"
 )
 
 // Pair is one key/value record. Values are opaque bytes; typed adapters
-// encode with encoding/gob or strconv as they see fit.
+// encode them as they see fit.
 type Pair struct {
 	Key   string
 	Value []byte
@@ -76,10 +75,9 @@ type Job struct {
 	SpillBytes int64
 	// Compress turns on the lossless data-plane compression paths for
 	// this job: spill runs are deflated on flush (and inflated inside
-	// the merge's RunReaders), and TCP frames at wire v3 compress
-	// bodies above CompressThreshold in both directions. Off by
-	// default; output is bit-identical either way, only the bytes
-	// moved change.
+	// the merge's RunReaders), and TCP frames compress bodies above
+	// CompressThreshold in both directions. Off by default; output is
+	// bit-identical either way, only the bytes moved change.
 	Compress bool
 	// Conf is an opaque configuration blob for factory-built jobs: it
 	// travels with every TCP task so worker processes can rebuild the
@@ -96,8 +94,11 @@ type Counters struct {
 	// Job.IdentityMap), whose records the executor moves itself.
 	MapTasks    int
 	ReduceTasks int
-	// InputRecords, MapOutputs and OutputRecords count records and do
-	// not depend on whether a phase was dispatched or elided.
+	// InputRecords and OutputRecords count the job's input and output
+	// records; MapOutputs counts the records entering the shuffle — map
+	// output after the combiner, if the job has one, which is the
+	// quantity both executors can observe. None depends on whether a
+	// phase was dispatched or elided.
 	InputRecords int
 	MapOutputs   int
 	// ShuffleBytes sizes the map output crossing the shuffle. The Local
@@ -137,10 +138,8 @@ type Counters struct {
 	// sharded jobs (see internal/shard). Workers in this process (Local,
 	// or TCP workers started in-process) are metered directly by the
 	// sharded driver; external TCP worker processes ship their meter
-	// back on result messages (wire v3 or gob — see SetShardMeter) and
-	// the master folds the de-duplicated per-process spans in here.
-	// v2-framed external workers cannot carry the meter and stay
-	// invisible.
+	// back on result frames (see SetShardMeter) and the master folds
+	// the de-duplicated per-process spans in here.
 	ShardReadBytes int64
 	// ShardReadOps / ShardCoalescedReads count the ReadAt calls issued
 	// against shard files and how many of those served more than one
@@ -205,8 +204,32 @@ func IdentityReduceFunc(key string, values [][]byte, emit Emit) error {
 // Executor runs jobs.
 type Executor interface {
 	// Run executes the job over the input and returns reduce output in
-	// deterministic (key-sorted, then emission) order.
+	// deterministic (key-sorted, then emission) order. A zero-length
+	// value is delivered as nil: whatever a record's value was when it
+	// was handed in or emitted, Map, Combine and Reduce receive nil for
+	// an empty one and so does the caller in the output, on every
+	// executor and whether a phase was executed or elided.
 	Run(job *Job, input []Pair) ([]Pair, *Counters, error)
+}
+
+// emptyToNil is where the Executor empty-value rule is enforced. Every
+// record passes through it wherever it changes hands: collect (all
+// emitted records, and an elided map's input to a combiner),
+// partitionSorted (all records entering the shuffle, elided map phases
+// included), the frame parser and the spill-run reader (all records read
+// back off the wire or off disk), and Local's call of Map (input
+// records).
+func emptyToNil(v []byte) []byte {
+	if len(v) == 0 {
+		return nil
+	}
+	return v
+}
+
+// collect returns the Emit every map, combine and reduce call in this
+// package is handed: it appends the record to *dst.
+func collect(dst *[]Pair) Emit {
+	return func(k string, v []byte) { *dst = append(*dst, Pair{k, emptyToNil(v)}) }
 }
 
 // ContextExecutor is an Executor that honors deadlines and
@@ -325,6 +348,7 @@ func partitionSorted(job *Job, numReducers int, local []Pair) [][]Pair {
 	parts := make([][]Pair, numReducers)
 	for _, p := range local {
 		idx := job.partition(p.Key)
+		p.Value = emptyToNil(p.Value)
 		parts[idx] = append(parts[idx], p)
 	}
 	for _, part := range parts {
@@ -350,22 +374,27 @@ func mapSideRuns(job *Job, numReducers int, local []Pair) ([][]Pair, error) {
 
 // identityMapOutput is the output of an elided map task: the split
 // itself. The combiner sorts its input in place, so a job that has one
-// gets a copy and the caller's input stays untouched.
+// gets a copy — made the way collect would have made it — and the
+// caller's input stays untouched.
 func identityMapOutput(job *Job, split []Pair) []Pair {
-	if job.Combine != nil {
-		return slices.Clone(split)
+	if job.Combine == nil {
+		return split
 	}
-	return split
+	out := make([]Pair, 0, len(split))
+	emit := collect(&out)
+	for _, p := range split {
+		emit(p.Key, p.Value)
+	}
+	return out
 }
 
 // runCombine applies a combiner to one split's map output.
 func runCombine(combine ReduceFunc, pairs []Pair) ([]Pair, error) {
 	sortPairs(pairs)
 	var out []Pair
+	emit := collect(&out)
 	err := groupSorted(pairs, func(key string, values [][]byte) error {
-		return combine(key, values, func(k string, v []byte) {
-			out = append(out, Pair{k, v})
-		})
+		return combine(key, values, emit)
 	})
 	if err != nil {
 		return nil, err

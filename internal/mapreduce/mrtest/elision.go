@@ -30,6 +30,8 @@ var spillBudgets = []int64{0, 1, 64 << 10}
 // error naming the first configuration whose two outputs are not
 // reflect.DeepEqual. A declaration that matches its closure can never
 // be told apart this way; one that does not is what the error reports.
+// The TCP outputs must also equal the Local ones, nil values and empty
+// ones told apart: that is the Executor empty-value rule.
 //
 // The job must be runnable over TCP (registered by name, or built by a
 // registered factory from its Conf). canon, when non-nil, rewrites an
@@ -69,7 +71,9 @@ func CheckElision(job *mapreduce.Job, input []mapreduce.Pair, canon func([]mapre
 		name string
 		exec mapreduce.Executor
 	}{{"local", &mapreduce.Local{Workers: 3}}, {"tcp", master}}
-	for _, e := range executors {
+	var reference [][]mapreduce.Pair // Local's outputs, in loop order
+	for ei, e := range executors {
+		run := 0
 		for _, spill := range spillBudgets {
 			for _, compress := range []bool{false, true} {
 				elided := *job
@@ -94,6 +98,13 @@ func CheckElision(job *mapreduce.Job, input []mapreduce.Pair, canon func([]mapre
 					return fmt.Errorf("mrtest: %s: eliding the declared phases changed the output (%d pairs vs %d): %s",
 						where, len(got), len(want), firstDifference(got, want))
 				}
+				if ei == 0 {
+					reference = append(reference, got)
+				} else if ref := reference[run]; !reflect.DeepEqual(got, ref) {
+					return fmt.Errorf("mrtest: %s: output differs from %s's (%d pairs vs %d): %s",
+						where, executors[0].name, len(got), len(ref), firstDifference(got, ref))
+				}
+				run++
 			}
 		}
 	}
@@ -104,7 +115,7 @@ func CheckElision(job *mapreduce.Job, input []mapreduce.Pair, canon func([]mapre
 func firstDifference(got, want []mapreduce.Pair) string {
 	for i := 0; i < len(got) && i < len(want); i++ {
 		if !reflect.DeepEqual(got[i], want[i]) {
-			return fmt.Sprintf("pair %d is %q=%q, want %q=%q", i, got[i].Key, got[i].Value, want[i].Key, want[i].Value)
+			return fmt.Sprintf("pair %d is %q=%#v, want %q=%#v", i, got[i].Key, got[i].Value, want[i].Key, want[i].Value)
 		}
 	}
 	return "one output is a prefix of the other"

@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strconv"
 	"sync"
 	"testing"
@@ -47,7 +48,7 @@ func TestTCPStragglerRequeue(t *testing.T) {
 	wg.Add(2)
 	go func() { // slow straggler: hold in-flight tasks, then die
 		defer wg.Done()
-		conn, cdc := dialHello(t, m.Addr(), WireVersionLatest)
+		conn, cdc := dialHello(t, m.Addr())
 		var task taskMsg
 		_, _ = cdc.readTask(&task)
 		time.Sleep(300 * time.Millisecond)
@@ -91,7 +92,10 @@ func TestTCPStragglerRequeue(t *testing.T) {
 
 // orderSensitiveJob makes shuffle order visible in the output bytes:
 // reduce concatenates its values in arrival order, so any executor
-// that orders equal keys differently produces different bytes.
+// that orders equal keys differently produces different bytes. It also
+// holds executors to the empty-value rule: one map output per input is
+// empty but not nil, the reducer refuses a zero-length value that is
+// not nil, and it emits an empty non-nil marker of its own.
 func orderSensitiveJob(name string) *Job {
 	return &Job{
 		Name:        name,
@@ -106,20 +110,28 @@ func orderSensitiveJob(name string) *Job {
 				k := fmt.Sprintf("k%02d", (id*7+j*13)%31)
 				emit(k, []byte(fmt.Sprintf("%d.%d", id, j)))
 			}
+			emit(fmt.Sprintf("k%02d", id%31), []byte{})
 			return nil
 		},
 		Reduce: func(key string, values [][]byte, emit Emit) error {
+			for _, v := range values {
+				if len(v) == 0 && v != nil {
+					return fmt.Errorf("key %s: an empty value reached the reducer as %#v, not nil", key, v)
+				}
+			}
 			emit(key, bytes.Join(values, []byte(",")))
+			emit(key+"/seen", []byte{})
 			return nil
 		},
 	}
 }
 
 // TestShuffleDeterminismAcrossExecutors fixes one input and asserts
-// byte-identical output from the Local pool, the pipelined frame
-// protocol, and the lock-step gob replay configuration — the
-// determinism contract the merge shuffle must uphold (run under the CI
-// -race gate, where dispatch interleavings vary wildly).
+// identical output — reflect.DeepEqual, so a nil value and an empty one
+// differ — from the Local pool, the pipelined TCP master and the same
+// master in lock step: the determinism contract the merge shuffle must
+// uphold (run under the CI -race gate, where dispatch interleavings vary
+// wildly).
 func TestShuffleDeterminismAcrossExecutors(t *testing.T) {
 	job := orderSensitiveJob("determinism-x3")
 	Register(job)
@@ -165,16 +177,16 @@ func TestShuffleDeterminismAcrossExecutors(t *testing.T) {
 		return out
 	}
 
-	pipelined := runTCP(TCPConfig{}) // defaults: frames, in-flight window
-	lockstep := runTCP(TCPConfig{MaxInFlight: 1, MaxWireVersion: WireVersionGob})
+	pipelined := runTCP(TCPConfig{}) // defaults: in-flight window
+	lockstep := runTCP(TCPConfig{MaxInFlight: 1})
 
-	for name, got := range map[string][]Pair{"pipelined": pipelined, "lockstep-gob": lockstep} {
+	for name, got := range map[string][]Pair{"pipelined": pipelined, "lockstep": lockstep} {
 		if len(got) != len(localOut) {
 			t.Fatalf("%s: %d records, local has %d", name, len(got), len(localOut))
 		}
 		for i := range got {
-			if got[i].Key != localOut[i].Key || !bytes.Equal(got[i].Value, localOut[i].Value) {
-				t.Fatalf("%s record %d = %q:%q, local has %q:%q",
+			if !reflect.DeepEqual(got[i], localOut[i]) {
+				t.Fatalf("%s record %d = %q:%#v, local has %q:%#v",
 					name, i, got[i].Key, got[i].Value, localOut[i].Key, localOut[i].Value)
 			}
 		}
@@ -226,6 +238,21 @@ func TestTCPCombinerShrinksShuffle(t *testing.T) {
 	if combCtr.MapOutputs >= plainCtr.MapOutputs {
 		t.Fatalf("combiner did not shrink map outputs: %d vs %d",
 			combCtr.MapOutputs, plainCtr.MapOutputs)
+	}
+	// MapOutputs is the records entering the shuffle, on both executors:
+	// what a combiner leaves, not what the map function emitted.
+	for _, job := range []*Job{plain, combined} {
+		_, localCtr, err := (&Local{}).Run(job, input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, tcpCtr, err := m.Run(job, input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if localCtr.MapOutputs != tcpCtr.MapOutputs {
+			t.Fatalf("%s: MapOutputs = %d on Local, %d on TCP", job.Name, localCtr.MapOutputs, tcpCtr.MapOutputs)
+		}
 	}
 	if combCtr.ShuffleBytes >= plainCtr.ShuffleBytes {
 		t.Fatalf("combiner did not shrink shuffle bytes: %d vs %d",

@@ -123,7 +123,7 @@ func (r *fileRun) Next() (Pair, error) {
 	if _, err := io.ReadFull(r.br, val); err != nil {
 		return Pair{}, fmt.Errorf("mapreduce: spill run value: %w", noEOF(err))
 	}
-	return Pair{Key: string(key), Value: val}, nil
+	return Pair{Key: string(key), Value: emptyToNil(val)}, nil
 }
 
 func (r *fileRun) Close() error { // the spillSet owns the file
@@ -149,11 +149,11 @@ type memRun struct {
 }
 
 // segment is one spilled run inside a partition's spill file. n is the
-// segment's on-disk length — the deflated length when packed.
+// segment's on-disk length — the deflated length when deflated is set.
 type segment struct {
-	seq    int
-	off, n int64
-	packed bool
+	seq      int
+	off, n   int64
+	deflated bool
 }
 
 // spillPartition is one reduce partition's spill state: at most one
@@ -248,7 +248,7 @@ func (s *spillSet) flushLocked() error {
 				return err
 			}
 			buf = nbuf
-			sp.segs = append(sp.segs, segment{seq: run.seq, off: sp.off, n: n, packed: s.compress})
+			sp.segs = append(sp.segs, segment{seq: run.seq, off: sp.off, n: n, deflated: s.compress})
 			sp.off += n
 			s.spillBytes += n
 			s.spillRawBytes += raw
@@ -339,7 +339,7 @@ func (s *spillSet) partitionRuns(p int) []RunReader {
 	}
 	runs := make([]seqRun, 0, len(sp.segs)+len(sp.mem))
 	for _, seg := range sp.segs {
-		if seg.packed {
+		if seg.deflated {
 			runs = append(runs, seqRun{seg.seq, newPackedFileRun(sp.f, seg.off, seg.n)})
 		} else {
 			runs = append(runs, seqRun{seg.seq, newFileRun(sp.f, seg.off, seg.n)})

@@ -37,7 +37,7 @@ func TestPackedSpillMergeEqualsInMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, seg := range ss.parts[0].segs {
-		if !seg.packed {
+		if !seg.deflated {
 			t.Fatal("compressed spill set wrote an unpacked segment")
 		}
 	}

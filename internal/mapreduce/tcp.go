@@ -21,8 +21,8 @@ import (
 // (TCPConfig.MaxInFlight), so the master encodes task i+1 while the
 // worker computes task i and the master decodes task i-1's result.
 // The worker mirrors the split with a decode → compute → encode
-// pipeline. Messages travel in the framing negotiated by the hello
-// (see wire.go); results are matched to tasks by Seq.
+// pipeline. Messages travel as binary frames (see wire.go); results are
+// matched to tasks by Seq.
 
 // Register makes a job available to TCP workers in this process. It
 // must be called before RunWorker receives tasks for the job. Jobs are
@@ -57,9 +57,7 @@ type taskMsg struct {
 	Records     []Pair
 
 	// Flags carries per-job wire options (taskFlag* bits, e.g. "compress
-	// your result frames"). Zero for jobs without options, which keeps
-	// gob streams and v2/v3 frame bytes identical to releases that
-	// predate the field.
+	// your result frames").
 	Flags uint64
 
 	// load lazily materializes Records just before the task is encoded
@@ -67,7 +65,7 @@ type taskMsg struct {
 	// reduce partitions this way so that only the in-flight window's
 	// partitions are ever resident; the copy queued for requeue keeps
 	// load and nil Records, so a straggler re-dispatch re-merges from
-	// the spill files. Unexported, so neither codec ships it.
+	// the spill files. Never shipped.
 	load func() ([]Pair, error)
 }
 
@@ -81,9 +79,8 @@ type resultMsg struct {
 
 	// Shard meter snapshot (see SetShardMeter): the worker's
 	// process-cumulative shard bytes read before (ShardStart) and after
-	// (ShardEnd) this task, tagged with the worker's process token.
-	// Populated only when the worker has read shard bytes at all, so
-	// shard-free jobs keep their wire bytes identical to prior releases.
+	// (ShardEnd) this task, tagged with the worker's process token. All
+	// zero when the worker has read no shard bytes at all.
 	ShardTok   uint64
 	ShardStart int64
 	ShardEnd   int64
@@ -128,11 +125,6 @@ type TCPConfig struct {
 	// 1 replays the original lock-step exchange; the default
 	// (DefaultMaxInFlight) overlaps encode, compute, and decode.
 	MaxInFlight int
-	// MaxWireVersion caps the framing the hello may negotiate:
-	// WireVersionGob forces the legacy gob stream, WireVersionFrames
-	// pins the uncompressed v2 frames, 0 or WireVersionPacked (the
-	// default) also allows v3's optional frame compression.
-	MaxWireVersion int
 }
 
 // withDefaults fills unset tuning fields.
@@ -145,9 +137,6 @@ func (c TCPConfig) withDefaults() TCPConfig {
 	}
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = DefaultMaxInFlight
-	}
-	if c.MaxWireVersion <= 0 || c.MaxWireVersion > WireVersionLatest {
-		c.MaxWireVersion = WireVersionLatest
 	}
 	return c
 }
@@ -167,8 +156,7 @@ type Master struct {
 
 // NewMaster starts listening on addr (e.g. "127.0.0.1:0") and waits for
 // minWorkers workers to join before running any job, with default
-// tuning. Use NewMasterTCP to adjust deadlines, the pipelining window,
-// or the wire version.
+// tuning. Use NewMasterTCP to adjust deadlines or the pipelining window.
 func NewMaster(addr string, minWorkers int) (*Master, error) {
 	return NewMasterTCP(TCPConfig{Addr: addr, MinWorkers: minWorkers})
 }
@@ -202,17 +190,11 @@ func (m *Master) acceptLoop() {
 		// completion signal.
 		go func(conn net.Conn) {
 			st := &wireStats{}
-			v, herr := acceptHello(conn, byte(m.cfg.MaxWireVersion), m.cfg.DialTimeout, st)
-			if herr != nil {
-				_ = conn.Close() // not a worker; drop silently
+			if herr := acceptHello(conn, m.cfg.DialTimeout, st); herr != nil {
+				_ = conn.Close() // not a worker of this build; drop silently
 				return
 			}
-			cdc, cerr := newCodec(conn, v, st)
-			if cerr != nil {
-				_ = conn.Close()
-				return
-			}
-			w := &workerConn{conn: conn, cdc: cdc, st: st, version: v}
+			w := &workerConn{conn: conn, cdc: newFrameCodec(conn, st), st: st}
 			m.mu.Lock()
 			if m.closed {
 				m.mu.Unlock()
@@ -259,14 +241,13 @@ func (m *Master) ConnectedWorkers() int {
 	return len(m.conns)
 }
 
-// workerConn is one negotiated worker socket. The pipelined dispatcher
-// writes tasks and reads results from separate goroutines; net.Conn
-// and the codec both support that split.
+// workerConn is one worker socket past its hello. The pipelined
+// dispatcher writes tasks and reads results from separate goroutines;
+// net.Conn and the codec both support that split.
 type workerConn struct {
-	conn    net.Conn
-	cdc     codec
-	st      *wireStats
-	version byte
+	conn net.Conn
+	cdc  *frameCodec
+	st   *wireStats
 }
 
 func (m *Master) workers() []*workerConn {
@@ -285,8 +266,8 @@ func (m *Master) Run(job *Job, input []Pair) ([]Pair, *Counters, error) {
 }
 
 // RunContext implements ContextExecutor. Cancelling the context aborts
-// the job promptly — in-flight task exchanges are unblocked by forcing
-// their socket deadlines — and closes the master: the byte streams of
+// the job promptly — in-flight task exchanges are unblocked by closing
+// their sockets — and closes the master: the byte streams of
 // abandoned exchanges are unrecoverable, so a cancelled master cannot
 // be reused (exactly like a master whose job failed).
 func (m *Master) RunContext(ctx context.Context, job *Job, input []Pair) (_ []Pair, _ *Counters, err error) {
@@ -320,7 +301,7 @@ func (m *Master) RunContext(ctx context.Context, job *Job, input []Pair) (_ []Pa
 	ctr := &Counters{InputRecords: len(input)}
 	// Frame compression is per-job: arm every connection's codec for
 	// task frames out, and tell workers (taskFlagCompress) to compress
-	// result frames back. v1/v2 peers ignore both.
+	// result frames back.
 	var taskFlags uint64
 	if job.Compress {
 		taskFlags |= taskFlagCompress
@@ -427,7 +408,7 @@ func (m *Master) RunContext(ctx context.Context, job *Job, input []Pair) (_ []Pa
 			} else {
 				pairs = partitions[p]
 			}
-			outRuns = append(outRuns, nilEmptyValues(pairs))
+			outRuns = append(outRuns, pairs)
 		}
 	} else {
 		ctr.ReduceTasks = numReducers
@@ -506,18 +487,6 @@ func (m *Master) elidedMap(ctx context.Context, job *Job, tasks [][]Pair, sink f
 func (m *Master) cancelled(err error) error {
 	_ = m.Close()
 	return fmt.Errorf("mapreduce: job cancelled: %w", err)
-}
-
-// nilEmptyValues rewrites empty values to nil in place, as the frame
-// codec decodes them (parser.bytes): an elided reduce must hand back
-// exactly what the partition's round trip to a worker would have.
-func nilEmptyValues(pairs []Pair) []Pair {
-	for i := range pairs {
-		if len(pairs[i].Value) == 0 {
-			pairs[i].Value = nil
-		}
-	}
-	return pairs
 }
 
 // foreignShardBytes folds the shard meters external workers shipped on
@@ -663,7 +632,7 @@ func (d *dispatchState) workerGone(err error) {
 // empty queue is not the end of the phase, because a failing peer may
 // still return its tasks. Dispatch fails only when a task reports an
 // error, no workers remain, or the context is cancelled; cancellation
-// unblocks in-flight socket operations by expiring their deadlines and
+// unblocks in-flight socket operations by closing the sockets, and
 // closes the master (see RunContext).
 func (m *Master) dispatch(ctx context.Context, workers []*workerConn, tasks []taskMsg, sink func(*resultMsg) error) ([]resultMsg, error) {
 	if len(tasks) == 0 {
@@ -679,15 +648,18 @@ func (m *Master) dispatch(ctx context.Context, workers []*workerConn, tasks []ta
 	for _, t := range tasks {
 		d.queue <- t
 	}
-	// Watchdog: a cancelled context force-expires every worker socket so
-	// in-flight reads and writes return immediately.
+	// Watchdog: a cancelled context closes every worker socket so
+	// in-flight reads and writes return immediately. (Expiring their
+	// deadlines instead would race with a reader or writer that is just
+	// arming its own per-task deadline and would overwrite the expiry;
+	// the master is closed after a cancel anyway.)
 	watchdogDone := make(chan struct{})
 	defer close(watchdogDone)
 	go func() {
 		select {
 		case <-ctx.Done():
 			for _, w := range workers {
-				_ = w.conn.SetDeadline(time.Now())
+				_ = w.conn.Close()
 			}
 		case <-watchdogDone:
 		}
@@ -846,17 +818,13 @@ func RunWorkerContext(ctx context.Context, addr string) (err error) {
 	}
 	defer func() { err = errors.Join(err, conn.Close()) }()
 	st := &wireStats{}
-	version, herr := sendHello(conn, WireVersionLatest, DefaultDialTimeout, st)
-	if herr != nil {
+	if herr := sendHello(conn, DefaultDialTimeout, st); herr != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			return cerr
 		}
 		return herr
 	}
-	cdc, cerr := newCodec(conn, version, st)
-	if cerr != nil {
-		return cerr
-	}
+	cdc := newFrameCodec(conn, st)
 	// Watchdog: cancellation force-expires the socket so a blocked
 	// read (idle worker) or write (mid-send) returns immediately.
 	watchdogDone := make(chan struct{})
@@ -912,8 +880,8 @@ func RunWorkerContext(ctx context.Context, addr string) (err error) {
 		}
 		// Mirror the job's compression choice onto result frames. The
 		// codec flag is atomic: the encoder goroutine may be mid-write
-		// for an earlier task, and any v3 peer decodes 'C' frames
-		// whether or not it asked for them.
+		// for an earlier task, and the master decodes 'C' frames whether
+		// or not it asked for them.
 		cdc.setCompress(task.Flags&taskFlagCompress != 0)
 		results <- executeTask(task)
 	}
@@ -951,7 +919,7 @@ func executeTask(task taskMsg) (res resultMsg) {
 	switch task.Phase {
 	case "map":
 		var local []Pair
-		emit := func(k string, v []byte) { local = append(local, Pair{k, v}) }
+		emit := collect(&local)
 		for _, rec := range task.Records {
 			if err := job.Map(rec.Key, rec.Value, emit); err != nil {
 				res.Err = err.Error()
@@ -968,10 +936,9 @@ func executeTask(task taskMsg) (res resultMsg) {
 		pairs := task.Records
 		sortPairs(pairs) // master pre-merges, so this is the O(n) fast path
 		var out []Pair
+		emit := collect(&out)
 		err := groupSorted(pairs, func(key string, values [][]byte) error {
-			return job.Reduce(key, values, func(k string, v []byte) {
-				out = append(out, Pair{k, v})
-			})
+			return job.Reduce(key, values, emit)
 		})
 		if err != nil {
 			res.Err = err.Error()

@@ -160,31 +160,25 @@ func TestTCPEmptyInput(t *testing.T) {
 }
 
 // dialHello dials the master and completes the hello handshake as a
-// worker speaking up to maxVersion, returning the connection and the
-// negotiated codec.
-func dialHello(t *testing.T, addr string, maxVersion byte) (net.Conn, codec) {
+// worker, returning the connection and its codec.
+func dialHello(t *testing.T, addr string) (net.Conn, *frameCodec) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
 	st := &wireStats{}
-	v, err := sendHello(conn, maxVersion, time.Second, st)
-	if err != nil {
+	if err := sendHello(conn, time.Second, st); err != nil {
 		t.Fatalf("hello: %v", err)
 	}
-	cdc, err := newCodec(conn, v, st)
-	if err != nil {
-		t.Fatalf("codec: %v", err)
-	}
-	return conn, cdc
+	return conn, newFrameCodec(conn, st)
 }
 
 // faultyWorker joins the master, reads one task, and drops the
 // connection without replying — simulating a task-tracker crash.
 func faultyWorker(t *testing.T, addr string) {
 	t.Helper()
-	conn, cdc := dialHello(t, addr, WireVersionLatest)
+	conn, cdc := dialHello(t, addr)
 	var task taskMsg
 	_, _ = cdc.readTask(&task) // swallow one task (or the close), then die
 	conn.Close()

@@ -26,23 +26,23 @@ func compressiblePairs(n int) []Pair {
 	return out
 }
 
-// v3Peers builds a connected encoder/decoder pair at wire v3 over an
-// in-memory stream, with outbound compression set as requested.
-func v3Peers(buf *writeBuffer, st *wireStats, compress bool) (enc, dec *frameCodec) {
-	enc = &frameCodec{w: buf, st: st, version: WireVersionPacked}
+// codecPeers builds a connected encoder/decoder pair over an in-memory
+// stream, with outbound compression set as requested.
+func codecPeers(buf *writeBuffer, st *wireStats, compress bool) (enc, dec *frameCodec) {
+	enc = &frameCodec{w: buf, st: st}
 	enc.setCompress(compress)
-	dec = &frameCodec{br: bufio.NewReader(buf), st: st, version: WireVersionPacked}
+	dec = &frameCodec{br: bufio.NewReader(buf), st: st}
 	return enc, dec
 }
 
 // TestWireV3CompressedRoundTrip pushes a compressible result frame
-// through the v3 codec with compression on: the decode must be exact
+// through the codec with compression on: the decode must be exact
 // and the stats must show real savings.
 func TestWireV3CompressedRoundTrip(t *testing.T) {
 	in := resultMsg{Seq: 41, Parts: [][]Pair{compressiblePairs(200)}}
 	var st wireStats
 	var buf writeBuffer
-	enc, dec := v3Peers(&buf, &st, true)
+	enc, dec := codecPeers(&buf, &st, true)
 	wn, err := enc.writeResult(&in)
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +68,7 @@ func TestWireV3CompressedRoundTrip(t *testing.T) {
 	// Same payload with compression off must cost strictly more wire
 	// bytes.
 	var rawBuf writeBuffer
-	rawEnc, _ := v3Peers(&rawBuf, &wireStats{}, false)
+	rawEnc, _ := codecPeers(&rawBuf, &wireStats{}, false)
 	rawN, err := rawEnc.writeResult(&in)
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func TestWireV3CompressedTaskRoundTrip(t *testing.T) {
 	}
 	var st wireStats
 	var buf writeBuffer
-	enc, dec := v3Peers(&buf, &st, true)
+	enc, dec := codecPeers(&buf, &st, true)
 	if _, err := enc.writeTask(&in); err != nil {
 		t.Fatal(err)
 	}
@@ -105,51 +105,15 @@ func TestWireV3CompressedTaskRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWireV3OffMatchesV2Bytes is the compatibility pin: a v3 codec with
-// compression off and no v3-only fields set must emit byte-identical
-// streams to a v2 codec, so mixed-version clusters and Compression=off
-// runs see exactly the PR 9 wire format.
-func TestWireV3OffMatchesV2Bytes(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 200; trial++ {
-		task := taskMsg{
-			Seq: rng.Intn(1 << 16), JobName: randomWireString(rng), Phase: randomWireString(rng),
-			Conf: randomWireBytes(rng), NumReducers: rng.Intn(16), Records: randomWirePairs(rng, 8),
-		}
-		res := resultMsg{Seq: rng.Intn(1 << 16), Err: randomWireString(rng)}
-		for i := 0; i < rng.Intn(4); i++ {
-			res.Parts = append(res.Parts, randomWirePairs(rng, 6))
-		}
-
-		var v2buf, v3buf writeBuffer
-		v2 := &frameCodec{w: &v2buf, st: &wireStats{}, version: WireVersionFrames}
-		v3, _ := v3Peers(&v3buf, &wireStats{}, false)
-		if _, err := v2.writeTask(&task); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := v3.writeTask(&task); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := v2.writeResult(&res); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := v3.writeResult(&res); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(v2buf.b, v3buf.b) {
-			t.Fatalf("trial %d: v3-off stream differs from v2 stream", trial)
-		}
-	}
-}
-
-// TestWireV2GoldenFrameBytes pins the v2 frame layout against a
-// hand-assembled byte string, independent of the codec's own encoder.
-func TestWireV2GoldenFrameBytes(t *testing.T) {
+// TestWireGoldenFrameBytes pins the frame layout against hand-assembled
+// byte strings, independent of the codec's own encoder.
+func TestWireGoldenFrameBytes(t *testing.T) {
 	task := taskMsg{Seq: 7, JobName: "jb", Phase: "map", Conf: []byte{1, 2},
-		NumReducers: 3, Records: []Pair{{Key: "k", Value: []byte("v")}}}
+		NumReducers: 3, Flags: taskFlagCompress, Records: []Pair{{Key: "k", Value: []byte("v")}}}
 
 	var want []byte
-	body := []byte{frameTask}
+	body := []byte{'T'}
+	body = append(body, 1)                 // Flags
 	body = binary.AppendUvarint(body, 7)   // Seq
 	body = append(body, 2, 'j', 'b')       // JobName
 	body = append(body, 3, 'm', 'a', 'p')  // Phase
@@ -160,7 +124,7 @@ func TestWireV2GoldenFrameBytes(t *testing.T) {
 	want = append(want, body...)
 
 	var buf writeBuffer
-	enc := &frameCodec{w: &buf, st: &wireStats{}, version: WireVersionFrames}
+	enc := &frameCodec{w: &buf, st: &wireStats{}}
 	if _, err := enc.writeTask(&task); err != nil {
 		t.Fatal(err)
 	}
@@ -168,9 +132,13 @@ func TestWireV2GoldenFrameBytes(t *testing.T) {
 		t.Fatalf("task frame bytes:\n got %x\nwant %x", buf.b, want)
 	}
 
-	res := resultMsg{Seq: 9, Parts: [][]Pair{{{Key: "a", Value: []byte("b")}}}}
+	res := resultMsg{Seq: 9, ShardTok: 5, ShardStart: 300, ShardEnd: 301,
+		Parts: [][]Pair{{{Key: "a", Value: []byte("b")}}}}
 	var wantRes []byte
-	rbody := []byte{frameResult}
+	rbody := []byte{'R'}
+	rbody = append(rbody, 5)               // ShardTok
+	rbody = append(rbody, 0xac, 0x02)      // ShardStart
+	rbody = append(rbody, 0xad, 0x02)      // ShardEnd
 	rbody = binary.AppendUvarint(rbody, 9) // Seq
 	rbody = append(rbody, 0)               // Err
 	rbody = append(rbody, 1)               // len(Parts)
@@ -179,7 +147,7 @@ func TestWireV2GoldenFrameBytes(t *testing.T) {
 	wantRes = append(wantRes, rbody...)
 
 	var rbuf writeBuffer
-	if _, err := (&frameCodec{w: &rbuf, st: &wireStats{}, version: WireVersionFrames}).writeResult(&res); err != nil {
+	if _, err := (&frameCodec{w: &rbuf, st: &wireStats{}}).writeResult(&res); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(rbuf.b, wantRes) {
@@ -187,13 +155,12 @@ func TestWireV2GoldenFrameBytes(t *testing.T) {
 	}
 }
 
-// TestWireV3TaskFlagsAndResultIO round-trips the two v3-only frame
-// kinds: 't' carrying task flags and 'r' carrying shard-read
-// attribution.
+// TestWireV3TaskFlagsAndResultIO round-trips the fields that lead the
+// two frames: the task's flags and the result's shard-read attribution.
 func TestWireV3TaskFlagsAndResultIO(t *testing.T) {
 	var st wireStats
 	var buf writeBuffer
-	enc, dec := v3Peers(&buf, &st, false)
+	enc, dec := codecPeers(&buf, &st, false)
 
 	task := taskMsg{Seq: 3, JobName: "j", Phase: "reduce", Flags: taskFlagCompress,
 		Records: []Pair{{Key: "k", Value: []byte("v")}}}
@@ -292,9 +259,10 @@ func TestWireMalformedCompressedFrames(t *testing.T) {
 // rawFrameResultBody is the hand-assembled golden result body (sans
 // kind byte) shared by the corruption tests.
 func rawFrameResultBody() []byte {
-	b := binary.AppendUvarint(nil, 9) // Seq
-	b = append(b, 0)                  // Err
-	b = append(b, 1)                  // len(Parts)
+	b := []byte{0, 0, 0}           // ShardTok, ShardStart, ShardEnd
+	b = binary.AppendUvarint(b, 9) // Seq
+	b = append(b, 0)               // Err
+	b = append(b, 1)               // len(Parts)
 	return append(b, 1, 1, 'a', 1, 'b')
 }
 
@@ -308,8 +276,8 @@ func TestWireIncompressibleShipsRaw(t *testing.T) {
 
 	var onSt, offSt wireStats
 	var onBuf, offBuf writeBuffer
-	onEnc, onDec := v3Peers(&onBuf, &onSt, true)
-	offEnc, _ := v3Peers(&offBuf, &offSt, false)
+	onEnc, onDec := codecPeers(&onBuf, &onSt, true)
+	offEnc, _ := codecPeers(&offBuf, &offSt, false)
 	if _, err := onEnc.writeTask(&in); err != nil {
 		t.Fatal(err)
 	}
@@ -328,27 +296,6 @@ func TestWireIncompressibleShipsRaw(t *testing.T) {
 	}
 	if !bytes.Equal(out.Conf, noise) {
 		t.Fatal("raw-shipped frame decode mismatch")
-	}
-}
-
-// TestWireV3HelloNegotiation extends the handshake matrix to the packed
-// version: v2 and v1 peers pull a v3 peer down to their level.
-func TestWireV3HelloNegotiation(t *testing.T) {
-	cases := []struct{ worker, master, want byte }{
-		{WireVersionPacked, WireVersionPacked, WireVersionPacked},
-		{WireVersionFrames, WireVersionPacked, WireVersionFrames},
-		{WireVersionPacked, WireVersionFrames, WireVersionFrames},
-		{WireVersionGob, WireVersionPacked, WireVersionGob},
-		{WireVersionPacked + 9, WireVersionPacked, WireVersionPacked},
-	}
-	for _, c := range cases {
-		wv, mv, werr, merr := helloPeers(t, c.worker, c.master)
-		if werr != nil || merr != nil {
-			t.Fatalf("hello(%d,%d): worker err %v, master err %v", c.worker, c.master, werr, merr)
-		}
-		if wv != c.want || mv != c.want {
-			t.Fatalf("hello(%d,%d) = worker %d, master %d; want %d", c.worker, c.master, wv, mv, c.want)
-		}
 	}
 }
 
@@ -392,10 +339,10 @@ func TestReadExactlyBoundedByStream(t *testing.T) {
 	}
 }
 
-// TestWireEncodeSizeExact pins the sizes taskFrame and resultFrame
-// compute up front to the bytes writeTask and writeResult then append,
-// for every frame kind: an undercount would silently bring back the
-// regrowth the size exists to avoid.
+// TestWireEncodeSizeExact pins the sizes taskSize and resultSize
+// compute up front to the bytes writeTask and writeResult then append:
+// an undercount would silently bring back the regrowth the size exists
+// to avoid.
 func TestWireEncodeSizeExact(t *testing.T) {
 	pairs := append(compressiblePairs(300), Pair{}, Pair{Key: "k"}, Pair{Value: []byte{1}})
 	tasks := []taskMsg{
@@ -409,69 +356,19 @@ func TestWireEncodeSizeExact(t *testing.T) {
 		{},
 	}
 	frameSize := func(size int) int { return uvarintLen(uint64(1+size)) + 1 + size }
-	for _, version := range []byte{WireVersionFrames, WireVersionPacked} {
-		var buf writeBuffer
-		enc := &frameCodec{w: &buf, st: &wireStats{}, version: version}
-		for i := range tasks {
-			_, size := enc.taskFrame(&tasks[i])
-			if n, err := enc.writeTask(&tasks[i]); err != nil || n != frameSize(size) {
-				t.Fatalf("v%d task %d: wrote %d bytes (%v), sized %d", version, i, n, err, frameSize(size))
-			}
-		}
-		for i := range results {
-			_, size := enc.resultFrame(&results[i])
-			if n, err := enc.writeResult(&results[i]); err != nil || n != frameSize(size) {
-				t.Fatalf("v%d result %d: wrote %d bytes (%v), sized %d", version, i, n, err, frameSize(size))
-			}
+	var buf writeBuffer
+	enc := &frameCodec{w: &buf, st: &wireStats{}}
+	for i := range tasks {
+		size := taskSize(&tasks[i])
+		if n, err := enc.writeTask(&tasks[i]); err != nil || n != frameSize(size) {
+			t.Fatalf("task %d: wrote %d bytes (%v), sized %d", i, n, err, frameSize(size))
 		}
 	}
-}
-
-// TestPackedEmbedBucketRoundTrip checks the 'e' record against the 'E'
-// record: same decode, fewer bytes for sorted indices, and dispatch
-// through ParseAnyEmbedBucket for both kinds.
-func TestPackedEmbedBucketRoundTrip(t *testing.T) {
-	indices := []int32{3, 10, 11, 500, 501, 502, 90000}
-	const dim = 4
-	rng := rand.New(rand.NewSource(35))
-	rows := make([]float64, len(indices)*dim)
-	for i := range rows {
-		rows[i] = rng.NormFloat64()
-	}
-
-	packed := AppendPackedEmbedBucket(nil, indices, dim, rows)
-	raw := AppendEmbedBucket(nil, indices, dim, rows)
-	if len(packed) >= len(raw) {
-		t.Fatalf("packed %d bytes >= raw %d bytes for sorted indices", len(packed), len(raw))
-	}
-	for _, rec := range [][]byte{packed, raw} {
-		gotIdx, gotDim, gotRows, err := ParseAnyEmbedBucket(rec)
-		if err != nil {
-			t.Fatal(err)
+	for i := range results {
+		size := resultSize(&results[i])
+		if n, err := enc.writeResult(&results[i]); err != nil || n != frameSize(size) {
+			t.Fatalf("result %d: wrote %d bytes (%v), sized %d", i, n, err, frameSize(size))
 		}
-		if gotDim != dim || len(gotIdx) != len(indices) || len(gotRows) != len(rows) {
-			t.Fatalf("shape mismatch: dim %d, %d indices, %d row values", gotDim, len(gotIdx), len(gotRows))
-		}
-		for i := range indices {
-			if gotIdx[i] != indices[i] {
-				t.Fatalf("index %d: got %d want %d", i, gotIdx[i], indices[i])
-			}
-		}
-		for i := range rows {
-			if gotRows[i] != rows[i] {
-				t.Fatalf("row value %d: got %v want %v", i, gotRows[i], rows[i])
-			}
-		}
-	}
-
-	// Truncations of the packed record must fail cleanly.
-	for cut := 0; cut < len(packed); cut++ {
-		if _, _, _, err := ParsePackedEmbedBucket(packed[:cut]); err == nil {
-			t.Fatalf("packed truncation at %d accepted", cut)
-		}
-	}
-	if _, _, _, err := ParsePackedEmbedBucket(append(append([]byte(nil), packed...), 0)); err == nil {
-		t.Fatal("packed trailing garbage accepted")
 	}
 }
 
@@ -497,7 +394,7 @@ func TestForeignShardBytes(t *testing.T) {
 	}
 }
 
-// BenchmarkWireCompressRoundTrip times the v3 codec's deflate+inflate
+// BenchmarkWireCompressRoundTrip times the codec's deflate+inflate
 // round trip on a shuffle-shaped, compressible result frame.
 func BenchmarkWireCompressRoundTrip(b *testing.B) {
 	pairs := compressiblePairs(1024)
@@ -514,7 +411,7 @@ func BenchmarkWireCompressRoundTrip(b *testing.B) {
 // header-sized allocations are not.
 func FuzzWireFrame(f *testing.F) {
 	var seedBuf writeBuffer
-	enc, _ := v3Peers(&seedBuf, &wireStats{}, true)
+	enc, _ := codecPeers(&seedBuf, &wireStats{}, true)
 	_, _ = enc.writeTask(&taskMsg{Seq: 1, JobName: "j", Phase: "map",
 		Records: compressiblePairs(150)})
 	_, _ = enc.writeResult(&resultMsg{Seq: 2, ShardTok: 7, ShardEnd: 12,
@@ -527,23 +424,5 @@ func FuzzWireFrame(f *testing.F) {
 		_, _ = (&frameCodec{br: bufio.NewReader(bytes.NewReader(data)), st: &wireStats{}}).readTask(&tm)
 		var rm resultMsg
 		_, _ = (&frameCodec{br: bufio.NewReader(bytes.NewReader(data)), st: &wireStats{}}).readResult(&rm)
-	})
-}
-
-// FuzzParseEmbedBucket drives both embed record decoders over arbitrary
-// bytes; a nil error must imply internally consistent shapes.
-func FuzzParseEmbedBucket(f *testing.F) {
-	f.Add(AppendEmbedBucket(nil, []int32{1, 2}, 2, []float64{1, 2, 3, 4}))
-	f.Add(AppendPackedEmbedBucket(nil, []int32{1, 2}, 2, []float64{1, 2, 3, 4}))
-	f.Add([]byte{PackedEmbedBucketKind, 0xff, 0xff, 0xff, 0xff, 0x0f})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		idx, dim, rows, err := ParseAnyEmbedBucket(data)
-		if err != nil {
-			return
-		}
-		if dim <= 0 || len(idx) == 0 || len(rows) != len(idx)*dim {
-			t.Fatalf("accepted inconsistent bucket: %d indices, dim %d, %d row values",
-				len(idx), dim, len(rows))
-		}
 	})
 }

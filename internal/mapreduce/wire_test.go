@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/gob"
+	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"strings"
@@ -89,7 +91,8 @@ func frameRoundTripTask(t *testing.T, in *taskMsg) taskMsg {
 
 // TestWireTaskRoundTripAgainstGob is the codec property test: for
 // random taskMsg values, the frame round trip must preserve exactly
-// what a gob round trip preserves.
+// what a gob round trip preserves. gob is the independent reference
+// here — an encoder the frame codec did not write.
 func TestWireTaskRoundTripAgainstGob(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 300; trial++ {
@@ -100,6 +103,7 @@ func TestWireTaskRoundTripAgainstGob(t *testing.T) {
 			Conf:        randomWireBytes(rng),
 			NumReducers: rng.Intn(64),
 			Records:     randomWirePairs(rng, 12),
+			Flags:       uint64(rng.Intn(4)),
 		}
 
 		var gobBuf bytes.Buffer
@@ -114,7 +118,7 @@ func TestWireTaskRoundTripAgainstGob(t *testing.T) {
 		frameOut := frameRoundTripTask(t, &in)
 		if frameOut.Seq != gobOut.Seq || frameOut.JobName != gobOut.JobName ||
 			frameOut.Phase != gobOut.Phase || !bytes.Equal(frameOut.Conf, gobOut.Conf) ||
-			frameOut.NumReducers != gobOut.NumReducers ||
+			frameOut.NumReducers != gobOut.NumReducers || frameOut.Flags != gobOut.Flags ||
 			!semanticPairEq(frameOut.Records, gobOut.Records) {
 			t.Fatalf("trial %d: frame decode %+v differs from gob decode %+v (in %+v)",
 				trial, frameOut, gobOut, in)
@@ -136,6 +140,10 @@ func TestWireResultRoundTripAgainstGob(t *testing.T) {
 			}
 		}
 		in := resultMsg{Seq: rng.Intn(1 << 20), Err: randomWireString(rng), Parts: parts}
+		if trial%2 == 1 {
+			in.ShardTok, in.ShardStart = rng.Uint64(), rng.Int63n(1<<40)
+			in.ShardEnd = in.ShardStart + rng.Int63n(1<<30)
+		}
 
 		var gobBuf bytes.Buffer
 		var gobOut resultMsg
@@ -156,7 +164,8 @@ func TestWireResultRoundTripAgainstGob(t *testing.T) {
 			t.Fatal(err)
 		}
 		if frameOut.Seq != gobOut.Seq || frameOut.Err != gobOut.Err ||
-			len(frameOut.Parts) != len(gobOut.Parts) {
+			frameOut.ShardTok != gobOut.ShardTok || frameOut.ShardStart != gobOut.ShardStart ||
+			frameOut.ShardEnd != gobOut.ShardEnd || len(frameOut.Parts) != len(gobOut.Parts) {
 			t.Fatalf("trial %d: frame %+v vs gob %+v", trial, frameOut, gobOut)
 		}
 		for p := range frameOut.Parts {
@@ -177,9 +186,9 @@ func TestWireMalformedFramesDoNotPanic(t *testing.T) {
 		body := make([]byte, rng.Intn(80))
 		rng.Read(body)
 		var tm taskMsg
-		_ = parseTask(body, &tm, false)
+		_ = parseTask(body, &tm)
 		var res resultMsg
-		_ = parseResult(body, &res, false)
+		_ = parseResult(body, &res)
 	}
 
 	// Truncations of a known-good body must all fail cleanly.
@@ -193,50 +202,59 @@ func TestWireMalformedFramesDoNotPanic(t *testing.T) {
 	body := full[1:]                                 // strip the kind byte
 	for cut := 0; cut < len(body); cut++ {
 		var tm taskMsg
-		if err := parseTask(body[:cut], &tm, false); err == nil {
+		if err := parseTask(body[:cut], &tm); err == nil {
 			t.Fatalf("truncation at %d/%d parsed without error", cut, len(body))
 		}
 	}
 	var tm taskMsg
-	if err := parseTask(body, &tm, false); err != nil {
+	if err := parseTask(body, &tm); err != nil {
 		t.Fatalf("full body failed: %v", err)
 	}
-	if err := parseTask(append(append([]byte(nil), body...), 0), &tm, false); err == nil {
+	if err := parseTask(append(append([]byte(nil), body...), 0), &tm); err == nil {
 		t.Fatal("trailing garbage accepted")
 	}
 }
 
-// helloPeers runs both handshake halves over an in-memory duplex pipe.
-func helloPeers(t *testing.T, workerMax, masterMax byte) (workerV, masterV byte, workerErr, masterErr error) {
-	t.Helper()
-	wc, mc := net.Pipe()
-	defer func() { _ = wc.Close(); _ = mc.Close() }()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		masterV, masterErr = acceptHello(mc, masterMax, time.Second, &wireStats{})
-	}()
-	workerV, workerErr = sendHello(wc, workerMax, time.Second, &wireStats{})
-	<-done
-	return workerV, masterV, workerErr, masterErr
-}
-
-// TestWireHelloNegotiation checks that both sides settle on
-// min(worker max, master max), enabling rolling upgrades.
+// TestWireHelloNegotiation pins what is left of it: two peers of this
+// build accept each other, and a peer that presents any other version —
+// older, newer, zero — is refused on both sides with an error naming
+// both versions.
 func TestWireHelloNegotiation(t *testing.T) {
-	cases := []struct{ worker, master, want byte }{
-		{WireVersionFrames, WireVersionFrames, WireVersionFrames},
-		{WireVersionGob, WireVersionFrames, WireVersionGob},           // old worker, new master
-		{WireVersionFrames, WireVersionGob, WireVersionGob},           // new worker, old master
-		{WireVersionFrames + 5, WireVersionFrames, WireVersionFrames}, // future worker
+	// hello runs one real handshake half against a scripted peer.
+	hello := func(fake func(conn net.Conn), real func(conn net.Conn) error) error {
+		a, b := net.Pipe()
+		defer func() { _ = a.Close(); _ = b.Close() }()
+		go fake(a)
+		return real(b)
 	}
-	for _, c := range cases {
-		wv, mv, werr, merr := helloPeers(t, c.worker, c.master)
-		if werr != nil || merr != nil {
-			t.Fatalf("hello(%d,%d): worker err %v, master err %v", c.worker, c.master, werr, merr)
+	master := func(conn net.Conn) error { return acceptHello(conn, time.Second, &wireStats{}) }
+	worker := func(conn net.Conn) error { return sendHello(conn, time.Second, &wireStats{}) }
+
+	if err := hello(func(c net.Conn) { _ = worker(c) }, master); err != nil {
+		t.Fatalf("master refused a worker of its own version: %v", err)
+	}
+	if err := hello(func(c net.Conn) { _ = master(c) }, worker); err != nil {
+		t.Fatalf("worker refused a master of its own version: %v", err)
+	}
+	for _, other := range []byte{0, 1, 2, 3, wireVersion + 1, 0xff} {
+		want := []string{fmt.Sprintf("version %d", other), fmt.Sprintf("speaks %d", wireVersion)}
+		err := hello(func(c net.Conn) { // a worker of another version
+			_, _ = c.Write(append(wireMagic[:], other))
+			_, _ = io.ReadFull(c, make([]byte, 1))
+		}, master)
+		for _, w := range want {
+			if err == nil || !strings.Contains(err.Error(), w) {
+				t.Errorf("master met worker version %d: err = %v, want it to mention %q", other, err, w)
+			}
 		}
-		if wv != c.want || mv != c.want {
-			t.Fatalf("hello(%d,%d) = worker %d, master %d; want %d", c.worker, c.master, wv, mv, c.want)
+		err = hello(func(c net.Conn) { // a master of another version
+			_, _ = io.ReadFull(c, make([]byte, helloLen))
+			_, _ = c.Write([]byte{other})
+		}, worker)
+		for _, w := range want {
+			if err == nil || !strings.Contains(err.Error(), w) {
+				t.Errorf("worker met master version %d: err = %v, want it to mention %q", other, err, w)
+			}
 		}
 	}
 }
@@ -248,8 +266,7 @@ func TestWireHelloRejectsBadMagic(t *testing.T) {
 	defer func() { _ = wc.Close(); _ = mc.Close() }()
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := acceptHello(mc, WireVersionLatest, time.Second, &wireStats{})
-		errCh <- err
+		errCh <- acceptHello(mc, time.Second, &wireStats{})
 	}()
 	if _, err := wc.Write([]byte("HTTP/")); err != nil {
 		t.Fatal(err)
@@ -270,24 +287,27 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := WireRoundTrip(pairs); err != nil {
+		if _, _, err := WireRoundTripOpts(pairs, false); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// TestWireRoundTripHelper covers the exported dascbench hook.
+// TestWireRoundTripHelper covers the exported benchmark hook.
 func TestWireRoundTripHelper(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	pairs := randomWirePairs(rng, 200)
-	n, err := WireRoundTrip(pairs)
+	n, raw, err := WireRoundTripOpts(pairs, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n <= 0 {
-		t.Fatalf("wire size = %d", n)
+	if n <= 0 || raw != n {
+		t.Fatalf("wire size = %d, raw size = %d", n, raw)
 	}
-	if _, err := WireRoundTrip(nil); err != nil {
+	if n, raw, err = WireRoundTripOpts(compressiblePairs(200), true); err != nil || n >= raw {
+		t.Fatalf("compressed round trip: %d wire bytes of %d raw (%v)", n, raw, err)
+	}
+	if _, _, err := WireRoundTripOpts(nil, false); err != nil {
 		t.Fatalf("empty round trip: %v", err)
 	}
 }
