@@ -1,11 +1,10 @@
 // Package emr simulates the Amazon Elastic MapReduce deployment of the
-// paper's §5.1: a cluster of nodes with task slots (Table 2), an S3-like
-// blob store for inputs and results, and job flows made of steps. The
-// simulator schedules real task workloads (e.g. DASC's per-bucket
-// spectral clustering, with costs measured or modeled from bucket
-// sizes) onto n nodes with an LPT greedy scheduler and reports the
-// simulated makespan and memory footprint — reproducing the elasticity
-// behaviour of Table 3 without renting a cluster.
+// paper's §5.1: a cluster of nodes with task slots (Table 2) and job
+// flows made of steps. The simulator schedules real task workloads
+// (e.g. DASC's per-bucket spectral clustering, with costs measured or
+// modeled from bucket sizes) onto n nodes with an LPT greedy scheduler
+// and reports the simulated makespan and memory footprint — reproducing
+// the elasticity behaviour of Table 3 without renting a cluster.
 package emr
 
 import (
@@ -14,7 +13,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // NodeConfig mirrors the Hadoop configuration of Table 2 plus the
@@ -169,84 +167,6 @@ func (c *Cluster) ScheduleTasks(tasks []Task) *Schedule {
 	return sched
 }
 
-// FailureReport quantifies the cost of losing a node mid-step.
-type FailureReport struct {
-	// OriginalMakespan is the no-failure makespan.
-	OriginalMakespan float64
-	// NewMakespan includes re-executing the failed node's tasks.
-	NewMakespan float64
-	// ReexecutedTasks counts the tasks that had to run again.
-	ReexecutedTasks int
-	// ReexecutedWork is their summed cost in seconds.
-	ReexecutedWork float64
-}
-
-// RescheduleAfterFailure models a Hadoop node failure: at time atTime
-// the given node dies, and — because a dead task-tracker's map output
-// is unreachable — every task that was assigned to it is re-executed on
-// the surviving nodes after they drain their own queues. Returns the
-// makespan inflation; errors if the cluster has a single node (no
-// survivors) or arguments are out of range.
-func (c *Cluster) RescheduleAfterFailure(tasks []Task, failedNode int, atTime float64) (*FailureReport, error) {
-	if c.Nodes < 2 {
-		return nil, errors.New("emr: failure simulation needs at least 2 nodes")
-	}
-	if failedNode < 0 || failedNode >= c.Nodes {
-		return nil, fmt.Errorf("emr: failed node %d of %d", failedNode, c.Nodes)
-	}
-	if atTime < 0 {
-		return nil, fmt.Errorf("emr: negative failure time %v", atTime)
-	}
-	base := c.ScheduleTasks(tasks)
-	rep := &FailureReport{OriginalMakespan: base.Makespan}
-
-	slots := c.Slots()
-	perNode := slots / c.Nodes
-	isFailedSlot := func(s int) bool { return s/perNode == failedNode }
-
-	// Collect the failed node's tasks and the survivors' availability.
-	var lost []float64
-	avail := make([]float64, 0, slots-perNode)
-	for s := 0; s < slots; s++ {
-		if isFailedSlot(s) {
-			continue
-		}
-		// A surviving slot keeps running its own queue; it can take
-		// re-executed work only after both its queue and the failure
-		// have happened.
-		a := base.SlotBusy[s]
-		if a < atTime {
-			a = atTime
-		}
-		avail = append(avail, a)
-	}
-	for ti, slot := range base.Assignments {
-		if isFailedSlot(slot) {
-			lost = append(lost, tasks[ti].Cost)
-			rep.ReexecutedTasks++
-			rep.ReexecutedWork += tasks[ti].Cost
-		}
-	}
-	// LPT the lost tasks onto the earliest-available surviving slots.
-	sort.Sort(sort.Reverse(sort.Float64Slice(lost)))
-	for _, cost := range lost {
-		best := 0
-		for s := 1; s < len(avail); s++ {
-			if avail[s] < avail[best] {
-				best = s
-			}
-		}
-		avail[best] += cost
-	}
-	rep.NewMakespan = rep.OriginalMakespan
-	for _, a := range avail {
-		if a > rep.NewMakespan {
-			rep.NewMakespan = a
-		}
-	}
-	return rep, nil
-}
-
 // Step is one stage of a job flow (the paper's flows are: LSH
 // partitioning, per-bucket spectral clustering, result collection).
 type Step struct {
@@ -331,77 +251,4 @@ func (r *FlowReport) String() string {
 		fmt.Fprintf(&sb, "  step %-24s tasks=%-5d makespan=%.2fs\n", s.Name, s.Tasks, s.Makespan)
 	}
 	return sb.String()
-}
-
-// BlobStore is an in-memory S3 stand-in used by job flows to exchange
-// inputs, intermediate buckets, and results. It is safe for concurrent
-// use.
-type BlobStore struct {
-	mu      sync.RWMutex
-	objects map[string][]byte
-}
-
-// NewBlobStore returns an empty store.
-func NewBlobStore() *BlobStore {
-	return &BlobStore{objects: make(map[string][]byte)}
-}
-
-// Put stores data under key, copying the bytes.
-func (b *BlobStore) Put(key string, data []byte) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.objects[key] = append([]byte(nil), data...)
-}
-
-// ErrNoObject is returned by Get for missing keys.
-var ErrNoObject = errors.New("emr: no such object")
-
-// Get returns a copy of the object at key.
-func (b *BlobStore) Get(key string) ([]byte, error) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	data, ok := b.objects[key]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoObject, key)
-	}
-	return append([]byte(nil), data...), nil
-}
-
-// List returns the keys with the given prefix, sorted.
-func (b *BlobStore) List(prefix string) []string {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	var out []string
-	for k := range b.objects {
-		if strings.HasPrefix(k, prefix) {
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Delete removes a key (idempotent).
-func (b *BlobStore) Delete(key string) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	delete(b.objects, key)
-}
-
-// Size returns the number of stored objects.
-func (b *BlobStore) Size() int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return len(b.objects)
-}
-
-// Bytes returns the total stored payload size.
-func (b *BlobStore) Bytes() int64 {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	var total int64
-	for _, v := range b.objects {
-		total += int64(len(v))
-	}
-	return total
 }

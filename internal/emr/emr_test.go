@@ -1,9 +1,7 @@
 package emr
 
 import (
-	"errors"
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -124,127 +122,6 @@ func TestRunJobFlowValidation(t *testing.T) {
 	}
 }
 
-func TestBlobStoreBasics(t *testing.T) {
-	b := NewBlobStore()
-	b.Put("buckets/0", []byte("alpha"))
-	b.Put("buckets/1", []byte("beta"))
-	b.Put("results/out", []byte("x"))
-	got, err := b.Get("buckets/0")
-	if err != nil || string(got) != "alpha" {
-		t.Fatalf("Get = %q, %v", got, err)
-	}
-	// Returned copies must not alias.
-	got[0] = 'X'
-	again, _ := b.Get("buckets/0")
-	if string(again) != "alpha" {
-		t.Fatal("Get must copy")
-	}
-	if _, err := b.Get("missing"); !errors.Is(err, ErrNoObject) {
-		t.Fatalf("err = %v, want ErrNoObject", err)
-	}
-	keys := b.List("buckets/")
-	if len(keys) != 2 || keys[0] != "buckets/0" {
-		t.Fatalf("List = %v", keys)
-	}
-	if b.Size() != 3 || b.Bytes() != int64(len("alpha")+len("beta")+1) {
-		t.Fatalf("Size=%d Bytes=%d", b.Size(), b.Bytes())
-	}
-	b.Delete("buckets/0")
-	b.Delete("buckets/0") // idempotent
-	if b.Size() != 2 {
-		t.Fatalf("Size after delete = %d", b.Size())
-	}
-}
-
-func TestBlobStoreConcurrent(t *testing.T) {
-	b := NewBlobStore()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			key := string(rune('a' + i))
-			for j := 0; j < 100; j++ {
-				b.Put(key, []byte{byte(j)})
-				if _, err := b.Get(key); err != nil {
-					t.Errorf("get: %v", err)
-					return
-				}
-				b.List("")
-			}
-		}(i)
-	}
-	wg.Wait()
-	if b.Size() != 8 {
-		t.Fatalf("Size = %d, want 8", b.Size())
-	}
-}
-
-func TestRescheduleAfterFailure(t *testing.T) {
-	c, _ := NewCluster(4) // 16 slots
-	tasks := make([]Task, 64)
-	for i := range tasks {
-		tasks[i] = Task{Cost: 1}
-	}
-	// Base makespan: 64 unit tasks / 16 slots = 4.
-	rep, err := c.RescheduleAfterFailure(tasks, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.OriginalMakespan != 4 {
-		t.Fatalf("original = %v", rep.OriginalMakespan)
-	}
-	// The failed node held a quarter of the tasks.
-	if rep.ReexecutedTasks != 16 || rep.ReexecutedWork != 16 {
-		t.Fatalf("reexecuted %d tasks / %v work", rep.ReexecutedTasks, rep.ReexecutedWork)
-	}
-	// Survivors finish their own 4s of work, then absorb 16 tasks over
-	// 12 slots: makespan grows but stays bounded.
-	if rep.NewMakespan <= rep.OriginalMakespan || rep.NewMakespan > 7 {
-		t.Fatalf("new makespan = %v", rep.NewMakespan)
-	}
-}
-
-func TestRescheduleAfterFailureValidation(t *testing.T) {
-	c1, _ := NewCluster(1)
-	if _, err := c1.RescheduleAfterFailure(nil, 0, 0); err == nil {
-		t.Fatal("expected single-node error")
-	}
-	c, _ := NewCluster(2)
-	if _, err := c.RescheduleAfterFailure(nil, 5, 0); err == nil {
-		t.Fatal("expected bad-node error")
-	}
-	if _, err := c.RescheduleAfterFailure(nil, 0, -1); err == nil {
-		t.Fatal("expected negative-time error")
-	}
-}
-
-func TestRescheduleFailureNeverShrinksMakespan(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	c, _ := NewCluster(3)
-	tasks := make([]Task, 40)
-	for i := range tasks {
-		tasks[i] = Task{Cost: rng.Float64()*3 + 0.1}
-	}
-	for node := 0; node < 3; node++ {
-		for _, at := range []float64{0, 1, 100} {
-			rep, err := c.RescheduleAfterFailure(tasks, node, at)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep.NewMakespan < rep.OriginalMakespan-1e-9 {
-				t.Fatalf("failure shrank makespan: %+v", rep)
-			}
-			if rep.NewMakespan < at && rep.ReexecutedTasks > 0 {
-				t.Fatalf("re-execution cannot finish before the failure: %+v", rep)
-			}
-		}
-	}
-}
-
-// Property: makespan is always at least total-work/slots (lower bound)
-// and at most total work (upper bound), and never below the largest
-// single task.
 func TestPropMakespanBounds(t *testing.T) {
 	f := func(seed int64, nodesSeed uint8) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -65,11 +65,11 @@ func TestEmbedBucketAppendsInPlace(t *testing.T) {
 	}
 }
 
-// TestPackedEmbedBucketRoundTrip checks what the delta encoding is for:
+// TestBucketRowsDeltaIndicesRoundTrip checks what the delta encoding is for:
 // a sorted bucket's indices cost about a byte each, and every
 // truncation of the record — which can cut a varint in half — is
 // rejected.
-func TestPackedEmbedBucketRoundTrip(t *testing.T) {
+func TestBucketRowsDeltaIndicesRoundTrip(t *testing.T) {
 	indices := []int{3, 10, 11, 500, 501, 502, 90000}
 	const dim = 4
 	rng := rand.New(rand.NewSource(35))

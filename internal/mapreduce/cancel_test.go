@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -184,39 +185,108 @@ func TestTCPCancelWhileWaitingForWorkers(t *testing.T) {
 	waitNoGoroutineLeak(t, before)
 }
 
-// TestRunWorkerContextCancel cancels an idle worker blocked reading the
-// next task; the watchdog expires the socket and the worker returns the
-// context error.
+// TestRunWorkerContextCancel cancels a worker's context. An idle worker
+// is blocked reading the next task: the watchdog expires the socket and
+// the worker returns the context error. A worker in the middle of a task
+// must not finish the task first: the task body checks the context
+// between records, so it returns within one Map call.
 func TestRunWorkerContextCancel(t *testing.T) {
-	before := runtime.NumGoroutine()
-	m, err := NewMaster("127.0.0.1:0", 2) // 2 joiners required: no job ever runs
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = m.Close() }()
-	ctx, cancel := context.WithCancel(context.Background())
-	workerErr := make(chan error, 1)
-	go func() { workerErr <- RunWorkerContext(ctx, m.Addr()) }()
-	deadline := time.Now().Add(5 * time.Second)
-	for m.ConnectedWorkers() < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("worker did not join")
+	t.Run("idle", func(t *testing.T) {
+		before := runtime.NumGoroutine()
+		m, err := NewMaster("127.0.0.1:0", 2) // 2 joiners required: no job ever runs
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-	select {
-	case err := <-workerErr:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("worker err = %v, want context.Canceled", err)
+		defer func() { _ = m.Close() }()
+		ctx, cancel := context.WithCancel(context.Background())
+		workerErr := make(chan error, 1)
+		go func() { workerErr <- RunWorkerContext(ctx, m.Addr()) }()
+		deadline := time.Now().Add(5 * time.Second)
+		for m.ConnectedWorkers() < 1 {
+			if time.Now().After(deadline) {
+				t.Fatal("worker did not join")
+			}
+			time.Sleep(time.Millisecond)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("worker did not return after cancel")
-	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	waitNoGoroutineLeak(t, before)
+		cancel()
+		select {
+		case err := <-workerErr:
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("worker err = %v, want context.Canceled", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("worker did not return after cancel")
+		}
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+		waitNoGoroutineLeak(t, before)
+	})
+	t.Run("mid-task", func(t *testing.T) {
+		before := runtime.NumGoroutine()
+		const records = 64
+		started := make(chan struct{})
+		release := make(chan struct{})
+		var once sync.Once
+		var mapCalls atomic.Int64
+		job := &Job{
+			Name:      "cancel-worker-mid-task",
+			SplitSize: records, // one map task holds every record
+			Map: func(key string, value []byte, emit Emit) error {
+				mapCalls.Add(1)
+				once.Do(func() { close(started) })
+				<-release // every record blocks until the test lets go
+				emit(key, nil)
+				return nil
+			},
+			Reduce: func(key string, values [][]byte, emit Emit) error {
+				emit(key, nil)
+				return nil
+			},
+		}
+		Register(job)
+		m, err := NewMaster("127.0.0.1:0", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = m.Close() }()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		workerErr := make(chan error, 1)
+		go func() { workerErr <- RunWorkerContext(ctx, m.Addr()) }()
+		runErr := make(chan error, 1)
+		go func() {
+			_, _, err := m.Run(job, manyRecords(records))
+			runErr <- err
+		}()
+
+		<-started // the first record's Map is in progress
+		cancel()
+		close(release)
+		select {
+		case err := <-workerErr:
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("worker err = %v, want context.Canceled", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("worker did not return after cancel")
+		}
+		if n := mapCalls.Load(); n > 2 {
+			t.Errorf("worker made %d Map calls of %d after a cancel during the first", n, records)
+		}
+		// The master lost its only worker mid-task: the job fails, it does
+		// not hang.
+		select {
+		case err := <-runErr:
+			if err == nil {
+				t.Error("job succeeded although its only worker was cancelled mid-task")
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("master did not return after its worker left")
+		}
+		_ = m.Close() // reports the dead worker's already-closed socket
+		waitNoGoroutineLeak(t, before)
+	})
 }
 
 // TestTCPHungWorkerHitsIOTimeout joins a worker that completes the

@@ -71,9 +71,12 @@ func tokenCounts(n int) []mapreduce.Pair {
 }
 
 // TestElisionMatchesExecution is the contract of the two declarations on
-// word-count-shaped jobs: a tokenizing map whose reduce only groups, a
-// summing reduce whose map only forwards (with and without a combiner),
-// and a job that is identity on both sides, i.e. a distributed sort —
+// word-count-shaped jobs: a tokenizing map whose reduce only groups (with
+// and without a combiner, whose per-split sums the elided reduce then
+// forwards as they are), a summing reduce whose map only forwards (with
+// and without a combiner, which must be handed a copy of the split it
+// sorts in place), and a job that is identity on both sides, i.e. a
+// distributed sort —
 // fed nil and empty-but-non-nil values, which the frame codec does not
 // tell apart. The two large inputs overflow the 64 KiB spill budget a
 // few times; the small ones fit inside it.
@@ -91,6 +94,9 @@ func TestElisionMatchesExecution(t *testing.T) {
 		},
 		Reduce: mapreduce.IdentityReduceFunc, IdentityReduce: true,
 	}
+	tokenizeCombined := *tokenize
+	tokenizeCombined.Name = "elide/tokenize-combined"
+	tokenizeCombined.Combine = sumReduce
 	sum := &mapreduce.Job{
 		Name: "elide/sum", NumReducers: 3, SplitSize: 512,
 		Map: mapreduce.IdentityMapFunc, IdentityMap: true,
@@ -114,6 +120,7 @@ func TestElisionMatchesExecution(t *testing.T) {
 		input []mapreduce.Pair
 	}{
 		{tokenize, wordLines(3000)},
+		{&tokenizeCombined, wordLines(600)},
 		{sum, tokenCounts(30000)},
 		{&sumCombined, tokenCounts(2000)},
 		{sortOnly, sortInput},

@@ -2,9 +2,11 @@
 // same dataflow semantics as the Hadoop deployment the paper runs DASC
 // on: jobs are a map phase over key/value pairs, a partitioned sorted
 // shuffle, and a reduce phase over grouped keys, with an optional
-// combiner. Two executors are provided — Local, a bounded goroutine
-// worker pool, and TCP, a master/worker deployment over real sockets
-// speaking one binary frame format (see tcp.go and wire.go).
+// combiner. There is one job engine (runJob, engine.go) and one task
+// body (executeTask); the two executors differ only in where tasks run —
+// Local on a bounded goroutine pool, the TCP Master on worker processes
+// over real sockets speaking one binary frame format (see tcp.go and
+// wire.go).
 package mapreduce
 
 import (
@@ -42,19 +44,20 @@ type Job struct {
 	// (emit the record unchanged) and IdentityReduce that Reduce behaves
 	// exactly like IdentityReduceFunc (emit the group's values, in order,
 	// under its key). The job's author states them next to the closure
-	// they describe — a property of the job, not a runtime setting. An
-	// executor does not dispatch a declared phase: for an identity map it
-	// partitions and sorts each input split itself and feeds the usual
+	// they describe — a property of the job, not a runtime setting. The
+	// job engine does not dispatch a declared phase: for an identity map
+	// it partitions and sorts each input split itself and feeds the usual
 	// run/spill path; for an identity reduce the merged partitions are
 	// the output. Output pairs are byte-identical, in the same order, to
-	// executing the closures on either executor at any SpillBytes and
+	// executing the closures, on any executor at any SpillBytes and
 	// Compress setting; a declaration that does not match its closure
 	// changes the output (the elision tests show how that is caught).
 	// Map and Reduce stay required: they are the specification the
-	// declarations are tested against. The decision is the executor's
-	// alone (on TCP, the master's): no frame kind, hello or task field
-	// changes, and workers — including external cmd/dascworker processes
-	// — simply never see the elided phase's tasks.
+	// declarations are tested against. The decision is made where the job
+	// is run (on TCP, in the master's process): no frame kind, hello or
+	// task field changes, and workers — including external
+	// cmd/dascworker processes — simply never see the elided phase's
+	// tasks.
 	IdentityMap    bool
 	IdentityReduce bool
 	// Combine optionally pre-aggregates map output per split before the
@@ -97,8 +100,9 @@ type Counters struct {
 	// InputRecords and OutputRecords count the job's input and output
 	// records; MapOutputs counts the records entering the shuffle — map
 	// output after the combiner, if the job has one, which is the
-	// quantity both executors can observe. None depends on whether a
-	// phase was dispatched or elided.
+	// quantity the engine observes whichever side of a wire the combiner
+	// ran on. None depends on the executor, or on whether a phase was
+	// dispatched or elided.
 	InputRecords int
 	MapOutputs   int
 	// ShuffleBytes sizes the map output crossing the shuffle. The Local
@@ -215,10 +219,10 @@ type Executor interface {
 // emptyToNil is where the Executor empty-value rule is enforced. Every
 // record passes through it wherever it changes hands: collect (all
 // emitted records, and an elided map's input to a combiner),
-// partitionSorted (all records entering the shuffle, elided map phases
+// mapSideRuns (all records entering the shuffle, elided map phases
 // included), the frame parser and the spill-run reader (all records read
-// back off the wire or off disk), and Local's call of Map (input
-// records).
+// back off the wire or off disk), and the task body's call of Map
+// (input records).
 func emptyToNil(v []byte) []byte {
 	if len(v) == 0 {
 		return nil
@@ -233,7 +237,7 @@ func collect(dst *[]Pair) Emit {
 }
 
 // ContextExecutor is an Executor that honors deadlines and
-// cancellation. Both built-in executors (Local and the TCP Master)
+// cancellation. The built-in executors (Local and the TCP Master)
 // implement it; Run is equivalent to RunContext with
 // context.Background().
 type ContextExecutor interface {
@@ -306,45 +310,26 @@ func DefaultPartition(key string, numReducers int) int {
 
 // splits cuts the input into map tasks of at most splitSize records.
 func splits(input []Pair, splitSize int) [][]Pair {
-	if len(input) == 0 {
-		return nil
-	}
 	var out [][]Pair
 	for start := 0; start < len(input); start += splitSize {
-		end := start + splitSize
-		if end > len(input) {
-			end = len(input)
-		}
-		out = append(out, input[start:end])
+		out = append(out, input[start:min(start+splitSize, len(input))])
 	}
 	return out
 }
 
-// groupSorted groups a key-sorted pair slice into (key, values) runs.
-func groupSorted(pairs []Pair, fn func(key string, values [][]byte) error) error {
-	i := 0
-	for i < len(pairs) {
-		j := i + 1
-		for j < len(pairs) && pairs[j].Key == pairs[i].Key {
-			j++
+// mapSideRuns turns one map task's output into its per-partition
+// key-sorted runs — the map-side sort of the merge shuffle — applying the
+// job's combiner first (the only source of an error). Sorting here
+// parallelizes across map tasks and keeps the engine's shuffle a pure
+// merge. Shared by the task body and the engine's elided map phase.
+func mapSideRuns(job *Job, numReducers int, local []Pair) ([][]Pair, error) {
+	if job.Combine != nil {
+		combined, err := runCombine(job.Combine, local)
+		if err != nil {
+			return nil, err
 		}
-		vals := make([][]byte, 0, j-i)
-		for _, p := range pairs[i:j] {
-			vals = append(vals, p.Value)
-		}
-		if err := fn(pairs[i].Key, vals); err != nil {
-			return err
-		}
-		i = j
+		local = combined
 	}
-	return nil
-}
-
-// partitionSorted splits one map task's output into per-partition
-// key-sorted runs — the map-side sort of the merge shuffle, shared by
-// the Local executor and the TCP worker. Sorting here parallelizes
-// across map tasks and keeps the master's shuffle a pure merge.
-func partitionSorted(job *Job, numReducers int, local []Pair) [][]Pair {
 	parts := make([][]Pair, numReducers)
 	for _, p := range local {
 		idx := job.partition(p.Key)
@@ -354,22 +339,7 @@ func partitionSorted(job *Job, numReducers int, local []Pair) [][]Pair {
 	for _, part := range parts {
 		sortPairs(part)
 	}
-	return parts
-}
-
-// mapSideRuns turns one map task's output into its per-partition sorted
-// runs, applying the job's combiner first (the only source of an
-// error). Shared by the Local executor, the TCP worker and the TCP
-// master's elided map phase.
-func mapSideRuns(job *Job, numReducers int, local []Pair) ([][]Pair, error) {
-	if job.Combine != nil {
-		combined, err := runCombine(job.Combine, local)
-		if err != nil {
-			return nil, err
-		}
-		local = combined
-	}
-	return partitionSorted(job, numReducers, local), nil
+	return parts, nil
 }
 
 // identityMapOutput is the output of an elided map task: the split
@@ -393,11 +363,8 @@ func runCombine(combine ReduceFunc, pairs []Pair) ([]Pair, error) {
 	sortPairs(pairs)
 	var out []Pair
 	emit := collect(&out)
-	err := groupSorted(pairs, func(key string, values [][]byte) error {
+	err := groupSorted(sliceLoad(pairs), func(key string, values [][]byte) error {
 		return combine(key, values, emit)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out, err
 }

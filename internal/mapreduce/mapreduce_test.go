@@ -174,35 +174,6 @@ func TestCustomPartitionOutOfRangeIsClamped(t *testing.T) {
 	checkWordCount(t, out)
 }
 
-func TestChain(t *testing.T) {
-	// Stage 1: word count. Stage 2: bucket counts by value.
-	histogram := &Job{
-		Name: "hist",
-		Map: func(key string, value []byte, emit Emit) error {
-			emit(string(value), []byte("1"))
-			return nil
-		},
-		Reduce: func(key string, values [][]byte, emit Emit) error {
-			emit(key, []byte(strconv.Itoa(len(values))))
-			return nil
-		},
-	}
-	out, ctrs, err := Chain(&Local{}, wordInput(), wordCountJob("wc", 2, false), histogram)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ctrs) != 2 {
-		t.Fatalf("counters = %d", len(ctrs))
-	}
-	// Word counts: brown/fox/lazy/jumps ->1, quick/dog ->2, the ->3.
-	want := map[string]string{"1": "4", "2": "2", "3": "1"}
-	for _, p := range out {
-		if want[p.Key] != string(p.Value) {
-			t.Fatalf("hist[%s] = %s, want %s", p.Key, p.Value, want[p.Key])
-		}
-	}
-}
-
 func TestDefaultPartitionInRange(t *testing.T) {
 	f := func(key string, n uint8) bool {
 		reducers := int(n%16) + 1

@@ -31,7 +31,10 @@ var spillBudgets = []int64{0, 1, 64 << 10}
 // reflect.DeepEqual. A declaration that matches its closure can never
 // be told apart this way; one that does not is what the error reports.
 // The TCP outputs must also equal the Local ones, nil values and empty
-// ones told apart: that is the Executor empty-value rule.
+// ones told apart: that is the Executor empty-value rule. So must the
+// counters that do not depend on where tasks run — the record counts, and
+// the task counts, which are zero for exactly the declared phases and
+// otherwise the executed run's: both executors are one engine.
 //
 // The job must be runnable over TCP (registered by name, or built by a
 // registered factory from its Conf). canon, when non-nil, rewrites an
@@ -71,7 +74,11 @@ func CheckElision(job *mapreduce.Job, input []mapreduce.Pair, canon func([]mapre
 		name string
 		exec mapreduce.Executor
 	}{{"local", &mapreduce.Local{Workers: 3}}, {"tcp", master}}
-	var reference [][]mapreduce.Pair // Local's outputs, in loop order
+	type outcome struct {
+		out      []mapreduce.Pair
+		executed counts // the elided run's follow from it and the declarations
+	}
+	var reference []outcome // Local's, in loop order
 	for ei, e := range executors {
 		run := 0
 		for _, spill := range spillBudgets {
@@ -82,11 +89,11 @@ func CheckElision(job *mapreduce.Job, input []mapreduce.Pair, canon func([]mapre
 				executed.IdentityMap, executed.IdentityReduce = false, false
 
 				where := fmt.Sprintf("%s on %s, SpillBytes=%d, Compress=%v", job.Name, e.name, spill, compress)
-				want, _, err := e.exec.Run(&executed, input)
+				want, wantCtr, err := e.exec.Run(&executed, input)
 				if err != nil {
 					return fmt.Errorf("mrtest: %s, closures executed: %w", where, err)
 				}
-				got, _, err := e.exec.Run(&elided, input)
+				got, gotCtr, err := e.exec.Run(&elided, input)
 				if err != nil {
 					return fmt.Errorf("mrtest: %s, declared phases elided: %w", where, err)
 				}
@@ -98,17 +105,40 @@ func CheckElision(job *mapreduce.Job, input []mapreduce.Pair, canon func([]mapre
 					return fmt.Errorf("mrtest: %s: eliding the declared phases changed the output (%d pairs vs %d): %s",
 						where, len(got), len(want), firstDifference(got, want))
 				}
+				o := outcome{got, independent(wantCtr)}
+				declared := o.executed
+				if job.IdentityMap {
+					declared.mapTasks = 0
+				}
+				if job.IdentityReduce {
+					declared.reduceTasks = 0
+				}
+				if elided := independent(gotCtr); elided != declared {
+					return fmt.Errorf("mrtest: %s: counters are %+v with the declared phases elided, want %+v",
+						where, elided, declared)
+				}
 				if ei == 0 {
-					reference = append(reference, got)
-				} else if ref := reference[run]; !reflect.DeepEqual(got, ref) {
+					reference = append(reference, o)
+				} else if ref := reference[run]; !reflect.DeepEqual(got, ref.out) {
 					return fmt.Errorf("mrtest: %s: output differs from %s's (%d pairs vs %d): %s",
-						where, executors[0].name, len(got), len(ref), firstDifference(got, ref))
+						where, executors[0].name, len(got), len(ref.out), firstDifference(got, ref.out))
+				} else if o.executed != ref.executed {
+					return fmt.Errorf("mrtest: %s: counters are %+v, %s's are %+v",
+						where, o.executed, executors[0].name, ref.executed)
 				}
 				run++
 			}
 		}
 	}
 	return nil
+}
+
+// counts is the part of a run's Counters that may not depend on the
+// executor.
+type counts struct{ in, mapOutputs, out, mapTasks, reduceTasks int }
+
+func independent(c *mapreduce.Counters) counts {
+	return counts{c.InputRecords, c.MapOutputs, c.OutputRecords, c.MapTasks, c.ReduceTasks}
 }
 
 // firstDifference describes where two outputs first disagree.

@@ -81,19 +81,19 @@ func pairDiskBytes(p Pair) int64 {
 // its own buffered view of the shared partition file (io.SectionReader
 // wraps ReadAt, so concurrent fileRuns never disturb each other); a
 // clean io.EOF on the leading uvarint is the end of the segment, while
-// a truncated record surfaces as io.ErrUnexpectedEOF. Packed segments
+// a truncated record surfaces as io.ErrUnexpectedEOF. Deflated segments
 // interpose a flate reader, so record framing past it is identical.
 type fileRun struct {
 	br *bufio.Reader
-	zc io.Closer // the flate reader of a packed segment, else nil
+	zc io.Closer // the flate reader of a deflated segment, else nil
 }
 
-func newFileRun(f *os.File, off, length int64) *fileRun {
-	return &fileRun{br: bufio.NewReaderSize(io.NewSectionReader(f, off, length), 32*1024)}
-}
-
-func newPackedFileRun(f *os.File, off, length int64) *fileRun {
-	zr := flate.NewReader(bufio.NewReaderSize(io.NewSectionReader(f, off, length), 32*1024))
+func newFileRun(f *os.File, seg segment) *fileRun {
+	br := bufio.NewReaderSize(io.NewSectionReader(f, seg.off, seg.n), 32*1024)
+	if !seg.deflated {
+		return &fileRun{br: br}
+	}
+	zr := flate.NewReader(br)
 	return &fileRun{br: bufio.NewReaderSize(zr, 32*1024), zc: zr}
 }
 
@@ -166,11 +166,12 @@ type spillPartition struct {
 	segs []segment
 }
 
-// spillSet is the executor-side spill manager for one job: it buffers
-// map-side sorted runs per reduce partition under a byte budget,
-// flushing every buffered run to the partitions' spill files when the
-// budget is exceeded. add may be called concurrently (TCP results land
-// from per-connection reader goroutines); reads happen after seal.
+// spillSet is the shuffle buffer of one job: it holds map-side sorted
+// runs per reduce partition, under a byte budget when the job has one
+// (budget > 0), flushing every buffered run to the partitions' spill
+// files when the budget is exceeded; with no budget every run stays in
+// memory and no file is ever created. add may be called concurrently;
+// reads happen after seal.
 type spillSet struct {
 	budget int64
 	// compress deflates each run on flush (one flate stream per
@@ -182,7 +183,9 @@ type spillSet struct {
 	mu       sync.Mutex
 	dir      string // created lazily on first flush
 	parts    []spillPartition
-	buffered int64 // framed bytes of all in-memory runs
+	buffered int64 // framed bytes of all in-memory runs (tracked under a budget only)
+	records  int   // pairs added
+	payload  int64 // their key+value bytes
 
 	spillBytes    int64 // bytes written to spill files (deflated when compress)
 	spillRawBytes int64 // framed record bytes before compression
@@ -195,23 +198,25 @@ func newSpillSet(numPartitions int, budget int64, compress bool) *spillSet {
 
 // add registers one map task's per-partition sorted runs under its task
 // sequence number and flushes everything buffered if the budget is now
-// exceeded. The runs are retained (not copied) until flushed.
+// exceeded. The runs are retained (not copied) until flushed. The caller
+// has checked that parts has no more entries than the set has partitions.
 func (s *spillSet) add(seq int, parts [][]Pair) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(parts) > len(s.parts) {
-		return fmt.Errorf("mapreduce: spill: %d partitions for %d reducers", len(parts), len(s.parts))
-	}
 	for p, run := range parts {
 		if len(run) == 0 {
 			continue
 		}
 		s.parts[p].mem = append(s.parts[p].mem, memRun{seq: seq, pairs: run})
+		s.records += len(run)
 		for _, kv := range run {
-			s.buffered += pairDiskBytes(kv)
+			s.payload += int64(len(kv.Key) + len(kv.Value))
+			if s.budget > 0 {
+				s.buffered += pairDiskBytes(kv)
+			}
 		}
 	}
-	if s.buffered > s.budget {
+	if s.budget > 0 && s.buffered > s.budget {
 		return s.flushLocked()
 	}
 	return nil
@@ -298,7 +303,7 @@ func (s *spillSet) writeRun(sp *spillPartition, pairs []Pair, buf []byte) (n, ra
 }
 
 // meteredWriter counts bytes passed through to w — the deflated length
-// of a packed segment as flate flushes it.
+// of a deflated segment as flate flushes it.
 type meteredWriter struct {
 	w io.Writer
 	n int64
@@ -339,11 +344,7 @@ func (s *spillSet) partitionRuns(p int) []RunReader {
 	}
 	runs := make([]seqRun, 0, len(sp.segs)+len(sp.mem))
 	for _, seg := range sp.segs {
-		if seg.deflated {
-			runs = append(runs, seqRun{seg.seq, newPackedFileRun(sp.f, seg.off, seg.n)})
-		} else {
-			runs = append(runs, seqRun{seg.seq, newFileRun(sp.f, seg.off, seg.n)})
-		}
+		runs = append(runs, seqRun{seg.seq, newFileRun(sp.f, seg)})
 	}
 	for _, m := range sp.mem {
 		runs = append(runs, seqRun{m.seq, SliceRun(m.pairs)})
@@ -357,23 +358,39 @@ func (s *spillSet) partitionRuns(p int) []RunReader {
 	return out
 }
 
-// materialize merges one partition into a single key-sorted slice — the
-// reduce-task payload the TCP master loads lazily, one in-flight task
-// at a time, instead of holding every partition resident at once.
+// load returns partition p as a reduce task's record stream: the k-way
+// merge of its runs, one buffered pair per run, re-opened on every call
+// (a requeued task merges again).
+func (s *spillSet) load(p int) recordStream {
+	return func(emit func(Pair) error) error {
+		runs := s.partitionRuns(p)
+		err := MergeRunReaders(runs, emit)
+		if cerr := closeRuns(runs); err == nil {
+			err = cerr
+		}
+		return err
+	}
+}
+
+// materialize merges one partition into a single key-sorted slice: a
+// resident reduce task's records, the output of an elided reduce, and
+// what a task frame carries. A partition that never spilled is merged
+// slice to slice.
 func (s *spillSet) materialize(p int) ([]Pair, error) {
-	runs := s.partitionRuns(p)
-	var out []Pair
-	err := MergeRunReaders(runs, func(kv Pair) error {
-		out = append(out, kv)
-		return nil
-	})
-	if cerr := closeRuns(runs); err == nil {
-		err = cerr
+	s.mu.Lock()
+	sp := &s.parts[p]
+	if len(sp.segs) > 0 {
+		s.mu.Unlock()
+		return collectPairs(s.load(p))
 	}
-	if err != nil {
-		return nil, err
+	mem := append([]memRun(nil), sp.mem...)
+	s.mu.Unlock()
+	sort.Slice(mem, func(a, b int) bool { return mem[a].seq < mem[b].seq })
+	runs := make([][]Pair, len(mem))
+	for i, m := range mem {
+		runs[i] = m.pairs
 	}
-	return out, nil
+	return MergeRuns(runs), nil
 }
 
 // stats reports the bytes written to spill files (deflated when the
@@ -383,6 +400,14 @@ func (s *spillSet) stats() (spillBytes, spillRawBytes, spillNanos int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.spillBytes, s.spillRawBytes, s.spillNanos
+}
+
+// shuffled reports how many pairs entered the shuffle and their
+// key+value bytes.
+func (s *spillSet) shuffled() (records int, payload int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.records, s.payload
 }
 
 // Close closes every spill file and removes the spill directory. Safe
@@ -412,38 +437,4 @@ func closeRuns(runs []RunReader) error {
 		err = errors.Join(err, r.Close())
 	}
 	return err
-}
-
-// grouper folds a key-sorted pair stream into (key, values) groups —
-// the streaming counterpart of groupSorted, fed by MergeRunReaders so a
-// reduce partition is never materialized whole.
-type grouper struct {
-	fn   func(key string, values [][]byte) error
-	key  string
-	vals [][]byte
-	open bool
-}
-
-func (g *grouper) add(kv Pair) error {
-	if g.open && kv.Key == g.key {
-		g.vals = append(g.vals, kv.Value)
-		return nil
-	}
-	if err := g.flush(); err != nil {
-		return err
-	}
-	g.open = true
-	g.key = kv.Key
-	g.vals = [][]byte{kv.Value}
-	return nil
-}
-
-// flush emits the pending group, if any. Call once after the stream
-// ends.
-func (g *grouper) flush() error {
-	if !g.open {
-		return nil
-	}
-	g.open = false
-	return g.fn(g.key, g.vals)
 }

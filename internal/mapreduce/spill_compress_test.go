@@ -2,7 +2,6 @@ package mapreduce
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"math/rand"
 	"strconv"
@@ -114,53 +113,52 @@ func TestPackedSpillShrinksLargeRuns(t *testing.T) {
 	}
 }
 
-// TestLocalPackedSpillOutputIdentical is the end-to-end identity pin
-// for the Local executor: Compress with any spill budget must produce
-// bit-identical output to the in-memory, uncompressed run.
-func TestLocalPackedSpillOutputIdentical(t *testing.T) {
+// TestCompressedSpillOutputIdentical is the end-to-end identity pin on
+// each executor (on TCP: deflated wire frames into deflated spill runs):
+// Compress with any spill budget must produce bit-identical output to the
+// in-memory, uncompressed run.
+func TestCompressedSpillOutputIdentical(t *testing.T) {
 	input := make([]Pair, 400)
 	for i := range input {
 		input[i] = Pair{Key: strconv.Itoa(i), Value: bytes.Repeat([]byte{byte(i % 8)}, 32)}
 	}
-	job := func(spill int64, compress bool) *Job {
-		return &Job{
-			Name:        "packed-spill-wc",
-			SpillBytes:  spill,
-			Compress:    compress,
-			SplitSize:   16,
-			NumReducers: 3,
-			Map: func(key string, value []byte, emit Emit) error {
-				emit(fmt.Sprintf("g%d", value[0]), []byte(key))
-				return nil
-			},
-			Reduce: func(key string, values [][]byte, emit Emit) error {
-				emit(key, []byte(strconv.Itoa(len(values))))
-				return nil
-			},
-		}
+	job := &Job{
+		Name:        "compressed-spill-wc",
+		SplitSize:   16,
+		NumReducers: 3,
+		Map: func(key string, value []byte, emit Emit) error {
+			emit(fmt.Sprintf("g%d", value[0]), bytes.Repeat([]byte(key), 8))
+			return nil
+		},
+		Reduce: func(key string, values [][]byte, emit Emit) error {
+			var n int
+			for _, v := range values {
+				n += len(v)
+			}
+			emit(key, []byte(strconv.Itoa(n)))
+			return nil
+		},
 	}
-	exec := &Local{Workers: 4}
-	base, _, err := exec.Run(job(0, false), input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, budget := range []int64{1, 64, 1 << 20} {
-		out, ctr, err := exec.Run(job(budget, true), input)
-		if err != nil {
-			t.Fatalf("budget %d: %v", budget, err)
-		}
-		if !pairsEqual(out, base) {
-			t.Fatalf("budget %d: compressed spill output diverged", budget)
-		}
-		if budget <= 64 && ctr.SpillBytes == 0 {
-			t.Fatalf("budget %d: expected spilling", budget)
-		}
-		// CompressedBytes is raw minus written: tiny per-flush runs can
-		// legitimately expand under flate (negative savings), so only the
-		// accounting identity is asserted here, not the sign.
-		if budget <= 64 && ctr.CompressedBytes == 0 {
-			t.Fatalf("budget %d: spill compression accounting missing", budget)
-		}
+	Register(job)
+	for _, e := range spillExecutors {
+		t.Run(e.name, func(t *testing.T) {
+			base, _ := e.run(t, job, 0, false, input)
+			for _, budget := range []int64{1, 64, 1 << 20} {
+				out, ctr := e.run(t, job, budget, true, input)
+				if !pairsEqual(out, base) {
+					t.Fatalf("budget %d: compressed spill output diverged", budget)
+				}
+				if budget <= 64 && ctr.SpillBytes == 0 {
+					t.Fatalf("budget %d: expected spilling", budget)
+				}
+				// CompressedBytes is raw minus written: tiny per-flush runs can
+				// legitimately expand under flate (negative savings), so only the
+				// accounting identity is asserted here, not the sign.
+				if budget <= 64 && ctr.CompressedBytes == 0 {
+					t.Fatalf("budget %d: spill compression accounting missing", budget)
+				}
+			}
+		})
 	}
 }
 
@@ -198,67 +196,5 @@ func BenchmarkCompressedSpillShuffle(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// TestTCPPackedSpillOutputIdentical runs the compressed out-of-core
-// shuffle over real TCP — deflated wire frames into deflated spill
-// runs — and requires output identical to the plain in-memory master.
-func TestTCPPackedSpillOutputIdentical(t *testing.T) {
-	job := &Job{
-		Name:        "tcp-packed-spill-wc",
-		SplitSize:   8,
-		NumReducers: 3,
-		Map: func(key string, value []byte, emit Emit) error {
-			emit(fmt.Sprintf("g%d", value[0]%5), bytes.Repeat([]byte(key), 8))
-			return nil
-		},
-		Reduce: func(key string, values [][]byte, emit Emit) error {
-			var n int
-			for _, v := range values {
-				n += len(v)
-			}
-			emit(key, []byte(strconv.Itoa(n)))
-			return nil
-		},
-	}
-	Register(job)
-	input := make([]Pair, 200)
-	for i := range input {
-		input[i] = Pair{Key: strconv.Itoa(i), Value: []byte{byte(i * 7)}}
-	}
-	run := func(spill int64, compress bool) []Pair {
-		t.Helper()
-		m, err := NewMaster("127.0.0.1:0", 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer func() {
-			if cerr := m.Close(); cerr != nil {
-				t.Fatalf("close master: %v", cerr)
-			}
-		}()
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		for i := 0; i < 2; i++ {
-			go func() { _ = RunWorkerContext(ctx, m.Addr()) }()
-		}
-		j := *job
-		j.SpillBytes = spill
-		j.Compress = compress
-		out, ctr, err := m.Run(&j, input)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if spill > 0 && spill <= 64 && ctr.SpillBytes == 0 {
-			t.Fatalf("spill budget %d produced no spill bytes", spill)
-		}
-		return out
-	}
-	base := run(0, false)
-	for _, budget := range []int64{1, 64, 1 << 20} {
-		if got := run(budget, true); !pairsEqual(got, base) {
-			t.Fatalf("budget %d: compressed TCP spill output diverged", budget)
-		}
 	}
 }

@@ -1,10 +1,12 @@
 package mapreduce
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"testing"
 	"testing/quick"
@@ -225,86 +227,32 @@ func TestFileRunRejectsTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	seg := ss.parts[0].segs[0]
-	truncated := newFileRun(ss.parts[0].f, seg.off, seg.n-2)
+	seg.n -= 2
+	truncated := newFileRun(ss.parts[0].f, seg)
 	if _, err := truncated.Next(); err == nil || err == io.EOF {
 		t.Fatalf("truncated segment read returned %v", err)
 	}
 }
 
-// TestLocalSpillOutputIdentical runs one job through the Local executor
-// at several spill budgets (including budgets forcing many flushes) and
-// requires byte-identical output plus populated spill counters.
-func TestLocalSpillOutputIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	input := make([]Pair, 400)
-	for i := range input {
-		input[i] = Pair{Key: strconv.Itoa(i), Value: []byte{byte(rng.Intn(8))}}
-	}
-	job := func(spill int64) *Job {
-		return &Job{
-			Name:        "spill-wc",
-			SpillBytes:  spill,
-			SplitSize:   16,
-			NumReducers: 3,
-			Map: func(key string, value []byte, emit Emit) error {
-				emit(fmt.Sprintf("g%d", value[0]), []byte(key))
-				return nil
-			},
-			Reduce: func(key string, values [][]byte, emit Emit) error {
-				emit(key, []byte(strconv.Itoa(len(values))))
-				return nil
-			},
-		}
-	}
-	exec := &Local{Workers: 4}
-	base, baseCtr, err := exec.Run(job(0), input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if baseCtr.SpillBytes != 0 {
-		t.Fatalf("in-memory run reported %d spill bytes", baseCtr.SpillBytes)
-	}
-	for _, budget := range []int64{1, 64, 1 << 20} {
-		out, ctr, err := exec.Run(job(budget), input)
+// spillExecutors are the executors the end-to-end spill identity tests
+// cover. Each runs a copy of job with the given data-plane settings: the
+// Local pool, and a fresh TCP master with two in-process socket workers
+// (the job must be Registered), which must also shut down cleanly.
+var spillExecutors = []struct {
+	name string
+	run  func(t *testing.T, job *Job, spill int64, compress bool, input []Pair) ([]Pair, *Counters)
+}{
+	{"local", func(t *testing.T, job *Job, spill int64, compress bool, input []Pair) ([]Pair, *Counters) {
+		t.Helper()
+		j := *job
+		j.SpillBytes, j.Compress = spill, compress
+		out, ctr, err := (&Local{Workers: 4}).Run(&j, input)
 		if err != nil {
-			t.Fatalf("budget %d: %v", budget, err)
+			t.Fatalf("budget %d: %v", spill, err)
 		}
-		if !pairsEqual(out, base) {
-			t.Fatalf("budget %d: output diverged from in-memory run", budget)
-		}
-		if budget <= 64 && ctr.SpillBytes == 0 {
-			t.Fatalf("budget %d: expected spilling", budget)
-		}
-		if ctr.MapOutputs != baseCtr.MapOutputs || ctr.ShuffleBytes != baseCtr.ShuffleBytes {
-			t.Fatalf("budget %d: counters diverged: %+v vs %+v", budget, ctr, baseCtr)
-		}
-	}
-}
-
-// TestTCPSpillOutputIdentical is the same identity check over the TCP
-// executor: the master spills map results as they arrive and re-merges
-// reduce partitions lazily, and the output must match the in-memory
-// master bit for bit.
-func TestTCPSpillOutputIdentical(t *testing.T) {
-	job := &Job{
-		Name:        "tcp-spill-wc",
-		SplitSize:   8,
-		NumReducers: 3,
-		Map: func(key string, value []byte, emit Emit) error {
-			emit(fmt.Sprintf("g%d", value[0]%5), []byte(key))
-			return nil
-		},
-		Reduce: func(key string, values [][]byte, emit Emit) error {
-			emit(key, []byte(strconv.Itoa(len(values))))
-			return nil
-		},
-	}
-	Register(job)
-	input := make([]Pair, 200)
-	for i := range input {
-		input[i] = Pair{Key: strconv.Itoa(i), Value: []byte{byte(i * 7)}}
-	}
-	run := func(spill int64) ([]Pair, *Counters) {
+		return out, ctr
+	}},
+	{"tcp", func(t *testing.T, job *Job, spill int64, compress bool, input []Pair) ([]Pair, *Counters) {
 		t.Helper()
 		m, err := NewMaster("127.0.0.1:0", 2)
 		if err != nil {
@@ -321,23 +269,120 @@ func TestTCPSpillOutputIdentical(t *testing.T) {
 			go func() { _ = RunWorkerContext(ctx, m.Addr()) }()
 		}
 		j := *job
-		j.SpillBytes = spill
+		j.SpillBytes, j.Compress = spill, compress
 		out, ctr, err := m.Run(&j, input)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("budget %d: %v", spill, err)
 		}
 		return out, ctr
+	}},
+}
+
+// TestSpillOutputIdentical runs one job on each executor at several
+// spill budgets (including budgets forcing many flushes; on TCP the
+// master spills map results as they arrive and re-merges reduce
+// partitions lazily) and requires output byte-identical to the in-memory
+// run, populated spill counters, and shuffle counters that do not move.
+func TestSpillOutputIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	input := make([]Pair, 400)
+	for i := range input {
+		input[i] = Pair{Key: strconv.Itoa(i), Value: []byte{byte(rng.Intn(8))}}
 	}
-	base, baseCtr := run(0)
-	spilled, ctr := run(128)
-	if !pairsEqual(base, spilled) {
-		t.Fatal("spill-enabled TCP output diverged from in-memory master")
+	job := &Job{
+		Name:        "spill-wc",
+		SplitSize:   16,
+		NumReducers: 3,
+		Map: func(key string, value []byte, emit Emit) error {
+			emit(fmt.Sprintf("g%d", value[0]), []byte(key))
+			return nil
+		},
+		Reduce: func(key string, values [][]byte, emit Emit) error {
+			emit(key, []byte(strconv.Itoa(len(values))))
+			return nil
+		},
 	}
-	if ctr.SpillBytes == 0 {
-		t.Fatal("expected master-side spilling at a 128-byte budget")
+	Register(job)
+	for _, e := range spillExecutors {
+		t.Run(e.name, func(t *testing.T) {
+			base, baseCtr := e.run(t, job, 0, false, input)
+			if baseCtr.SpillBytes != 0 {
+				t.Fatalf("in-memory run reported %d spill bytes", baseCtr.SpillBytes)
+			}
+			for _, budget := range []int64{1, 64, 128, 1 << 20} {
+				out, ctr := e.run(t, job, budget, false, input)
+				if !pairsEqual(out, base) {
+					t.Fatalf("budget %d: output diverged from in-memory run", budget)
+				}
+				if budget <= 128 && ctr.SpillBytes == 0 {
+					t.Fatalf("budget %d: expected spilling", budget)
+				}
+				if ctr.MapOutputs != baseCtr.MapOutputs || ctr.ShuffleBytes != baseCtr.ShuffleBytes {
+					t.Fatalf("budget %d: counters diverged: %+v vs %+v", budget, ctr, baseCtr)
+				}
+			}
+		})
 	}
-	if baseCtr.MapOutputs != ctr.MapOutputs {
-		t.Fatalf("MapOutputs diverged: %d vs %d", baseCtr.MapOutputs, ctr.MapOutputs)
+}
+
+// TestLocalSpilledReduceStreams pins why the pool runner consumes a
+// spilled partition as a stream: Local with SpillBytes never holds a
+// reduce partition whole. One partition is fed 16 MiB of values in four
+// runs whose keys ascend run by run, so the reducer works through the
+// first run's groups before the merge has read past the head of the last
+// — and the live heap, sampled inside the reducer, must stay under a
+// 4 MiB cap above the baseline (the merge holds one 64 KiB record and one
+// read buffer per run). Materializing the partition, or keeping every
+// map result until the job ends, holds four times the cap.
+func TestLocalSpilledReduceStreams(t *testing.T) {
+	const (
+		runs, perRun = 4, 64
+		valueBytes   = 64 << 10
+		heapCap      = 4 << 20
+	)
+	input := make([]Pair, runs*perRun)
+	for i := range input {
+		input[i] = Pair{Key: fmt.Sprintf("%04d", i)}
+	}
+	liveHeap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	var groups int
+	var peak uint64
+	job := &Job{
+		Name:       "spill-streams",
+		SplitSize:  perRun, // one map task, and so one spilled run, per perRun keys
+		SpillBytes: 1,      // every map result is flushed as it lands
+		Map: func(key string, value []byte, emit Emit) error {
+			emit(key, bytes.Repeat([]byte{key[3]}, valueBytes))
+			return nil
+		},
+		Reduce: func(key string, values [][]byte, emit Emit) error {
+			if groups%16 == 0 {
+				peak = max(peak, liveHeap())
+			}
+			groups++
+			emit(key, []byte(strconv.Itoa(len(values[0]))))
+			return nil
+		},
+	}
+	base := liveHeap()
+	out, ctr, err := (&Local{Workers: 1}).Run(job, input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != len(input) || groups != len(input) {
+		t.Fatalf("%d outputs from %d groups, want %d", len(out), groups, len(input))
+	}
+	if ctr.SpillBytes < runs*perRun*valueBytes {
+		t.Fatalf("spilled %d bytes, want the whole %d-byte partition on disk", ctr.SpillBytes, runs*perRun*valueBytes)
+	}
+	if peak > base+heapCap {
+		t.Fatalf("live heap inside the reducer peaked %d bytes above the baseline; cap %d, partition %d",
+			peak-base, heapCap, runs*perRun*valueBytes)
 	}
 }
 

@@ -45,47 +45,6 @@ func lookupJob(name string) (*Job, bool) {
 	return v.(*Job), true
 }
 
-// taskMsg is one unit of work sent master -> worker.
-type taskMsg struct {
-	Seq     int
-	JobName string
-	Phase   string // "map" or "reduce"
-	// Conf carries the factory configuration for closure-free jobs.
-	Conf []byte
-	// NumReducers tells map tasks how to partition their output.
-	NumReducers int
-	Records     []Pair
-
-	// Flags carries per-job wire options (taskFlag* bits, e.g. "compress
-	// your result frames").
-	Flags uint64
-
-	// load lazily materializes Records just before the task is encoded
-	// (nil for eagerly-built tasks). The spill-enabled master hands out
-	// reduce partitions this way so that only the in-flight window's
-	// partitions are ever resident; the copy queued for requeue keeps
-	// load and nil Records, so a straggler re-dispatch re-merges from
-	// the spill files. Never shipped.
-	load func() ([]Pair, error)
-}
-
-// resultMsg is the worker's reply.
-type resultMsg struct {
-	Seq int
-	// Parts holds per-partition map output (each partition key-sorted),
-	// or a single key-sorted slice of reduce output at index 0.
-	Parts [][]Pair
-	Err   string
-
-	// Shard meter snapshot (see SetShardMeter): the worker's
-	// process-cumulative shard bytes read before (ShardStart) and after
-	// (ShardEnd) this task, tagged with the worker's process token. All
-	// zero when the worker has read no shard bytes at all.
-	ShardTok   uint64
-	ShardStart int64
-	ShardEnd   int64
-}
-
 // Default tuning for the TCP executor. A hung or partitioned peer must
 // never block the master (or a worker) forever; the deadlines bound
 // every socket operation while leaving ample room for long tasks.
@@ -250,17 +209,12 @@ type workerConn struct {
 	st   *wireStats
 }
 
-func (m *Master) workers() []*workerConn {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]*workerConn(nil), m.conns...)
-}
-
 var _ ContextExecutor = (*Master)(nil)
 
-// Run implements Executor: map tasks and reduce partitions are farmed
-// out to connected workers; the shuffle happens on the master, and so
-// does a phase the job declares an identity (see Job.IdentityMap).
+// Run implements Executor: the job engine (runJob) runs in the master's
+// process — splits, shuffle, spill, merge and any phase the job declares
+// an identity (see Job.IdentityMap) — and the tasks it dispatches are
+// farmed out to the connected workers.
 func (m *Master) Run(job *Job, input []Pair) ([]Pair, *Counters, error) {
 	return m.RunContext(context.Background(), job, input)
 }
@@ -269,224 +223,70 @@ func (m *Master) Run(job *Job, input []Pair) ([]Pair, *Counters, error) {
 // the job promptly — in-flight task exchanges are unblocked by closing
 // their sockets — and closes the master: the byte streams of
 // abandoned exchanges are unrecoverable, so a cancelled master cannot
-// be reused (exactly like a master whose job failed).
-func (m *Master) RunContext(ctx context.Context, job *Job, input []Pair) (_ []Pair, _ *Counters, err error) {
-	if err := job.validate(); err != nil {
-		return nil, nil, err
-	}
+// be reused (exactly like a master whose job failed). A cancel that
+// catches the engine working through an elided phase closes it too, so
+// every cancelled master behaves alike and workers see a clean
+// disconnect rather than corrupt frames.
+func (m *Master) RunContext(ctx context.Context, job *Job, input []Pair) ([]Pair, *Counters, error) {
 	if _, ok := lookupJob(job.Name); !ok {
 		if _, fok := factories.Load(job.Name); !fok || len(job.Conf) == 0 {
 			return nil, nil, fmt.Errorf("mapreduce: job %q not registered on master", job.Name)
 		}
 	}
-	// Wait until enough workers have joined.
-	for {
-		m.mu.Lock()
-		n, closed := len(m.conns), m.closed
-		m.mu.Unlock()
-		if closed {
-			return nil, nil, errors.New("mapreduce: master closed")
-		}
-		if n >= m.minJoin {
-			break
-		}
-		select {
-		case <-ctx.Done():
-			return nil, nil, fmt.Errorf("mapreduce: %s: %w", job.Name, ctx.Err())
-		case <-m.joined:
-		}
+	workers, err := m.awaitWorkers(ctx)
+	if err != nil {
+		return nil, nil, fmt.Errorf("mapreduce: %s: %w", job.Name, err)
 	}
-	workers := m.workers()
-	numReducers := job.numReducers()
-	ctr := &Counters{InputRecords: len(input)}
 	// Frame compression is per-job: arm every connection's codec for
-	// task frames out, and tell workers (taskFlagCompress) to compress
-	// result frames back.
-	var taskFlags uint64
-	if job.Compress {
-		taskFlags |= taskFlagCompress
-	}
+	// task frames out; the tasks' taskFlagCompress tells workers to
+	// compress result frames back.
 	for _, w := range workers {
 		w.cdc.setCompress(job.Compress)
 	}
-	wireBefore := sumWireStats(workers)
-
-	// ---- map phase ----
-	// With Job.SpillBytes set, map results are drained to the spill
-	// manager as they arrive (the sink runs inside complete, so the
-	// master never holds more than the in-flight window's results), and
-	// reduce partitions are later re-merged from the runs lazily, one
-	// in-flight task at a time.
-	var ss *spillSet
-	var sink func(*resultMsg) error
-	sunkOutputs := 0
-	if job.SpillBytes > 0 {
-		ss = newSpillSet(numReducers, job.SpillBytes, job.Compress)
-		defer func() { err = errors.Join(err, ss.Close()) }()
-		sink = func(res *resultMsg) error {
-			if len(res.Parts) > numReducers {
-				return fmt.Errorf("worker returned partition %d of %d", len(res.Parts)-1, numReducers)
-			}
-			for _, pairs := range res.Parts {
-				sunkOutputs += len(pairs)
-			}
-			return ss.add(res.Seq, res.Parts)
-		}
-	}
-	mapTasks := splits(input, job.splitSize())
-	var mapResults []resultMsg
-	if job.IdentityMap {
-		mapResults, err = m.elidedMap(ctx, job, mapTasks, sink)
-	} else {
-		ctr.MapTasks = len(mapTasks)
-		msgs := make([]taskMsg, len(mapTasks))
-		for i, t := range mapTasks {
-			msgs[i] = taskMsg{Seq: i, JobName: job.Name, Phase: "map", Conf: job.Conf, NumReducers: numReducers, Records: t, Flags: taskFlags}
-		}
-		mapResults, err = m.dispatch(ctx, workers, msgs, sink)
-	}
+	before := sumWireStats(workers)
+	runner := &wireRunner{cfg: m.cfg, workers: workers}
+	out, ctr, err := runJob(ctx, job, input, runner)
 	if err != nil {
+		if cerr := ctx.Err(); cerr != nil {
+			_ = m.Close()
+			return nil, nil, fmt.Errorf("mapreduce: job cancelled: %w", cerr)
+		}
 		return nil, nil, err
 	}
-	// The shuffle bytes are the map-result frames that just crossed the
-	// wire — actual encoded bytes, not the key+value approximation (and
-	// none at all when the map phase was elided).
-	ctr.ShuffleBytes = sumWireStats(workers).bytesIn - wireBefore.bytesIn
-
-	// ---- shuffle ----
-	var partitions [][]Pair // in-memory mode only; spilled partitions are re-merged on demand
-	if ss != nil {
-		ctr.MapOutputs = sunkOutputs
-		if serr := ss.seal(); serr != nil {
-			return nil, nil, fmt.Errorf("mapreduce: %s: %w", job.Name, serr)
-		}
-	} else {
-		// In-memory shuffle: per-partition k-way merge of the map-side
-		// runs, all partitions resident before dispatch.
-		for _, res := range mapResults {
-			if len(res.Parts) > numReducers {
-				return nil, nil, fmt.Errorf("mapreduce: worker returned partition %d of %d", len(res.Parts)-1, numReducers)
-			}
-			for _, pairs := range res.Parts {
-				ctr.MapOutputs += len(pairs)
-			}
-		}
-		partitions = make([][]Pair, numReducers)
-		var shuffleWG sync.WaitGroup
-		for p := 0; p < numReducers; p++ {
-			shuffleWG.Add(1)
-			go func(p int) {
-				defer shuffleWG.Done()
-				runs := make([][]Pair, 0, len(mapResults))
-				for _, res := range mapResults {
-					if p < len(res.Parts) && len(res.Parts[p]) > 0 {
-						runs = append(runs, res.Parts[p])
-					}
-				}
-				partitions[p] = MergeRuns(runs)
-			}(p)
-		}
-		shuffleWG.Wait()
-	}
-
-	// ---- reduce phase ----
-	// Dispatched or elided, the output is one key-sorted run per
-	// partition and assembly is the same tie-broken merge, in partition
-	// order.
-	outRuns := make([][]Pair, 0, numReducers)
-	var redResults []resultMsg
-	if job.IdentityReduce {
-		for p := 0; p < numReducers; p++ {
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, nil, m.cancelled(cerr)
-			}
-			var pairs []Pair
-			if ss != nil {
-				if pairs, err = ss.materialize(p); err != nil {
-					return nil, nil, fmt.Errorf("mapreduce: %s: partition %d: %w", job.Name, p, err)
-				}
-			} else {
-				pairs = partitions[p]
-			}
-			outRuns = append(outRuns, pairs)
-		}
-	} else {
-		ctr.ReduceTasks = numReducers
-		rmsgs := make([]taskMsg, numReducers)
-		for p := range rmsgs {
-			rmsgs[p] = taskMsg{Seq: p, JobName: job.Name, Phase: "reduce", Conf: job.Conf, Flags: taskFlags}
-			if ss != nil {
-				rmsgs[p].load = func() ([]Pair, error) { return ss.materialize(p) }
-			} else {
-				rmsgs[p].Records = partitions[p]
-			}
-		}
-		redResults, err = m.dispatch(ctx, workers, rmsgs, nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		// Workers return reduce output key-sorted.
-		for _, res := range redResults {
-			if len(res.Parts) > 0 {
-				outRuns = append(outRuns, res.Parts[0])
-			}
-		}
-	}
-	out := MergeRuns(outRuns)
-	ctr.OutputRecords = len(out)
-
-	wireAfter := sumWireStats(workers)
-	ctr.WireBytesOut = wireAfter.bytesOut - wireBefore.bytesOut
-	ctr.WireBytesIn = wireAfter.bytesIn - wireBefore.bytesIn
-	ctr.EncodeNanos = wireAfter.encodeNanos - wireBefore.encodeNanos
-	ctr.DecodeNanos = wireAfter.decodeNanos - wireBefore.decodeNanos
-	ctr.CompressedBytes = wireAfter.compressSaved - wireBefore.compressSaved
-	ctr.CompressNanos = wireAfter.compressNanos - wireBefore.compressNanos
-	if ss != nil {
-		var raw int64
-		ctr.SpillBytes, raw, ctr.SpillNanos = ss.stats()
-		ctr.CompressedBytes += raw - ctr.SpillBytes
-	}
-	ctr.ShardReadBytes += foreignShardBytes(mapResults, redResults)
+	after := sumWireStats(workers)
+	// The shuffle bytes are the map-result frames that crossed the wire —
+	// actual encoded bytes, not the key+value approximation (and none at
+	// all when the map phase was elided).
+	ctr.ShuffleBytes = runner.mapBytesIn
+	ctr.WireBytesOut = after.bytesOut - before.bytesOut
+	ctr.WireBytesIn = after.bytesIn - before.bytesIn
+	ctr.EncodeNanos = after.encodeNanos - before.encodeNanos
+	ctr.DecodeNanos = after.decodeNanos - before.decodeNanos
+	ctr.CompressedBytes += after.compressSaved - before.compressSaved // on top of the spill's
+	ctr.CompressNanos = after.compressNanos - before.compressNanos
+	ctr.ShardReadBytes = foreignShardBytes(runner.results...)
 	return out, ctr, nil
 }
 
-// elidedMap is the map phase of a job that declares Job.IdentityMap: no
-// task is dispatched — each split is its own map output, so the master
-// partitions and sorts it exactly as a worker would have and hands the
-// runs to the same sink (or result slots) the dispatched phase fills.
-// Splits are handled one after another: an identity map's records are
-// already in the master's memory and partitioning them costs less than
-// encoding them would have.
-func (m *Master) elidedMap(ctx context.Context, job *Job, tasks [][]Pair, sink func(*resultMsg) error) ([]resultMsg, error) {
-	results := make([]resultMsg, len(tasks))
-	for i, split := range tasks {
-		if err := ctx.Err(); err != nil {
-			return nil, m.cancelled(err)
+// awaitWorkers blocks until MinWorkers have joined and returns the
+// connections a job will use.
+func (m *Master) awaitWorkers(ctx context.Context) ([]*workerConn, error) {
+	for {
+		m.mu.Lock()
+		conns, closed := append([]*workerConn(nil), m.conns...), m.closed
+		m.mu.Unlock()
+		if closed {
+			return nil, errors.New("master closed")
 		}
-		parts, err := mapSideRuns(job, job.numReducers(), identityMapOutput(job, split))
-		if err != nil {
-			return nil, fmt.Errorf("mapreduce: task %d: %w", i, err)
+		if len(conns) >= m.minJoin {
+			return conns, nil
 		}
-		results[i] = resultMsg{Seq: i, Parts: parts}
-		if sink != nil {
-			if err := sink(&results[i]); err != nil {
-				return nil, fmt.Errorf("mapreduce: task %d result: %w", i, err)
-			}
-			results[i].Parts = nil
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-m.joined:
 		}
 	}
-	return results, nil
-}
-
-// cancelled tears the master down after a cancellation and returns the
-// error RunContext reports. In-flight exchanges leave unusable byte
-// streams behind (see RunContext); a cancel during an elided phase
-// closes the master too, so every cancelled master behaves alike and
-// workers see a clean disconnect.
-func (m *Master) cancelled(err error) error {
-	_ = m.Close()
-	return fmt.Errorf("mapreduce: job cancelled: %w", err)
 }
 
 // foreignShardBytes folds the shard meters external workers shipped on
@@ -541,15 +341,29 @@ func sumWireStats(workers []*workerConn) wireSnapshot {
 	return s
 }
 
-// dispatchState is the bookkeeping one dispatch call shares across all
-// worker connections.
+// wireRunner is the Master's taskRunner for one job: the pipelined
+// dispatcher over the job's worker connections, plus what only the wire
+// side can observe of a phase.
+type wireRunner struct {
+	cfg     TCPConfig
+	workers []*workerConn
+	// mapBytesIn is what the connections read while the map phase was
+	// dispatched: its result frames.
+	mapBytesIn int64
+	// results keeps each dispatched phase's results (their Parts already
+	// consumed) for the shard meters external workers stamped on them.
+	results [][]resultMsg
+}
+
+// dispatchState is the bookkeeping one run call shares across all worker
+// connections.
 type dispatchState struct {
 	queue   chan taskMsg // undispatched tasks; capacity covers every requeue
 	results []resultMsg
-	// sink, when set, consumes each successful result's Parts as it
-	// lands (under mu, so calls are serialized) and the stored result
-	// keeps only its Seq — the spill-enabled master drains map output
-	// to disk here instead of holding every task's runs resident.
+	// sink consumes each successful result's Parts as it lands and the
+	// stored result keeps only its Seq and shard meter — a spilling job
+	// drains map output to disk here instead of holding every task's
+	// runs resident.
 	sink func(*resultMsg) error
 
 	mu        sync.Mutex
@@ -576,25 +390,17 @@ func (d *dispatchState) requeue(t taskMsg) {
 }
 
 func (d *dispatchState) complete(res resultMsg) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if res.Err != "" {
-		if d.failure == nil {
-			d.failure = fmt.Errorf("mapreduce: task %d: %s", res.Seq, res.Err)
-		}
-		d.closePhase()
+		d.fail(fmt.Errorf("mapreduce: task %d: %s", res.Seq, res.Err))
 		return
 	}
-	if d.sink != nil {
-		if err := d.sink(&res); err != nil {
-			if d.failure == nil {
-				d.failure = fmt.Errorf("mapreduce: task %d result: %w", res.Seq, err)
-			}
-			d.closePhase()
-			return
-		}
-		res.Parts = nil
+	if err := d.sink(&res); err != nil {
+		d.fail(fmt.Errorf("mapreduce: task %d result: %w", res.Seq, err))
+		return
 	}
+	res.Parts = nil
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	d.results[res.Seq] = res
 	d.done++
 	if d.done == len(d.results) {
@@ -602,8 +408,9 @@ func (d *dispatchState) complete(res resultMsg) {
 	}
 }
 
-// fail records a master-side error (e.g. a reduce partition that could
-// not be re-merged from its spill files) and ends the phase.
+// fail records the phase's first error — a task's, the sink's, or a
+// master-side one (a reduce partition that could not be re-merged from
+// its spill files) — and ends the phase.
 func (d *dispatchState) fail(err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -625,24 +432,25 @@ func (d *dispatchState) workerGone(err error) {
 	}
 }
 
-// dispatch fans tasks out to workers and collects one result per task,
+// run fans tasks out to workers and collects one result per task,
 // pipelining up to MaxInFlight tasks per connection. A failing worker
 // is dropped and its in-flight tasks re-queued for the survivors, who
 // keep serving the queue until every task completes — a momentarily
 // empty queue is not the end of the phase, because a failing peer may
-// still return its tasks. Dispatch fails only when a task reports an
+// still return its tasks. The phase fails only when a task reports an
 // error, no workers remain, or the context is cancelled; cancellation
-// unblocks in-flight socket operations by closing the sockets, and
-// closes the master (see RunContext).
-func (m *Master) dispatch(ctx context.Context, workers []*workerConn, tasks []taskMsg, sink func(*resultMsg) error) ([]resultMsg, error) {
+// unblocks in-flight socket operations by closing the sockets, after
+// which RunContext closes the master.
+func (r *wireRunner) run(ctx context.Context, tasks []taskMsg, sink func(*resultMsg) error) error {
 	if len(tasks) == 0 {
-		return nil, nil
+		return nil
 	}
+	bytesIn := sumWireStats(r.workers).bytesIn
 	d := &dispatchState{
 		queue:     make(chan taskMsg, len(tasks)),
 		results:   make([]resultMsg, len(tasks)),
 		sink:      sink,
-		alive:     len(workers),
+		alive:     len(r.workers),
 		phaseDone: make(chan struct{}),
 	}
 	for _, t := range tasks {
@@ -658,36 +466,38 @@ func (m *Master) dispatch(ctx context.Context, workers []*workerConn, tasks []ta
 	go func() {
 		select {
 		case <-ctx.Done():
-			for _, w := range workers {
+			for _, w := range r.workers {
 				_ = w.conn.Close()
 			}
 		case <-watchdogDone:
 		}
 	}()
 	var wg sync.WaitGroup
-	for _, w := range workers {
+	for _, w := range r.workers {
 		wg.Add(1)
 		go func(w *workerConn) {
 			defer wg.Done()
-			m.runConn(w, d)
+			r.runConn(w, d)
 		}(w)
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		// The abandoned streams are unusable; tear the master down so
-		// workers see a clean disconnect rather than corrupt frames.
-		return nil, m.cancelled(err)
+		return err
 	}
 	d.mu.Lock()
 	failure, done := d.failure, d.done
 	d.mu.Unlock()
 	if failure != nil {
-		return nil, failure
+		return failure
 	}
 	if done != len(tasks) {
-		return nil, errors.New("mapreduce: dispatch finished with straggler tasks")
+		return errors.New("mapreduce: dispatch finished with straggler tasks")
 	}
-	return d.results, nil
+	if tasks[0].Phase == "map" {
+		r.mapBytesIn = sumWireStats(r.workers).bytesIn - bytesIn
+	}
+	r.results = append(r.results, d.results)
+	return nil
 }
 
 // runConn drives one worker connection for one phase: a writer (this
@@ -696,8 +506,8 @@ func (m *Master) dispatch(ctx context.Context, workers []*workerConn, tasks []ta
 // flight between them. Either side failing closes the socket, which
 // unblocks the other; whatever tasks were still in flight are
 // re-queued once both sides have stopped.
-func (m *Master) runConn(w *workerConn, d *dispatchState) {
-	window := m.cfg.MaxInFlight
+func (r *wireRunner) runConn(w *workerConn, d *dispatchState) {
+	window := r.cfg.MaxInFlight
 	inflight := make(chan taskMsg, window) // FIFO of tasks awaiting results
 	sem := make(chan struct{}, window)     // window slots; released per result
 	readerDead := make(chan struct{})
@@ -711,7 +521,7 @@ func (m *Master) runConn(w *workerConn, d *dispatchState) {
 				return // writer finished cleanly and nothing is in flight
 			}
 			var res resultMsg
-			err := w.conn.SetReadDeadline(time.Now().Add(m.cfg.IOTimeout))
+			err := w.conn.SetReadDeadline(time.Now().Add(r.cfg.IOTimeout))
 			if err == nil {
 				_, err = w.cdc.readResult(&res)
 			}
@@ -756,18 +566,18 @@ writerLoop:
 			// from disk instead of pinning the partition in memory. A load
 			// failure is a master-side disk error, not this worker's fault:
 			// fail the phase rather than retrying the task elsewhere.
-			recs, lerr := t.load()
+			recs, lerr := collectPairs(t.load)
 			if lerr != nil {
 				d.fail(fmt.Errorf("mapreduce: task %d load: %w", t.Seq, lerr))
 				// Fall through the write-error teardown so the socket close
 				// unblocks this connection's reader promptly; the phase
-				// failure above is what dispatch reports.
+				// failure above is what run reports.
 				writeErr = lerr
 				break
 			}
 			wt.Records = recs
 		}
-		writeErr = w.conn.SetWriteDeadline(time.Now().Add(m.cfg.IOTimeout))
+		writeErr = w.conn.SetWriteDeadline(time.Now().Add(r.cfg.IOTimeout))
 		if writeErr == nil {
 			_, writeErr = w.cdc.writeTask(&wt)
 		}
@@ -804,7 +614,8 @@ func RunWorker(addr string) error {
 // RunWorkerContext connects to a master (bounded by DefaultDialTimeout,
 // which also bounds the hello handshake) and serves tasks until the
 // master closes the connection (returns nil) or ctx is cancelled
-// (returns the context error). Decode, compute, and encode run as a
+// (returns the context error, within one Map or Reduce call of a task
+// in progress). Decode, compute, and encode run as a
 // three-stage pipeline so the worker deserializes the next task and
 // serializes the previous result while the current task computes. The
 // idle wait for the next task is unbounded — a healthy master may
@@ -883,7 +694,11 @@ func RunWorkerContext(ctx context.Context, addr string) (err error) {
 		// for an earlier task, and the master decodes 'C' frames whether
 		// or not it asked for them.
 		cdc.setCompress(task.Flags&taskFlagCompress != 0)
-		results <- executeTask(task)
+		res := serveTask(ctx, &task)
+		if ctx.Err() != nil {
+			continue // a cancelled task's error is the worker's own, not the job's
+		}
+		results <- res
 	}
 	close(results)
 	<-encodeDone
@@ -896,60 +711,27 @@ func RunWorkerContext(ctx context.Context, addr string) (err error) {
 	return nil // master closed the connection: clean shutdown
 }
 
-// executeTask runs one map or reduce task against the local registry
-// (or factory, for closure-free jobs). The registered shard meter is
-// sampled around the task; a nonzero end stamps the result with this
-// process's meter span so a master in another process can account the
-// reads (see SetShardMeter).
-func executeTask(task taskMsg) (res resultMsg) {
-	res = resultMsg{Seq: task.Seq}
+// serveTask runs one task off the wire: it resolves the job from the
+// local registry (or factory, for closure-free jobs), runs the task body
+// and flattens a failure into the result's Err. The registered shard
+// meter is sampled around the task; a nonzero end stamps the result with
+// this process's meter span so a master in another process can account
+// the reads (see SetShardMeter).
+func serveTask(ctx context.Context, task *taskMsg) resultMsg {
 	meterStart := shardMeterNow()
-	defer func() {
-		if end := shardMeterNow(); end > 0 {
-			res.ShardTok = workerShardToken
-			res.ShardStart = meterStart
-			res.ShardEnd = end
-		}
-	}()
+	res := resultMsg{Seq: task.Seq}
 	job, err := resolveJob(task.JobName, task.Conf)
+	if err == nil {
+		res = executeTask(ctx, job, task)
+		err = res.err
+	}
 	if err != nil {
 		res.Err = err.Error()
-		return res
 	}
-	switch task.Phase {
-	case "map":
-		var local []Pair
-		emit := collect(&local)
-		for _, rec := range task.Records {
-			if err := job.Map(rec.Key, rec.Value, emit); err != nil {
-				res.Err = err.Error()
-				return res
-			}
-		}
-		parts, err := mapSideRuns(job, task.NumReducers, local)
-		if err != nil {
-			res.Err = err.Error()
-			return res
-		}
-		res.Parts = parts
-	case "reduce":
-		pairs := task.Records
-		sortPairs(pairs) // master pre-merges, so this is the O(n) fast path
-		var out []Pair
-		emit := collect(&out)
-		err := groupSorted(pairs, func(key string, values [][]byte) error {
-			return job.Reduce(key, values, emit)
-		})
-		if err != nil {
-			res.Err = err.Error()
-			return res
-		}
-		// Sort the output here, in parallel across workers, so the
-		// master's final assembly is a pure merge.
-		sortPairs(out)
-		res.Parts = [][]Pair{out}
-	default:
-		res.Err = fmt.Sprintf("unknown phase %q", task.Phase)
+	if end := shardMeterNow(); end > 0 {
+		res.ShardTok = workerShardToken
+		res.ShardStart = meterStart
+		res.ShardEnd = end
 	}
 	return res
 }

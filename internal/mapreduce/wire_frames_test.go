@@ -35,10 +35,10 @@ func codecPeers(buf *writeBuffer, st *wireStats, compress bool) (enc, dec *frame
 	return enc, dec
 }
 
-// TestWireV3CompressedRoundTrip pushes a compressible result frame
+// TestWireCompressedResultRoundTrip pushes a compressible result frame
 // through the codec with compression on: the decode must be exact
 // and the stats must show real savings.
-func TestWireV3CompressedRoundTrip(t *testing.T) {
+func TestWireCompressedResultRoundTrip(t *testing.T) {
 	in := resultMsg{Seq: 41, Parts: [][]Pair{compressiblePairs(200)}}
 	var st wireStats
 	var buf writeBuffer
@@ -78,9 +78,9 @@ func TestWireV3CompressedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWireV3CompressedTaskRoundTrip does the same through the task
+// TestWireCompressedTaskRoundTrip does the same through the task
 // path, which also carries the compress request flag to the worker.
-func TestWireV3CompressedTaskRoundTrip(t *testing.T) {
+func TestWireCompressedTaskRoundTrip(t *testing.T) {
 	in := taskMsg{
 		Seq: 7, JobName: "lsh", Phase: "map", Conf: bytes.Repeat([]byte("conf"), 64),
 		NumReducers: 8, Flags: taskFlagCompress, Records: compressiblePairs(150),
@@ -155,9 +155,9 @@ func TestWireGoldenFrameBytes(t *testing.T) {
 	}
 }
 
-// TestWireV3TaskFlagsAndResultIO round-trips the fields that lead the
+// TestWireTaskFlagsAndResultShardMeter round-trips the fields that lead the
 // two frames: the task's flags and the result's shard-read attribution.
-func TestWireV3TaskFlagsAndResultIO(t *testing.T) {
+func TestWireTaskFlagsAndResultShardMeter(t *testing.T) {
 	var st wireStats
 	var buf writeBuffer
 	enc, dec := codecPeers(&buf, &st, false)

@@ -215,11 +215,11 @@ func TestWireMalformedFramesDoNotPanic(t *testing.T) {
 	}
 }
 
-// TestWireHelloNegotiation pins what is left of it: two peers of this
+// TestWireHelloRefusesOtherVersions pins the hello: two peers of this
 // build accept each other, and a peer that presents any other version —
 // older, newer, zero — is refused on both sides with an error naming
 // both versions.
-func TestWireHelloNegotiation(t *testing.T) {
+func TestWireHelloRefusesOtherVersions(t *testing.T) {
 	// hello runs one real handshake half against a scripted peer.
 	hello := func(fake func(conn net.Conn), real func(conn net.Conn) error) error {
 		a, b := net.Pipe()
