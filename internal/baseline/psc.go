@@ -4,12 +4,11 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/kernel"
 	"repro/internal/matrix"
+	"repro/internal/par"
 	"repro/internal/sparse"
 	"repro/internal/spectral"
 )
@@ -77,46 +76,36 @@ type edge struct {
 	w  float64
 }
 
-// buildKNNGraph computes each point's t nearest neighbours in parallel
-// and returns the OR-symmetrized CSR similarity graph.
+// buildKNNGraph computes each point's t nearest neighbours — one point
+// per item of a par loop, one heap per goroutine — and returns the
+// OR-symmetrized CSR similarity graph.
 func buildKNNGraph(points *matrix.Dense, t int, k kernel.Kernel) (*sparse.CSR, error) {
 	n := points.Rows()
 	nbrs := make([][]edge, n)
-	workers := runtime.GOMAXPROCS(0)
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			h := &edgeHeap{}
-			for i := lo; i < hi; i++ {
-				h.edges = h.edges[:0]
-				xi := points.Row(i)
-				for j := 0; j < n; j++ {
-					if j == i {
-						continue
-					}
-					w := k.Eval(xi, points.Row(j))
-					if len(h.edges) < t {
-						heap.Push(h, edge{j, w})
-					} else if w > h.edges[0].w {
-						h.edges[0] = edge{j, w}
-						heap.Fix(h, 0)
-					}
+	err := par.Workers(n, n, func(next func() (int, bool)) error {
+		h := &edgeHeap{}
+		for i, ok := next(); ok; i, ok = next() {
+			h.edges = h.edges[:0]
+			xi := points.Row(i)
+			for j := 0; j < n; j++ {
+				if j == i {
+					continue
 				}
-				nbrs[i] = append([]edge(nil), h.edges...)
+				w := k.Eval(xi, points.Row(j))
+				if len(h.edges) < t {
+					heap.Push(h, edge{j, w})
+				} else if w > h.edges[0].w {
+					h.edges[0] = edge{j, w}
+					heap.Fix(h, 0)
+				}
 			}
-		}(lo, hi)
+			nbrs[i] = append([]edge(nil), h.edges...)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
 
 	var triplets []sparse.Triplet
 	for i, list := range nbrs {

@@ -12,8 +12,8 @@
 //
 // There is exactly one implementation of that dataflow — the canonical
 // plan in pipeline.go — run on interchangeable backends via the Runner
-// interface: Cluster (in-process worker pool), ClusterIncremental
-// (bounded-memory sequential waves), and one MapReduce runner — the
+// interface: Cluster (in-process bucket pool), ClusterIncremental
+// (bounded-memory waves), and one MapReduce runner — the
 // paper's two Hadoop jobs on any mapreduce.Executor (mapreduce.go) —
 // over three row sources (rowsource.go): ClusterMapReduce (the resident
 // matrix, shared with in-process workers), ClusterMapReduceShipped (rows
@@ -30,10 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/analytic"
@@ -43,6 +39,7 @@ import (
 	"repro/internal/lsh"
 	"repro/internal/mapreduce"
 	"repro/internal/matrix"
+	"repro/internal/par"
 	"repro/internal/spectral"
 )
 
@@ -67,9 +64,6 @@ type Config struct {
 	Bins int
 	// Seed makes the run reproducible.
 	Seed int64
-	// Workers caps the parallel bucket-clustering goroutines
-	// (default GOMAXPROCS).
-	Workers int
 	// Family optionally replaces the paper's span/threshold hash with
 	// another LSH family (SimHash, MinHash, spectral hashing, or a
 	// prebuilt lsh.Ensemble). When set, M is taken from the family and
@@ -239,9 +233,6 @@ func (c Config) resolve(n int) (Config, int, error) {
 	default:
 		radius = c.M - c.P
 	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
 	if c.SparseCutoff < 0 {
 		return c, 0, fmt.Errorf("%w: SparseCutoff=%d", ErrBadConfig, c.SparseCutoff)
 	}
@@ -319,78 +310,41 @@ func hashSignatures(ctx context.Context, p *Plan) (*lsh.SignatureSet, error) {
 }
 
 func (*localRunner) Solve(ctx context.Context, p *Plan, part *lsh.Partition) ([]BucketSolution, error) {
-	return solveBucketsParallel(ctx, p, part)
-}
-
-// solveBucketsParallel runs the per-bucket solve stage on a fixed pool
-// of p.Cfg.Workers goroutines with LPT (longest-processing-time-first)
-// scheduling: buckets are dispatched in descending size order, since a
-// bucket's solve cost grows like Ni^2 (sub-Gram) to Ni^3 (eigensolve)
-// and starting the giants first minimizes the makespan tail where one
-// huge bucket begins after every small one has drained the pool.
-// Workers pull from an atomic cursor over the sorted order and write
-// each solution back at its original bucket index, so the returned
-// slice is identical to in-order execution — scheduling never changes
-// labels. Each worker reuses one sub-Gram scratch buffer across all the
-// buckets it processes.
-func solveBucketsParallel(ctx context.Context, p *Plan, part *lsh.Partition) ([]BucketSolution, error) {
-	n := p.Points.Rows()
 	sols := make([]BucketSolution, len(part.Buckets))
-	errs := make([]error, len(part.Buckets))
-	kf := kernel.NewGaussian(p.Sigma)
-
-	order := make([]int, len(part.Buckets))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return len(part.Buckets[order[a]].Indices) > len(part.Buckets[order[b]].Indices)
-	})
-
-	workers := p.Cfg.Workers
-	if workers > len(order) {
-		workers = len(order)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var scratch []float64
-			for {
-				oi := int(cursor.Add(1)) - 1
-				if oi >= len(order) {
-					return
-				}
-				bi := order[oi]
-				if err := ctx.Err(); err != nil {
-					errs[bi] = err
-					return
-				}
-				b := part.Buckets[bi]
-				sol, err := clusterOneBucket(bucket{points: p.Points, rows: b.Indices, ids: b.Indices}, p.Cfg, n, kf, p.Embedder, &scratch)
-				if err != nil {
-					errs[bi] = fmt.Errorf("core: bucket %x: %w", b.Signature, err)
-					continue
-				}
-				sols[bi] = sol
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: solve cancelled: %w", err)
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err := solveBuckets(ctx, p, part, part.LPTOrder(), sols); err != nil {
+		return nil, err
 	}
 	return sols, nil
+}
+
+// solveBuckets is the in-process bucket pool, shared by the local and
+// incremental runners: it solves the listed buckets of part through
+// internal/par in the order given — LPT, so the giants start first and
+// the one at the head runs on the calling goroutine, whose inner Gram and
+// k-means loops inherit the helpers the small buckets free as they
+// drain. Each solution is written at its original bucket index, so sols
+// is identical to in-order execution — scheduling never changes labels.
+// Each goroutine reuses one sub-Gram scratch buffer across the buckets
+// it processes.
+func solveBuckets(ctx context.Context, p *Plan, part *lsh.Partition, order []int, sols []BucketSolution) error {
+	n := p.Points.Rows()
+	kf := kernel.NewGaussian(p.Sigma)
+	return par.Workers(len(order), len(order), func(next func() (int, bool)) error {
+		var scratch []float64
+		for oi, ok := next(); ok; oi, ok = next() {
+			if err := ctx.Err(); err != nil {
+				return fmt.Errorf("core: solve cancelled: %w", err)
+			}
+			bi := order[oi]
+			b := part.Buckets[bi]
+			sol, err := clusterOneBucket(bucket{points: p.Points, rows: b.Indices, ids: b.Indices}, p.Cfg, n, kf, p.Embedder, &scratch)
+			if err != nil {
+				return fmt.Errorf("core: bucket %x: %w", b.Signature, err)
+			}
+			sols[bi] = sol
+		}
+		return nil
+	})
 }
 
 // BucketK returns the number of clusters assigned to a bucket of size

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/dataset"
@@ -12,6 +13,13 @@ import (
 // metricsAccuracy keeps call sites short.
 func metricsAccuracy(truth, pred []int) (float64, error) {
 	return metrics.Accuracy(truth, pred)
+}
+
+// setProcs sets GOMAXPROCS — the only parallelism dial since
+// internal/par — for the rest of the test, restored on cleanup.
+func setProcs(t testing.TB, procs int) {
+	prev := runtime.GOMAXPROCS(procs)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 func mixture(t *testing.T, n, d, k int, noise float64, seed int64) *dataset.Labeled {
@@ -126,17 +134,19 @@ func TestClusterMergeAblation(t *testing.T) {
 
 func TestClusterWorkerCountInvariant(t *testing.T) {
 	l := mixture(t, 120, 8, 3, 0.04, 10)
-	a, err := Cluster(l.Points, Config{K: 3, Seed: 11, Workers: 1})
+	setProcs(t, 1)
+	a, err := Cluster(l.Points, Config{K: 3, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Cluster(l.Points, Config{K: 3, Seed: 11, Workers: 8})
+	setProcs(t, 8)
+	b, err := Cluster(l.Points, Config{K: 3, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range a.Labels {
 		if a.Labels[i] != b.Labels[i] {
-			t.Fatal("worker count changed the labels")
+			t.Fatal("GOMAXPROCS changed the labels")
 		}
 	}
 }

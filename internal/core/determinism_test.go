@@ -3,11 +3,14 @@ package core
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/mapreduce"
+	"repro/internal/spectral"
 )
 
 // TestResultDeterministicAcrossRunsAndWorkers pins the determinism
 // contract the lint layer guards statically: repeated runs of the same
-// configuration — at any worker count — must agree on labels, on the
+// configuration — at any GOMAXPROCS — must agree on labels, on the
 // per-bucket report (including its order), and on the Solvers
 // histogram. Bucket solves race over a shared work queue, so any
 // map-order or float-accumulation leak in the assembly path shows up
@@ -16,13 +19,12 @@ func TestResultDeterministicAcrossRunsAndWorkers(t *testing.T) {
 	l := mixture(t, 240, 12, 4, 0.04, 11)
 	cfg := Config{K: 4, Seed: 7, SparseCutoff: 24, Epsilon: 1e-4}
 
-	run := func(workers int) *Result {
+	run := func(procs int) *Result {
 		t.Helper()
-		c := cfg
-		c.Workers = workers
-		res, err := Cluster(l.Points, c)
+		setProcs(t, procs)
+		res, err := Cluster(l.Points, cfg)
 		if err != nil {
-			t.Fatalf("Cluster(workers=%d): %v", workers, err)
+			t.Fatalf("Cluster(GOMAXPROCS=%d): %v", procs, err)
 		}
 		return res
 	}
@@ -55,6 +57,65 @@ func TestResultDeterministicAcrossRunsAndWorkers(t *testing.T) {
 					t.Fatalf("workers=%d rep=%d: bucket %d = %+v, baseline %+v",
 						workers, rep, bi, b, want)
 				}
+			}
+		}
+	}
+}
+
+// TestLabelsIdenticalAcrossProcsOnAllDrivers is the north star's
+// "bit-identical labels on every driver" with GOMAXPROCS — since
+// internal/par the only parallelism dial, and one whose helper count is
+// timing-dependent — swept over 1, 2, 4 and 8 on all five drivers. The
+// mixture hashes to one embedded bucket of more than 4096 rows, so the
+// bucket's k-means crosses parallelUpdateCutoff: its centroid sums must
+// take the block-partial order from n, not from how many goroutines
+// showed up, or a label can flip between thread counts.
+func TestLabelsIdenticalAcrossProcsOnAllDrivers(t *testing.T) {
+	const n = 4600
+	l := mixture(t, n, 8, 4, 0.08, 19)
+	cfg := Config{K: 4, M: 1, Seed: 3, EmbedDim: 16, EmbedCutoff: 64, FitSample: n}
+	dir := writeShardDir(t, l.Points, 1024)
+
+	drivers := []struct {
+		name string
+		run  func() (*Result, error)
+	}{
+		{"local", func() (*Result, error) { return Cluster(l.Points, cfg) }},
+		{"incremental", func() (*Result, error) {
+			res, err := ClusterIncremental(l.Points, cfg, 1<<20)
+			if err != nil {
+				return nil, err
+			}
+			return &res.Result, nil
+		}},
+		{"mapreduce", func() (*Result, error) {
+			return ClusterMapReduce(l.Points, cfg, &mapreduce.Local{}, "procs-pin")
+		}},
+		{"shipped", func() (*Result, error) { return ClusterMapReduceShipped(l.Points, cfg, &mapreduce.Local{}) }},
+		{"sharded", func() (*Result, error) { return ClusterMapReduceSharded(dir, cfg, &mapreduce.Local{}) }},
+	}
+
+	var base *Result
+	for _, procs := range []int{1, 2, 4, 8} {
+		setProcs(t, procs)
+		for _, d := range drivers {
+			res, err := d.run()
+			if err != nil {
+				t.Fatalf("%s at GOMAXPROCS=%d: %v", d.name, procs, err)
+			}
+			if base == nil {
+				base = res
+				big := false
+				for _, b := range res.Buckets {
+					big = big || (b.Solver == spectral.SolverEmbedded && b.Size >= 4096)
+				}
+				if !big {
+					t.Fatalf("fixture has no embedded bucket of >= 4096 rows: %+v", res.Buckets)
+				}
+				continue
+			}
+			if !reflect.DeepEqual(res.Labels, base.Labels) {
+				t.Fatalf("%s at GOMAXPROCS=%d: labels differ from local at 1", d.name, procs)
 			}
 		}
 	}

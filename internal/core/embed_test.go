@@ -108,7 +108,7 @@ func TestEmbeddedShippedShrinksShuffle(t *testing.T) {
 	}
 }
 
-// TestEmbeddedDeterministicAcrossWorkers repeats the worker-count
+// TestEmbeddedDeterministicAcrossWorkers repeats the GOMAXPROCS
 // determinism pin in embed mode: the embedded transform and k-means run
 // inside the racing bucket pool, so any order dependence in the
 // embedding path shows up here (and under -race in CI).
@@ -116,13 +116,12 @@ func TestEmbeddedDeterministicAcrossWorkers(t *testing.T) {
 	l := mixture(t, 240, 12, 4, 0.03, 40)
 	cfg := embedTestConfig()
 
-	run := func(workers int) *Result {
+	run := func(procs int) *Result {
 		t.Helper()
-		c := cfg
-		c.Workers = workers
-		res, err := Cluster(l.Points, c)
+		setProcs(t, procs)
+		res, err := Cluster(l.Points, cfg)
 		if err != nil {
-			t.Fatalf("Cluster(workers=%d): %v", workers, err)
+			t.Fatalf("Cluster(GOMAXPROCS=%d): %v", procs, err)
 		}
 		return res
 	}

@@ -42,7 +42,7 @@ func TestEMRFlowElasticityShape(t *testing.T) {
 	for _, s := range part.Sizes() {
 		n += s
 	}
-	flow := BuildFlow(part, Config{K: 64, Workers: 1}, n, 16, 50e-6)
+	flow := BuildFlow(part, Config{K: 64}, n, 16, 50e-6)
 	var prev *emr.FlowReport
 	for _, nodes := range []int{16, 32, 64} {
 		c, err := emr.NewCluster(nodes)
@@ -101,9 +101,9 @@ func TestEMRFlowDiskCosting(t *testing.T) {
 		n += s
 	}
 	const dims = 16
-	base := BuildFlow(part, Config{K: 8, Workers: 1}, n, dims, 50e-6)
-	spilled := BuildFlow(part, Config{K: 8, Workers: 1, SpillBytes: 1 << 20}, n, dims, 50e-6)
-	sharded := BuildFlowSharded(part, Config{K: 8, Workers: 1, SpillBytes: 1 << 20}, n, dims, 50e-6)
+	base := BuildFlow(part, Config{K: 8}, n, dims, 50e-6)
+	spilled := BuildFlow(part, Config{K: 8, SpillBytes: 1 << 20}, n, dims, 50e-6)
+	sharded := BuildFlowSharded(part, Config{K: 8, SpillBytes: 1 << 20}, n, dims, 50e-6)
 
 	sum := func(f *emr.JobFlow, step int, get func(emr.Task) int64) int64 {
 		var total int64

@@ -103,17 +103,17 @@ func TestClusterSparseMode(t *testing.T) {
 }
 
 // TestClusterSparseModeWorkerInvariant: the sparse engine's labels and
-// solver policy must not depend on the worker count.
+// solver policy must not depend on GOMAXPROCS.
 func TestClusterSparseModeWorkerInvariant(t *testing.T) {
 	pts, _ := blobPoints(51, 8, 80, 12, 10, 0.3)
 	cfg := Config{K: 8, M: 1, Sigma: 1.0, Seed: 52, SparseCutoff: 128, Epsilon: 1e-4}
-	cfg.Workers = 1
+	setProcs(t, 1)
 	base, err := Cluster(pts, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 8} {
-		cfg.Workers = workers
+		setProcs(t, workers)
 		res, err := Cluster(pts, cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -134,19 +134,18 @@ func TestAllDriversEnsembleIdenticalLabels(t *testing.T) {
 }
 
 // TestEnsembleResultDeterministic repeats the determinism pin at a
-// non-degenerate dial: same seed, any worker count, identical labels
+// non-degenerate dial: same seed, any GOMAXPROCS, identical labels
 // and bucket reports.
 func TestEnsembleResultDeterministic(t *testing.T) {
 	l := mixture(t, 240, 12, 4, 0.04, 11)
 	cfg := Config{K: 4, Seed: 7, Tables: 4, ProbeRadius: 1, SparseCutoff: 24, Epsilon: 1e-4}
 
-	run := func(workers int) *Result {
+	run := func(procs int) *Result {
 		t.Helper()
-		c := cfg
-		c.Workers = workers
-		res, err := Cluster(l.Points, c)
+		setProcs(t, procs)
+		res, err := Cluster(l.Points, cfg)
 		if err != nil {
-			t.Fatalf("Cluster(workers=%d): %v", workers, err)
+			t.Fatalf("Cluster(GOMAXPROCS=%d): %v", procs, err)
 		}
 		return res
 	}

@@ -3,10 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/embed"
-	"repro/internal/kernel"
 	"repro/internal/lsh"
 	"repro/internal/matrix"
 )
@@ -54,7 +52,7 @@ func ClusterIncrementalContext(ctx context.Context, points *matrix.Dense, cfg Co
 
 // incrementalRunner is the bounded-memory backend: buckets are packed
 // into waves whose summed sub-Gram storage fits the budget and solved
-// sequentially, one wave at a time. Label assembly still happens in
+// one wave at a time. Label assembly still happens in
 // canonical partition order (the shared assembly path), so the labeling
 // matches the batch driver regardless of wave packing.
 type incrementalRunner struct {
@@ -88,16 +86,9 @@ func (r *incrementalRunner) Solve(ctx context.Context, p *Plan, part *lsh.Partit
 	}
 
 	// Pack buckets into waves first-fit-decreasing under the budget.
-	order := make([]int, len(part.Buckets))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return len(part.Buckets[order[a]].Indices) > len(part.Buckets[order[b]].Indices)
-	})
 	var waves [][]int
 	waveLoad := []int64{}
-	for _, bi := range order {
+	for _, bi := range part.LPTOrder() {
 		need := gramOf(bi)
 		placed := false
 		for w := range waves {
@@ -122,27 +113,22 @@ func (r *incrementalRunner) Solve(ctx context.Context, p *Plan, part *lsh.Partit
 		kOf[bi] = BucketK(p.Cfg.K, len(b.Indices), n)
 	}
 
+	// One pool per wave: the buckets of a wave are solved together, each
+	// goroutine's sub-Gram buffer dies with the wave, and a wave's load
+	// bounds what its buffers can hold at once.
 	sols := make([]BucketSolution, len(part.Buckets))
-	kf := kernel.NewGaussian(p.Sigma)
-	var scratch []float64 // one sub-Gram buffer reused across the whole sweep
 	for w, wave := range waves {
 		if waveLoad[w] > r.peak {
 			r.peak = waveLoad[w]
 		}
+		if err := solveBuckets(ctx, p, part, wave, sols); err != nil {
+			return nil, err
+		}
 		for _, bi := range wave {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("core: incremental: %w", err)
-			}
-			b := part.Buckets[bi]
-			sol, err := clusterOneBucket(bucket{points: p.Points, rows: b.Indices, ids: b.Indices}, p.Cfg, n, kf, p.Embedder, &scratch)
-			if err != nil {
-				return nil, fmt.Errorf("core: bucket %x: %w", b.Signature, err)
-			}
-			if sol.K != kOf[bi] {
+			if sols[bi].K != kOf[bi] {
 				return nil, fmt.Errorf("core: bucket %x produced %d clusters, planned %d",
-					b.Signature, sol.K, kOf[bi])
+					part.Buckets[bi].Signature, sols[bi].K, kOf[bi])
 			}
-			sols[bi] = sol
 		}
 	}
 	return sols, nil

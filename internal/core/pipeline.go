@@ -34,7 +34,7 @@ type Plan struct {
 	// driver's plan, which is fitted on a sample and never holds it.
 	Points *matrix.Dense
 	// Cfg is the configuration with every default resolved (K, M,
-	// Tables, Workers filled in).
+	// Tables filled in).
 	Cfg Config
 	// Radius is the Hamming merge radius derived from P and M.
 	Radius int

@@ -22,11 +22,10 @@ package embed
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/matrix"
+	"repro/internal/par"
 )
 
 // Embedder maps rows of a point matrix into a d′-dimensional feature
@@ -107,37 +106,20 @@ func gatherRows(points *matrix.Dense, indices []int) (*[]float64, []float64) {
 }
 
 // forEachRowBlock runs fn over fixed blockRows-edged row blocks
-// [i0, i1), serially for small n and via an atomic-counter worker pool
+// [i0, i1), serially for small n and fanned out through internal/par
 // above parallelCutoff. Blocks are a deterministic function of n alone;
 // fn must write only its own block's outputs.
 func forEachRowBlock(n int, fn func(i0, i1 int)) {
 	nb := (n + blockRows - 1) / blockRows
-	workers := runtime.GOMAXPROCS(0)
-	if workers > nb {
-		workers = nb
+	limit := nb
+	if n < parallelCutoff {
+		limit = 1
 	}
-	if n < parallelCutoff || workers <= 1 {
-		for b := 0; b < nb; b++ {
-			fn(b*blockRows, min(n, (b+1)*blockRows))
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				b := int(next.Add(1)) - 1
-				if b >= nb {
-					return
-				}
-				fn(b*blockRows, min(n, (b+1)*blockRows))
-			}
-		}()
-	}
-	wg.Wait()
+	// fn cannot fail.
+	_ = par.Each(nb, limit, func(b int) error {
+		fn(b*blockRows, min(n, (b+1)*blockRows))
+		return nil
+	})
 }
 
 // Bytes returns the storage footprint of an n-row embedding at

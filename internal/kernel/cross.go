@@ -19,24 +19,23 @@ package kernel
 //
 // evaluated with plain left-to-right sums — byte-identical to a scalar
 // per-pair loop over the same factorized formula, regardless of block
-// shape, tile position, or worker count. Tests pin the Nyström blocks
+// shape, tile position, or goroutine count. Tests pin the Nyström blocks
 // to that scalar reference bit for bit.
 
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/matrix"
+	"repro/internal/par"
 )
 
 // CrossGramInto fills dst (a.Rows() × b.Rows()) with the kernel value of
 // every cross pair k(a_i, b_j). Recognized kernels (Gaussian, cosine)
 // take the blocked fast path above; any other Kernel falls back to one
-// Eval per pair. Large blocks are computed by a worker pool over a
-// deterministic block decomposition, and every path is bit-independent
-// of the worker count. Unlike the symmetric Gram engine the diagonal is
+// Eval per pair. Large blocks fan out over a deterministic block
+// decomposition, and every path is bit-independent of how many
+// goroutines ran it. Unlike the symmetric Gram engine the diagonal is
 // NOT special-cased: entry (i,j) is always the kernel of the two rows,
 // so self pairs yield k(x,x) (1 for the Gaussian), which is what the
 // Nyström blocks require.
@@ -53,8 +52,7 @@ func CrossGramInto(dst *matrix.Dense, a, b *matrix.Dense, k Kernel) error {
 	}
 	kind, inv := recognize(k)
 	if kind == kindGeneric {
-		genericCrossInto(dst, a, b, k)
-		return nil
+		return genericCrossInto(dst, a, b, k)
 	}
 	d := a.Cols()
 	ad, bd := a.Data(), b.Data()
@@ -115,37 +113,14 @@ func CrossGramInto(dst *matrix.Dense, a, b *matrix.Dense, k Kernel) error {
 		}
 	}
 
-	workers := defaultWorkers()
-	if workers > len(pairs) {
-		workers = len(pairs)
-	}
-	if (ra < parallelCutoff && rb < parallelCutoff) || workers <= 1 {
+	return par.Workers(len(pairs), fanout(max(ra, rb), len(pairs)), func(next func() (int, bool)) error {
 		tok, dots := getScratch(blockRows * blockRows)
-		for _, p := range pairs {
-			oneBlock(p, dots)
+		defer putScratch(tok)
+		for i, ok := next(); ok; i, ok = next() {
+			oneBlock(pairs[i], dots)
 		}
-		putScratch(tok)
 		return nil
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tok, dots := getScratch(blockRows * blockRows)
-			defer putScratch(tok)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(pairs) {
-					return
-				}
-				oneBlock(pairs[i], dots)
-			}
-		}()
-	}
-	wg.Wait()
-	return nil
+	})
 }
 
 // CrossGram is CrossGramInto with a freshly allocated destination.
@@ -208,8 +183,8 @@ func chainDotBlock(a []float64, ra int, b []float64, rb, d int, out []float64) {
 }
 
 // genericCrossInto is the unrecognized-kernel fallback: one Eval per
-// pair, parallel over a-rows for large blocks.
-func genericCrossInto(dst *matrix.Dense, a, b *matrix.Dense, k Kernel) {
+// pair, fanned out over a-rows for large blocks.
+func genericCrossInto(dst *matrix.Dense, a, b *matrix.Dense, k Kernel) error {
 	ra, rb := a.Rows(), b.Rows()
 	oneRow := func(i int) {
 		xi := a.Row(i)
@@ -218,30 +193,8 @@ func genericCrossInto(dst *matrix.Dense, a, b *matrix.Dense, k Kernel) {
 			row[j] = k.Eval(xi, b.Row(j))
 		}
 	}
-	workers := defaultWorkers()
-	if workers > ra {
-		workers = ra
-	}
-	if (ra < parallelCutoff && rb < parallelCutoff) || workers <= 1 {
-		for i := 0; i < ra; i++ {
-			oneRow(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= ra {
-					return
-				}
-				oneRow(i)
-			}
-		}()
-	}
-	wg.Wait()
+	return par.Each(ra, fanout(max(ra, rb), ra), func(i int) error {
+		oneRow(i)
+		return nil
+	})
 }

@@ -1,11 +1,16 @@
 package kernel
 
-import "repro/internal/matrix"
+import (
+	"runtime"
+	"testing"
+)
 
-// gramIntoForTest exposes the engine's worker knob so tests can force
-// the parallel path on machines where GOMAXPROCS is 1 (the -race
-// coverage of the block-pair work stealing depends on it) and the
-// serial path regardless of size.
-func gramIntoForTest(s *matrix.Dense, points *matrix.Dense, indices []int, k Kernel, workers int) {
-	gramInto(s, points, indices, k, workers)
+// setProcs sets GOMAXPROCS — since internal/par the only parallelism
+// dial — for the rest of the test, and restores it on cleanup. Tests use
+// it to force the fan-out on machines where the ambient value is 1 (the
+// -race coverage of the block-pair work stealing depends on it) and the
+// serial loop regardless of size.
+func setProcs(t testing.TB, procs int) {
+	prev := runtime.GOMAXPROCS(procs)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }

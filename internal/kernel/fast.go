@@ -15,18 +15,16 @@ package kernel
 //     per-pair path, so custom kernels keep working unchanged.
 //
 // Both paths fold the symmetric mirror into the same pass (each pair is
-// computed once and written to both triangles) and both parallelize
-// over row blocks for large matrices. Work is partitioned by an atomic
-// counter over a deterministic block decomposition, so the computed
-// values are identical regardless of worker count.
+// computed once and written to both triangles) and both hand a fixed
+// block decomposition to internal/par for large matrices, so the
+// computed values are identical however many goroutines run it.
 
 import (
 	"math"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/matrix"
+	"repro/internal/par"
 )
 
 // Kernel is the recognized-kernel interface of the Gram engine: Eval is
@@ -86,10 +84,19 @@ const (
 	// of 64 rows x 64 dims of float64 are 64 KiB, cache-resident on any
 	// modern core.
 	blockRows = 64
-	// parallelCutoff is the matrix size above which the engine spawns
-	// workers; below it the goroutine handoff costs more than the work.
+	// parallelCutoff is the matrix size above which the engine fans
+	// out; below it the goroutine handoff costs more than the work.
 	parallelCutoff = 192
 )
+
+// fanout is the par limit of a loop over blocks pieces of an operand of
+// n rows: everything above parallelCutoff, the serial loop below it.
+func fanout(n, blocks int) int {
+	if n < parallelCutoff {
+		return 1
+	}
+	return blocks
+}
 
 // scratchPool recycles the gather/norm scratch of the fast path and the
 // sub-Gram backing buffers of SubGram, killing the per-bucket
@@ -134,16 +141,15 @@ func recognize(k Kernel) (fastKind, float64) {
 
 // gramInto fills the n x n matrix s with pairwise similarities of the
 // listed rows of points (indices nil means all rows), with a zero
-// diagonal, using up to workers goroutines. Every entry of s is
-// written, so s does not need pre-zeroing.
-func gramInto(s *matrix.Dense, points *matrix.Dense, indices []int, k Kernel, workers int) {
+// diagonal. Every entry of s is written, so s does not need pre-zeroing.
+func gramInto(s *matrix.Dense, points *matrix.Dense, indices []int, k Kernel) {
 	n := s.Rows()
 	if n == 0 {
 		return
 	}
 	kind, inv := recognize(k)
 	if kind == kindGeneric {
-		genericGramInto(s, points, indices, k, workers)
+		genericGramInto(s, points, indices, k)
 		return
 	}
 
@@ -219,41 +225,21 @@ func gramInto(s *matrix.Dense, points *matrix.Dense, indices []int, k Kernel, wo
 		}
 	}
 
-	if workers > len(pairs) {
-		workers = len(pairs)
-	}
-	if n < parallelCutoff || workers <= 1 {
+	// oneBlock cannot fail.
+	_ = par.Workers(len(pairs), fanout(n, len(pairs)), func(next func() (int, bool)) error {
 		tok, dots := getScratch(blockRows * blockRows)
-		for _, p := range pairs {
-			oneBlock(p, dots)
+		defer putScratch(tok)
+		for i, ok := next(); ok; i, ok = next() {
+			oneBlock(pairs[i], dots)
 		}
-		putScratch(tok)
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tok, dots := getScratch(blockRows * blockRows)
-			defer putScratch(tok)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(pairs) {
-					return
-				}
-				oneBlock(pairs[i], dots)
-			}
-		}()
-	}
-	wg.Wait()
+		return nil
+	})
 }
 
 // genericGramInto is the fallback for unrecognized kernels: one Eval
-// per pair, mirror folded into the same pass, parallel over rows via an
-// atomic counter for large matrices.
-func genericGramInto(s *matrix.Dense, points *matrix.Dense, indices []int, k Kernel, workers int) {
+// per pair, mirror folded into the same pass, fanned out over rows for
+// large matrices.
+func genericGramInto(s *matrix.Dense, points *matrix.Dense, indices []int, k Kernel) {
 	n := s.Rows()
 	rowOf := func(a int) []float64 {
 		if indices == nil {
@@ -271,37 +257,8 @@ func genericGramInto(s *matrix.Dense, points *matrix.Dense, indices []int, k Ker
 			s.Row(b)[a] = v
 		}
 	}
-	if workers > n {
-		workers = n
-	}
-	if n < parallelCutoff || workers <= 1 {
-		for a := 0; a < n; a++ {
-			oneRow(a)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				a := int(next.Add(1)) - 1
-				if a >= n {
-					return
-				}
-				oneRow(a)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// defaultWorkers is the engine's worker budget: GOMAXPROCS, at least 1.
-func defaultWorkers() int {
-	if w := runtime.GOMAXPROCS(0); w > 1 {
-		return w
-	}
-	return 1
+	_ = par.Each(n, fanout(n, n), func(a int) error {
+		oneRow(a)
+		return nil
+	})
 }

@@ -94,18 +94,20 @@ func TestFastSubGramMatchesGeneric(t *testing.T) {
 	}
 }
 
-// TestGramParallelMatchesSerial forces the worker pool on (GOMAXPROCS
-// here may be 1) and requires bit-identical output: the deterministic
-// block decomposition must make worker count unobservable. Run with
-// -race this doubles as the engine's data-race check.
+// TestGramParallelMatchesSerial forces the fan-out on (the ambient
+// GOMAXPROCS may be 1) and requires bit-identical output: the
+// deterministic block decomposition must make GOMAXPROCS unobservable.
+// Run with -race this doubles as the engine's data-race check.
 func TestGramParallelMatchesSerial(t *testing.T) {
 	pts := randPoints(parallelCutoff+41, 12, 9)
 	n := pts.Rows()
 	for name, k := range fastKernels() {
 		serial := matrix.NewDense(n, n)
-		gramIntoForTest(serial, pts, nil, k, 1)
+		setProcs(t, 1)
+		gramInto(serial, pts, nil, k)
 		parallel := matrix.NewDense(n, n)
-		gramIntoForTest(parallel, pts, nil, k, 4)
+		setProcs(t, 4)
+		gramInto(parallel, pts, nil, k)
 		if !matrix.Equal(serial, parallel, 0) {
 			t.Fatalf("%s: parallel Gram differs from serial", name)
 		}
@@ -113,9 +115,11 @@ func TestGramParallelMatchesSerial(t *testing.T) {
 	// Generic path, same contract.
 	gk := asGeneric(NewGaussian(1.1))
 	serial := matrix.NewDense(n, n)
-	gramIntoForTest(serial, pts, nil, gk, 1)
+	setProcs(t, 1)
+	gramInto(serial, pts, nil, gk)
 	parallel := matrix.NewDense(n, n)
-	gramIntoForTest(parallel, pts, nil, gk, 4)
+	setProcs(t, 4)
+	gramInto(parallel, pts, nil, gk)
 	if !matrix.Equal(serial, parallel, 0) {
 		t.Fatal("generic: parallel Gram differs from serial")
 	}
@@ -128,9 +132,11 @@ func TestSubGramParallelMatchesSerial(t *testing.T) {
 	idxs := rand.New(rand.NewSource(12)).Perm(pts.Rows())[:parallelCutoff+10]
 	for name, k := range fastKernels() {
 		serial := matrix.NewDense(len(idxs), len(idxs))
-		gramIntoForTest(serial, pts, idxs, k, 1)
+		setProcs(t, 1)
+		gramInto(serial, pts, idxs, k)
 		parallel := matrix.NewDense(len(idxs), len(idxs))
-		gramIntoForTest(parallel, pts, idxs, k, 4)
+		setProcs(t, 4)
+		gramInto(parallel, pts, idxs, k)
 		if !matrix.Equal(serial, parallel, 0) {
 			t.Fatalf("%s: parallel SubGram differs from serial", name)
 		}

@@ -103,14 +103,14 @@ func MedianSigma(points *matrix.Dense, sampleSize int, seed int64) float64 {
 // standard spectral-clustering convention of Ng et al.). Recognized
 // kernels take the blocked fast path; all kernels are computed in
 // parallel over row blocks for large N, with the symmetric mirror
-// folded into the workers.
+// folded into the same pass.
 func Gram(points *matrix.Dense, k Kernel) *matrix.Dense {
 	n := points.Rows()
 	s := matrix.NewDense(n, n)
 	if n == 0 {
 		return s
 	}
-	gramInto(s, points, nil, k, defaultWorkers())
+	gramInto(s, points, nil, k)
 	return s
 }
 
@@ -151,7 +151,7 @@ func SubGramInto(s *matrix.Dense, points *matrix.Dense, indices []int, k Kernel)
 	if n == 0 {
 		return
 	}
-	gramInto(s, points, indices, k, defaultWorkers())
+	gramInto(s, points, indices, k)
 }
 
 // ErrIndexRange reports a bucket index outside the dataset.

@@ -11,18 +11,17 @@ package kernel
 // DotBlock call produces every dot product of the strip's rows against
 // columns j ≥ s·blockRows (the strict upper triangle plus the mirror
 // seed). Each strip appends its surviving entries to strip-local
-// buffers, strips are processed by an atomic-cursor worker pool, and a
-// sequential O(nnz) pass assembles the symmetric CSR — so, as with the
-// dense engine, the emitted values and their order are identical for
-// every worker count.
+// buffers, the strips fan out through internal/par, and a sequential
+// O(nnz) pass assembles the symmetric CSR — so, as with the dense
+// engine, the emitted values and their order are identical however many
+// goroutines ran the strips.
 
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/matrix"
+	"repro/internal/par"
 	"repro/internal/sparse"
 )
 
@@ -187,37 +186,17 @@ func gramSparse(points *matrix.Dense, indices []int, k Kernel, eps float64) (*sp
 		}
 	}
 
-	workers := defaultWorkers()
-	if workers > nb {
-		workers = nb
-	}
-	if n < parallelCutoff || workers <= 1 {
+	err := par.Workers(nb, fanout(n, nb), func(next func() (int, bool)) error {
 		dotsTok, _ := getScratch(0)
-		for si := 0; si < nb; si++ {
+		defer putScratch(dotsTok)
+		for si, ok := next(); ok; si, ok = next() {
 			oneStrip(si, dotsTok)
 		}
-		putScratch(dotsTok)
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				dotsTok, _ := getScratch(0)
-				defer putScratch(dotsTok)
-				for {
-					si := int(next.Add(1)) - 1
-					if si >= nb {
-						return
-					}
-					oneStrip(si, dotsTok)
-				}
-			}()
-		}
-		wg.Wait()
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-
 	return assembleSymmetricCSR(n, strips)
 }
 

@@ -3,14 +3,11 @@ package kernelml
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/kernel"
 	"repro/internal/lsh"
 	"repro/internal/matrix"
+	"repro/internal/par"
 )
 
 // This file composes the kernel algorithms with the DASC bucket
@@ -19,63 +16,30 @@ import (
 // the kernel algorithm runs independently per bucket. It demonstrates
 // the paper's claim that the approximation is algorithm-independent.
 //
-// Buckets are independent, so KMeans and PCA solve them on a worker
-// pool with LPT scheduling (largest bucket first — solve cost grows
-// like Ni^2 and beyond); global label offsets are prefix-summed up
+// Buckets are independent, so KMeans and PCA solve them through
+// internal/par with LPT scheduling (largest bucket first — solve cost
+// grows like Ni^2 and beyond); global label offsets are prefix-summed up
 // front so the parallel result is identical to sequential execution.
-// Each worker reuses one sub-Gram scratch buffer across its buckets.
+// Each goroutine reuses one sub-Gram scratch buffer across its buckets.
 
-// runBuckets executes solve(bi, scratch) for every bucket index on a
-// pool of GOMAXPROCS workers in LPT order. Each worker owns a scratch
-// buffer passed through to its solves. The first error (by bucket
-// index) is returned; the context is checked before every solve.
+// runBuckets executes solve(bi, scratch) for every bucket index, in LPT
+// order on internal/par. Each goroutine owns a scratch buffer passed
+// through to its solves. The error of the bucket earliest in that order
+// is returned; the context is checked before every solve.
 func runBuckets(ctx context.Context, part *lsh.Partition, solve func(bi int, scratch *[]float64) error) error {
-	order := make([]int, len(part.Buckets))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return len(part.Buckets[order[a]].Indices) > len(part.Buckets[order[b]].Indices)
-	})
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(order) {
-		workers = len(order)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	errs := make([]error, len(part.Buckets))
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var scratch []float64
-			for {
-				oi := int(cursor.Add(1)) - 1
-				if oi >= len(order) {
-					return
-				}
-				bi := order[oi]
-				if err := ctx.Err(); err != nil {
-					errs[bi] = err
-					return
-				}
-				errs[bi] = solve(bi, &scratch)
+	order := part.LPTOrder()
+	return par.Workers(len(order), len(order), func(next func() (int, bool)) error {
+		var scratch []float64
+		for oi, ok := next(); ok; oi, ok = next() {
+			if err := ctx.Err(); err != nil {
+				return err
 			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
+			if err := solve(order[oi], &scratch); err != nil {
+				return err
+			}
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // subGramInto builds the bucket's sub-Gram inside *scratch (grown as
@@ -300,8 +264,10 @@ func (e *BucketedSVM) Predict(x []float64) int {
 // Buckets returns the number of per-bucket models.
 func (e *BucketedSVM) Buckets() int { return len(e.models) }
 
-// proportionalK mirrors core.BucketK without importing core (which
-// would create an import cycle through the experiment harness).
+// proportionalK mirrors core.BucketK. Importing core would not be a
+// cycle (core does not import kernelml); the four lines are kept here so
+// that kernelml depends on the LSH front-end only, not on the DASC
+// drivers.
 func proportionalK(k, ni, n int) int {
 	ki := (k*ni + n/2) / n
 	if ki < 1 {

@@ -3,6 +3,7 @@ package kmeans
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/matrix"
@@ -13,9 +14,9 @@ import (
 // iteration (strict `<`, ascending index), a separate final inertia
 // sweep, the pre-tile farthest-point repair, and no early stop other
 // than Lloyd's own movement test. It shares with Run only what defines
-// the summation order of the result: accumulate (sequential, or
-// fixed-block partial sums under Run's own n/Workers rule) and the
-// block-order inertia fold. The bounded production path must reproduce
+// the summation order of the result: accumulate (row order, or
+// fixed-block partial sums under Run's own n rule) and the block-order
+// inertia fold. The bounded production path must reproduce
 // its labels, centroids, iteration count and inertia bit for bit. It
 // also returns how many empty clusters it repaired.
 func referenceLloyd(points *matrix.Dense, cfg Config) (*Result, int) {
@@ -33,7 +34,7 @@ func referenceLloyd(points *matrix.Dense, cfg Config) (*Result, int) {
 	counts := make([]int, cfg.K)
 	sums := matrix.NewDense(cfg.K, d)
 	var upd *updateScratch
-	if n >= parallelUpdateCutoff && cfg.Workers > 1 {
+	if n >= parallelUpdateCutoff {
 		upd = newUpdateScratch(n, cfg.K, d)
 	}
 	assign := func() {
@@ -53,7 +54,7 @@ func referenceLloyd(points *matrix.Dense, cfg Config) (*Result, int) {
 	var iter int
 	for iter = 0; iter < cfg.MaxIter; iter++ {
 		assign()
-		accumulate(points, labels, counts, sums, cfg.Workers, upd)
+		accumulate(points, labels, counts, sums, upd)
 		var moved float64
 		for c := 0; c < cfg.K; c++ {
 			if counts[c] == 0 {
@@ -144,6 +145,13 @@ func referenceFarthestPoint(points, centroids *matrix.Dense, labels []int) int {
 	return worst
 }
 
+// setProcs sets GOMAXPROCS — the only parallelism dial since
+// internal/par — for the rest of the test, restored on cleanup.
+func setProcs(t testing.TB, procs int) {
+	prev := runtime.GOMAXPROCS(procs)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // lloydEvals is the number of point-to-centroid distances Lloyd's
 // algorithm evaluates for a run of the given shape: seeding, one full
 // scan per iteration, the final scan — n·k each.
@@ -212,8 +220,9 @@ func TestBoundedMatchesReferenceLloyd(t *testing.T) {
 					row[j] = float64(c)*tc.sep + rng.NormFloat64()
 				}
 			}
-			for _, workers := range []int{1, 4} {
-				requireMatchesLloyd(t, pts, Config{K: tc.k, Seed: seed, Workers: workers})
+			for _, procs := range []int{1, 4} {
+				setProcs(t, procs)
+				requireMatchesLloyd(t, pts, Config{K: tc.k, Seed: seed})
 			}
 		}
 	}
@@ -244,15 +253,16 @@ func unitRows(seed int64, n, d, centers int, spread float64) *matrix.Dense {
 
 // TestBoundedMatchesLloydAtRunSizes: the oracle at the sizes the
 // pipeline runs — unit-norm 64-dimensional rows, above
-// 2·assignBlockRows (block-parallel assignment) and, at n = 5000 with
-// Workers 4, above parallelUpdateCutoff (block-parallel update).
+// 2·assignBlockRows (block-parallel assignment) and, at n = 5000, above
+// parallelUpdateCutoff (block-partial update), at GOMAXPROCS 1 and 4.
 func TestBoundedMatchesLloydAtRunSizes(t *testing.T) {
 	for _, n := range []int{1024, 5000} {
 		for _, k := range []int{2, 10, 41} {
 			for _, spread := range []float64{0.15, 1} {
 				pts := unitRows(int64(n+k), n, 64, k, spread)
-				for _, workers := range []int{1, 4} {
-					requireMatchesLloyd(t, pts, Config{K: k, Seed: int64(k), Workers: workers})
+				for _, procs := range []int{1, 4} {
+					setProcs(t, procs)
+					requireMatchesLloyd(t, pts, Config{K: k, Seed: int64(k)})
 				}
 			}
 		}
@@ -275,20 +285,22 @@ func TestBoundedMatchesLloydOnTies(t *testing.T) {
 		return pts
 	}
 	for seed := int64(0); seed < 8; seed++ {
-		for _, workers := range []int{1, 4} {
+		for _, procs := range []int{1, 4} {
+			setProcs(t, procs)
 			// 3^2 = 9 distinct points, 600 rows: duplicates everywhere.
-			requireMatchesLloyd(t, lattice(seed, 600, 2, 3), Config{K: 4, Seed: seed, Workers: workers})
+			requireMatchesLloyd(t, lattice(seed, 600, 2, 3), Config{K: 4, Seed: seed})
 			// k > d on a lattice: grouped bounds with ties inside groups.
-			requireMatchesLloyd(t, lattice(seed, 700, 2, 5), Config{K: 9, Seed: seed, Workers: workers})
+			requireMatchesLloyd(t, lattice(seed, 700, 2, 5), Config{K: 9, Seed: seed})
 			// k <= d, symmetric coordinates.
-			requireMatchesLloyd(t, lattice(seed, 520, 6, 2), Config{K: 5, Seed: seed, Workers: workers})
+			requireMatchesLloyd(t, lattice(seed, 520, 6, 2), Config{K: 5, Seed: seed})
 		}
 	}
 
 	repaired := 0
+	setProcs(t, 1)
 	for seed := int64(0); seed < 8; seed++ {
 		// 4 distinct points, 6 clusters: at least two stay empty.
-		_, _, repairs := requireMatchesLloyd(t, lattice(seed, 300, 2, 2), Config{K: 6, Seed: seed, Workers: 1, MaxIter: 12})
+		_, _, repairs := requireMatchesLloyd(t, lattice(seed, 300, 2, 2), Config{K: 6, Seed: seed, MaxIter: 12})
 		repaired += repairs
 	}
 	if repaired == 0 {
@@ -299,10 +311,11 @@ func TestBoundedMatchesLloydOnTies(t *testing.T) {
 // TestDistanceEvalsCorpusShaped: on the shape of corpus-local's embedded
 // solve (3 298 overlapping unit-norm 64-dimensional rows, k = 41, tens
 // of iterations) the bounds must leave at most 45 % of Lloyd's distance
-// evaluations, at every worker count the same number.
+// evaluations, at every GOMAXPROCS the same number.
 func TestDistanceEvalsCorpusShaped(t *testing.T) {
 	pts := unitRows(1, 3298, 64, 41, 4)
-	got, _, _ := requireMatchesLloyd(t, pts, Config{K: 41, Seed: 1, Workers: 1})
+	setProcs(t, 1)
+	got, _, _ := requireMatchesLloyd(t, pts, Config{K: 41, Seed: 1})
 	lloyd := lloydEvals(3298, 41, got.Iterations)
 	share := float64(got.DistanceEvals) / float64(lloyd)
 	t.Logf("%d iterations, %d of Lloyd's %d distance evaluations (%.1f %%)", got.Iterations, got.DistanceEvals, lloyd, 100*share)
@@ -312,13 +325,14 @@ func TestDistanceEvalsCorpusShaped(t *testing.T) {
 	if share > 0.45 {
 		t.Fatalf("%.1f %% of Lloyd's distance evaluations, want <= 45 %%", 100*share)
 	}
-	for _, workers := range []int{2, 5} {
-		res, err := Run(pts, Config{K: 41, Seed: 1, Workers: workers})
+	for _, procs := range []int{2, 5} {
+		setProcs(t, procs)
+		res, err := Run(pts, Config{K: 41, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.DistanceEvals != got.DistanceEvals {
-			t.Fatalf("workers=%d: %d distance evaluations, %d with one worker", workers, res.DistanceEvals, got.DistanceEvals)
+			t.Fatalf("GOMAXPROCS=%d: %d distance evaluations, %d at 1", procs, res.DistanceEvals, got.DistanceEvals)
 		}
 	}
 }
@@ -357,82 +371,98 @@ func FuzzRunMatchesLloyd(f *testing.F) {
 		old := parallelUpdateCutoff
 		parallelUpdateCutoff = 300
 		defer func() { parallelUpdateCutoff = old }()
-		requireMatchesLloyd(t, pts, Config{K: k, Seed: seed, Workers: 1 + int(uint64(seed)>>1%4), MaxIter: 30})
+		setProcs(t, 1+int(uint64(seed)>>1%4))
+		requireMatchesLloyd(t, pts, Config{K: k, Seed: seed, MaxIter: 30})
 	})
 }
 
 // TestRunWorkerDeterminismWithInertia: labels AND inertia bits must not
-// depend on the worker count — the inertia fold reduces fixed-block
-// partials in block order regardless of parallelism.
+// depend on GOMAXPROCS — the inertia fold reduces fixed-block partials
+// in block order regardless of parallelism.
 func TestRunWorkerDeterminismWithInertia(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	pts := matrix.NewDense(1200, 6)
 	for i := range pts.Data() {
 		pts.Data()[i] = rng.NormFloat64()
 	}
-	base, err := Run(pts, Config{K: 9, Seed: 5, Workers: 1})
+	setProcs(t, 1)
+	base, err := Run(pts, Config{K: 9, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 3, 8, 16} {
-		res, err := Run(pts, Config{K: 9, Seed: 5, Workers: workers})
+	for _, procs := range []int{2, 3, 8, 16} {
+		setProcs(t, procs)
+		res, err := Run(pts, Config{K: 9, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range base.Labels {
 			if res.Labels[i] != base.Labels[i] {
-				t.Fatalf("workers=%d: label[%d] = %d vs %d", workers, i, res.Labels[i], base.Labels[i])
+				t.Fatalf("GOMAXPROCS=%d: label[%d] = %d vs %d", procs, i, res.Labels[i], base.Labels[i])
 			}
 		}
 		if res.Inertia != base.Inertia {
-			t.Fatalf("workers=%d: inertia %v vs %v (must be bitwise equal)", workers, res.Inertia, base.Inertia)
+			t.Fatalf("GOMAXPROCS=%d: inertia %v vs %v (must be bitwise equal)", procs, res.Inertia, base.Inertia)
 		}
 	}
 }
 
-// TestParallelCentroidUpdate exercises the fixed-block parallel
-// accumulation by lowering the cutoff, checking it agrees with the
-// sequential path on counts and sums within summation-order tolerance
-// and stays worker-count deterministic.
+// TestParallelCentroidUpdate: the centroid update picks its summation
+// order — row order, or fixed-block partials reduced in block order —
+// from n alone, so labels, iterations, every centroid bit and the
+// inertia bits are the same at every GOMAXPROCS, on both sides of the
+// cutoff: lowered to 64 under a 700-row input, and at its real value
+// under n = 4000 (row order), 4096 and 8192 (block partials).
 func TestParallelCentroidUpdate(t *testing.T) {
-	old := parallelUpdateCutoff
-	parallelUpdateCutoff = 64
-	defer func() { parallelUpdateCutoff = old }()
-
-	rng := rand.New(rand.NewSource(13))
-	pts := matrix.NewDense(700, 5)
-	for i := range pts.Data() {
-		pts.Data()[i] = rng.NormFloat64()
+	gauss := func(seed int64, n, d int) *matrix.Dense {
+		rng := rand.New(rand.NewSource(seed))
+		pts := matrix.NewDense(n, d)
+		for i := range pts.Data() {
+			pts.Data()[i] = rng.NormFloat64()
+		}
+		return pts
 	}
-	seq, err := Run(pts, Config{K: 6, Seed: 3, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var first *Result
-	for _, workers := range []int{2, 4, 7} {
-		res, err := Run(pts, Config{K: 6, Seed: 3, Workers: workers})
+	requireProcsInvariant := func(pts *matrix.Dense, cfg Config, procsList ...int) {
+		t.Helper()
+		setProcs(t, 1)
+		seq, err := Run(pts, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if first == nil {
-			first = res
-		} else {
-			for i := range first.Labels {
-				if res.Labels[i] != first.Labels[i] {
-					t.Fatalf("workers=%d: parallel update not deterministic at %d", workers, i)
+		for _, procs := range procsList {
+			setProcs(t, procs)
+			res, err := Run(pts, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Iterations != seq.Iterations {
+				t.Fatalf("n=%d GOMAXPROCS=%d: %d iterations vs %d at 1", pts.Rows(), procs, res.Iterations, seq.Iterations)
+			}
+			for i := range seq.Labels {
+				if res.Labels[i] != seq.Labels[i] {
+					t.Fatalf("n=%d GOMAXPROCS=%d: label[%d] = %d vs %d at 1", pts.Rows(), procs, i, res.Labels[i], seq.Labels[i])
 				}
 			}
-			if res.Inertia != first.Inertia {
-				t.Fatalf("workers=%d: inertia %v vs %v", workers, res.Inertia, first.Inertia)
+			rd, sd := res.Centroids.Data(), seq.Centroids.Data()
+			for i := range sd {
+				if math.Float64bits(rd[i]) != math.Float64bits(sd[i]) {
+					t.Fatalf("n=%d GOMAXPROCS=%d: centroid word %d is %v vs %v at 1", pts.Rows(), procs, i, rd[i], sd[i])
+				}
+			}
+			if math.Float64bits(res.Inertia) != math.Float64bits(seq.Inertia) {
+				t.Fatalf("n=%d GOMAXPROCS=%d: inertia %v vs %v at 1", pts.Rows(), procs, res.Inertia, seq.Inertia)
 			}
 		}
-		// Block-order reduction reorders float additions, so the
-		// parallel-update solution may differ from the sequential one in
-		// low bits — but it must be the same clustering.
-		if !agreeUpToPermutation(seq.Labels, res.Labels) {
-			t.Fatalf("workers=%d: parallel update changed the clustering", workers)
-		}
 	}
+
+	for _, n := range []int{4000, 4096, 8192} {
+		requireProcsInvariant(gauss(int64(n), n, 16), Config{K: 12, Seed: 7}, 4)
+	}
+
+	old := parallelUpdateCutoff
+	parallelUpdateCutoff = 64
+	defer func() { parallelUpdateCutoff = old }()
+	requireProcsInvariant(gauss(13, 700, 5), Config{K: 6, Seed: 3}, 2, 4, 7)
 }
 
 // TestAccumulateParallelMatchesSequential pins the parallel partial-sum
@@ -450,11 +480,12 @@ func TestAccumulateParallelMatchesSequential(t *testing.T) {
 	}
 	seqCounts := make([]int, k)
 	seqSums := matrix.NewDense(k, d)
-	accumulate(pts, labels, seqCounts, seqSums, 1, nil)
+	accumulate(pts, labels, seqCounts, seqSums, nil)
 
 	parCounts := make([]int, k)
 	parSums := matrix.NewDense(k, d)
-	accumulate(pts, labels, parCounts, parSums, 4, newUpdateScratch(n, k, d))
+	setProcs(t, 4)
+	accumulate(pts, labels, parCounts, parSums, newUpdateScratch(n, k, d))
 	for c := 0; c < k; c++ {
 		if parCounts[c] != seqCounts[c] {
 			t.Fatalf("count[%d] = %d vs %d", c, parCounts[c], seqCounts[c])

@@ -26,8 +26,9 @@
 // farther than the assigned one, and the evaluated ones are compared in
 // ascending index with a strict `<`, as Lloyd's scan does. This keeps
 // labels byte-identical to the plain implementation, which the DASC
-// determinism guarantees rest on. The centroid update goes parallel with
-// deterministic partial sums for large inputs; empty clusters are
+// determinism guarantees rest on. The assignment pass and, for large
+// inputs, the centroid update run over fixed row blocks on internal/par,
+// with per-block partials reduced in block order; empty clusters are
 // repaired by re-seeding from the point farthest from its centroid.
 package kmeans
 
@@ -36,11 +37,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/matrix"
+	"repro/internal/par"
 )
 
 // Config controls a K-means run. The zero value of optional fields is
@@ -55,9 +55,6 @@ type Config struct {
 	Tol float64
 	// Seed makes runs reproducible.
 	Seed int64
-	// Workers caps the parallelism of the assignment step
-	// (default runtime.GOMAXPROCS(0)).
-	Workers int
 }
 
 // Result is the outcome of a K-means run.
@@ -74,7 +71,7 @@ type Result struct {
 	// evaluations the run made: seeding, upper-bound tightening, group
 	// scans and the inertia fold. Lloyd's algorithm makes
 	// n·K·(Iterations+2) of them. It is summed from per-block counts, so
-	// it is the same for every worker count. The K² centroid-to-centroid
+	// it is the same at every GOMAXPROCS. The K² centroid-to-centroid
 	// distances per iteration and the sweep of an empty-cluster repair
 	// are not included.
 	DistanceEvals int64
@@ -84,12 +81,12 @@ type Result struct {
 var ErrBadK = errors.New("kmeans: K out of range")
 
 const (
-	// assignBlockRows is the fixed row-block edge of the parallel
-	// assignment and inertia passes. Blocks never depend on the worker
-	// count, and block partials are reduced in block order, so inertia
-	// bits are identical for every parallelism level.
+	// assignBlockRows is the fixed row-block edge of the assignment and
+	// inertia passes. Blocks depend on n alone, and block partials are
+	// reduced in block order, so inertia bits are identical for every
+	// parallelism level.
 	assignBlockRows = 256
-	// updateBlockRows is the fixed row-block edge of the parallel
+	// updateBlockRows is the fixed row-block edge of the block-partial
 	// centroid update.
 	updateBlockRows = 256
 	// boundsPad slightly shrinks the bound-skip region to absorb the
@@ -105,10 +102,12 @@ const (
 )
 
 // parallelUpdateCutoff is the point count at which the centroid update
-// switches from the verbatim sequential accumulation to fixed-block
-// parallel partial sums. Below it the sequential path runs, whose
-// summation order (and therefore every centroid bit) matches the
-// historical implementation exactly. A var so tests can lower it.
+// switches from the verbatim row-order accumulation to fixed-block
+// partial sums reduced in block order. The choice is made from n alone —
+// never from how many goroutines are available — so every centroid bit
+// is the same at any GOMAXPROCS. Below it the row-order sums (and
+// therefore every centroid bit) match the historical implementation
+// exactly. A var so tests can lower it.
 var parallelUpdateCutoff = 4096
 
 // boundsState carries the distance bounds across iterations.
@@ -133,15 +132,21 @@ type boundsState struct {
 	moveDist  []float64
 	groupMove []float64
 
-	pairDist []float64       // refreshHalf's row of centroid-to-centroid distances
-	scratch  []assignScratch // one per assignment worker
-	// Per fixed block, so that the totals do not depend on which worker
+	pairDist []float64 // refreshHalf's row of centroid-to-centroid distances
+	// Per fixed block, so that the totals do not depend on which goroutine
 	// ran which block.
 	blockChanged []bool
 	blockEvals   []int64
+
+	// free holds the working memory of the goroutines that have run an
+	// assignment pass, for the next pass to reuse: as many as the widest
+	// pass had, one at GOMAXPROCS=1.
+	mu   sync.Mutex
+	free []*assignScratch
 }
 
-// assignScratch is the working memory of one assignment worker.
+// assignScratch is the working memory of one goroutine of an assignment
+// pass.
 type assignScratch struct {
 	need []int     // rows of the block whose label the bounds could not prove
 	d2   []float64 // per need entry: exact squared distance to the row's centroid
@@ -158,7 +163,7 @@ type assignScratch struct {
 	dist     []float64 // … and their evaluated squared distance
 }
 
-func newBoundsState(n, k, d, workers int) *boundsState {
+func newBoundsState(n, k, d int) *boundsState {
 	groups := max(1, min(k, d))
 	nb := (n + assignBlockRows - 1) / assignBlockRows
 	st := &boundsState{
@@ -171,7 +176,6 @@ func newBoundsState(n, k, d, workers int) *boundsState {
 		moveDist:     make([]float64, k),
 		groupMove:    make([]float64, groups),
 		pairDist:     make([]float64, k),
-		scratch:      make([]assignScratch, assignWorkers(n, workers)),
 		blockChanged: make([]bool, nb),
 		blockEvals:   make([]int64, nb),
 	}
@@ -186,33 +190,37 @@ func newBoundsState(n, k, d, workers int) *boundsState {
 	for i := range st.upper {
 		st.upper[i] = math.Inf(1) // observeSeed's running minimum
 	}
-	for w := range st.scratch {
-		st.scratch[w] = assignScratch{
-			need:     make([]int, 0, assignBlockRows),
-			d2:       make([]float64, assignBlockRows),
-			open:     make([]int, assignBlockRows*groups),
-			openEnd:  make([]int, 0, assignBlockRows),
-			rows:     make([]int, 0, assignBlockRows),
-			rowsOpen: make([][]int, 0, assignBlockRows),
-			pi:       make([]int, 0, pairBatch+k),
-			ci:       make([]int, 0, pairBatch+k),
-			dist:     make([]float64, pairBatch+k),
-		}
-	}
 	return st
 }
 
-// assignWorkers is the number of goroutines an assignment pass over n
-// rows uses: one below two blocks, never more than there are blocks.
-func assignWorkers(n, workers int) int {
-	nb := (n + assignBlockRows - 1) / assignBlockRows
-	if workers > nb {
-		workers = nb
+// takeScratch lends one pass goroutine its working memory: a set an
+// earlier pass returned, or a new one.
+func (st *boundsState) takeScratch() *assignScratch {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if last := len(st.free) - 1; last >= 0 {
+		sc := st.free[last]
+		st.free = st.free[:last]
+		return sc
 	}
-	if workers <= 1 || n < assignBlockRows*2 {
-		return 1
+	k := len(st.groupOf)
+	return &assignScratch{
+		need:     make([]int, 0, assignBlockRows),
+		d2:       make([]float64, assignBlockRows),
+		open:     make([]int, assignBlockRows*st.groups),
+		openEnd:  make([]int, 0, assignBlockRows),
+		rows:     make([]int, 0, assignBlockRows),
+		rowsOpen: make([][]int, 0, assignBlockRows),
+		pi:       make([]int, 0, pairBatch+k),
+		ci:       make([]int, 0, pairBatch+k),
+		dist:     make([]float64, pairBatch+k),
 	}
-	return workers
+}
+
+func (st *boundsState) putScratch(sc *assignScratch) {
+	st.mu.Lock()
+	st.free = append(st.free, sc)
+	st.mu.Unlock()
 }
 
 // refreshHalf recomputes, for every centroid, half the distance to the
@@ -322,14 +330,11 @@ func Run(points *matrix.Dense, cfg Config) (*Result, error) {
 	if cfg.Tol <= 0 {
 		cfg.Tol = 1e-6
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	d := points.Cols()
 
 	labels := make([]int, n)
-	st := newBoundsState(n, cfg.K, d, cfg.Workers)
+	st := newBoundsState(n, cfg.K, d)
 	// Seeding evaluates every point against every seed: exactly the
 	// distances of Lloyd's first scan. Folding them into the labels and
 	// bounds as they are computed leaves the first assignment pass only
@@ -343,7 +348,7 @@ func Run(points *matrix.Dense, cfg Config) (*Result, error) {
 	counts := make([]int, cfg.K)
 	sums := matrix.NewDense(cfg.K, d)
 	var upd *updateScratch
-	if n >= parallelUpdateCutoff && cfg.Workers > 1 {
+	if n >= parallelUpdateCutoff {
 		upd = newUpdateScratch(n, cfg.K, d)
 	}
 
@@ -364,7 +369,7 @@ func Run(points *matrix.Dense, cfg Config) (*Result, error) {
 			iter++
 			break
 		}
-		accumulate(points, labels, counts, sums, cfg.Workers, upd)
+		accumulate(points, labels, counts, sums, upd)
 
 		var moved float64
 		repaired := false
@@ -418,44 +423,27 @@ func Run(points *matrix.Dense, cfg Config) (*Result, error) {
 // point into labels — exactly the label a full Lloyd scan (strict
 // d < best, ascending centroid index) would write — and reports whether
 // any label changed and how many distances it evaluated. Both are
-// gathered per fixed 256-row block, so neither depends on the worker
-// count.
+// gathered per fixed 256-row block, so neither depends on how many
+// goroutines the pass ran on.
 //
 // When inertiaPartials is non-nil it receives one partial per block —
 // the exact squared distance of each point to its final centroid,
 // accumulated in row order. Summing the partials in block order yields
-// an inertia that is bitwise independent of the worker count.
+// an inertia that is bitwise independent of that too.
 func assignBounded(points, centroids *matrix.Dense, labels []int, st *boundsState, inertiaPartials []float64) (changed bool, evals int64) {
 	nb := len(st.blockEvals)
-	oneBlock := func(b int, sc *assignScratch) {
-		inertia := st.assignBlock(points, centroids, labels, b, sc, inertiaPartials != nil)
-		if inertiaPartials != nil {
-			inertiaPartials[b] = inertia
+	// assignBlock cannot fail.
+	_ = par.Workers(nb, nb, func(next func() (int, bool)) error {
+		sc := st.takeScratch()
+		defer st.putScratch(sc)
+		for b, ok := next(); ok; b, ok = next() {
+			inertia := st.assignBlock(points, centroids, labels, b, sc, inertiaPartials != nil)
+			if inertiaPartials != nil {
+				inertiaPartials[b] = inertia
+			}
 		}
-	}
-
-	if len(st.scratch) == 1 {
-		for b := 0; b < nb; b++ {
-			oneBlock(b, &st.scratch[0])
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := range st.scratch {
-			wg.Add(1)
-			go func(sc *assignScratch) {
-				defer wg.Done()
-				for {
-					b := int(next.Add(1)) - 1
-					if b >= nb {
-						return
-					}
-					oneBlock(b, sc)
-				}
-			}(&st.scratch[w])
-		}
-		wg.Wait()
-	}
+		return nil
+	})
 	clear(st.moveDist)
 	clear(st.groupMove)
 	for b := 0; b < nb; b++ {
@@ -707,12 +695,12 @@ func newUpdateScratch(n, k, d int) *updateScratch {
 }
 
 // accumulate recomputes counts and sums from the current labels. Small
-// inputs (or upd == nil) take the historical sequential loop, whose
+// inputs (upd == nil) take the historical row-order loop, whose
 // summation order the default configurations depend on bitwise. Large
-// inputs accumulate per fixed 256-row block on a worker pool and reduce
-// the block partials in block order — parallel, yet every sum bit is
-// independent of the worker count.
-func accumulate(points *matrix.Dense, labels []int, counts []int, sums *matrix.Dense, workers int, upd *updateScratch) {
+// inputs accumulate per fixed 256-row block and reduce the block
+// partials in block order — on one goroutine or many, every sum bit is
+// the same.
+func accumulate(points *matrix.Dense, labels []int, counts []int, sums *matrix.Dense, upd *updateScratch) {
 	n := points.Rows()
 	k := len(counts)
 	d := sums.Cols()
@@ -723,15 +711,8 @@ func accumulate(points *matrix.Dense, labels []int, counts []int, sums *matrix.D
 	for i := range data {
 		data[i] = 0
 	}
-	if upd == nil || workers <= 1 {
-		for i := 0; i < n; i++ {
-			c := labels[i]
-			counts[c]++
-			row := sums.Row(c)
-			for j, v := range points.Row(i) {
-				row[j] += v
-			}
-		}
+	if upd == nil {
+		sumRows(points, labels, 0, n, counts, data)
 		return
 	}
 
@@ -742,39 +723,12 @@ func accumulate(points *matrix.Dense, labels []int, counts []int, sums *matrix.D
 	for i := range upd.sums {
 		upd.sums[i] = 0
 	}
-	if workers > nb {
-		workers = nb
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				b := int(next.Add(1)) - 1
-				if b >= nb {
-					return
-				}
-				lo := b * updateBlockRows
-				hi := lo + updateBlockRows
-				if hi > n {
-					hi = n
-				}
-				bc := upd.counts[b*k : (b+1)*k]
-				bs := upd.sums[b*k*d : (b+1)*k*d]
-				for i := lo; i < hi; i++ {
-					c := labels[i]
-					bc[c]++
-					row := bs[c*d : (c+1)*d]
-					for j, v := range points.Row(i) {
-						row[j] += v
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	// sumRows cannot fail.
+	_ = par.Each(nb, nb, func(b int) error {
+		lo := b * updateBlockRows
+		sumRows(points, labels, lo, min(lo+updateBlockRows, n), upd.counts[b*k:(b+1)*k], upd.sums[b*k*d:(b+1)*k*d])
+		return nil
+	})
 	// Deterministic reduction: block partials in block order.
 	for b := 0; b < nb; b++ {
 		bc := upd.counts[b*k : (b+1)*k]
@@ -785,6 +739,20 @@ func accumulate(points *matrix.Dense, labels []int, counts []int, sums *matrix.D
 			for j, v := range bs[c*d : (c+1)*d] {
 				row[j] += v
 			}
+		}
+	}
+}
+
+// sumRows adds rows [lo, hi) of points, in row order, into the k counts
+// and the k×d row-major sums of their labels.
+func sumRows(points *matrix.Dense, labels []int, lo, hi int, counts []int, sums []float64) {
+	d := points.Cols()
+	for i := lo; i < hi; i++ {
+		c := labels[i]
+		counts[c]++
+		row := sums[c*d : (c+1)*d]
+		for j, v := range points.Row(i) {
+			row[j] += v
 		}
 	}
 }

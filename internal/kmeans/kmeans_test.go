@@ -149,17 +149,19 @@ func TestRunDeterministicForSeed(t *testing.T) {
 func TestRunWorkersEquivalent(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	pts, _ := blobs(rng, 3, 30, 4, 6)
-	serial, err := Run(pts, Config{K: 3, Seed: 5, Workers: 1})
+	setProcs(t, 1)
+	serial, err := Run(pts, Config{K: 3, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Run(pts, Config{K: 3, Seed: 5, Workers: 8})
+	setProcs(t, 8)
+	parallel, err := Run(pts, Config{K: 3, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range serial.Labels {
 		if serial.Labels[i] != parallel.Labels[i] {
-			t.Fatal("worker count must not change the result")
+			t.Fatal("GOMAXPROCS must not change the result")
 		}
 	}
 }

@@ -5,25 +5,58 @@ import (
 	"strings"
 )
 
-// GoroutineGuard reports `go func` literals in internal packages whose
-// body neither signals completion (a Done() call, a channel send, or a
-// channel close) nor installs a deferred recover. A worker goroutine
-// that panics without one of these leaves the job's WaitGroup or result
-// channel waiting forever — the MapReduce master deadlocks instead of
-// failing the job.
+// GoroutineGuard reports two things in internal packages.
+//
+// Any `go` statement outside the packages that own goroutines: all
+// compute fan-out goes through internal/par (one budget, one
+// determinism contract), so a hand-rolled worker pool in a compute
+// package is a finding, however well it is guarded.
+//
+// And, in the packages that may start goroutines, a `go func` literal
+// whose body neither signals completion (a Done() call, a channel send,
+// or a channel close) nor installs a deferred recover. A worker
+// goroutine that panics without one of these leaves the job's WaitGroup
+// or result channel waiting forever — the MapReduce master deadlocks
+// instead of failing the job.
 var GoroutineGuard = &Analyzer{
 	Name: "goroutine-guard",
-	Doc: "goroutine literals in internal/ must signal a WaitGroup/channel " +
-		"or defer a recover, so a panicking worker cannot deadlock the job",
+	Doc: "go statements in internal/ belong to the packages that own goroutines " +
+		"(par, mapreduce, shard, lint), and a goroutine literal there must signal a " +
+		"WaitGroup/channel or defer a recover, so a panicking worker cannot deadlock the job",
 	Run: runGoroutineGuard,
+}
+
+// goroutineOwners are the internal packages (and their sub-packages)
+// that may contain a go statement: the fan-out primitive, the MapReduce
+// executors and their test harness (sockets, pipelined dispatch), the
+// shard read-ahead, and the linter's own parse/analyze pool.
+var goroutineOwners = []string{"par", "mapreduce", "shard", "lint"}
+
+// ownsGoroutines reports whether the package at pkgPath is, or is
+// beneath, one of goroutineOwners.
+func ownsGoroutines(pkgPath string) bool {
+	rel := pkgPath[strings.LastIndex(pkgPath, "/internal/")+len("/internal/"):]
+	for _, owner := range goroutineOwners {
+		if rel == owner || strings.HasPrefix(rel, owner+"/") {
+			return true
+		}
+	}
+	return false
 }
 
 func runGoroutineGuard(pass *Pass) {
 	if !strings.Contains(pass.Path, "/internal/") {
 		return
 	}
+	owner := ownsGoroutines(pass.Path)
 	pass.Inspect.Preorder([]ast.Node{(*ast.GoStmt)(nil)}, func(n ast.Node) {
 		gostmt := n.(*ast.GoStmt)
+		if !owner {
+			pass.Reportf(gostmt.Pos(),
+				"go statement outside the packages that own goroutines (internal/%s); run compute loops through par.Workers or par.Each",
+				strings.Join(goroutineOwners, ", internal/"))
+			return
+		}
 		lit, ok := gostmt.Call.Fun.(*ast.FuncLit)
 		if !ok {
 			return // named function: its body is checked where defined

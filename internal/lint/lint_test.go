@@ -78,6 +78,7 @@ var golden = []struct {
 	{FloatCmp, "floatcmp_pos", "floatcmp_neg"},
 	{ErrcheckGob, "errcheckgob_pos", "errcheckgob_neg"},
 	{GoroutineGuard, "goroutineguard_pos", "goroutineguard_neg"},
+	{GoroutineGuard, "goroutineowner/internal/kernel", "goroutineowner/internal/par"},
 	{MutexCopy, "mutexcopy_pos", "mutexcopy_neg"},
 	{PanicFree, "panicfree_pos", "matrixcase/internal/matrix"},
 	{MapOrder, "maporder_pos", "maporder_neg"},

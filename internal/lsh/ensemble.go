@@ -30,12 +30,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/matrix"
+	"repro/internal/par"
 )
 
 // MaxTables bounds the ensemble width; beyond it the partition cost is
@@ -256,8 +254,9 @@ func (e *Ensemble) Hash(points PointSource) *SignatureSet {
 	return s
 }
 
-// HashContext is Hash with cancellation; large inputs hash in parallel
-// over fixed row blocks, identically for every worker count.
+// HashContext is Hash with cancellation, checked once per row block;
+// large inputs hash in parallel over fixed row blocks, identically at
+// every GOMAXPROCS.
 func (e *Ensemble) HashContext(ctx context.Context, points PointSource) (*SignatureSet, error) {
 	n := points.Rows()
 	set := &SignatureSet{Tables: make([][]uint64, len(e.families))}
@@ -270,51 +269,22 @@ func (e *Ensemble) HashContext(ctx context.Context, points PointSource) (*Signat
 			set.Tables[t][i] = f.Signature(row)
 		}
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if n < hashParallelCutoff || workers <= 1 {
-		for i := 0; i < n; i++ {
-			if i%1024 == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, fmt.Errorf("lsh: hash: %w", err)
-				}
-			}
+	nb := (n + hashBlockRows - 1) / hashBlockRows
+	limit := nb
+	if n < hashParallelCutoff {
+		limit = 1
+	}
+	err := par.Each(nb, limit, func(b int) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		lo := b * hashBlockRows
+		for i := lo; i < min(lo+hashBlockRows, n); i++ {
 			hashRow(i)
 		}
-		return set, nil
-	}
-	nb := (n + hashBlockRows - 1) / hashBlockRows
-	if workers > nb {
-		workers = nb
-	}
-	var next atomic.Int64
-	var cancelled atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				b := int(next.Add(1)) - 1
-				if b >= nb || cancelled.Load() {
-					return
-				}
-				if ctx.Err() != nil {
-					cancelled.Store(true)
-					return
-				}
-				lo := b * hashBlockRows
-				hi := lo + hashBlockRows
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					hashRow(i)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, fmt.Errorf("lsh: hash: %w", err)
 	}
 	return set, nil

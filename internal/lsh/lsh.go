@@ -11,12 +11,10 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/matrix"
+	"repro/internal/par"
 )
 
 // DimensionPolicy selects how hashing dimensions are chosen.
@@ -337,51 +335,25 @@ const (
 )
 
 // Signatures hashes every row of points. Large inputs are hashed in
-// parallel over fixed row blocks; the result is identical for every
-// worker count.
+// parallel over fixed row blocks; the result is identical at every
+// GOMAXPROCS.
 func (h *Hasher) Signatures(points *matrix.Dense) []uint64 {
-	out := make([]uint64, points.Rows())
-	h.signaturesInto(out, points, runtime.GOMAXPROCS(0))
-	return out
-}
-
-// signaturesInto fills out[i] with the signature of row i using up to
-// workers goroutines.
-func (h *Hasher) signaturesInto(out []uint64, points *matrix.Dense, workers int) {
 	n := points.Rows()
-	if n < signatureParallelCutoff || workers <= 1 {
-		for i := 0; i < n; i++ {
+	out := make([]uint64, n)
+	nb := (n + signatureBlockRows - 1) / signatureBlockRows
+	limit := nb
+	if n < signatureParallelCutoff {
+		limit = 1
+	}
+	// Hashing a block cannot fail.
+	_ = par.Each(nb, limit, func(b int) error {
+		lo := b * signatureBlockRows
+		for i := lo; i < min(lo+signatureBlockRows, n); i++ {
 			out[i] = h.Signature(points.Row(i))
 		}
-		return
-	}
-	nb := (n + signatureBlockRows - 1) / signatureBlockRows
-	if workers > nb {
-		workers = nb
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				b := int(next.Add(1)) - 1
-				if b >= nb {
-					return
-				}
-				lo := b * signatureBlockRows
-				hi := lo + signatureBlockRows
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					out[i] = h.Signature(points.Row(i))
-				}
-			}
-		}()
-	}
-	wg.Wait()
+		return nil
+	})
+	return out
 }
 
 // NearDuplicate reports whether two signatures differ in at most one

@@ -2,11 +2,19 @@ package lsh
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/matrix"
 )
+
+// setProcs sets GOMAXPROCS — the only parallelism dial since
+// internal/par — for the rest of the test, restored on cleanup.
+func setProcs(t testing.TB, procs int) {
+	prev := runtime.GOMAXPROCS(procs)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
 
 func twoBlobs(rng *rand.Rand, perBlob, d int) *matrix.Dense {
 	pts := matrix.NewDense(2*perBlob, d)
@@ -230,9 +238,9 @@ func TestPolicyString(t *testing.T) {
 	}
 }
 
-// TestSignaturesWorkerDeterminism: the parallel signature pass must
-// produce the exact slice the serial loop produces, for any worker
-// count, on an input large enough to cross the parallel cutoff.
+// TestSignaturesWorkerDeterminism: the signature pass must produce the
+// exact slice a plain per-row loop produces, at every GOMAXPROCS, on an
+// input large enough to cross the parallel cutoff.
 func TestSignaturesWorkerDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	n := signatureParallelCutoff + 513 // crosses the cutoff with a ragged tail block
@@ -245,21 +253,16 @@ func TestSignaturesWorkerDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := make([]uint64, n)
-	h.signaturesInto(want, pts, 1)
-	for _, workers := range []int{2, 3, 8, 64} {
-		got := make([]uint64, n)
-		h.signaturesInto(got, pts, workers)
+	for i := range want {
+		want[i] = h.Signature(pts.Row(i))
+	}
+	for _, procs := range []int{1, 2, 3, 8, 64} {
+		setProcs(t, procs)
+		got := h.Signatures(pts)
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("workers=%d: signature[%d] = %x, serial %x", workers, i, got[i], want[i])
+				t.Fatalf("GOMAXPROCS=%d: signature[%d] = %x, serial %x", procs, i, got[i], want[i])
 			}
-		}
-	}
-	// The public entry point must agree with the serial loop too.
-	pub := h.Signatures(pts)
-	for i := range want {
-		if pub[i] != want[i] {
-			t.Fatalf("Signatures()[%d] = %x, serial %x", i, pub[i], want[i])
 		}
 	}
 }

@@ -131,6 +131,23 @@ func (p *Partition) Sizes() []int {
 	return out
 }
 
+// LPTOrder returns the bucket indices in longest-processing-time-first
+// order: descending size, ties in partition order. A bucket's solve cost
+// grows like Ni² (sub-Gram) to Ni³ (eigensolve), so a pool that starts
+// the giants first has the shortest tail — and first-fit packing over the
+// same order is first-fit-decreasing. The order only schedules: solvers
+// write each result at its bucket's own index.
+func (p *Partition) LPTOrder() []int {
+	order := make([]int, len(p.Buckets))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return len(p.Buckets[order[a]].Indices) > len(p.Buckets[order[b]].Indices)
+	})
+	return order
+}
+
 // LargestBucket returns the size of the biggest bucket (0 when empty).
 func (p *Partition) LargestBucket() int {
 	var mx int

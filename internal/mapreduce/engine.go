@@ -4,8 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
+
+	"repro/internal/par"
 )
 
 // taskMsg is one unit of work: a map task over an input split or a
@@ -150,7 +151,9 @@ func runJob(ctx context.Context, job *Job, input []Pair, runner taskRunner) (_ [
 	lazy := job.SpillBytes > 0 && !job.IdentityReduce
 	merged := make([][]Pair, numReducers)
 	if !lazy {
-		merr := forEachBounded(runtime.GOMAXPROCS(0), numReducers, func(p int) (err error) {
+		// Merging is compute, so it draws on the process's one budget
+		// (internal/par), not on the executor's task slots.
+		merr := par.Each(numReducers, numReducers, func(p int) (err error) {
 			if err = ctx.Err(); err == nil {
 				merged[p], err = ss.materialize(p)
 			}

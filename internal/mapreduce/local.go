@@ -10,8 +10,11 @@ import (
 // goroutine pool — the single-machine analogue of a Hadoop task tracker
 // with W slots.
 type Local struct {
-	// Workers caps concurrent map (and reduce) tasks
-	// (default runtime.GOMAXPROCS(0)).
+	// Workers is the number of task slots: how many map (or reduce)
+	// tasks are in flight at once (default runtime.GOMAXPROCS(0)), the
+	// Local analogue of TCPConfig.MinWorkers. It is not a CPU budget — a
+	// task also waits on shard and spill reads — and the compute loops
+	// inside a task draw on internal/par's budget, whatever this is.
 	Workers int
 }
 

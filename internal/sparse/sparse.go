@@ -9,12 +9,10 @@ package sparse
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/matrix"
+	"repro/internal/par"
 )
 
 // CSR is an immutable n x n sparse matrix in compressed sparse row
@@ -161,9 +159,9 @@ func (m *CSR) At(i, j int) float64 {
 
 const (
 	// mulVecBlockRows is the fixed row-block edge of the parallel
-	// matrix-vector product. Blocks are fixed-size (independent of the
-	// worker count), so the work decomposition — and therefore every
-	// row's result bits — never depends on parallelism.
+	// matrix-vector product. Blocks are fixed-size, so the work
+	// decomposition — and therefore every row's result bits — never
+	// depends on parallelism.
 	mulVecBlockRows = 512
 	// mulVecParallelCutoff is the stored-entry count below which the
 	// goroutine handoff costs more than the multiply.
@@ -173,44 +171,24 @@ const (
 // MulVec computes dst = M*src. Lengths must equal N. Large products are
 // computed in parallel over fixed row blocks; each row is a sequential
 // accumulation over its stored entries, so the output is bitwise
-// identical for every worker count — the property the Lanczos
-// determinism argument (DESIGN.md, "Solve engine") rests on. MulVec
-// allocates nothing, making it safe as a pooled linalg.Op inner loop.
+// identical at every GOMAXPROCS — the property the Lanczos determinism
+// argument (DESIGN.md, "Solve engine") rests on. MulVec allocates only
+// par's few words of loop state, making it safe as a linalg.Op inner
+// loop.
 func (m *CSR) MulVec(dst, src []float64) error {
 	if len(dst) != m.n || len(src) != m.n {
 		return errors.New("sparse: MulVec length mismatch")
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if m.NNZ() < mulVecParallelCutoff || workers <= 1 {
-		m.mulVecRange(dst, src, 0, m.n)
-		return nil
-	}
 	nb := (m.n + mulVecBlockRows - 1) / mulVecBlockRows
-	if workers > nb {
-		workers = nb
+	limit := nb
+	if m.NNZ() < mulVecParallelCutoff {
+		limit = 1
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				b := int(next.Add(1)) - 1
-				if b >= nb {
-					return
-				}
-				lo := b * mulVecBlockRows
-				hi := lo + mulVecBlockRows
-				if hi > m.n {
-					hi = m.n
-				}
-				m.mulVecRange(dst, src, lo, hi)
-			}
-		}()
-	}
-	wg.Wait()
-	return nil
+	return par.Each(nb, limit, func(b int) error {
+		lo := b * mulVecBlockRows
+		m.mulVecRange(dst, src, lo, min(lo+mulVecBlockRows, m.n))
+		return nil
+	})
 }
 
 // mulVecRange computes rows [lo, hi) of M*src into dst.
