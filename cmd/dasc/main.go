@@ -36,7 +36,7 @@ func main() {
 		tune    = flag.Float64("tune", 0, "auto-tune M to keep this Fnorm ratio (overrides -m; e.g. 0.5)")
 		sigma   = flag.Float64("sigma", 0, "kernel bandwidth (0 = median heuristic)")
 		seed    = flag.Int64("seed", 1, "random seed")
-		mr      = flag.String("mapreduce", "", "DASC driver: '' (in-process) | local | tcp | tcp-shipped")
+		mr      = flag.String("mapreduce", "", "DASC driver: '' (in-process pool) | the MapReduce jobs on: local (in-process executor) | tcp (master + goroutine workers over sockets) | tcp-shipped (master waiting for external dascworker processes)")
 		workers = flag.Int("workers", 2, "TCP MapReduce workers (tcp: goroutines; tcp-shipped: external dascworker processes to wait for)")
 		listen  = flag.String("listen", "127.0.0.1:0", "master listen address for tcp-shipped")
 	)
@@ -88,11 +88,11 @@ func main() {
 		case "":
 			res, err = core.ClusterContext(ctx, l.Points, cfg)
 		case "local":
-			res, err = core.ClusterMapReduceContext(ctx, l.Points, cfg, &mapreduce.Local{}, "cli")
+			res, err = core.ClusterMapReduceShippedContext(ctx, l.Points, cfg, &mapreduce.Local{})
 		case "tcp":
-			res, err = runOverTCP(ctx, l, cfg, *workers)
+			res, err = runOverTCP(ctx, l, cfg, "127.0.0.1:0", *workers, false)
 		case "tcp-shipped":
-			res, err = runShipped(ctx, l, cfg, *listen, *workers)
+			res, err = runOverTCP(ctx, l, cfg, *listen, *workers, true)
 		default:
 			fatal(fmt.Errorf("unknown -mapreduce %q", *mr))
 		}
@@ -139,32 +139,10 @@ func main() {
 	fmt.Printf("gram:     %.1f KB\ntime:     %s\n", float64(gramBytes)/1024, elapsed.Round(time.Millisecond))
 }
 
-// runOverTCP spins up an in-process TCP MapReduce cluster — master plus
-// goroutine-hosted workers over real sockets — and runs DASC on it.
-func runOverTCP(ctx context.Context, l *dataset.Labeled, cfg core.Config, workers int) (*core.Result, error) {
-	master, err := mapreduce.NewMaster("127.0.0.1:0", workers)
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		if err := master.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "master close:", err)
-		}
-	}()
-	for i := 0; i < workers; i++ {
-		go func() {
-			if err := mapreduce.RunWorkerContext(ctx, master.Addr()); err != nil {
-				fmt.Fprintln(os.Stderr, "worker:", err)
-			}
-		}()
-	}
-	return core.ClusterMapReduceContext(ctx, l.Points, cfg, master, "cli-tcp")
-}
-
-// runShipped starts a master and waits for external dascworker
-// processes before running the closure-free DASC jobs, so the workers
-// can live on other machines (or at least other processes).
-func runShipped(ctx context.Context, l *dataset.Labeled, cfg core.Config, listen string, workers int) (*core.Result, error) {
+// runOverTCP starts a TCP master on listen and runs the DASC jobs on it.
+// The workers are goroutines dialing it over real sockets, or — external
+// — dascworker processes it waits for, which can live on other machines.
+func runOverTCP(ctx context.Context, l *dataset.Labeled, cfg core.Config, listen string, workers int, external bool) (*core.Result, error) {
 	master, err := mapreduce.NewMaster(listen, workers)
 	if err != nil {
 		return nil, err
@@ -174,8 +152,18 @@ func runShipped(ctx context.Context, l *dataset.Labeled, cfg core.Config, listen
 			fmt.Fprintln(os.Stderr, "master close:", err)
 		}
 	}()
-	fmt.Printf("master listening on %s; start %d x `dascworker -master %s`\n",
-		master.Addr(), workers, master.Addr())
+	if external {
+		fmt.Printf("master listening on %s; start %d x `dascworker -master %s`\n",
+			master.Addr(), workers, master.Addr())
+		workers = 0 // none of our own
+	}
+	for i := 0; i < workers; i++ {
+		go func() {
+			if err := mapreduce.RunWorkerContext(ctx, master.Addr()); err != nil {
+				fmt.Fprintln(os.Stderr, "worker:", err)
+			}
+		}()
+	}
 	return core.ClusterMapReduceShippedContext(ctx, l.Points, cfg, master)
 }
 

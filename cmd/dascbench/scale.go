@@ -17,7 +17,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/analytic"
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/emr"
@@ -136,9 +135,6 @@ func benchScale(rep *Report, n int, dir string, spill int64) error {
 	}{{"scale/emr-sim", false}, {"scale/emr-sim-comp", true}} {
 		fcfg := core.Config{Seed: 1, SpillBytes: spill, EmbedDim: 64, EmbedCutoff: 2048,
 			Compression: plane.compress}
-		if fcfg.K == 0 {
-			fcfg.K = analytic.CategoryLaw(n)
-		}
 		flow := core.BuildFlowSharded(part, fcfg, n, dims, 0)
 		c, err := emr.NewCluster(64)
 		if err != nil {

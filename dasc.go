@@ -67,21 +67,10 @@ func ClusterContext(ctx context.Context, points *Matrix, cfg Config) (*Result, e
 	return core.ClusterContext(ctx, points, cfg)
 }
 
-// ClusterMapReduce runs DASC as the paper's two MapReduce stages on any
-// executor (LocalExecutor, or a TCP Master with connected workers).
-func ClusterMapReduce(points *Matrix, cfg Config, exec Executor, jobPrefix string) (*Result, error) {
-	return core.ClusterMapReduce(points, cfg, exec, jobPrefix)
-}
-
-// ClusterMapReduceContext is ClusterMapReduce with cancellation,
-// threaded into the executor's in-flight map and reduce tasks.
-func ClusterMapReduceContext(ctx context.Context, points *Matrix, cfg Config, exec Executor, jobPrefix string) (*Result, error) {
-	return core.ClusterMapReduceContext(ctx, points, cfg, exec, jobPrefix)
-}
-
-// ClusterMapReduceShipped runs the closure-free MapReduce formulation:
-// all data travels through the records, so the executor's workers may
-// live in other OS processes (see cmd/dascworker).
+// ClusterMapReduceShipped runs DASC as the paper's two MapReduce stages
+// on any executor (LocalExecutor, or a TCP Master with connected
+// workers). All data travels through the records, so the executor's
+// workers may live in other OS processes (see cmd/dascworker).
 func ClusterMapReduceShipped(points *Matrix, cfg Config, exec Executor) (*Result, error) {
 	return core.ClusterMapReduceShipped(points, cfg, exec)
 }

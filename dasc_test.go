@@ -136,11 +136,11 @@ func TestPublicAPIDistributed(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	res, err := dasc.ClusterMapReduce(data.Points, dasc.Config{K: 2, Seed: 1}, m, "facade")
+	res, err := dasc.ClusterMapReduceShipped(data.Points, dasc.Config{K: 2, Seed: 1}, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := dasc.ClusterMapReduce(data.Points, dasc.Config{K: 2, Seed: 1}, &dasc.LocalExecutor{}, "facade")
+	local, err := dasc.ClusterMapReduceShipped(data.Points, dasc.Config{K: 2, Seed: 1}, &dasc.LocalExecutor{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,13 +27,13 @@ func main() {
 	cfg := core.Config{K: 4, Seed: 1}
 
 	// Cancelling this context aborts in-flight map/reduce tasks on both
-	// executors (the ClusterMapReduce form without Context is the same
-	// driver with context.Background()).
+	// executors (the ClusterMapReduceShipped form without Context is the
+	// same driver with context.Background()).
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
 	// Local executor: a bounded worker pool in this process.
-	local, err := core.ClusterMapReduceContext(ctx, data.Points, cfg, &mapreduce.Local{}, "example")
+	local, err := core.ClusterMapReduceShippedContext(ctx, data.Points, cfg, &mapreduce.Local{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func main() {
 		}()
 	}
 	fmt.Printf("master listening on %s, waiting for 4 workers...\n", master.Addr())
-	tcp, err := core.ClusterMapReduceContext(ctx, data.Points, cfg, master, "example")
+	tcp, err := core.ClusterMapReduceShippedContext(ctx, data.Points, cfg, master)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -19,13 +19,13 @@ import (
 )
 
 // The integration suite checks cross-module invariants that no single
-// package test can see: all four DASC drivers agreeing, the crawl →
+// package test can see: the DASC drivers agreeing, the crawl →
 // pipeline → cluster chain preserving ground truth, and the consistency
 // of the evaluation metrics across algorithms.
 
 // TestAllDriversAgree runs the same configuration through the local,
-// incremental, closure-MapReduce and shipped-MapReduce drivers and
-// requires identical partitions.
+// incremental and shipped-MapReduce drivers (the last at two executor
+// slot counts) and requires identical partitions.
 func TestAllDriversAgree(t *testing.T) {
 	l, err := dataset.Mixture(dataset.MixtureConfig{N: 220, D: 12, K: 4, Noise: 0.03, Seed: 60})
 	if err != nil {
@@ -40,7 +40,7 @@ func TestAllDriversAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mr, err := core.ClusterMapReduce(l.Points, cfg, &mapreduce.Local{}, "integration")
+	mr, err := core.ClusterMapReduceShipped(l.Points, cfg, &mapreduce.Local{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,9 +49,9 @@ func TestAllDriversAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, labels := range map[string][]int{
-		"incremental": inc.Labels,
-		"mapreduce":   mr.Labels,
-		"shipped":     shipped.Labels,
+		"incremental":     inc.Labels,
+		"shipped":         mr.Labels,
+		"shipped/3 slots": shipped.Labels,
 	} {
 		agree, err := metrics.Accuracy(ref.Labels, labels)
 		if err != nil {

@@ -37,9 +37,6 @@ func TestCompressionLabelIdentityAcrossDrivers(t *testing.T) {
 	for _, spill := range []int64{1, 64, 1 << 20} {
 		cfg := Config{K: 3, Seed: 52, Compression: true, SpillBytes: spill}
 
-		mr, err := ClusterMapReduce(l.Points, cfg, &mapreduce.Local{}, fmt.Sprintf("comp-closure-%d", spill))
-		check(fmt.Sprintf("closure/local spill=%d", spill), mr, err)
-
 		sh, err := ClusterMapReduceShipped(l.Points, cfg, &mapreduce.Local{})
 		check(fmt.Sprintf("shipped/local spill=%d", spill), sh, err)
 

@@ -11,16 +11,16 @@
 //     (internal/spectral) and assemble global labels.
 //
 // There is exactly one implementation of that dataflow — the canonical
-// plan in pipeline.go — run on interchangeable backends via the Runner
-// interface: Cluster (in-process bucket pool), ClusterIncremental
-// (bounded-memory waves), and one MapReduce runner — the
-// paper's two Hadoop jobs on any mapreduce.Executor (mapreduce.go) —
-// over three row sources (rowsource.go): ClusterMapReduce (the resident
-// matrix, shared with in-process workers), ClusterMapReduceShipped (rows
-// inside the records, so workers may live in other OS processes) and
-// ClusterMapReduceSharded (rows in shard files, never resident). Every
-// driver has a Context-taking form; the plain forms wrap
-// context.Background(). EMRFlow additionally builds an emr job flow
+// plan in pipeline.go — and one solve stage: the bucketSolver of
+// solver.go plans, costs and solves every bucket. It runs on two
+// backends behind the Runner interface: the in-process pool (Cluster,
+// and ClusterIncremental, which bounds the pool's waves by memory) and
+// the paper's two Hadoop jobs on any mapreduce.Executor (mapreduce.go)
+// over two row sources (rowsource.go): ClusterMapReduceShipped (rows
+// inside the records) and ClusterMapReduceSharded (rows in shard files,
+// never resident); either way the workers may live in other OS
+// processes. Every driver has a Context-taking form; the plain forms
+// wrap context.Background(). EMRFlow additionally builds an emr job flow
 // whose task costs follow §4.1's model, for the elasticity study of
 // Table 3.
 package core
@@ -33,14 +33,9 @@ import (
 	"time"
 
 	"repro/internal/analytic"
-	"repro/internal/embed"
-	"repro/internal/kernel"
-	"repro/internal/kmeans"
 	"repro/internal/lsh"
 	"repro/internal/mapreduce"
 	"repro/internal/matrix"
-	"repro/internal/par"
-	"repro/internal/spectral"
 )
 
 // Config controls a DASC run.
@@ -69,9 +64,9 @@ type Config struct {
 	// prebuilt lsh.Ensemble). When set, M is taken from the family and
 	// Policy/Bins are ignored. With Tables > 1 the family must be an
 	// lsh.Ensemble or lsh.Refittable (MinHash) so independent tables can
-	// be derived. Distributed drivers ship hash parameters to worker
-	// processes and therefore always use the paper's fitted hasher,
-	// ignoring Family.
+	// be derived. The MapReduce drivers and EMRFlow ship the paper's
+	// fitted thresholds to worker processes and reject a Family with
+	// ErrBadConfig.
 	Family lsh.Family
 	// Tables is the number of independent LSH tables L (default 1, the
 	// paper's single-signature front-end). With L > 1, buckets that
@@ -205,16 +200,16 @@ type Result struct {
 // ErrBadConfig reports unusable configuration.
 var ErrBadConfig = errors.New("core: bad config")
 
-// resolve fills config defaults for a dataset of n points.
+// resolve fills config defaults for a dataset of n points and validates
+// the front-end and data-plane dials; the solve dials (K, SparseCutoff,
+// Epsilon, EmbedDim, EmbedCutoff) are held to account by
+// newBucketSolver, which every caller of resolve goes on to call.
 func (c Config) resolve(n int) (Config, int, error) {
 	if n == 0 {
 		return c, 0, errors.New("core: empty dataset")
 	}
 	if c.K == 0 {
 		c.K = analytic.CategoryLaw(n)
-	}
-	if c.K < 1 || c.K > n {
-		return c, 0, fmt.Errorf("%w: K=%d with N=%d", ErrBadConfig, c.K, n)
 	}
 	if c.M == 0 {
 		c.M = lsh.DefaultM(n)
@@ -233,9 +228,6 @@ func (c Config) resolve(n int) (Config, int, error) {
 	default:
 		radius = c.M - c.P
 	}
-	if c.SparseCutoff < 0 {
-		return c, 0, fmt.Errorf("%w: SparseCutoff=%d", ErrBadConfig, c.SparseCutoff)
-	}
 	if c.Tables == 0 {
 		c.Tables = 1
 	}
@@ -247,18 +239,6 @@ func (c Config) resolve(n int) (Config, int, error) {
 	}
 	if c.MaxMergedBucket < 0 {
 		return c, 0, fmt.Errorf("%w: MaxMergedBucket=%d negative", ErrBadConfig, c.MaxMergedBucket)
-	}
-	if c.Epsilon < 0 || c.Epsilon >= 1 || math.IsNaN(c.Epsilon) {
-		return c, 0, fmt.Errorf("%w: Epsilon=%v outside [0,1)", ErrBadConfig, c.Epsilon)
-	}
-	if c.EmbedDim < 0 {
-		return c, 0, fmt.Errorf("%w: EmbedDim=%d negative", ErrBadConfig, c.EmbedDim)
-	}
-	if c.EmbedDim > 0 && c.EmbedDim%2 != 0 {
-		return c, 0, fmt.Errorf("%w: EmbedDim=%d must be even (cos/sin feature pairs)", ErrBadConfig, c.EmbedDim)
-	}
-	if c.EmbedCutoff < 0 {
-		return c, 0, fmt.Errorf("%w: EmbedCutoff=%d negative", ErrBadConfig, c.EmbedCutoff)
 	}
 	if c.EmbedDim > 0 && c.EmbedCutoff == 0 {
 		c.EmbedCutoff = DefaultEmbedCutoff
@@ -275,7 +255,8 @@ func (c Config) resolve(n int) (Config, int, error) {
 	return c, radius, nil
 }
 
-// Cluster runs DASC in-process, processing buckets on a worker pool.
+// Cluster runs DASC in-process, solving the buckets on a pool in
+// longest-first order.
 func Cluster(points *matrix.Dense, cfg Config) (*Result, error) {
 	return ClusterContext(context.Background(), points, cfg)
 }
@@ -287,21 +268,25 @@ func ClusterContext(ctx context.Context, points *matrix.Dense, cfg Config) (*Res
 }
 
 // localRunner is the in-process backend: signatures are hashed inline
-// and buckets are solved on a bounded goroutine pool.
-type localRunner struct{}
+// and buckets are solved on lsh.EachBucket, in waves whose planned
+// similarity storage fits budget — 0 means unbounded, one wave. Labels
+// are assembled in canonical partition order (the shared assembly path),
+// so they do not depend on the packing.
+type localRunner struct {
+	budget int64
+	// peak and waves are written by Solve and read by ClusterIncremental
+	// after the pipeline returns.
+	peak  int64
+	waves int
+}
 
 func (*localRunner) Name() string      { return "local" }
 func (*localRunner) NeedsHasher() bool { return false }
 
+// Signatures is the in-process signature stage: the ensemble hashes
+// every row under every table, in parallel for large inputs, with
+// identical output at any worker count.
 func (*localRunner) Signatures(ctx context.Context, p *Plan) (*lsh.SignatureSet, error) {
-	return hashSignatures(ctx, p)
-}
-
-// hashSignatures is the in-process signature stage, shared by the local
-// and incremental runners: the ensemble hashes every row under every
-// table, in parallel for large inputs, with identical output at any
-// worker count.
-func hashSignatures(ctx context.Context, p *Plan) (*lsh.SignatureSet, error) {
 	sigs, err := p.Ensemble.HashContext(ctx, p.Points)
 	if err != nil {
 		return nil, fmt.Errorf("core: signatures: %w", err)
@@ -309,42 +294,49 @@ func hashSignatures(ctx context.Context, p *Plan) (*lsh.SignatureSet, error) {
 	return sigs, nil
 }
 
-func (*localRunner) Solve(ctx context.Context, p *Plan, part *lsh.Partition) ([]BucketSolution, error) {
-	sols := make([]BucketSolution, len(part.Buckets))
-	if err := solveBuckets(ctx, p, part, part.LPTOrder(), sols); err != nil {
-		return nil, err
-	}
-	return sols, nil
-}
-
-// solveBuckets is the in-process bucket pool, shared by the local and
-// incremental runners: it solves the listed buckets of part through
-// internal/par in the order given — LPT, so the giants start first and
-// the one at the head runs on the calling goroutine, whose inner Gram and
-// k-means loops inherit the helpers the small buckets free as they
-// drain. Each solution is written at its original bucket index, so sols
-// is identical to in-order execution — scheduling never changes labels.
-// Each goroutine reuses one sub-Gram scratch buffer across the buckets
-// it processes.
-func solveBuckets(ctx context.Context, p *Plan, part *lsh.Partition, order []int, sols []BucketSolution) error {
-	n := p.Points.Rows()
-	kf := kernel.NewGaussian(p.Sigma)
-	return par.Workers(len(order), len(order), func(next func() (int, bool)) error {
-		var scratch []float64
-		for oi, ok := next(); ok; oi, ok = next() {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("core: solve cancelled: %w", err)
+func (r *localRunner) Solve(ctx context.Context, p *Plan, part *lsh.Partition) ([]BucketSolution, error) {
+	// Pack the buckets into waves first-fit-decreasing at their planned
+	// footprint: the dense worst case (a sparse solve only shrinks what
+	// is resident), or the embedded rows. A bucket larger than the budget
+	// gets a wave to itself.
+	var waves [][]int
+	var loads []int64
+	for _, bi := range part.LPTOrder() {
+		need := p.solver.plan(len(part.Buckets[bi].Indices)).Bytes
+		w := 0
+		if r.budget > 0 {
+			for w < len(waves) && loads[w]+need > r.budget {
+				w++
 			}
-			bi := order[oi]
+		}
+		if w == len(waves) {
+			waves = append(waves, nil)
+			loads = append(loads, 0)
+		}
+		waves[w] = append(waves[w], bi)
+		loads[w] += need
+	}
+	r.waves = len(waves)
+
+	// One pool per wave: each goroutine's scratch dies with the wave, so a
+	// wave's load bounds what its buffers can hold at once.
+	sols := make([]BucketSolution, len(part.Buckets))
+	for w, wave := range waves {
+		r.peak = max(r.peak, loads[w])
+		err := lsh.EachBucket(ctx, wave, func(bi int, scratch *[]float64) error {
 			b := part.Buckets[bi]
-			sol, err := clusterOneBucket(bucket{points: p.Points, rows: b.Indices, ids: b.Indices}, p.Cfg, n, kf, p.Embedder, &scratch)
+			sol, err := p.solver.solve(bucket{points: p.Points, rows: b.Indices, ids: b.Indices}, scratch)
 			if err != nil {
-				return fmt.Errorf("core: bucket %x: %w", b.Signature, err)
+				return fmt.Errorf("bucket %x: %w", b.Signature, err)
 			}
 			sols[bi] = sol
+			return nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("core: solve: %w", err)
 		}
-		return nil
-	})
+	}
+	return sols, nil
 }
 
 // BucketK returns the number of clusters assigned to a bucket of size
@@ -359,106 +351,4 @@ func BucketK(k, ni, n int) int {
 		ki = ni
 	}
 	return ki
-}
-
-// willEmbed reports whether the embed policy claims a bucket of ni
-// points in a dataset of n — the engine's gate plus the trivial-bucket
-// short-circuits that precede it in clusterOneBucket. The shipped
-// driver embeds map-side the buckets this predicate names, so it must
-// stay exactly in step with the engine's decision.
-func willEmbed(cfg Config, ni, n int) bool {
-	if cfg.EmbedDim <= 0 || cfg.EmbedCutoff <= 0 || ni < cfg.EmbedCutoff {
-		return false
-	}
-	ki := BucketK(cfg.K, ni, n)
-	return ki > 1 && ki < ni
-}
-
-// bucket is one LSH bucket as the solve stage sees it: row rows[i] of
-// points is the bucket's i-th point and ids[i] its dataset index (the
-// same list when points is the whole dataset). embedded marks a block
-// whose rows were already pushed through the plan's feature map.
-type bucket struct {
-	points   *matrix.Dense
-	rows     []int
-	ids      []int
-	embedded bool
-}
-
-// clusterOneBucket runs the per-bucket pipeline through the spectral
-// solve engine: sub-Gram (dense or thresholded CSR per the engine's
-// policy), normalized Laplacian, eigenvectors, K-means — or, for
-// buckets the embed policy claims, kernel embedding + k-means with no
-// Gram at all. Tiny buckets short-circuit with SolverTrivial. Every
-// runner solves its buckets here, whatever their rows' provenance.
-//
-// Dense sub-Grams (and embedded row blocks) are built inside *buf
-// (grown as needed and reused across calls — each worker owns one) and
-// consumed in place: the Laplacian overwrites it, so nothing retains
-// the buffer after the solve. buf may point to a nil slice on first
-// use; sparse solves never touch it.
-func clusterOneBucket(b bucket, cfg Config, n int, kf kernel.Kernel, emb embed.Embedder, buf *[]float64) (BucketSolution, error) {
-	ni := len(b.rows)
-	ki := BucketK(cfg.K, ni, n)
-	if b.embedded {
-		// Only the k-means half is left to do. The driver embeds map-side
-		// exactly the buckets with 1 < ki < ni; anything else means the
-		// record and the configuration disagree.
-		if ki <= 1 || ki >= ni {
-			return BucketSolution{}, fmt.Errorf("embedded bucket of %d points plans %d clusters", ni, ki)
-		}
-		start := time.Now()
-		res, err := spectral.ClusterEmbeddedRows(b.points, spectral.Config{K: ki, Seed: cfg.Seed + int64(b.ids[0])})
-		if err != nil {
-			return BucketSolution{}, fmt.Errorf("embedded bucket: %w", err)
-		}
-		dim := b.points.Cols()
-		return BucketSolution{
-			Labels: res.Labels, K: ki,
-			Solver:     spectral.SolverEmbedded,
-			NNZ:        int64(ni) * int64(dim),
-			Fill:       float64(dim) / float64(ni),
-			SolveNanos: time.Since(start).Nanoseconds(),
-			GramBytes:  embed.Bytes(ni, dim),
-		}, nil
-	}
-	if ni == 1 || ki == 1 {
-		return BucketSolution{Labels: make([]int, ni), K: 1, Solver: SolverTrivial}, nil
-	}
-	if ki == ni {
-		labels := make([]int, ni)
-		for i := range labels {
-			labels[i] = i
-		}
-		return BucketSolution{Labels: labels, K: ni, Solver: SolverTrivial}, nil
-	}
-	ecfg := spectral.EngineConfig{
-		K:            ki,
-		Seed:         cfg.Seed + int64(b.ids[0]),
-		SparseCutoff: cfg.SparseCutoff,
-		Epsilon:      cfg.Epsilon,
-		Embedder:     emb,
-		EmbedCutoff:  cfg.EmbedCutoff,
-	}
-	res, stats, err := spectral.ClusterBucket(b.points, b.rows, kf, ecfg, buf)
-	if err == nil {
-		return BucketSolution{
-			Labels: res.Labels, K: ki,
-			Solver: stats.Solver, NNZ: stats.NNZ, Fill: stats.Fill,
-			SolveNanos: stats.Nanos, GramBytes: stats.GramBytes,
-		}, nil
-	}
-	// Degenerate sub-Gram (e.g. all-zero similarities): fall back to
-	// K-means on the raw bucket points rather than failing the run.
-	bucketPts := matrix.NewDense(ni, b.points.Cols())
-	matrix.GatherRows(bucketPts.Data(), b.points, b.rows)
-	km, kerr := kmeans.Run(bucketPts, kmeans.Config{K: ki, Seed: cfg.Seed})
-	if kerr != nil {
-		return BucketSolution{}, fmt.Errorf("spectral (%v) and kmeans fallback (%v) both failed", err, kerr)
-	}
-	return BucketSolution{
-		Labels: km.Labels, K: ki,
-		Solver: SolverKMeansFallback, NNZ: stats.NNZ, Fill: stats.Fill,
-		SolveNanos: stats.Nanos, GramBytes: stats.GramBytes,
-	}, nil
 }

@@ -65,7 +65,7 @@ func TestResultDeterministicAcrossRunsAndWorkers(t *testing.T) {
 // TestLabelsIdenticalAcrossProcsOnAllDrivers is the north star's
 // "bit-identical labels on every driver" with GOMAXPROCS — since
 // internal/par the only parallelism dial, and one whose helper count is
-// timing-dependent — swept over 1, 2, 4 and 8 on all five drivers. The
+// timing-dependent — swept over 1, 2, 4 and 8 on all four drivers. The
 // mixture hashes to one embedded bucket of more than 4096 rows, so the
 // bucket's k-means crosses parallelUpdateCutoff: its centroid sums must
 // take the block-partial order from n, not from how many goroutines
@@ -87,9 +87,6 @@ func TestLabelsIdenticalAcrossProcsOnAllDrivers(t *testing.T) {
 				return nil, err
 			}
 			return &res.Result, nil
-		}},
-		{"mapreduce", func() (*Result, error) {
-			return ClusterMapReduce(l.Points, cfg, &mapreduce.Local{}, "procs-pin")
 		}},
 		{"shipped", func() (*Result, error) { return ClusterMapReduceShipped(l.Points, cfg, &mapreduce.Local{}) }},
 		{"sharded", func() (*Result, error) { return ClusterMapReduceSharded(dir, cfg, &mapreduce.Local{}) }},

@@ -44,7 +44,7 @@ func zeroSolveNanos(pairs []mapreduce.Pair) {
 }
 
 // TestCoreJobsElisionMatchesExecution is the cross-source table: the one
-// MapReduce job pair over each of the three row sources, with the
+// MapReduce job pair over each of the two row sources, with the
 // shuffle in memory and spilled, compressed and not. Every run must
 // yield exactly what Cluster yields — labels, cluster count, Gram
 // accounting, per-bucket solver — and the two jobs each source submits
@@ -54,7 +54,7 @@ func zeroSolveNanos(pairs []mapreduce.Pair) {
 //
 // The dial puts buckets on both sides of the embed policy: above
 // EmbedCutoff (embedded map-side by the record-carried source, in the
-// reducer by the other two) and below it with more than one cluster to
+// reducer by the shard-backed one) and below it with more than one cluster to
 // find (the exact Gram path, on rows that arrived by value).
 func TestCoreJobsElisionMatchesExecution(t *testing.T) {
 	l := mixture(t, 400, 12, 6, 0.05, 60)
@@ -71,9 +71,6 @@ func TestCoreJobsElisionMatchesExecution(t *testing.T) {
 		name string
 		run  func(cfg Config, exec mapreduce.Executor) (*Result, error)
 	}{
-		{"closure", func(cfg Config, exec mapreduce.Executor) (*Result, error) {
-			return ClusterMapReduce(l.Points, cfg, exec, "elision-closure")
-		}},
 		{"shipped", func(cfg Config, exec mapreduce.Executor) (*Result, error) {
 			return ClusterMapReduceShipped(l.Points, cfg, exec)
 		}},

@@ -41,7 +41,9 @@ func TestEmbeddedAllDriversIdenticalLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mr, err := ClusterMapReduce(l.Points, cfg, &mapreduce.Local{}, "embed-ident")
+	scfg := cfg
+	scfg.FitSample = l.Points.Rows() // the full-matrix fit of the in-memory drivers
+	sharded, err := ClusterMapReduceSharded(writeShardDir(t, l.Points, 64), scfg, &mapreduce.Local{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +54,7 @@ func TestEmbeddedAllDriversIdenticalLabels(t *testing.T) {
 
 	others := map[string]*Result{
 		"incremental": &inc.Result,
-		"mapreduce":   mr,
+		"sharded":     sharded,
 		"shipped":     shipped,
 	}
 	for name, res := range others {
@@ -74,13 +76,13 @@ func TestEmbeddedAllDriversIdenticalLabels(t *testing.T) {
 		}
 	}
 
-	// Only the shipped runner moves embedded records over the wire, so
-	// only it meters the embed data plane.
+	// Only the record-carried source moves embedded records over the
+	// wire, so only it meters the embed data plane.
 	if shipped.MapReduce == nil || shipped.MapReduce.EmbedBytes == 0 {
 		t.Fatalf("shipped embed counters not metered: %+v", shipped.MapReduce)
 	}
-	if mr.MapReduce.EmbedBytes != 0 {
-		t.Fatalf("closure runner metered embed bytes: %+v", mr.MapReduce)
+	if sharded.MapReduce.EmbedBytes != 0 {
+		t.Fatalf("shard-backed source metered embed bytes: %+v", sharded.MapReduce)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/analytic"
-	"repro/internal/embed"
 	"repro/internal/emr"
 	"repro/internal/lsh"
 	"repro/internal/matrix"
@@ -25,36 +24,21 @@ func EMRFlow(points *matrix.Dense, cfg Config, beta float64) (*emr.JobFlow, *lsh
 }
 
 // EMRFlowContext is EMRFlow with cancellation: the context is checked
-// between the hash fit and the partition pass.
+// during the signature pass and before the partition pass.
 func EMRFlowContext(ctx context.Context, points *matrix.Dense, cfg Config, beta float64) (*emr.JobFlow, *lsh.Partition, error) {
-	n := points.Rows()
-	cfg, radius, err := cfg.resolve(n)
+	p, err := NewPlan(points, cfg, true)
 	if err != nil {
 		return nil, nil, err
 	}
-	if beta <= 0 {
-		beta = analytic.DefaultModel().Beta
-	}
-	ens, err := lsh.FitEnsemble(points, lsh.Config{
-		M: cfg.M, Policy: cfg.Policy, Bins: cfg.Bins, Seed: cfg.Seed,
-	}, lsh.EnsembleConfig{
-		Tables:          cfg.Tables,
-		ProbeRadius:     cfg.ProbeRadius,
-		MaxMergedBucket: cfg.MaxMergedBucket,
-	})
+	sigs, err := (&localRunner{}).Signatures(ctx, p)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: lsh: %w", err)
+		return nil, nil, err
 	}
-	sigs, err := ens.HashContext(ctx, points)
+	part, err := p.Ensemble.Partition(points, sigs, p.Radius)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: emr flow: %w", err)
 	}
-	part, err := ens.Partition(points, sigs, radius)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: emr flow: %w", err)
-	}
-	flow := BuildFlow(part, cfg, n, points.Cols(), beta)
-	return flow, part, nil
+	return buildFlow(part, p.solver, p.Cfg, beta, false), part, nil
 }
 
 // EMRDiskBandwidth is the simulated sequential local-disk bandwidth in
@@ -105,12 +89,14 @@ func spillDiskAndCodec(raw int64, compressed bool) (disk int64, codec float64) {
 	return 2 * written, 2 * codecSeconds(raw)
 }
 
-// BuildFlow constructs the job flow from an existing partition. Costs
+// BuildFlow constructs the job flow from an existing partition. cfg may
+// be raw or already resolved against n — the flow is the same; one that
+// does not resolve yields a nil flow, which RunJobFlow rejects. Costs
 // follow §4.1: hashing is beta*M per point per split, multiplied by the
 // number of ensemble tables (each table hashes every point); a bucket
-// of size Ni with Ki clusters costs beta*(2 Ni^2 + 2 Ki Ni); collection
-// is a single linear pass. Memory per bucket is the 4 Ni^2-byte
-// sub-Gram.
+// costs, and holds in memory, what the solve stage's plan says
+// (bucketSolver.cost and plan: beta*(2 Ni^2 + 2 Ki Ni) beside a
+// 4 Ni^2-byte sub-Gram); collection is a single linear pass.
 //
 // With embed mode on (EmbedDim > 0), the map side additionally pays
 // beta*d′ per point for the feature transform, and buckets the embed
@@ -123,7 +109,7 @@ func spillDiskAndCodec(raw int64, compressed bool) (disk int64, codec float64) {
 // through Task.DiskBytes. BuildFlowSharded additionally models
 // demand-read shard input.
 func BuildFlow(part *lsh.Partition, cfg Config, n, dims int, beta float64) *emr.JobFlow {
-	return buildFlow(part, cfg, n, dims, beta, false)
+	return flowOf(part, cfg, n, dims, beta, false)
 }
 
 // BuildFlowSharded is BuildFlow for the out-of-core sharded data plane:
@@ -133,26 +119,35 @@ func BuildFlow(part *lsh.Partition, cfg Config, n, dims int, beta float64) *emr.
 // Ni rows before solving. Combine with cfg.SpillBytes for the full
 // out-of-core model.
 func BuildFlowSharded(part *lsh.Partition, cfg Config, n, dims int, beta float64) *emr.JobFlow {
-	return buildFlow(part, cfg, n, dims, beta, true)
+	return flowOf(part, cfg, n, dims, beta, true)
 }
 
-func buildFlow(part *lsh.Partition, cfg Config, n, dims int, beta float64, sharded bool) *emr.JobFlow {
+// flowOf resolves cfg as a driver would and builds the solve stage the
+// flow is costed from. The cost model does not read the kernel
+// bandwidth, so an unfitted one stands at 1.
+func flowOf(part *lsh.Partition, cfg Config, n, dims int, beta float64, sharded bool) *emr.JobFlow {
+	cfg, _, err := cfg.resolve(n)
+	if err != nil {
+		return nil
+	}
+	sigma := cfg.Sigma
+	if sigma <= 0 {
+		sigma = 1
+	}
+	solver, err := newBucketSolver(policyOf(cfg, n, dims, sigma))
+	if err != nil {
+		return nil
+	}
+	return buildFlow(part, solver, cfg, beta, sharded)
+}
+
+// buildFlow costs the partition under a resolved configuration and the
+// solver built from it.
+func buildFlow(part *lsh.Partition, solver *bucketSolver, cfg Config, beta float64, sharded bool) *emr.JobFlow {
 	if beta <= 0 {
 		beta = analytic.DefaultModel().Beta
 	}
-	m := cfg.M
-	if m == 0 {
-		m = lsh.DefaultM(n)
-	}
-	tables := cfg.Tables
-	if tables < 1 {
-		tables = 1
-	}
-	embedDim := cfg.EmbedDim
-	embedCutoff := cfg.EmbedCutoff
-	if embedDim > 0 && embedCutoff == 0 {
-		embedCutoff = DefaultEmbedCutoff // mirror resolve for direct callers
-	}
+	n, dims := solver.pol.N, solver.pol.Cols
 	const splitSize = 1024
 	var lshTasks []emr.Task
 	for start := 0; start < n; start += splitSize {
@@ -160,9 +155,9 @@ func buildFlow(part *lsh.Partition, cfg Config, n, dims int, beta float64, shard
 		if start+size > n {
 			size = n - start
 		}
-		mapCost := beta * float64(m) * float64(tables) * float64(size)
-		if embedDim > 0 {
-			mapCost += beta * float64(embedDim) * float64(size)
+		mapCost := beta * float64(cfg.M) * float64(cfg.Tables) * float64(size)
+		if cfg.EmbedDim > 0 {
+			mapCost += beta * float64(cfg.EmbedDim) * float64(size)
 		}
 		var disk int64
 		mem := int64(size) * int64(dims) * 8
@@ -171,14 +166,14 @@ func buildFlow(part *lsh.Partition, cfg Config, n, dims int, beta float64, shard
 			// bytes move from resident memory to disk reads, leaving only
 			// the row buffer and buffered output records in RAM.
 			disk += int64(size) * int64(dims) * 8
-			mem = int64(dims)*8 + int64(size)*int64(tables)*spillRecordBytes
+			mem = int64(dims)*8 + int64(size)*int64(cfg.Tables)*spillRecordBytes
 		}
 		var codec float64
 		if cfg.SpillBytes > 0 {
 			// Out-of-core shuffle: every record is written to a spill run
 			// and re-read by the k-way merge — deflated on disk, at one
 			// flate pass each way, when the compressed plane is on.
-			sdisk, scodec := spillDiskAndCodec(int64(size)*int64(tables)*spillRecordBytes, cfg.Compression)
+			sdisk, scodec := spillDiskAndCodec(int64(size)*int64(cfg.Tables)*spillRecordBytes, cfg.Compression)
 			disk += sdisk
 			codec += scodec
 		}
@@ -193,13 +188,8 @@ func buildFlow(part *lsh.Partition, cfg Config, n, dims int, beta float64, shard
 	var clusterTasks []emr.Task
 	for _, b := range part.Buckets {
 		ni := len(b.Indices)
-		ki := BucketK(cfg.K, ni, n)
-		cost := beta * (2*float64(ni)*float64(ni) + 2*float64(ki)*float64(ni))
-		mem := 4 * int64(ni) * int64(ni)
-		if embedDim > 0 && ni >= embedCutoff && ki > 1 && ki < ni {
-			cost = beta * (2*float64(ni)*float64(embedDim) + 2*float64(ki)*float64(ni))
-			mem = embed.Bytes(ni, embedDim)
-		}
+		pl := solver.plan(ni)
+		cost, mem := solver.cost(pl, ni, beta), pl.Bytes
 		var disk int64
 		if sharded {
 			// The reducer demand-reads exactly its bucket's rows, which

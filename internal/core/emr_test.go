@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/emr"
@@ -176,5 +178,72 @@ func TestEMRFlowValidation(t *testing.T) {
 	l := mixture(t, 16, 4, 2, 0.05, 34)
 	if _, _, err := EMRFlow(l.Points, Config{K: 99}, 0); err == nil {
 		t.Fatal("expected config error")
+	}
+}
+
+// TestBuildFlowPinned holds the flow model still across the move of its
+// bucket costing into the solve stage: a raw Config and its resolved
+// form build the same flow task for task, and the simulated totals of
+// both builders, over spill x compression x embed, are the constants
+// captured before the move (commit bbdcb14).
+func TestBuildFlowPinned(t *testing.T) {
+	part := syntheticPartition(40, 600)
+	n := 0
+	for _, s := range part.Sizes() {
+		n += s
+	}
+	const dims = 16
+	c, err := emr.NewCluster(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fx := range []struct {
+		sharded  bool
+		spill    int64
+		compress bool
+		embedDim int
+		want     string // TotalTime, TotalDiskBytes, step-2 TotalMemory
+	}{
+		{false, 0, false, 0, "101.654 0 31529840"},
+		{false, 0, false, 64, "46.0464 0 14070880"},
+		{false, 0, true, 0, "101.654 0 31529840"},
+		{false, 0, true, 64, "46.0464 0 14070880"},
+		{false, 1048576, false, 0, "101.65727026367188 1014280 31529840"},
+		{false, 1048576, false, 64, "46.049669195556646 1014280 14070880"},
+		{false, 1048576, true, 0, "101.65612558746339 405680 31529840"},
+		{false, 1048576, true, 64, "46.04852490081787 405680 14070880"},
+		{true, 0, false, 0, "101.66688818359376 4469760 33764720"},
+		{true, 0, false, 64, "46.05927109375 4469760 16305760"},
+		{true, 0, true, 0, "101.66688818359376 4469760 33764720"},
+		{true, 0, true, 64, "46.05927109375 4469760 16305760"},
+		{true, 1048576, false, 0, "101.67015844726562 5484040 33764720"},
+		{true, 1048576, false, 64, "46.06254028930664 5484040 16305760"},
+		{true, 1048576, true, 0, "101.66901377105712 4875440 33764720"},
+		{true, 1048576, true, 64, "46.061395994567874 4875440 16305760"},
+	} {
+		raw := Config{K: 64, SpillBytes: fx.spill, Compression: fx.compress, EmbedDim: fx.embedDim}
+		resolved, _, err := raw.resolve(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		build := BuildFlow
+		if fx.sharded {
+			build = BuildFlowSharded
+		}
+		flow := build(part, raw, n, dims, 0)
+		if again := build(part, resolved, n, dims, 0); !reflect.DeepEqual(flow, again) {
+			t.Errorf("%+v: the flow of the resolved config differs from the raw one's", fx)
+		}
+		rep, err := c.RunJobFlow(flow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%v %d %d", rep.TotalTime, rep.TotalDiskBytes, rep.Steps[1].Schedule.TotalMemory); got != fx.want {
+			t.Errorf("sharded=%v spill=%d compress=%v embed=%d: simulated %s, pinned %s",
+				fx.sharded, fx.spill, fx.compress, fx.embedDim, got, fx.want)
+		}
+	}
+	if flow := BuildFlow(part, Config{K: n + 1}, n, dims, 0); flow != nil {
+		t.Error("a config that does not resolve must yield a nil flow")
 	}
 }

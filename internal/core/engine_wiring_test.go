@@ -148,8 +148,8 @@ func TestResolveValidatesEngineConfig(t *testing.T) {
 	}
 }
 
-// TestMapReduceCarriesSolverStats: both MapReduce formulations must
-// report the same per-bucket solver stats as the local driver — the
+// TestMapReduceCarriesSolverStats: the MapReduce runner must report
+// the same per-bucket solver stats as the local driver — the
 // stats travel as length-distinguished stage-2 records.
 func TestMapReduceCarriesSolverStats(t *testing.T) {
 	pts, _ := blobPoints(71, 8, 60, 12, 10, 0.3)
@@ -161,15 +161,11 @@ func TestMapReduceCarriesSolverStats(t *testing.T) {
 	if local.Solvers[spectral.SolverSparseLanczos] == 0 {
 		t.Fatalf("fixture never goes sparse: %v", local.Solvers)
 	}
-	viaMR, err := ClusterMapReduce(pts, cfg, &mapreduce.Local{Workers: 3}, "test-stats")
-	if err != nil {
-		t.Fatal(err)
-	}
 	viaShipped, err := ClusterMapReduceShipped(pts, cfg, &mapreduce.Local{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, res := range map[string]*Result{"mapreduce": viaMR, "shipped": viaShipped} {
+	for name, res := range map[string]*Result{"shipped": viaShipped} {
 		if res.GramBytes != local.GramBytes {
 			t.Fatalf("%s: GramBytes %d vs local %d", name, res.GramBytes, local.GramBytes)
 		}

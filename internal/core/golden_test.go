@@ -64,16 +64,18 @@ func TestGoldenLabelsDegenerateDial(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("incremental", inc.Labels, goldenA)
-	mr, err := ClusterMapReduce(a.Points, cfgA, &mapreduce.Local{}, "golden-test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("mapreduce", mr.Labels, goldenA)
 	shipped, err := ClusterMapReduceShipped(a.Points, cfgA, &mapreduce.Local{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	check("shipped", shipped.Labels, goldenA)
+	scfgA := cfgA
+	scfgA.FitSample = a.Points.Rows() // the full-matrix fit of the in-memory drivers
+	sharded, err := ClusterMapReduceSharded(writeShardDir(t, a.Points, 64), scfgA, &mapreduce.Local{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("sharded", sharded.Labels, goldenA)
 
 	b := mixture(t, 240, 12, 4, 0.04, 11)
 	res, err := Cluster(b.Points, Config{K: 4, Seed: 7, SparseCutoff: 24, Epsilon: 1e-4})
@@ -103,19 +105,21 @@ func TestAllDriversEnsembleIdenticalLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mr, err := ClusterMapReduce(l.Points, cfg, &mapreduce.Local{}, "ensemble-ident")
+	shipped, err := ClusterMapReduceShipped(l.Points, cfg, &mapreduce.Local{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	shipped, err := ClusterMapReduceShipped(l.Points, cfg, &mapreduce.Local{})
+	scfg := cfg
+	scfg.FitSample = l.Points.Rows() // the full-matrix fit of the in-memory drivers
+	sharded, err := ClusterMapReduceSharded(writeShardDir(t, l.Points, 64), scfg, &mapreduce.Local{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	others := map[string]*Result{
 		"incremental": &inc.Result,
-		"mapreduce":   mr,
 		"shipped":     shipped,
+		"sharded":     sharded,
 	}
 	for name, res := range others {
 		if len(res.Labels) != len(batch.Labels) {

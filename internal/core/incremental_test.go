@@ -1,7 +1,11 @@
 package core
 
 import (
+	"math"
+	"reflect"
 	"testing"
+
+	"repro/internal/kernel"
 )
 
 func TestClusterIncrementalMatchesBatch(t *testing.T) {
@@ -86,5 +90,53 @@ func TestClusterIncrementalOversizedBucket(t *testing.T) {
 	}
 	if len(inc.Labels) != 120 {
 		t.Fatalf("labels = %d", len(inc.Labels))
+	}
+}
+
+// TestClusterIncrementalWavesPinned: the bounded-memory driver is the
+// in-process runner with a budget, packing waves from the solve stage's
+// plan. At a budget nothing fits, at exactly the largest bucket's dense
+// footprint and at no bound at all it must label like Cluster and report
+// the waves and peak the dedicated runner it replaced reported (commit
+// bbdcb14) — on an exact run and on one mixing embedded, dense and
+// trivial buckets, where the peak counts embedded rows, not Grams.
+func TestClusterIncrementalWavesPinned(t *testing.T) {
+	for _, fx := range []struct {
+		name    string
+		noise   float64
+		n       int
+		cfg     Config
+		largest int64
+		want    [3][2]int64 // waves, peak at budgets 1, largest, unbounded
+	}{
+		{"exact", 0.03, 300, Config{K: 6, Seed: 43, M: 6},
+			40000, [3][2]int64{{5, 40000}, {3, 40000}, {1, 80008}}},
+		{"mixed", 0.2, 600, Config{K: 24, Seed: 43, M: 4, P: -1, EmbedDim: 16, EmbedCutoff: 60},
+			41616, [3][2]int64{{15, 13056}, {2, 37904}, {1, 73872}}},
+	} {
+		l := mixture(t, fx.n, 12, 6, fx.noise, 42)
+		full, err := Cluster(l.Points, fx.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var largest int64
+		for _, b := range full.Buckets {
+			largest = max(largest, kernel.GramBytes(b.Size))
+		}
+		if largest != fx.largest {
+			t.Fatalf("%s: largest bucket's dense footprint %d, fixture expects %d", fx.name, largest, fx.largest)
+		}
+		for i, budget := range []int64{1, largest, math.MaxInt64} {
+			inc, err := ClusterIncremental(l.Points, fx.cfg, budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(inc.Labels, full.Labels) || inc.GramBytes != full.GramBytes {
+				t.Errorf("%s budget %d: labels or Gram accounting differ from Cluster", fx.name, budget)
+			}
+			if got := [2]int64{int64(inc.Waves), inc.PeakGramBytes}; got != fx.want[i] {
+				t.Errorf("%s budget %d: (waves, peak) = %v, pinned %v", fx.name, budget, got, fx.want[i])
+			}
+		}
 	}
 }

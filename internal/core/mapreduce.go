@@ -11,8 +11,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/embed"
-	"repro/internal/kernel"
 	"repro/internal/lsh"
 	"repro/internal/mapreduce"
 	"repro/internal/matrix"
@@ -26,36 +24,22 @@ import (
 //	  (table:signature, index) pair per hash table; the grouped reduce
 //	  output is the raw signature partition,
 //	stage 2 (Algorithm 2): after the driver merges near-duplicate
-//	  signatures, each reducer solves its buckets — sub-similarity
-//	  matrix and spectral clustering, or k-means on embedded rows —
-//	  emitting per-point labels and one stats record per bucket.
+//	  signatures, each reducer solves its buckets with the bucketSolver
+//	  every other driver uses, emitting per-point labels and one stats
+//	  record per bucket.
 //
-// The three public MapReduce drivers differ only in the rowSource they
-// hand the runner: where a worker gets row i.
-
-// ClusterMapReduce runs the two stages with the points matrix shared by
-// closure: the jobs are registered under names derived from jobPrefix,
-// so executor workers must live in the driver's address space (the
-// Local pool, or goroutine TCP workers) — the matrix stands in for
-// HDFS-distributed input splits.
-func ClusterMapReduce(points *matrix.Dense, cfg Config, exec mapreduce.Executor, jobPrefix string) (*Result, error) {
-	return ClusterMapReduceContext(context.Background(), points, cfg, exec, jobPrefix)
-}
-
-// ClusterMapReduceContext is ClusterMapReduce with cancellation: the
-// context is threaded into the executor, so executors implementing
-// mapreduce.ContextExecutor (Local and the TCP Master) abort in-flight
-// map and reduce work cooperatively.
-func ClusterMapReduceContext(ctx context.Context, points *matrix.Dense, cfg Config, exec mapreduce.Executor, jobPrefix string) (*Result, error) {
-	return RunPipeline(ctx, points, cfg, &mrRunner{exec: exec, src: &matrixRows{points: points, prefix: jobPrefix}})
-}
+// Both jobs travel as a registered name ("dasc-lsh", "dasc-cluster" —
+// bench/ tells the stages apart by those suffixes) plus a gob Conf, so
+// any process that imports this package can run their tasks. The two
+// public MapReduce drivers differ only in the rowSource they hand the
+// runner: where a worker gets row i.
 
 // ClusterMapReduceShipped runs the two stages with all data shipped
 // through the records — vectors in stage 1, whole buckets (embedded
 // map-side where the embed policy claims them) in stage 2 — and all
 // configuration through the job Conf, so the executor's workers may
 // live in other OS processes (start them with cmd/dascworker): the full
-// Hadoop deployment model. Semantically identical to ClusterMapReduce.
+// Hadoop deployment model.
 func ClusterMapReduceShipped(points *matrix.Dense, cfg Config, exec mapreduce.Executor) (*Result, error) {
 	return ClusterMapReduceShippedContext(context.Background(), points, cfg, exec)
 }
@@ -101,7 +85,7 @@ func ClusterMapReduceShardedContext(ctx context.Context, dir string, cfg Config,
 	if err != nil {
 		return nil, fmt.Errorf("core: sharded fit sample: %w", err)
 	}
-	p, err := fitPlan(sample, cfg, radius, true)
+	p, err := fitPlan(sample, n, cfg, radius, true)
 	if err != nil {
 		return nil, err
 	}
@@ -112,7 +96,7 @@ func ClusterMapReduceShardedContext(ctx context.Context, dir string, cfg Config,
 	if cfg.ProbeRadius > 0 {
 		probe = src
 	}
-	res, err := runStages(ctx, start, p, n, probe, &mrRunner{exec: exec, src: src})
+	res, err := runStages(ctx, start, p, probe, &mrRunner{exec: exec, src: src})
 	if src.probeErr != nil {
 		return nil, fmt.Errorf("core: sharded probe rows: %w", src.probeErr)
 	}
@@ -150,10 +134,13 @@ func (r *mrRunner) MapReduceCounters() *mapreduce.Counters {
 	return &ctr
 }
 
-// run publishes one stage's job for the executor's workers and runs it.
+// run names one stage's job ("lsh" or "cluster") for the registered
+// factories, attaches its configuration and runs it.
 func (r *mrRunner) run(ctx context.Context, p *Plan, job *mapreduce.Job, stage string, conf any, input []mapreduce.Pair) ([]mapreduce.Pair, error) {
-	if err := r.src.publish(job, stage, conf); err != nil {
-		return nil, err
+	var err error
+	job.Name = "dasc-" + stage
+	if job.Conf, err = gobEncode(conf); err != nil {
+		return nil, fmt.Errorf("core: %s conf: %w", stage, err)
 	}
 	job.SpillBytes = p.Cfg.SpillBytes
 	job.Compress = p.Cfg.Compression
@@ -184,22 +171,10 @@ func (r *mrRunner) Signatures(ctx context.Context, p *Plan) (*lsh.SignatureSet, 
 	if err != nil {
 		return nil, err
 	}
-	n, _ := r.src.shape()
-	return signaturesFromPairs(sigPairs, n, len(hashers))
+	return signaturesFromPairs(sigPairs, p.solver.pol.N, len(hashers))
 }
 
 func (r *mrRunner) Solve(ctx context.Context, p *Plan, part *lsh.Partition) ([]BucketSolution, error) {
-	n, cols := r.src.shape()
-	conf := clusterConf{
-		Dir: r.src.dir(), N: n, Cols: cols,
-		K: p.Cfg.K, Sigma: p.Sigma, Seed: p.Cfg.Seed,
-		SparseCutoff: p.Cfg.SparseCutoff, Epsilon: p.Cfg.Epsilon,
-		EmbedDim: p.Cfg.EmbedDim, EmbedCutoff: p.Cfg.EmbedCutoff,
-	}
-	job, err := newClusterJob(r.src, conf)
-	if err != nil {
-		return nil, err
-	}
 	input := make([]mapreduce.Pair, len(part.Buckets))
 	var scratch []float64
 	for bi, b := range part.Buckets {
@@ -209,11 +184,12 @@ func (r *mrRunner) Solve(ctx context.Context, p *Plan, part *lsh.Partition) ([]B
 		}
 		input[bi] = mapreduce.Pair{Key: fmt.Sprintf("%016x", b.Signature), Value: value}
 	}
-	labelPairs, err := r.run(ctx, p, job, "cluster", conf, input)
+	conf := solveConf{Dir: r.src.dir(), Policy: p.solver.pol}
+	labelPairs, err := r.run(ctx, p, newClusterJob(r.src, p.solver), "cluster", conf, input)
 	if err != nil {
 		return nil, err
 	}
-	return solutionsFromLabelPairs(part, labelPairs, n)
+	return solutionsFromLabelPairs(part, labelPairs, p.solver.pol.N)
 }
 
 // ---- the two jobs ----
@@ -232,22 +208,12 @@ type lshConf struct {
 	Tables []lshTable
 }
 
-// clusterConf is the stage-2 configuration: the source's shard
-// directory, the dataset shape, and the driver's solve-engine policy
-// (zero SparseCutoff/EmbedDim reproduce the dense path exactly). With
-// EmbedDim > 0 every worker refits the kernel embedding from (Cols,
-// EmbedDim, Sigma, Seed) — a pure function, so all hold bitwise the
-// driver's feature map.
-type clusterConf struct {
-	Dir          string
-	N, Cols      int
-	K            int
-	Sigma        float64
-	Seed         int64
-	SparseCutoff int
-	Epsilon      float64
-	EmbedDim     int
-	EmbedCutoff  int
+// solveConf is the stage-2 configuration: the shard directory of a
+// shard-backed source and the driver's solve policy, from which every
+// worker builds bitwise the driver's solver.
+type solveConf struct {
+	Dir    string
+	Policy solvePolicy
 }
 
 // gobEncode / gobDecode move a job's configuration through Job.Conf —
@@ -266,8 +232,8 @@ func gobDecode(data []byte, v any) error {
 }
 
 // lshJobFromConf and clusterJobFromConf are the mapreduce.JobFactory
-// forms of the two job builders, registered for the sources whose
-// workers may live in other processes.
+// forms of the two job builders: what a worker runs to turn a task's job
+// name and Conf back into the job.
 func lshJobFromConf(blob []byte) (*mapreduce.Job, error) {
 	var c lshConf
 	if err := gobDecode(blob, &c); err != nil {
@@ -281,7 +247,7 @@ func lshJobFromConf(blob []byte) (*mapreduce.Job, error) {
 }
 
 func clusterJobFromConf(blob []byte) (*mapreduce.Job, error) {
-	var c clusterConf
+	var c solveConf
 	if err := gobDecode(blob, &c); err != nil {
 		return nil, fmt.Errorf("core: cluster conf: %w", err)
 	}
@@ -289,42 +255,48 @@ func clusterJobFromConf(blob []byte) (*mapreduce.Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newClusterJob(src, c)
+	solver, err := newBucketSolver(c.Policy)
+	if err != nil {
+		return nil, err
+	}
+	return newClusterJob(src, solver), nil
 }
 
 // newLSHJob builds the stage-1 job (Algorithm 1, extended to the
 // multi-table ensemble): the source's mapper turns each input record
-// into its rows, each is hashed once per table with the shipped
-// thresholds and emits one (table:signature, index) record per table; the reducer
-// passes records through, so the executor's shuffle performs the
-// per-table signature grouping.
+// into its rows, each is hashed once per table by the lsh.Hasher rebuilt
+// from the shipped thresholds and emits one (table:signature, index)
+// record per table; the reducer passes records through, so the
+// executor's shuffle performs the per-table signature grouping.
 func newLSHJob(src rowSource, c lshConf) (*mapreduce.Job, error) {
 	if len(c.Tables) == 0 {
 		return nil, fmt.Errorf("core: lsh conf has no tables")
 	}
+	hashers := make([]*lsh.Hasher, len(c.Tables))
+	width := 0 // columns a row must have: the largest shipped dimension + 1
 	for t, tab := range c.Tables {
-		if len(tab.Dims) != len(tab.Thresholds) || len(tab.Dims) == 0 {
-			return nil, fmt.Errorf("core: lsh conf table %d has %d dims, %d thresholds",
-				t, len(tab.Dims), len(tab.Thresholds))
+		h, err := lsh.NewHasher(tab.Dims, tab.Thresholds)
+		if err != nil {
+			return nil, fmt.Errorf("core: lsh conf table %d: %w", t, err)
+		}
+		hashers[t] = h
+		for _, dim := range tab.Dims {
+			width = max(width, dim+1)
 		}
 	}
 	return &mapreduce.Job{
 		NumReducers: 4,
 		Map: src.mapRows(func(idx int, row []float64, emit mapreduce.Emit) error {
+			// Rows arrive off the wire or from a shard file; Signature
+			// indexes them unchecked.
+			if len(row) < width {
+				return fmt.Errorf("hash dimension %d outside vector of %d", width-1, len(row))
+			}
 			// The shuffle keeps the emitted value, so every row gets its
 			// own; the tables share it.
 			buf := binary.LittleEndian.AppendUint32(make([]byte, 0, 4), uint32(idx))
-			for t, tab := range c.Tables {
-				var sig uint64
-				for i, dim := range tab.Dims {
-					if dim < 0 || dim >= len(row) {
-						return fmt.Errorf("hash dimension %d outside vector of %d", dim, len(row))
-					}
-					if row[dim] > tab.Thresholds[i] {
-						sig |= 1 << uint(i)
-					}
-				}
-				emit(encodeSigKey(t, sig), buf)
+			for t, h := range hashers {
+				emit(encodeSigKey(t, h.Signature(row)), buf)
 			}
 			return nil
 		}),
@@ -335,26 +307,9 @@ func newLSHJob(src rowSource, c lshConf) (*mapreduce.Job, error) {
 
 // newClusterJob builds the stage-2 job (Algorithm 2): each reduce value
 // is one merged bucket in the source's record form; the reducer has the
-// source open it, solves it with the engine every other driver uses,
-// and emits one (bucketSig, point/label/k) record per point plus the
-// bucket's stats record.
-func newClusterJob(src rowSource, c clusterConf) (*mapreduce.Job, error) {
-	if c.N < 1 || c.Cols < 1 || c.K < 1 || c.Sigma <= 0 || c.EmbedDim < 0 ||
-		(c.EmbedDim > 0 && c.EmbedCutoff < 1) {
-		return nil, fmt.Errorf("core: cluster conf %+v invalid", c)
-	}
-	cfg := Config{
-		K: c.K, Seed: c.Seed, SparseCutoff: c.SparseCutoff, Epsilon: c.Epsilon,
-		EmbedDim: c.EmbedDim, EmbedCutoff: c.EmbedCutoff,
-	}
-	kf := kernel.NewGaussian(c.Sigma)
-	var emb embed.Embedder
-	if c.EmbedDim > 0 {
-		var err error
-		if emb, err = embed.NewRFF(c.Cols, c.EmbedDim, c.Sigma, c.Seed); err != nil {
-			return nil, fmt.Errorf("core: embed: %w", err)
-		}
-	}
+// source open it, solves it, and emits one (bucketSig, point/label/k)
+// record per point plus the bucket's stats record.
+func newClusterJob(src rowSource, solver *bucketSolver) *mapreduce.Job {
 	return &mapreduce.Job{
 		NumReducers: 4,
 		Map:         mapreduce.IdentityMapFunc, // buckets arrive formed and encoded
@@ -368,7 +323,7 @@ func newClusterJob(src rowSource, c clusterConf) (*mapreduce.Job, error) {
 				if err != nil {
 					return err
 				}
-				sol, err := clusterOneBucket(b, cfg, c.N, kf, emb, &scratch)
+				sol, err := solver.solve(b, &scratch)
 				if err != nil {
 					return err
 				}
@@ -379,7 +334,7 @@ func newClusterJob(src rowSource, c clusterConf) (*mapreduce.Job, error) {
 			}
 			return nil
 		},
-	}, nil
+	}
 }
 
 // ---- record codecs: one encoding each ----

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/kernel"
 	"repro/internal/mapreduce"
 	"repro/internal/matrix"
 	"repro/internal/metrics"
@@ -20,7 +19,7 @@ func TestClusterMapReduceMatchesLocalDriver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaMR, err := ClusterMapReduce(l.Points, Config{K: 3, Seed: 21}, &mapreduce.Local{}, "test-eq")
+	viaMR, err := ClusterMapReduceShipped(l.Points, Config{K: 3, Seed: 21}, &mapreduce.Local{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +41,7 @@ func TestClusterMapReduceMatchesLocalDriver(t *testing.T) {
 
 func TestClusterMapReduceAccuracy(t *testing.T) {
 	l := mixture(t, 160, 16, 4, 0.02, 22)
-	res, err := ClusterMapReduce(l.Points, Config{K: 4, Seed: 23}, &mapreduce.Local{Workers: 4}, "test-acc")
+	res, err := ClusterMapReduceShipped(l.Points, Config{K: 4, Seed: 23}, &mapreduce.Local{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,10 +56,9 @@ func TestClusterMapReduceAccuracy(t *testing.T) {
 
 func TestClusterMapReduceOverTCP(t *testing.T) {
 	l := mixture(t, 100, 8, 2, 0.03, 24)
-	// The job constructors inside ClusterMapReduce register the jobs by
-	// name, and the in-process TCP workers share that registry — the
-	// same way Hadoop workers share the job jar.
-	prefix := "test-tcp"
+	// The jobs travel by registered name plus Conf, and the in-process
+	// TCP workers share this package's factory registry — the same way
+	// Hadoop workers share the job jar.
 	m, err := mapreduce.NewMaster("127.0.0.1:0", 2)
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +82,7 @@ func TestClusterMapReduceOverTCP(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	res, err := ClusterMapReduce(l.Points, Config{K: 2, Seed: 25}, m, prefix)
+	res, err := ClusterMapReduceShipped(l.Points, Config{K: 2, Seed: 25}, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,8 +134,12 @@ func TestLabelCodecRoundTrip(t *testing.T) {
 // not a panic.
 func TestClusterOneBucketEmpty(t *testing.T) {
 	l := mixture(t, 20, 4, 2, 0.03, 5)
+	solver, err := newBucketSolver(solvePolicy{N: 20, Cols: 4, K: 2, Sigma: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var scratch []float64
-	sol, err := clusterOneBucket(bucket{points: l.Points}, Config{K: 2, Seed: 1}, 20, kernel.NewGaussian(1), nil, &scratch)
+	sol, err := solver.solve(bucket{points: l.Points}, &scratch)
 	if err != nil || len(sol.Labels) != 0 {
 		t.Fatalf("empty bucket: %+v, %v", sol, err)
 	}

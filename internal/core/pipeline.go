@@ -9,10 +9,12 @@ package core
 //	assembly    : offset per-bucket labels into one global labeling.
 //
 // The stages that admit different execution strategies (signature and
-// solve) are behind the Runner interface; bucket-merge and assembly are
-// pure driver-side functions shared by every runner, so the drivers
-// cannot drift apart. Runners receive a context.Context and must return
-// promptly with its error once it is cancelled.
+// solve) are behind the Runner interface — where the work runs; what a
+// bucket's solve is belongs to the plan's bucketSolver (solver.go), which
+// every runner calls. Bucket-merge and assembly are pure driver-side
+// functions shared by every runner, so the drivers cannot drift apart.
+// Runners receive a context.Context and must return promptly with its
+// error once it is cancelled.
 
 import (
 	"context"
@@ -44,19 +46,14 @@ type Plan struct {
 	// Tables=1 and ProbeRadius=0 it degenerates to the paper's
 	// single-signature partition.
 	Ensemble *lsh.Ensemble
-	// Family is table 0 of the ensemble — the single-signature view
-	// kept for routing and diagnostics call sites.
-	Family lsh.Family
-	// Hasher is the fitted span/threshold hasher of table 0 when the
-	// paper's scheme is in use (always non-nil for distributed runners,
-	// which ship every table's parameters to worker processes); nil
-	// when a custom Family from Config is in use.
-	Hasher *lsh.Hasher
 	// Embedder is the fitted kernel embedding of the embed-and-conquer
 	// solve path; non-nil exactly when Cfg.EmbedDim > 0. It is a pure
 	// function of (dataset dims, EmbedDim, Sigma, Seed), so every driver
 	// fits bitwise the same map.
 	Embedder embed.Embedder
+	// solver is the solve stage, built from Cfg, the dataset shape and
+	// Sigma; Sigma and Embedder above are its kernel's and its map.
+	solver *bucketSolver
 }
 
 // Hashers returns the fitted span/threshold hasher of every ensemble
@@ -79,7 +76,7 @@ func (p *Plan) Hashers() ([]*lsh.Hasher, error) {
 // cluster ids per bucket point (bucket order), the number of clusters
 // extracted, and the solve engine's accounting. Solver/NNZ/Fill/
 // SolveNanos/GramBytes mirror the BucketReport fields; a zero GramBytes
-// makes assembly fall back to the dense 4·Size² estimate.
+// makes assembly fall back to the bucket's planned footprint.
 type BucketSolution struct {
 	Labels     []int
 	K          int
@@ -91,51 +88,54 @@ type BucketSolution struct {
 }
 
 // Runner executes the backend-specific pipeline stages. Implementations
-// exist for the in-process worker pool, the bounded-memory incremental
-// driver, and MapReduce (one runner over three row sources).
+// exist for the in-process pool (optionally in memory-bounded waves) and
+// MapReduce (one runner over two row sources).
 type Runner interface {
 	// Name identifies the runner in errors.
 	Name() string
 	// NeedsHasher reports whether the runner requires the fitted
 	// span/threshold Hasher (distributed runners ship its parameters);
-	// such runners ignore a custom Config.Family.
+	// such runners cannot run a custom Config.Family.
 	NeedsHasher() bool
 	// Signatures computes the per-point per-table LSH signatures
 	// (stage 1).
 	Signatures(ctx context.Context, p *Plan) (*lsh.SignatureSet, error)
 	// Solve clusters every bucket of the partition (stage 3), returning
-	// one solution per bucket in partition order.
+	// one solution per bucket in partition order. Assembly rejects a
+	// solution whose K is not the bucket's planned share.
 	Solve(ctx context.Context, p *Plan, part *lsh.Partition) ([]BucketSolution, error)
 }
 
 // NewPlan resolves the configuration against the dataset and fits the
-// hash ensemble and kernel bandwidth. needsHasher forces the paper's
-// span/threshold hashers even when Config.Family is set (the behaviour
-// of the distributed drivers, whose jobs ship hash thresholds).
+// hash ensemble, the kernel bandwidth and the solve stage. needsHasher
+// asks for the paper's span/threshold hashers (the distributed drivers'
+// jobs ship hash thresholds) and makes a set Config.Family an error.
 func NewPlan(points *matrix.Dense, cfg Config, needsHasher bool) (*Plan, error) {
 	cfg, radius, err := cfg.resolve(points.Rows())
 	if err != nil {
 		return nil, err
 	}
-	return fitPlan(points, cfg, radius, needsHasher)
+	return fitPlan(points, points.Rows(), cfg, radius, needsHasher)
 }
 
 // fitPlan is NewPlan past the resolution of cfg: the sharded driver
-// resolves against the dataset's N and fits on a sample of it.
-func fitPlan(points *matrix.Dense, cfg Config, radius int, needsHasher bool) (*Plan, error) {
+// resolves against the dataset's n and fits on a sample of it.
+func fitPlan(points *matrix.Dense, n int, cfg Config, radius int, needsHasher bool) (*Plan, error) {
+	if cfg.Family != nil && needsHasher {
+		return nil, fmt.Errorf("%w: Family is set, but the MapReduce drivers and EMRFlow ship the fitted span/threshold hash to their workers and can run no other", ErrBadConfig)
+	}
 	ecfg := lsh.EnsembleConfig{
 		Tables:          cfg.Tables,
 		ProbeRadius:     cfg.ProbeRadius,
 		MaxMergedBucket: cfg.MaxMergedBucket,
 	}
 	p := &Plan{Points: points, Radius: radius}
-	if cfg.Family != nil && !needsHasher {
+	if cfg.Family != nil {
 		ens, err := lsh.EnsembleFrom(cfg.Family, ecfg)
 		if err != nil {
 			return nil, fmt.Errorf("core: lsh: %w", err)
 		}
 		p.Ensemble = ens
-		p.Family = ens.Families()[0]
 		cfg.M = ens.Bits()
 		cfg.Tables = ens.Tables()
 	} else {
@@ -146,20 +146,16 @@ func fitPlan(points *matrix.Dense, cfg Config, radius int, needsHasher bool) (*P
 			return nil, fmt.Errorf("core: lsh: %w", err)
 		}
 		p.Ensemble = ens
-		p.Family = ens.Families()[0]
-		p.Hasher = p.Family.(*lsh.Hasher)
 	}
 	p.Sigma = cfg.Sigma
 	if p.Sigma <= 0 {
 		p.Sigma = kernel.MedianSigma(points, 512, cfg.Seed)
 	}
-	if cfg.EmbedDim > 0 {
-		emb, err := embed.NewRFF(points.Cols(), cfg.EmbedDim, p.Sigma, cfg.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("core: embed: %w", err)
-		}
-		p.Embedder = emb
+	solver, err := newBucketSolver(policyOf(cfg, n, points.Cols(), p.Sigma))
+	if err != nil {
+		return nil, err
 	}
+	p.solver, p.Embedder = solver, solver.emb
 	p.Cfg = cfg
 	return p, nil
 }
@@ -174,15 +170,14 @@ func RunPipeline(ctx context.Context, points *matrix.Dense, cfg Config, r Runner
 	if err != nil {
 		return nil, err
 	}
-	return runStages(ctx, start, p, points.Rows(), points, r)
+	return runStages(ctx, start, p, points, r)
 }
 
 // runStages is the stage sequence of every driver, past the plan fit
-// (start is when the driver began, for Result.Elapsed): n is the dataset
-// size (the plan of the sharded driver is fitted on a sample) and probe
-// the row access of margin-ordered probing, nil when the plan does not
-// probe.
-func runStages(ctx context.Context, start time.Time, p *Plan, n int, probe lsh.PointSource, r Runner) (*Result, error) {
+// (start is when the driver began, for Result.Elapsed): probe is the row
+// access of margin-ordered probing, nil when the plan does not probe.
+func runStages(ctx context.Context, start time.Time, p *Plan, probe lsh.PointSource, r Runner) (*Result, error) {
+	n := p.solver.pol.N // not p.Points.Rows(): the sharded plan is fitted on a sample
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: %s: %w", r.Name(), err)
 	}
@@ -217,7 +212,7 @@ func runStages(ctx context.Context, start time.Time, p *Plan, n int, probe lsh.P
 	}
 
 	// Stage 4: global label assembly.
-	res, err := assembleSolutions(part, sols, n)
+	res, err := assembleSolutions(p.solver, part, sols)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", r.Name(), err)
 	}
@@ -240,7 +235,8 @@ type counterSource interface {
 // offsets are assigned in partition order (ascending bucket signature),
 // so every runner yields the same global labeling for the same
 // per-bucket solutions.
-func assembleSolutions(part *lsh.Partition, sols []BucketSolution, n int) (*Result, error) {
+func assembleSolutions(solver *bucketSolver, part *lsh.Partition, sols []BucketSolution) (*Result, error) {
+	n := solver.pol.N
 	if len(sols) != len(part.Buckets) {
 		return nil, fmt.Errorf("%d solutions for %d buckets", len(sols), len(part.Buckets))
 	}
@@ -251,6 +247,12 @@ func assembleSolutions(part *lsh.Partition, sols []BucketSolution, n int) (*Resu
 		if len(s.Labels) != len(b.Indices) {
 			return nil, fmt.Errorf("bucket %x: %d labels for %d points", b.Signature, len(s.Labels), len(b.Indices))
 		}
+		// A bucket must produce exactly its proportional share, whoever
+		// solved it: the offsets below are only unique if it did.
+		pl := solver.plan(len(b.Indices))
+		if s.K != pl.K {
+			return nil, fmt.Errorf("bucket %x produced %d clusters, planned %d", b.Signature, s.K, pl.K)
+		}
 		for pos, idx := range b.Indices {
 			if idx < 0 || idx >= n {
 				return nil, fmt.Errorf("bucket %x: point %d out of range", b.Signature, idx)
@@ -259,9 +261,7 @@ func assembleSolutions(part *lsh.Partition, sols []BucketSolution, n int) (*Resu
 		}
 		gb := s.GramBytes
 		if gb == 0 {
-			// Trivial buckets and solvers that predate the stats record
-			// report the dense footprint, matching the pre-engine metric.
-			gb = 4 * int64(len(b.Indices)) * int64(len(b.Indices))
+			gb = pl.Bytes // a Runner that keeps no accounting
 		}
 		res.Buckets = append(res.Buckets, BucketReport{
 			Signature:  b.Signature,

@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
+	"repro/internal/lsh"
 	"repro/internal/mapreduce"
 )
 
@@ -24,19 +26,21 @@ func TestAllDriversProduceIdenticalLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mr, err := ClusterMapReduce(l.Points, cfg, &mapreduce.Local{}, "pipeline-test")
+	shipped, err := ClusterMapReduceShipped(l.Points, cfg, &mapreduce.Local{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	shipped, err := ClusterMapReduceShipped(l.Points, cfg, &mapreduce.Local{})
+	scfg := cfg
+	scfg.FitSample = l.Points.Rows() // the full-matrix fit of the in-memory drivers
+	sharded, err := ClusterMapReduceSharded(writeShardDir(t, l.Points, 64), scfg, &mapreduce.Local{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	others := map[string]*Result{
 		"incremental": &inc.Result,
-		"mapreduce":   mr,
 		"shipped":     shipped,
+		"sharded":     sharded,
 	}
 	for name, res := range others {
 		if len(res.Labels) != len(batch.Labels) {
@@ -71,9 +75,6 @@ func TestPipelineCancellation(t *testing.T) {
 	if _, err := ClusterIncrementalContext(ctx, l.Points, cfg, 1<<20); !errors.Is(err, context.Canceled) {
 		t.Errorf("ClusterIncrementalContext err = %v, want context.Canceled", err)
 	}
-	if _, err := ClusterMapReduceContext(ctx, l.Points, cfg, &mapreduce.Local{}, "cancel-test"); !errors.Is(err, context.Canceled) {
-		t.Errorf("ClusterMapReduceContext err = %v, want context.Canceled", err)
-	}
 	if _, err := ClusterMapReduceShippedContext(ctx, l.Points, cfg, &mapreduce.Local{}); !errors.Is(err, context.Canceled) {
 		t.Errorf("ClusterMapReduceShippedContext err = %v, want context.Canceled", err)
 	}
@@ -83,8 +84,9 @@ func TestPipelineCancellation(t *testing.T) {
 }
 
 // TestNewPlanFamilyOverride pins the Family-vs-hasher contract: an
-// in-process plan honours a custom family, a distributed plan ignores
-// it and fits the paper's hasher.
+// in-process plan honours a custom family; a plan for a driver that
+// ships the fitted hasher to its workers refuses one, naming the driver,
+// instead of silently hashing with something else.
 func TestNewPlanFamilyOverride(t *testing.T) {
 	l := mixture(t, 100, 8, 2, 0.03, 11)
 	fam := fixedFamily{bits: 3}
@@ -92,15 +94,32 @@ func TestNewPlanFamilyOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Hasher != nil || p.Cfg.M != 3 {
-		t.Errorf("in-process plan: hasher=%v M=%d, want custom family with M=3", p.Hasher, p.Cfg.M)
+	if _, isFam := p.Ensemble.Families()[0].(fixedFamily); !isFam || p.Cfg.M != 3 {
+		t.Errorf("in-process plan: table 0 is %T, M=%d, want the custom family with M=3", p.Ensemble.Families()[0], p.Cfg.M)
 	}
-	p, err = NewPlan(l.Points, Config{K: 2, Seed: 1, Family: fam}, true)
-	if err != nil {
+	if _, err = NewPlan(l.Points, Config{K: 2, Seed: 1, Family: fam}, true); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("NewPlan(needsHasher) with a Family: err = %v, want ErrBadConfig", err)
+	}
+	cfg := Config{K: 2, Seed: 1, Family: fam}
+	for name, run := range map[string]func() error{
+		"mapreduce": func() error {
+			_, err := ClusterMapReduceShipped(l.Points, cfg, &mapreduce.Local{})
+			return err
+		},
+		"EMRFlow": func() error {
+			_, _, err := EMRFlow(l.Points, cfg, 0)
+			return err
+		},
+	} {
+		if err := run(); !errors.Is(err, ErrBadConfig) || !strings.Contains(err.Error(), "MapReduce drivers and EMRFlow") {
+			t.Errorf("%s with a Family: err = %v, want ErrBadConfig naming the drivers that cannot run one", name, err)
+		}
+	}
+	if p, err = NewPlan(l.Points, Config{K: 2, Seed: 1}, true); err != nil {
 		t.Fatal(err)
 	}
-	if p.Hasher == nil {
-		t.Error("distributed plan must fit the paper's hasher and ignore Family")
+	if hashers, err := p.Hashers(); err != nil || len(hashers) != 1 {
+		t.Errorf("distributed plan without a Family: %d hashers, err=%v, want the paper's fitted hasher", len(hashers), err)
 	}
 }
 
@@ -109,3 +128,31 @@ type fixedFamily struct{ bits int }
 
 func (f fixedFamily) Bits() int                    { return f.bits }
 func (f fixedFamily) Signature(v []float64) uint64 { return uint64(len(v)) % (1 << uint(f.bits)) }
+
+// TestAssemblyHoldsSolutionsToThePlan: label offsets are only unique if
+// every bucket yields exactly its planned share of K, so assembly checks
+// it for every runner — a remote reducer's record included — and a
+// solution that carries no byte accounting is billed its planned
+// footprint.
+func TestAssemblyHoldsSolutionsToThePlan(t *testing.T) {
+	solver, err := newBucketSolver(solvePolicy{N: 6, Cols: 2, K: 2, Sigma: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	part := &lsh.Partition{Buckets: []lsh.Bucket{
+		{Signature: 0xa, Indices: []int{0, 1, 2}},
+		{Signature: 0xb, Indices: []int{3, 4, 5}},
+	}}
+	sols := []BucketSolution{{Labels: []int{0, 0, 0}, K: 1}, {Labels: []int{0, 0, 0}, K: 1}}
+	res, err := assembleSolutions(solver, part, sols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Clusters != 2 || res.GramBytes != 2*4*3*3 {
+		t.Errorf("assembled %d clusters over %d Gram bytes, want 2 over 72", res.Clusters, res.GramBytes)
+	}
+	sols[1].K = 2
+	if _, err := assembleSolutions(solver, part, sols); err == nil || !strings.Contains(err.Error(), "produced 2 clusters, planned 1") {
+		t.Errorf("unplanned K: err = %v", err)
+	}
+}

@@ -17,21 +17,18 @@ import (
 // all of them forms of "where does a worker get row i":
 //
 //	source      stage-1 record      stage-2 record          workers
-//	matrixRows  row index           index list              this process (closure over the matrix)
 //	recordRows  index + vector      indices + rows by value any process
 //	shardRows   shard row range     index list              any process that can open the shard directory
 //
 // The two jobs in mapreduce.go are written against this interface only.
-// Driver-side methods (lshInput, encodeBucket, publish) run on a source
-// built by a public driver; mapper/reducer-side methods (mapRows,
-// openBucket) also run on the source a worker process rebuilds from the
-// job Conf (workerSource).
+// Driver-side methods (lshInput, encodeBucket) run on a source built by
+// a public driver; mapper/reducer-side methods (mapRows, openBucket)
+// also run on the source a worker process rebuilds from the job Conf
+// (workerSource).
 type rowSource interface {
-	// shape is the dataset's: N rows of cols coordinates.
-	shape() (rows, cols int)
 	// dir is what a worker in another process needs to rebuild the
 	// source: the shard directory, or "" when rows reach workers inside
-	// the records (or by closure).
+	// the records.
 	dir() string
 	// lshInput returns the stage-1 input records and how many of them
 	// make one map task.
@@ -46,21 +43,14 @@ type rowSource interface {
 	encodeBucket(p *Plan, indices []int, scratch *[]float64, ctr *mapreduce.Counters) ([]byte, error)
 	// openBucket decodes a stage-2 value into the bucket's rows.
 	openBucket(value []byte) (bucket, error)
-	// publish names a job built on this source after its stage ("lsh" or
-	// "cluster") and makes it runnable by the executor's workers: by
-	// name in this process, or by attaching conf for the registered
-	// factories.
-	publish(job *mapreduce.Job, stage string, conf any) error
 }
 
 // rowFunc is what a stage-1 mapper does with one row of the dataset.
 type rowFunc func(idx int, row []float64, emit mapreduce.Emit) error
 
 func init() {
-	for _, kind := range []string{"shipped", "sharded"} {
-		mapreduce.RegisterFactory("dasc/"+kind+"-lsh", lshJobFromConf)
-		mapreduce.RegisterFactory("dasc/"+kind+"-cluster", clusterJobFromConf)
-	}
+	mapreduce.RegisterFactory("dasc-lsh", lshJobFromConf)
+	mapreduce.RegisterFactory("dasc-cluster", clusterJobFromConf)
 	// Workers ship this process-cumulative meter back on TCP results so
 	// a master in another process can account our shard reads.
 	mapreduce.SetShardMeter(func() int64 { return workerShardIO().bytes })
@@ -76,14 +66,6 @@ func workerSource(dir string) (rowSource, error) {
 	return openShardRows(dir)
 }
 
-// publishConf is publish for the factory-registered sources: the job
-// travels as its name plus the gob blob of its configuration.
-func publishConf(job *mapreduce.Job, name string, conf any) (err error) {
-	job.Name = name
-	job.Conf, err = gobEncode(conf)
-	return err
-}
-
 // identity returns [0, n): the rows of a block that holds exactly one
 // bucket.
 func identity(n int) []int {
@@ -92,55 +74,6 @@ func identity(n int) []int {
 		all[i] = i
 	}
 	return all
-}
-
-// ---- matrix-backed: rows are the driver's resident matrix ----
-
-// matrixRows shares the points matrix with its workers by closure, so
-// they must live in the driver's address space; only indices travel
-// through the shuffle. Its jobs are registered by name under prefix.
-type matrixRows struct {
-	points *matrix.Dense
-	prefix string
-}
-
-func (m *matrixRows) shape() (int, int) { return m.points.Rows(), m.points.Cols() }
-func (m *matrixRows) dir() string       { return "" }
-
-func (m *matrixRows) lshInput() ([]mapreduce.Pair, int) {
-	input := make([]mapreduce.Pair, m.points.Rows())
-	for i := range input {
-		input[i] = mapreduce.Pair{Key: strconv.Itoa(i)}
-	}
-	return input, 0
-}
-
-func (m *matrixRows) mapRows(fn rowFunc) mapreduce.MapFunc {
-	return func(key string, _ []byte, emit mapreduce.Emit) error {
-		idx, err := strconv.Atoi(key)
-		if err != nil {
-			return fmt.Errorf("bad point index %q: %w", key, err)
-		}
-		if idx < 0 || idx >= m.points.Rows() {
-			return fmt.Errorf("point index %d out of range", idx)
-		}
-		return fn(idx, m.points.Row(idx), emit)
-	}
-}
-
-func (m *matrixRows) encodeBucket(_ *Plan, indices []int, _ *[]float64, _ *mapreduce.Counters) ([]byte, error) {
-	return encodeIndices(indices), nil
-}
-
-func (m *matrixRows) openBucket(value []byte) (bucket, error) {
-	indices, err := decodeIndices(value)
-	return bucket{points: m.points, rows: indices, ids: indices}, err
-}
-
-func (m *matrixRows) publish(job *mapreduce.Job, stage string, _ any) error {
-	job.Name = m.prefix + "/" + stage
-	mapreduce.Register(job)
-	return nil
 }
 
 // ---- record-carried: rows travel by value ----
@@ -155,8 +88,7 @@ type recordRows struct {
 	points *matrix.Dense
 }
 
-func (s *recordRows) shape() (int, int) { return s.points.Rows(), s.points.Cols() }
-func (s *recordRows) dir() string       { return "" }
+func (s *recordRows) dir() string { return "" }
 
 func (s *recordRows) lshInput() ([]mapreduce.Pair, int) {
 	input := make([]mapreduce.Pair, s.points.Rows())
@@ -182,7 +114,7 @@ func (s *recordRows) mapRows(fn rowFunc) mapreduce.MapFunc {
 
 func (s *recordRows) encodeBucket(p *Plan, indices []int, scratch *[]float64, ctr *mapreduce.Counters) ([]byte, error) {
 	ni, kind, dim := len(indices), byte(mapreduce.RawBucketKind), s.points.Cols()
-	embedded := p.Embedder != nil && willEmbed(p.Cfg, ni, s.points.Rows())
+	embedded := p.solver.plan(ni).Class == classEmbedded
 	if embedded {
 		kind, dim = mapreduce.EmbedBucketKind, p.Embedder.Dim()
 	}
@@ -214,10 +146,6 @@ func (s *recordRows) openBucket(value []byte) (bucket, error) {
 	}
 	pts, err := matrix.NewDenseData(len(indices), dim, rows)
 	return bucket{points: pts, rows: identity(len(indices)), ids: indices, embedded: kind == mapreduce.EmbedBucketKind}, err
-}
-
-func (s *recordRows) publish(job *mapreduce.Job, stage string, conf any) error {
-	return publishConf(job, "dasc/shipped-"+stage, conf)
 }
 
 // encodeVector packs a float64 vector little-endian.
@@ -298,8 +226,7 @@ func workerShardIO() (total shardIO) {
 	return total
 }
 
-func (s *shardRows) shape() (int, int) { return s.r.Rows(), s.r.Cols() }
-func (s *shardRows) dir() string       { return s.path }
+func (s *shardRows) dir() string { return s.path }
 
 // lshInput is one record, and one map task, per shard row range (the
 // HDFS-input-split analogue).
@@ -338,10 +265,6 @@ func (s *shardRows) openBucket(value []byte) (bucket, error) {
 	pts := matrix.NewDense(len(indices), s.r.Cols())
 	err = s.r.ReadRowsInto(indices, pts.Row)
 	return bucket{points: pts, rows: identity(len(indices)), ids: indices}, err
-}
-
-func (s *shardRows) publish(job *mapreduce.Job, stage string, conf any) error {
-	return publishConf(job, "dasc/sharded-"+stage, conf)
 }
 
 // encodeRowRange / decodeRowRange pack a stage-1 input record: one

@@ -157,9 +157,9 @@ func TestShardedConfValidation(t *testing.T) {
 			t.Errorf("lsh conf with %s accepted", name)
 		}
 	}
-	for name, conf := range map[string]clusterConf{
-		"no such directory": {Dir: filepath.Join(dir, "missing"), N: 40, Cols: 4, K: 2, Sigma: 1},
-		"N = 0":             {Dir: dir, N: 0, Cols: 4, K: 1, Sigma: 1},
+	for name, conf := range map[string]solveConf{
+		"no such directory": {Dir: filepath.Join(dir, "missing"), Policy: solvePolicy{N: 40, Cols: 4, K: 2, Sigma: 1}},
+		"N = 0":             {Dir: dir, Policy: solvePolicy{N: 0, Cols: 4, K: 1, Sigma: 1}},
 	} {
 		blob, err := gobEncode(conf)
 		if err != nil {

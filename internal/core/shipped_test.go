@@ -188,11 +188,32 @@ func TestShippedJobFactoriesValidateConf(t *testing.T) {
 	if _, err := clusterJobFromConf([]byte("garbage")); err == nil {
 		t.Fatal("expected gob error")
 	}
-	blob, err = gobEncode(clusterConf{N: 0, Cols: 2, K: 1, Sigma: 1})
+	blob, err = gobEncode(solveConf{Policy: solvePolicy{N: 0, Cols: 2, K: 1, Sigma: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := clusterJobFromConf(blob); err == nil {
 		t.Fatal("expected invalid-conf error")
+	}
+}
+
+// TestLSHJobRejectsShortRow: rows reach a stage-1 mapper off the wire,
+// and lsh.Hasher.Signature indexes them unchecked, so the mapper holds
+// each to the largest shipped dimension.
+func TestLSHJobRejectsShortRow(t *testing.T) {
+	job, err := newLSHJob(&recordRows{}, lshConf{Tables: []lshTable{
+		{Dims: []int{0}, Thresholds: []float64{0}},
+		{Dims: []int{1, 3}, Thresholds: []float64{0, 0}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	emitted := 0
+	emit := func(string, []byte) { emitted++ }
+	if err := job.Map("0", encodeVector([]float64{1, 1, 1, 1}), emit); err != nil || emitted != 2 {
+		t.Fatalf("4-vector: err = %v, %d records emitted, want one per table", err, emitted)
+	}
+	if err := job.Map("1", encodeVector([]float64{1, 1, 1}), emit); err == nil || emitted != 2 {
+		t.Fatalf("3-vector under a hash on dimension 3: err = %v, %d records emitted", err, emitted)
 	}
 }

@@ -38,8 +38,6 @@ func TestSpillEnabledDriversMatchInMemory(t *testing.T) {
 		}
 	}
 
-	mr, err := ClusterMapReduce(l.Points, cfg, &mapreduce.Local{}, "spill-local")
-	check("closure/local", mr, err)
 	sh, err := ClusterMapReduceShipped(l.Points, cfg, &mapreduce.Local{})
 	check("shipped/local", sh, err)
 

@@ -16,8 +16,8 @@
 // layout — never on which rows are co-resident in a block, the subset
 // being transformed, or the worker count. Embedding a bucket's rows
 // therefore produces bitwise the same floats as slicing those rows out
-// of a whole-dataset embedding, which is what lets the local,
-// incremental, closure-MapReduce and shipped drivers agree bit for bit.
+// of a whole-dataset embedding, which is what lets the drivers that
+// embed in the engine and the one that embeds map-side agree bit for bit.
 package embed
 
 import (

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"repro/internal/analytic"
 	"repro/internal/core"
 	"repro/internal/emr"
 	"repro/internal/lsh"
@@ -49,8 +48,7 @@ func Table3(scale Scale) (*Table, error) {
 	// Scale bridge: resample the empirical bucket-size distribution to
 	// the paper's document count and bucket count.
 	part := resamplePartition(run, n, nPaper)
-	kPaper := analytic.CategoryLaw(nPaper)
-	flow := core.BuildFlow(part, core.Config{K: kPaper}, nPaper, l.Points.Cols(), 0)
+	flow := core.BuildFlow(part, core.Config{}, nPaper, l.Points.Cols(), 0) // K from the category law at nPaper
 
 	t := &Table{
 		ID:      "Table 3",

@@ -7,7 +7,6 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/lsh"
 	"repro/internal/matrix"
-	"repro/internal/par"
 )
 
 // This file composes the kernel algorithms with the DASC bucket
@@ -16,40 +15,13 @@ import (
 // the kernel algorithm runs independently per bucket. It demonstrates
 // the paper's claim that the approximation is algorithm-independent.
 //
-// Buckets are independent, so KMeans and PCA solve them through
-// internal/par with LPT scheduling (largest bucket first — solve cost
-// grows like Ni^2 and beyond); global label offsets are prefix-summed up
-// front so the parallel result is identical to sequential execution.
-// Each goroutine reuses one sub-Gram scratch buffer across its buckets.
-
-// runBuckets executes solve(bi, scratch) for every bucket index, in LPT
-// order on internal/par. Each goroutine owns a scratch buffer passed
-// through to its solves. The error of the bucket earliest in that order
-// is returned; the context is checked before every solve.
-func runBuckets(ctx context.Context, part *lsh.Partition, solve func(bi int, scratch *[]float64) error) error {
-	order := part.LPTOrder()
-	return par.Workers(len(order), len(order), func(next func() (int, bool)) error {
-		var scratch []float64
-		for oi, ok := next(); ok; oi, ok = next() {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := solve(order[oi], &scratch); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// subGramInto builds the bucket's sub-Gram inside *scratch (grown as
-// needed) and optionally completes the diagonal with the true
-// self-similarities k(x,x) that SVM and kernel PCA require. It is the
-// shared pooled builder from internal/kernel — the same code the
-// spectral solve engine's dense path uses.
-func subGramInto(points *matrix.Dense, indices []int, kf kernel.Kernel, scratch *[]float64, withDiagonal bool) (*matrix.Dense, error) {
-	return kernel.SubGramPooled(points, indices, kf, scratch, withDiagonal)
-}
+// Buckets are independent, so KMeans and PCA solve them on
+// lsh.EachBucket in LPT order (largest bucket first — solve cost grows
+// like Ni^2 and beyond), the loop internal/core runs its buckets on;
+// global label offsets are prefix-summed up front so the parallel result
+// is identical to sequential execution. Sub-Grams are built in the
+// loop's per-goroutine scratch by kernel.SubGramPooled, the builder the
+// spectral engine's dense path uses.
 
 // BucketedKernelKMeans runs kernel k-means inside every bucket of the
 // partition, allocating the global cluster budget k proportionally.
@@ -82,7 +54,7 @@ func BucketedKernelKMeansContext(ctx context.Context, points *matrix.Dense, part
 		total += ki
 	}
 	labels := make([]int, n)
-	err := runBuckets(ctx, part, func(bi int, scratch *[]float64) error {
+	err := lsh.EachBucket(ctx, part.LPTOrder(), func(bi int, scratch *[]float64) error {
 		b := part.Buckets[bi]
 		ni := len(b.Indices)
 		if counts[bi] >= ni {
@@ -91,7 +63,7 @@ func BucketedKernelKMeansContext(ctx context.Context, points *matrix.Dense, part
 			}
 			return nil
 		}
-		sub, err := subGramInto(points, b.Indices, kf, scratch, false)
+		sub, err := kernel.SubGramPooled(points, b.Indices, kf, scratch, false)
 		if err != nil {
 			return err
 		}
@@ -126,12 +98,12 @@ func BucketedKernelPCAContext(ctx context.Context, points *matrix.Dense, part *l
 		return nil, fmt.Errorf("kernelml: k=%d", k)
 	}
 	out := matrix.NewDense(points.Rows(), k)
-	err := runBuckets(ctx, part, func(bi int, scratch *[]float64) error {
+	err := lsh.EachBucket(ctx, part.LPTOrder(), func(bi int, scratch *[]float64) error {
 		b := part.Buckets[bi]
 		if len(b.Indices) == 1 {
 			return nil // a singleton has no variance to decompose
 		}
-		sub, err := subGramInto(points, b.Indices, kf, scratch, true)
+		sub, err := kernel.SubGramPooled(points, b.Indices, kf, scratch, true)
 		if err != nil {
 			return err
 		}
@@ -221,7 +193,7 @@ func TrainBucketedSVMContext(ctx context.Context, points *matrix.Dense, y []int,
 			}
 			continue
 		}
-		sub, err := subGramInto(points, b.Indices, kf, &scratch, true)
+		sub, err := kernel.SubGramPooled(points, b.Indices, kf, &scratch, true)
 		if err != nil {
 			return nil, err
 		}

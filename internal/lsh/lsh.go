@@ -101,6 +101,24 @@ func (h *Hasher) Dimensions() []int { return append([]int(nil), h.dims...) }
 // Thresholds returns the split threshold of each hash function.
 func (h *Hasher) Thresholds() []float64 { return append([]float64(nil), h.thresholds...) }
 
+// NewHasher rebuilds a Hasher from fitted parameters — what a MapReduce
+// worker does with the dimensions and thresholds its job configuration
+// ships. The slices are copied. Signature indexes a row by every
+// dimension unchecked, so a caller hashing rows it did not fit on must
+// first hold them to the largest dimension.
+func NewHasher(dims []int, thresholds []float64) (*Hasher, error) {
+	if len(dims) == 0 || len(dims) > MaxBits || len(dims) != len(thresholds) {
+		return nil, fmt.Errorf("lsh: hasher with %d dimensions and %d thresholds (want 1..%d of each)",
+			len(dims), len(thresholds), MaxBits)
+	}
+	for _, dim := range dims {
+		if dim < 0 {
+			return nil, fmt.Errorf("lsh: negative hash dimension %d", dim)
+		}
+	}
+	return &Hasher{dims: append([]int(nil), dims...), thresholds: append([]float64(nil), thresholds...)}, nil
+}
+
 // Fit builds a Hasher from the dataset, choosing dimensions and
 // thresholds per the configured policy. It returns an error for empty
 // datasets or out-of-range configuration.

@@ -58,6 +58,39 @@ func TestFitValidation(t *testing.T) {
 	}
 }
 
+// TestNewHasherRebuildsFittedHasher: a worker's hasher, rebuilt from
+// the shipped parameters, hashes every row as the fitted one does, and
+// parameters that cannot be a hasher's are refused.
+func TestNewHasherRebuildsFittedHasher(t *testing.T) {
+	pts := twoBlobs(rand.New(rand.NewSource(3)), 40, 6)
+	fitted, err := Fit(pts, Config{M: 4, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebuilt, err := NewHasher(fitted.Dimensions(), fitted.Thresholds())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < pts.Rows(); i++ {
+		if got, want := rebuilt.Signature(pts.Row(i)), fitted.Signature(pts.Row(i)); got != want {
+			t.Fatalf("row %d: rebuilt hasher signs %b, fitted %b", i, got, want)
+		}
+	}
+	for name, c := range map[string]struct {
+		dims       []int
+		thresholds []float64
+	}{
+		"no dimensions":      {nil, nil},
+		"length mismatch":    {[]int{0, 1}, []float64{0}},
+		"negative dimension": {[]int{0, -1}, []float64{0, 0}},
+		"too many bits":      {make([]int, MaxBits+1), make([]float64, MaxBits+1)},
+	} {
+		if _, err := NewHasher(c.dims, c.thresholds); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
 func TestFitTopSpanPrefersWideDimensions(t *testing.T) {
 	// Dimension 1 has span 10, dimension 0 has span 0.1: with M=1 the
 	// hash must use dimension 1.

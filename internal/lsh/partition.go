@@ -1,7 +1,10 @@
 package lsh
 
 import (
+	"context"
 	"sort"
+
+	"repro/internal/par"
 )
 
 // PointSource provides row access to the dataset being hashed.
@@ -146,6 +149,30 @@ func (p *Partition) LPTOrder() []int {
 		return len(p.Buckets[order[a]].Indices) > len(p.Buckets[order[b]].Indices)
 	})
 	return order
+}
+
+// EachBucket is the one bucket-solve loop: it calls solve(bi, scratch)
+// for every bucket index of order — LPTOrder, or a wave cut from it —
+// through internal/par, so the bucket at the head runs on the calling
+// goroutine, whose inner Gram and k-means loops inherit the helpers the
+// small buckets free as they drain. Each goroutine owns one scratch
+// buffer, handed to every solve it runs and dropped when the loop ends.
+// The context is checked before every solve, and the error of the
+// bucket earliest in order is returned. solve must write its result at
+// the bucket's own index: scheduling never changes an output.
+func EachBucket(ctx context.Context, order []int, solve func(bi int, scratch *[]float64) error) error {
+	return par.Workers(len(order), len(order), func(next func() (int, bool)) error {
+		var scratch []float64
+		for oi, ok := next(); ok; oi, ok = next() {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if err := solve(order[oi], &scratch); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // LargestBucket returns the size of the biggest bucket (0 when empty).

@@ -80,6 +80,16 @@ type EngineConfig struct {
 	EmbedCutoff int
 }
 
+// Embeds is the embed gate of the policy table above: whether the
+// embedded solve claims a bucket of ni rows under this configuration.
+// k == ni stays with the exact path (its identity-label degenerate
+// case). Callers that must know the choice before the solve — a driver
+// committing to an embedded record map-side, a memory plan — ask here,
+// so their answer cannot drift from ClusterBucket's.
+func (c EngineConfig) Embeds(ni int) bool {
+	return c.Embedder != nil && c.EmbedCutoff > 0 && ni >= c.EmbedCutoff && c.K < ni
+}
+
 // SolveStats reports what one bucket solve actually did.
 type SolveStats struct {
 	// Solver is the SolverKind that produced the result.
@@ -124,11 +134,10 @@ func ClusterBucket(points *matrix.Dense, indices []int, kf kernel.Kernel, cfg En
 	stats := SolveStats{N: ni}
 	sCfg := Config{K: cfg.K, Seed: cfg.Seed, KMeansIter: cfg.KMeansIter}
 
-	// Embed mode takes the bucket out of the Gram economy altogether.
-	// k == ni stays with the exact path (its identity-label degenerate
-	// case), and embed errors surface instead of downgrading — the
-	// shipped driver has already committed to the record shape.
-	if cfg.Embedder != nil && cfg.EmbedCutoff > 0 && ni >= cfg.EmbedCutoff && k < ni {
+	// Embed mode takes the bucket out of the Gram economy altogether,
+	// and embed errors surface instead of downgrading — the shipped
+	// driver has already committed to the record shape.
+	if cfg.Embeds(ni) {
 		return clusterEmbedded(points, indices, cfg.Embedder, cfg, scratch)
 	}
 
