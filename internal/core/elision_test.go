@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -242,6 +243,42 @@ func TestSolutionsFromLabelPairsValidates(t *testing.T) {
 		"empty stream":        {nil, "0 of 3 points labelled"},
 	} {
 		_, err := solutionsFromLabelPairs(part, c.pairs, n)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want it to mention %q", name, err, c.want)
+		}
+	}
+}
+
+// TestSignaturesFromPairsValidates holds the stage-1 decoder to the
+// stage-2 decoder's standard: a stream with one record dropped or one
+// repeated is an error naming the table and the point, where the
+// unchecked decoder left signature 0 or kept the last write.
+func TestSignaturesFromPairsValidates(t *testing.T) {
+	const n, tables = 5, 2
+	var good []mapreduce.Pair
+	for tab := 0; tab < tables; tab++ {
+		for idx := 0; idx < n; idx++ {
+			good = append(good, mapreduce.Pair{Key: encodeSigKey(tab, uint64(10*tab+idx)), Value: binary.LittleEndian.AppendUint32(nil, uint32(idx))})
+		}
+	}
+	sigs, err := signaturesFromPairs(good, n, tables)
+	if err != nil {
+		t.Fatalf("complete stream rejected: %v", err)
+	}
+	if fmt.Sprint(sigs.Tables) != "[[0 1 2 3 4] [10 11 12 13 14]]" {
+		t.Fatalf("decoded %v", sigs.Tables)
+	}
+	dropped := append(append([]mapreduce.Pair(nil), good[:7]...), good[8:]...) // table 1, point 2
+	repeated := append(append([]mapreduce.Pair(nil), good...), mapreduce.Pair{Key: encodeSigKey(0, 99), Value: good[3].Value})
+	for name, c := range map[string]struct {
+		pairs []mapreduce.Pair
+		want  string
+	}{
+		"dropped":      {dropped, "missing signature for table 1, point 2"},
+		"repeated":     {repeated, "duplicate signature for table 0, point 3"},
+		"empty stream": {nil, "missing signature for table 0, point 0"},
+	} {
+		_, err := signaturesFromPairs(c.pairs, n, tables)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want it to mention %q", name, err, c.want)
 		}

@@ -378,9 +378,12 @@ func decodeSigKey(key string) (table int, sig uint64, err error) {
 }
 
 // signaturesFromPairs reassembles the per-point per-table signature set
-// from stage-1 output records.
+// from stage-1 output records. The stream must carry exactly one record
+// per (table, point) — held to stage 2's standard: a lost or repeated
+// record is an error, not a silent signature 0 or last write wins.
 func signaturesFromPairs(sigPairs []mapreduce.Pair, n, tables int) (*lsh.SignatureSet, error) {
 	sigs := lsh.NewSignatureSet(tables, n)
+	seen := make([]uint64, (tables*n+63)/64) // bit t*n+idx: that signature has arrived
 	for _, p := range sigPairs {
 		t, sig, err := decodeSigKey(p.Key)
 		if err != nil {
@@ -396,7 +399,19 @@ func signaturesFromPairs(sigPairs []mapreduce.Pair, n, tables int) (*lsh.Signatu
 		if idx < 0 || idx >= n {
 			return nil, fmt.Errorf("core: index %d out of range", idx)
 		}
+		bit := t*n + idx
+		if seen[bit/64]&(1<<(bit%64)) != 0 {
+			return nil, fmt.Errorf("core: duplicate signature for table %d, point %d", t, idx)
+		}
+		seen[bit/64] |= 1 << (bit % 64)
 		sigs.Tables[t][idx] = sig
+	}
+	if len(sigPairs) != tables*n { // none repeated, so one was lost: name the first
+		bit := 0
+		for seen[bit/64]&(1<<(bit%64)) != 0 {
+			bit++
+		}
+		return nil, fmt.Errorf("core: missing signature for table %d, point %d (%d of %d records)", bit/n, bit%n, len(sigPairs), tables*n)
 	}
 	return sigs, nil
 }

@@ -26,20 +26,24 @@ type taskMsg struct {
 	// your result frames").
 	Flags uint64
 
-	// load, when set, stands in for Records: a reduce task over a spilled
-	// partition is handed the k-way merge of the partition's runs as a
-	// stream. The pool runner feeds it straight to the reducer, so Local
-	// with SpillBytes never holds a partition whole. The wire runner
-	// collects it into Records just before encoding — a frame needs its
-	// exact size — so only the in-flight window's partitions are resident;
-	// the copy queued for requeue keeps load and nil Records, and a
-	// straggler re-dispatch re-merges from the spill files. Never shipped.
-	load recordStream
+	// load stands in for Records on every reduce task the engine builds:
+	// the k-way merge of the partition's runs as a stream of loadRecords
+	// records. The pool runner feeds it straight to the reducer, so Local
+	// never holds a partition whole. The wire runner collects it into
+	// Records just before encoding — a frame needs its exact size — so only
+	// the in-flight window's partitions are resident in the master; the
+	// copy queued for requeue keeps load and nil Records, and a requeue or
+	// straggler re-dispatch re-merges from the runs. Never shipped: a
+	// worker's reduce task has Records and no load.
+	load        recordStream
+	loadRecords int
 }
 
-// recordStream delivers key-sorted records to emit one at a time and
-// stops at emit's first error.
-type recordStream func(emit func(Pair) error) error
+// recordStream delivers key-sorted records to emit, in order and a
+// stretch at a time, and stops at emit's first error. A stretch is the
+// stream's own memory: emit must not keep or change the slice (the
+// pairs' keys and values it may keep).
+type recordStream func(emit func([]Pair) error) error
 
 // resultMsg is a task's outcome.
 type resultMsg struct {
@@ -139,44 +143,36 @@ func runJob(ctx context.Context, job *Job, input []Pair, runner taskRunner) (_ [
 		}
 	}
 
-	// ---- shuffle ----
-	// Per-partition k-way merge of the map-side runs, in map task order so
-	// ties reproduce the stable concat+sort order; the partitions are
-	// independent. Under a spill budget a partition bound for a reduce
-	// task is not merged here but on demand, through the task's load.
+	// ---- shuffle and reduce phase ----
+	// A partition is the k-way merge of its map-side runs, in map task
+	// order so ties reproduce the stable concat+sort order, and it is
+	// merged where it is consumed, through ss.load — never here. Dispatched
+	// or elided, the output is one key-sorted run per partition and assembly
+	// is the same tie-broken merge, in partition order.
 	if serr := ss.seal(); serr != nil {
 		return nil, nil, fmt.Errorf("mapreduce: %s: %w", job.Name, serr)
 	}
 	ctr.MapOutputs, ctr.ShuffleBytes = ss.shuffled()
-	lazy := job.SpillBytes > 0 && !job.IdentityReduce
-	merged := make([][]Pair, numReducers)
-	if !lazy {
-		// Merging is compute, so it draws on the process's one budget
-		// (internal/par), not on the executor's task slots.
+	outRuns := make([][]Pair, numReducers)
+	if job.IdentityReduce {
+		// Elided: the merged partitions are the output. Merging is compute,
+		// so it draws on the process's one budget (internal/par), not on the
+		// executor's task slots; the partitions are independent.
 		merr := par.Each(numReducers, numReducers, func(p int) (err error) {
 			if err = ctx.Err(); err == nil {
-				merged[p], err = ss.materialize(p)
+				outRuns[p], err = collectPairs(ss.load(p), ss.partitionRecords(p))
 			}
 			return err
 		})
 		if merr != nil {
 			return nil, nil, fmt.Errorf("mapreduce: %s: shuffle: %w", job.Name, merr)
 		}
-	}
-
-	// ---- reduce phase ----
-	// Dispatched or elided, the output is one key-sorted run per partition
-	// and assembly is the same tie-broken merge, in partition order.
-	outRuns := merged // an identity reduce: the merged partitions are the output
-	if !job.IdentityReduce {
+	} else {
 		ctr.ReduceTasks = numReducers
-		outRuns = make([][]Pair, numReducers)
 		tasks := make([]taskMsg, numReducers)
 		for p := range tasks {
-			tasks[p] = taskMsg{Seq: p, JobName: job.Name, Phase: "reduce", Conf: job.Conf, Records: merged[p], Flags: flags}
-			if lazy {
-				tasks[p].load = ss.load(p)
-			}
+			tasks[p] = taskMsg{Seq: p, JobName: job.Name, Phase: "reduce", Conf: job.Conf, Flags: flags,
+				load: ss.load(p), loadRecords: ss.partitionRecords(p)}
 		}
 		err := runner.run(ctx, tasks, func(res *resultMsg) error {
 			if len(res.Parts) > 0 {
@@ -228,9 +224,9 @@ func executeTask(ctx context.Context, job *Job, task *taskMsg) resultMsg {
 	case "reduce":
 		load := task.load
 		if load == nil {
-			// The merge shuffle delivers the partition key-sorted; the sort
-			// call is the O(n) already-sorted fast path kept as a contract
-			// check against a master that did not merge.
+			// Off the wire. The merge shuffle delivers the partition
+			// key-sorted; the sort call is the O(n) already-sorted fast path
+			// kept as a contract check against a master that did not merge.
 			sortPairs(task.Records)
 			load = sliceLoad(task.Records)
 		}
@@ -257,21 +253,15 @@ func executeTask(ctx context.Context, job *Job, task *taskMsg) resultMsg {
 
 // sliceLoad is the load form of records that are already resident.
 func sliceLoad(pairs []Pair) recordStream {
-	return func(emit func(Pair) error) error {
-		for _, kv := range pairs {
-			if err := emit(kv); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+	return func(emit func([]Pair) error) error { return emit(pairs) }
 }
 
-// collectPairs drains a load into a slice.
-func collectPairs(load recordStream) ([]Pair, error) {
-	var out []Pair
-	err := load(func(kv Pair) error {
-		out = append(out, kv)
+// collectPairs drains a load of n records into a slice of exactly that
+// capacity.
+func collectPairs(load recordStream, n int) ([]Pair, error) {
+	out := make([]Pair, 0, n)
+	err := load(func(stretch []Pair) error {
+		out = append(out, stretch...)
 		return nil
 	})
 	return out, err
@@ -279,25 +269,27 @@ func collectPairs(load recordStream) ([]Pair, error) {
 
 // groupSorted folds a key-sorted record stream into (key, values) groups
 // and calls fn once per group, holding one group at a time — so a stream
-// that is a merge of spilled runs is never materialized whole.
+// that is a merge of runs is never held whole.
 func groupSorted(load recordStream, fn func(key string, values [][]byte) error) error {
 	var (
 		key  string
 		vals [][]byte
 	)
-	err := load(func(kv Pair) error {
-		if vals != nil && kv.Key == key {
-			vals = append(vals, kv.Value)
-			return nil
-		}
-		if vals != nil {
-			if err := fn(key, vals); err != nil {
-				return err
+	err := load(func(stretch []Pair) error {
+		for _, kv := range stretch {
+			if vals != nil && kv.Key == key {
+				vals = append(vals, kv.Value)
+				continue
 			}
+			if vals != nil {
+				if err := fn(key, vals); err != nil {
+					return err
+				}
+			}
+			// Sized by the previous group: a job's groups tend to be alike,
+			// and a reducer may keep its values, so the slice cannot be reused.
+			key, vals = kv.Key, append(make([][]byte, 0, max(len(vals), 1)), kv.Value)
 		}
-		// Sized by the previous group: a job's groups tend to be alike, and
-		// a reducer may keep its values, so the slice cannot be reused.
-		key, vals = kv.Key, append(make([][]byte, 0, max(len(vals), 1)), kv.Value)
 		return nil
 	})
 	if err != nil || vals == nil {

@@ -6,30 +6,40 @@ import (
 	"sync"
 )
 
-// Factory-registered jobs make TCP workers usable across OS processes.
-// A plain Registered job captures its data by closure, which only works
-// when master and workers share an address space. A JobFactory instead
-// rebuilds the job on the worker from an opaque configuration blob that
-// travels with every task — the analogue of Hadoop shipping the JobConf
-// with the job jar. Map/reduce input data must then travel in the
-// records themselves.
+// The job table. Map and reduce functions cannot cross the wire, so a
+// TCP worker finds a task's job by name in its own process: one table of
+// factories, filled by RegisterFactory. A factory rebuilds the job from
+// an opaque configuration blob that travels with every task (Job.Conf) —
+// the analogue of Hadoop shipping the JobConf with the job jar — which is
+// what makes workers usable across OS processes; map/reduce input data
+// must then travel in the records themselves. Register is the factory
+// that ignores the blob and returns a job whose closures already hold
+// their data, which only works when master and workers share an address
+// space.
 //
-// Masters attach the blob via Job.Conf; workers look up the factory
-// under the job name, build the job once per distinct configuration,
-// and cache it.
+// Workers build a job once per distinct configuration and cache it.
 
 // JobFactory rebuilds a job from its configuration blob.
 type JobFactory func(conf []byte) (*Job, error)
 
-// RegisterFactory installs a factory under name. Worker processes must
-// call this (typically from the same package init/main as the master)
-// before serving tasks for the job.
+// RegisterFactory installs a factory under name, replacing — together
+// with whatever it built — any factory registered under that name
+// before. Worker processes must call this (typically from the same
+// package init/main as the master) before serving tasks for the job.
 func RegisterFactory(name string, factory JobFactory) {
 	if name == "" {
 		//lint:ignore panicfree registration happens at process start-up; a nameless factory is an API-misuse bug that must fail loudly before any task runs
 		panic("mapreduce: RegisterFactory needs a name")
 	}
 	factories.Store(name, factory)
+	builtJobs.Delete(name)
+}
+
+// Register makes a closure-carrying job available to TCP workers in this
+// process, under its Name. It must be called before RunWorker receives
+// tasks for the job; re-registering a name replaces the previous job.
+func Register(job *Job) {
+	RegisterFactory(job.Name, func([]byte) (*Job, error) { return job, nil })
 }
 
 var factories sync.Map // string -> JobFactory
@@ -48,16 +58,9 @@ type builtEntry struct {
 // builtJobs caches worker-side jobs per name.
 var builtJobs sync.Map // string -> *builtEntry
 
-// resolveJob returns the runnable job for a task: a factory-built job
-// when Conf is present, otherwise the plain registry entry.
+// resolveJob returns the runnable job for a task: the registered
+// factory's build for the task's configuration.
 func resolveJob(name string, conf []byte) (*Job, error) {
-	if len(conf) == 0 {
-		job, ok := lookupJob(name)
-		if !ok {
-			return nil, fmt.Errorf("job %q not registered on worker", name)
-		}
-		return job, nil
-	}
 	v, loaded := builtJobs.Load(name)
 	if !loaded {
 		v, _ = builtJobs.LoadOrStore(name, &builtEntry{})
@@ -70,13 +73,15 @@ func resolveJob(name string, conf []byte) (*Job, error) {
 	}
 	f, ok := factories.Load(name)
 	if !ok {
-		return nil, fmt.Errorf("job factory %q not registered on worker", name)
+		return nil, fmt.Errorf("job %q not registered on worker", name)
 	}
 	job, err := f.(JobFactory)(conf)
 	if err != nil {
 		return nil, fmt.Errorf("job factory %q: %w", name, err)
 	}
-	job.Name = name
+	if job.Name != name { // a Registered job is its caller's, and already named: not written to
+		job.Name = name
+	}
 	entry.conf = append([]byte(nil), conf...)
 	entry.job = job
 	return job, nil

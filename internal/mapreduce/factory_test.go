@@ -133,6 +133,32 @@ func TestFactoryBuildCached(t *testing.T) {
 	}
 }
 
+// TestRegisterReplacesBetweenJobs re-registers a name with a different
+// closure between two jobs on one master: the workers have built and
+// cached the first job by then, and must run the second.
+func TestRegisterReplacesBetweenJobs(t *testing.T) {
+	m, stop := startCluster(t, 2)
+	defer stop()
+	for _, tag := range []string{"first", "second"} {
+		job := &Job{
+			Name: "re-registered",
+			Map: func(key string, value []byte, emit Emit) error {
+				emit(key, []byte(tag))
+				return nil
+			},
+			Reduce: IdentityReduceFunc,
+		}
+		Register(job)
+		out, _, err := m.Run(job, []Pair{{Key: "k"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) != 1 || string(out[0].Value) != tag {
+			t.Fatalf("after registering the %s closure the job emitted %v", tag, out)
+		}
+	}
+}
+
 func TestRegisterFactoryRequiresName(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -27,10 +27,10 @@ func (l *Local) Run(job *Job, input []Pair) ([]Pair, *Counters, error) {
 
 // RunContext implements ContextExecutor: cancellation is checked
 // between records inside every map and reduce task, so a mid-job
-// cancel returns within one user map/reduce call. With Job.SpillBytes
-// set, map-side runs spill to per-partition disk files beyond the
-// budget and each reduce partition is merge-grouped straight from its
-// runs — never materialized whole — with bit-identical output.
+// cancel returns within one user map/reduce call. Each reduce partition
+// is merge-grouped straight from its runs — never held whole —
+// whether they are resident or, with Job.SpillBytes set, spilled to
+// per-partition disk files beyond the budget, with bit-identical output.
 func (l *Local) RunContext(ctx context.Context, job *Job, input []Pair) ([]Pair, *Counters, error) {
 	workers := l.Workers
 	if workers <= 0 {
@@ -41,7 +41,7 @@ func (l *Local) RunContext(ctx context.Context, job *Job, input []Pair) ([]Pair,
 
 // poolRunner is Local's taskRunner: up to workers goroutines, each
 // running the task body on the *Job the executor was handed — its
-// closures, never a registry lookup by name, so a caller may run a
+// closures, never a lookup by name, so a caller may run a
 // wrapped copy of a job.
 type poolRunner struct {
 	job     *Job

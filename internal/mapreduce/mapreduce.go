@@ -34,7 +34,7 @@ type ReduceFunc func(key string, values [][]byte, emit Emit) error
 
 // Job describes one MapReduce stage.
 type Job struct {
-	// Name identifies the job in errors and the TCP registry.
+	// Name identifies the job in errors and to TCP workers (see factory.go).
 	Name string
 	// Map is required.
 	Map MapFunc
@@ -74,11 +74,12 @@ type Job struct {
 	// io.sort.mb analogue). When the buffer exceeds the budget, every
 	// buffered run is flushed to a per-partition spill file and the
 	// shuffle merges from disk (see spill.go). 0 keeps the shuffle fully
-	// in memory. Output is bit-identical at any setting.
+	// in memory. Either way a reduce partition is merged only as it is
+	// consumed. Output is bit-identical at any setting.
 	SpillBytes int64
 	// Compress turns on the lossless data-plane compression paths for
-	// this job: spill runs are deflated on flush (and inflated inside
-	// the merge's RunReaders), and TCP frames compress bodies above
+	// this job: spill runs are deflated on flush (and inflated as the
+	// merge refills its windows), and TCP frames compress bodies above
 	// CompressThreshold in both directions. Off by default; output is
 	// bit-identical either way, only the bytes moved change.
 	Compress bool
@@ -128,8 +129,8 @@ type Counters struct {
 	// the encoded size of every embedded bucket record a driver shipped
 	// in place of raw vectors, and the wall time the driver spent in the
 	// map-side embedding transform. Zero when embed mode is off or the
-	// runner never ships data (e.g. the closure MapReduce runner embeds
-	// inside its reducers, where the cost lands in SolveNanos instead).
+	// runner never ships data (the in-process runner embeds inside the
+	// solve, where the cost lands in SolveNanos instead).
 	EmbedBytes int64
 	EmbedNanos int64
 	// SpillBytes / SpillNanos account the out-of-core shuffle: the bytes

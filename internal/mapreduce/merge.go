@@ -1,12 +1,14 @@
 package mapreduce
 
-import "io"
+import "strings"
 
 // The merge-based shuffle. Map tasks hand every reduce partition back
 // as a key-sorted run (sorted where the records are produced, so the
 // work parallelizes across map tasks and TCP workers), and the shuffle
 // k-way merges those runs per partition instead of concatenating
-// everything and re-sorting. Ties between runs break on run order —
+// everything and re-sorting: one run type (run), one heap (runHeap) and
+// one merge (mergeRuns) serve resident runs, spilled ones (spill.go) and
+// the final assembly alike. Ties between runs break on run order —
 // map-task Seq, then emission index inside the run — which reproduces
 // the order of the old concat + stable-sort shuffle bit for bit: a
 // stable sort of a concatenation equals a tie-broken merge of the
@@ -88,76 +90,41 @@ func insertionSortPairs(a []Pair) {
 	}
 }
 
-// MergeRuns merges key-sorted runs into one key-sorted slice. Ties
-// between runs break on run index, then position within the run, so
-// the result is exactly a stable sort of the concatenation of the
-// runs in order — the shuffle's determinism contract. Runs that are
-// not individually sorted give an unspecified order; the executors
-// sort every run at the map side before merging.
-func MergeRuns(runs [][]Pair) []Pair {
-	total := 0
-	nonEmpty := 0
-	last := -1
-	for i, r := range runs {
-		total += len(r)
-		if len(r) > 0 {
-			nonEmpty++
-			last = i
-		}
-	}
-	if total == 0 {
-		return nil
-	}
-	out := make([]Pair, 0, total)
-	switch nonEmpty {
-	case 1:
-		return append(out, runs[last]...)
-	case 2:
-		var a, b []Pair
-		for _, r := range runs {
-			if len(r) == 0 {
-				continue
-			}
-			if a == nil {
-				a = r
-			} else {
-				b = r
-			}
-		}
-		return mergeTwo(out, a, b)
-	}
-	return mergeHeap(out, runs)
+// run is one key-sorted run as the merge reads it — the shuffle's only
+// run representation. buf[pos:] is what is resident and unconsumed. A
+// resident run is its whole slice and has no fill; a spilled segment is
+// a window over its file, and fill reads the next one (it may reuse
+// buf's array: the merge has handed on everything before pos and emit
+// keeps no slice), returning an empty window at the end of the run.
+type run struct {
+	buf  []Pair
+	pos  int
+	fill func() ([]Pair, error)
 }
 
-// mergeTwo merges two sorted runs; ties take a (the lower run index).
-func mergeTwo(out, a, b []Pair) []Pair {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if b[j].Key < a[i].Key {
-			out = append(out, b[j])
-			j++
-		} else {
-			out = append(out, a[i])
-			i++
-		}
+// head makes buf[pos] the run's next pair, reading a drained run's next
+// window, and reports whether the run has one.
+func (r *run) head() (bool, error) {
+	if r.pos < len(r.buf) || r.fill == nil {
+		return r.pos < len(r.buf), nil
 	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
+	buf, err := r.fill()
+	r.buf, r.pos = buf, 0
+	return len(buf) > 0, err
 }
 
 // runHeap is a hand-rolled binary min-heap over run heads, ordered by
 // (head key, run index) so equal keys pop in run order.
 type runHeap struct {
-	runs [][]Pair
-	pos  []int // next unconsumed element per run
-	heap []int // run indices, heap-ordered
+	runs []run
+	heap []int // indices of the runs that have a head, heap-ordered
 }
 
 // less orders run a's head before run b's head.
 func (h *runHeap) less(a, b int) bool {
-	ka, kb := h.runs[a][h.pos[a]].Key, h.runs[b][h.pos[b]].Key
-	return ka < kb || (ka == kb && a < b)
+	ra, rb := &h.runs[a], &h.runs[b]
+	c := strings.Compare(ra.buf[ra.pos].Key, rb.buf[rb.pos].Key)
+	return c < 0 || (c == 0 && a < b)
 }
 
 func (h *runHeap) siftDown(i int) {
@@ -178,89 +145,24 @@ func (h *runHeap) siftDown(i int) {
 	}
 }
 
-// MergeRunReaders streams the k-way merge of key-sorted runs into
-// emit, holding at most one buffered pair per run — the out-of-core
-// form of MergeRuns. Ties between runs break on the run's index in the
-// slice, then position, exactly like MergeRuns, so file-backed and
-// in-memory runs merge byte-identically (see the equivalence property
-// test). The caller owns the readers: MergeRunReaders does not close
-// them, so error paths can still release every run via closeRuns.
-func MergeRunReaders(runs []RunReader, emit func(Pair) error) error {
-	h := &readerHeap{}
-	for i, r := range runs {
-		kv, err := r.Next()
-		if err == io.EOF {
-			continue
-		}
+// mergeRuns streams the k-way merge of key-sorted runs into emit — the
+// shuffle's only merge, over resident and spilled runs alike, holding no
+// more of a spilled run than its window. Ties between runs break on the
+// run's index in the slice, then position within the run, so the result
+// is exactly a stable sort of the concatenation of the runs in order —
+// the shuffle's determinism contract. Runs that are not individually
+// sorted give an unspecified order; the executors sort every run at the
+// map side. emit receives the merged pairs a stretch at a time — a slice
+// of one run's buffer, which it must not keep or change — and mergeRuns
+// stops at the first fill or emit error.
+func mergeRuns(runs []run, emit func([]Pair) error) error {
+	h := &runHeap{runs: runs, heap: make([]int, 0, len(runs))}
+	for i := range runs {
+		ok, err := runs[i].head()
 		if err != nil {
 			return err
 		}
-		h.items = append(h.items, readerHead{kv: kv, idx: i, r: r})
-	}
-	for i := len(h.items)/2 - 1; i >= 0; i-- {
-		h.siftDown(i)
-	}
-	for len(h.items) > 0 {
-		top := &h.items[0]
-		if err := emit(top.kv); err != nil {
-			return err
-		}
-		kv, err := top.r.Next()
-		if err == io.EOF {
-			last := len(h.items) - 1
-			h.items[0] = h.items[last]
-			h.items = h.items[:last]
-		} else if err != nil {
-			return err
-		} else {
-			top.kv = kv
-		}
-		h.siftDown(0)
-	}
-	return nil
-}
-
-// readerHead is one run's buffered head in the reader merge.
-type readerHead struct {
-	kv  Pair
-	idx int
-	r   RunReader
-}
-
-// readerHeap is a hand-rolled binary min-heap over run heads, ordered
-// by (head key, run index) like runHeap.
-type readerHeap struct {
-	items []readerHead
-}
-
-func (h *readerHeap) less(a, b int) bool {
-	ka, kb := h.items[a].kv.Key, h.items[b].kv.Key
-	return ka < kb || (ka == kb && h.items[a].idx < h.items[b].idx)
-}
-
-func (h *readerHeap) siftDown(i int) {
-	for {
-		l := 2*i + 1
-		if l >= len(h.items) {
-			return
-		}
-		small := l
-		if r := l + 1; r < len(h.items) && h.less(r, l) {
-			small = r
-		}
-		if !h.less(small, i) {
-			return
-		}
-		h.items[i], h.items[small] = h.items[small], h.items[i]
-		i = small
-	}
-}
-
-// mergeHeap merges three or more runs with a loser-style heap.
-func mergeHeap(out []Pair, runs [][]Pair) []Pair {
-	h := &runHeap{runs: runs, pos: make([]int, len(runs)), heap: make([]int, 0, len(runs))}
-	for i, r := range runs {
-		if len(r) > 0 {
+		if ok {
 			h.heap = append(h.heap, i)
 		}
 	}
@@ -269,13 +171,72 @@ func mergeHeap(out []Pair, runs [][]Pair) []Pair {
 	}
 	for len(h.heap) > 0 {
 		top := h.heap[0]
-		out = append(out, h.runs[top][h.pos[top]])
-		h.pos[top]++
-		if h.pos[top] == len(h.runs[top]) {
-			h.heap[0] = h.heap[len(h.heap)-1]
-			h.heap = h.heap[:len(h.heap)-1]
+		r := &runs[top]
+		// The run on top stays there for as long as its head sorts before
+		// the runner-up's — the smaller child of the root, which does not
+		// move while the root does not — so a stretch of one run costs one
+		// key comparison a pair and one sift, and the last run's rest none.
+		end, child := len(r.buf), 0
+		if len(h.heap) > 1 {
+			child = 1
+			if len(h.heap) > 2 && h.less(h.heap[2], h.heap[1]) {
+				child = 2
+			}
+			next := h.heap[child]
+			bound := runs[next].buf[runs[next].pos].Key
+			end = r.pos + 1
+			if top < next { // top wins ties
+				for end < len(r.buf) && r.buf[end].Key <= bound {
+					end++
+				}
+			} else {
+				for end < len(r.buf) && r.buf[end].Key < bound {
+					end++
+				}
+			}
+		}
+		if err := emit(r.buf[r.pos:end]); err != nil {
+			return err
+		}
+		r.pos = end
+		if end < len(r.buf) {
+			// The scan stopped at a head that sorts after the runner-up's:
+			// the two change places, and the sift goes on from there.
+			h.heap[0], h.heap[child] = h.heap[child], top
+			h.siftDown(child)
+			continue
+		}
+		ok, err := r.head()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			last := len(h.heap) - 1
+			h.heap[0] = h.heap[last]
+			h.heap = h.heap[:last]
 		}
 		h.siftDown(0)
 	}
+	return nil
+}
+
+// MergeRuns merges resident key-sorted runs into one key-sorted slice,
+// in mergeRuns' order; the result never aliases a run.
+func MergeRuns(runs [][]Pair) []Pair {
+	total := 0
+	rs := make([]run, len(runs))
+	for i, r := range runs {
+		total += len(r)
+		rs[i].buf = r
+	}
+	if total == 0 {
+		return nil
+	}
+	out := make([]Pair, 0, total)
+	// Resident runs have no fill and this emit returns no error.
+	_ = mergeRuns(rs, func(stretch []Pair) error {
+		out = append(out, stretch...)
+		return nil
+	})
 	return out
 }

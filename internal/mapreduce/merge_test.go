@@ -172,3 +172,30 @@ func benchRuns() [][]Pair {
 	}
 	return runs
 }
+
+// BenchmarkMergeShapes times MergeRuns on the three shapes a change to
+// the heap has to hold: few long runs (a stage-1 partition), exactly two
+// (the smallest heap), and many short ones (one run per map task). Keys
+// are shaped like stage-1's — 19 bytes over 64 distinct values, so equal
+// keys across runs are the rule and every tie-break is exercised — with
+// 4-byte values.
+func BenchmarkMergeShapes(b *testing.B) {
+	for _, shape := range []struct{ runs, perRun int }{{4, 32768}, {2, 65536}, {128, 1024}} {
+		rng := rand.New(rand.NewSource(5))
+		runs := make([][]Pair, shape.runs)
+		for r := range runs {
+			runs[r] = make([]Pair, shape.perRun)
+			for i := range runs[r] {
+				runs[r][i] = Pair{Key: fmt.Sprintf("00:%016x", rng.Intn(64)), Value: []byte{byte(i), byte(i >> 8), byte(r), 0}}
+			}
+			sortPairs(runs[r])
+		}
+		b.Run(fmt.Sprintf("%dx%d", shape.runs, shape.perRun), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if got := len(MergeRuns(runs)); got != shape.runs*shape.perRun {
+					b.Fatalf("merged %d pairs", got)
+				}
+			}
+		})
+	}
+}

@@ -14,9 +14,10 @@ package mapreduce
 // length-prefixed run file.
 //
 // Reading back streams each segment through an io.SectionReader, one
-// buffered record at a time; the k-way merge (MergeRunReaders) then
-// consumes file-backed and still-buffered runs uniformly through the
-// RunReader interface, ordered by map-task Seq. A spilled run holds the
+// window of records at a time: to the k-way merge (mergeRuns) a spilled
+// segment and a still-buffered run are the same run type, the first
+// with a fill that decodes the next window and the second without, and
+// load hands them over ordered by map-task Seq. A spilled run holds the
 // same pairs in the same order as its in-memory original, and the merge
 // breaks ties by run order, so spilling can never change a job's
 // output: the shuffle's determinism contract (see merge.go) is
@@ -35,33 +36,6 @@ import (
 	"time"
 )
 
-// RunReader streams one key-sorted run of pairs. Next returns io.EOF
-// after the last pair; Close releases whatever backs the run and must
-// be called on every reader, on error paths included.
-type RunReader interface {
-	Next() (Pair, error)
-	Close() error
-}
-
-// SliceRun wraps an in-memory key-sorted run as a RunReader.
-func SliceRun(pairs []Pair) RunReader { return &sliceRun{pairs: pairs} }
-
-type sliceRun struct {
-	pairs []Pair
-	i     int
-}
-
-func (r *sliceRun) Next() (Pair, error) {
-	if r.i == len(r.pairs) {
-		return Pair{}, io.EOF
-	}
-	p := r.pairs[r.i]
-	r.i++
-	return p, nil
-}
-
-func (r *sliceRun) Close() error { return nil }
-
 // appendRunRecord appends one pair in the on-disk run framing — the
 // same uvarint-length-prefixed layout the wire codec uses for its
 // string and bytes fields.
@@ -77,69 +51,98 @@ func pairDiskBytes(p Pair) int64 {
 	return int64(wireFieldSize(len(p.Key)) + wireFieldSize(len(p.Value)))
 }
 
-// fileRun streams one spilled segment's records back. It reads through
-// its own buffered view of the shared partition file (io.SectionReader
-// wraps ReadAt, so concurrent fileRuns never disturb each other); a
-// clean io.EOF on the leading uvarint is the end of the segment, while
-// a truncated record surfaces as io.ErrUnexpectedEOF. Deflated segments
+// A spilled run's window: how much of a segment one fill decodes. 64
+// records are enough to amortize the fill and to let the merge hand on
+// long stretches, and their Pair headers (2.5 KiB, allocated once per
+// open segment) stay small beside the segment's 32 KiB read buffer — at
+// 256 the window arrays were a tenth of a spilled shuffle's allocation.
+// The payload cap ends a window early once its keys and values pass
+// 64 KiB — two read buffers' worth — so what a run keeps resident does
+// not grow with its record size: a run of 64 KiB records streams one
+// record at a time.
+const (
+	windowRecords = 64
+	windowBytes   = 64 << 10
+)
+
+// fileRun decodes one spilled segment's records. It reads through its
+// own buffered view of the shared partition file (io.SectionReader
+// wraps ReadAt, so concurrent fileRuns never disturb each other, and the
+// spillSet owns the file: a fileRun has nothing to close); a clean
+// io.EOF on the leading uvarint is the end of the segment, while a
+// truncated record surfaces as io.ErrUnexpectedEOF. Deflated segments
 // interpose a flate reader, so record framing past it is identical.
 type fileRun struct {
-	br *bufio.Reader
-	zc io.Closer // the flate reader of a deflated segment, else nil
+	br  *bufio.Reader
+	buf []Pair // the window's array, reused fill to fill
 }
 
 func newFileRun(f *os.File, seg segment) *fileRun {
 	br := bufio.NewReaderSize(io.NewSectionReader(f, seg.off, seg.n), 32*1024)
-	if !seg.deflated {
-		return &fileRun{br: br}
+	if seg.deflated {
+		br = bufio.NewReaderSize(flate.NewReader(br), 32*1024)
 	}
-	zr := flate.NewReader(br)
-	return &fileRun{br: bufio.NewReaderSize(zr, 32*1024), zc: zr}
+	return &fileRun{br: br, buf: make([]Pair, 0, windowRecords)}
 }
 
-func (r *fileRun) Next() (Pair, error) {
-	klen, err := binary.ReadUvarint(r.br)
-	if err != nil {
+// window is the segment's run.fill: the next records, up to the window's
+// record count or payload cap, and none at the end of the segment.
+func (r *fileRun) window() ([]Pair, error) {
+	r.buf = r.buf[:0]
+	for payload := 0; len(r.buf) < windowRecords && payload < windowBytes; {
+		kv, err := r.next()
 		if err == io.EOF {
-			return Pair{}, io.EOF
+			break
 		}
-		return Pair{}, fmt.Errorf("mapreduce: spill run key length: %w", err)
+		if err != nil {
+			return nil, err
+		}
+		r.buf = append(r.buf, kv)
+		payload += len(kv.Key) + len(kv.Value)
 	}
-	if klen > maxFrameBody {
-		return Pair{}, fmt.Errorf("mapreduce: spill run key length %d too large", klen)
-	}
-	key := make([]byte, klen)
-	if _, err := io.ReadFull(r.br, key); err != nil {
-		return Pair{}, fmt.Errorf("mapreduce: spill run key: %w", noEOF(err))
-	}
-	vlen, err := binary.ReadUvarint(r.br)
+	return r.buf, nil
+}
+
+// next decodes one record. The lengths it reads are a file's word, not
+// the program's: like a frame body, a key or value is read through
+// readExactly, so a corrupt prefix backed by a short segment fails after
+// a few chunks instead of reserving what it claims.
+func (r *fileRun) next() (Pair, error) {
+	key, err := r.field("key")
 	if err != nil {
-		return Pair{}, fmt.Errorf("mapreduce: spill run value length: %w", noEOF(err))
+		return Pair{}, err // io.EOF, bare: the segment ended on a record boundary
 	}
-	if vlen > maxFrameBody {
-		return Pair{}, fmt.Errorf("mapreduce: spill run value length %d too large", vlen)
+	val, err := r.field("value")
+	if err == io.EOF {
+		err = fmt.Errorf("mapreduce: spill run value length: %w", io.ErrUnexpectedEOF)
 	}
-	val := make([]byte, vlen)
-	if _, err := io.ReadFull(r.br, val); err != nil {
-		return Pair{}, fmt.Errorf("mapreduce: spill run value: %w", noEOF(err))
+	if err != nil {
+		return Pair{}, err
 	}
 	return Pair{Key: string(key), Value: emptyToNil(val)}, nil
 }
 
-func (r *fileRun) Close() error { // the spillSet owns the file
-	if r.zc != nil {
-		return r.zc.Close()
-	}
-	return nil
-}
-
-// noEOF upgrades a bare io.EOF inside a record to ErrUnexpectedEOF so
-// it cannot be mistaken for a clean end of run.
-func noEOF(err error) error {
+// field reads one length-prefixed field, returning a bare io.EOF when
+// the stream ends cleanly before the prefix.
+func (r *fileRun) field(what string) ([]byte, error) {
+	n, err := binary.ReadUvarint(r.br)
 	if err == io.EOF {
-		return io.ErrUnexpectedEOF
+		return nil, io.EOF
 	}
-	return err
+	if err != nil {
+		return nil, fmt.Errorf("mapreduce: spill run %s length: %w", what, err)
+	}
+	if n > maxFrameBody {
+		return nil, fmt.Errorf("mapreduce: spill run %s length %d too large", what, n)
+	}
+	b, err := readExactly(r.br, int(n))
+	if err == io.EOF { // inside a record: not a clean end of run
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		return nil, fmt.Errorf("mapreduce: spill run %s: %w", what, err)
+	}
+	return b, nil
 }
 
 // memRun is one map task's still-buffered sorted run for a partition.
@@ -159,11 +162,21 @@ type segment struct {
 // spillPartition is one reduce partition's spill state: at most one
 // open file (segments append to it) plus the runs still in memory.
 type spillPartition struct {
-	f    *os.File
-	w    *bufio.Writer
-	off  int64
-	mem  []memRun
-	segs []segment
+	f       *os.File
+	w       *bufio.Writer
+	off     int64 // bytes written to f through w: where the next segment starts
+	mem     []memRun
+	segs    []segment
+	records int // pairs added, spilled or not: what load delivers
+}
+
+// Write appends to the partition's file, metering it: a segment's
+// on-disk length is how far off moved, which for a deflated one is
+// known only as flate flushes it.
+func (sp *spillPartition) Write(p []byte) (int, error) {
+	n, err := sp.w.Write(p)
+	sp.off += int64(n)
+	return n, err
 }
 
 // spillSet is the shuffle buffer of one job: it holds map-side sorted
@@ -183,9 +196,9 @@ type spillSet struct {
 	mu       sync.Mutex
 	dir      string // created lazily on first flush
 	parts    []spillPartition
-	buffered int64 // framed bytes of all in-memory runs (tracked under a budget only)
-	records  int   // pairs added
-	payload  int64 // their key+value bytes
+	buffered int64  // framed bytes of all in-memory runs (tracked under a budget only)
+	payload  int64  // key+value bytes of every pair added
+	scratch  []byte // one framed record, reused across flushes
 
 	spillBytes    int64 // bytes written to spill files (deflated when compress)
 	spillRawBytes int64 // framed record bytes before compression
@@ -208,7 +221,7 @@ func (s *spillSet) add(seq int, parts [][]Pair) error {
 			continue
 		}
 		s.parts[p].mem = append(s.parts[p].mem, memRun{seq: seq, pairs: run})
-		s.records += len(run)
+		s.parts[p].records += len(run)
 		for _, kv := range run {
 			s.payload += int64(len(kv.Key) + len(kv.Value))
 			if s.budget > 0 {
@@ -233,7 +246,6 @@ func (s *spillSet) flushLocked() error {
 		}
 		s.dir = dir
 	}
-	var buf []byte
 	for p := range s.parts {
 		sp := &s.parts[p]
 		if len(sp.mem) == 0 {
@@ -248,14 +260,14 @@ func (s *spillSet) flushLocked() error {
 			sp.w = bufio.NewWriterSize(f, 256*1024)
 		}
 		for _, run := range sp.mem {
-			n, raw, nbuf, err := s.writeRun(sp, run.pairs, buf)
+			seg := segment{seq: run.seq, off: sp.off, deflated: s.compress}
+			raw, err := s.writeRun(sp, run.pairs)
 			if err != nil {
 				return err
 			}
-			buf = nbuf
-			sp.segs = append(sp.segs, segment{seq: run.seq, off: sp.off, n: n, deflated: s.compress})
-			sp.off += n
-			s.spillBytes += n
+			seg.n = sp.off - seg.off
+			sp.segs = append(sp.segs, seg)
+			s.spillBytes += seg.n
 			s.spillRawBytes += raw
 		}
 		sp.mem = nil
@@ -270,49 +282,29 @@ func (s *spillSet) flushLocked() error {
 
 // writeRun writes one run's framed records to sp's spill file —
 // straight through, or via a per-segment flate stream when compress is
-// on — returning the segment's on-disk and raw framed lengths plus the
-// (possibly grown) scratch buffer. Called with s.mu held.
-func (s *spillSet) writeRun(sp *spillPartition, pairs []Pair, buf []byte) (n, raw int64, scratch []byte, err error) {
-	if !s.compress {
-		for _, kv := range pairs {
-			buf = appendRunRecord(buf[:0], kv)
-			if _, err := sp.w.Write(buf); err != nil {
-				return 0, 0, buf, fmt.Errorf("mapreduce: spill write: %w", err)
-			}
-			n += int64(len(buf))
-		}
-		return n, n, buf, nil
+// on — returning their raw framed length. Called with s.mu held.
+func (s *spillSet) writeRun(sp *spillPartition, pairs []Pair) (raw int64, err error) {
+	var w io.Writer = sp
+	var fw *flate.Writer
+	if s.compress {
+		fw = flateWriterPool.Get().(*flate.Writer)
+		defer flateWriterPool.Put(fw)
+		fw.Reset(sp)
+		w = fw
 	}
-	cw := &meteredWriter{w: sp.w}
-	fw := flateWriterPool.Get().(*flate.Writer)
-	fw.Reset(cw)
 	for _, kv := range pairs {
-		buf = appendRunRecord(buf[:0], kv)
-		if _, err := fw.Write(buf); err != nil {
-			flateWriterPool.Put(fw)
-			return 0, 0, buf, fmt.Errorf("mapreduce: spill write: %w", err)
+		s.scratch = appendRunRecord(s.scratch[:0], kv)
+		if _, err := w.Write(s.scratch); err != nil {
+			return 0, fmt.Errorf("mapreduce: spill write: %w", err)
 		}
-		raw += int64(len(buf))
+		raw += int64(len(s.scratch))
 	}
-	err = fw.Close()
-	flateWriterPool.Put(fw)
-	if err != nil {
-		return 0, 0, buf, fmt.Errorf("mapreduce: spill deflate: %w", err)
+	if fw != nil {
+		if err := fw.Close(); err != nil {
+			return 0, fmt.Errorf("mapreduce: spill deflate: %w", err)
+		}
 	}
-	return cw.n, raw, buf, nil
-}
-
-// meteredWriter counts bytes passed through to w — the deflated length
-// of a deflated segment as flate flushes it.
-type meteredWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (m *meteredWriter) Write(p []byte) (int, error) {
-	n, err := m.w.Write(p)
-	m.n += int64(n)
-	return n, err
+	return raw, nil
 }
 
 // seal flushes pending file buffers so readers see complete segments.
@@ -331,66 +323,44 @@ func (s *spillSet) seal() error {
 	return nil
 }
 
-// partitionRuns returns one partition's runs — spilled segments and
-// still-buffered memory runs — ordered by map-task Seq, the order the
-// merge's tie-break contract requires. Call after seal; safe for
-// concurrent use across partitions (file access is ReadAt-based).
-func (s *spillSet) partitionRuns(p int) []RunReader {
-	s.mu.Lock()
-	sp := &s.parts[p]
-	type seqRun struct {
-		seq int
-		r   RunReader
-	}
-	runs := make([]seqRun, 0, len(sp.segs)+len(sp.mem))
-	for _, seg := range sp.segs {
-		runs = append(runs, seqRun{seg.seq, newFileRun(sp.f, seg)})
-	}
-	for _, m := range sp.mem {
-		runs = append(runs, seqRun{m.seq, SliceRun(m.pairs)})
-	}
-	s.mu.Unlock()
-	sort.Slice(runs, func(a, b int) bool { return runs[a].seq < runs[b].seq })
-	out := make([]RunReader, len(runs))
-	for i, r := range runs {
-		out[i] = r.r
-	}
-	return out
-}
-
-// load returns partition p as a reduce task's record stream: the k-way
-// merge of its runs, one buffered pair per run, re-opened on every call
-// (a requeued task merges again).
+// load returns partition p as a record stream — the shuffle's one read
+// entry point, and every reduce task's feed: the k-way merge of the
+// partition's runs, spilled segments and still-buffered memory runs
+// alike, ordered by map-task Seq as the merge's tie-break contract
+// requires. The runs are re-opened on every call (a requeued task merges
+// again). Call after seal; safe for concurrent use across and within
+// partitions (file access is ReadAt-based, resident runs are only read).
 func (s *spillSet) load(p int) recordStream {
-	return func(emit func(Pair) error) error {
-		runs := s.partitionRuns(p)
-		err := MergeRunReaders(runs, emit)
-		if cerr := closeRuns(runs); err == nil {
-			err = cerr
+	return func(emit func([]Pair) error) error {
+		type seqRun struct {
+			seq int
+			run
 		}
-		return err
+		s.mu.Lock()
+		sp := &s.parts[p]
+		ordered := make([]seqRun, 0, len(sp.segs)+len(sp.mem))
+		for _, seg := range sp.segs {
+			ordered = append(ordered, seqRun{seg.seq, run{fill: newFileRun(sp.f, seg).window}})
+		}
+		for _, m := range sp.mem {
+			ordered = append(ordered, seqRun{m.seq, run{buf: m.pairs}})
+		}
+		s.mu.Unlock()
+		sort.Slice(ordered, func(a, b int) bool { return ordered[a].seq < ordered[b].seq })
+		runs := make([]run, len(ordered))
+		for i, o := range ordered {
+			runs[i] = o.run
+		}
+		return mergeRuns(runs, emit)
 	}
 }
 
-// materialize merges one partition into a single key-sorted slice: a
-// resident reduce task's records, the output of an elided reduce, and
-// what a task frame carries. A partition that never spilled is merged
-// slice to slice.
-func (s *spillSet) materialize(p int) ([]Pair, error) {
+// partitionRecords is how many records load(p) delivers, so a collector
+// allocates once.
+func (s *spillSet) partitionRecords(p int) int {
 	s.mu.Lock()
-	sp := &s.parts[p]
-	if len(sp.segs) > 0 {
-		s.mu.Unlock()
-		return collectPairs(s.load(p))
-	}
-	mem := append([]memRun(nil), sp.mem...)
-	s.mu.Unlock()
-	sort.Slice(mem, func(a, b int) bool { return mem[a].seq < mem[b].seq })
-	runs := make([][]Pair, len(mem))
-	for i, m := range mem {
-		runs[i] = m.pairs
-	}
-	return MergeRuns(runs), nil
+	defer s.mu.Unlock()
+	return s.parts[p].records
 }
 
 // stats reports the bytes written to spill files (deflated when the
@@ -407,7 +377,10 @@ func (s *spillSet) stats() (spillBytes, spillRawBytes, spillNanos int64) {
 func (s *spillSet) shuffled() (records int, payload int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.records, s.payload
+	for p := range s.parts {
+		records += s.parts[p].records
+	}
+	return records, s.payload
 }
 
 // Close closes every spill file and removes the spill directory. Safe
@@ -425,16 +398,6 @@ func (s *spillSet) Close() error {
 	if s.dir != "" {
 		err = errors.Join(err, os.RemoveAll(s.dir))
 		s.dir = ""
-	}
-	return err
-}
-
-// closeRuns closes every reader, joining errors, so no error path leaks
-// a file-backed run.
-func closeRuns(runs []RunReader) error {
-	var err error
-	for _, r := range runs {
-		err = errors.Join(err, r.Close())
 	}
 	return err
 }

@@ -40,10 +40,7 @@ func TestPackedSpillMergeEqualsInMemory(t *testing.T) {
 			t.Fatal("compressed spill set wrote an unpacked segment")
 		}
 	}
-	got, err := ss.materialize(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := collectLoad(t, ss)
 	if !pairsEqual(got, want) {
 		t.Fatalf("packed merge diverged\n got %v\nwant %v", got, want)
 	}
@@ -83,10 +80,7 @@ func TestPackedSpillShrinksLargeRuns(t *testing.T) {
 	if raw < 2*written {
 		t.Logf("compression ratio %.2f (written %d / raw %d)", float64(written)/float64(raw), written, raw)
 	}
-	got, err := ss.materialize(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := collectLoad(t, ss)
 	if !pairsEqual(got, run) {
 		t.Fatal("large packed run did not round-trip")
 	}

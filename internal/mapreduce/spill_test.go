@@ -2,64 +2,76 @@ package mapreduce
 
 import (
 	"bytes"
+	"compress/flate"
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
 
-// collectReaders drains a MergeRunReaders merge into a slice, closing
-// every run.
-func collectReaders(t *testing.T, runs []RunReader) []Pair {
+// collectRuns drains a mergeRuns merge into a slice.
+func collectRuns(t *testing.T, runs []run) []Pair {
 	t.Helper()
 	var out []Pair
-	err := MergeRunReaders(runs, func(kv Pair) error {
-		out = append(out, kv)
+	err := mergeRuns(runs, func(stretch []Pair) error {
+		out = append(out, stretch...)
 		return nil
 	})
-	if cerr := closeRuns(runs); cerr != nil {
-		t.Fatalf("closeRuns: %v", cerr)
-	}
 	if err != nil {
-		t.Fatalf("MergeRunReaders: %v", err)
+		t.Fatalf("mergeRuns: %v", err)
 	}
 	return out
 }
 
-// TestMergeRunReadersEdgeCases covers the iterator merge on zero runs,
+// collectLoad drains partition 0 of a sealed spillSet through load.
+func collectLoad(t *testing.T, ss *spillSet) []Pair {
+	t.Helper()
+	out, err := collectPairs(ss.load(0), ss.partitionRecords(0))
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	return out
+}
+
+// TestMergeRunReadersEdgeCases covers the streaming merge on zero runs,
 // a single run, all-empty runs, and duplicate keys across runs.
 func TestMergeRunReadersEdgeCases(t *testing.T) {
-	if got := collectReaders(t, nil); len(got) != 0 {
+	if got := collectRuns(t, nil); len(got) != 0 {
 		t.Fatalf("zero runs merged to %v", got)
 	}
-	if got := collectReaders(t, []RunReader{}); len(got) != 0 {
+	if got := collectRuns(t, []run{}); len(got) != 0 {
 		t.Fatalf("empty run set merged to %v", got)
 	}
 	single := []Pair{{"a", []byte("1")}, {"b", []byte("2")}}
-	if got := collectReaders(t, []RunReader{SliceRun(single)}); !pairsEqual(got, single) {
+	if got := collectRuns(t, []run{{buf: single}}); !pairsEqual(got, single) {
 		t.Fatalf("single run merged to %v", got)
 	}
-	empties := []RunReader{SliceRun(nil), SliceRun([]Pair{}), SliceRun(nil)}
-	if got := collectReaders(t, empties); len(got) != 0 {
+	empties := []run{{}, {buf: []Pair{}}, {}}
+	if got := collectRuns(t, empties); len(got) != 0 {
 		t.Fatalf("all-empty runs merged to %v", got)
 	}
 	// Duplicate keys across runs: ties must pop in run order.
 	a := []Pair{{"k", []byte("a0")}, {"k", []byte("a1")}}
 	b := []Pair{{"k", []byte("b0")}}
 	c := []Pair{{"j", []byte("c0")}, {"k", []byte("c1")}}
-	got := collectReaders(t, []RunReader{SliceRun(a), SliceRun(b), SliceRun(c)})
+	got := collectRuns(t, []run{{buf: a}, {buf: b}, {buf: c}})
 	want := []Pair{{"j", []byte("c0")}, {"k", []byte("a0")}, {"k", []byte("a1")}, {"k", []byte("b0")}, {"k", []byte("c1")}}
 	if !pairsEqual(got, want) {
 		t.Fatalf("duplicate-key merge\n got %v\nwant %v", got, want)
 	}
 }
 
-// TestMergeRunsEdgeCasesSlices mirrors the edge cases on the slice fast
-// path, so both merge entry points honor the same contract.
+// TestMergeRunsEdgeCasesSlices mirrors the edge cases on the exported
+// slice-to-slice wrapper, so both entry points honor the same contract.
 func TestMergeRunsEdgeCasesSlices(t *testing.T) {
 	if got := MergeRuns(nil); got != nil {
 		t.Fatalf("zero runs merged to %v", got)
@@ -82,8 +94,8 @@ func TestMergeRunsEdgeCasesSlices(t *testing.T) {
 }
 
 // spillRuns writes each run as a segment of one spillSet partition and
-// returns the file-backed readers, exercising the real on-disk framing.
-func spillRuns(t *testing.T, runs [][]Pair) (*spillSet, []RunReader) {
+// returns the sealed set, exercising the real on-disk framing.
+func spillRuns(t *testing.T, runs [][]Pair) *spillSet {
 	t.Helper()
 	ss := newSpillSet(1, 1, false) // 1-byte budget: every add flushes
 	for seq, run := range runs {
@@ -95,7 +107,7 @@ func spillRuns(t *testing.T, runs [][]Pair) (*spillSet, []RunReader) {
 	if err := ss.seal(); err != nil {
 		t.Fatalf("seal: %v", err)
 	}
-	return ss, ss.partitionRuns(0)
+	return ss
 }
 
 // TestPropFileBackedMergeEqualsInMemory is the file-backed vs in-memory
@@ -113,29 +125,19 @@ func TestPropFileBackedMergeEqualsInMemory(t *testing.T) {
 		}
 		want := MergeRuns(runs)
 
-		mem := make([]RunReader, k)
+		mem := make([]run, k)
 		for r := range runs {
-			mem[r] = SliceRun(runs[r])
+			mem[r] = run{buf: runs[r]}
 		}
-		gotMem := []Pair{}
-		if err := MergeRunReaders(mem, func(kv Pair) error { gotMem = append(gotMem, kv); return nil }); err != nil {
-			t.Fatalf("in-memory merge: %v", err)
-		}
+		gotMem := collectRuns(t, mem)
 
-		ss, fileRuns := spillRuns(t, runs)
+		ss := spillRuns(t, runs)
 		defer func() {
 			if err := ss.Close(); err != nil {
 				t.Fatalf("close spill set: %v", err)
 			}
 		}()
-		gotFile := []Pair{}
-		err := MergeRunReaders(fileRuns, func(kv Pair) error { gotFile = append(gotFile, kv); return nil })
-		if cerr := closeRuns(fileRuns); cerr != nil {
-			t.Fatalf("close runs: %v", cerr)
-		}
-		if err != nil {
-			t.Fatalf("file-backed merge: %v", err)
-		}
+		gotFile := collectLoad(t, ss)
 		return pairsEqual(want, gotMem) && pairsEqual(want, gotFile)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
@@ -166,10 +168,7 @@ func TestSpillSetOutOfOrderSeqs(t *testing.T) {
 	if err := ss.seal(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ss.materialize(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := collectLoad(t, ss)
 	want := []Pair{{"k", []byte("seq0")}, {"k", []byte("seq1")}, {"k", []byte("seq2")}}
 	if !pairsEqual(got, want) {
 		t.Fatalf("out-of-order seqs merged as %v", got)
@@ -204,10 +203,7 @@ func TestSpillSetMixedMemoryAndDisk(t *testing.T) {
 	if got, _, _ := ss.stats(); got == 0 {
 		t.Fatal("expected spilled bytes")
 	}
-	got, err := ss.materialize(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := collectLoad(t, ss)
 	want := []Pair{{"k", []byte("seq0")}, {"k", []byte("seq1")}}
 	if !pairsEqual(got, want) {
 		t.Fatalf("mixed memory/disk merge %v", got)
@@ -217,20 +213,140 @@ func TestSpillSetMixedMemoryAndDisk(t *testing.T) {
 // TestFileRunRejectsTruncation: a segment cut mid-record must surface
 // an error, not a silent short run.
 func TestFileRunRejectsTruncation(t *testing.T) {
-	ss, runs := spillRuns(t, [][]Pair{{{"key", []byte("value")}}})
+	ss := spillRuns(t, [][]Pair{{{"key", []byte("value")}}})
 	defer func() {
 		if err := ss.Close(); err != nil {
 			t.Fatalf("close: %v", err)
 		}
 	}()
-	if err := closeRuns(runs); err != nil {
-		t.Fatal(err)
-	}
 	seg := ss.parts[0].segs[0]
 	seg.n -= 2
 	truncated := newFileRun(ss.parts[0].f, seg)
-	if _, err := truncated.Next(); err == nil || err == io.EOF {
+	if _, err := truncated.next(); err == nil || err == io.EOF {
 		t.Fatalf("truncated segment read returned %v", err)
+	}
+}
+
+// TestFileRunBoundedBySegment is the spill twin of
+// TestReadExactlyBoundedByStream: a segment whose first length prefix
+// claims 1 GiB over a few hundred real bytes fails as a truncated record
+// having allocated next to nothing, raw and deflated.
+func TestFileRunBoundedBySegment(t *testing.T) {
+	lying := append(binary.AppendUvarint(nil, maxFrameBody), bytes.Repeat([]byte{'x'}, 300)...)
+	for _, deflated := range []bool{false, true} {
+		var disk bytes.Buffer
+		if deflated {
+			fw, err := flate.NewWriter(&disk, flate.BestSpeed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fw.Write(lying); err != nil {
+				t.Fatal(err)
+			}
+			if err := fw.Close(); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			disk.Write(lying)
+		}
+		path := filepath.Join(t.TempDir(), "lying.run")
+		if err := os.WriteFile(path, disk.Bytes(), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		size := int64(disk.Len())
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = newFileRun(f, segment{n: size, deflated: deflated}).next()
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("deflated=%v: a 1 GiB key over 300 bytes read as %v, want io.ErrUnexpectedEOF", deflated, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Fatalf("deflated=%v: a lying 1 GiB prefix over 300 bytes made the reader allocate %d bytes", deflated, grew)
+		}
+	}
+}
+
+// TestPropLoadEqualsStableSortOfRuns is load's whole contract in one
+// property: whatever mix of resident, spilled and deflated runs a
+// partition holds, in whatever order their seqs arrived, load delivers
+// exactly the stable sort of the runs concatenated in seq order — on
+// every call. Run lengths sit on both sides of a window's record count,
+// some records are larger than its byte cap, and some runs are empty.
+func TestPropLoadEqualsStableSortOfRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	lengths := []int{0, 1, 7, windowRecords - 1, windowRecords, windowRecords + 1, 2*windowRecords + 3}
+	for _, mode := range []string{"resident", "spilled", "mixed", "deflated", "mixed deflated"} {
+		for trial := 0; trial < 12; trial++ {
+			k := rng.Intn(7)
+			runs := make([][]Pair, k)
+			for seq := range runs {
+				runs[seq] = make([]Pair, lengths[rng.Intn(len(lengths))])
+				big := rng.Intn(4) == 0 // this run's records exceed the byte cap: one per window
+				if big {
+					runs[seq] = runs[seq][:min(len(runs[seq]), 3)]
+				}
+				for i := range runs[seq] {
+					value := []byte(fmt.Sprintf("%d/%d", seq, i))
+					if big {
+						value = append(value, make([]byte, windowBytes)...)
+					}
+					runs[seq][i] = Pair{Key: fmt.Sprintf("k%02d", rng.Intn(5)), Value: value}
+				}
+				sortPairs(runs[seq])
+			}
+			var want []Pair
+			for _, run := range runs {
+				want = append(want, run...)
+			}
+			refStableSort(want)
+
+			mixed := strings.HasPrefix(mode, "mixed")
+			var budget int64 // resident: no budget, nothing spills
+			switch {
+			case mixed:
+				budget = 1 << 40 // nothing flushes on its own
+			case mode != "resident":
+				budget = 1 // every add flushes
+			}
+			ss := newSpillSet(1, budget, strings.HasSuffix(mode, "deflated"))
+			for _, seq := range rng.Perm(k) { // results land in any order
+				if err := ss.add(seq, [][]Pair{runs[seq]}); err != nil {
+					t.Fatalf("%s: add run %d: %v", mode, seq, err)
+				}
+				if mixed && rng.Intn(2) == 0 {
+					ss.mu.Lock()
+					err := ss.flushLocked()
+					ss.mu.Unlock()
+					if err != nil {
+						t.Fatalf("%s: flush: %v", mode, err)
+					}
+				}
+			}
+			if err := ss.seal(); err != nil {
+				t.Fatal(err)
+			}
+			if got := ss.partitionRecords(0); got != len(want) {
+				t.Fatalf("%s trial %d: partition counts %d records, want %d", mode, trial, got, len(want))
+			}
+			for call := 0; call < 2; call++ {
+				if got := collectLoad(t, ss); !pairsEqual(got, want) {
+					t.Fatalf("%s trial %d, call %d: load of %d runs diverged from concat + stable sort (%d vs %d records)",
+						mode, trial, call, k, len(got), len(want))
+				}
+			}
+			if spilled, _, _ := ss.stats(); !mixed && (budget > 0 && len(want) > 0) != (spilled > 0) {
+				t.Fatalf("%s trial %d: %d bytes spilled", mode, trial, spilled)
+			}
+			if err := ss.Close(); err != nil {
+				t.Fatalf("close: %v", err)
+			}
+		}
 	}
 }
 

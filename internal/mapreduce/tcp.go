@@ -24,27 +24,6 @@ import (
 // pipeline. Messages travel as binary frames (see wire.go); results are
 // matched to tasks by Seq.
 
-// Register makes a job available to TCP workers in this process. It
-// must be called before RunWorker receives tasks for the job. Jobs are
-// keyed by Name; re-registering a name replaces the previous job.
-func Register(job *Job) {
-	if job.Name == "" {
-		//lint:ignore panicfree registration happens at process start-up; a nameless job is an API-misuse bug that must fail loudly before any task runs
-		panic("mapreduce: Register needs a job Name")
-	}
-	registry.Store(job.Name, job)
-}
-
-var registry sync.Map // string -> *Job
-
-func lookupJob(name string) (*Job, bool) {
-	v, ok := registry.Load(name)
-	if !ok {
-		return nil, false
-	}
-	return v.(*Job), true
-}
-
 // Default tuning for the TCP executor. A hung or partitioned peer must
 // never block the master (or a worker) forever; the deadlines bound
 // every socket operation while leaving ample room for long tasks.
@@ -228,10 +207,8 @@ func (m *Master) Run(job *Job, input []Pair) ([]Pair, *Counters, error) {
 // every cancelled master behaves alike and workers see a clean
 // disconnect rather than corrupt frames.
 func (m *Master) RunContext(ctx context.Context, job *Job, input []Pair) ([]Pair, *Counters, error) {
-	if _, ok := lookupJob(job.Name); !ok {
-		if _, fok := factories.Load(job.Name); !fok || len(job.Conf) == 0 {
-			return nil, nil, fmt.Errorf("mapreduce: job %q not registered on master", job.Name)
-		}
+	if _, ok := factories.Load(job.Name); !ok {
+		return nil, nil, fmt.Errorf("mapreduce: job %q not registered on master", job.Name)
 	}
 	workers, err := m.awaitWorkers(ctx)
 	if err != nil {
@@ -561,12 +538,12 @@ writerLoop:
 		inflight <- t // capacity == window, and sem holds a slot: never blocks
 		wt := t
 		if t.load != nil {
-			// Materialize the lazily-loaded records for encoding only; the
-			// in-flight copy stays unmaterialized so a requeue re-merges
-			// from disk instead of pinning the partition in memory. A load
-			// failure is a master-side disk error, not this worker's fault:
-			// fail the phase rather than retrying the task elsewhere.
-			recs, lerr := collectPairs(t.load)
+			// Merge the partition for encoding only; the in-flight copy
+			// keeps no records, so a requeue re-merges from the runs instead
+			// of pinning the partition in memory. A load failure is a
+			// master-side disk error, not this worker's fault: fail the
+			// phase rather than retrying the task elsewhere.
+			recs, lerr := collectPairs(t.load, t.loadRecords)
 			if lerr != nil {
 				d.fail(fmt.Errorf("mapreduce: task %d load: %w", t.Seq, lerr))
 				// Fall through the write-error teardown so the socket close
@@ -711,9 +688,9 @@ func RunWorkerContext(ctx context.Context, addr string) (err error) {
 	return nil // master closed the connection: clean shutdown
 }
 
-// serveTask runs one task off the wire: it resolves the job from the
-// local registry (or factory, for closure-free jobs), runs the task body
-// and flattens a failure into the result's Err. The registered shard
+// serveTask runs one task off the wire: it resolves the job from this
+// process's job table (see factory.go), runs the task body and flattens a
+// failure into the result's Err. The registered shard
 // meter is sampled around the task; a nonzero end stamps the result with
 // this process's meter span so a master in another process can account
 // the reads (see SetShardMeter).

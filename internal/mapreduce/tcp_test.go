@@ -1,7 +1,11 @@
 package mapreduce
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -226,6 +230,102 @@ func TestTCPWorkerFailureRequeues(t *testing.T) {
 	}
 	m.Close()
 	wg.Wait()
+}
+
+// TestTCPReduceWorkerFailureRequeues kills a worker on its first reduce
+// task — faultyWorker only ever dies on a map task. The dying worker has
+// served its map tasks, so its runs are in the master's shuffle buffer,
+// and the reduce task it took is requeued as a task with no records: the
+// survivor's copy is merged again from the runs, resident (SpillBytes 0)
+// or spilled and deflated, and the output must equal Local's. The
+// survivor's reducers wait for the death and every partition has a key,
+// so the survivor's connection fills its window with reduce tasks it
+// cannot finish and the dying worker is certain to be handed one.
+func TestTCPReduceWorkerFailureRequeues(t *testing.T) {
+	input := make([]Pair, 64)
+	for i := range input {
+		input[i] = Pair{Key: strconv.Itoa(i), Value: []byte(fmt.Sprintf("w%d w%d", i, (i+1)%len(input)))}
+	}
+	for _, c := range []struct {
+		spill    int64
+		compress bool
+	}{{0, false}, {0, true}, {1, false}, {1, true}} {
+		t.Run(fmt.Sprintf("spill=%d/compress=%v", c.spill, c.compress), func(t *testing.T) {
+			died := make(chan struct{})
+			job := wordCountJob(fmt.Sprintf("tcp-reduce-faulty-%d-%v", c.spill, c.compress), 8, false)
+			job.SplitSize, job.SpillBytes, job.Compress = 1, c.spill, c.compress
+			count := job.Reduce
+			job.Reduce = func(key string, values [][]byte, emit Emit) error {
+				select {
+				case <-died:
+				case <-time.After(10 * time.Second):
+					return errors.New("no worker died on a reduce task")
+				}
+				return count(key, values, emit)
+			}
+			Register(job)
+			m, err := NewMaster("127.0.0.1:0", 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+
+			var wg sync.WaitGroup
+			wg.Add(2)
+			go func() { // serves map tasks, dies holding its first reduce task
+				defer wg.Done()
+				conn, cdc := dialHello(t, m.Addr())
+				defer conn.Close()
+				for {
+					var task taskMsg
+					if _, err := cdc.readTask(&task); err != nil {
+						t.Errorf("faulty worker saw no reduce task: %v", err)
+						return
+					}
+					if task.Phase == "reduce" {
+						close(died)
+						return
+					}
+					cdc.setCompress(task.Flags&taskFlagCompress != 0)
+					res := serveTask(context.Background(), &task)
+					if _, err := cdc.writeResult(&res); err != nil {
+						t.Errorf("faulty worker: %v", err)
+						return
+					}
+				}
+			}()
+			go func() {
+				defer wg.Done()
+				if err := RunWorker(m.Addr()); err != nil {
+					t.Errorf("healthy worker: %v", err)
+				}
+			}()
+			deadline := time.Now().Add(5 * time.Second)
+			for m.ConnectedWorkers() < 2 {
+				if time.Now().After(deadline) {
+					t.Fatal("workers did not join")
+				}
+				time.Sleep(time.Millisecond)
+			}
+
+			out, ctr, err := m.Run(job, input)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _, err := (&Local{}).Run(job, input)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want) != len(input) || !pairsEqual(out, want) {
+				t.Fatalf("output after a reduce-task requeue\n got %v\nwant %v", out, want)
+			}
+			if (c.spill > 0) != (ctr.SpillBytes > 0) {
+				t.Fatalf("SpillBytes budget %d: %d bytes spilled", c.spill, ctr.SpillBytes)
+			}
+			m.Close()
+			wg.Wait()
+		})
+	}
 }
 
 func TestNewMasterValidation(t *testing.T) {
