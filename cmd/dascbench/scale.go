@@ -1,7 +1,7 @@
 package main
 
 // The out-of-core million-point run (the paper's §5.2 at full width).
-// It streams the Eq.-15 corpus through the two-pass dense
+// It streams the Eq.-15 corpus through the one-pass, spooled dense
 // vectorizer straight into shard files, clusters the shards with the
 // sharded MapReduce driver over a spill-enabled TCP cluster, and
 // replays the measured bucket structure through the EMR simulator with

@@ -12,7 +12,7 @@ import (
 
 // TestLargeScaleOutOfCore is the non-blocking CI smoke for the
 // out-of-core data plane: a ~100k-document Eq.-15 corpus is streamed
-// through the two-pass dense vectorizer into shard files and clustered
+// through the spooled dense vectorizer into shard files and clustered
 // by the sharded driver with a deliberately small spill budget, so
 // shard streaming, demand hydration, and the file-backed merge all run
 // at a scale no in-memory test reaches. Build tag `largescale` keeps it

@@ -76,7 +76,7 @@ func ClusterMapReduceShardedContext(ctx context.Context, dir string, cfg Config,
 	if err != nil {
 		return nil, err
 	}
-	n := src.Rows()
+	n := src.r.Rows()
 	cfg, radius, err := cfg.resolve(n)
 	if err != nil {
 		return nil, err
@@ -90,15 +90,18 @@ func ClusterMapReduceShardedContext(ctx context.Context, dir string, cfg Config,
 		return nil, err
 	}
 	p.Points = nil // nothing past the fit reads the sample; do not keep it resident
-	// Margin-ordered probing reads rows on demand through the shard
-	// reader; without probing the partition stage touches no row.
+	// Margin-ordered probing sweeps the rows through a windowed cursor
+	// over the shard reader; without probing the partition stage touches
+	// no row.
 	var probe lsh.PointSource
+	var cursor *probeCursor
 	if cfg.ProbeRadius > 0 {
-		probe = src
+		cursor = newProbeCursor(src.r)
+		probe = cursor
 	}
 	res, err := runStages(ctx, start, p, probe, &mrRunner{exec: exec, src: src})
-	if src.probeErr != nil {
-		return nil, fmt.Errorf("core: sharded probe rows: %w", src.probeErr)
+	if cursor != nil && cursor.err != nil {
+		return nil, fmt.Errorf("core: sharded probe rows: %w", cursor.err)
 	}
 	if err != nil {
 		return nil, err

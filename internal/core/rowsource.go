@@ -173,14 +173,11 @@ func decodeVector(buf []byte) ([]float64, error) {
 // shardRows leaves the matrix in a shard directory (internal/shard):
 // stage 1 maps over shard row ranges — each mapper streams exactly its
 // range from the process-local reader — and stage 2 ships only index
-// lists, the reducer hydrating each bucket's rows on demand. The driver
-// additionally uses it as the lsh.PointSource of margin-ordered probing.
+// lists, the reducer hydrating each bucket's rows on demand. The driver's
+// margin-ordered probing reads the same reader through a probeCursor.
 type shardRows struct {
 	path string
 	r    *shard.Reader
-	// probeErr is the first read failure of a probe (Row cannot fail, so
-	// it returns a zero row and the driver checks this after the run).
-	probeErr error
 }
 
 // shardReaders caches one open shard.Reader per directory for the
@@ -283,20 +280,55 @@ func decodeRowRange(buf []byte) (start, count int, err error) {
 	return int(binary.LittleEndian.Uint32(buf[0:])), int(binary.LittleEndian.Uint32(buf[4:])), nil
 }
 
-// Rows and Row make the source the lsh.PointSource of margin-ordered
-// probing. Row allocates per call; the partition stage only consults it
-// when ProbeRadius > 0.
-func (s *shardRows) Rows() int { return s.r.Rows() }
+// probeWindowBytes sizes a probeCursor's window. A probing partition
+// sweeps the rows in ascending order once per table, so any window makes
+// the reads sequential; 64 KiB makes them few (one per ~750 rows of 11
+// columns, where there used to be one per row). A window holding all
+// 4 096 rows of the benchmark's corpus (with shard.Writer's and the
+// corpus spool's buffers enlarged alongside) ran no faster and peaked
+// 7 % higher in RSS, so this is a small constant rather than a knob.
+const probeWindowBytes = 64 << 10
 
-func (s *shardRows) Row(i int) []float64 {
-	row, err := s.r.ReadRow(i, nil)
-	if err != nil {
-		if s.probeErr == nil {
-			s.probeErr = err
+// probeCursor is the lsh.PointSource of one run's margin-ordered
+// probing over a shard directory: Row serves from a window of
+// consecutive rows and refills it, with one sequential ReadRange
+// starting at the requested row, whenever the request falls outside.
+// Rows come back in place — valid until the next Row call — which is
+// what lsh.Ensemble.Partition's serial, use-then-advance loop needs and
+// all it is given; one goroutine, one run.
+type probeCursor struct {
+	r     *shard.Reader
+	win   []float64 // rows [start, start+n), row-major; room for a whole number of rows
+	start int
+	n     int
+	// err is the first read failure (Row cannot fail, so it returns a
+	// zero row and the driver checks this after the run).
+	err error
+}
+
+func newProbeCursor(r *shard.Reader) *probeCursor {
+	perWin := max(1, probeWindowBytes/(8*r.Cols()))
+	return &probeCursor{r: r, win: make([]float64, perWin*r.Cols())}
+}
+
+func (c *probeCursor) Rows() int { return c.r.Rows() }
+
+func (c *probeCursor) Row(i int) []float64 {
+	cols := c.r.Cols()
+	if i < c.start || i >= c.start+c.n {
+		// An i outside the matrix still asks for one row, so that
+		// ReadRange names it.
+		n := max(1, min(len(c.win)/cols, c.r.Rows()-i))
+		if err := c.r.ReadRange(i, n, c.win); err != nil {
+			if c.err == nil {
+				c.err = err
+			}
+			c.n = 0 // the window's contents are no longer rows [start, start+n)
+			return make([]float64, cols)
 		}
-		return make([]float64, s.r.Cols())
+		c.start, c.n = i, n
 	}
-	return row
+	return c.win[(i-c.start)*cols : (i-c.start+1)*cols]
 }
 
 // fitSample reads min(size, N) evenly spaced rows into a dense fit

@@ -3,9 +3,13 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/mapreduce"
 	"repro/internal/shard"
 )
@@ -173,3 +177,176 @@ func TestShardedConfValidation(t *testing.T) {
 		t.Error("empty shard dir accepted")
 	}
 }
+
+// TestProbeCursorWindows sweeps a shard directory through the probe
+// cursor the way a probing partition does — ascending, once per table —
+// over shard sizes smaller than, equal to and not dividing the window,
+// with N a multiple of neither: every row must be the matrix's, and a
+// sweep must cost one read per shard a window touches, not one per row.
+// Out-of-order requests refill and stay correct.
+func TestProbeCursorWindows(t *testing.T) {
+	const n, d, sweeps = 1300, 16, 3
+	l := mixture(t, n, d, 4, 0.03, 29)
+	win := probeWindowBytes / (8 * d)
+	for _, per := range []int{win / 4, win, 300} {
+		src, err := openShardRows(writeShardDir(t, l.Points, per))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := newProbeCursor(src.r)
+		if c.Rows() != n || len(c.win) != win*d {
+			t.Fatalf("per=%d: cursor over %d rows, window of %d values", per, c.Rows(), len(c.win))
+		}
+		check := func(i int) {
+			t.Helper()
+			got, want := c.Row(i), l.Points.Row(i)
+			if len(got) != d {
+				t.Fatalf("per=%d: row %d has %d values", per, i, len(got))
+			}
+			for j := range want {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("per=%d: row %d col %d = %v, want %v", per, i, j, got[j], want[j])
+				}
+			}
+		}
+		wantOps := 0 // one read per shard each window [s, s+win) touches
+		for s := 0; s < n; s += win {
+			wantOps += (min(s+win, n)-1)/per - s/per + 1
+		}
+		before := src.r.ReadOps()
+		for s := 0; s < sweeps; s++ {
+			for i := 0; i < n; i++ {
+				check(i)
+			}
+		}
+		if ops := src.r.ReadOps() - before; ops != int64(sweeps*wantOps) {
+			t.Fatalf("per=%d: %d sweeps took %d reads, want %d", per, sweeps, ops, sweeps*wantOps)
+		}
+		for _, i := range []int{n - 1, 0, win, win - 1, n / 2, n/2 + 1, 3} {
+			check(i)
+		}
+		if c.err != nil {
+			t.Fatalf("per=%d: %v", per, c.err)
+		}
+		// A row outside the matrix is a recorded error and a zero row, and
+		// the cursor still serves the rows it can.
+		if row := c.Row(n); len(row) != d || c.err == nil {
+			t.Fatalf("per=%d: Row(%d) = %v, err %v", per, n, row, c.err)
+		}
+		check(5)
+	}
+}
+
+// TestShardedProbeReadsAreWindowed is the end-to-end pin that keeps the
+// per-row probe read from coming back: a probing run over shards of
+// every alignment labels the points exactly as Cluster does, and its
+// whole read-op count stays under what the windowed sweeps, the fit
+// sample, the stage-1 streams and the stage-2 gathers can need — far
+// under the Tables·N a read per probed row would add.
+func TestShardedProbeReadsAreWindowed(t *testing.T) {
+	const n, d = 1300, 16
+	l := mixture(t, n, d, 4, 0.03, 29)
+	cfg := Config{K: 4, Seed: 7, FitSample: n, Tables: 3, ProbeRadius: 1}
+	batch, err := Cluster(l.Points, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	win := probeWindowBytes / (8 * d)
+	for _, per := range []int{win / 4, win, 300} {
+		res, err := ClusterMapReduceSharded(writeShardDir(t, l.Points, per), cfg, &mapreduce.Local{})
+		if err != nil {
+			t.Fatalf("per=%d: %v", per, err)
+		}
+		for i := range batch.Labels {
+			if res.Labels[i] != batch.Labels[i] {
+				t.Fatalf("per=%d: label[%d] = %d, Cluster %d", per, i, res.Labels[i], batch.Labels[i])
+			}
+		}
+		shards := (n + per - 1) / per
+		sweep := (n+win-1)/win + shards // a window read splits at most once per shard boundary
+		// Fit sample and stage-1 streams read whole shards in a few blocks
+		// each; a gather cannot need more reads than there are rows.
+		bound := int64(cfg.Tables*sweep + 2*shards + 2*shards + n)
+		if ops := res.MapReduce.ShardReadOps; ops > bound {
+			t.Fatalf("per=%d: %d shard reads, want ≤ %d", per, ops, bound)
+		}
+	}
+}
+
+// truncateAfterLSH runs jobs on Local and cuts every shard file down to
+// its header once stage 1 has finished, so the next rows anyone asks the
+// open reader for — the probe's — are not there.
+type truncateAfterLSH struct {
+	local mapreduce.Local // a field, not embedded: the driver must come through Run
+	dir   string
+}
+
+func (e *truncateAfterLSH) Run(job *mapreduce.Job, input []mapreduce.Pair) ([]mapreduce.Pair, *mapreduce.Counters, error) {
+	out, ctr, err := e.local.Run(job, input)
+	if err != nil || job.Name != "dasc-lsh" {
+		return out, ctr, err
+	}
+	files, err := filepath.Glob(filepath.Join(e.dir, "*.dshd"))
+	for _, f := range files {
+		err = errors.Join(err, os.Truncate(f, 32))
+	}
+	return out, ctr, err
+}
+
+// TestShardedProbeReadFailureSurfaces checks a read failure in the
+// middle of probing is the run's error, under the probe's name.
+func TestShardedProbeReadFailureSurfaces(t *testing.T) {
+	l := mixture(t, 300, 10, 3, 0.03, 17)
+	dir := writeShardDir(t, l.Points, 50)
+	cfg := Config{K: 3, Seed: 5, FitSample: 300, Tables: 2, ProbeRadius: 1}
+	_, err := ClusterMapReduceSharded(dir, cfg, &truncateAfterLSH{dir: dir})
+	if err == nil || !strings.Contains(err.Error(), "core: sharded probe rows") {
+		t.Fatalf("err = %v, want the probe's read failure", err)
+	}
+}
+
+// BenchmarkProbeCursor sweeps corpus-local's 4 096 × 11 rows four times
+// — one probing partition's row traffic — and reports the ReadAt calls
+// it took.
+func BenchmarkProbeCursor(b *testing.B) {
+	const n, d, sweeps = 4096, 11, 4
+	l, err := dataset.Mixture(dataset.MixtureConfig{N: n, D: d, K: 4, Noise: 0.03, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	w, err := shard.NewWriter(dir, d, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := w.Append(l.Points.Row(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
+	}
+	src, err := openShardRows(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	before := src.r.ReadOps()
+	var sum float64
+	b.ResetTimer()
+	for it := 0; it < b.N; it++ {
+		c := newProbeCursor(src.r)
+		for s := 0; s < sweeps; s++ {
+			for i := 0; i < n; i++ {
+				sum += c.Row(i)[0]
+			}
+		}
+		if c.err != nil {
+			b.Fatal(c.err)
+		}
+	}
+	b.ReportMetric(float64(src.r.ReadOps()-before)/float64(b.N), "ReadOps/op")
+	probeSink = sum
+}
+
+var probeSink float64

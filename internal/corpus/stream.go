@@ -2,6 +2,7 @@ package corpus
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -140,16 +141,21 @@ func GenerateStream(cfg Config, fn func(doc string, label int) error) (*Meta, er
 // identical rows, holding only per-term tables and the lazily-grown
 // projection rows in memory (O(vocabulary), not O(N)).
 //
-// Two passes drive it: the first streams the corpus to count document
-// frequencies (exactly VectorizeTopTerms' df map), the second re-streams
-// it — generation is deterministic — scoring each document's terms,
+// The corpus is generated and cleaned once. idf needs every document's
+// term set before the first row can be scored, so the work is two loops
+// with a spool (spool.go) between them: the first loop streams the
+// corpus, counts document frequencies (exactly VectorizeTopTerms' df
+// map) and writes each document's label, length and (term id, tf) pairs
+// to a temporary file in os.TempDir; the second reads those records back
+// in order — never the text — scoring each document's terms,
 // discovering the union vocabulary in the same first-use order as the
 // batch path, and drawing each new term's Gaussian projection row from
 // the same sequential rng stream that fills the batch projection matrix
-// row-major.
+// row-major. The file is removed before StreamDense returns, on every
+// path.
 //
-// Both passes share one text.Cleaner and work on its int32 term ids:
-// df, idf, per-document tf and the projection-row index are slices
+// Everything works on the text.Cleaner's int32 term ids: df, idf, the
+// first loop's per-document tf and the projection-row index are slices
 // indexed by term id, and a stamp of the last document that touched a
 // term replaces the per-document sets. Ids stand one-to-one for stems,
 // so the term set of every document is the batch path's; the kept-term
@@ -159,41 +165,70 @@ func GenerateStream(cfg Config, fn func(doc string, label int) error) (*Meta, er
 // mirrors matrix.Mul and the norm mirrors matrix.Norm2, making every
 // float op order-identical.
 //
-// The row slice passed to fn is reused; fn must not retain it.
+// The row slice passed to fn is reused; fn must not retain it. An error
+// from fn stops the stream and is returned as it is.
 func StreamDense(cfg Config, f, dims int, seed int64, fn func(row []float64, label int) error) (*Meta, error) {
+	if cfg.NumDocs > math.MaxInt32 {
+		return nil, fmt.Errorf("corpus: NumDocs=%d exceeds the %d documents the int32 document stamps and frequency counts can hold", cfg.NumDocs, math.MaxInt32)
+	}
+	return streamDense(func(each func(doc string, label int) error) (*Meta, error) {
+		return GenerateStream(cfg, each)
+	}, f, dims, seed, fn)
+}
+
+// streamDense is StreamDense over any document stream: docs calls each
+// once per document, in order, at most math.MaxInt32 times, and returns
+// the corpus's Meta.
+func streamDense(docs func(each func(doc string, label int) error) (*Meta, error), f, dims int, seed int64, fn func(row []float64, label int) error) (_ *Meta, err error) {
 	if f < 1 {
 		return nil, fmt.Errorf("corpus: F=%d must be positive", f)
 	}
 	if dims < 1 {
 		return nil, fmt.Errorf("corpus: dims=%d", dims)
 	}
-	if cfg.NumDocs > math.MaxInt32 {
-		return nil, fmt.Errorf("corpus: NumDocs=%d exceeds the %d documents the int32 document stamps and frequency counts can hold", cfg.NumDocs, math.MaxInt32)
+
+	sp, err := newSpool()
+	if err != nil {
+		return nil, err
 	}
+	defer func() {
+		// Joined only when there is something to join, so that fn's error
+		// reaches the caller unwrapped.
+		if derr := sp.discard(); derr != nil {
+			err = errors.Join(err, fmt.Errorf("corpus: spool: %w", derr))
+		}
+	}()
 
 	cl := text.NewCleaner()
-	var ids []int32 // the current document's term ids
+	var ids []int32   // the current document's term ids
+	var terms []int32 // its distinct terms, in first-use order
 	// Per-term tables, indexed by term id and grown as the Cleaner
-	// assigns ids. stamp[t] is the 1-based number, within the current
-	// pass, of the last document that contained t.
-	var df, stamp []int32
+	// assigns ids. stamp[t] is the 1-based number of the last document
+	// that contained t; tf[t] is that document's count of t.
+	var df, stamp, tf []int32
 	var doc int32
 
-	// Pass 1: document frequencies over the cleaned token streams.
-	meta, err := GenerateStream(cfg, func(html string, _ int) error {
+	// Loop 1: document frequencies over the cleaned token streams, and
+	// each document's term counts into the spool.
+	meta, err := docs(func(html string, label int) error {
 		doc++
 		ids = cl.AppendIDs(ids[:0], html)
 		for len(df) < cl.Terms() {
 			df = append(df, 0)
 			stamp = append(stamp, 0)
+			tf = append(tf, 0)
 		}
+		terms = terms[:0]
 		for _, t := range ids {
 			if stamp[t] != doc {
 				stamp[t] = doc
 				df[t]++
+				tf[t] = 0
+				terms = append(terms, t)
 			}
+			tf[t]++
 		}
-		return nil
+		return sp.put(int(doc)-1, label, len(ids), terms, tf)
 	})
 	if err != nil {
 		return nil, err
@@ -201,7 +236,10 @@ func StreamDense(cfg Config, f, dims int, seed int64, fn func(row []float64, lab
 	if len(df) == 0 {
 		return nil, fmt.Errorf("corpus: corpus has no usable terms")
 	}
-	n := float64(cfg.NumDocs)
+	if err := sp.rewind(); err != nil {
+		return nil, err
+	}
+	n := float64(doc)
 	idf := make([]float64, len(df))
 	for t, d := range df {
 		v := math.Log(n / float64(d))
@@ -211,7 +249,7 @@ func StreamDense(cfg Config, f, dims int, seed int64, fn func(row []float64, lab
 		idf[t] = v
 	}
 
-	// Pass 2: score, project, emit. Projection rows are drawn lazily in
+	// Loop 2: score, project, emit. Projection rows are drawn lazily in
 	// vocabulary-discovery order from the same seeded stream the batch
 	// path uses to fill its matrix row-major, so row j holds identical
 	// bits in both.
@@ -237,34 +275,21 @@ func StreamDense(cfg Config, f, dims int, seed int64, fn func(row []float64, lab
 	}
 	var ws []weighted
 	var ents []sparseEntry
-	tf := make([]int32, len(df)) // per-document counts, valid where stamp[t] == doc
-	clear(stamp)
-	doc = 0
 	row := make([]float64, dims)
-	_, err = GenerateStream(cfg, func(html string, label int) error {
-		for i := range row {
-			row[i] = 0
+	for i := 0; i < int(doc); i++ {
+		label, tokens, counts, err := sp.next(i, len(df))
+		if err != nil {
+			return nil, err
 		}
-		doc++
-		ids = cl.AppendIDs(ids[:0], html)
-		if len(ids) == 0 {
-			// Mirrors the batch path: a document with no usable terms
-			// keeps its zero row.
-			return fn(row, label)
+		for c := range row {
+			row[c] = 0
 		}
+		// A document with no usable terms keeps its zero row, as in the
+		// batch path: nothing below touches row for it.
 		ws = ws[:0]
-		for _, t := range ids {
-			if stamp[t] != doc {
-				stamp[t] = doc
-				tf[t] = 0
-				ws = append(ws, weighted{term: t})
-			}
-			tf[t]++
-		}
-		invLen := 1 / float64(len(ids))
-		for i := range ws {
-			t := ws[i].term
-			ws[i].w = float64(tf[t]) * invLen * idf[t]
+		invLen := 1 / float64(tokens)
+		for _, c := range counts {
+			ws = append(ws, weighted{term: c.term, w: float64(c.tf) * invLen * idf[c.term]})
 		}
 		slices.SortFunc(ws, func(a, b weighted) int {
 			if c := cmp.Compare(b.w, a.w); c != 0 {
@@ -299,10 +324,9 @@ func StreamDense(cfg Config, f, dims int, seed int64, fn func(row []float64, lab
 			}
 		}
 		matrix.Normalize(row)
-		return fn(row, label)
-	})
-	if err != nil {
-		return nil, err
+		if err := fn(row, label); err != nil {
+			return nil, err
+		}
 	}
 	meta.Terms = len(projRows)
 	return meta, nil

@@ -9,6 +9,10 @@ import (
 
 // PointSource provides row access to the dataset being hashed.
 // *matrix.Dense satisfies it; adapters can expose any row-major store.
+// Ensemble.Partition calls Row from one goroutine and is done with a row
+// before it asks for the next, so a source handed only to it may serve
+// rows from a buffer it reuses (a row is valid until the next Row call);
+// hashing calls Row concurrently and needs a source that allows that.
 type PointSource interface {
 	Rows() int
 	Row(int) []float64
