@@ -146,7 +146,8 @@ func KM(points *Matrix, cfg BaselineConfig) (*BaselineResult, error) {
 }
 
 // SpectralCluster runs plain Ng–Jordan–Weiss spectral clustering on a
-// precomputed similarity matrix.
+// precomputed symmetric similarity matrix, of which only the upper
+// triangle is read.
 func SpectralCluster(similarity *Matrix, k int, seed int64) ([]int, error) {
 	res, err := spectral.Cluster(similarity, spectral.Config{K: k, Seed: seed})
 	if err != nil {

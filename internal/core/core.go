@@ -318,8 +318,10 @@ func (r *localRunner) Solve(ctx context.Context, p *Plan, part *lsh.Partition) (
 	}
 	r.waves = len(waves)
 
-	// One pool per wave: each goroutine's scratch dies with the wave, so a
-	// wave's load bounds what its buffers can hold at once.
+	// One loop per wave: a solve holds its plan's Bytes (within 8·Ni), so
+	// a wave's load bounds what its solves hold at once. The buffers
+	// themselves are lsh.EachBucket's pooled scratch, reused from wave to
+	// wave and from call to call.
 	sols := make([]BucketSolution, len(part.Buckets))
 	for w, wave := range waves {
 		r.peak = max(r.peak, loads[w])

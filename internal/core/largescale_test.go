@@ -42,7 +42,10 @@ func TestLargeScaleOutOfCore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cfg := Config{Seed: 1, SpillBytes: 4 << 20, EmbedDim: 64, EmbedCutoff: 2048}
+	// The 100k-document shuffle is ≈ 2.4 MB (ShuffleBytes 2 409 859, which
+	// a 4 MiB budget never spilled); 512 KiB is below a quarter of it, so
+	// the merge runs file-backed.
+	cfg := Config{Seed: 1, SpillBytes: 512 << 10, EmbedDim: 64, EmbedCutoff: 2048}
 	res, err := ClusterMapReduceSharded(dir, cfg, &mapreduce.Local{})
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +60,7 @@ func TestLargeScaleOutOfCore(t *testing.T) {
 	}
 	ctr := res.MapReduce
 	if ctr == nil || ctr.SpillBytes == 0 {
-		t.Fatalf("expected the 4MiB budget to spill, counters %+v", ctr)
+		t.Fatalf("expected the 512KiB budget to spill, counters %+v", ctr)
 	}
 	if ctr.ShardReadBytes < int64(n)*dims*8 {
 		t.Fatalf("shard reads %dB below one full pass %dB", ctr.ShardReadBytes, int64(n)*dims*8)

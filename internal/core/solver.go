@@ -100,9 +100,11 @@ const (
 
 // bucketPlan is what a bucket's size says about its solve: its share K
 // of the policy's K, its class, and the similarity storage resident
-// while it is solved — the embedded rows, else the paper's dense 4·Ni²
-// (also for trivial buckets, which Figure 6(b)'s Gram metric counts in
-// full; an upper bound when the engine's sparse attempt succeeds).
+// while it is solved — the embedded rows, else the paper's dense 4·Ni²,
+// which the packed float64 triangle the engine solves on holds within
+// 4·Ni (also for trivial buckets, which Figure 6(b)'s Gram metric
+// counts in full; an upper bound when the engine's sparse attempt
+// succeeds).
 type bucketPlan struct {
 	K     int
 	Class solveClass
@@ -161,10 +163,12 @@ type bucket struct {
 // or thresholded CSR), normalized Laplacian, eigenvectors, K-means, or
 // kernel embedding + k-means with no Gram at all.
 //
-// Dense sub-Grams and embedded row blocks are built inside *buf (grown
-// as needed, reused across calls — each worker owns one; it may start
-// nil) and consumed in place: the Laplacian overwrites it, so nothing
-// retains the buffer after the solve. Sparse solves never touch it.
+// Dense sub-Grams (the packed upper triangle, 8·Ni(Ni+1)/2 bytes — the
+// plan's Bytes plus 4·Ni) and embedded row blocks are built inside *buf
+// (grown as needed, reused across calls — each worker owns one; it may
+// start nil) and consumed in place: the Laplacian overwrites it, so
+// nothing retains the buffer after the solve. Sparse and trivial solves
+// never touch it.
 func (s *bucketSolver) solve(b bucket, buf *[]float64) (BucketSolution, error) {
 	ni := len(b.rows)
 	pl := s.plan(ni)

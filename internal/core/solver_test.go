@@ -71,6 +71,65 @@ func TestPlanAgreesWithSolve(t *testing.T) {
 	}
 }
 
+// TestSolveHoldsWhatItPlans: what a dense solve holds in its scratch is
+// the Gram its plan reports, within 8·Ni — the packed triangle,
+// 4·Ni² + 4·Ni bytes, on the Lanczos route and on the dense-eigen route
+// alike (the latter's n x n for tred2 is the solve's own, not the
+// scratch's) — and the sparse and trivial routes do not grow it. Only a
+// CSR densified past MaxSparseFill holds the full n x n, which
+// spectral's TestClusterBucketHighFillDensifies pins. So the budgeted
+// waves of ClusterIncremental, packed by plan Bytes, bound real bytes.
+func TestSolveHoldsWhatItPlans(t *testing.T) {
+	pts, _ := blobPoints(71, 8, 60, 12, 10, 0.3)
+	n := pts.Rows()
+	seen := map[string]int{}
+	for _, sparse := range []bool{false, true} {
+		for _, k := range []int{16, 160} {
+			pol := solvePolicy{N: n, Cols: pts.Cols(), K: k, Sigma: 1, Seed: 72}
+			if sparse {
+				pol.SparseCutoff, pol.Epsilon = 96, 1e-4
+			}
+			solver, err := newBucketSolver(pol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ni := range []int{1, 2, 20, 60, 96, 97, 200, 300} {
+				rows := make([]int, ni)
+				for i := range rows {
+					rows[i] = i * n / ni
+				}
+				pl := solver.plan(ni)
+				var scratch []float64
+				sol, err := solver.solve(bucket{points: pts, rows: rows, ids: rows}, &scratch)
+				if err != nil {
+					t.Fatalf("%+v ni=%d: %v", pol, ni, err)
+				}
+				seen[sol.Solver]++
+				held := 8 * int64(cap(scratch))
+				switch {
+				case sol.Solver == SolverTrivial || sol.Solver == spectral.SolverSparseLanczos:
+					if held != 0 {
+						t.Errorf("%+v ni=%d: %s solve grew the scratch to %d bytes", pol, ni, sol.Solver, held)
+					}
+				case sol.Fill < 1: // a densified CSR
+					if held != 8*int64(ni)*int64(ni) {
+						t.Errorf("%+v ni=%d: densified solve holds %d bytes", pol, ni, held)
+					}
+				default:
+					if held > pl.Bytes+8*int64(ni) {
+						t.Errorf("%+v ni=%d: %s solve holds %d bytes, planned %d", pol, ni, sol.Solver, held, pl.Bytes)
+					}
+				}
+			}
+		}
+	}
+	for _, s := range []string{SolverTrivial, spectral.SolverSparseLanczos, spectral.SolverDenseEigen, spectral.SolverDenseLanczos} {
+		if seen[s] == 0 {
+			t.Errorf("the sweep never reached the %s solver: %v", s, seen)
+		}
+	}
+}
+
 // TestSolvePolicyRoundTripBuildsSameMap: a worker builds its solver
 // from the policy in the job Conf; its feature map must be the
 // driver's, bit for bit, or map-side and reduce-side embeddings of one

@@ -1,8 +1,9 @@
 package kernel
 
-// This file is the vectorized Gram compute engine. Gram, SubGram and
-// ApproxGram all funnel into gramInto, which dispatches on the kernel's
-// dynamic type:
+// This file is the vectorized Gram compute engine. Gram, SubGram,
+// SubGramPacked and ApproxGram all funnel into symGramInto, one
+// block-pair loop over the upper triangle that writes through a
+// matrix.Sym view and dispatches on the kernel's dynamic type:
 //
 //   - recognized kernels (*GaussianKernel, *CosineKernel) take the
 //     blocked fast path: squared row norms are precomputed once, bucket
@@ -11,13 +12,16 @@ package kernel
 //     ‖x−y‖² = ‖x‖² + ‖y‖² − 2·x·y — roughly a third of the flops of
 //     the per-pair subtract-square loop, with no closure call and no
 //     per-element bounds checks;
-//   - any other Kernel (including every Func) falls back to the generic
-//     per-pair path, so custom kernels keep working unchanged.
+//   - any other Kernel (including every Func) is evaluated per pair in
+//     the same loop, so custom kernels keep working unchanged.
 //
-// Both paths fold the symmetric mirror into the same pass (each pair is
-// computed once and written to both triangles) and both hand a fixed
-// block decomposition to internal/par for large matrices, so the
-// computed values are identical however many goroutines run it.
+// Each pair is computed once. Packed storage (the solve engine's) holds
+// only the triangle; over a full matrix (the n x n API) each value is
+// also stored at its mirror in the same pass, where the exp hides the
+// strided store (a separate mirror pass per block cost +10 % at
+// n = 3 086). The fixed block decomposition goes to internal/par for
+// large matrices, so the computed values are identical however many
+// goroutines run it.
 
 import (
 	"math"
@@ -98,8 +102,8 @@ func fanout(n, blocks int) int {
 	return blocks
 }
 
-// scratchPool recycles the gather/norm scratch of the fast path and the
-// sub-Gram backing buffers of SubGram, killing the per-bucket
+// scratchPool recycles the gather, norm and dot-block scratch of the
+// fill loop (and MedianSigma's norms), killing the per-bucket
 // allocation churn of the solve stage.
 var scratchPool = sync.Pool{
 	New: func() interface{} { s := make([]float64, 0, blockRows*blockRows); return &s },
@@ -141,36 +145,56 @@ func recognize(k Kernel) (fastKind, float64) {
 
 // gramInto fills the n x n matrix s with pairwise similarities of the
 // listed rows of points (indices nil means all rows), with a zero
-// diagonal. Every entry of s is written, so s does not need pre-zeroing.
+// diagonal: symGramInto through a view of s, which stores both
+// triangles. Every entry of s is written, so s does not need
+// pre-zeroing.
 func gramInto(s *matrix.Dense, points *matrix.Dense, indices []int, k Kernel) {
-	n := s.Rows()
+	v, err := matrix.UpperSym(s)
+	if err != nil {
+		matrix.Panicf("kernel: %v", err)
+	}
+	symGramInto(v, points, indices, k)
+}
+
+// symGramInto is the one fill loop of the engine: it writes the
+// similarities of the listed rows of points (indices nil means all rows)
+// through the symmetric view dst, zero diagonal, block pair by block
+// pair over the upper triangle. Recognized kernels form each block from
+// one DotBlock over gathered rows and precomputed norms; any other
+// Kernel is evaluated per pair. Each pair is computed once, and every
+// entry of dst is written.
+func symGramInto(dst *matrix.Sym, points *matrix.Dense, indices []int, k Kernel) {
+	n := dst.N()
 	if n == 0 {
 		return
 	}
 	kind, inv := recognize(k)
-	if kind == kindGeneric {
-		genericGramInto(s, points, indices, k)
-		return
-	}
-
 	d := points.Cols()
+	rowOf := func(a int) []float64 {
+		if indices == nil {
+			return points.Row(a)
+		}
+		return points.Row(indices[a])
+	}
 	// Gather the operand rows into one contiguous block. When indices
 	// is nil the matrix storage already is that block.
-	var gathered []float64
-	var gatherTok *[]float64
-	if indices == nil {
-		gathered = points.Data()
-	} else {
-		gatherTok, gathered = getScratch(n * d)
-		defer putScratch(gatherTok)
-		for a, idx := range indices {
-			copy(gathered[a*d:(a+1)*d], points.Row(idx))
+	var gathered, sq []float64
+	var gatherTok, sqTok *[]float64
+	if kind != kindGeneric {
+		if indices == nil {
+			gathered = points.Data()
+		} else {
+			gatherTok, gathered = getScratch(n * d)
+			defer putScratch(gatherTok)
+			for a, idx := range indices {
+				copy(gathered[a*d:(a+1)*d], points.Row(idx))
+			}
 		}
-	}
-	sqTok, sq := getScratch(n)
-	defer putScratch(sqTok)
-	for i := 0; i < n; i++ {
-		sq[i] = matrix.Dot4(gathered[i*d:(i+1)*d], gathered[i*d:(i+1)*d])
+		sqTok, sq = getScratch(n)
+		defer putScratch(sqTok)
+		for i := 0; i < n; i++ {
+			sq[i] = matrix.Dot4(gathered[i*d:(i+1)*d], gathered[i*d:(i+1)*d])
+		}
 	}
 
 	// Deterministic block decomposition of the upper triangle.
@@ -183,43 +207,62 @@ func gramInto(s *matrix.Dense, points *matrix.Dense, indices []int, k Kernel) {
 		}
 	}
 
-	sd := s.Data() // direct indexing: the mirror write is per element
 	oneBlock := func(p blockPair, dots []float64) {
 		i0, i1 := p.bi*blockRows, min(n, (p.bi+1)*blockRows)
 		j0, j1 := p.bj*blockRows, min(n, (p.bj+1)*blockRows)
 		ra, rb := i1-i0, j1-j0
-		dots = dots[:ra*rb] // edge blocks are smaller than blockRows
-		matrix.DotBlock(gathered[i0*d:i1*d], ra, gathered[j0*d:j1*d], rb, d, dots)
+		if kind != kindGeneric {
+			dots = dots[:ra*rb] // edge blocks are smaller than blockRows
+			matrix.DotBlock(gathered[i0*d:i1*d], ra, gathered[j0*d:j1*d], rb, d, dots)
+		}
 		for i := i0; i < i1; i++ {
-			row := sd[i*n : (i+1)*n]
-			drow := dots[(i-i0)*rb:]
 			jlo := j0
+			row := dst.Row(i)
 			if p.bi == p.bj {
 				jlo = i + 1 // strict upper triangle within the diagonal block
-				row[i] = 0
+				row[0] = 0
 			}
+			out := row[jlo-i : j1-i]
+			// Over a full matrix each value is also stored at its mirror,
+			// in the same pass; packed storage has no lower triangle.
+			lower := dst.Lower(i, jlo)
 			switch kind {
 			case kindGaussian:
-				sqi := sq[i]
-				for j := jlo; j < j1; j++ {
-					d2 := sqi + sq[j] - 2*drow[j-j0]
+				sqi, sqj := sq[i], sq[jlo:j1][:len(out)]
+				drow := dots[(i-i0)*rb+jlo-j0:][:len(out)]
+				for t := range out {
+					d2 := sqi + sqj[t] - 2*drow[t]
 					if d2 < 0 {
 						d2 = 0 // rounding can push a tiny distance negative
 					}
 					v := math.Exp(-d2 * inv)
-					row[j] = v
-					sd[j*n+i] = v
+					out[t] = v
+					if lower != nil {
+						lower[t*n] = v
+					}
 				}
 			case kindCosine:
-				ni := math.Sqrt(sq[i])
-				for j := jlo; j < j1; j++ {
-					den := ni * math.Sqrt(sq[j])
+				ni, sqj := math.Sqrt(sq[i]), sq[jlo:j1][:len(out)]
+				drow := dots[(i-i0)*rb+jlo-j0:][:len(out)]
+				for t := range out {
+					den := ni * math.Sqrt(sqj[t])
 					var v float64
 					if !matrix.IsZero(den) {
-						v = drow[j-j0] / den
+						v = drow[t] / den
 					}
-					row[j] = v
-					sd[j*n+i] = v
+					out[t] = v
+					if lower != nil {
+						lower[t*n] = v
+					}
+				}
+			default:
+				xi := rowOf(i)
+				for t := range out {
+					v := k.Eval(xi, rowOf(jlo+t))
+					out[t] = v
+					if lower != nil {
+						lower[t*n] = v
+					}
 				}
 			}
 		}
@@ -232,33 +275,6 @@ func gramInto(s *matrix.Dense, points *matrix.Dense, indices []int, k Kernel) {
 		for i, ok := next(); ok; i, ok = next() {
 			oneBlock(pairs[i], dots)
 		}
-		return nil
-	})
-}
-
-// genericGramInto is the fallback for unrecognized kernels: one Eval
-// per pair, mirror folded into the same pass, fanned out over rows for
-// large matrices.
-func genericGramInto(s *matrix.Dense, points *matrix.Dense, indices []int, k Kernel) {
-	n := s.Rows()
-	rowOf := func(a int) []float64 {
-		if indices == nil {
-			return points.Row(a)
-		}
-		return points.Row(indices[a])
-	}
-	oneRow := func(a int) {
-		xa := rowOf(a)
-		row := s.Row(a)
-		row[a] = 0
-		for b := a + 1; b < n; b++ {
-			v := k.Eval(xa, rowOf(b))
-			row[b] = v
-			s.Row(b)[a] = v
-		}
-	}
-	_ = par.Each(n, fanout(n, n), func(a int) error {
-		oneRow(a)
 		return nil
 	})
 }

@@ -219,3 +219,60 @@ func TestNewGaussianRejectsBadSigma(t *testing.T) {
 	}()
 	NewGaussian(0)
 }
+
+// TestSubGramPackedMatchesSubGram: the packed fill is SubGram's upper
+// triangle bit for bit — zero diagonal included — for both recognized
+// kernels and a plain Func, across the block and fan-out boundaries, at
+// GOMAXPROCS 1 and 4; and a dirty, oversized scratch is fully
+// overwritten.
+func TestSubGramPackedMatchesSubGram(t *testing.T) {
+	pts := randPoints(parallelCutoff+80, 10, 31)
+	perm := rand.New(rand.NewSource(32)).Perm(pts.Rows())
+	kernels := fastKernels()
+	kernels["func"] = Polynomial(2, 0.5, 1)
+	for _, procs := range []int{1, 4} {
+		setProcs(t, procs)
+		for name, k := range kernels {
+			for _, n := range []int{0, 1, 2, 63, 64, 65, parallelCutoff + 10} {
+				idxs := perm[:n]
+				want := SubGram(pts, idxs, k)
+				scratch := make([]float64, matrix.PackedLen(n)+7)
+				for i := range scratch {
+					scratch[i] = math.NaN()
+				}
+				sub, err := SubGramPacked(pts, idxs, k, &scratch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sub.N() != n {
+					t.Fatalf("%s n=%d: view of %d", name, n, sub.N())
+				}
+				for i := 0; i < n; i++ {
+					for tt, v := range sub.Row(i) {
+						if w := want.At(i, i+tt); math.Float64bits(v) != math.Float64bits(w) {
+							t.Fatalf("%s n=%d procs=%d: (%d,%d) packed %v, SubGram %v", name, n, procs, i, i+tt, v, w)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkSubGramPacked fills the packed sub-Gram of a 3 086-row
+// bucket (mix-inproc's largest, 32 dims), reporting the bytes it holds.
+func BenchmarkSubGramPacked(b *testing.B) {
+	const n = 3086
+	pts := randPoints(n, 32, 5)
+	idxs := rand.New(rand.NewSource(6)).Perm(n)
+	kf := NewGaussian(4)
+	var scratch []float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := SubGramPacked(pts, idxs, kf, &scratch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(8*cap(scratch)), "held-B/op")
+}

@@ -102,8 +102,8 @@ func MedianSigma(points *matrix.Dense, sampleSize int, seed int64) float64 {
 // matching the paper's reducer (Algorithm 2 sets S[i,i] = 0, the
 // standard spectral-clustering convention of Ng et al.). Recognized
 // kernels take the blocked fast path; all kernels are computed in
-// parallel over row blocks for large N, with the symmetric mirror
-// folded into the same pass.
+// parallel over block pairs of the upper triangle for large N, each
+// value stored at its mirror in the same pass.
 func Gram(points *matrix.Dense, k Kernel) *matrix.Dense {
 	n := points.Rows()
 	s := matrix.NewDense(n, n)
@@ -154,6 +154,26 @@ func SubGramInto(s *matrix.Dense, points *matrix.Dense, indices []int, k Kernel)
 	gramInto(s, points, indices, k)
 }
 
+// SubGramPacked builds the sub-Gram of the listed rows as its packed
+// upper triangle inside *scratch (grown as needed and reused across
+// calls): n(n+1)/2 float64s, i.e. GramBytes(n) + 4n bytes — what the
+// paper's Eq. 12 reports, where the n x n forms above hold twice that.
+// The diagonal is zero. It is the solve engine's builder; the returned
+// view aliases *scratch.
+func SubGramPacked(points *matrix.Dense, indices []int, k Kernel, scratch *[]float64) (*matrix.Sym, error) {
+	ni := len(indices)
+	need := matrix.PackedLen(ni)
+	if cap(*scratch) < need {
+		*scratch = make([]float64, need)
+	}
+	sub, err := matrix.NewPackedSym(ni, (*scratch)[:need])
+	if err != nil {
+		return nil, err
+	}
+	symGramInto(sub, points, indices, k)
+	return sub, nil
+}
+
 // ErrIndexRange reports a bucket index outside the dataset.
 var ErrIndexRange = errors.New("kernel: bucket index out of range")
 
@@ -184,8 +204,11 @@ func ApproxGram(points *matrix.Dense, buckets [][]int, k Kernel) (*matrix.Dense,
 	return s, nil
 }
 
-// GramBytes returns the storage cost, in bytes, of a dense N x N Gram
-// matrix at the paper's single-precision 4 bytes per entry (Eq. 12).
+// GramBytes returns the paper's Eq. 12 storage figure for an N x N Gram
+// matrix: 4 bytes per entry. It is what the solve engine holds, within
+// 4·N: SubGramPacked keeps the float64 upper triangle, N(N+1)/2 entries,
+// GramBytes(N) + 4N bytes. The n x n forms (Gram, SubGram,
+// SubGramPooled) hold twice it.
 func GramBytes(n int) int64 { return 4 * int64(n) * int64(n) }
 
 // ApproxGramBytes returns the storage cost of the bucketed

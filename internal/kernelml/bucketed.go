@@ -20,8 +20,8 @@ import (
 // like Ni^2 and beyond), the loop internal/core runs its buckets on;
 // global label offsets are prefix-summed up front so the parallel result
 // is identical to sequential execution. Sub-Grams are built in the
-// loop's per-goroutine scratch by kernel.SubGramPooled, the builder the
-// spectral engine's dense path uses.
+// loop's pooled per-goroutine scratch by kernel.SubGramPooled, the n x n
+// form of the fill the spectral engine runs packed.
 
 // BucketedKernelKMeans runs kernel k-means inside every bucket of the
 // partition, allocating the global cluster budget k proportionally.

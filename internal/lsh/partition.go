@@ -3,6 +3,7 @@ package lsh
 import (
 	"context"
 	"sort"
+	"sync"
 
 	"repro/internal/par"
 )
@@ -155,23 +156,33 @@ func (p *Partition) LPTOrder() []int {
 	return order
 }
 
+// bucketScratch holds EachBucket's per-goroutine scratch between loops.
+var bucketScratch = sync.Pool{New: func() any { return new([]float64) }}
+
 // EachBucket is the one bucket-solve loop: it calls solve(bi, scratch)
 // for every bucket index of order — LPTOrder, or a wave cut from it —
 // through internal/par, so the bucket at the head runs on the calling
 // goroutine, whose inner Gram and k-means loops inherit the helpers the
-// small buckets free as they drain. Each goroutine owns one scratch
-// buffer, handed to every solve it runs and dropped when the loop ends.
-// The context is checked before every solve, and the error of the
-// bucket earliest in order is returned. solve must write its result at
-// the bucket's own index: scheduling never changes an output.
+// small buckets free as they drain. Each goroutine takes one scratch
+// buffer from a package pool, hands it to every solve it runs and puts
+// it back when the loop ends, so the next loop — the next wave, the next
+// Cluster call — grows nothing it has grown before instead of
+// allocating a sub-Gram beside the last one's garbage. solve must not
+// keep the buffer past its return. Up to GOMAXPROCS buffers of the
+// largest bucket's size therefore stay pooled until two GC cycles pass
+// without a loop taking them. The context is checked before every
+// solve, and the error of the bucket earliest in order is returned.
+// solve must write its result at the bucket's own index: scheduling
+// never changes an output.
 func EachBucket(ctx context.Context, order []int, solve func(bi int, scratch *[]float64) error) error {
 	return par.Workers(len(order), len(order), func(next func() (int, bool)) error {
-		var scratch []float64
+		scratch := bucketScratch.Get().(*[]float64)
+		defer bucketScratch.Put(scratch)
 		for oi, ok := next(); ok; oi, ok = next() {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := solve(order[oi], &scratch); err != nil {
+			if err := solve(order[oi], scratch); err != nil {
 				return err
 			}
 		}

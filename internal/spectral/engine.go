@@ -6,12 +6,17 @@ package spectral
 // policy:
 //
 //	bucket size / measured fill          solver            similarity form
-//	------------------------------------ ----------------- ---------------
+//	------------------------------------ ----------------- ------------------
 //	embed mode on, ni >= EmbedCutoff     embedded          none (d′ rows)
-//	ni <= 96 or 3K >= ni                 dense-eigen       dense (pooled)
-//	larger, sparse mode off              dense-lanczos     dense (pooled)
+//	ni <= 96 or 3K >= ni                 dense-eigen       packed (+ n x n)
+//	larger, sparse mode off              dense-lanczos     packed
 //	sparse mode on, fill <= 0.35         sparse-lanczos    CSR (owned)
-//	sparse mode on, fill  > 0.35         dense-*           CSR densified
+//	sparse mode on, fill  > 0.35         dense-*           CSR densified n x n
+//
+// "packed" is the sub-Gram's upper triangle in the caller's scratch
+// (kernel.SubGramPacked, n(n+1)/2 float64s); the normalized Laplacian
+// overwrites it and Lanczos runs on its symmetric mat-vec. dense-eigen
+// mirrors it into a transient n x n for tred2.
 //
 // Sparse mode is opt-in (SparseCutoff > 0 and Epsilon > 0) and is an
 // approximation: entries below ε are dropped before the eigensolve.
@@ -19,9 +24,10 @@ package spectral
 // likewise approximate — it skips the Gram entirely and runs k-means on
 // kernel-embedded rows (see embedded.go) — and it takes precedence over
 // the sparse attempt, since a bucket big enough to embed never needs
-// the ε-cut. With both modes off the engine executes exactly the
-// pre-existing dense sequence (pooled SubGram + ClusterInPlace), so
-// default configurations reproduce byte-identical labels. Every branch
+// the ε-cut. With both modes off the engine executes exactly the dense
+// sequence of ClusterInPlace on the mirrored sub-Gram, on half the
+// storage, so default configurations reproduce byte-identical labels
+// and eigenvalues. Every branch
 // of the policy is a deterministic function of the bucket's size,
 // config, and measured fill — never of the worker count — and each
 // solver is itself bitwise worker-independent, so label bits never
@@ -101,8 +107,10 @@ type SolveStats struct {
 	NNZ int64
 	// Fill is NNZ/n².
 	Fill float64
-	// GramBytes is the similarity storage actually held during the
-	// solve: 8·nnz for the CSR path, the paper's 4·n² for dense.
+	// GramBytes is the similarity storage held during the solve: 8·nnz
+	// for the CSR path; for dense, the paper's 4·n², which the packed
+	// float64 triangle it solves on holds within 4·n (a densified CSR
+	// holds the full n x n, 8·n²).
 	GramBytes int64
 	// Nanos is the solve wall time, sub-Gram build included.
 	Nanos int64
@@ -119,8 +127,9 @@ func denseSolverName(n, k int) string {
 
 // ClusterBucket runs spectral clustering on the sub-Gram of the listed
 // rows, choosing the solver by the policy above. scratch is the
-// caller's pooled dense sub-Gram buffer (grown as needed, reused across
-// buckets); the sparse path never touches it. The returned stats
+// caller's pooled sub-Gram buffer (grown as needed, reused across
+// buckets): the packed triangle, the embedded rows, or a densified CSR;
+// the sparse path never touches it. The returned stats
 // describe the solver choice, the similarity storage, and the wall
 // time; they are filled even when err != nil, so fallback paths can
 // still be accounted.
@@ -180,17 +189,17 @@ func ClusterBucket(points *matrix.Dense, indices []int, kf kernel.Kernel, cfg En
 		}
 	}
 
-	// Default path: the exact pre-engine dense sequence.
+	// Default path: the exact dense solve on the packed sub-Gram.
 	stats.Solver = denseSolverName(ni, k)
 	stats.NNZ = int64(ni) * int64(ni)
 	stats.Fill = 1
 	stats.GramBytes = kernel.GramBytes(ni)
-	sub, err := kernel.SubGramPooled(points, indices, kf, scratch, false)
+	sub, err := kernel.SubGramPacked(points, indices, kf, scratch)
 	if err != nil {
 		stats.Nanos = time.Since(start).Nanoseconds()
 		return nil, stats, err
 	}
-	res, err := ClusterInPlace(sub, sCfg)
+	res, err := clusterSym(sub, sCfg)
 	stats.Nanos = time.Since(start).Nanoseconds()
 	if err != nil {
 		return nil, stats, err

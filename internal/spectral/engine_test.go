@@ -3,6 +3,7 @@ package spectral
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -56,6 +57,58 @@ func TestClusterBucketDenseDefaultIdentical(t *testing.T) {
 	}
 	if stats.Nanos <= 0 {
 		t.Fatal("wall time not recorded")
+	}
+}
+
+// TestClusterBucketPackedMatchesInPlace: the engine's packed solve and
+// ClusterInPlace on the mirrored n x n sub-Gram share one normalization
+// and one operator, so labels and eigenvalue bits agree on the Lanczos
+// route and on the dense-eigen route (small n, and 3K ≥ n), at
+// GOMAXPROCS 1 and 4 — and the engine's result does not depend on the
+// thread count.
+func TestClusterBucketPackedMatchesInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	pts, _ := makeBlobs(rng, 4, 45, 6, 5, 0.4)
+	kf := kernel.NewGaussian(1.2)
+	for _, tc := range []struct {
+		n, k   int
+		solver string
+	}{
+		{180, 4, SolverDenseLanczos},
+		{60, 4, SolverDenseEigen},
+		{150, 50, SolverDenseEigen},
+	} {
+		indices := rand.New(rand.NewSource(int64(tc.n))).Perm(pts.Rows())[:tc.n]
+		var first *Result
+		for _, procs := range []int{1, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			want, err := ClusterInPlace(kernel.SubGram(pts, indices, kf), Config{K: tc.k, Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf []float64
+			got, stats, err := ClusterBucket(pts, indices, kf, EngineConfig{K: tc.k, Seed: 3}, &buf)
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Solver != tc.solver {
+				t.Fatalf("n=%d k=%d: solver %q, want %q", tc.n, tc.k, stats.Solver, tc.solver)
+			}
+			if first == nil {
+				first = got
+			}
+			for _, ref := range []*Result{want, first} {
+				if !reflect.DeepEqual(got.Labels, ref.Labels) {
+					t.Fatalf("n=%d k=%d procs=%d: labels differ", tc.n, tc.k, procs)
+				}
+				for i, v := range ref.Eigenvalues {
+					if math.Float64bits(got.Eigenvalues[i]) != math.Float64bits(v) {
+						t.Fatalf("n=%d k=%d procs=%d: eigenvalue %d = %v, want %v", tc.n, tc.k, procs, i, got.Eigenvalues[i], v)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -41,36 +41,37 @@ type Result struct {
 // ErrBadInput reports an unusable similarity matrix or configuration.
 var ErrBadInput = errors.New("spectral: bad input")
 
-// Cluster runs spectral clustering on the similarity matrix s, which is
-// left untouched.
+// Cluster runs spectral clustering on the symmetric similarity matrix
+// s, which is left untouched: ClusterInPlace on a copy.
 func Cluster(s *matrix.Dense, cfg Config) (*Result, error) {
-	return cluster(s, cfg, false)
+	return ClusterInPlace(s.Clone(), cfg)
 }
 
 // ClusterInPlace is Cluster for callers that own s and do not need it
-// afterwards: the normalized Laplacian overwrites s instead of being
-// materialized in a fresh n x n allocation. The per-bucket DASC solve
-// uses it with pooled sub-Gram buffers, halving the large transient
-// allocations of the solve stage.
+// afterwards. Only the upper triangle of s is read: it is seen through a
+// matrix.Sym view and overwritten with the normalized Laplacian — the
+// solve ClusterBucket runs on its packed sub-Gram, bit for bit.
 func ClusterInPlace(s *matrix.Dense, cfg Config) (*Result, error) {
-	return cluster(s, cfg, true)
+	v, err := matrix.UpperSym(s)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
+	}
+	return clusterSym(v, cfg)
 }
 
-func cluster(s *matrix.Dense, cfg Config, inPlace bool) (*Result, error) {
-	n := s.Rows()
-	if s.Cols() != n {
-		return nil, fmt.Errorf("%w: similarity matrix %dx%d not square", ErrBadInput, n, s.Cols())
-	}
+// clusterSym is the one dense solve: the normalized Laplacian of Eq. 2
+// overwrites v's triangle, its top-K eigenvectors come from Lanczos on
+// v.MulVec (or, for a small n or a K near n, from tred2+tqli on v
+// mirrored into an n x n), and K-means clusters their normalized rows.
+func clusterSym(v *matrix.Sym, cfg Config) (*Result, error) {
 	if cfg.K <= 0 {
 		return nil, fmt.Errorf("%w: K=%d", ErrBadInput, cfg.K)
 	}
+	n := v.N()
 	if n == 0 {
 		return &Result{Labels: []int{}, Eigenvalues: []float64{}, Embedding: matrix.NewDense(0, 0)}, nil
 	}
-	k := cfg.K
-	if k > n {
-		k = n
-	}
+	k := min(cfg.K, n)
 	// Degenerate but legal: every point its own cluster.
 	if k == n {
 		labels := make([]int, n)
@@ -80,23 +81,8 @@ func cluster(s *matrix.Dense, cfg Config, inPlace bool) (*Result, error) {
 		return &Result{Labels: labels, Eigenvalues: make([]float64, k), Embedding: matrix.NewDense(n, k)}, nil
 	}
 
-	lap := s
-	if inPlace {
-		deg, err := matrix.RowSums(s)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
-		}
-		if err := deg.InvSqrt().ScaleSymInPlace(s); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
-		}
-	} else {
-		var err error
-		lap, err = Laplacian(s)
-		if err != nil {
-			return nil, err
-		}
-	}
-	vals, vecs, err := linalg.TopKEigenSym(lap, k)
+	v.ScaleSym(v.RowSums().InvSqrt())
+	vals, vecs, err := topK(v, k)
 	if err != nil {
 		return nil, fmt.Errorf("spectral: eigendecomposition: %w", err)
 	}
@@ -112,6 +98,19 @@ func cluster(s *matrix.Dense, cfg Config, inPlace bool) (*Result, error) {
 		Embedding:   vecs,
 		Inertia:     km.Inertia,
 	}, nil
+}
+
+// topK is linalg.TopKEigenSym's policy on the view: Lanczos from seed 0
+// on v.MulVec, or the dense reduction of v mirrored into an n x n.
+func topK(v *matrix.Sym, k int) ([]float64, *matrix.Dense, error) {
+	if !linalg.UsesLanczos(v.N(), k) {
+		return linalg.TopKEigenSym(v.Dense(), k)
+	}
+	lz, err := linalg.Lanczos(v.MulVec, v.N(), k, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	return lz.Values, lz.Vectors, nil
 }
 
 // Laplacian computes the normalized Laplacian L = D^{-1/2} S D^{-1/2}
