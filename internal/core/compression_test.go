@@ -190,17 +190,16 @@ func TestPackedIndicesCodec(t *testing.T) {
 	}
 }
 
-// TestPackedStatsCodec pins the 'S' stats record: round trip, the
-// ≥13-byte floor that keeps it disjoint from 12-byte labels, and
-// malformed inputs rejected.
+// TestPackedStatsCodec pins the stats that open the stage-2 result
+// record: they round-trip, the smallest record (zero stats, empty
+// solver, no labels) stays longer than a 12-byte label record of the
+// earlier layout, and an empty buffer, a wrong kind or version, a
+// record cut inside its stats, and trailing bytes are refused.
 func TestPackedStatsCodec(t *testing.T) {
 	s := BucketSolution{NNZ: 12345, Fill: 0.625, SolveNanos: 1 << 40, GramBytes: 9999, Solver: "dense"}
-	rec := encodeBucketStats(s)
-	if len(rec) < 13 {
-		t.Fatalf("stats record only %d bytes — can collide with labels", len(rec))
-	}
+	rec := encodeBucketResult(s)
 	var got BucketSolution
-	if err := decodeBucketStats(rec, &got); err != nil {
+	if err := decodeBucketResult(rec, &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.NNZ != s.NNZ || got.Fill != s.Fill || got.SolveNanos != s.SolveNanos ||
@@ -208,21 +207,21 @@ func TestPackedStatsCodec(t *testing.T) {
 		t.Fatalf("round trip %+v != %+v", got, s)
 	}
 
-	// Zero-valued stats with an empty solver is the smallest record; it
-	// must still clear 12 bytes.
-	if min := encodeBucketStats(BucketSolution{}); len(min) <= 12 {
-		t.Fatalf("minimal stats record is %d bytes", len(min))
+	if min := encodeBucketResult(BucketSolution{}); len(min) <= 12 {
+		t.Fatalf("minimal result record is %d bytes", len(min))
 	}
 
+	good := encodeBucketResult(BucketSolution{Labels: []int{1, 0}, K: 2, Solver: "dense"})
 	for name, buf := range map[string][]byte{
 		"empty":      {},
-		"wrong kind": {'X', 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1},
-		"bad ver":    {'S', 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1},
-		"truncated":  encodeBucketStats(s)[:6],
+		"wrong kind": append([]byte{'S'}, good[1:]...),
+		"bad ver":    append([]byte{resultKind, 1}, good[2:]...),
+		"truncated":  rec[:6],
+		"trailing":   append(append([]byte(nil), good...), 0),
 	} {
 		var tmp BucketSolution
-		if err := decodeBucketStats(buf, &tmp); err == nil {
-			t.Fatalf("%s accepted", name)
+		if err := decodeBucketResult(buf, &tmp); err == nil {
+			t.Errorf("%s accepted", name)
 		}
 	}
 }

@@ -14,33 +14,39 @@ import (
 	"repro/internal/spectral"
 )
 
-// capturingExec records every job a runner submits, with its input, and
-// runs it on the Local executor so the runner can carry on to stage 2.
+// capturingExec records every job a runner submits, with its input and
+// its counters, and runs it on exec (the Local executor when nil) so the
+// runner can carry on to stage 2.
 type capturingExec struct {
+	exec   mapreduce.Executor
 	jobs   []*mapreduce.Job
 	inputs [][]mapreduce.Pair
+	ctrs   []*mapreduce.Counters
 }
 
 func (c *capturingExec) Run(job *mapreduce.Job, input []mapreduce.Pair) ([]mapreduce.Pair, *mapreduce.Counters, error) {
 	c.jobs = append(c.jobs, job)
 	c.inputs = append(c.inputs, input)
-	return (&mapreduce.Local{}).Run(job, input)
+	exec := c.exec
+	if exec == nil {
+		exec = &mapreduce.Local{}
+	}
+	out, ctr, err := exec.Run(job, input)
+	c.ctrs = append(c.ctrs, ctr)
+	return out, ctr, err
 }
 
 // zeroSolveNanos canonicalizes a stage-2 output for comparison: the
-// per-bucket stats records carry the solve's wall time, the one field
+// per-bucket result records carry the solve's wall time, the one field
 // of the stream that two executions of the same reducer do not share.
 func zeroSolveNanos(pairs []mapreduce.Pair) {
 	for i, p := range pairs {
-		if !isStatsRecord(p.Value) {
-			continue
-		}
 		var sol BucketSolution
-		if err := decodeBucketStats(p.Value, &sol); err != nil {
+		if err := decodeBucketResult(p.Value, &sol); err != nil {
 			continue // left as is; the comparison will show it
 		}
 		sol.SolveNanos = 0
-		pairs[i].Value = encodeBucketStats(sol)
+		pairs[i].Value = encodeBucketResult(sol)
 	}
 }
 
@@ -190,31 +196,34 @@ func TestSigKeyRejectsMalformed(t *testing.T) {
 	}
 }
 
-// labelStream builds the stage-2 output a correct run produces for part:
-// one label record per point and one stats record per bucket.
-func labelStream(part *lsh.Partition) []mapreduce.Pair {
+// resultStream builds the stage-2 output a correct run produces for
+// part: one result record per bucket, labelling its points 0, 1, 0, … of
+// K = 2.
+func resultStream(part *lsh.Partition) []mapreduce.Pair {
 	var out []mapreduce.Pair
 	for _, b := range part.Buckets {
-		key := fmt.Sprintf("%016x", b.Signature)
-		for pi, idx := range b.Indices {
-			out = append(out, mapreduce.Pair{Key: key, Value: encodeLabel(idx, pi%2, 2)})
+		labels := make([]int, len(b.Indices))
+		for pi := range labels {
+			labels[pi] = pi % 2
 		}
-		out = append(out, mapreduce.Pair{Key: key, Value: encodeBucketStats(BucketSolution{Solver: SolverTrivial, NNZ: 4})})
+		sol := BucketSolution{Labels: labels, K: 2, Solver: SolverTrivial, NNZ: 4}
+		out = append(out, mapreduce.Pair{Key: fmt.Sprintf("%016x", b.Signature), Value: encodeBucketResult(sol)})
 	}
 	return out
 }
 
 // TestSolutionsFromLabelPairsValidates feeds the stage-2 decoder streams
-// with a record lost, repeated or pointing nowhere: each must be an
-// error, where the map-based decoder kept label 0 or the last write.
+// with a result lost, repeated, pointing nowhere or misshapen: each must
+// be an error, where the map-based decoder kept label 0 or the last
+// write. A worker built for the per-point label records is refused, not
+// misread.
 func TestSolutionsFromLabelPairsValidates(t *testing.T) {
 	part := &lsh.Partition{Buckets: []lsh.Bucket{
 		{Signature: 0xa, Indices: []int{0, 2, 4}},
 		{Signature: 0xb, Indices: []int{1, 5}},
 	}}
-	const n = 7 // point 3 and 6 are in no bucket
-	good := labelStream(part)
-	sols, err := solutionsFromLabelPairs(part, good, n)
+	good := resultStream(part)
+	sols, err := solutionsFromLabelPairs(part, good)
 	if err != nil {
 		t.Fatalf("complete stream rejected: %v", err)
 	}
@@ -227,22 +236,36 @@ func TestSolutionsFromLabelPairsValidates(t *testing.T) {
 	with := func(p mapreduce.Pair) []mapreduce.Pair {
 		return append(append([]mapreduce.Pair(nil), good...), p)
 	}
+	// firstAs replaces the first bucket's result record.
+	firstAs := func(v []byte) []mapreduce.Pair {
+		out := append([]mapreduce.Pair(nil), good...)
+		out[0].Value = v
+		return out
+	}
+	result := func(k int, labels ...int) []byte {
+		return encodeBucketResult(BucketSolution{Labels: labels, K: k, Solver: SolverTrivial})
+	}
+	// The earlier layout's label record for point 'R' (82): its leading
+	// bytes are this layout's kind and version.
+	parentLabel := binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, 'R'), 0), 2)
 	for name, c := range map[string]struct {
 		pairs []mapreduce.Pair
 		want  string
 	}{
-		"missing label":       {without(1), "2 of 3 points labelled"},
-		"missing last label":  {without(5), "1 of 2 points labelled"},
-		"missing stats":       {without(3), "missing stats"},
-		"duplicate label":     {with(good[0]), "duplicate label for point 0"},
-		"duplicate stats":     {with(good[3]), "duplicate stats"},
-		"unbucketed point":    {with(mapreduce.Pair{Key: good[0].Key, Value: encodeLabel(3, 0, 2)}), "out-of-range point 3"},
-		"point past the end":  {with(mapreduce.Pair{Key: good[0].Key, Value: encodeLabel(n, 0, 2)}), "out-of-range point 7"},
-		"stats, wrong bucket": {with(mapreduce.Pair{Key: "000000000000000c", Value: good[3].Value}), "unknown bucket"},
-		"neither kind":        {with(mapreduce.Pair{Key: good[0].Key, Value: []byte("x")}), "label payload length 1"},
-		"empty stream":        {nil, "0 of 3 points labelled"},
+		"missing result":       {without(0), "bucket a: missing result"},
+		"missing last result":  {without(1), "bucket b: missing result"},
+		"duplicate result":     {with(good[0]), "duplicate result for bucket a"},
+		"unknown bucket":       {with(mapreduce.Pair{Key: "000000000000000c", Value: good[1].Value}), "unknown bucket c"},
+		"short label list":     {firstAs(result(2, 0, 1)), "bucket a: 2 labels for 3 points"},
+		"long label list":      {firstAs(result(2, 0, 1, 0, 1)), "bucket a: 4 labels for 3 points"},
+		"label ≥ K":            {firstAs(result(2, 0, 2, 1)), "label 2 outside the bucket's 2 clusters"},
+		"trailing bytes":       {firstAs(append(result(2, 0, 1, 0), 0)), "1 trailing bytes"},
+		"parent label record":  {firstAs(parentLabel), "bucket a: truncated result record"},
+		"parent stats record":  {firstAs(append([]byte{'S', 0, 4}, make([]byte, 10)...)), "bucket a: not a result record"},
+		"empty stream":         {nil, "bucket a: missing result"},
+		"count past the bytes": {firstAs(append(result(2)[:len(result(2))-1], 0x7f)), "label count 127 exceeds payload 0"},
 	} {
-		_, err := solutionsFromLabelPairs(part, c.pairs, n)
+		_, err := solutionsFromLabelPairs(part, c.pairs)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want it to mention %q", name, err, c.want)
 		}
@@ -250,33 +273,38 @@ func TestSolutionsFromLabelPairsValidates(t *testing.T) {
 }
 
 // TestSignaturesFromPairsValidates holds the stage-1 decoder to the
-// stage-2 decoder's standard: a stream with one record dropped or one
-// repeated is an error naming the table and the point, where the
-// unchecked decoder left signature 0 or kept the last write.
+// stage-2 decoder's standard: a stream with one point dropped from its
+// index list or one point repeated is an error naming the table and the
+// point, where the unchecked decoder left signature 0 or kept the last
+// write; so is an index past N or an index list with bytes left over.
+// One signature may arrive in several records — one per map task.
 func TestSignaturesFromPairsValidates(t *testing.T) {
 	const n, tables = 5, 2
-	var good []mapreduce.Pair
-	for tab := 0; tab < tables; tab++ {
-		for idx := 0; idx < n; idx++ {
-			good = append(good, mapreduce.Pair{Key: encodeSigKey(tab, uint64(10*tab+idx)), Value: binary.LittleEndian.AppendUint32(nil, uint32(idx))})
-		}
+	rec := func(table int, sig uint64, ids ...int) mapreduce.Pair {
+		return mapreduce.Pair{Key: encodeSigKey(table, sig), Value: encodeIndices(ids)}
+	}
+	good := []mapreduce.Pair{
+		rec(0, 0, 0, 2, 4), rec(0, 1, 1, 3),
+		rec(1, 10, 0, 1), rec(1, 11, 2), rec(1, 11, 3, 4),
 	}
 	sigs, err := signaturesFromPairs(good, n, tables)
 	if err != nil {
 		t.Fatalf("complete stream rejected: %v", err)
 	}
-	if fmt.Sprint(sigs.Tables) != "[[0 1 2 3 4] [10 11 12 13 14]]" {
+	if fmt.Sprint(sigs.Tables) != "[[0 1 0 1 0] [10 10 11 11 11]]" {
 		t.Fatalf("decoded %v", sigs.Tables)
 	}
-	dropped := append(append([]mapreduce.Pair(nil), good[:7]...), good[8:]...) // table 1, point 2
-	repeated := append(append([]mapreduce.Pair(nil), good...), mapreduce.Pair{Key: encodeSigKey(0, 99), Value: good[3].Value})
+	dropped := append(append([]mapreduce.Pair(nil), good[:3]...), good[4]) // table 1, point 2
+	repeated := append(append([]mapreduce.Pair(nil), good...), rec(0, 99, 3))
 	for name, c := range map[string]struct {
 		pairs []mapreduce.Pair
 		want  string
 	}{
-		"dropped":      {dropped, "missing signature for table 1, point 2"},
-		"repeated":     {repeated, "duplicate signature for table 0, point 3"},
-		"empty stream": {nil, "missing signature for table 0, point 0"},
+		"dropped":        {dropped, "missing signature for table 1, point 2"},
+		"repeated":       {repeated, "duplicate signature for table 0, point 3"},
+		"index ≥ n":      {append(append([]mapreduce.Pair(nil), good...), rec(0, 7, n)), "index 5 out of range"},
+		"trailing bytes": {[]mapreduce.Pair{{Key: good[0].Key, Value: append(encodeIndices([]int{0}), 0)}}, "1 trailing bytes after index list"},
+		"empty stream":   {nil, "missing signature for table 0, point 0"},
 	} {
 		_, err := signaturesFromPairs(c.pairs, n, tables)
 		if err == nil || !strings.Contains(err.Error(), c.want) {

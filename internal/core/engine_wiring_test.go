@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/mapreduce"
@@ -150,7 +151,7 @@ func TestResolveValidatesEngineConfig(t *testing.T) {
 
 // TestMapReduceCarriesSolverStats: the MapReduce runner must report
 // the same per-bucket solver stats as the local driver — the
-// stats travel as length-distinguished stage-2 records.
+// stats travel in each bucket's stage-2 result record.
 func TestMapReduceCarriesSolverStats(t *testing.T) {
 	pts, _ := blobPoints(71, 8, 60, 12, 10, 0.3)
 	cfg := Config{K: 8, M: 1, Sigma: 1.0, Seed: 72, SparseCutoff: 128, Epsilon: 1e-4}
@@ -186,23 +187,37 @@ func TestMapReduceCarriesSolverStats(t *testing.T) {
 	}
 }
 
-// TestBucketStatsCodecRoundTrip pins the stats record's round trip and
-// its separation from label records.
+// TestBucketStatsCodecRoundTrip pins the stage-2 result record: the
+// stats, K and labels of a bucket round-trip exactly (an empty bucket
+// and an empty solver name included), a label costs a byte below K =
+// 128, and every truncation is refused. TestPackedStatsCodec pins the
+// record's header.
 func TestBucketStatsCodecRoundTrip(t *testing.T) {
-	in := BucketSolution{
-		Solver: spectral.SolverSparseLanczos,
-		NNZ:    12345, Fill: 0.17, SolveNanos: 987654321, GramBytes: 98760,
+	labels := make([]int, 300)
+	for i := range labels {
+		labels[i] = (7 * i) % 90
 	}
-	blob := encodeBucketStats(in)
-	if !isStatsRecord(blob) || isStatsRecord(encodeLabel('S', 0, 0)) {
-		t.Fatalf("stats record (%d bytes) and label records are not told apart", len(blob))
-	}
-	var out BucketSolution
-	if err := decodeBucketStats(blob, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Solver != in.Solver || out.NNZ != in.NNZ || out.Fill != in.Fill ||
-		out.SolveNanos != in.SolveNanos || out.GramBytes != in.GramBytes {
-		t.Fatalf("round trip %+v -> %+v", in, out)
+	for _, in := range []BucketSolution{
+		{Labels: labels, K: 90, Solver: spectral.SolverSparseLanczos, NNZ: 12345, Fill: 0.17, SolveNanos: 987654321, GramBytes: 98760},
+		{Labels: []int{0}, K: 1, Solver: "dense", NNZ: 1, Fill: 0.625, SolveNanos: 1 << 40, GramBytes: 9999},
+		{},
+	} {
+		blob := encodeBucketResult(in)
+		var out BucketSolution
+		if err := decodeBucketResult(blob, &out); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(out.Labels, in.Labels) || out.K != in.K || out.Solver != in.Solver || out.NNZ != in.NNZ ||
+			out.Fill != in.Fill || out.SolveNanos != in.SolveNanos || out.GramBytes != in.GramBytes {
+			t.Fatalf("round trip %+v -> %+v", in, out)
+		}
+		if len(blob) > 40+len(in.Solver)+len(in.Labels) {
+			t.Fatalf("%d labels take a %d-byte record", len(in.Labels), len(blob))
+		}
+		for cut := 0; cut < len(blob); cut++ {
+			if err := decodeBucketResult(blob[:cut], &out); err == nil {
+				t.Fatalf("truncation at %d of %d accepted", cut, len(blob))
+			}
+		}
 	}
 }

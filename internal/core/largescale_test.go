@@ -42,10 +42,12 @@ func TestLargeScaleOutOfCore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The 100k-document shuffle is ≈ 2.4 MB (ShuffleBytes 2 409 859, which
-	// a 4 MiB budget never spilled); 512 KiB is below a quarter of it, so
-	// the merge runs file-backed.
-	cfg := Config{Seed: 1, SpillBytes: 512 << 10, EmbedDim: 64, EmbedCutoff: 2048}
+	// With stage 1 grouped in the mapper the 100k-document shuffle is
+	// ≈ 0.26 MB (ShuffleBytes 261 918; it was 2 409 859 with one record
+	// per row and table, which a 512 KiB budget spilled and no longer
+	// does); 64 KiB is below a quarter of it, so the merge runs
+	// file-backed.
+	cfg := Config{Seed: 1, SpillBytes: 64 << 10, EmbedDim: 64, EmbedCutoff: 2048}
 	res, err := ClusterMapReduceSharded(dir, cfg, &mapreduce.Local{})
 	if err != nil {
 		t.Fatal(err)
@@ -60,11 +62,11 @@ func TestLargeScaleOutOfCore(t *testing.T) {
 	}
 	ctr := res.MapReduce
 	if ctr == nil || ctr.SpillBytes == 0 {
-		t.Fatalf("expected the 512KiB budget to spill, counters %+v", ctr)
+		t.Fatalf("expected the 64KiB budget to spill, counters %+v", ctr)
 	}
 	if ctr.ShardReadBytes < int64(n)*dims*8 {
 		t.Fatalf("shard reads %dB below one full pass %dB", ctr.ShardReadBytes, int64(n)*dims*8)
 	}
-	t.Logf("n=%d clusters=%d buckets=%d spill=%dB shard-read=%dB elapsed=%v",
-		n, res.Clusters, len(res.Buckets), ctr.SpillBytes, ctr.ShardReadBytes, res.Elapsed)
+	t.Logf("n=%d clusters=%d buckets=%d shuffle=%dB spill=%dB shard-read=%dB elapsed=%v",
+		n, res.Clusters, len(res.Buckets), ctr.ShuffleBytes, ctr.SpillBytes, ctr.ShardReadBytes, res.Elapsed)
 }

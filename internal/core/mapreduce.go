@@ -20,13 +20,15 @@ import (
 // once against a rowSource (rowsource.go) and run by one Runner on any
 // mapreduce.Executor:
 //
-//	stage 1 (Algorithm 1): map each input record's rows to one
-//	  (table:signature, index) pair per hash table; the grouped reduce
-//	  output is the raw signature partition,
+//	stage 1 (Algorithm 1): hash each input record's rows once per table
+//	  and emit one (table:signature, index list) record per signature
+//	  the record's rows share — in-mapper combining, so the shuffle
+//	  carries O(signatures × map tasks) records, not O(N); the grouped
+//	  reduce output is the raw signature partition,
 //	stage 2 (Algorithm 2): after the driver merges near-duplicate
 //	  signatures, each reducer solves its buckets with the bucketSolver
-//	  every other driver uses, emitting per-point labels and one stats
-//	  record per bucket.
+//	  every other driver uses, emitting one result record per bucket:
+//	  its solver stats, K and local labels.
 //
 // Both jobs travel as a registered name ("dasc-lsh", "dasc-cluster" —
 // bench/ tells the stages apart by those suffixes) plus a gob Conf, so
@@ -35,7 +37,7 @@ import (
 // runner: where a worker gets row i.
 
 // ClusterMapReduceShipped runs the two stages with all data shipped
-// through the records — vectors in stage 1, whole buckets (embedded
+// through the records — blocks of rows in stage 1, whole buckets (embedded
 // map-side where the embed policy claims them) in stage 2 — and all
 // configuration through the job Conf, so the executor's workers may
 // live in other OS processes (start them with cmd/dascworker): the full
@@ -192,7 +194,7 @@ func (r *mrRunner) Solve(ctx context.Context, p *Plan, part *lsh.Partition) ([]B
 	if err != nil {
 		return nil, err
 	}
-	return solutionsFromLabelPairs(part, labelPairs, p.solver.pol.N)
+	return solutionsFromLabelPairs(part, labelPairs)
 }
 
 // ---- the two jobs ----
@@ -265,12 +267,22 @@ func clusterJobFromConf(blob []byte) (*mapreduce.Job, error) {
 	return newClusterJob(src, solver), nil
 }
 
+// sigGroup is one stage-1 output record in the making: the rows of one
+// input record that share a signature in one table.
+type sigGroup struct {
+	table int
+	sig   uint64
+	ids   []int
+}
+
 // newLSHJob builds the stage-1 job (Algorithm 1, extended to the
-// multi-table ensemble): the source's mapper turns each input record
-// into its rows, each is hashed once per table by the lsh.Hasher rebuilt
-// from the shipped thresholds and emits one (table:signature, index)
-// record per table; the reducer passes records through, so the
-// executor's shuffle performs the per-table signature grouping.
+// multi-table ensemble): the source turns each input record into its
+// rows, each is hashed once per table by the lsh.Hasher rebuilt from the
+// shipped thresholds, and the mapper emits one (table:signature, index
+// list) record per signature its record's rows share — Hadoop's
+// in-mapper combining; the reducer passes records through, so the
+// executor's shuffle finishes the per-table signature grouping across
+// map tasks.
 func newLSHJob(src rowSource, c lshConf) (*mapreduce.Job, error) {
 	if len(c.Tables) == 0 {
 		return nil, fmt.Errorf("core: lsh conf has no tables")
@@ -289,20 +301,38 @@ func newLSHJob(src rowSource, c lshConf) (*mapreduce.Job, error) {
 	}
 	return &mapreduce.Job{
 		NumReducers: 4,
-		Map: src.mapRows(func(idx int, row []float64, emit mapreduce.Emit) error {
-			// Rows arrive off the wire or from a shard file; Signature
-			// indexes them unchecked.
-			if len(row) < width {
-				return fmt.Errorf("hash dimension %d outside vector of %d", width-1, len(row))
+		Map: func(_ string, value []byte, emit mapreduce.Emit) error {
+			// Groups are kept in first-seen order and emitted only once the
+			// whole record is hashed: a short row fails the record with
+			// nothing emitted, and no map iteration order reaches the output.
+			var groups []sigGroup
+			slot := make(map[[2]uint64]int)
+			err := src.eachRow(value, func(idx int, row []float64) error {
+				// Rows arrive off the wire or from a shard file; Signature
+				// indexes them unchecked.
+				if len(row) < width {
+					return fmt.Errorf("hash dimension %d outside vector of %d", width-1, len(row))
+				}
+				for t, h := range hashers {
+					sig := h.Signature(row)
+					g, ok := slot[[2]uint64{uint64(t), sig}]
+					if !ok {
+						g = len(groups)
+						slot[[2]uint64{uint64(t), sig}] = g
+						groups = append(groups, sigGroup{table: t, sig: sig})
+					}
+					groups[g].ids = append(groups[g].ids, idx)
+				}
+				return nil
+			})
+			if err != nil {
+				return err
 			}
-			// The shuffle keeps the emitted value, so every row gets its
-			// own; the tables share it.
-			buf := binary.LittleEndian.AppendUint32(make([]byte, 0, 4), uint32(idx))
-			for t, h := range hashers {
-				emit(encodeSigKey(t, h.Signature(row)), buf)
+			for _, g := range groups {
+				emit(encodeSigKey(g.table, g.sig), encodeIndices(g.ids))
 			}
 			return nil
-		}),
+		},
 		Reduce:         mapreduce.IdentityReduceFunc,
 		IdentityReduce: true,
 	}, nil
@@ -310,8 +340,8 @@ func newLSHJob(src rowSource, c lshConf) (*mapreduce.Job, error) {
 
 // newClusterJob builds the stage-2 job (Algorithm 2): each reduce value
 // is one merged bucket in the source's record form; the reducer has the
-// source open it, solves it, and emits one (bucketSig, point/label/k)
-// record per point plus the bucket's stats record.
+// source open it, solves it, and emits the bucket's one result record
+// under its signature.
 func newClusterJob(src rowSource, solver *bucketSolver) *mapreduce.Job {
 	return &mapreduce.Job{
 		NumReducers: 4,
@@ -330,10 +360,7 @@ func newClusterJob(src rowSource, solver *bucketSolver) *mapreduce.Job {
 				if err != nil {
 					return err
 				}
-				for pos, idx := range b.ids {
-					emit(key, encodeLabel(idx, sol.Labels[pos], sol.K))
-				}
-				emit(key, encodeBucketStats(sol))
+				emit(key, encodeBucketResult(sol))
 			}
 			return nil
 		},
@@ -381,12 +408,14 @@ func decodeSigKey(key string) (table int, sig uint64, err error) {
 }
 
 // signaturesFromPairs reassembles the per-point per-table signature set
-// from stage-1 output records. The stream must carry exactly one record
-// per (table, point) — held to stage 2's standard: a lost or repeated
-// record is an error, not a silent signature 0 or last write wins.
+// from stage-1 output records, each an index list under a
+// (table:signature) key. Across the stream every (table, point) must
+// appear exactly once — held to stage 2's standard: a lost or repeated
+// point is an error, not a silent signature 0 or last write wins.
 func signaturesFromPairs(sigPairs []mapreduce.Pair, n, tables int) (*lsh.SignatureSet, error) {
 	sigs := lsh.NewSignatureSet(tables, n)
 	seen := make([]uint64, (tables*n+63)/64) // bit t*n+idx: that signature has arrived
+	arrived := 0
 	for _, p := range sigPairs {
 		t, sig, err := decodeSigKey(p.Key)
 		if err != nil {
@@ -395,174 +424,170 @@ func signaturesFromPairs(sigPairs []mapreduce.Pair, n, tables int) (*lsh.Signatu
 		if t >= tables {
 			return nil, fmt.Errorf("core: table %d out of range (have %d)", t, tables)
 		}
-		if len(p.Value) != 4 {
-			return nil, fmt.Errorf("core: signature payload length %d", len(p.Value))
+		ids, err := decodeIndices(p.Value)
+		if err != nil {
+			return nil, fmt.Errorf("%w, under signature key %s", err, p.Key)
 		}
-		idx := int(binary.LittleEndian.Uint32(p.Value))
-		if idx < 0 || idx >= n {
-			return nil, fmt.Errorf("core: index %d out of range", idx)
+		for _, idx := range ids {
+			if idx >= n {
+				return nil, fmt.Errorf("core: index %d out of range", idx)
+			}
+			bit := t*n + idx
+			if seen[bit/64]&(1<<(bit%64)) != 0 {
+				return nil, fmt.Errorf("core: duplicate signature for table %d, point %d", t, idx)
+			}
+			seen[bit/64] |= 1 << (bit % 64)
+			sigs.Tables[t][idx] = sig
 		}
-		bit := t*n + idx
-		if seen[bit/64]&(1<<(bit%64)) != 0 {
-			return nil, fmt.Errorf("core: duplicate signature for table %d, point %d", t, idx)
-		}
-		seen[bit/64] |= 1 << (bit % 64)
-		sigs.Tables[t][idx] = sig
+		arrived += len(ids)
 	}
-	if len(sigPairs) != tables*n { // none repeated, so one was lost: name the first
+	if arrived != tables*n { // none repeated, so one was lost: name the first
 		bit := 0
 		for seen[bit/64]&(1<<(bit%64)) != 0 {
 			bit++
 		}
-		return nil, fmt.Errorf("core: missing signature for table %d, point %d (%d of %d records)", bit/n, bit%n, len(sigPairs), tables*n)
+		return nil, fmt.Errorf("core: missing signature for table %d, point %d (%d of %d)", bit/n, bit%n, arrived, tables*n)
 	}
 	return sigs, nil
 }
 
 // solutionsFromLabelPairs converts stage-2 output records back into
 // per-bucket solutions aligned with the partition — the inverse of the
-// reducer's emission. Two record kinds share the stream, both keyed by
-// the bucket signature: 12-byte per-point (pointIndex, localLabel, k)
-// triples and the per-bucket solver stats records, which carry the 'S'
-// marker and are at least 13 bytes by construction, so a 12-byte record
-// is always a label. The shared assembly path then offsets the
-// solutions exactly like every other runner's.
-func solutionsFromLabelPairs(part *lsh.Partition, pairs []mapreduce.Pair, n int) ([]BucketSolution, error) {
-	// bucketOf[i] / posOf[i] locate point i in the partition until its
-	// label arrives. The stream must label every point of every bucket
-	// exactly once and carry every bucket's stats record: a lost or
-	// repeated record is an error, not a silent label 0 or last write
-	// wins.
-	const (
-		unknownPoint  = -1 // in no bucket
-		labelledPoint = -2 // label already seen
-	)
-	bucketOf := make([]int32, n)
-	posOf := make([]int32, n)
-	for i := range bucketOf {
-		bucketOf[i] = unknownPoint
-	}
+// reducer's emission. Every bucket must have exactly one result record
+// under its signature, with one label per point of the bucket: a lost,
+// repeated or misshapen record is an error, not a silent label 0 or last
+// write wins. The shared assembly path then offsets the solutions
+// exactly like every other runner's.
+func solutionsFromLabelPairs(part *lsh.Partition, pairs []mapreduce.Pair) ([]BucketSolution, error) {
 	sigOf := make(map[uint64]int, len(part.Buckets))
-	sols := make([]BucketSolution, len(part.Buckets))
-	labelled := make([]int, len(part.Buckets))
-	hasStats := make([]bool, len(part.Buckets))
 	for bi, b := range part.Buckets {
-		sols[bi].Labels = make([]int, len(b.Indices))
 		sigOf[b.Signature] = bi
-		for pi, idx := range b.Indices {
-			if idx < 0 || idx >= n {
-				return nil, fmt.Errorf("core: bucket %x holds out-of-range point %d", b.Signature, idx)
-			}
-			bucketOf[idx], posOf[idx] = int32(bi), int32(pi)
-		}
 	}
+	sols := make([]BucketSolution, len(part.Buckets))
+	solved := make([]bool, len(part.Buckets))
 	for _, p := range pairs {
-		if isStatsRecord(p.Value) {
-			sig, err := strconv.ParseUint(p.Key, 16, 64)
-			if err != nil {
-				return nil, fmt.Errorf("core: bad stats key %q: %w", p.Key, err)
-			}
-			bi, ok := sigOf[sig]
-			if !ok {
-				return nil, fmt.Errorf("core: stats for unknown bucket %x", sig)
-			}
-			if hasStats[bi] {
-				return nil, fmt.Errorf("core: duplicate stats for bucket %x", sig)
-			}
-			hasStats[bi] = true
-			if err := decodeBucketStats(p.Value, &sols[bi]); err != nil {
-				return nil, err
-			}
-			continue
+		sig, err := strconv.ParseUint(p.Key, 16, 64)
+		if err != nil {
+			return nil, fmt.Errorf("core: bad result key %q: %w", p.Key, err)
 		}
-		if len(p.Value) != labelLen {
-			return nil, fmt.Errorf("core: label payload length %d", len(p.Value))
+		bi, ok := sigOf[sig]
+		if !ok {
+			return nil, fmt.Errorf("core: result for unknown bucket %x", sig)
 		}
-		idx, local, k := decodeLabel(p.Value)
-		if idx < 0 || idx >= n || bucketOf[idx] == unknownPoint {
-			return nil, fmt.Errorf("core: label for out-of-range point %d", idx)
+		if solved[bi] {
+			return nil, fmt.Errorf("core: duplicate result for bucket %x", sig)
 		}
-		bi := bucketOf[idx]
-		if bi == labelledPoint {
-			return nil, fmt.Errorf("core: duplicate label for point %d", idx)
+		solved[bi] = true
+		if err := decodeBucketResult(p.Value, &sols[bi]); err != nil {
+			return nil, fmt.Errorf("core: bucket %x: %w", sig, err)
 		}
-		bucketOf[idx] = labelledPoint
-		sols[bi].Labels[posOf[idx]] = local
-		sols[bi].K = k
-		labelled[bi]++
+		if got, want := len(sols[bi].Labels), len(part.Buckets[bi].Indices); got != want {
+			return nil, fmt.Errorf("core: bucket %x: %d labels for %d points", sig, got, want)
+		}
 	}
 	for bi, b := range part.Buckets {
-		if labelled[bi] != len(b.Indices) {
-			return nil, fmt.Errorf("core: bucket %x: %d of %d points labelled", b.Signature, labelled[bi], len(b.Indices))
-		}
-		if !hasStats[bi] {
-			return nil, fmt.Errorf("core: bucket %x: missing stats record", b.Signature)
+		if !solved[bi] {
+			return nil, fmt.Errorf("core: bucket %x: missing result", b.Signature)
 		}
 	}
 	return sols, nil
 }
 
-// statsKind opens a stats record: 'S', a zero version byte, uvarint
-// NNZ, 8-byte LE Fill bits, uvarint SolveNanos, uvarint GramBytes, then
-// the solver name. The two fixed leading bytes plus the 8-byte float
-// keep every stats record at least 13 bytes, so it can never collide
-// with a 12-byte label.
-const statsKind = 'S'
+// resultKind opens the stage-2 output record, one per bucket:
+//
+//	'R' │ 0 │ uvarint NNZ │ float64 LE Fill │ uvarint SolveNanos │
+//	uvarint GramBytes │ uvarint len(Solver) │ Solver │ uvarint K │
+//	uvarint n │ n × uvarint local label, in bucket order
+//
+// Everything before the labels takes at least 15 bytes, so a 12-byte
+// per-point label record of the earlier layout never parses as one.
+const resultKind = 'R'
 
-// isStatsRecord tells a stage-2 output record's kind: a per-bucket
-// stats record, or else a label record.
-func isStatsRecord(v []byte) bool {
-	return len(v) != labelLen && len(v) > 0 && v[0] == statsKind
-}
-
-// encodeBucketStats packs a solution's solver accounting into one
-// stage-2 output record.
-func encodeBucketStats(s BucketSolution) []byte {
-	buf := make([]byte, 0, 2+3*binary.MaxVarintLen64+8+len(s.Solver))
-	buf = append(buf, statsKind, 0)
+// encodeBucketResult packs a bucket's solution into its result record.
+func encodeBucketResult(s BucketSolution) []byte {
+	buf := make([]byte, 0, 2+6*binary.MaxVarintLen64+8+len(s.Solver)+2*len(s.Labels))
+	buf = append(buf, resultKind, 0)
 	buf = binary.AppendUvarint(buf, uint64(s.NNZ))
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.Fill))
 	buf = binary.AppendUvarint(buf, uint64(s.SolveNanos))
 	buf = binary.AppendUvarint(buf, uint64(s.GramBytes))
-	return append(buf, s.Solver...)
+	buf = binary.AppendUvarint(buf, uint64(len(s.Solver)))
+	buf = append(buf, s.Solver...)
+	buf = binary.AppendUvarint(buf, uint64(s.K))
+	buf = binary.AppendUvarint(buf, uint64(len(s.Labels)))
+	for _, l := range s.Labels {
+		buf = binary.AppendUvarint(buf, uint64(l))
+	}
+	return buf
 }
 
-// decodeBucketStats unpacks a stats record into the solution's
-// accounting fields, leaving Labels and K untouched.
-func decodeBucketStats(buf []byte, s *BucketSolution) error {
-	if len(buf) < 2 || buf[0] != statsKind || buf[1] != 0 {
-		return fmt.Errorf("core: bad stats record")
+// decodeBucketResult is the inverse of encodeBucketResult. K must fit
+// int32, every label must be below K, and nothing may follow the labels.
+func decodeBucketResult(buf []byte, s *BucketSolution) error {
+	if len(buf) < 2 || buf[0] != resultKind || buf[1] != 0 {
+		return fmt.Errorf("not a result record")
 	}
 	rest := buf[2:]
-	nnz, n := binary.Uvarint(rest)
-	if n <= 0 || len(rest[n:]) < 8 {
-		return fmt.Errorf("core: truncated stats record")
+	ok := true
+	next := func() uint64 {
+		v, n := binary.Uvarint(rest)
+		if n <= 0 {
+			ok = false
+			return 0
+		}
+		rest = rest[n:]
+		return v
 	}
-	rest = rest[n:]
-	fill := math.Float64frombits(binary.LittleEndian.Uint64(rest))
-	rest = rest[8:]
-	nanos, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return fmt.Errorf("core: truncated stats record")
+	var fill float64
+	nnz := next()
+	if len(rest) >= 8 {
+		fill = math.Float64frombits(binary.LittleEndian.Uint64(rest))
+		rest = rest[8:]
+	} else {
+		ok = false
 	}
-	rest = rest[n:]
-	gram, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return fmt.Errorf("core: truncated stats record")
+	nanos, gram, nameLen := next(), next(), next()
+	if !ok || nameLen > uint64(len(rest)) {
+		return fmt.Errorf("truncated result record")
 	}
-	s.NNZ = int64(nnz)
-	s.Fill = fill
-	s.SolveNanos = int64(nanos)
-	s.GramBytes = int64(gram)
-	s.Solver = string(rest[n:])
+	solver := string(rest[:nameLen])
+	rest = rest[nameLen:]
+	k, count := next(), next()
+	if !ok {
+		return fmt.Errorf("truncated result record")
+	}
+	if k > math.MaxInt32 {
+		return fmt.Errorf("K %d out of range", k)
+	}
+	// Each label occupies at least one byte, so the declared count bounds
+	// the allocation before it happens.
+	if count > uint64(len(rest)) {
+		return fmt.Errorf("label count %d exceeds payload %d", count, len(rest))
+	}
+	labels := make([]int, count)
+	for i := range labels {
+		l := next()
+		if !ok {
+			return fmt.Errorf("truncated label list")
+		}
+		if l >= k {
+			return fmt.Errorf("label %d outside the bucket's %d clusters", l, k)
+		}
+		labels[i] = int(l)
+	}
+	if len(rest) != 0 {
+		return fmt.Errorf("%d trailing bytes after result record", len(rest))
+	}
+	*s = BucketSolution{Labels: labels, K: int(k), Solver: solver, NNZ: int64(nnz), Fill: fill, SolveNanos: int64(nanos), GramBytes: int64(gram)}
 	return nil
 }
 
-// encodeIndices packs a bucket index list — the stage-2 record of the
+// encodeIndices packs an index list — a stage-1 output value (the rows
+// of one map task that share a signature) and the stage-2 record of the
 // sources whose reducers find the rows themselves — as a uvarint count
-// followed by zigzag-varint deltas. Bucket index lists are sorted
-// ascending, so the deltas are small positive integers and the record
-// costs about one byte per point.
+// followed by zigzag-varint deltas. Both lists are sorted ascending, so
+// the deltas are small positive integers and the record costs about one
+// byte per point.
 func encodeIndices(indices []int) []byte {
 	buf := binary.AppendUvarint(make([]byte, 0, 1+2*len(indices)), uint64(len(indices)))
 	prev := 0
@@ -604,22 +629,4 @@ func decodeIndices(buf []byte) ([]int, error) {
 		return nil, fmt.Errorf("core: %d trailing bytes after index list", len(rest))
 	}
 	return out, nil
-}
-
-// labelLen is the size of a label record.
-const labelLen = 12
-
-// encodeLabel packs (pointIndex, localLabel, bucketK).
-func encodeLabel(idx, label, k int) []byte {
-	buf := make([]byte, labelLen)
-	binary.LittleEndian.PutUint32(buf[0:], uint32(idx))
-	binary.LittleEndian.PutUint32(buf[4:], uint32(label))
-	binary.LittleEndian.PutUint32(buf[8:], uint32(k))
-	return buf
-}
-
-func decodeLabel(buf []byte) (idx, label, k int) {
-	return int(binary.LittleEndian.Uint32(buf[0:])),
-		int(binary.LittleEndian.Uint32(buf[4:])),
-		int(binary.LittleEndian.Uint32(buf[8:]))
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"strconv"
 	"sync"
 	"time"
@@ -16,13 +15,13 @@ import (
 // rowSource answers the questions the MapReduce drivers disagree on —
 // all of them forms of "where does a worker get row i":
 //
-//	source      stage-1 record      stage-2 record          workers
-//	recordRows  index + vector      indices + rows by value any process
-//	shardRows   shard row range     index list              any process that can open the shard directory
+//	source      stage-1 record          stage-2 record          workers
+//	recordRows  block of rows by value  indices + rows by value any process
+//	shardRows   shard row range         index list              any process that can open the shard directory
 //
 // The two jobs in mapreduce.go are written against this interface only.
 // Driver-side methods (lshInput, encodeBucket) run on a source built by
-// a public driver; mapper/reducer-side methods (mapRows, openBucket)
+// a public driver; mapper/reducer-side methods (eachRow, openBucket)
 // also run on the source a worker process rebuilds from the job Conf
 // (workerSource).
 type rowSource interface {
@@ -33,10 +32,10 @@ type rowSource interface {
 	// lshInput returns the stage-1 input records and how many of them
 	// make one map task.
 	lshInput() (input []mapreduce.Pair, splitSize int)
-	// mapRows returns the stage-1 mapper: it decodes an input record and
-	// calls fn once per row the record stands for, in row order, handing
-	// the task's emit through (so no closure is built per record).
-	mapRows(fn rowFunc) mapreduce.MapFunc
+	// eachRow decodes one stage-1 input record and calls fn once per row
+	// it stands for, in ascending row order; the row is valid only
+	// during the call.
+	eachRow(value []byte, fn func(idx int, row []float64) error) error
 	// encodeBucket encodes one bucket of the partition as a stage-2
 	// value, metering any map-side embedding into ctr. scratch is the
 	// caller's, reused from bucket to bucket and dropped with the loop.
@@ -44,9 +43,6 @@ type rowSource interface {
 	// openBucket decodes a stage-2 value into the bucket's rows.
 	openBucket(value []byte) (bucket, error)
 }
-
-// rowFunc is what a stage-1 mapper does with one row of the dataset.
-type rowFunc func(idx int, row []float64, emit mapreduce.Emit) error
 
 func init() {
 	mapreduce.RegisterFactory("dasc-lsh", lshJobFromConf)
@@ -66,12 +62,13 @@ func workerSource(dir string) (rowSource, error) {
 	return openShardRows(dir)
 }
 
-// identity returns [0, n): the rows of a block that holds exactly one
-// bucket.
-func identity(n int) []int {
+// rowSpan returns [start, start+n): the row ids of a block of
+// consecutive rows, or with start 0 the rows of a block that holds
+// exactly one bucket.
+func rowSpan(start, n int) []int {
 	all := make([]int, n)
 	for i := range all {
-		all[i] = i
+		all[i] = start + i
 	}
 	return all
 }
@@ -90,26 +87,40 @@ type recordRows struct {
 
 func (s *recordRows) dir() string { return "" }
 
+// blockRows is how many consecutive rows one record-carried stage-1
+// record holds: the engine's default split, so one block per map task
+// cuts the rows into the tasks one record per row did.
+const blockRows = 1024
+
+// lshInput ships the rows in blocks of blockRows, each one raw 'B'
+// bucket record (the one layout rows travel in; consecutive indices cost
+// a byte each) and one map task.
 func (s *recordRows) lshInput() ([]mapreduce.Pair, int) {
-	input := make([]mapreduce.Pair, s.points.Rows())
-	for i := range input {
-		input[i] = mapreduce.Pair{Key: strconv.Itoa(i), Value: encodeVector(s.points.Row(i))}
+	n, dim := s.points.Rows(), s.points.Cols()
+	input := make([]mapreduce.Pair, 0, (n+blockRows-1)/blockRows)
+	for start := 0; start < n; start += blockRows {
+		end := min(start+blockRows, n)
+		rec := make([]byte, 0, 1+2*binary.MaxVarintLen64+(end-start)*(1+8*dim))
+		rec = mapreduce.AppendBucketRows(rec, mapreduce.RawBucketKind, rowSpan(start, end-start), dim, s.points.Data()[start*dim:end*dim])
+		input = append(input, mapreduce.Pair{Key: strconv.Itoa(len(input)), Value: rec})
 	}
-	return input, 0
+	return input, 1
 }
 
-func (s *recordRows) mapRows(fn rowFunc) mapreduce.MapFunc {
-	return func(key string, value []byte, emit mapreduce.Emit) error {
-		idx, err := strconv.Atoi(key)
-		if err != nil {
-			return fmt.Errorf("bad point index %q: %w", key, err)
-		}
-		vec, err := decodeVector(value)
-		if err != nil {
+func (s *recordRows) eachRow(value []byte, fn func(idx int, row []float64) error) error {
+	kind, indices, dim, rows, err := mapreduce.ParseBucketRows(value)
+	if err != nil {
+		return err
+	}
+	if kind != mapreduce.RawBucketKind {
+		return fmt.Errorf("core: stage-1 block of kind %q", kind)
+	}
+	for i, idx := range indices {
+		if err := fn(idx, rows[i*dim:(i+1)*dim]); err != nil {
 			return err
 		}
-		return fn(idx, vec, emit)
 	}
+	return nil
 }
 
 func (s *recordRows) encodeBucket(p *Plan, indices []int, scratch *[]float64, ctr *mapreduce.Counters) ([]byte, error) {
@@ -145,27 +156,7 @@ func (s *recordRows) openBucket(value []byte) (bucket, error) {
 		return bucket{}, err
 	}
 	pts, err := matrix.NewDenseData(len(indices), dim, rows)
-	return bucket{points: pts, rows: identity(len(indices)), ids: indices, embedded: kind == mapreduce.EmbedBucketKind}, err
-}
-
-// encodeVector packs a float64 vector little-endian.
-func encodeVector(v []float64) []byte {
-	buf := make([]byte, 8*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(x))
-	}
-	return buf
-}
-
-func decodeVector(buf []byte) ([]float64, error) {
-	if len(buf) == 0 || len(buf)%8 != 0 {
-		return nil, fmt.Errorf("core: vector payload length %d", len(buf))
-	}
-	out := make([]float64, len(buf)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
-	}
-	return out, nil
+	return bucket{points: pts, rows: rowSpan(0, len(indices)), ids: indices, embedded: kind == mapreduce.EmbedBucketKind}, err
 }
 
 // ---- shard-backed: rows stay in shard files ----
@@ -236,14 +227,12 @@ func (s *shardRows) lshInput() ([]mapreduce.Pair, int) {
 	return input, 1
 }
 
-func (s *shardRows) mapRows(fn rowFunc) mapreduce.MapFunc {
-	return func(_ string, value []byte, emit mapreduce.Emit) error {
-		start, count, err := decodeRowRange(value)
-		if err != nil {
-			return err
-		}
-		return s.r.Stream(start, count, func(idx int, row []float64) error { return fn(idx, row, emit) })
+func (s *shardRows) eachRow(value []byte, fn func(idx int, row []float64) error) error {
+	start, count, err := decodeRowRange(value)
+	if err != nil {
+		return err
 	}
+	return s.r.Stream(start, count, fn)
 }
 
 func (s *shardRows) encodeBucket(_ *Plan, indices []int, _ *[]float64, _ *mapreduce.Counters) ([]byte, error) {
@@ -261,7 +250,7 @@ func (s *shardRows) openBucket(value []byte) (bucket, error) {
 	}
 	pts := matrix.NewDense(len(indices), s.r.Cols())
 	err = s.r.ReadRowsInto(indices, pts.Row)
-	return bucket{points: pts, rows: identity(len(indices)), ids: indices}, err
+	return bucket{points: pts, rows: rowSpan(0, len(indices)), ids: indices}, err
 }
 
 // encodeRowRange / decodeRowRange pack a stage-1 input record: one

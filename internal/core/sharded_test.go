@@ -15,7 +15,7 @@ import (
 )
 
 // writeShardDir splits the test matrix into a shard directory.
-func writeShardDir(t *testing.T, pts interface {
+func writeShardDir(t testing.TB, pts interface {
 	Rows() int
 	Cols() int
 	Row(int) []float64
@@ -50,7 +50,7 @@ func TestShardedMatchesInMemoryWithFullFitSample(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := writeShardDir(t, l.Points, 64)
-	for _, spill := range []int64{0, 512} {
+	for _, spill := range []int64{0, 64} {
 		cfg.SpillBytes = spill
 		res, err := ClusterMapReduceSharded(dir, cfg, &mapreduce.Local{})
 		if err != nil {

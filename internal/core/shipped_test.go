@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"sync"
@@ -8,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/mapreduce"
+	"repro/internal/matrix"
 	"repro/internal/metrics"
 )
 
@@ -148,22 +151,49 @@ func waitWorkers(t *testing.T, m *mapreduce.Master, n int) {
 	}
 }
 
+// TestShippedCodecs pins the record-carried source's stage-1 records:
+// the rows travel in blocks of blockRows, one map task each, and come
+// back through eachRow in row order, bit for bit; a misaligned, empty or
+// embedded block is refused.
 func TestShippedCodecs(t *testing.T) {
-	v := []float64{1.5, -2.25, 0, 1e-9}
-	back, err := decodeVector(encodeVector(v))
-	if err != nil {
-		t.Fatal(err)
+	pts := matrix.NewDense(blockRows+3, 4)
+	vals := []float64{1.5, -2.25, math.Copysign(0, -1), 1e-9}
+	for i := range pts.Data() {
+		pts.Data()[i] = vals[i%4] * float64(i+1)
 	}
-	for i := range v {
-		if v[i] != back[i] {
-			t.Fatalf("vector round trip: %v -> %v", v, back)
+	input, split := (&recordRows{points: pts}).lshInput()
+	if split != 1 || len(input) != 2 {
+		t.Fatalf("%d records in splits of %d, want 2 blocks of one task each", len(input), split)
+	}
+	worker := &recordRows{}
+	next := 0
+	for _, rec := range input {
+		if err := worker.eachRow(rec.Value, func(idx int, row []float64) error {
+			if idx != next {
+				return fmt.Errorf("row %d arrived in place of %d", idx, next)
+			}
+			for j, v := range pts.Row(idx) {
+				if math.Float64bits(row[j]) != math.Float64bits(v) {
+					return fmt.Errorf("row %d col %d = %v, want %v", idx, j, row[j], v)
+				}
+			}
+			next++
+			return nil
+		}); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if _, err := decodeVector([]byte{1, 2, 3}); err == nil {
-		t.Fatal("expected misaligned error")
+	if next != pts.Rows() {
+		t.Fatalf("%d of %d rows came back", next, pts.Rows())
 	}
-	if _, err := decodeVector(nil); err == nil {
-		t.Fatal("expected empty error")
+	for name, value := range map[string][]byte{
+		"misaligned": input[1].Value[:len(input[1].Value)-3],
+		"empty":      nil,
+		"embedded":   mapreduce.AppendBucketRows(nil, mapreduce.EmbedBucketKind, []int{0}, 1, []float64{1}),
+	} {
+		if err := worker.eachRow(value, func(int, []float64) error { return nil }); err == nil {
+			t.Errorf("%s block accepted", name)
+		}
 	}
 }
 
@@ -199,7 +229,8 @@ func TestShippedJobFactoriesValidateConf(t *testing.T) {
 
 // TestLSHJobRejectsShortRow: rows reach a stage-1 mapper off the wire,
 // and lsh.Hasher.Signature indexes them unchecked, so the mapper holds
-// each to the largest shipped dimension.
+// each to the largest shipped dimension — and, since it emits only once
+// its whole record is hashed, a short block emits nothing.
 func TestLSHJobRejectsShortRow(t *testing.T) {
 	job, err := newLSHJob(&recordRows{}, lshConf{Tables: []lshTable{
 		{Dims: []int{0}, Thresholds: []float64{0}},
@@ -208,12 +239,20 @@ func TestLSHJobRejectsShortRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	block := func(width int) []byte {
+		rows := make([]float64, 2*width)
+		for i := range rows {
+			rows[i] = 1
+		}
+		return mapreduce.AppendBucketRows(nil, mapreduce.RawBucketKind, []int{0, 1}, width, rows)
+	}
 	emitted := 0
 	emit := func(string, []byte) { emitted++ }
-	if err := job.Map("0", encodeVector([]float64{1, 1, 1, 1}), emit); err != nil || emitted != 2 {
-		t.Fatalf("4-vector: err = %v, %d records emitted, want one per table", err, emitted)
+	if err := job.Map("0", block(4), emit); err != nil || emitted != 2 {
+		t.Fatalf("two equal 4-wide rows: err = %v, %d records emitted, want one per table", err, emitted)
 	}
-	if err := job.Map("1", encodeVector([]float64{1, 1, 1}), emit); err == nil || emitted != 2 {
-		t.Fatalf("3-vector under a hash on dimension 3: err = %v, %d records emitted", err, emitted)
+	emitted = 0
+	if err := job.Map("1", block(3), emit); err == nil || emitted != 0 {
+		t.Fatalf("3-wide rows under a hash on dimension 3: err = %v, %d records emitted", err, emitted)
 	}
 }
