@@ -3,11 +3,13 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/mapreduce"
+	"repro/internal/spectral"
 )
 
 // TestCompressionLabelIdentityAcrossDrivers is Config.Compression's
@@ -107,10 +109,10 @@ func TestCompressionLabelIdentityOverTCP(t *testing.T) {
 	wg.Wait()
 }
 
-// TestCompressionEmbedShippedIdentity runs the map-side embedding path
-// with Compression on and off: same labels, and the same embedded
-// records — the flag compresses frames and spill runs, it does not
-// choose a record layout.
+// TestCompressionEmbedShippedIdentity runs the shipped driver with
+// embedded buckets, Compression on and off: same labels and the same
+// solvers — the flag compresses frames and spill runs, it does not
+// choose how a bucket is solved.
 func TestCompressionEmbedShippedIdentity(t *testing.T) {
 	l := mixture(t, 300, 10, 3, 0.03, 17)
 	cfg := Config{K: 3, Seed: 5, EmbedDim: 16, EmbedCutoff: 40}
@@ -130,15 +132,11 @@ func TestCompressionEmbedShippedIdentity(t *testing.T) {
 			t.Fatalf("label[%d] = %d, uncompressed %d", i, res.Labels[i], off.Labels[i])
 		}
 	}
-	if off.MapReduce == nil || res.MapReduce == nil {
-		t.Fatal("missing MapReduce counters")
+	if off.Solvers[spectral.SolverEmbedded] == 0 {
+		t.Fatalf("no buckets embedded at this size; nothing was compared: %v", off.Solvers)
 	}
-	if off.MapReduce.EmbedBytes == 0 {
-		t.Fatal("no buckets embedded at this size; nothing was compared")
-	}
-	if res.MapReduce.EmbedBytes != off.MapReduce.EmbedBytes {
-		t.Fatalf("embedded records are %d bytes with Compression, %d without",
-			res.MapReduce.EmbedBytes, off.MapReduce.EmbedBytes)
+	if !reflect.DeepEqual(res.Solvers, off.Solvers) {
+		t.Fatalf("solvers %v with Compression, %v without", res.Solvers, off.Solvers)
 	}
 }
 

@@ -95,9 +95,10 @@ type Config struct {
 	// plan fits a random Fourier feature map of this dimension (must be
 	// even — the features come in cos/sin pairs) and buckets of at least
 	// EmbedCutoff points skip the Gram + eigensolve entirely, running
-	// k-means on embedded rows instead. The MapReduce shipped driver
-	// embeds map-side and ships d′-dim records. 0 (the default) keeps
-	// every bucket on the exact Gram path.
+	// k-means on embedded rows instead. Every driver embeds a bucket
+	// where it is solved; what travels between MapReduce stages is raw
+	// rows either way. 0 (the default) keeps every bucket on the exact
+	// Gram path.
 	EmbedDim int
 	// EmbedCutoff is the bucket size at or above which the embedded
 	// solve runs. Only consulted when EmbedDim > 0; 0 then defaults to

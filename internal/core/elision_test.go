@@ -60,9 +60,10 @@ func zeroSolveNanos(pairs []mapreduce.Pair) {
 // Local and over TCP, at every spill budget, compressed and not.
 //
 // The dial puts buckets on both sides of the embed policy: above
-// EmbedCutoff (embedded map-side by the record-carried source, in the
-// reducer by the shard-backed one) and below it with more than one cluster to
-// find (the exact Gram path, on rows that arrived by value).
+// EmbedCutoff (embedded in the reducer, by either source) and below it
+// with more than one cluster to find (the exact Gram path). The
+// record-carried source ships both as raw 'B' records: the plan changes
+// how a bucket is solved, never what travels.
 func TestCoreJobsElisionMatchesExecution(t *testing.T) {
 	l := mixture(t, 400, 12, 6, 0.05, 60)
 	cfg := Config{K: 12, Seed: 61, M: 6, P: -1, Tables: 2, MaxMergedBucket: 100, EmbedDim: 16, EmbedCutoff: 100, FitSample: 400}
@@ -122,8 +123,8 @@ func TestCoreJobsElisionMatchesExecution(t *testing.T) {
 				for _, rec := range captured.inputs[1] {
 					kinds[rec.Value[0]]++
 				}
-				if kinds[mapreduce.RawBucketKind] == 0 || kinds[mapreduce.EmbedBucketKind] == 0 || len(kinds) != 2 {
-					t.Fatalf("stage-2 record kinds %v, want raw and embedded buckets side by side", kinds)
+				if len(kinds) != 1 || kinds['B'] != len(captured.inputs[1]) {
+					t.Fatalf("stage-2 record kinds %v, want every bucket a raw 'B' record", kinds)
 				}
 			}
 			stage1, stage2 := captured.jobs[0], captured.jobs[1]

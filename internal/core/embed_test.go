@@ -18,10 +18,9 @@ func embedTestConfig() Config {
 
 // TestEmbeddedAllDriversIdenticalLabels extends the cross-driver
 // identity contract to embed mode: the local pool, the incremental
-// waves, the closure MapReduce runner, and the shipped runner (which
-// embeds map-side and ships d′-dim records instead of raw vectors) must
-// produce bitwise identical labels and bucket reports, with the
-// embedded solver actually engaged.
+// waves, the sharded runner and the shipped runner must produce bitwise
+// identical labels and bucket reports, with the embedded solver actually
+// engaged — every one of them embedding where the bucket is solved.
 func TestEmbeddedAllDriversIdenticalLabels(t *testing.T) {
 	l := mixture(t, 240, 12, 4, 0.03, 40)
 	cfg := embedTestConfig()
@@ -76,37 +75,51 @@ func TestEmbeddedAllDriversIdenticalLabels(t *testing.T) {
 		}
 	}
 
-	// Only the record-carried source moves embedded records over the
-	// wire, so only it meters the embed data plane.
-	if shipped.MapReduce == nil || shipped.MapReduce.EmbedBytes == 0 {
-		t.Fatalf("shipped embed counters not metered: %+v", shipped.MapReduce)
-	}
-	if sharded.MapReduce.EmbedBytes != 0 {
-		t.Fatalf("shard-backed source metered embed bytes: %+v", sharded.MapReduce)
+	// Both sources ship raw rows and embed in the reducer, so neither
+	// meters a driver-side embed.
+	for name, res := range map[string]*Result{"shipped": shipped, "sharded": sharded} {
+		if res.MapReduce == nil || res.MapReduce.EmbedBytes != 0 || res.MapReduce.EmbedNanos != 0 {
+			t.Fatalf("%s metered a driver-side embed: %+v", name, res.MapReduce)
+		}
 	}
 }
 
-// TestEmbeddedShippedShrinksShuffle pins the point of the map-side
-// embedding: with d′ below the input dimensionality, the shipped
-// stage-2 payload must be smaller than the same run without embedding.
-func TestEmbeddedShippedShrinksShuffle(t *testing.T) {
+// TestEmbeddedShippedShipsRawRows pins that embedding never changes what
+// travels: the shipped driver's stage-2 records are the buckets' raw
+// rows whether or not the plan embeds them, so the stage-2 shuffle is
+// the same to the byte with the embed on and off (at D = 48 > d′ = 8,
+// where shipping embedded rows would have been smaller), and the
+// embedded run still solves embedded and agrees with Cluster.
+func TestEmbeddedShippedShipsRawRows(t *testing.T) {
 	l := mixture(t, 240, 48, 4, 0.03, 40)
-	cfg := Config{K: 4, Seed: 41}
-	raw, err := ClusterMapReduceShipped(l.Points, cfg, &mapreduce.Local{})
-	if err != nil {
-		t.Fatal(err)
+	stage2 := func(cfg Config) (*Result, int64) {
+		t.Helper()
+		var captured capturingExec
+		res, err := ClusterMapReduceShipped(l.Points, cfg, &captured)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(captured.ctrs) != 2 {
+			t.Fatalf("runner submitted %d jobs, want the two DASC stages", len(captured.ctrs))
+		}
+		return res, captured.ctrs[1].ShuffleBytes
 	}
+	cfg := Config{K: 4, Seed: 41}
+	_, rawBytes := stage2(cfg)
 	cfg.EmbedDim, cfg.EmbedCutoff = 8, 64
-	emb, err := ClusterMapReduceShipped(l.Points, cfg, &mapreduce.Local{})
-	if err != nil {
-		t.Fatal(err)
+	emb, embBytes := stage2(cfg)
+	if embBytes != rawBytes || rawBytes == 0 {
+		t.Fatalf("stage-2 shuffle is %d bytes with the embed on, %d with it off", embBytes, rawBytes)
 	}
 	if emb.Solvers[spectral.SolverEmbedded] == 0 {
 		t.Fatalf("embedded solver never engaged: %v", emb.Solvers)
 	}
-	if emb.MapReduce.ShuffleBytes >= raw.MapReduce.ShuffleBytes {
-		t.Fatalf("embedded shuffle %d not below raw %d",
-			emb.MapReduce.ShuffleBytes, raw.MapReduce.ShuffleBytes)
+	want, err := Cluster(l.Points, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(emb.Labels, want.Labels) {
+		t.Fatal("shipped embedded labels differ from Cluster's")
 	}
 }
 

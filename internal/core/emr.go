@@ -98,10 +98,12 @@ func spillDiskAndCodec(raw int64, compressed bool) (disk int64, codec float64) {
 // (bucketSolver.cost and plan: beta*(2 Ni^2 + 2 Ki Ni) beside a
 // 4 Ni^2-byte sub-Gram); collection is a single linear pass.
 //
-// With embed mode on (EmbedDim > 0), the map side additionally pays
-// beta*d′ per point for the feature transform, and buckets the embed
-// policy claims become dot-product-bound: cost beta*(2 Ni d′ + 2 Ki Ni)
-// and memory 8·Ni·d′ (the embedded rows), no Gram term at all.
+// With embed mode on (EmbedDim > 0), buckets the embed policy claims
+// become dot-product-bound: cost beta*(2 Ni d′ + 2 Ki Ni) and memory
+// 8·Ni·d′ (the embedded rows), no Gram term at all. The feature
+// transform, beta*d′ per point, runs in the reducer that solves the
+// bucket; the model bills it to the stage-1 map tasks instead, as a
+// simplification that spreads it evenly over the splits.
 //
 // With cfg.SpillBytes > 0 the flow models the out-of-core shuffle:
 // every stage-1 record is written to a spill run and re-read by the

@@ -37,11 +37,11 @@ import (
 // runner: where a worker gets row i.
 
 // ClusterMapReduceShipped runs the two stages with all data shipped
-// through the records — blocks of rows in stage 1, whole buckets (embedded
-// map-side where the embed policy claims them) in stage 2 — and all
-// configuration through the job Conf, so the executor's workers may
-// live in other OS processes (start them with cmd/dascworker): the full
-// Hadoop deployment model.
+// through the records — blocks of rows in stage 1, each bucket's raw rows
+// in stage 2, embedded (where the plan says so) by the reducer that
+// solves it — and all configuration through the job Conf, so the
+// executor's workers may live in other OS processes (start them with
+// cmd/dascworker): the full Hadoop deployment model.
 func ClusterMapReduceShipped(points *matrix.Dense, cfg Config, exec mapreduce.Executor) (*Result, error) {
 	return ClusterMapReduceShippedContext(context.Background(), points, cfg, exec)
 }
@@ -183,11 +183,7 @@ func (r *mrRunner) Solve(ctx context.Context, p *Plan, part *lsh.Partition) ([]B
 	input := make([]mapreduce.Pair, len(part.Buckets))
 	var scratch []float64
 	for bi, b := range part.Buckets {
-		value, err := r.src.encodeBucket(p, b.Indices, &scratch, &r.ctr)
-		if err != nil {
-			return nil, fmt.Errorf("core: bucket %x: %w", b.Signature, err)
-		}
-		input[bi] = mapreduce.Pair{Key: fmt.Sprintf("%016x", b.Signature), Value: value}
+		input[bi] = mapreduce.Pair{Key: fmt.Sprintf("%016x", b.Signature), Value: r.src.encodeBucket(b.Indices, &scratch)}
 	}
 	conf := solveConf{Dir: r.src.dir(), Policy: p.solver.pol}
 	labelPairs, err := r.run(ctx, p, newClusterJob(r.src, p.solver), "cluster", conf, input)

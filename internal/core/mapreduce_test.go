@@ -281,10 +281,12 @@ func TestStageRecordCounts(t *testing.T) {
 	wg.Wait()
 }
 
-// BenchmarkStages runs the sharded source's two jobs on Local at
-// 32 768 × 16 — a quarter of the benchmark's out-of-core workload — and
-// reports the records both stages shipped (map outputs plus output
-// records) per op, with allocs/op: the in-mapper combining's measure.
+// BenchmarkStages runs each source's two jobs on Local at 32 768 × 16 —
+// a quarter of the benchmark's out-of-core workload — with one Config,
+// and reports the records both stages shipped (map outputs plus output
+// records) per op, the stage-2 shuffle bytes per op (stage2-B/op: index
+// lists for the sharded source, raw bucket rows for the shipped one),
+// and allocs/op.
 func BenchmarkStages(b *testing.B) {
 	const n, d = 32768, 16
 	l, err := dataset.Mixture(dataset.MixtureConfig{N: n, D: d, K: 64, Noise: 0.03, Seed: 1})
@@ -293,17 +295,30 @@ func BenchmarkStages(b *testing.B) {
 	}
 	dir := writeShardDir(b, l.Points, 0)
 	cfg := Config{K: 64, Seed: 1, EmbedDim: 64, EmbedCutoff: 1024}
-	records := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for it := 0; it < b.N; it++ {
-		res, err := ClusterMapReduceSharded(dir, cfg, &mapreduce.Local{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		records += res.MapReduce.MapOutputs + res.MapReduce.OutputRecords
+	for _, src := range []struct {
+		name string
+		run  func(mapreduce.Executor) (*Result, error)
+	}{
+		{"sharded", func(e mapreduce.Executor) (*Result, error) { return ClusterMapReduceSharded(dir, cfg, e) }},
+		{"shipped", func(e mapreduce.Executor) (*Result, error) { return ClusterMapReduceShipped(l.Points, cfg, e) }},
+	} {
+		b.Run(src.name, func(b *testing.B) {
+			records, stage2 := 0, int64(0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for it := 0; it < b.N; it++ {
+				captured := &capturingExec{}
+				res, err := src.run(captured)
+				if err != nil {
+					b.Fatal(err)
+				}
+				records += res.MapReduce.MapOutputs + res.MapReduce.OutputRecords
+				stage2 += captured.ctrs[1].ShuffleBytes
+			}
+			b.ReportMetric(float64(records)/float64(b.N), "records/op")
+			b.ReportMetric(float64(stage2)/float64(b.N), "stage2-B/op")
+		})
 	}
-	b.ReportMetric(float64(records)/float64(b.N), "records/op")
 }
 
 // TestClusterOneBucketEmpty feeds the solve an empty bucket — what an

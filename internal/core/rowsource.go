@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"time"
 
 	"repro/internal/mapreduce"
 	"repro/internal/matrix"
@@ -15,10 +14,12 @@ import (
 // rowSource answers the questions the MapReduce drivers disagree on —
 // all of them forms of "where does a worker get row i":
 //
-//	source      stage-1 record          stage-2 record          workers
-//	recordRows  block of rows by value  indices + rows by value any process
-//	shardRows   shard row range         index list              any process that can open the shard directory
+//	source      stage-1 record          stage-2 record              workers
+//	recordRows  block of rows by value  indices + raw rows by value any process
+//	shardRows   shard row range         index list                  any process that can open the shard directory
 //
+// Either way a bucket reaches its reducer as raw rows, and the reducer's
+// solve does whatever the plan derives from them (sub-Gram or embedding).
 // The two jobs in mapreduce.go are written against this interface only.
 // Driver-side methods (lshInput, encodeBucket) run on a source built by
 // a public driver; mapper/reducer-side methods (eachRow, openBucket)
@@ -37,9 +38,9 @@ type rowSource interface {
 	// during the call.
 	eachRow(value []byte, fn func(idx int, row []float64) error) error
 	// encodeBucket encodes one bucket of the partition as a stage-2
-	// value, metering any map-side embedding into ctr. scratch is the
-	// caller's, reused from bucket to bucket and dropped with the loop.
-	encodeBucket(p *Plan, indices []int, scratch *[]float64, ctr *mapreduce.Counters) ([]byte, error)
+	// value. scratch is the caller's, reused from bucket to bucket and
+	// dropped with the loop.
+	encodeBucket(indices []int, scratch *[]float64) []byte
 	// openBucket decodes a stage-2 value into the bucket's rows.
 	openBucket(value []byte) (bucket, error)
 }
@@ -77,10 +78,9 @@ func rowSpan(start, n int) []int {
 
 // recordRows puts the vectors inside the records (HDFS's input splits
 // analogue), so its jobs carry no pointer into the driver's memory.
-// Buckets the embed policy claims are embedded map-side — "embed and
-// conquer": the d′-dim record replaces ni·d raw coordinates with ni·d′
-// embedded ones and the worker needs no kernel, no Gram scratch and no
-// eigensolver for them. points is nil on the worker side.
+// Every bucket travels as its raw rows, one 'B' record, and an embedded
+// bucket is embedded by the reducer that solves it, exactly as the
+// shard-backed source's is. points is nil on the worker side.
 type recordRows struct {
 	points *matrix.Dense
 }
@@ -101,19 +101,16 @@ func (s *recordRows) lshInput() ([]mapreduce.Pair, int) {
 	for start := 0; start < n; start += blockRows {
 		end := min(start+blockRows, n)
 		rec := make([]byte, 0, 1+2*binary.MaxVarintLen64+(end-start)*(1+8*dim))
-		rec = mapreduce.AppendBucketRows(rec, mapreduce.RawBucketKind, rowSpan(start, end-start), dim, s.points.Data()[start*dim:end*dim])
+		rec = mapreduce.AppendBucketRows(rec, rowSpan(start, end-start), dim, s.points.Data()[start*dim:end*dim])
 		input = append(input, mapreduce.Pair{Key: strconv.Itoa(len(input)), Value: rec})
 	}
 	return input, 1
 }
 
 func (s *recordRows) eachRow(value []byte, fn func(idx int, row []float64) error) error {
-	kind, indices, dim, rows, err := mapreduce.ParseBucketRows(value)
+	indices, dim, rows, err := mapreduce.ParseBucketRows(value)
 	if err != nil {
 		return err
-	}
-	if kind != mapreduce.RawBucketKind {
-		return fmt.Errorf("core: stage-1 block of kind %q", kind)
 	}
 	for i, idx := range indices {
 		if err := fn(idx, rows[i*dim:(i+1)*dim]); err != nil {
@@ -123,40 +120,23 @@ func (s *recordRows) eachRow(value []byte, fn func(idx int, row []float64) error
 	return nil
 }
 
-func (s *recordRows) encodeBucket(p *Plan, indices []int, scratch *[]float64, ctr *mapreduce.Counters) ([]byte, error) {
-	ni, kind, dim := len(indices), byte(mapreduce.RawBucketKind), s.points.Cols()
-	embedded := p.solver.plan(ni).Class == classEmbedded
-	if embedded {
-		kind, dim = mapreduce.EmbedBucketKind, p.Embedder.Dim()
-	}
+func (s *recordRows) encodeBucket(indices []int, scratch *[]float64) []byte {
+	ni, dim := len(indices), s.points.Cols()
 	if cap(*scratch) < ni*dim {
 		*scratch = make([]float64, ni*dim)
 	}
 	rows := (*scratch)[:ni*dim]
-	if embedded {
-		start := time.Now()
-		err := p.Embedder.TransformInto(rows, s.points, indices)
-		ctr.EmbedNanos += time.Since(start).Nanoseconds()
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		matrix.GatherRows(rows, s.points, indices)
-	}
-	rec := mapreduce.AppendBucketRows(make([]byte, 0, 1+2*binary.MaxVarintLen64+ni*(binary.MaxVarintLen32+8*dim)), kind, indices, dim, rows)
-	if embedded {
-		ctr.EmbedBytes += int64(len(rec))
-	}
-	return rec, nil
+	matrix.GatherRows(rows, s.points, indices)
+	return mapreduce.AppendBucketRows(make([]byte, 0, 1+2*binary.MaxVarintLen64+ni*(binary.MaxVarintLen32+8*dim)), indices, dim, rows)
 }
 
 func (s *recordRows) openBucket(value []byte) (bucket, error) {
-	kind, indices, dim, rows, err := mapreduce.ParseBucketRows(value)
+	indices, dim, rows, err := mapreduce.ParseBucketRows(value)
 	if err != nil {
 		return bucket{}, err
 	}
 	pts, err := matrix.NewDenseData(len(indices), dim, rows)
-	return bucket{points: pts, rows: rowSpan(0, len(indices)), ids: indices, embedded: kind == mapreduce.EmbedBucketKind}, err
+	return bucket{points: pts, rows: rowSpan(0, len(indices)), ids: indices}, err
 }
 
 // ---- shard-backed: rows stay in shard files ----
@@ -235,8 +215,8 @@ func (s *shardRows) eachRow(value []byte, fn func(idx int, row []float64) error)
 	return s.r.Stream(start, count, fn)
 }
 
-func (s *shardRows) encodeBucket(_ *Plan, indices []int, _ *[]float64, _ *mapreduce.Counters) ([]byte, error) {
-	return encodeIndices(indices), nil
+func (s *shardRows) encodeBucket(indices []int, _ *[]float64) []byte {
+	return encodeIndices(indices)
 }
 
 // openBucket demand-reads one bucket's rows into a dense ni×d block —

@@ -153,8 +153,8 @@ func waitWorkers(t *testing.T, m *mapreduce.Master, n int) {
 
 // TestShippedCodecs pins the record-carried source's stage-1 records:
 // the rows travel in blocks of blockRows, one map task each, and come
-// back through eachRow in row order, bit for bit; a misaligned, empty or
-// embedded block is refused.
+// back through eachRow in row order, bit for bit; a misaligned or empty
+// block, or one led by the retired embedded kind byte 'E', is refused.
 func TestShippedCodecs(t *testing.T) {
 	pts := matrix.NewDense(blockRows+3, 4)
 	vals := []float64{1.5, -2.25, math.Copysign(0, -1), 1e-9}
@@ -189,7 +189,7 @@ func TestShippedCodecs(t *testing.T) {
 	for name, value := range map[string][]byte{
 		"misaligned": input[1].Value[:len(input[1].Value)-3],
 		"empty":      nil,
-		"embedded":   mapreduce.AppendBucketRows(nil, mapreduce.EmbedBucketKind, []int{0}, 1, []float64{1}),
+		"embedded":   append([]byte{'E'}, mapreduce.AppendBucketRows(nil, []int{0}, 1, []float64{1})[1:]...),
 	} {
 		if err := worker.eachRow(value, func(int, []float64) error { return nil }); err == nil {
 			t.Errorf("%s block accepted", name)
@@ -244,7 +244,7 @@ func TestLSHJobRejectsShortRow(t *testing.T) {
 		for i := range rows {
 			rows[i] = 1
 		}
-		return mapreduce.AppendBucketRows(nil, mapreduce.RawBucketKind, []int{0, 1}, width, rows)
+		return mapreduce.AppendBucketRows(nil, []int{0, 1}, width, rows)
 	}
 	emitted := 0
 	emit := func(string, []byte) { emitted++ }

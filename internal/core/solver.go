@@ -4,12 +4,11 @@ package core
 // Ni points out of N gets its share Ki of K, holds a 4·Ni² sub-Gram —
 // or 8·Ni·d′ of embedded rows where the embed policy claims it — and
 // costs β(2Ni² + 2KiNi). Whatever needs that before, beside or after the
-// solve (the shipped source's map-side embedding, wave packing, the EMR
-// flow, label assembly) reads bucketSolver.plan instead of restating it.
+// solve (wave packing, the EMR flow, label assembly) reads
+// bucketSolver.plan instead of restating it.
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/embed"
 	"repro/internal/kernel"
@@ -148,20 +147,19 @@ func (s *bucketSolver) cost(pl bucketPlan, ni int, beta float64) float64 {
 
 // bucket is one LSH bucket as the solve stage sees it: row rows[i] of
 // points is the bucket's i-th point and ids[i] its dataset index (the
-// same list when points is the whole dataset). embedded marks a block
-// whose rows were already pushed through the policy's feature map.
+// same list when points is the whole dataset). The rows are always the
+// raw input vectors.
 type bucket struct {
-	points   *matrix.Dense
-	rows     []int
-	ids      []int
-	embedded bool
+	points *matrix.Dense
+	rows   []int
+	ids    []int
 }
 
 // solve is what every runner does with a bucket, whatever its rows'
-// provenance: nothing for a trivial one; only the k-means half for rows
-// that arrive embedded; otherwise the spectral engine — sub-Gram (dense
-// or thresholded CSR), normalized Laplacian, eigenvectors, K-means, or
-// kernel embedding + k-means with no Gram at all.
+// provenance: nothing for a trivial one; otherwise the spectral engine —
+// sub-Gram (dense or thresholded CSR), normalized Laplacian,
+// eigenvectors, K-means, or kernel embedding + k-means with no Gram at
+// all.
 //
 // Dense sub-Grams (the packed upper triangle, 8·Ni(Ni+1)/2 bytes — the
 // plan's Bytes plus 4·Ni) and embedded row blocks are built inside *buf
@@ -172,12 +170,6 @@ type bucket struct {
 func (s *bucketSolver) solve(b bucket, buf *[]float64) (BucketSolution, error) {
 	ni := len(b.rows)
 	pl := s.plan(ni)
-	// The driver embeds map-side exactly the buckets planned embedded, at
-	// the policy's dimension; anything else means the record and the
-	// configuration disagree.
-	if b.embedded && (pl.Class != classEmbedded || b.points.Cols() != s.emb.Dim()) {
-		return BucketSolution{}, fmt.Errorf("embedded bucket of %d points x %d dims does not match its plan %+v", ni, b.points.Cols(), pl)
-	}
 	if pl.Class == classTrivial {
 		labels := make([]int, ni)
 		if pl.K == ni {
@@ -187,25 +179,8 @@ func (s *bucketSolver) solve(b bucket, buf *[]float64) (BucketSolution, error) {
 		}
 		return BucketSolution{Labels: labels, K: pl.K, Solver: SolverTrivial, GramBytes: pl.Bytes}, nil
 	}
-	seed := s.pol.Seed + int64(b.ids[0])
-	if b.embedded {
-		start := time.Now()
-		res, err := spectral.ClusterEmbeddedRows(b.points, spectral.Config{K: pl.K, Seed: seed})
-		if err != nil {
-			return BucketSolution{}, fmt.Errorf("embedded bucket: %w", err)
-		}
-		dim := b.points.Cols()
-		return BucketSolution{
-			Labels: res.Labels, K: pl.K,
-			Solver:     spectral.SolverEmbedded,
-			NNZ:        int64(ni) * int64(dim),
-			Fill:       float64(dim) / float64(ni),
-			SolveNanos: time.Since(start).Nanoseconds(),
-			GramBytes:  pl.Bytes,
-		}, nil
-	}
 	ecfg := s.engine(pl.K)
-	ecfg.Seed = seed
+	ecfg.Seed = s.pol.Seed + int64(b.ids[0])
 	res, stats, err := spectral.ClusterBucket(b.points, b.rows, s.kf, ecfg, buf)
 	sol := BucketSolution{
 		K: pl.K, Solver: stats.Solver, NNZ: stats.NNZ, Fill: stats.Fill,

@@ -132,8 +132,8 @@ func TestSolveHoldsWhatItPlans(t *testing.T) {
 
 // TestSolvePolicyRoundTripBuildsSameMap: a worker builds its solver
 // from the policy in the job Conf; its feature map must be the
-// driver's, bit for bit, or map-side and reduce-side embeddings of one
-// dataset would differ.
+// driver's, bit for bit, or a bucket embedded in a worker would differ
+// from the same bucket embedded in the driver's process.
 func TestSolvePolicyRoundTripBuildsSameMap(t *testing.T) {
 	pts, _ := blobPoints(71, 8, 60, 12, 10, 0.3)
 	p, err := NewPlan(pts, Config{K: 8, Seed: 72, EmbedDim: 32}, true)

@@ -8,8 +8,8 @@ import (
 )
 
 // BenchmarkEmbedTransform measures the blocked RFF and Nyström
-// transforms on a large-bucket-sized input — the map-side cost the
-// embedded solve policy pays to skip the Gram + eigensolve.
+// transforms on a large-bucket-sized input — the cost the embedded solve
+// policy pays to skip the Gram + eigensolve.
 func BenchmarkEmbedTransform(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	const n, d, dim = 2048, 32, 64

@@ -3,7 +3,7 @@
 // Embeddings for Kernel k-Means on MapReduce", arXiv:1311.2334): a map
 // φ: R^d → R^d′ with ⟨φ(x), φ(y)⟩ ≈ k(x, y), so kernel k-means on a
 // bucket becomes plain Hamerly k-means on embedded rows — no Gram, no
-// eigensolve, and shuffle payloads of O(n·d′) instead of O(n²).
+// eigensolve, and a working set of O(n·d′) instead of O(n²).
 //
 // Two embedders are provided behind one interface: random Fourier
 // features for the Gaussian kernel (seed-derived frequencies, cos/sin
@@ -16,8 +16,9 @@
 // layout — never on which rows are co-resident in a block, the subset
 // being transformed, or the worker count. Embedding a bucket's rows
 // therefore produces bitwise the same floats as slicing those rows out
-// of a whole-dataset embedding, which is what lets the drivers that
-// embed in the engine and the one that embeds map-side agree bit for bit.
+// of a whole-dataset embedding, which is what lets every driver — whether
+// a bucket is solved in the driver's process or a worker's, on rows held
+// in memory, shipped or read from shards — agree bit for bit.
 package embed
 
 import (

@@ -7,32 +7,24 @@ import (
 	"math"
 )
 
-// Bucket records: the stage-2 value of a DASC deployment whose rows
-// travel inside the records (workers share neither memory nor files
-// with the driver). One layout carries either form of a bucket's rows,
-// told apart by the leading kind byte.
-const (
-	// RawBucketKind opens a record whose rows are the bucket's input
-	// vectors.
-	RawBucketKind = 'B'
-	// EmbedBucketKind opens a record whose rows the driver already
-	// pushed through the kernel feature map map-side: d′-dimensional
-	// embedded rows instead of raw vectors.
-	EmbedBucketKind = 'E'
-)
+// bucketKind opens every bucket record: the format marker of a DASC
+// deployment whose rows travel inside the records (workers share neither
+// memory nor files with the driver). The rows are always the input
+// vectors; whatever a solve derives from them is derived where it runs.
+const bucketKind = 'B'
 
 // AppendBucketRows appends one bucket record to dst and returns the
 // extended slice:
 //
-//	kind │ uvarint n │ uvarint dim │ n × zigzag-varint index delta │
+//	'B' │ uvarint n │ uvarint dim │ n × zigzag-varint index delta │
 //	n·dim × float64 LE rows (row-major)
 //
 // Deltas are taken over the indices as given (bucket indices are sorted
 // ascending, so deltas are small and positive); zigzag keeps any order
 // decodable. len(rows) must equal len(indices)*dim; the codec is pure
 // layout and does not validate semantics beyond that.
-func AppendBucketRows(dst []byte, kind byte, indices []int, dim int, rows []float64) []byte {
-	dst = append(dst, kind)
+func AppendBucketRows(dst []byte, indices []int, dim int, rows []float64) []byte {
+	dst = append(dst, bucketKind)
 	dst = binary.AppendUvarint(dst, uint64(len(indices)))
 	dst = binary.AppendUvarint(dst, uint64(dim))
 	prev := 0
@@ -47,17 +39,17 @@ func AppendBucketRows(dst []byte, kind byte, indices []int, dim int, rows []floa
 }
 
 // ParseBucketRows decodes a record produced by AppendBucketRows. The
-// input is untrusted: the kind byte must be one of the two above, the
-// shape is validated against the bytes that actually arrived before any
-// allocation, every index must fit a non-negative int32, and the float
-// payload must match the declared shape exactly. The returned slices
-// are freshly allocated and do not alias buf.
-func ParseBucketRows(buf []byte) (kind byte, indices []int, dim int, rows []float64, err error) {
-	fail := func(format string, args ...any) (byte, []int, int, []float64, error) {
-		return 0, nil, 0, nil, fmt.Errorf("mapreduce: bucket record: "+format, args...)
+// input is untrusted: it must open with 'B', the shape is validated
+// against the bytes that actually arrived before any allocation, every
+// index must fit a non-negative int32, and the float payload must match
+// the declared shape exactly. The returned slices are freshly allocated
+// and do not alias buf.
+func ParseBucketRows(buf []byte) (indices []int, dim int, rows []float64, err error) {
+	fail := func(format string, args ...any) ([]int, int, []float64, error) {
+		return nil, 0, nil, fmt.Errorf("mapreduce: bucket record: "+format, args...)
 	}
-	if len(buf) == 0 || (buf[0] != RawBucketKind && buf[0] != EmbedBucketKind) {
-		return 0, nil, 0, nil, errors.New("mapreduce: not a bucket record")
+	if len(buf) == 0 || buf[0] != bucketKind {
+		return nil, 0, nil, errors.New("mapreduce: not a bucket record")
 	}
 	b := buf[1:]
 	nu, w := binary.Uvarint(b)
@@ -102,5 +94,5 @@ func ParseBucketRows(buf []byte) (kind byte, indices []int, dim int, rows []floa
 	for i := range rows {
 		rows[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
 	}
-	return buf[0], indices, dim, rows, nil
+	return indices, dim, rows, nil
 }

@@ -125,12 +125,11 @@ type Counters struct {
 	// inside the wire codec, for wire-vs-compute accounting.
 	EncodeNanos int64
 	DecodeNanos int64
-	// EmbedBytes / EmbedNanos account the embed-and-conquer data plane:
-	// the encoded size of every embedded bucket record a driver shipped
-	// in place of raw vectors, and the wall time the driver spent in the
-	// map-side embedding transform. Zero when embed mode is off or the
-	// runner never ships data (the in-process runner embeds inside the
-	// solve, where the cost lands in SolveNanos instead).
+	// EmbedBytes / EmbedNanos are zero on every driver: buckets travel as
+	// raw rows and are embedded inside the solve, where the cost lands in
+	// SolveNanos. They remain only because the benchmark harness still
+	// reads them (embed.record_mb, embed.map_side_s), and go together
+	// with those two metrics.
 	EmbedBytes int64
 	EmbedNanos int64
 	// SpillBytes / SpillNanos account the out-of-core shuffle: the bytes

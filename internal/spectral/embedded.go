@@ -9,12 +9,12 @@ package spectral
 // O(n·d′·k) per Lloyd iteration — dot-product-bound, not solver-bound —
 // and its working set is 8·n·d′ bytes instead of the 4·n² Gram.
 //
-// The split into EmbedRows + ClusterEmbeddedRows is deliberate: the
-// local engine runs both back to back, while the MapReduce shipped
-// worker receives already-embedded rows over the wire and runs only the
-// second half. Because embeddings are pure per-row functions (see
-// internal/embed) and ClusterEmbeddedRows is deterministic in
-// (rows, cfg), both executions produce bitwise identical labels.
+// Every driver reaches it through ClusterBucket with raw rows, so one
+// bucket is embedded in one place whichever process solves it.
+// ClusterEmbeddedRows, the k-means half, is exported for measuring it
+// alone; because embeddings are pure per-row functions (see
+// internal/embed) and it is deterministic in (rows, cfg), embedding a
+// bucket's rows by hand and calling it gives the engine's labels bitwise.
 
 import (
 	"fmt"
@@ -54,9 +54,9 @@ func ClusterEmbeddedRows(emb *matrix.Dense, cfg Config) (*Result, error) {
 
 // clusterEmbedded runs the full embedded solve for the engine: embed
 // the bucket rows into the pooled scratch, then cluster them. Errors
-// are returned, not silently downgraded to a Gram solve — the shipped
-// driver commits to the embedded record shape before the reduce runs,
-// so a quiet local fallback would break cross-driver label identity.
+// are returned, not silently downgraded to a Gram solve: the plan every
+// driver costs and packs by calls the bucket embedded, and a quiet
+// engine-side switch of route would make the run disagree with it.
 func clusterEmbedded(points *matrix.Dense, indices []int, e embed.Embedder, cfg EngineConfig, scratch *[]float64) (*Result, SolveStats, error) {
 	start := time.Now()
 	ni := len(indices)

@@ -77,10 +77,10 @@ func TestClusterBucketEmbeddedPolicy(t *testing.T) {
 	}
 }
 
-// TestClusterBucketEmbeddedMatchesRowsHalf pins the local/shipped split
-// contract: the engine's one-shot embedded solve must produce bitwise
-// the labels of embedding the rows first and calling ClusterEmbeddedRows
-// on them — the exact sequence the shipped worker executes.
+// TestClusterBucketEmbeddedMatchesRowsHalf pins the split contract: the
+// engine's one-shot embedded solve must produce bitwise the labels of
+// embedding the rows first and calling ClusterEmbeddedRows on them — the
+// sequence that times the k-means half on its own.
 func TestClusterBucketEmbeddedMatchesRowsHalf(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	pts, _ := makeBlobs(rng, 3, 90, 6, 7, 0.4)
@@ -102,8 +102,7 @@ func TestClusterBucketEmbeddedMatchesRowsHalf(t *testing.T) {
 		t.Fatalf("solver = %q", stats.Solver)
 	}
 
-	// The shipped worker's half: rows were embedded map-side, only
-	// k-means runs on the reduce side.
+	// The two halves by hand: embed the rows, then run only k-means.
 	rows := make([]float64, len(indices)*e.Dim())
 	if err := e.TransformInto(rows, pts, indices); err != nil {
 		t.Fatal(err)

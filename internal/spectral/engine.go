@@ -89,9 +89,9 @@ type EngineConfig struct {
 // Embeds is the embed gate of the policy table above: whether the
 // embedded solve claims a bucket of ni rows under this configuration.
 // k == ni stays with the exact path (its identity-label degenerate
-// case). Callers that must know the choice before the solve — a driver
-// committing to an embedded record map-side, a memory plan — ask here,
-// so their answer cannot drift from ClusterBucket's.
+// case). Callers that must know the choice before the solve — a memory
+// plan, a cost model — ask here, so their answer cannot drift from
+// ClusterBucket's.
 func (c EngineConfig) Embeds(ni int) bool {
 	return c.Embedder != nil && c.EmbedCutoff > 0 && ni >= c.EmbedCutoff && c.K < ni
 }
@@ -144,8 +144,8 @@ func ClusterBucket(points *matrix.Dense, indices []int, kf kernel.Kernel, cfg En
 	sCfg := Config{K: cfg.K, Seed: cfg.Seed, KMeansIter: cfg.KMeansIter}
 
 	// Embed mode takes the bucket out of the Gram economy altogether,
-	// and embed errors surface instead of downgrading — the shipped
-	// driver has already committed to the record shape.
+	// and embed errors surface instead of downgrading to a Gram solve the
+	// caller's plan did not cost.
 	if cfg.Embeds(ni) {
 		return clusterEmbedded(points, indices, cfg.Embedder, cfg, scratch)
 	}
