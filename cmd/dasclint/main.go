@@ -1,27 +1,28 @@
 // Command dasclint runs the DASC project's static-analysis suite
 // (internal/lint) over the module: floatcmp, errcheck-gob,
-// goroutine-guard, mutexcopy, panicfree, ctxarg, plus the determinism
-// and concurrency analyzers maporder, floataccum, poolescape, and
-// wgmisuse.
+// goroutine-guard, panicfree, ctxarg, plus the determinism and
+// concurrency analyzers maporder, floataccum, poolescape, and wgmisuse.
+// Lock copies are go vet's copylocks check, not this suite's.
 //
 // Usage:
 //
-//	go run ./cmd/dasclint [-json] [-list] [-ignore-unused] [-workers N] [packages...]
+//	go run ./cmd/dasclint [-json] [-list] [packages...]
 //
 // Package arguments are directory patterns relative to the current
 // directory: "./..." (the default) lints the whole module, "./internal/lint"
-// one package, "./internal/..." a subtree. Diagnostics print as
+// one package, "./internal/..." a subtree. The whole module is always
+// loaded and analyzed; the patterns only select which findings are
+// printed. Diagnostics print as
 //
 //	file:line:col: analyzer: message
 //
 // and the exit status is 0 when the tree is clean, 1 when findings were
 // reported, and 2 when the module failed to load or type-check.
 //
-// Parsing and analysis fan out across GOMAXPROCS (override with
-// -workers); diagnostics are globally sorted, so the output is
-// byte-identical at any parallelism. -json emits a report object with
-// the wall-clock split (load/analyze) alongside the findings, which CI
-// archives for trend inspection.
+// Parsing and analysis fan out across GOMAXPROCS; diagnostics are
+// globally sorted, so the output is byte-identical at any parallelism.
+// -json emits a report object with the wall-clock split (load/analyze)
+// alongside the findings, which CI archives for trend inspection.
 //
 // A finding can be suppressed on a specific line — with a mandatory
 // reason — by a trailing or preceding comment:
@@ -29,8 +30,7 @@
 //	//lint:ignore <analyzer> <reason>
 //
 // A directive that no longer suppresses anything is itself reported, so
-// dead waivers cannot accumulate; pass -ignore-unused to silence that
-// check (useful when running a subset of packages).
+// dead waivers cannot accumulate.
 package main
 
 import (
@@ -60,8 +60,6 @@ type report struct {
 func main() {
 	jsonOut := flag.Bool("json", false, "emit a JSON report (timings + diagnostics)")
 	list := flag.Bool("list", false, "list the analyzers and exit")
-	ignoreUnused := flag.Bool("ignore-unused", false, "do not report //lint:ignore directives that suppress nothing")
-	workers := flag.Int("workers", 0, "parse/analyze parallelism (0 = GOMAXPROCS)")
 	flag.Parse()
 
 	if *list {
@@ -71,7 +69,7 @@ func main() {
 		return
 	}
 
-	rep, err := run(flag.Args(), *workers, !*ignoreUnused)
+	rep, err := run(flag.Args())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dasclint:", err)
 		os.Exit(2)
@@ -96,7 +94,7 @@ func main() {
 	}
 }
 
-func run(patterns []string, workers int, reportUnused bool) (*report, error) {
+func run(patterns []string) (*report, error) {
 	start := time.Now()
 	cwd, err := os.Getwd()
 	if err != nil {
@@ -106,15 +104,12 @@ func run(patterns []string, workers int, reportUnused bool) (*report, error) {
 	if err != nil {
 		return nil, err
 	}
-	pkgs, err := loader.LoadAllParallel(workers)
+	pkgs, err := loader.LoadAll()
 	if err != nil {
 		return nil, err
 	}
 	loaded := time.Now()
-	diags := lint.RunWith(loader.Fset, pkgs, lint.All, lint.Options{
-		Workers:             workers,
-		ReportUnusedIgnores: reportUnused,
-	})
+	diags := lint.Run(loader.Fset, pkgs, lint.All)
 	analyzed := time.Now()
 	diags, err = filterByPatterns(diags, cwd, patterns)
 	if err != nil {

@@ -177,25 +177,19 @@ func Gram(points *Matrix, k Kernel) *Matrix { return kernel.Gram(points, k) }
 
 // ---- kernel embeddings ----
 
-// Embedder is a deterministic kernel feature map: TransformInto fills
-// d′-dimensional embedded rows whose dot products approximate the
-// kernel, so eigensolves become dot products (the embed-and-conquer
-// solve path). Enable it inside a DASC run with Config.EmbedDim and
-// Config.EmbedCutoff; the standalone constructors below serve callers
-// who want the features themselves.
-type Embedder = embed.Embedder
+// Embedder is the deterministic random Fourier feature map for the
+// Gaussian kernel: TransformInto fills d′-dimensional embedded rows whose
+// dot products approximate the kernel, so eigensolves become dot
+// products (the embed-and-conquer solve path). Enable it inside a DASC
+// run with Config.EmbedDim and Config.EmbedCutoff; NewRFFEmbedder serves
+// callers who want the features themselves.
+type Embedder = embed.RFF
 
 // NewRFFEmbedder fits a seed-derived random Fourier feature map for the
 // Gaussian kernel of bandwidth sigma. dim must be even — the features
 // come in cos/sin pairs.
-func NewRFFEmbedder(inputDim, dim int, sigma float64, seed int64) (Embedder, error) {
+func NewRFFEmbedder(inputDim, dim int, sigma float64, seed int64) (*Embedder, error) {
 	return embed.NewRFF(inputDim, dim, sigma, seed)
-}
-
-// NewNystromEmbedder fits a Nyström feature map from `samples` landmark
-// rows of points, with dim <= samples output dimensions.
-func NewNystromEmbedder(points *Matrix, samples, dim int, sigma float64, seed int64) (Embedder, error) {
-	return embed.NewNystrom(points, samples, dim, sigma, seed)
 }
 
 // ---- LSH ----

@@ -6,7 +6,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/corpus"
-	"repro/internal/crawler"
 	"repro/internal/dataset"
 	"repro/internal/emr"
 	"repro/internal/kernel"
@@ -19,7 +18,7 @@ import (
 )
 
 // The integration suite checks cross-module invariants that no single
-// package test can see: the DASC drivers agreeing, the crawl →
+// package test can see: the DASC drivers agreeing, the document →
 // pipeline → cluster chain preserving ground truth, and the consistency
 // of the evaluation metrics across algorithms.
 
@@ -63,25 +62,15 @@ func TestAllDriversAgree(t *testing.T) {
 	}
 }
 
-// TestCrawlPipelineClusterChain exercises site -> crawler -> text
-// pipeline -> DASC -> metrics end to end over real HTTP.
-func TestCrawlPipelineClusterChain(t *testing.T) {
+// TestDocumentPipelineClusterChain exercises corpus -> text pipeline ->
+// DASC -> metrics end to end.
+func TestDocumentPipelineClusterChain(t *testing.T) {
 	c, err := corpus.Generate(corpus.Config{NumDocs: 240, NumCategories: 4, Seed: 62})
 	if err != nil {
 		t.Fatal(err)
 	}
-	site, err := crawler.NewSite(crawler.SiteConfig{Corpus: c, Seed: 63})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, stop := site.Start()
-	defer stop()
-	res, err := (&crawler.Crawler{}).Crawl(base, site.IndexPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cleaned := make([][]string, len(res.Docs))
-	for i, d := range res.Docs {
+	cleaned := make([][]string, len(c.Docs))
+	for i, d := range c.Docs {
 		cleaned[i] = text.Clean(d)
 	}
 	pts, _, err := text.VectorizeTopTerms(cleaned, 11)
@@ -92,12 +81,12 @@ func TestCrawlPipelineClusterChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc, err := metrics.Accuracy(res.Labels(), run.Labels)
+	acc, err := metrics.Accuracy(c.Labels, run.Labels)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if acc < 0.9 {
-		t.Fatalf("crawl chain accuracy = %v", acc)
+		t.Fatalf("document chain accuracy = %v", acc)
 	}
 }
 

@@ -46,11 +46,11 @@ type Plan struct {
 	// Tables=1 and ProbeRadius=0 it degenerates to the paper's
 	// single-signature partition.
 	Ensemble *lsh.Ensemble
-	// Embedder is the fitted kernel embedding of the embed-and-conquer
-	// solve path; non-nil exactly when Cfg.EmbedDim > 0. It is a pure
-	// function of (dataset dims, EmbedDim, Sigma, Seed), so every driver
-	// fits bitwise the same map.
-	Embedder embed.Embedder
+	// Embedder is the fitted random Fourier feature map of the
+	// embed-and-conquer solve path; non-nil exactly when Cfg.EmbedDim > 0.
+	// It is a pure function of (dataset dims, EmbedDim, Sigma, Seed), so
+	// every driver fits bitwise the same map.
+	Embedder *embed.RFF
 	// solver is the solve stage, built from Cfg, the dataset shape and
 	// Sigma; Sigma and Embedder above are its kernel's and its map.
 	solver *bucketSolver

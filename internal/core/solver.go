@@ -50,7 +50,7 @@ func policyOf(cfg Config, n, cols int, sigma float64) solvePolicy {
 type bucketSolver struct {
 	pol solvePolicy
 	kf  kernel.Kernel
-	emb embed.Embedder // nil unless pol.EmbedDim > 0
+	emb *embed.RFF // nil unless pol.EmbedDim > 0
 }
 
 // newBucketSolver validates the policy — the driver's comes from a

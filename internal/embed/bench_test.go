@@ -7,9 +7,9 @@ import (
 	"repro/internal/matrix"
 )
 
-// BenchmarkEmbedTransform measures the blocked RFF and Nyström
-// transforms on a large-bucket-sized input — the cost the embedded solve
-// policy pays to skip the Gram + eigensolve.
+// BenchmarkEmbedTransform measures the blocked RFF transform on a
+// large-bucket-sized input — the cost the embedded solve policy pays to
+// skip the Gram + eigensolve.
 func BenchmarkEmbedTransform(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	const n, d, dim = 2048, 32, 64
@@ -22,23 +22,11 @@ func BenchmarkEmbedTransform(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	nys, err := NewNystrom(points, 128, dim, 1.0, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
 	dst := make([]float64, n*dim)
 	b.Run("rff", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if err := rff.TransformInto(dst, points, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("nystrom", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := nys.TransformInto(dst, points, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

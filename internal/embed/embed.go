@@ -1,24 +1,10 @@
-// Package embed implements low-dimensional kernel embeddings for the
-// embed-and-conquer solve path (PAPERS.md "Embed and Conquer: Scalable
-// Embeddings for Kernel k-Means on MapReduce", arXiv:1311.2334): a map
-// φ: R^d → R^d′ with ⟨φ(x), φ(y)⟩ ≈ k(x, y), so kernel k-means on a
-// bucket becomes plain Hamerly k-means on embedded rows — no Gram, no
-// eigensolve, and a working set of O(n·d′) instead of O(n²).
-//
-// Two embedders are provided behind one interface: random Fourier
-// features for the Gaussian kernel (seed-derived frequencies, cos/sin
-// pairing) and a Nyström embedding that reuses the landmark math of
-// internal/baseline/nystrom.go via the blocked cross-kernel engine.
-//
-// Determinism contract. Every embedder is a pure per-row function of
-// (row, fitted parameters): the blocked transform computes each output
-// with a fixed accumulation order that depends only on the parameter
-// layout — never on which rows are co-resident in a block, the subset
-// being transformed, or the worker count. Embedding a bucket's rows
-// therefore produces bitwise the same floats as slicing those rows out
-// of a whole-dataset embedding, which is what lets every driver — whether
-// a bucket is solved in the driver's process or a worker's, on rows held
-// in memory, shipped or read from shards — agree bit for bit.
+// Package embed implements the kernel embedding of the embed-and-conquer
+// solve path (PAPERS.md "Embed and Conquer: Scalable Embeddings for
+// Kernel k-Means on MapReduce", arXiv:1311.2334): RFF, a random Fourier
+// feature map φ: R^d → R^d′ with ⟨φ(x), φ(y)⟩ ≈ k(x, y) for the Gaussian
+// kernel, so kernel k-means on a bucket becomes plain Hamerly k-means on
+// embedded rows — no Gram, no eigensolve, and a working set of O(n·d′)
+// instead of O(n²).
 package embed
 
 import (
@@ -28,21 +14,6 @@ import (
 	"repro/internal/matrix"
 	"repro/internal/par"
 )
-
-// Embedder maps rows of a point matrix into a d′-dimensional feature
-// space whose ordinary dot products approximate a kernel.
-type Embedder interface {
-	// Dim returns d′, the embedded dimension.
-	Dim() int
-	// InputDim returns the expected point dimensionality d.
-	InputDim() int
-	// TransformInto fills dst (len(indices) × Dim() row-major; indices
-	// nil means all rows) with the embeddings of the listed rows of
-	// points. The output is a pure per-row function: bitwise identical
-	// for a given row regardless of the subset, block position, or
-	// worker count.
-	TransformInto(dst []float64, points *matrix.Dense, indices []int) error
-}
 
 const (
 	// blockRows mirrors the kernel engine's cache-resident block edge.
@@ -70,8 +41,8 @@ func getScratch(n int) (*[]float64, []float64) {
 
 func putScratch(p *[]float64) { scratchPool.Put(p) }
 
-// checkTransform validates the common TransformInto contract and
-// returns the row count.
+// checkTransform validates the TransformInto contract and returns the
+// row count.
 func checkTransform(dst []float64, points *matrix.Dense, indices []int, inputDim, dim int) (int, error) {
 	if points.Cols() != inputDim {
 		return 0, fmt.Errorf("embed: points have %d dims, embedder fitted for %d", points.Cols(), inputDim)

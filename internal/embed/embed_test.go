@@ -19,7 +19,7 @@ func randPoints(rng *rand.Rand, n, d int) *matrix.Dense {
 	return m
 }
 
-func embedAll(t *testing.T, e Embedder, points *matrix.Dense) []float64 {
+func embedAll(t *testing.T, e *RFF, points *matrix.Dense) []float64 {
 	t.Helper()
 	dst := make([]float64, points.Rows()*e.Dim())
 	if err := e.TransformInto(dst, points, nil); err != nil {
@@ -112,80 +112,24 @@ func TestRFFPerRowPurity(t *testing.T) {
 	}
 }
 
-func TestNystromPerRowPurity(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	points := randPoints(rng, 260, 7)
-	e, err := NewNystrom(points, 40, 18, 1.2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	whole := embedAll(t, e, points)
-	indices := []int{255, 0, 31, 100, 101, 102}
-	sub := make([]float64, len(indices)*e.Dim())
-	if err := e.TransformInto(sub, points, indices); err != nil {
-		t.Fatal(err)
-	}
-	for a, idx := range indices {
-		for j := 0; j < e.Dim(); j++ {
-			if sub[a*e.Dim()+j] != whole[idx*e.Dim()+j] {
-				t.Fatalf("row %d coord %d: subset %v, whole %v", idx, j, sub[a*e.Dim()+j], whole[idx*e.Dim()+j])
-			}
-		}
-	}
-}
-
-// TestTransformWorkerCountInvariant checks both embedders produce
+// TestTransformWorkerCountInvariant checks the transform produces
 // bitwise identical output at GOMAXPROCS 1 and 8.
 func TestTransformWorkerCountInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	points := randPoints(rng, 500, 8)
-	rff, err := NewRFF(8, 16, 1.0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nys, err := NewNystrom(points, 64, 16, 1.0, 1)
+	e, err := NewRFF(8, 16, 1.0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
-	for _, e := range []Embedder{rff, nys} {
-		runtime.GOMAXPROCS(1)
-		serial := embedAll(t, e, points)
-		runtime.GOMAXPROCS(8)
-		parallel := embedAll(t, e, points)
-		for i := range serial {
-			if serial[i] != parallel[i] {
-				t.Fatalf("%T: coord %d differs across worker counts: %v vs %v", e, i, serial[i], parallel[i])
-			}
-		}
-	}
-}
-
-// TestNystromExactOnLandmarkSpan: with every point a landmark and the
-// full spectrum kept, the Nyström approximation is the exact kernel
-// (up to eigensolver round-off).
-func TestNystromExactOnLandmarkSpan(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	const n, d = 48, 5
-	points := randPoints(rng, n, d)
-	kf := kernel.NewGaussian(0.9)
-	e, err := NewNystrom(points, n, n, 0.9, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	emb := embedAll(t, e, points)
-	for i := 0; i < n; i += 7 {
-		for j := 0; j < n; j += 5 {
-			var dot float64
-			ri, rj := emb[i*n:(i+1)*n], emb[j*n:(j+1)*n]
-			for t2, v := range ri {
-				dot += v * rj[t2]
-			}
-			want := kf.Eval(points.Row(i), points.Row(j))
-			if math.Abs(dot-want) > 1e-8 {
-				t.Fatalf("pair (%d,%d): embedded dot %v, kernel %v", i, j, dot, want)
-			}
+	runtime.GOMAXPROCS(1)
+	serial := embedAll(t, e, points)
+	runtime.GOMAXPROCS(8)
+	parallel := embedAll(t, e, points)
+	for i := range serial {
+		if serial[i] != parallel[i] {
+			t.Fatalf("coord %d differs across worker counts: %v vs %v", i, serial[i], parallel[i])
 		}
 	}
 }
@@ -233,16 +177,6 @@ func TestConstructorValidation(t *testing.T) {
 	}
 	if _, err := NewRFF(4, 8, 0, 1); err == nil {
 		t.Error("RFF accepted zero sigma")
-	}
-	pts := matrix.NewDense(10, 3)
-	if _, err := NewNystrom(pts, 4, 8, 1, 1); err == nil {
-		t.Error("Nystrom accepted dim > samples")
-	}
-	if _, err := NewNystrom(pts, 20, 4, 1, 1); err == nil {
-		t.Error("Nystrom accepted samples > n")
-	}
-	if _, err := NewNystrom(pts, 8, 4, -1, 1); err == nil {
-		t.Error("Nystrom accepted negative sigma")
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 )
 
 // rffSeedSalt decorrelates the RFF frequency stream from every other
-// consumer of Config.Seed (LSH table seeds, k-means seeding, landmark
-// sampling) while keeping the map a pure function of the seed.
+// consumer of Config.Seed (LSH table seeds, k-means seeding) while
+// keeping the map a pure function of the seed.
 const rffSeedSalt = 0x52464653414c54 // "RFFSALT"
 
 // RFF is a random Fourier feature map for the Gaussian kernel
@@ -22,6 +22,16 @@ const rffSeedSalt = 0x52464653414c54 // "RFFSALT"
 // exp(-‖x−y‖²/(2σ²)). The cos/sin pairing evaluates both phases of each
 // frequency, halving the estimator variance of the single-phase
 // cos(w·x+b) form at the same output dimension. Dim() = 2m.
+//
+// Determinism contract. The map is a pure per-row function of (row,
+// fitted frequencies): the blocked transform computes each output with
+// a fixed accumulation order that depends only on the frequency layout —
+// never on which rows are co-resident in a block, the subset being
+// transformed, or the worker count. Embedding a bucket's rows therefore
+// produces bitwise the same floats as slicing those rows out of a
+// whole-dataset embedding, which is what lets every driver — whether a
+// bucket is solved in the driver's process or a worker's, on rows held
+// in memory, shipped or read from shards — agree bit for bit.
 type RFF struct {
 	freqs    *matrix.Dense // m × d frequency rows, contiguous for DotBlock
 	inputDim int
@@ -61,13 +71,13 @@ func (r *RFF) Dim() int { return r.dim }
 // InputDim returns the fitted point dimensionality.
 func (r *RFF) InputDim() int { return r.inputDim }
 
-// TransformInto implements Embedder with the blocked DotBlock idiom:
-// point-row blocks × frequency-row blocks of pairwise dots, each dot
-// turned into one cos/sin pair. The frequency matrix is always
-// decomposed into the same fixed blocks, so every projection w_j·x is
-// accumulated in the same order no matter which rows ride along —
-// per-row purity, hence bitwise reproducibility across subsets,
-// drivers, and worker counts.
+// TransformInto fills dst (len(indices) × Dim() row-major; indices nil
+// means all rows) with the embeddings of the listed rows of points, by
+// the blocked DotBlock idiom: point-row blocks × frequency-row blocks of
+// pairwise dots, each dot turned into one cos/sin pair. The frequency
+// matrix is always decomposed into the same fixed blocks, so every
+// projection w_j·x is accumulated in the same order no matter which rows
+// ride along — the determinism contract above.
 func (r *RFF) TransformInto(dst []float64, points *matrix.Dense, indices []int) error {
 	n, err := checkTransform(dst, points, indices, r.inputDim, r.dim)
 	if err != nil {

@@ -2,9 +2,8 @@ package kernel
 
 // This file is the rectangular half of the blocked Gram engine: a
 // cross-kernel block k(a_i, b_j) between the rows of two matrices,
-// which the Nyström landmark math needs twice (the m×m landmark block W
-// and the n×m cross block C) and the embedding engine needs once per
-// transform (the kernel responses against the landmark set). It shares
+// which the Nyström baseline's landmark math needs twice (the m×m
+// landmark block W and the n×m cross block C). It shares
 // the fast.go recipe — precomputed squared row norms plus blocked
 // pairwise dot products over contiguous storage — but with one extra
 // contract the symmetric engine does not make:
@@ -121,15 +120,6 @@ func CrossGramInto(dst *matrix.Dense, a, b *matrix.Dense, k Kernel) error {
 		}
 		return nil
 	})
-}
-
-// CrossGram is CrossGramInto with a freshly allocated destination.
-func CrossGram(a, b *matrix.Dense, k Kernel) (*matrix.Dense, error) {
-	dst := matrix.NewDense(a.Rows(), b.Rows())
-	if err := CrossGramInto(dst, a, b, k); err != nil {
-		return nil, err
-	}
-	return dst, nil
 }
 
 // chainDot is the single ascending accumulation chain the cross engine

@@ -35,6 +35,15 @@ func scalarCrossGaussian(a, b *matrix.Dense, sigma float64) *matrix.Dense {
 	return out
 }
 
+// crossGram runs CrossGramInto into a fresh a.Rows() × b.Rows() block.
+func crossGram(a, b *matrix.Dense, k Kernel) (*matrix.Dense, error) {
+	dst := matrix.NewDense(a.Rows(), b.Rows())
+	if err := CrossGramInto(dst, a, b, k); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
 func randDense(rng *rand.Rand, rows, cols int) *matrix.Dense {
 	m := matrix.NewDense(rows, cols)
 	d := m.Data()
@@ -58,9 +67,9 @@ func TestCrossGramMatchesScalarBitwise(t *testing.T) {
 		a := randDense(rng, s.ra, s.d)
 		b := randDense(rng, s.rb, s.d)
 		want := scalarCrossGaussian(a, b, 1.3)
-		got, err := CrossGram(a, b, NewGaussian(1.3))
+		got, err := crossGram(a, b, NewGaussian(1.3))
 		if err != nil {
-			t.Fatalf("CrossGram(%dx%d, %dx%d): %v", s.ra, s.d, s.rb, s.d, err)
+			t.Fatalf("CrossGramInto(%dx%d, %dx%d): %v", s.ra, s.d, s.rb, s.d, err)
 		}
 		gd, wd := got.Data(), want.Data()
 		for i := range wd {
@@ -80,12 +89,12 @@ func TestCrossGramWorkerCountInvariant(t *testing.T) {
 	defer runtime.GOMAXPROCS(prev)
 
 	runtime.GOMAXPROCS(1)
-	serial, err := CrossGram(a, b, k)
+	serial, err := crossGram(a, b, k)
 	if err != nil {
 		t.Fatal(err)
 	}
 	runtime.GOMAXPROCS(8)
-	parallel, err := CrossGram(a, b, k)
+	parallel, err := crossGram(a, b, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,13 +111,13 @@ func TestCrossGramCosineAndGenericAgree(t *testing.T) {
 	a := randDense(rng, 40, 6)
 	b := randDense(rng, 23, 6)
 
-	fast, err := CrossGram(a, b, NewCosine())
+	fast, err := crossGram(a, b, NewCosine())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The generic fallback (Func wraps the same math) must agree within
 	// float tolerance; it normalizes per pair instead of via cached norms.
-	slow, err := CrossGram(a, b, Func(func(x, y []float64) float64 {
+	slow, err := crossGram(a, b, Func(func(x, y []float64) float64 {
 		return NewCosine().Eval(x, y)
 	}))
 	if err != nil {
@@ -125,7 +134,7 @@ func TestCrossGramCosineAndGenericAgree(t *testing.T) {
 func TestCrossGramSelfPairIsOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := randDense(rng, 10, 4)
-	g, err := CrossGram(a, a, NewGaussian(1))
+	g, err := crossGram(a, a, NewGaussian(1))
 	if err != nil {
 		t.Fatal(err)
 	}

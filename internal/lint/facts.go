@@ -2,9 +2,8 @@ package lint
 
 // The fact store gives analyzers one call level of interprocedural
 // sight without a real call graph: for every function declared in the
-// package it records a handful of coarse behavioural facts (spawns
-// goroutines, touches a sync.Pool, writes package-level state,
-// accumulates floats into shared memory, locks a mutex). An analyzer
+// package it records a few coarse behavioural facts (spawns goroutines,
+// touches a sync.Pool, accumulates floats into shared memory). An analyzer
 // looking at a call site can then ask "does the callee do X" instead of
 // either re-walking the callee's body or giving up at the package
 // boundary. Facts are computed once per package, from the same
@@ -22,15 +21,11 @@ type FuncFacts struct {
 	Spawns bool
 	// TouchesPool: the body calls Get or Put on a sync.Pool.
 	TouchesPool bool
-	// WritesGlobal: the body assigns to a package-level variable.
-	WritesGlobal bool
 	// AccumulatesSharedFloat: the body has a float += / -= whose target
 	// is not a plain function-local variable — a global, a dereference,
 	// a field, or an element of a parameter/captured slice or map. Such
 	// a function makes its caller's accumulation order observable.
 	AccumulatesSharedFloat bool
-	// LocksMutex: the body calls Lock or RLock on something.
-	LocksMutex bool
 }
 
 // FactStore maps the package's declared functions (and methods) to
@@ -90,22 +85,10 @@ func scanBody(decl *ast.FuncDecl, info *types.Info) *FuncFacts {
 		case *ast.GoStmt:
 			f.Spawns = true
 		case *ast.CallExpr:
-			if sel, ok := x.Fun.(*ast.SelectorExpr); ok {
-				switch sel.Sel.Name {
-				case "Get", "Put":
-					if isSyncPoolExpr(info, sel.X) {
-						f.TouchesPool = true
-					}
-				case "Lock", "RLock":
-					f.LocksMutex = true
-				}
+			if sel, ok := x.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Get" || sel.Sel.Name == "Put") && isSyncPoolExpr(info, sel.X) {
+				f.TouchesPool = true
 			}
 		case *ast.AssignStmt:
-			for _, lhs := range x.Lhs {
-				if writesGlobal(info, lhs) {
-					f.WritesGlobal = true
-				}
-			}
 			if x.Tok == token.ADD_ASSIGN || x.Tok == token.SUB_ASSIGN {
 				lhs := x.Lhs[0]
 				if isFloat(info.TypeOf(lhs)) && !isLocalVar(info, decl, lhs) {
@@ -135,24 +118,11 @@ func isSyncPoolExpr(info *types.Info, e ast.Expr) bool {
 	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == "Pool"
 }
 
-// writesGlobal reports whether lhs names a package-level variable.
-func writesGlobal(info *types.Info, lhs ast.Expr) bool {
-	id, ok := unparen(lhs).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	v, ok := info.Uses[id].(*types.Var)
-	if !ok {
-		return false
-	}
-	return v.Parent() == v.Pkg().Scope()
-}
-
 // isLocalVar reports whether e is a plain identifier naming a variable
 // declared inside decl's body (not a parameter, receiver, or outer
 // binding). Accumulating into such a variable is invisible to callers.
 func isLocalVar(info *types.Info, decl *ast.FuncDecl, e ast.Expr) bool {
-	id, ok := unparen(e).(*ast.Ident)
+	id, ok := ast.Unparen(e).(*ast.Ident)
 	if !ok {
 		return false
 	}

@@ -75,7 +75,7 @@ func checkGoroutineBody(pass *Pass, lit *ast.FuncLit) {
 // description of the shared memory, or "" when the target is
 // goroutine-owned.
 func sharedFloatTarget(pass *Pass, lhs ast.Expr, lit *ast.FuncLit) string {
-	switch x := unparen(lhs).(type) {
+	switch x := ast.Unparen(lhs).(type) {
 	case *ast.Ident:
 		v, ok := identVar(pass, x)
 		if !ok {

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"go/ast"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -127,17 +128,12 @@ func TestFactStorePool(t *testing.T) {
 	}
 }
 
-// TestStaleSuppression: a dead //lint:ignore is reported when
-// ReportUnusedIgnores is set, silent by default, and a live directive
-// is never reported.
+// TestStaleSuppression: a dead //lint:ignore is reported, a live one
+// is not, and neither is one whose analyzer did not run.
 func TestStaleSuppression(t *testing.T) {
 	loader, pkg := loadFixture(t, "staleignore")
 
-	if diags := Run(loader.Fset, []*Package{pkg}, All); len(diags) != 0 {
-		t.Fatalf("default run reported %d diagnostics: %v", len(diags), diags)
-	}
-
-	diags := RunWith(loader.Fset, []*Package{pkg}, All, Options{ReportUnusedIgnores: true})
+	diags := Run(loader.Fset, []*Package{pkg}, All)
 	if len(diags) != 1 {
 		t.Fatalf("want exactly the stale directive, got %d: %v", len(diags), diags)
 	}
@@ -151,7 +147,7 @@ func TestStaleSuppression(t *testing.T) {
 
 	// A directive whose analyzer is not in the run set cannot be proven
 	// stale and must not be reported.
-	diags = RunWith(loader.Fset, []*Package{pkg}, []*Analyzer{MapOrder}, Options{ReportUnusedIgnores: true})
+	diags = Run(loader.Fset, []*Package{pkg}, []*Analyzer{MapOrder})
 	for _, d := range diags {
 		if strings.Contains(d.Message, "suppresses no diagnostic") && strings.Contains(d.Message, "floatcmp") {
 			t.Errorf("directive for analyzer outside the run set reported stale: %s", d)
@@ -160,7 +156,7 @@ func TestStaleSuppression(t *testing.T) {
 }
 
 // TestParallelRunDeterministic requires byte-identical diagnostics from
-// sequential and parallel runs over the same fixture set.
+// sequential (GOMAXPROCS 1) and parallel runs over the same fixture set.
 func TestParallelRunDeterministic(t *testing.T) {
 	loader, err := sharedLoader()
 	if err != nil {
@@ -168,7 +164,7 @@ func TestParallelRunDeterministic(t *testing.T) {
 	}
 	fixtures := []string{
 		"maporder_pos", "floataccum_pos", "poolescape_pos", "wgmisuse_pos",
-		"fixture", "ctxarg_pos", "mutexcopy_pos",
+		"fixture", "ctxarg_pos",
 	}
 	var pkgs []*Package
 	for _, rel := range fixtures {
@@ -178,19 +174,19 @@ func TestParallelRunDeterministic(t *testing.T) {
 		}
 		pkgs = append(pkgs, pkg)
 	}
-	render := func(diags []Diagnostic) string {
+	render := func(procs int) string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		var sb strings.Builder
-		for _, d := range diags {
+		for _, d := range Run(loader.Fset, pkgs, All) {
 			sb.WriteString(d.String())
 			sb.WriteByte('\n')
 		}
 		return sb.String()
 	}
-	seq := render(RunWith(loader.Fset, pkgs, All, Options{Workers: 1}))
-	for _, workers := range []int{2, 4, 8} {
-		par := render(RunWith(loader.Fset, pkgs, All, Options{Workers: workers}))
-		if par != seq {
-			t.Errorf("workers=%d: diagnostics differ from sequential run:\n%s\nvs\n%s", workers, par, seq)
+	seq := render(1)
+	for _, procs := range []int{2, 4, 8} {
+		if par := render(procs); par != seq {
+			t.Errorf("GOMAXPROCS=%d: diagnostics differ from sequential run:\n%s\nvs\n%s", procs, par, seq)
 		}
 	}
 }

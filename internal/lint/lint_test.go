@@ -79,7 +79,6 @@ var golden = []struct {
 	{ErrcheckGob, "errcheckgob_pos", "errcheckgob_neg"},
 	{GoroutineGuard, "goroutineguard_pos", "goroutineguard_neg"},
 	{GoroutineGuard, "goroutineowner/internal/kernel", "goroutineowner/internal/par"},
-	{MutexCopy, "mutexcopy_pos", "mutexcopy_neg"},
 	{PanicFree, "panicfree_pos", "matrixcase/internal/matrix"},
 	{MapOrder, "maporder_pos", "maporder_neg"},
 	{FloatAccum, "floataccum_pos", "floataccum_neg"},

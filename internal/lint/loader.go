@@ -96,31 +96,19 @@ func findModule(dir string) (root, module string, err error) {
 
 // LoadAll loads every package in the module (excluding testdata,
 // vendor, and hidden directories), returning them sorted by import
-// path.
+// path. The parse phase fans out over GOMAXPROCS goroutines — parsing
+// is embarrassingly parallel and token.FileSet is concurrency-safe —
+// while type-checking stays sequential because the module importer
+// recurses through shared memo tables; in practice parsing is the
+// file-I/O-bound half of loading, so this is where the wall-clock
+// lives. Packages are type-checked in sorted-directory order, so the
+// result does not depend on the parallelism.
 func (l *Loader) LoadAll() ([]*Package, error) {
-	return l.LoadAllParallel(1)
-}
-
-// LoadAllParallel is LoadAll with the parse phase fanned out over up to
-// workers goroutines (values below 1 mean GOMAXPROCS). Parsing is
-// embarrassingly parallel — token.FileSet is concurrency-safe — while
-// type-checking stays sequential because the module importer recurses
-// through shared memo tables; in practice parsing is the file-I/O-bound
-// half of loading, so this is where the wall-clock lives. The result is
-// identical to LoadAll: packages sorted by import path, type-checked in
-// deterministic (sorted-directory) order.
-func (l *Loader) LoadAllParallel(workers int) ([]*Package, error) {
 	dirs, err := l.packageDirs()
 	if err != nil {
 		return nil, err
 	}
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(dirs) {
-		workers = len(dirs)
-	}
-	if workers > 1 {
+	if workers := min(runtime.GOMAXPROCS(0), len(dirs)); workers > 1 {
 		if err := l.parseAll(dirs, workers); err != nil {
 			return nil, err
 		}

@@ -73,7 +73,7 @@ func checkMapRangeBody(pass *Pass, rng *ast.RangeStmt, fnBody *ast.BlockStmt) {
 		switch as.Tok {
 		case token.ASSIGN, token.DEFINE:
 			for i, rhs := range as.Rhs {
-				call, ok := unparen(rhs).(*ast.CallExpr)
+				call, ok := ast.Unparen(rhs).(*ast.CallExpr)
 				if !ok {
 					continue
 				}
@@ -97,7 +97,7 @@ func checkMapRangeBody(pass *Pass, rng *ast.RangeStmt, fnBody *ast.BlockStmt) {
 			// and order cannot matter.
 			if as.Tok == token.ASSIGN {
 				for _, lhs := range as.Lhs {
-					idx, ok := unparen(lhs).(*ast.IndexExpr)
+					idx, ok := ast.Unparen(lhs).(*ast.IndexExpr)
 					if !ok {
 						continue
 					}
@@ -141,7 +141,7 @@ func isMapIndex(pass *Pass, idx *ast.IndexExpr) bool {
 
 // isMapIndexExpr reports whether e is a map index expression.
 func isMapIndexExpr(pass *Pass, e ast.Expr) bool {
-	idx, ok := unparen(e).(*ast.IndexExpr)
+	idx, ok := ast.Unparen(e).(*ast.IndexExpr)
 	return ok && isMapIndex(pass, idx)
 }
 
@@ -150,7 +150,7 @@ func isMapIndexExpr(pass *Pass, e ast.Expr) bool {
 // values repeat across keys, so out[v] = x is last-writer-wins in map
 // order.
 func isRangeKey(pass *Pass, index ast.Expr, rng *ast.RangeStmt) bool {
-	id, ok := unparen(index).(*ast.Ident)
+	id, ok := ast.Unparen(index).(*ast.Ident)
 	if !ok {
 		return false
 	}
@@ -186,7 +186,7 @@ func loopVarying(pass *Pass, index ast.Expr, rng *ast.RangeStmt) bool {
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.IncDecStmt:
-			if id, ok := unparen(x.X).(*ast.Ident); ok {
+			if id, ok := ast.Unparen(x.X).(*ast.Ident); ok {
 				if obj := pass.Info.Uses[id]; obj != nil {
 					vars[obj] = true
 				}
@@ -196,7 +196,7 @@ func loopVarying(pass *Pass, index ast.Expr, rng *ast.RangeStmt) bool {
 				return true
 			}
 			for _, lhs := range x.Lhs {
-				if id, ok := unparen(lhs).(*ast.Ident); ok {
+				if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
 					if obj := pass.Info.Uses[id]; obj != nil {
 						vars[obj] = true
 					}
@@ -243,14 +243,14 @@ func sortedAfter(pass *Pass, dest ast.Expr, rng *ast.RangeStmt, fnBody *ast.Bloc
 			return true
 		}
 		for _, arg := range call.Args {
-			a := unparen(arg)
+			a := ast.Unparen(arg)
 			if u, ok := a.(*ast.UnaryExpr); ok && u.Op == token.AND {
-				a = unparen(u.X)
+				a = ast.Unparen(u.X)
 			}
 			// sort.Sort(byLen(keys)): unwrap a single-argument
 			// conversion around the destination.
 			if conv, ok := a.(*ast.CallExpr); ok && len(conv.Args) == 1 {
-				a = unparen(conv.Args[0])
+				a = ast.Unparen(conv.Args[0])
 			}
 			if rootObject(pass, a) == obj {
 				found = true
@@ -266,7 +266,7 @@ func sortedAfter(pass *Pass, dest ast.Expr, rng *ast.RangeStmt, fnBody *ast.Bloc
 // (x, x.f, x[i] → object of x).
 func rootObject(pass *Pass, e ast.Expr) types.Object {
 	for {
-		switch x := unparen(e).(type) {
+		switch x := ast.Unparen(e).(type) {
 		case *ast.Ident:
 			if obj := pass.Info.Uses[x]; obj != nil {
 				return obj

@@ -59,7 +59,7 @@ func checkPoolUse(pass *Pass, body *ast.BlockStmt) {
 			if !isPoolGet(pass, rhs) || i >= len(as.Lhs) {
 				continue
 			}
-			if id, ok := unparen(as.Lhs[i]).(*ast.Ident); ok && id.Name != "_" {
+			if id, ok := ast.Unparen(as.Lhs[i]).(*ast.Ident); ok && id.Name != "_" {
 				if obj := pass.Info.Defs[id]; obj != nil {
 					loans[obj] = true
 				} else if obj := pass.Info.Uses[id]; obj != nil {
@@ -94,7 +94,7 @@ func checkPoolUse(pass *Pass, body *ast.BlockStmt) {
 				if obj == nil || i >= len(x.Lhs) {
 					continue
 				}
-				switch lhs := unparen(x.Lhs[i]).(type) {
+				switch lhs := ast.Unparen(x.Lhs[i]).(type) {
 				case *ast.SelectorExpr:
 					pass.Reportf(rhs.Pos(),
 						"pooled value %s (from sync.Pool.Get) is stored in field %s; the loan outlives its borrower", obj.Name(), lhs.Sel.Name)
@@ -124,7 +124,7 @@ func checkPut(pass *Pass, call *ast.CallExpr) {
 	if len(call.Args) != 1 {
 		return
 	}
-	switch arg := unparen(call.Args[0]).(type) {
+	switch arg := ast.Unparen(call.Args[0]).(type) {
 	case *ast.CallExpr:
 		if id, ok := arg.Fun.(*ast.Ident); ok && id.Name == "append" {
 			if _, isBuiltin := pass.Info.Uses[id].(*types.Builtin); isBuiltin {
@@ -143,9 +143,9 @@ func checkPut(pass *Pass, call *ast.CallExpr) {
 // isPoolGet reports whether e is pool.Get() or pool.Get().(T) for a
 // sync.Pool-typed pool.
 func isPoolGet(pass *Pass, e ast.Expr) bool {
-	e = unparen(e)
+	e = ast.Unparen(e)
 	if ta, ok := e.(*ast.TypeAssertExpr); ok {
-		e = unparen(ta.X)
+		e = ast.Unparen(ta.X)
 	}
 	call, ok := e.(*ast.CallExpr)
 	if !ok {
@@ -162,7 +162,7 @@ func isPoolGet(pass *Pass, e ast.Expr) bool {
 // or a slice/dereference view of one ((*p)[:n], p, *p). A view still
 // aliases the pooled backing array, so it escapes just the same.
 func loanedObject(pass *Pass, e ast.Expr, loans map[types.Object]bool) types.Object {
-	switch x := unparen(e).(type) {
+	switch x := ast.Unparen(e).(type) {
 	case *ast.Ident:
 		obj := pass.Info.Uses[x]
 		if obj != nil && loans[obj] {
@@ -178,6 +178,6 @@ func loanedObject(pass *Pass, e ast.Expr, loans map[types.Object]bool) types.Obj
 
 // isZeroLiteral reports whether e is the literal 0.
 func isZeroLiteral(e ast.Expr) bool {
-	lit, ok := unparen(e).(*ast.BasicLit)
+	lit, ok := ast.Unparen(e).(*ast.BasicLit)
 	return ok && lit.Kind == token.INT && lit.Value == "0"
 }

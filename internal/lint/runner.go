@@ -15,46 +15,21 @@ import (
 // sit on its own line above).
 const IgnorePrefix = "//lint:ignore"
 
-// Options controls a Run: worker count and whether suppression
-// directives that matched nothing are themselves reported.
-type Options struct {
-	// Workers is the number of packages analyzed concurrently; values
-	// below 1 mean GOMAXPROCS. Output is deterministic regardless.
-	Workers int
-	// ReportUnusedIgnores reports //lint:ignore directives that
-	// suppressed no diagnostic of an analyzer in the run set, under the
-	// "lint" pseudo-analyzer. dasclint enables this by default (escape
-	// hatch: -ignore-unused) so dead waivers cannot accumulate.
-	ReportUnusedIgnores bool
-}
-
-// Run executes the analyzers over every package with default options.
-// See RunWith.
-func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	return RunWith(fset, pkgs, analyzers, Options{})
-}
-
-// RunWith executes the analyzers over every package, filters findings
+// Run executes the analyzers over every package, filters findings
 // through //lint:ignore comments, and returns the remaining diagnostics
 // sorted by file, line, column, and analyzer. Packages are analyzed
-// concurrently (each on one goroutine: the flattened traversal and fact
-// store are built once and replayed by every analyzer), and the global
-// sort makes the output order independent of scheduling. Malformed
-// ignore comments (missing analyzer or reason) — and, with
-// ReportUnusedIgnores, directives that matched nothing — are reported
-// under the pseudo-analyzer "lint".
-func RunWith(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, opts Options) []Diagnostic {
-	workers := opts.Workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(pkgs) {
-		workers = len(pkgs)
-	}
+// concurrently across GOMAXPROCS goroutines (each package on one: the
+// flattened traversal and fact store are built once and replayed by
+// every analyzer), and the global sort makes the output order
+// independent of scheduling. Malformed ignore comments (missing analyzer
+// or reason) and directives that suppressed nothing are reported under
+// the pseudo-analyzer "lint".
+func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
+	workers := min(runtime.GOMAXPROCS(0), len(pkgs))
 	perPkg := make([][]Diagnostic, len(pkgs))
 	if workers <= 1 {
 		for i, pkg := range pkgs {
-			perPkg[i] = runPackage(fset, pkg, analyzers, opts)
+			perPkg[i] = runPackage(fset, pkg, analyzers)
 		}
 	} else {
 		var wg sync.WaitGroup
@@ -64,7 +39,7 @@ func RunWith(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, opts O
 			go func() {
 				defer wg.Done()
 				for i := range next {
-					perPkg[i] = runPackage(fset, pkgs[i], analyzers, opts)
+					perPkg[i] = runPackage(fset, pkgs[i], analyzers)
 				}
 			}()
 		}
@@ -96,8 +71,8 @@ func RunWith(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, opts O
 
 // runPackage analyzes one package: shared traversal and facts first,
 // then every analyzer replayed over them, then suppression filtering
-// and (optionally) stale-directive reporting.
-func runPackage(fset *token.FileSet, pkg *Package, analyzers []*Analyzer, opts Options) []Diagnostic {
+// and stale-directive reporting.
+func runPackage(fset *token.FileSet, pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	dirs, diags := suppressions(fset, pkg.Files)
 	inspect := NewInspector(pkg.Files)
 	facts := computeFacts(inspect, pkg.Info)
@@ -125,27 +100,25 @@ func runPackage(fset *token.FileSet, pkg *Package, analyzers []*Analyzer, opts O
 		}
 		a.Run(pass)
 	}
-	if opts.ReportUnusedIgnores {
-		ran := map[string]bool{}
-		for _, a := range analyzers {
-			ran[a.Name] = true
+	ran := map[string]bool{}
+	for _, a := range analyzers {
+		ran[a.Name] = true
+	}
+	for _, dir := range dirs {
+		// A directive for an analyzer outside the run set may still be
+		// live; only directives whose analyzer actually ran can be proven
+		// stale.
+		if dir.used || !ran[dir.analyzer] {
+			continue
 		}
-		for _, dir := range dirs {
-			// A directive for an analyzer outside the run set may still
-			// be live; only directives whose analyzer actually ran can be
-			// proven stale.
-			if dir.used || !ran[dir.analyzer] {
-				continue
-			}
-			diags = append(diags, Diagnostic{
-				Pos:      dir.pos,
-				File:     dir.file,
-				Line:     dir.line,
-				Col:      dir.pos.Column,
-				Analyzer: "lint",
-				Message:  "//lint:ignore " + dir.analyzer + " suppresses no diagnostic; remove it (or run with -ignore-unused)",
-			})
-		}
+		diags = append(diags, Diagnostic{
+			Pos:      dir.pos,
+			File:     dir.file,
+			Line:     dir.line,
+			Col:      dir.pos.Column,
+			Analyzer: "lint",
+			Message:  "//lint:ignore " + dir.analyzer + " suppresses no diagnostic; remove it",
+		})
 	}
 	return diags
 }

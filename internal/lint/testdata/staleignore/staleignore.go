@@ -1,7 +1,7 @@
 // Package staleignore exercises the unused-suppression check: the
 // directive below names a real analyzer but suppresses nothing (the
-// comparison is integral), so a run with ReportUnusedIgnores must
-// report it — and a default run must not.
+// comparison is integral), so a run of floatcmp must report it; the
+// live maporder directive must not be.
 package staleignore
 
 //lint:ignore floatcmp this directive is dead: the comparison below is integral

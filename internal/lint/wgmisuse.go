@@ -174,7 +174,7 @@ func isWaitGroupExpr(pass *Pass, e ast.Expr) bool {
 // the same mutex reached the same way keys identically.
 func chainKey(pass *Pass, e ast.Expr) string {
 	obj := rootObject(pass, e)
-	key := exprString(unparen(e))
+	key := exprString(ast.Unparen(e))
 	if obj != nil {
 		return key + "@" + strconv.Itoa(int(obj.Pos()))
 	}

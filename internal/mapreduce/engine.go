@@ -149,9 +149,6 @@ func runJob(ctx context.Context, job *Job, input []Pair, runner taskRunner) (_ [
 	// merged where it is consumed, through ss.load — never here. Dispatched
 	// or elided, the output is one key-sorted run per partition and assembly
 	// is the same tie-broken merge, in partition order.
-	if serr := ss.seal(); serr != nil {
-		return nil, nil, fmt.Errorf("mapreduce: %s: %w", job.Name, serr)
-	}
 	ctr.MapOutputs, ctr.ShuffleBytes = ss.shuffled()
 	outRuns := make([][]Pair, numReducers)
 	if job.IdentityReduce {

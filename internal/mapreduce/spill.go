@@ -184,7 +184,9 @@ func (sp *spillPartition) Write(p []byte) (int, error) {
 // (budget > 0), flushing every buffered run to the partitions' spill
 // files when the budget is exceeded; with no budget every run stays in
 // memory and no file is ever created. add may be called concurrently;
-// reads happen after seal.
+// reads happen once the map phase is done. Every flush ends with each
+// written partition's file buffer flushed, so a completed add leaves
+// nothing a ReadAt cannot see.
 type spillSet struct {
 	budget int64
 	// compress deflates each run on flush (one flate stream per
@@ -236,7 +238,8 @@ func (s *spillSet) add(seq int, parts [][]Pair) error {
 }
 
 // flushLocked writes every buffered run out as a new segment of its
-// partition's spill file. Called with s.mu held.
+// partition's spill file and flushes the file buffer, so the segment is
+// readable as soon as it returns. Called with s.mu held.
 func (s *spillSet) flushLocked() error {
 	start := time.Now()
 	if s.dir == "" {
@@ -307,29 +310,14 @@ func (s *spillSet) writeRun(sp *spillPartition, pairs []Pair) (raw int64, err er
 	return raw, nil
 }
 
-// seal flushes pending file buffers so readers see complete segments.
-// Unlike a budget flush it leaves in-memory runs in memory: what never
-// exceeded the budget is merged straight from RAM.
-func (s *spillSet) seal() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for p := range s.parts {
-		if s.parts[p].w != nil {
-			if err := s.parts[p].w.Flush(); err != nil {
-				return fmt.Errorf("mapreduce: spill seal: %w", err)
-			}
-		}
-	}
-	return nil
-}
-
 // load returns partition p as a record stream — the shuffle's one read
 // entry point, and every reduce task's feed: the k-way merge of the
 // partition's runs, spilled segments and still-buffered memory runs
 // alike, ordered by map-task Seq as the merge's tie-break contract
 // requires. The runs are re-opened on every call (a requeued task merges
-// again). Call after seal; safe for concurrent use across and within
-// partitions (file access is ReadAt-based, resident runs are only read).
+// again). Call once the map phase is done; safe for concurrent use
+// across and within partitions (file access is ReadAt-based, resident
+// runs are only read).
 func (s *spillSet) load(p int) recordStream {
 	return func(emit func([]Pair) error) error {
 		type seqRun struct {

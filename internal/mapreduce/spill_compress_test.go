@@ -32,9 +32,6 @@ func TestPackedSpillMergeEqualsInMemory(t *testing.T) {
 			t.Fatalf("add run %d: %v", seq, err)
 		}
 	}
-	if err := ss.seal(); err != nil {
-		t.Fatal(err)
-	}
 	for _, seg := range ss.parts[0].segs {
 		if !seg.deflated {
 			t.Fatal("compressed spill set wrote an unpacked segment")
@@ -70,9 +67,6 @@ func TestPackedSpillShrinksLargeRuns(t *testing.T) {
 	if err := ss.add(0, [][]Pair{run}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ss.seal(); err != nil {
-		t.Fatal(err)
-	}
 	written, raw, _ := ss.stats()
 	if written >= raw {
 		t.Fatalf("packed run wrote %d bytes for %d raw — no shrink", written, raw)
@@ -93,9 +87,6 @@ func TestPackedSpillShrinksLargeRuns(t *testing.T) {
 		}
 	}()
 	if err := plain.add(0, [][]Pair{run}); err != nil {
-		t.Fatal(err)
-	}
-	if err := plain.seal(); err != nil {
 		t.Fatal(err)
 	}
 	pw, praw, _ := plain.stats()

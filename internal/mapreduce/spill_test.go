@@ -32,7 +32,7 @@ func collectRuns(t *testing.T, runs []run) []Pair {
 	return out
 }
 
-// collectLoad drains partition 0 of a sealed spillSet through load.
+// collectLoad drains partition 0 of a spillSet through load.
 func collectLoad(t *testing.T, ss *spillSet) []Pair {
 	t.Helper()
 	out, err := collectPairs(ss.load(0), ss.partitionRecords(0))
@@ -94,7 +94,7 @@ func TestMergeRunsEdgeCasesSlices(t *testing.T) {
 }
 
 // spillRuns writes each run as a segment of one spillSet partition and
-// returns the sealed set, exercising the real on-disk framing.
+// returns the set, exercising the real on-disk framing.
 func spillRuns(t *testing.T, runs [][]Pair) *spillSet {
 	t.Helper()
 	ss := newSpillSet(1, 1, false) // 1-byte budget: every add flushes
@@ -104,10 +104,39 @@ func spillRuns(t *testing.T, runs [][]Pair) *spillSet {
 			t.Fatalf("add run %d: %v", seq, err)
 		}
 	}
-	if err := ss.seal(); err != nil {
-		t.Fatalf("seal: %v", err)
-	}
 	return ss
+}
+
+// TestSpillFlushLeavesNothingBuffered pins what lets load run straight
+// after the map phase, with no flush step between: the moment add
+// returns — raw or deflated — no partition's file writer holds a byte
+// the merge's ReadAt cannot see.
+func TestSpillFlushLeavesNothingBuffered(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, compress := range []bool{false, true} {
+		ss := newSpillSet(3, 1, compress) // 1-byte budget: every add flushes
+		for seq := 0; seq < 6; seq++ {
+			parts := make([][]Pair, 3)
+			for p := range parts {
+				parts[p] = randomPairs(rng, rng.Intn(20), 5)
+				sortPairs(parts[p])
+			}
+			if err := ss.add(seq, parts); err != nil {
+				t.Fatalf("compress=%v: add %d: %v", compress, seq, err)
+			}
+			for p := range ss.parts {
+				if w := ss.parts[p].w; w != nil && w.Buffered() != 0 {
+					t.Fatalf("compress=%v: after add %d partition %d holds %d unflushed bytes", compress, seq, p, w.Buffered())
+				}
+			}
+		}
+		if spilled, _, _ := ss.stats(); spilled == 0 {
+			t.Fatalf("compress=%v: nothing spilled", compress)
+		}
+		if err := ss.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+	}
 }
 
 // TestPropFileBackedMergeEqualsInMemory is the file-backed vs in-memory
@@ -165,9 +194,6 @@ func TestSpillSetOutOfOrderSeqs(t *testing.T) {
 	if err := ss.add(1, [][]Pair{{{"k", []byte("seq1")}}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ss.seal(); err != nil {
-		t.Fatal(err)
-	}
 	got := collectLoad(t, ss)
 	want := []Pair{{"k", []byte("seq0")}, {"k", []byte("seq1")}, {"k", []byte("seq2")}}
 	if !pairsEqual(got, want) {
@@ -195,9 +221,6 @@ func TestSpillSetMixedMemoryAndDisk(t *testing.T) {
 	}
 	ss.mu.Unlock()
 	if err := ss.add(0, [][]Pair{{{"k", []byte("seq0")}}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ss.seal(); err != nil {
 		t.Fatal(err)
 	}
 	if got, _, _ := ss.stats(); got == 0 {
@@ -327,9 +350,6 @@ func TestPropLoadEqualsStableSortOfRuns(t *testing.T) {
 						t.Fatalf("%s: flush: %v", mode, err)
 					}
 				}
-			}
-			if err := ss.seal(); err != nil {
-				t.Fatal(err)
 			}
 			if got := ss.partitionRecords(0); got != len(want) {
 				t.Fatalf("%s trial %d: partition counts %d records, want %d", mode, trial, got, len(want))

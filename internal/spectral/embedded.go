@@ -12,9 +12,9 @@ package spectral
 // Every driver reaches it through ClusterBucket with raw rows, so one
 // bucket is embedded in one place whichever process solves it.
 // ClusterEmbeddedRows, the k-means half, is exported for measuring it
-// alone; because embeddings are pure per-row functions (see
-// internal/embed) and it is deterministic in (rows, cfg), embedding a
-// bucket's rows by hand and calling it gives the engine's labels bitwise.
+// alone; because embeddings are pure per-row functions (see embed.RFF)
+// and it is deterministic in (rows, cfg), embedding a bucket's rows by
+// hand and calling it gives the engine's labels bitwise.
 
 import (
 	"fmt"
@@ -57,7 +57,7 @@ func ClusterEmbeddedRows(emb *matrix.Dense, cfg Config) (*Result, error) {
 // are returned, not silently downgraded to a Gram solve: the plan every
 // driver costs and packs by calls the bucket embedded, and a quiet
 // engine-side switch of route would make the run disagree with it.
-func clusterEmbedded(points *matrix.Dense, indices []int, e embed.Embedder, cfg EngineConfig, scratch *[]float64) (*Result, SolveStats, error) {
+func clusterEmbedded(points *matrix.Dense, indices []int, e *embed.RFF, cfg EngineConfig, scratch *[]float64) (*Result, SolveStats, error) {
 	start := time.Now()
 	ni := len(indices)
 	dim := e.Dim()

@@ -87,7 +87,7 @@ func TestClusterBucketEmbeddedMatchesRowsHalf(t *testing.T) {
 	indices := []int{5, 250, 7, 100, 42, 199, 0, 269, 77, 133, 201, 18, 93, 150, 222, 60,
 		11, 12, 13, 14, 15, 16, 17, 30, 31, 32, 33, 34, 35, 36, 37, 38}
 	kf := kernel.NewGaussian(1.2)
-	e, err := embed.NewNystrom(pts, 48, 16, 1.2, 3)
+	e, err := embed.NewRFF(pts.Cols(), 16, 1.2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

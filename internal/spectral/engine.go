@@ -20,7 +20,7 @@ package spectral
 //
 // Sparse mode is opt-in (SparseCutoff > 0 and Epsilon > 0) and is an
 // approximation: entries below ε are dropped before the eigensolve.
-// Embed mode (an Embedder plus EmbedCutoff > 0) is likewise opt-in and
+// Embed mode (a feature map plus EmbedCutoff > 0) is likewise opt-in and
 // likewise approximate — it skips the Gram entirely and runs k-means on
 // kernel-embedded rows (see embedded.go) — and it takes precedence over
 // the sparse attempt, since a bucket big enough to embed never needs
@@ -78,9 +78,9 @@ type EngineConfig struct {
 	// defaults (0) keep the exact dense path.
 	Epsilon float64
 	// Embedder, when non-nil together with EmbedCutoff > 0, enables the
-	// embedded solve for buckets of at least EmbedCutoff rows: kernel
-	// embedding + k-means instead of Gram + eigensolve.
-	Embedder embed.Embedder
+	// embedded solve for buckets of at least EmbedCutoff rows: random
+	// Fourier features + k-means instead of Gram + eigensolve.
+	Embedder *embed.RFF
 	// EmbedCutoff is the bucket size at or above which the embedded
 	// solve runs. 0 disables embed mode.
 	EmbedCutoff int
