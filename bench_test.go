@@ -251,13 +251,13 @@ func BenchmarkGramMatrix(b *testing.B) {
 func BenchmarkLSHSignatures(b *testing.B) {
 	b.ReportAllocs()
 	l, _ := dataset.Mixture(dataset.MixtureConfig{N: 4096, D: 64, K: 8, Seed: 4})
-	h, err := lsh.Fit(l.Points, lsh.Config{M: 10})
+	e, err := lsh.FitEnsemble(l.Points, lsh.Config{M: 10}, lsh.EnsembleConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.Signatures(l.Points)
+		e.Hash(l.Points)
 	}
 }
 

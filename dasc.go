@@ -110,7 +110,8 @@ func ClusterIncrementalContext(ctx context.Context, points *Matrix, cfg Config, 
 // TuneM sweeps the signature width and returns the largest M whose
 // approximated Gram matrix keeps at least minFnormRatio of the full
 // matrix's Frobenius norm (the paper's §5.5 accuracy/parallelism knob,
-// measured as in its Figure 5).
+// measured as in its Figure 5) on the partition Cluster builds at that
+// M. A set cfg.Family is an error: its width is fixed.
 func TuneM(points *Matrix, cfg Config, minFnormRatio float64) (int, error) {
 	m, _, err := core.TuneM(points, cfg, minFnormRatio, 0)
 	return m, err
@@ -159,9 +160,9 @@ func SpectralCluster(similarity *Matrix, k int, seed int64) ([]int, error) {
 // ---- kernels ----
 
 // Kernel is a positive-semidefinite similarity function. A plain
-// closure of type kernel.Func satisfies it; kernels built with Gaussian
-// (and kernel.NewCosine) are additionally recognized by the blocked
-// Gram engine and computed several times faster.
+// closure of type kernel.Func satisfies it; a kernel built with Gaussian
+// is additionally recognized by the blocked Gram engine and computed
+// several times faster.
 type Kernel = kernel.Kernel
 
 // KernelFunc adapts a plain similarity closure into a Kernel. Closure
@@ -195,7 +196,7 @@ func NewRFFEmbedder(inputDim, dim int, sigma float64, seed int64) (*Embedder, er
 // ---- LSH ----
 
 // LSHFamily is a locality-sensitive hashing scheme; see the lsh
-// subpackage for SimHash, MinHash, p-stable and spectral hashing.
+// subpackage for SimHash, MinHash and spectral hashing.
 type LSHFamily = lsh.Family
 
 // FitLSH builds the paper's span/threshold hasher for the dataset.

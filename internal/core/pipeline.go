@@ -124,28 +124,14 @@ func fitPlan(points *matrix.Dense, n int, cfg Config, radius int, needsHasher bo
 	if cfg.Family != nil && needsHasher {
 		return nil, fmt.Errorf("%w: Family is set, but the MapReduce drivers and EMRFlow ship the fitted span/threshold hash to their workers and can run no other", ErrBadConfig)
 	}
-	ecfg := lsh.EnsembleConfig{
-		Tables:          cfg.Tables,
-		ProbeRadius:     cfg.ProbeRadius,
-		MaxMergedBucket: cfg.MaxMergedBucket,
+	ens, err := planEnsemble(points, cfg)
+	if err != nil {
+		return nil, err
 	}
-	p := &Plan{Points: points, Radius: radius}
+	p := &Plan{Points: points, Radius: radius, Ensemble: ens}
 	if cfg.Family != nil {
-		ens, err := lsh.EnsembleFrom(cfg.Family, ecfg)
-		if err != nil {
-			return nil, fmt.Errorf("core: lsh: %w", err)
-		}
-		p.Ensemble = ens
 		cfg.M = ens.Bits()
 		cfg.Tables = ens.Tables()
-	} else {
-		ens, err := lsh.FitEnsemble(points, lsh.Config{
-			M: cfg.M, Policy: cfg.Policy, Bins: cfg.Bins, Seed: cfg.Seed,
-		}, ecfg)
-		if err != nil {
-			return nil, fmt.Errorf("core: lsh: %w", err)
-		}
-		p.Ensemble = ens
 	}
 	p.Sigma = cfg.Sigma
 	if p.Sigma <= 0 {
@@ -158,6 +144,31 @@ func fitPlan(points *matrix.Dense, n int, cfg Config, radius int, needsHasher bo
 	p.solver, p.Embedder = solver, solver.emb
 	p.Cfg = cfg
 	return p, nil
+}
+
+// planEnsemble fits the hash front-end of a resolved cfg: the paper's
+// span/threshold hashers, or an ensemble grown out of cfg.Family. Every
+// plan and every TuneM sweep step fits through it, so the sweep measures
+// the partition the run builds.
+func planEnsemble(points *matrix.Dense, cfg Config) (*lsh.Ensemble, error) {
+	ecfg := lsh.EnsembleConfig{
+		Tables:          cfg.Tables,
+		ProbeRadius:     cfg.ProbeRadius,
+		MaxMergedBucket: cfg.MaxMergedBucket,
+	}
+	var ens *lsh.Ensemble
+	var err error
+	if cfg.Family != nil {
+		ens, err = lsh.EnsembleFrom(cfg.Family, ecfg)
+	} else {
+		ens, err = lsh.FitEnsemble(points, lsh.Config{
+			M: cfg.M, Policy: cfg.Policy, Bins: cfg.Bins, Seed: cfg.Seed,
+		}, ecfg)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("core: lsh: %w", err)
+	}
+	return ens, nil
 }
 
 // RunPipeline executes the canonical DASC dataflow on the given runner.

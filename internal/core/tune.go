@@ -25,11 +25,17 @@ type TuneReport struct {
 // clustering algorithm and the degree of parallelization"), driven by
 // the Figure 5 measurement. The norm ratio is estimated on a sampled
 // subset of pairs so tuning stays far below the O(N^2) of the matrices
-// it reasons about. Returns the chosen M and the sweep.
+// it reasons about. Each step partitions exactly as Cluster would with
+// cfg.M set to that width — same tables, probing and merge radius — and
+// a P > 0 starts the sweep at M = P. A set Family has a fixed width, so
+// there is nothing to sweep. Returns the chosen M and the sweep.
 func TuneM(points *matrix.Dense, cfg Config, minFnormRatio float64, samplePairs int) (int, []TuneReport, error) {
 	n := points.Rows()
 	if n < 2 {
 		return 0, nil, fmt.Errorf("core: TuneM needs at least 2 points")
+	}
+	if cfg.Family != nil {
+		return 0, nil, fmt.Errorf("%w: TuneM sweeps the span/threshold hash's width; a Family's is fixed", ErrBadConfig)
 	}
 	if minFnormRatio <= 0 || minFnormRatio > 1 {
 		return 0, nil, fmt.Errorf("core: minFnormRatio %v out of (0,1]", minFnormRatio)
@@ -70,18 +76,24 @@ func TuneM(points *matrix.Dense, cfg Config, minFnormRatio float64, samplePairs 
 	if maxM > 24 {
 		maxM = 24
 	}
-	best := 1
+	first := max(1, cfg.P)
+	if first > maxM {
+		return 0, nil, fmt.Errorf("%w: P=%d exceeds the widest swept M=%d", ErrBadConfig, cfg.P, maxM)
+	}
+	best := first
 	var sweep []TuneReport
-	for m := 1; m <= maxM; m++ {
-		h, err := lsh.Fit(points, lsh.Config{M: m, Policy: cfg.Policy, Bins: cfg.Bins, Seed: cfg.Seed})
+	for m := first; m <= maxM; m++ {
+		at := cfg
+		at.M = m
+		at, radius, err := at.resolve(n)
 		if err != nil {
 			return 0, nil, err
 		}
-		radius := 1
-		if cfg.P == -1 {
-			radius = -1
+		ens, err := planEnsemble(points, at)
+		if err != nil {
+			return 0, nil, err
 		}
-		part := h.Partition(points, radius)
+		part := ens.PartitionPoints(points, radius)
 		bucketOf := make([]int, n)
 		for bi, b := range part.Buckets {
 			for _, idx := range b.Indices {

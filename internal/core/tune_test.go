@@ -1,7 +1,10 @@
 package core
 
 import (
+	"errors"
 	"testing"
+
+	"repro/internal/lsh"
 )
 
 func TestTuneMPicksLargestSatisfyingM(t *testing.T) {
@@ -50,6 +53,24 @@ func TestTuneMValidation(t *testing.T) {
 	if _, _, err := TuneM(matrixOfSize(1, 2), Config{}, 0.5, 100); err == nil {
 		t.Fatal("expected error for single point")
 	}
+	sim, err := lsh.FitSimHash(l.Points, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := TuneM(l.Points, Config{Family: sim}, 0.5, 100); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("Family set: err = %v, want ErrBadConfig", err)
+	}
+	if _, _, err := TuneM(l.Points, Config{P: 99}, 0.5, 100); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("P above every swept M: err = %v, want ErrBadConfig", err)
+	}
+	// P > 0 is only valid for M >= P, so the sweep starts there.
+	_, sweep, err := TuneM(l.Points, Config{P: 2}, 0.5, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sweep[0].M != 2 {
+		t.Fatalf("P=2: sweep starts at M=%d, want 2", sweep[0].M)
+	}
 }
 
 func TestTuneMFeedsCluster(t *testing.T) {
@@ -68,5 +89,34 @@ func TestTuneMFeedsCluster(t *testing.T) {
 	}
 	if acc < 0.85 {
 		t.Fatalf("tuned run accuracy = %v", acc)
+	}
+}
+
+// TestTuneMMeasuresTheRunPartition: every sweep entry must describe the
+// partition Cluster builds at that M — the same ensemble (Tables,
+// ProbeRadius) and the same P → radius rule — not a one-table stand-in.
+func TestTuneMMeasuresTheRunPartition(t *testing.T) {
+	l := mixture(t, 512, 16, 8, 0.05, 3)
+	for _, cfg := range []Config{
+		{K: 8, Seed: 5},
+		{K: 8, Seed: 5, Tables: 4},
+		{K: 8, Seed: 5, Tables: 4, ProbeRadius: 1},
+	} {
+		_, sweep, err := TuneM(l.Points, cfg, 0.5, 2000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range sweep {
+			at := cfg
+			at.M = r.M
+			res, err := Cluster(l.Points, at)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Buckets != len(res.Buckets) {
+				t.Errorf("Tables=%d ProbeRadius=%d M=%d: sweep reports %d buckets, Cluster builds %d",
+					cfg.Tables, cfg.ProbeRadius, r.M, r.Buckets, len(res.Buckets))
+			}
+		}
 	}
 }

@@ -68,9 +68,6 @@ func NewRFF(inputDim, dim int, sigma float64, seed int64) (*RFF, error) {
 // Dim returns the embedded dimension d′ = 2m.
 func (r *RFF) Dim() int { return r.dim }
 
-// InputDim returns the fitted point dimensionality.
-func (r *RFF) InputDim() int { return r.inputDim }
-
 // TransformInto fills dst (len(indices) × Dim() row-major; indices nil
 // means all rows) with the embeddings of the listed rows of points, by
 // the blocked DotBlock idiom: point-row blocks × frequency-row blocks of

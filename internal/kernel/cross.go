@@ -30,14 +30,13 @@ import (
 )
 
 // CrossGramInto fills dst (a.Rows() × b.Rows()) with the kernel value of
-// every cross pair k(a_i, b_j). Recognized kernels (Gaussian, cosine)
-// take the blocked fast path above; any other Kernel falls back to one
-// Eval per pair. Large blocks fan out over a deterministic block
-// decomposition, and every path is bit-independent of how many
-// goroutines ran it. Unlike the symmetric Gram engine the diagonal is
-// NOT special-cased: entry (i,j) is always the kernel of the two rows,
-// so self pairs yield k(x,x) (1 for the Gaussian), which is what the
-// Nyström blocks require.
+// every cross pair k(a_i, b_j). The Gaussian takes the blocked fast
+// path above; any other Kernel falls back to one Eval per pair. Large
+// blocks fan out over a deterministic block decomposition, and every
+// path is bit-independent of how many goroutines ran it. Unlike the
+// symmetric Gram engine the diagonal is NOT special-cased: entry (i,j)
+// is always the kernel of the two rows, so self pairs yield k(x,x) (1
+// for the Gaussian), which is what the Nyström blocks require.
 func CrossGramInto(dst *matrix.Dense, a, b *matrix.Dense, k Kernel) error {
 	ra, rb := a.Rows(), b.Rows()
 	if dst.Rows() != ra || dst.Cols() != rb {
@@ -97,16 +96,6 @@ func CrossGramInto(dst *matrix.Dense, a, b *matrix.Dense, k Kernel) error {
 						d2 = 0 // rounding can push a tiny distance negative
 					}
 					row[j] = math.Exp(-d2 * inv)
-				}
-			case kindCosine:
-				ni := math.Sqrt(sqa[i])
-				for j := j0; j < j1; j++ {
-					den := ni * math.Sqrt(sqb[j])
-					var v float64
-					if !matrix.IsZero(den) {
-						v = drow[j-j0] / den
-					}
-					row[j] = v
 				}
 			}
 		}

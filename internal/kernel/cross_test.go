@@ -106,20 +106,18 @@ func TestCrossGramWorkerCountInvariant(t *testing.T) {
 	}
 }
 
-func TestCrossGramCosineAndGenericAgree(t *testing.T) {
+func TestCrossGramGaussianAndGenericAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := randDense(rng, 40, 6)
 	b := randDense(rng, 23, 6)
 
-	fast, err := crossGram(a, b, NewCosine())
+	fast, err := crossGram(a, b, NewGaussian(1.1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The generic fallback (Func wraps the same math) must agree within
-	// float tolerance; it normalizes per pair instead of via cached norms.
-	slow, err := crossGram(a, b, Func(func(x, y []float64) float64 {
-		return NewCosine().Eval(x, y)
-	}))
+	// float tolerance; it subtracts per pair instead of using cached norms.
+	slow, err := crossGram(a, b, Func(NewGaussian(1.1).Eval))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,9 +5,9 @@ package kernel
 // block-pair loop over the upper triangle that writes through a
 // matrix.Sym view and dispatches on the kernel's dynamic type:
 //
-//   - recognized kernels (*GaussianKernel, *CosineKernel) take the
-//     blocked fast path: squared row norms are precomputed once, bucket
-//     rows are gathered into contiguous scratch, and every pairwise
+//   - the recognized kernel (*GaussianKernel) takes the blocked fast
+//     path: squared row norms are precomputed once, bucket rows are
+//     gathered into contiguous scratch, and every pairwise
 //     value is formed from a 4-wide unrolled dot product via
 //     ‖x−y‖² = ‖x‖² + ‖y‖² − 2·x·y — roughly a third of the flops of
 //     the per-pair subtract-square loop, with no closure call and no
@@ -32,10 +32,10 @@ import (
 )
 
 // Kernel is the recognized-kernel interface of the Gram engine: Eval is
-// the generic per-pair form, and implementations the engine recognizes
-// (GaussianKernel, CosineKernel) additionally get the blocked fast
-// path. A plain Func is a Kernel via its Eval method, so closure
-// kernels remain the universal fallback.
+// the generic per-pair form, and the implementation the engine
+// recognizes (GaussianKernel) additionally gets the blocked fast path.
+// A plain Func is a Kernel via its Eval method, so closure kernels
+// remain the universal fallback.
 type Kernel interface {
 	Eval(x, y []float64) float64
 }
@@ -64,23 +64,6 @@ func NewGaussian(sigma float64) *GaussianKernel {
 // Eval computes exp(-‖x−y‖² / (2σ²)) for one pair.
 func (g *GaussianKernel) Eval(x, y []float64) float64 {
 	return math.Exp(-matrix.SqDist(x, y) * g.inv)
-}
-
-// CosineKernel is the recognized form of the cosine-similarity kernel.
-// Use NewCosine to construct it.
-type CosineKernel struct{}
-
-// NewCosine returns the recognized cosine-similarity kernel
-// <x,y>/(|x||y|). Zero vectors yield 0.
-func NewCosine() *CosineKernel { return &CosineKernel{} }
-
-// Eval computes the cosine similarity for one pair.
-func (*CosineKernel) Eval(x, y []float64) float64 {
-	nx, ny := matrix.Norm2(x), matrix.Norm2(y)
-	if matrix.IsZero(nx) || matrix.IsZero(ny) {
-		return 0
-	}
-	return matrix.Dot(x, y) / (nx * ny)
 }
 
 const (
@@ -123,22 +106,19 @@ func getScratch(n int) (*[]float64, []float64) {
 
 func putScratch(p *[]float64) { scratchPool.Put(p) }
 
-// fastKind classifies a recognized kernel for the blocked path.
+// fastKind classifies a kernel for the blocked path.
 type fastKind int
 
 const (
 	kindGeneric fastKind = iota
 	kindGaussian
-	kindCosine
 )
 
-// recognize reports the fast-path classification of k.
+// recognize reports the fast-path classification of k and, for the
+// Gaussian, its 1/(2σ²).
 func recognize(k Kernel) (fastKind, float64) {
-	switch g := k.(type) {
-	case *GaussianKernel:
+	if g, ok := k.(*GaussianKernel); ok {
 		return kindGaussian, g.inv
-	case *CosineKernel:
-		return kindCosine, 0
 	}
 	return kindGeneric, 0
 }
@@ -159,8 +139,8 @@ func gramInto(s *matrix.Dense, points *matrix.Dense, indices []int, k Kernel) {
 // symGramInto is the one fill loop of the engine: it writes the
 // similarities of the listed rows of points (indices nil means all rows)
 // through the symmetric view dst, zero diagonal, block pair by block
-// pair over the upper triangle. Recognized kernels form each block from
-// one DotBlock over gathered rows and precomputed norms; any other
+// pair over the upper triangle. The Gaussian forms each block from one
+// DotBlock over gathered rows and precomputed norms; any other
 // Kernel is evaluated per pair. Each pair is computed once, and every
 // entry of dst is written.
 func symGramInto(dst *matrix.Sym, points *matrix.Dense, indices []int, k Kernel) {
@@ -236,20 +216,6 @@ func symGramInto(dst *matrix.Sym, points *matrix.Dense, indices []int, k Kernel)
 						d2 = 0 // rounding can push a tiny distance negative
 					}
 					v := math.Exp(-d2 * inv)
-					out[t] = v
-					if lower != nil {
-						lower[t*n] = v
-					}
-				}
-			case kindCosine:
-				ni, sqj := math.Sqrt(sq[i]), sq[jlo:j1][:len(out)]
-				drow := dots[(i-i0)*rb+jlo-j0:][:len(out)]
-				for t := range out {
-					den := ni * math.Sqrt(sqj[t])
-					var v float64
-					if !matrix.IsZero(den) {
-						v = drow[t] / den
-					}
 					out[t] = v
 					if lower != nil {
 						lower[t*n] = v

@@ -28,7 +28,6 @@ func asGeneric(k Kernel) Kernel { return Func(k.Eval) }
 func fastKernels() map[string]Kernel {
 	return map[string]Kernel{
 		"gaussian": NewGaussian(0.8),
-		"cosine":   NewCosine(),
 	}
 }
 
@@ -190,8 +189,8 @@ func TestMedianSigmaMatchesReference(t *testing.T) {
 	}
 }
 
-// TestRecognizedEvalMatchesFunc pins the Eval of the recognized kernels
-// to the plain Func forms, which older call sites still construct.
+// TestRecognizedEvalMatchesFunc pins the Eval of the recognized kernel
+// to the plain Func form, which older call sites still construct.
 func TestRecognizedEvalMatchesFunc(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	x := make([]float64, 15)
@@ -201,13 +200,6 @@ func TestRecognizedEvalMatchesFunc(t *testing.T) {
 	}
 	if g, f := NewGaussian(0.6).Eval(x, y), Gaussian(0.6)(x, y); !matrix.ApproxEqual(g, f, 0) {
 		t.Fatalf("gaussian Eval %v != Func %v", g, f)
-	}
-	if c, f := NewCosine().Eval(x, y), Cosine()(x, y); !matrix.ApproxEqual(c, f, 0) {
-		t.Fatalf("cosine Eval %v != Func %v", c, f)
-	}
-	zero := make([]float64, 15)
-	if v := NewCosine().Eval(x, zero); !matrix.IsZero(v) {
-		t.Fatalf("cosine with zero vector = %v, want 0", v)
 	}
 }
 
@@ -221,15 +213,15 @@ func TestNewGaussianRejectsBadSigma(t *testing.T) {
 }
 
 // TestSubGramPackedMatchesSubGram: the packed fill is SubGram's upper
-// triangle bit for bit — zero diagonal included — for both recognized
-// kernels and a plain Func, across the block and fan-out boundaries, at
+// triangle bit for bit — zero diagonal included — for the recognized
+// Gaussian and a plain Func, across the block and fan-out boundaries, at
 // GOMAXPROCS 1 and 4; and a dirty, oversized scratch is fully
 // overwritten.
 func TestSubGramPackedMatchesSubGram(t *testing.T) {
 	pts := randPoints(parallelCutoff+80, 10, 31)
 	perm := rand.New(rand.NewSource(32)).Perm(pts.Rows())
 	kernels := fastKernels()
-	kernels["func"] = Polynomial(2, 0.5, 1)
+	kernels["func"] = Func(func(x, y []float64) float64 { return matrix.Dot(x, y) })
 	for _, procs := range []int{1, 4} {
 		setProcs(t, procs)
 		for name, k := range kernels {

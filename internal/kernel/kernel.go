@@ -5,10 +5,10 @@
 // median-distance heuristic.
 //
 // All Gram construction funnels through the blocked compute engine in
-// fast.go: kernels the engine recognizes (NewGaussian, NewCosine) are
-// computed from precomputed row norms and unrolled dot products,
-// parallel over row blocks; closure kernels (Func) remain fully
-// supported through the generic per-pair fallback.
+// fast.go: the kernel the engine recognizes (NewGaussian) is computed
+// from precomputed row norms and unrolled dot products, parallel over
+// row blocks; closure kernels (Func) remain fully supported through the
+// generic per-pair fallback.
 package kernel
 
 import (
@@ -22,7 +22,7 @@ import (
 
 // Func is a positive-semidefinite similarity kernel over point pairs.
 // A Func is also a Kernel (see fast.go) and always takes the engine's
-// generic path; use NewGaussian/NewCosine for the blocked fast path.
+// generic path; use NewGaussian for the blocked fast path.
 type Func func(x, y []float64) float64
 
 // Gaussian returns the RBF kernel of Eq. 1 with bandwidth sigma as a
@@ -31,31 +31,6 @@ type Func func(x, y []float64) float64
 // recognizes.
 func Gaussian(sigma float64) Func {
 	return NewGaussian(sigma).Eval
-}
-
-// Polynomial returns the kernel (gamma <x,y> + c)^degree, the second
-// classic positive-semidefinite kernel after the RBF. degree must be a
-// positive integer, gamma positive.
-func Polynomial(degree int, gamma, c float64) Func {
-	if degree < 1 || gamma <= 0 {
-		matrix.Panicf("kernel: polynomial degree %d gamma %v", degree, gamma)
-	}
-	return func(x, y []float64) float64 {
-		base := gamma*matrix.Dot(x, y) + c
-		out := 1.0
-		for i := 0; i < degree; i++ {
-			out *= base
-		}
-		return out
-	}
-}
-
-// Cosine returns the cosine-similarity kernel <x,y>/(|x||y|) as a plain
-// Func — the natural choice for the tf-idf document vectors of §5.2
-// (where rows are unit length it reduces to the dot product). Zero
-// vectors yield 0. Hot paths should prefer NewCosine.
-func Cosine() Func {
-	return NewCosine().Eval
 }
 
 // MedianSigma estimates a bandwidth as the median pairwise distance of
@@ -100,8 +75,8 @@ func MedianSigma(points *matrix.Dense, sampleSize int, seed int64) float64 {
 
 // Gram computes the full N x N similarity matrix with zero diagonal,
 // matching the paper's reducer (Algorithm 2 sets S[i,i] = 0, the
-// standard spectral-clustering convention of Ng et al.). Recognized
-// kernels take the blocked fast path; all kernels are computed in
+// standard spectral-clustering convention of Ng et al.). The Gaussian
+// takes the blocked fast path; all kernels are computed in
 // parallel over block pairs of the upper triangle for large N, each
 // value stored at its mirror in the same pass.
 func Gram(points *matrix.Dense, k Kernel) *matrix.Dense {
@@ -130,8 +105,8 @@ func GramWithDiagonal(points *matrix.Dense, k Kernel) *matrix.Dense {
 // SubGram computes the similarity matrix restricted to the points whose
 // dataset rows are listed in indices — one DASC bucket's portion of the
 // approximated Gram matrix. Large buckets are computed in parallel over
-// row blocks; recognized kernels additionally take the blocked fast
-// path over rows gathered into contiguous scratch.
+// row blocks; the Gaussian additionally takes the blocked fast path
+// over rows gathered into contiguous scratch.
 func SubGram(points *matrix.Dense, indices []int, k Kernel) *matrix.Dense {
 	n := len(indices)
 	s := matrix.NewDense(n, n)
@@ -210,13 +185,3 @@ func ApproxGram(points *matrix.Dense, buckets [][]int, k Kernel) (*matrix.Dense,
 // GramBytes(N) + 4N bytes. The n x n forms (Gram, SubGram,
 // SubGramPooled) hold twice it.
 func GramBytes(n int) int64 { return 4 * int64(n) * int64(n) }
-
-// ApproxGramBytes returns the storage cost of the bucketed
-// approximation: 4 * sum Ni^2 bytes.
-func ApproxGramBytes(bucketSizes []int) int64 {
-	var total int64
-	for _, n := range bucketSizes {
-		total += 4 * int64(n) * int64(n)
-	}
-	return total
-}

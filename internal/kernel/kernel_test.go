@@ -42,42 +42,6 @@ func TestGaussianBandwidth(t *testing.T) {
 	Gaussian(0)
 }
 
-func TestPolynomialKernel(t *testing.T) {
-	k := Polynomial(2, 1, 1)
-	// (x.y + 1)^2 with x.y = 2 -> 9.
-	if got := k([]float64{1, 1}, []float64{1, 1}); got != 9 {
-		t.Fatalf("poly = %v, want 9", got)
-	}
-	if k([]float64{1, 0}, []float64{0, 1}) != 1 { // (0+1)^2
-		t.Fatal("orthogonal poly value wrong")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for degree 0")
-		}
-	}()
-	Polynomial(0, 1, 0)
-}
-
-func TestCosineKernel(t *testing.T) {
-	k := Cosine()
-	if got := k([]float64{2, 0}, []float64{5, 0}); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("parallel cosine = %v", got)
-	}
-	if got := k([]float64{1, 0}, []float64{0, 3}); got != 0 {
-		t.Fatalf("orthogonal cosine = %v", got)
-	}
-	if got := k([]float64{0, 0}, []float64{1, 1}); got != 0 {
-		t.Fatalf("zero-vector cosine = %v", got)
-	}
-	// Cosine Gram on unit tf-idf-like rows equals the dot-product Gram.
-	pts, _ := matrix.FromRows([][]float64{{1, 0}, {0.6, 0.8}})
-	g := Gram(pts, k)
-	if math.Abs(g.At(0, 1)-0.6) > 1e-12 {
-		t.Fatalf("cosine gram entry = %v", g.At(0, 1))
-	}
-}
-
 func TestGramWithDiagonal(t *testing.T) {
 	pts, _ := matrix.FromRows([][]float64{{0}, {1}})
 	g := GramWithDiagonal(pts, Gaussian(1))
@@ -213,9 +177,6 @@ func TestApproxGramIndexValidation(t *testing.T) {
 func TestGramBytes(t *testing.T) {
 	if GramBytes(1000) != 4_000_000 {
 		t.Fatalf("GramBytes(1000) = %d", GramBytes(1000))
-	}
-	if ApproxGramBytes([]int{10, 20}) != 4*(100+400) {
-		t.Fatalf("ApproxGramBytes = %d", ApproxGramBytes([]int{10, 20}))
 	}
 }
 

@@ -7,7 +7,7 @@ package kernel
 // dense Gram at all.
 //
 // The decomposition is by upper-triangle row strips: strip s covers
-// rows [s·blockRows, (s+1)·blockRows) and, for recognized kernels, one
+// rows [s·blockRows, (s+1)·blockRows) and, for the Gaussian, one
 // DotBlock call produces every dot product of the strip's rows against
 // columns j ≥ s·blockRows (the strict upper triangle plus the mirror
 // seed). Each strip appends its surviving entries to strip-local
@@ -48,36 +48,16 @@ func SubGramPooled(points *matrix.Dense, indices []int, k Kernel, scratch *[]flo
 	return sub, nil
 }
 
-// GramSparse computes the full similarity matrix with entries of
-// magnitude below eps dropped, as CSR. See SubGramSparse.
-func GramSparse(points *matrix.Dense, k Kernel, eps float64) (*sparse.CSR, error) {
-	return gramSparse(points, nil, k, eps)
-}
-
 // SubGramSparse computes the ε-thresholded sub-Gram of the listed rows
-// as a symmetric CSR matrix with zero diagonal: entry (i,j), i≠j, is
-// stored iff |k(xi,xj)| ≥ eps. For the Gaussian kernel the threshold is
-// applied to the squared distance (v ≥ ε ⟺ ‖x−y‖² ≤ −ln(ε)·2σ²), so
+// (indices nil means all rows) as a symmetric CSR matrix with zero
+// diagonal: entry (i,j), i≠j, is stored iff |k(xi,xj)| ≥ eps. For the
+// Gaussian kernel the threshold is applied to the squared distance (v ≥ ε ⟺ ‖x−y‖² ≤ −ln(ε)·2σ²), so
 // dropped pairs never pay the exp call. eps = 0 keeps every entry —
 // the densified result then matches SubGram's sparsity pattern exactly
 // (zero diagonal included), which the sparse/dense agreement property
 // test relies on. Peak memory is O(blockRows·n) dot scratch plus the
 // O(nnz) output, never O(n²).
 func SubGramSparse(points *matrix.Dense, indices []int, k Kernel, eps float64) (*sparse.CSR, error) {
-	return gramSparse(points, indices, k, eps)
-}
-
-// stripEmit is one row strip's surviving strict-upper-triangle entries,
-// appended in (row, col) order. rowNNZ[r] counts row i0+r's entries.
-type stripEmit struct {
-	rowNNZ []int
-	cols   []int
-	vals   []float64
-}
-
-// gramSparse is the shared thresholded-emit engine (indices nil means
-// all rows).
-func gramSparse(points *matrix.Dense, indices []int, k Kernel, eps float64) (*sparse.CSR, error) {
 	if eps < 0 || math.IsNaN(eps) {
 		return nil, fmt.Errorf("kernel: sparse threshold %v must be >= 0", eps)
 	}
@@ -91,7 +71,7 @@ func gramSparse(points *matrix.Dense, indices []int, k Kernel, eps float64) (*sp
 	kind, inv := recognize(k)
 	d := points.Cols()
 
-	// Recognized kernels: gather the operand rows contiguous and
+	// For the Gaussian, gather the operand rows contiguous and
 	// precompute squared norms, exactly as the dense fast path does.
 	var gathered, sq []float64
 	var gatherTok, sqTok *[]float64
@@ -156,21 +136,6 @@ func gramSparse(points *matrix.Dense, indices []int, k Kernel, eps float64) (*sp
 					em.cols = append(em.cols, j)
 					em.vals = append(em.vals, math.Exp(-d2*inv))
 				}
-			case kindCosine:
-				ni := math.Sqrt(sq[i])
-				drow := dots[(i-i0)*width:]
-				for j := i + 1; j < n; j++ {
-					den := ni * math.Sqrt(sq[j])
-					var v float64
-					if !matrix.IsZero(den) {
-						v = drow[j-i0] / den
-					}
-					if math.Abs(v) < eps {
-						continue
-					}
-					em.cols = append(em.cols, j)
-					em.vals = append(em.vals, v)
-				}
 			default:
 				xi := rowOf(i)
 				for j := i + 1; j < n; j++ {
@@ -198,6 +163,14 @@ func gramSparse(points *matrix.Dense, indices []int, k Kernel, eps float64) (*sp
 		return nil, err
 	}
 	return assembleSymmetricCSR(n, strips)
+}
+
+// stripEmit is one row strip's surviving strict-upper-triangle entries,
+// appended in (row, col) order. rowNNZ[r] counts row i0+r's entries.
+type stripEmit struct {
+	rowNNZ []int
+	cols   []int
+	vals   []float64
 }
 
 // assembleSymmetricCSR mirrors the strips' strict-upper-triangle

@@ -1,8 +1,8 @@
 // Package linalg implements the eigendecomposition machinery the paper
 // relies on: Householder reduction of a symmetric matrix to tridiagonal
-// form, an implicit-shift QL eigensolver on the tridiagonal form, a
-// Lanczos iteration for large symmetric operators, and a Householder QR
-// factorization. Together these reproduce the paper's §3.2 pipeline
+// form, an implicit-shift QL eigensolver on the tridiagonal form, and a
+// Lanczos iteration for large symmetric operators. Together these
+// reproduce the paper's §3.2 pipeline
 // ("transform L into a symmetric tridiagonal matrix, then apply QR
 // decomposition") without any external numeric library.
 package linalg

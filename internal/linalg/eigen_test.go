@@ -22,18 +22,22 @@ func randSym(rng *rand.Rand, n int) *matrix.Dense {
 	return a
 }
 
-// symFromSpectrum builds Q diag(vals) Q^T with a random orthonormal Q.
+// symFromSpectrum builds Q diag(vals) Q^T with Q = I − 2vvᵀ/vᵀv, the
+// Householder reflector of a random direction v: orthogonal, and dense
+// enough that the eigenvectors are not the coordinate axes.
 func symFromSpectrum(rng *rand.Rand, vals []float64) *matrix.Dense {
 	n := len(vals)
-	g := matrix.NewDense(n, n)
-	for i := range g.Data() {
-		g.Data()[i] = rng.NormFloat64()
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = rng.NormFloat64()
 	}
-	qr, err := DecomposeQR(g)
-	if err != nil {
-		panic(err)
+	scale := 2 / matrix.Dot(v, v)
+	q := matrix.Identity(n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			q.Add(i, j, -scale*v[i]*v[j])
+		}
 	}
-	q := qr.Q
 	d := matrix.NewDense(n, n)
 	for i, v := range vals {
 		d.Set(i, i, v)

@@ -210,29 +210,6 @@ func lanczosOnce(op Op, n, k, m int, seed int64) (*LanczosResult, bool, error) {
 	return &LanczosResult{Values: d[:k], Vectors: vecs, Iterations: j}, converged, nil
 }
 
-// PowerIteration computes the dominant eigenpair of op by repeated
-// application; used for cheap spectral-radius estimates and as a test
-// oracle for Lanczos.
-func PowerIteration(op Op, n int, iters int, seed int64) (float64, []float64) {
-	rng := rand.New(rand.NewSource(seed + 12345))
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = rng.NormFloat64()
-	}
-	matrix.Normalize(v)
-	w := make([]float64, n)
-	var lambda float64
-	for it := 0; it < iters; it++ {
-		op(w, v)
-		lambda = matrix.Dot(w, v)
-		if matrix.IsZero(matrix.Normalize(w)) {
-			break
-		}
-		v, w = w, v
-	}
-	return lambda, v
-}
-
 // Orthonormality returns the largest deviation |<q_i, q_j> - delta_ij|
 // over all column pairs of q — a diagnostic used by tests to validate
 // eigenvector bases.

@@ -153,20 +153,6 @@ func TestLanczosSeedIndependence(t *testing.T) {
 	}
 }
 
-func TestPowerIteration(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	a := symFromSpectrum(rng, []float64{9, 3, 1})
-	lambda, v := PowerIteration(MatVec(a), 3, 200, 0)
-	if math.Abs(lambda-9) > 1e-6 {
-		t.Fatalf("power lambda = %v, want 9", lambda)
-	}
-	av, _ := a.MulVec(v)
-	matrix.AXPY(-lambda, v, av)
-	if matrix.Norm2(av) > 1e-5 {
-		t.Fatalf("power residual = %g", matrix.Norm2(av))
-	}
-}
-
 func TestOrthonormalityDiagnostic(t *testing.T) {
 	if dev := Orthonormality(matrix.Identity(4)); dev != 0 {
 		t.Fatalf("identity deviation = %v", dev)
@@ -174,40 +160,5 @@ func TestOrthonormalityDiagnostic(t *testing.T) {
 	bad, _ := matrix.FromRows([][]float64{{1, 1}, {0, 0}})
 	if dev := Orthonormality(bad); dev < 0.9 {
 		t.Fatalf("expected large deviation, got %v", dev)
-	}
-}
-
-func TestDecomposeQRProperties(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
-	for _, dims := range [][2]int{{3, 3}, {5, 3}, {10, 10}, {8, 1}} {
-		m, n := dims[0], dims[1]
-		a := matrix.NewDense(m, n)
-		for i := range a.Data() {
-			a.Data()[i] = rng.NormFloat64()
-		}
-		qr, err := DecomposeQR(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Q orthonormal.
-		if dev := Orthonormality(qr.Q); dev > 1e-10 {
-			t.Fatalf("%dx%d: Q deviation %g", m, n, dev)
-		}
-		// R upper triangular.
-		for i := 0; i < n; i++ {
-			for j := 0; j < i; j++ {
-				if qr.R.At(i, j) != 0 {
-					t.Fatalf("R not upper triangular at (%d,%d)", i, j)
-				}
-			}
-		}
-		// Q*R == A.
-		back, _ := matrix.Mul(qr.Q, qr.R)
-		if !matrix.Equal(back, a, 1e-9) {
-			t.Fatalf("%dx%d: QR reconstruction failed", m, n)
-		}
-	}
-	if _, err := DecomposeQR(matrix.NewDense(2, 3)); err == nil {
-		t.Fatal("expected error for wide matrix")
 	}
 }

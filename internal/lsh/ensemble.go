@@ -51,6 +51,9 @@ const (
 	// maxEnumeratedProbes caps the subsets generated before the
 	// margin-score sort, bounding the cost of large ProbeRadius values.
 	maxEnumeratedProbes = 1024
+	// probesPerBit·Bits() caps the probes generated per point per
+	// table, where Bits() is table 0's signature width.
+	probesPerBit = 4
 )
 
 // EnsembleConfig is the recall/cost dial of the bucketing front-end.
@@ -65,9 +68,6 @@ type EnsembleConfig struct {
 	// cross-table or probe unions; 0 means unlimited. Buckets already
 	// larger than the cap before merging are left intact.
 	MaxMergedBucket int
-	// MaxProbes caps the probes generated per point per table; 0
-	// defaults to 4*Bits.
-	MaxProbes int
 }
 
 // resolve validates the dial against a family of the given width and
@@ -84,12 +84,6 @@ func (c EnsembleConfig) resolve(bits int) (EnsembleConfig, error) {
 	}
 	if c.MaxMergedBucket < 0 {
 		return c, fmt.Errorf("lsh: MaxMergedBucket=%d negative", c.MaxMergedBucket)
-	}
-	if c.MaxProbes < 0 {
-		return c, fmt.Errorf("lsh: MaxProbes=%d negative", c.MaxProbes)
-	}
-	if c.MaxProbes == 0 {
-		c.MaxProbes = 4 * bits
 	}
 	return c, nil
 }
@@ -360,8 +354,9 @@ func (e *Ensemble) Partition(points PointSource, sigs *SignatureSet, maxHamming 
 	// Multi-probe: every point probes near-miss signatures in every
 	// table and unions with the buckets they hit.
 	if e.cfg.ProbeRadius > 0 {
+		maxProbes := probesPerBit * e.Bits()
 		var marginBuf [MaxBits]float64
-		probeBuf := make([]uint64, 0, e.cfg.MaxProbes)
+		probeBuf := make([]uint64, 0, maxProbes)
 		scratch := newProbeScratch()
 		for t := 0; t < L; t++ {
 			fam := e.families[t]
@@ -387,7 +382,7 @@ func (e *Ensemble) Partition(points PointSource, sigs *SignatureSet, maxHamming 
 					mf.SignatureMargins(points.Row(i), margins)
 				}
 				probes := probeSequence(sigs.Tables[t][i], bitsT, margins,
-					e.cfg.ProbeRadius, e.cfg.MaxProbes, probeBuf[:0], scratch)
+					e.cfg.ProbeRadius, maxProbes, probeBuf[:0], scratch)
 				for _, ps := range probes {
 					if a, ok := sigAnchor[ps]; ok {
 						uf.union(bucketOf[i], a)
@@ -591,18 +586,4 @@ func (u *unionFind) union(a, b int) bool {
 	u.parent[rb] = ra
 	u.size[ra] += u.size[rb]
 	return true
-}
-
-// HammingBall returns the number of signatures within radius r of an
-// m-bit signature — the probe budget the plain ball fallback covers.
-func HammingBall(m, r int) int {
-	total := 0
-	for k := 0; k <= r && k <= m; k++ {
-		c := 1
-		for i := 0; i < k; i++ {
-			c = c * (m - i) / (i + 1)
-		}
-		total += c
-	}
-	return total
 }

@@ -229,7 +229,6 @@ func TestEnsembleConfigValidation(t *testing.T) {
 		{ProbeRadius: -1},
 		{ProbeRadius: 7}, // > M
 		{MaxMergedBucket: -1},
-		{MaxProbes: -1},
 	} {
 		if _, err := FitEnsemble(pts, cfg, bad); err == nil {
 			t.Errorf("FitEnsemble accepted %+v", bad)
@@ -276,17 +275,6 @@ func TestEnsembleFromMinHashRefits(t *testing.T) {
 	}
 	if again, _ := EnsembleFrom(e, EnsembleConfig{}); again != e {
 		t.Error("EnsembleFrom(*Ensemble) must be identity")
-	}
-}
-
-// TestHammingBall pins the probe-budget helper.
-func TestHammingBall(t *testing.T) {
-	for _, tc := range []struct{ m, r, want int }{
-		{4, 0, 1}, {4, 1, 5}, {4, 2, 11}, {3, 3, 8}, {6, 2, 22},
-	} {
-		if got := HammingBall(tc.m, tc.r); got != tc.want {
-			t.Errorf("HammingBall(%d,%d) = %d, want %d", tc.m, tc.r, got, tc.want)
-		}
 	}
 }
 

@@ -3,7 +3,6 @@ package lsh
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
 	"sort"
@@ -16,8 +15,10 @@ import (
 // Hasher; §3.2 says the authors "studied various LSH families,
 // including random projection, stable distributions, and Min-Wise
 // Independent Permutations", and §5.1 suggests data-dependent spectral
-// hashing for skewed data — those families are implemented here so the
-// choice can be ablated.
+// hashing for skewed data. The families that run beside it are SimHash
+// and Spectral, which the ablation compares against the Hasher, and
+// MinHash, which examples/shingles and dasc.MinHashLSH use for sparse
+// documents.
 type Family interface {
 	// Signature maps a point to its M-bit signature.
 	Signature(x []float64) uint64
@@ -30,9 +31,9 @@ var _ Family = (*Hasher)(nil)
 // MarginFamily is a Family that can report how confidently each
 // signature bit was decided: margins[i] is the distance of the point to
 // bit i's decision boundary, in the family's own projection units. The
-// multi-probe generator flips low-margin bits first; families without a
-// meaningful margin (MinHash, p-stable cells) fall back to a plain
-// Hamming-ball probe order.
+// multi-probe generator flips low-margin bits first; a family without a
+// meaningful margin (MinHash) falls back to a plain Hamming-ball probe
+// order.
 type MarginFamily interface {
 	Family
 	// SignatureMargins computes the signature and fills margins[0:Bits()]
@@ -127,77 +128,6 @@ func (s *SimHash) SignatureMargins(x []float64, margins []float64) uint64 {
 		}
 	}
 	return sig
-}
-
-// ---- p-stable (L2) quantized projections ----
-
-// PStable is the Datar–Indyk family for Euclidean distance: each hash
-// quantizes a Gaussian projection into cells of width w, and the cell
-// ids are folded into a 64-bit signature. Cell identity (not Hamming
-// proximity) is what is locality-sensitive here, so partitions built
-// from it should disable near-duplicate merging.
-type PStable struct {
-	planes  *matrix.Dense
-	offsets []float64
-	width   float64
-}
-
-// FitPStable draws m projections with cell width w (w <= 0 defaults to
-// the mean per-projection spread / 4).
-func FitPStable(points *matrix.Dense, m int, w float64, seed int64) (*PStable, error) {
-	n, d := points.Rows(), points.Cols()
-	if n == 0 || d == 0 {
-		return nil, errors.New("lsh: empty dataset")
-	}
-	if m < 1 {
-		return nil, fmt.Errorf("lsh: M=%d must be positive", m)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	planes := matrix.NewDense(m, d)
-	for i := range planes.Data() {
-		planes.Data()[i] = rng.NormFloat64()
-	}
-	if w <= 0 {
-		// Estimate projection spread on a sample.
-		var spread float64
-		for i := 0; i < m; i++ {
-			plane := planes.Row(i)
-			lo, hi := math.Inf(1), math.Inf(-1)
-			for r := 0; r < n; r++ {
-				v := matrix.Dot(plane, points.Row(r))
-				lo = math.Min(lo, v)
-				hi = math.Max(hi, v)
-			}
-			spread += hi - lo
-		}
-		w = spread / float64(m) / 4
-		if w <= 0 {
-			w = 1
-		}
-	}
-	offsets := make([]float64, m)
-	for i := range offsets {
-		offsets[i] = rng.Float64() * w
-	}
-	return &PStable{planes: planes, offsets: offsets, width: w}, nil
-}
-
-// Bits implements Family. The folded signature uses the full word.
-func (p *PStable) Bits() int { return 64 }
-
-// Signature implements Family: the concatenated cell ids are folded
-// through FNV-1a so equal cells collide exactly.
-func (p *PStable) Signature(x []float64) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	for i := 0; i < p.planes.Rows(); i++ {
-		cell := int64(math.Floor((matrix.Dot(p.planes.Row(i), x) + p.offsets[i]) / p.width))
-		for b := 0; b < 8; b++ {
-			buf[b] = byte(cell >> (8 * b))
-		}
-		_, _ = h.Write(buf[:]) // fnv.Write cannot fail
-	}
-	return h.Sum64()
 }
 
 // ---- 1-bit MinHash over nonzero support ----

@@ -57,9 +57,6 @@ func TestFamiliesValidation(t *testing.T) {
 	if _, err := FitSpectral(empty, 4, 1); err == nil {
 		t.Fatal("Spectral must reject empty data")
 	}
-	if _, err := FitPStable(empty, 4, 0, 1); err == nil {
-		t.Fatal("PStable must reject empty data")
-	}
 	pts := matrix.NewDense(4, 2)
 	if _, err := FitSimHash(pts, 0, 1); err == nil {
 		t.Fatal("SimHash must reject M=0")
@@ -142,28 +139,6 @@ func TestMinHashSets(t *testing.T) {
 	// Empty support maps to 0.
 	if mh.Signature([]float64{0, 0, 0}) != 0 {
 		t.Fatal("empty support must hash to 0")
-	}
-}
-
-func TestPStableCells(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	pts := twoBlobs(rng, 25, 5)
-	ps, err := FitPStable(pts, 4, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ps.Bits() != 64 {
-		t.Fatalf("Bits = %d", ps.Bits())
-	}
-	// Near-identical points share a cell signature.
-	x := pts.Row(0)
-	y := append([]float64(nil), x...)
-	if ps.Signature(x) != ps.Signature(y) {
-		t.Fatal("identical points must share cells")
-	}
-	// The two blobs land in different cells.
-	if ps.Signature(pts.Row(0)) == ps.Signature(pts.Row(30)) {
-		t.Fatal("distant blobs must not share cells")
 	}
 }
 

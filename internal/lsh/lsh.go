@@ -14,7 +14,6 @@ import (
 	"sort"
 
 	"repro/internal/matrix"
-	"repro/internal/par"
 )
 
 // DimensionPolicy selects how hashing dimensions are chosen.
@@ -340,38 +339,6 @@ func (h *Hasher) SignatureMargins(x []float64, margins []float64) uint64 {
 		}
 	}
 	return sig
-}
-
-const (
-	// signatureBlockRows is the fixed row-block edge of the parallel
-	// signature pass; each point's signature is a pure function of its
-	// row, so any block decomposition yields identical output bits.
-	signatureBlockRows = 1024
-	// signatureParallelCutoff is the row count below which the
-	// goroutine handoff costs more than the hashing.
-	signatureParallelCutoff = 4096
-)
-
-// Signatures hashes every row of points. Large inputs are hashed in
-// parallel over fixed row blocks; the result is identical at every
-// GOMAXPROCS.
-func (h *Hasher) Signatures(points *matrix.Dense) []uint64 {
-	n := points.Rows()
-	out := make([]uint64, n)
-	nb := (n + signatureBlockRows - 1) / signatureBlockRows
-	limit := nb
-	if n < signatureParallelCutoff {
-		limit = 1
-	}
-	// Hashing a block cannot fail.
-	_ = par.Each(nb, limit, func(b int) error {
-		lo := b * signatureBlockRows
-		for i := lo; i < min(lo+signatureBlockRows, n); i++ {
-			out[i] = h.Signature(points.Row(i))
-		}
-		return nil
-	})
-	return out
 }
 
 // NearDuplicate reports whether two signatures differ in at most one

@@ -16,6 +16,15 @@ func setProcs(t testing.TB, procs int) {
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
+// signaturesOf hashes every row of pts with f, one row at a time.
+func signaturesOf(f Family, pts *matrix.Dense) []uint64 {
+	sigs := make([]uint64, pts.Rows())
+	for i := range sigs {
+		sigs[i] = f.Signature(pts.Row(i))
+	}
+	return sigs
+}
+
 func twoBlobs(rng *rand.Rand, perBlob, d int) *matrix.Dense {
 	pts := matrix.NewDense(2*perBlob, d)
 	for i := 0; i < perBlob; i++ {
@@ -129,7 +138,7 @@ func TestSignatureSeparatesBlobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sigs := h.Signatures(pts)
+	sigs := signaturesOf(h, pts)
 	// Every point in a blob must share its blob's signature, and the
 	// two blobs must differ.
 	for i := 1; i < 50; i++ {
@@ -216,7 +225,7 @@ func TestConstantDimension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sigs := h.Signatures(pts)
+	sigs := signaturesOf(h, pts)
 	for _, s := range sigs {
 		if s != sigs[0] {
 			t.Fatal("constant data must share one signature")
@@ -271,30 +280,34 @@ func TestPolicyString(t *testing.T) {
 	}
 }
 
-// TestSignaturesWorkerDeterminism: the signature pass must produce the
-// exact slice a plain per-row loop produces, at every GOMAXPROCS, on an
-// input large enough to cross the parallel cutoff.
+// TestSignaturesWorkerDeterminism: the ensemble's hash pass must
+// produce, table by table, the exact slice a plain per-row loop
+// produces, at every GOMAXPROCS, on an input large enough to cross the
+// parallel cutoff.
 func TestSignaturesWorkerDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	n := signatureParallelCutoff + 513 // crosses the cutoff with a ragged tail block
+	n := hashParallelCutoff + 513 // crosses the cutoff with a ragged tail block
 	pts := matrix.NewDense(n, 8)
 	for i := range pts.Data() {
 		pts.Data()[i] = rng.NormFloat64()
 	}
-	h, err := Fit(pts, Config{M: 12, Policy: TopSpan, Seed: 1})
+	e, err := FitEnsemble(pts, Config{M: 12, Policy: TopSpan, Seed: 1}, EnsembleConfig{Tables: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := make([]uint64, n)
-	for i := range want {
-		want[i] = h.Signature(pts.Row(i))
+	fams := e.Families()
+	want := make([][]uint64, len(fams))
+	for tbl, f := range fams {
+		want[tbl] = signaturesOf(f, pts)
 	}
 	for _, procs := range []int{1, 2, 3, 8, 64} {
 		setProcs(t, procs)
-		got := h.Signatures(pts)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("GOMAXPROCS=%d: signature[%d] = %x, serial %x", procs, i, got[i], want[i])
+		got := e.Hash(pts)
+		for tbl := range want {
+			for i, w := range want[tbl] {
+				if g := got.Table(tbl)[i]; g != w {
+					t.Fatalf("GOMAXPROCS=%d table %d: signature[%d] = %x, serial %x", procs, tbl, i, g, w)
+				}
 			}
 		}
 	}

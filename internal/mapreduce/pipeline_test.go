@@ -128,10 +128,9 @@ func orderSensitiveJob(name string) *Job {
 
 // TestShuffleDeterminismAcrossExecutors fixes one input and asserts
 // identical output — reflect.DeepEqual, so a nil value and an empty one
-// differ — from the Local pool, the pipelined TCP master and the same
-// master in lock step: the determinism contract the merge shuffle must
-// uphold (run under the CI -race gate, where dispatch interleavings vary
-// wildly).
+// differ — from the Local pool and the pipelined TCP master: the
+// determinism contract the merge shuffle must uphold (run under the CI
+// -race gate, where dispatch interleavings vary wildly).
 func TestShuffleDeterminismAcrossExecutors(t *testing.T) {
 	job := orderSensitiveJob("determinism-x3")
 	Register(job)
@@ -141,54 +140,19 @@ func TestShuffleDeterminismAcrossExecutors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	runTCP := func(cfg TCPConfig) []Pair {
-		t.Helper()
-		cfg.Addr = "127.0.0.1:0"
-		cfg.MinWorkers = 2
-		m, err := NewMasterTCP(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer func() { _ = m.Close() }()
-		var wg sync.WaitGroup
-		for i := 0; i < 2; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if err := RunWorker(m.Addr()); err != nil {
-					t.Errorf("worker: %v", err)
-				}
-			}()
-		}
-		deadline := time.Now().Add(5 * time.Second)
-		for m.ConnectedWorkers() < 2 {
-			if time.Now().After(deadline) {
-				t.Fatal("workers did not join")
-			}
-			time.Sleep(time.Millisecond)
-		}
-		out, _, err := m.Run(job, input)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = m.Close()
-		wg.Wait()
-		return out
+	m, stop := startCluster(t, 2)
+	defer stop()
+	got, _, err := m.Run(job, input)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	pipelined := runTCP(TCPConfig{}) // defaults: in-flight window
-	lockstep := runTCP(TCPConfig{MaxInFlight: 1})
-
-	for name, got := range map[string][]Pair{"pipelined": pipelined, "lockstep": lockstep} {
-		if len(got) != len(localOut) {
-			t.Fatalf("%s: %d records, local has %d", name, len(got), len(localOut))
-		}
-		for i := range got {
-			if !reflect.DeepEqual(got[i], localOut[i]) {
-				t.Fatalf("%s record %d = %q:%#v, local has %q:%#v",
-					name, i, got[i].Key, got[i].Value, localOut[i].Key, localOut[i].Value)
-			}
+	if len(got) != len(localOut) {
+		t.Fatalf("tcp: %d records, local has %d", len(got), len(localOut))
+	}
+	for i := range got {
+		if !reflect.DeepEqual(got[i], localOut[i]) {
+			t.Fatalf("tcp record %d = %q:%#v, local has %q:%#v",
+				i, got[i].Key, got[i].Value, localOut[i].Key, localOut[i].Value)
 		}
 	}
 }

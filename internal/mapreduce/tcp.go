@@ -18,7 +18,7 @@ import (
 //
 // Task traffic is pipelined: every connection has a writer goroutine
 // and a reader goroutine sharing a bounded in-flight window
-// (TCPConfig.MaxInFlight), so the master encodes task i+1 while the
+// (maxInFlight), so the master encodes task i+1 while the
 // worker computes task i and the master decodes task i-1's result.
 // The worker mirrors the split with a decode → compute → encode
 // pipeline. Messages travel as binary frames (see wire.go); results are
@@ -35,9 +35,9 @@ const (
 	// write of the task, the worker's computation, and the read of the
 	// result.
 	DefaultIOTimeout = 2 * time.Minute
-	// DefaultMaxInFlight is the per-connection pipelining window: how
-	// many tasks may be outstanding on one worker socket.
-	DefaultMaxInFlight = 4
+	// maxInFlight is the per-connection pipelining window: how many
+	// tasks may be outstanding on one worker socket.
+	maxInFlight = 4
 	// workerPipelineDepth is how many decoded tasks / pending results
 	// the worker buffers between its decode, compute, and encode stages.
 	workerPipelineDepth = 2
@@ -59,10 +59,6 @@ type TCPConfig struct {
 	// exceeds it is treated as failed and its tasks are re-queued
 	// (default DefaultIOTimeout).
 	IOTimeout time.Duration
-	// MaxInFlight caps the tasks pipelined on one worker connection.
-	// 1 replays the original lock-step exchange; the default
-	// (DefaultMaxInFlight) overlaps encode, compute, and decode.
-	MaxInFlight int
 }
 
 // withDefaults fills unset tuning fields.
@@ -72,9 +68,6 @@ func (c TCPConfig) withDefaults() TCPConfig {
 	}
 	if c.IOTimeout <= 0 {
 		c.IOTimeout = DefaultIOTimeout
-	}
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = DefaultMaxInFlight
 	}
 	return c
 }
@@ -94,7 +87,7 @@ type Master struct {
 
 // NewMaster starts listening on addr (e.g. "127.0.0.1:0") and waits for
 // minWorkers workers to join before running any job, with default
-// tuning. Use NewMasterTCP to adjust deadlines or the pipelining window.
+// tuning. Use NewMasterTCP to adjust the deadlines.
 func NewMaster(addr string, minWorkers int) (*Master, error) {
 	return NewMasterTCP(TCPConfig{Addr: addr, MinWorkers: minWorkers})
 }
@@ -410,7 +403,7 @@ func (d *dispatchState) workerGone(err error) {
 }
 
 // run fans tasks out to workers and collects one result per task,
-// pipelining up to MaxInFlight tasks per connection. A failing worker
+// pipelining up to maxInFlight tasks per connection. A failing worker
 // is dropped and its in-flight tasks re-queued for the survivors, who
 // keep serving the queue until every task completes — a momentarily
 // empty queue is not the end of the phase, because a failing peer may
@@ -484,9 +477,8 @@ func (r *wireRunner) run(ctx context.Context, tasks []taskMsg, sink func(*result
 // unblocks the other; whatever tasks were still in flight are
 // re-queued once both sides have stopped.
 func (r *wireRunner) runConn(w *workerConn, d *dispatchState) {
-	window := r.cfg.MaxInFlight
-	inflight := make(chan taskMsg, window) // FIFO of tasks awaiting results
-	sem := make(chan struct{}, window)     // window slots; released per result
+	inflight := make(chan taskMsg, maxInFlight) // FIFO of tasks awaiting results
+	sem := make(chan struct{}, maxInFlight)     // window slots; released per result
 	readerDead := make(chan struct{})
 	var readErr error // written by the reader before readerDead closes
 
@@ -535,7 +527,7 @@ writerLoop:
 			d.requeue(t)
 			break writerLoop
 		}
-		inflight <- t // capacity == window, and sem holds a slot: never blocks
+		inflight <- t // capacity == maxInFlight, and sem holds a slot: never blocks
 		wt := t
 		if t.load != nil {
 			// Merge the partition for encoding only; the in-flight copy

@@ -8,20 +8,13 @@ package matrix
 // scratch, instead of a closure call plus a subtract-square loop per
 // pair.
 
-// SqNorms returns the squared Euclidean norm of every row of m —
-// the precomputed ‖x‖² terms of the blocked pairwise-distance
+// SqNormsInto writes the squared Euclidean norm of every row of m into
+// dst, which must have length m.Rows(), and returns dst — the
+// precomputed ‖x‖² terms of the blocked pairwise-distance
 // factorization. Unlike Norm2 it does not rescale against overflow:
 // the Gram engine feeds values in data ranges (similarity inputs,
 // tf-idf weights) where the plain sum of squares is exact enough and
 // several times faster.
-func SqNorms(m *Dense) []float64 {
-	out := make([]float64, m.rows)
-	return SqNormsInto(out, m)
-}
-
-// SqNormsInto writes the squared row norms of m into dst, which must
-// have length m.Rows(), and returns dst. It is the allocation-free form
-// of SqNorms for pooled scratch.
 func SqNormsInto(dst []float64, m *Dense) []float64 {
 	if len(dst) != m.rows {
 		Panicf("matrix: SqNormsInto dst length %d for %d rows", len(dst), m.rows)

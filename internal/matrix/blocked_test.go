@@ -12,16 +12,16 @@ func randomDenseSeed(rows, cols int, seed int64) *Dense {
 
 func TestSqNorms(t *testing.T) {
 	m := randomDenseSeed(17, 9, 1)
-	sq := SqNorms(m)
+	dst := make([]float64, m.Rows())
+	sq := SqNormsInto(dst, m)
+	if &sq[0] != &dst[0] {
+		t.Fatal("SqNormsInto must write into dst")
+	}
 	for i := 0; i < m.Rows(); i++ {
 		want := Dot(m.Row(i), m.Row(i))
 		if math.Abs(sq[i]-want) > 1e-12*math.Abs(want) {
 			t.Fatalf("sq[%d] = %v, want %v", i, sq[i], want)
 		}
-	}
-	dst := make([]float64, m.Rows())
-	if &SqNormsInto(dst, m)[0] != &dst[0] {
-		t.Fatal("SqNormsInto must write into dst")
 	}
 	defer func() {
 		if recover() == nil {

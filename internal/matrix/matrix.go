@@ -162,18 +162,6 @@ func Mul(a, b *Dense) (*Dense, error) {
 	return out, nil
 }
 
-// AddTo returns a+b.
-func AddTo(a, b *Dense) (*Dense, error) {
-	if a.rows != b.rows || a.cols != b.cols {
-		return nil, fmt.Errorf("%w: %dx%d + %dx%d", ErrShape, a.rows, a.cols, b.rows, b.cols)
-	}
-	out := NewDense(a.rows, a.cols)
-	for i := range a.data {
-		out.data[i] = a.data[i] + b.data[i]
-	}
-	return out, nil
-}
-
 // Sub returns a-b.
 func Sub(a, b *Dense) (*Dense, error) {
 	if a.rows != b.rows || a.cols != b.cols {

@@ -1,9 +1,11 @@
 // Package metrics implements the paper's four evaluation metrics
 // (§5.3): clustering accuracy against ground truth (via an optimal
 // cluster-to-class assignment computed with the Hungarian algorithm),
-// the Davies–Bouldin index (Eq. 20), average squared error (Eq. 21),
-// and the Frobenius-norm ratio between approximated and full Gram
-// matrices (Eqs. 22–24).
+// the Davies–Bouldin index (Eq. 20) and average squared error
+// (Eq. 21). The fourth, Eq. 22's Frobenius-norm ratio between the
+// approximated and full Gram matrices, is computed where the Gram
+// entries are: by sampling in core.TuneM and by streaming in
+// experiments.Figure5.
 package metrics
 
 import (
@@ -217,20 +219,4 @@ func centroids(points *matrix.Dense, labels []int) (*matrix.Dense, [][]int, erro
 		matrix.ScaleVec(1/float64(len(idxs)), row)
 	}
 	return cents, members, nil
-}
-
-// FrobeniusRatio returns Fnorm(approx)/Fnorm(full) (Eq. 22), the
-// paper's Figure 5 measure of how much of the Gram matrix's energy the
-// bucketed approximation retains. A full matrix of norm zero yields an
-// error.
-func FrobeniusRatio(approx, full *matrix.Dense) (float64, error) {
-	if approx.Rows() != full.Rows() || approx.Cols() != full.Cols() {
-		return 0, fmt.Errorf("metrics: shape mismatch %dx%d vs %dx%d",
-			approx.Rows(), approx.Cols(), full.Rows(), full.Cols())
-	}
-	fn := full.Frobenius()
-	if matrix.IsZero(fn) {
-		return 0, errors.New("metrics: full matrix has zero Frobenius norm")
-	}
-	return approx.Frobenius() / fn, nil
 }

@@ -192,24 +192,6 @@ func TestPropASESplitBeatsMerge(t *testing.T) {
 	}
 }
 
-func TestFrobeniusRatio(t *testing.T) {
-	full, _ := matrix.FromRows([][]float64{{3, 4}, {0, 0}})
-	approx, _ := matrix.FromRows([][]float64{{3, 0}, {0, 0}})
-	r, err := FrobeniusRatio(approx, full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(r-0.6) > 1e-12 {
-		t.Fatalf("ratio = %v, want 0.6", r)
-	}
-	if _, err := FrobeniusRatio(matrix.NewDense(1, 1), full); err == nil {
-		t.Fatal("expected shape error")
-	}
-	if _, err := FrobeniusRatio(matrix.NewDense(2, 2), matrix.NewDense(2, 2)); err == nil {
-		t.Fatal("expected zero-norm error")
-	}
-}
-
 func TestSilhouette(t *testing.T) {
 	// Two tight, far-apart clusters: coefficient near 1.
 	pts, _ := matrix.FromRows([][]float64{

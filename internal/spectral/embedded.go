@@ -45,7 +45,7 @@ func ClusterEmbeddedRows(emb *matrix.Dense, cfg Config) (*Result, error) {
 	if k > n {
 		k = n
 	}
-	km, err := kmeans.Run(emb, kmeans.Config{K: k, Seed: cfg.Seed, MaxIter: cfg.KMeansIter})
+	km, err := kmeans.Run(emb, kmeans.Config{K: k, Seed: cfg.Seed})
 	if err != nil {
 		return nil, fmt.Errorf("spectral: embedded kmeans: %w", err)
 	}
@@ -81,7 +81,7 @@ func clusterEmbedded(points *matrix.Dense, indices []int, e *embed.RFF, cfg Engi
 		stats.Nanos = time.Since(start).Nanoseconds()
 		return nil, stats, err
 	}
-	res, err := ClusterEmbeddedRows(emb, Config{K: cfg.K, Seed: cfg.Seed, KMeansIter: cfg.KMeansIter})
+	res, err := ClusterEmbeddedRows(emb, Config{K: cfg.K, Seed: cfg.Seed})
 	stats.Nanos = time.Since(start).Nanoseconds()
 	if err != nil {
 		return nil, stats, err

@@ -68,8 +68,6 @@ type EngineConfig struct {
 	K int
 	// Seed feeds the Lanczos start vector and the K-means stage.
 	Seed int64
-	// KMeansIter bounds Lloyd iterations (default 100).
-	KMeansIter int
 	// SparseCutoff is the bucket size at or above which the engine
 	// attempts the ε-thresholded CSR path. 0 disables sparse mode.
 	SparseCutoff int
@@ -141,7 +139,7 @@ func ClusterBucket(points *matrix.Dense, indices []int, kf kernel.Kernel, cfg En
 		k = ni
 	}
 	stats := SolveStats{N: ni}
-	sCfg := Config{K: cfg.K, Seed: cfg.Seed, KMeansIter: cfg.KMeansIter}
+	sCfg := Config{K: cfg.K, Seed: cfg.Seed}
 
 	// Embed mode takes the bucket out of the Gram economy altogether,
 	// and embed errors surface instead of downgrading to a Gram solve the

@@ -77,7 +77,7 @@ func clusterCSR(s *sparse.CSR, cfg Config, owned bool) (*Result, error) {
 	}
 	vecs := lz.Vectors
 	matrix.NormalizeRows(vecs)
-	km, err := kmeans.Run(vecs, kmeans.Config{K: k, Seed: cfg.Seed, MaxIter: cfg.KMeansIter})
+	km, err := kmeans.Run(vecs, kmeans.Config{K: k, Seed: cfg.Seed})
 	if err != nil {
 		return nil, fmt.Errorf("spectral: kmeans: %w", err)
 	}

@@ -20,8 +20,6 @@ type Config struct {
 	K int
 	// Seed feeds the K-means stage.
 	Seed int64
-	// KMeansIter bounds Lloyd iterations (default 100).
-	KMeansIter int
 }
 
 // Result carries the clustering plus the spectral intermediates that
@@ -88,7 +86,7 @@ func clusterSym(v *matrix.Sym, cfg Config) (*Result, error) {
 	}
 	matrix.NormalizeRows(vecs)
 
-	km, err := kmeans.Run(vecs, kmeans.Config{K: k, Seed: cfg.Seed, MaxIter: cfg.KMeansIter})
+	km, err := kmeans.Run(vecs, kmeans.Config{K: k, Seed: cfg.Seed})
 	if err != nil {
 		return nil, fmt.Errorf("spectral: kmeans: %w", err)
 	}

@@ -1,12 +1,9 @@
 package text
 
 import (
-	"math"
 	"strings"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/matrix"
 )
 
 func TestPorterStemClassicVocabulary(t *testing.T) {
@@ -181,137 +178,5 @@ func TestClean(t *testing.T) {
 	}
 	if !hasClusterStem {
 		t.Fatalf("expected stem 'cluster' in %v", got)
-	}
-}
-
-func TestFitVectorizerValidation(t *testing.T) {
-	if _, err := FitVectorizer(nil, 5); err == nil {
-		t.Fatal("expected error for empty corpus")
-	}
-	if _, err := FitVectorizer([][]string{{"a"}}, 0); err == nil {
-		t.Fatal("expected error for f=0")
-	}
-	if _, err := FitVectorizer([][]string{{}, {}}, 3); err == nil {
-		t.Fatal("expected error for corpus without terms")
-	}
-}
-
-func TestVectorizerSelectsDiscriminativeTerms(t *testing.T) {
-	docs := [][]string{
-		{"apple", "apple", "apple", "common"},
-		{"apple", "apple", "common"},
-		{"banana", "banana", "banana", "common"},
-		{"banana", "banana", "common"},
-	}
-	v, err := FitVectorizer(docs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	terms := strings.Join(v.Terms, " ")
-	if !strings.Contains(terms, "apple") || !strings.Contains(terms, "banana") {
-		t.Fatalf("top terms = %v, want apple and banana", v.Terms)
-	}
-}
-
-func TestVectorizerTransform(t *testing.T) {
-	docs := [][]string{
-		{"apple", "apple"},
-		{"banana"},
-		{"kiwi"}, // out-of-vocabulary only
-	}
-	v, err := FitVectorizer(docs[:2], 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := v.Transform(docs)
-	if m.Rows() != 3 || m.Cols() != 2 {
-		t.Fatalf("dims %dx%d", m.Rows(), m.Cols())
-	}
-	// Rows with vocabulary hits are unit length.
-	if math.Abs(matrix.Norm2(m.Row(0))-1) > 1e-12 {
-		t.Fatalf("row 0 norm = %v", matrix.Norm2(m.Row(0)))
-	}
-	// OOV row is zero.
-	if matrix.Norm2(m.Row(2)) != 0 {
-		t.Fatal("OOV document must map to zero vector")
-	}
-	// Same-class docs are closer than cross-class.
-	d01 := matrix.Dist(m.Row(0), m.Row(1))
-	if d01 < 1 {
-		t.Fatalf("apple and banana docs should be orthogonal-ish, dist=%v", d01)
-	}
-}
-
-func TestWeightingString(t *testing.T) {
-	if StandardTFIDF.String() != "standard" || SublinearTFIDF.String() != "sublinear" ||
-		SmoothTFIDF.String() != "smooth" || Weighting(9).String() != "Weighting(?)" {
-		t.Fatal("weighting names changed")
-	}
-}
-
-func TestSublinearDampensRepeats(t *testing.T) {
-	docs := [][]string{
-		{"spam", "spam", "spam", "spam", "spam", "spam", "ham"},
-		{"eggs"},
-	}
-	std, err := FitVectorizerScheme(docs, 3, StandardTFIDF)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub, err := FitVectorizerScheme(docs, 3, SublinearTFIDF)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mStd := std.Transform(docs)
-	mSub := sub.Transform(docs)
-	idxOf := func(v *Vectorizer, term string) int {
-		for i, t := range v.Terms {
-			if t == term {
-				return i
-			}
-		}
-		t.Fatalf("term %q not kept", term)
-		return -1
-	}
-	// Relative dominance of "spam" over "ham" in doc 0 must shrink
-	// under sublinear weighting.
-	ratioStd := mStd.At(0, idxOf(std, "spam")) / mStd.At(0, idxOf(std, "ham"))
-	ratioSub := mSub.At(0, idxOf(sub, "spam")) / mSub.At(0, idxOf(sub, "ham"))
-	if ratioSub >= ratioStd {
-		t.Fatalf("sublinear did not dampen: %v vs %v", ratioSub, ratioStd)
-	}
-}
-
-func TestSmoothIDFKeepsUbiquitousTerms(t *testing.T) {
-	docs := [][]string{
-		{"common", "alpha"},
-		{"common", "beta"},
-	}
-	v, err := FitVectorizerScheme(docs, 3, SmoothTFIDF)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := v.Transform(docs)
-	// "common" appears in every doc; smooth idf must give it real
-	// weight rather than the epsilon of the standard scheme.
-	for i, term := range v.Terms {
-		if term == "common" {
-			if m.At(0, i) <= 0.01 {
-				t.Fatalf("smooth idf weight for ubiquitous term = %v", m.At(0, i))
-			}
-			return
-		}
-	}
-	t.Fatal("common term not kept under smooth idf")
-}
-
-func TestVectorizerClampsF(t *testing.T) {
-	docs := [][]string{{"one", "two"}}
-	v, err := FitVectorizer(docs, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(v.Terms) != 2 {
-		t.Fatalf("terms = %v", v.Terms)
 	}
 }
