@@ -1,7 +1,7 @@
 // Command dasclint runs the DASC project's static-analysis suite
 // (internal/lint) over the module: floatcmp, errcheck-gob,
-// goroutine-guard, panicfree, ctxarg, plus the determinism and
-// concurrency analyzers maporder, floataccum, poolescape, and wgmisuse.
+// goroutine-guard, panicfree, plus the determinism and concurrency
+// analyzers maporder, floataccum, and poolescape.
 // Lock copies are go vet's copylocks check, not this suite's.
 //
 // Usage:

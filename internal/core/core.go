@@ -48,10 +48,11 @@ type Config struct {
 	M int
 	// P is the minimum number of identical signature bits required to
 	// merge two buckets; 0 uses the paper's P = M-1 (Hamming radius 1).
-	// Set P = -1 to disable merging entirely (ablation).
+	// Set P = -1 to disable merging entirely (ablation); P < -1 and
+	// P > M are ErrBadConfig.
 	P int
 	// Sigma is the Gaussian kernel bandwidth; 0 selects the median
-	// heuristic from a data sample.
+	// heuristic from a data sample, and a negative value is ErrBadConfig.
 	Sigma float64
 	// Policy selects the LSH dimension-choice strategy.
 	Policy lsh.DimensionPolicy
@@ -224,10 +225,15 @@ func (c Config) resolve(n int) (Config, int, error) {
 		radius = -1 // merging disabled
 	case c.P == 0:
 		radius = 1
+	case c.P < -1:
+		return c, 0, fmt.Errorf("%w: P=%d below -1", ErrBadConfig, c.P)
 	case c.P > c.M:
 		return c, 0, fmt.Errorf("%w: P=%d > M=%d", ErrBadConfig, c.P, c.M)
 	default:
 		radius = c.M - c.P
+	}
+	if c.Sigma < 0 {
+		return c, 0, fmt.Errorf("%w: Sigma=%g negative", ErrBadConfig, c.Sigma)
 	}
 	if c.Tables == 0 {
 		c.Tables = 1

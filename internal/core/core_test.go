@@ -94,6 +94,12 @@ func TestClusterConfigValidation(t *testing.T) {
 	if _, err := Cluster(l.Points, Config{K: 2, M: 4, P: 7}); !errors.Is(err, ErrBadConfig) {
 		t.Fatal("expected ErrBadConfig for P > M")
 	}
+	if _, err := Cluster(l.Points, Config{K: 2, M: 4, P: -2}); !errors.Is(err, ErrBadConfig) {
+		t.Fatal("expected ErrBadConfig for P < -1")
+	}
+	if _, err := Cluster(l.Points, Config{K: 2, M: 4, Sigma: -1}); !errors.Is(err, ErrBadConfig) {
+		t.Fatal("expected ErrBadConfig for Sigma < 0")
+	}
 }
 
 func TestClusterDefaultsFromPaperLaws(t *testing.T) {

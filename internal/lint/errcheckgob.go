@@ -42,18 +42,21 @@ func runErrcheckGob(pass *Pass) {
 			"%serror result of %s is discarded; check it or assign it to _ explicitly",
 			how, sel.Sel.Name)
 	}
-	pass.Inspect.Preorder([]ast.Node{(*ast.ExprStmt)(nil), (*ast.DeferStmt)(nil), (*ast.GoStmt)(nil)}, func(n ast.Node) {
-		switch stmt := n.(type) {
-		case *ast.ExprStmt:
-			if call, ok := stmt.X.(*ast.CallExpr); ok {
-				check(call, "")
+	for _, file := range pass.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch stmt := n.(type) {
+			case *ast.ExprStmt:
+				if call, ok := stmt.X.(*ast.CallExpr); ok {
+					check(call, "")
+				}
+			case *ast.DeferStmt:
+				check(stmt.Call, "deferred ")
+			case *ast.GoStmt:
+				check(stmt.Call, "spawned ")
 			}
-		case *ast.DeferStmt:
-			check(stmt.Call, "deferred ")
-		case *ast.GoStmt:
-			check(stmt.Call, "spawned ")
-		}
-	})
+			return true
+		})
+	}
 }
 
 // returnsError reports whether any result of sig is the built-in error

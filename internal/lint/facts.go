@@ -2,12 +2,11 @@ package lint
 
 // The fact store gives analyzers one call level of interprocedural
 // sight without a real call graph: for every function declared in the
-// package it records a few coarse behavioural facts (spawns goroutines,
-// touches a sync.Pool, accumulates floats into shared memory). An analyzer
-// looking at a call site can then ask "does the callee do X" instead of
-// either re-walking the callee's body or giving up at the package
-// boundary. Facts are computed once per package, from the same
-// inspector traversal the analyzers replay.
+// package it records a few coarse behavioural facts (touches a
+// sync.Pool, accumulates floats into shared memory). An analyzer looking
+// at a call site can then ask "does the callee do X" instead of either
+// re-walking the callee's body or giving up at the package boundary.
+// Facts are computed once per package, before any analyzer runs.
 
 import (
 	"go/ast"
@@ -17,8 +16,6 @@ import (
 
 // FuncFacts are the per-function behaviour bits the analyzers consult.
 type FuncFacts struct {
-	// Spawns: the body contains a go statement.
-	Spawns bool
 	// TouchesPool: the body calls Get or Put on a sync.Pool.
 	TouchesPool bool
 	// AccumulatesSharedFloat: the body has a float += / -= whose target
@@ -59,21 +56,22 @@ func (fs *FactStore) ForCallee(info *types.Info, call *ast.CallExpr) *FuncFacts 
 	return fs.funcs[fn]
 }
 
-// computeFacts builds the store from one inspector traversal: every
-// FuncDecl body is scanned once for the fact-relevant statement shapes.
-func computeFacts(in *Inspector, info *types.Info) *FactStore {
+// computeFacts builds the store: every FuncDecl body (a FuncDecl is
+// always a top-level declaration) is scanned once for the fact-relevant
+// statement shapes.
+func computeFacts(files []*ast.File, info *types.Info) *FactStore {
 	fs := &FactStore{funcs: map[*types.Func]*FuncFacts{}}
-	in.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
-		decl := n.(*ast.FuncDecl)
-		if decl.Body == nil {
-			return
+	for _, file := range files {
+		for _, d := range file.Decls {
+			decl, ok := d.(*ast.FuncDecl)
+			if !ok || decl.Body == nil {
+				continue
+			}
+			if fn, ok := info.Defs[decl.Name].(*types.Func); ok {
+				fs.funcs[fn] = scanBody(decl, info)
+			}
 		}
-		fn, ok := info.Defs[decl.Name].(*types.Func)
-		if !ok {
-			return
-		}
-		fs.funcs[fn] = scanBody(decl, info)
-	})
+	}
 	return fs
 }
 
@@ -82,8 +80,6 @@ func scanBody(decl *ast.FuncDecl, info *types.Info) *FuncFacts {
 	f := &FuncFacts{}
 	ast.Inspect(decl.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
-		case *ast.GoStmt:
-			f.Spawns = true
 		case *ast.CallExpr:
 			if sel, ok := x.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Get" || sel.Sel.Name == "Put") && isSyncPoolExpr(info, sel.X) {
 				f.TouchesPool = true

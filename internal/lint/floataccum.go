@@ -33,14 +33,16 @@ var FloatAccum = &Analyzer{
 }
 
 func runFloatAccum(pass *Pass) {
-	pass.Inspect.Preorder([]ast.Node{(*ast.GoStmt)(nil)}, func(n ast.Node) {
-		gostmt := n.(*ast.GoStmt)
-		lit, ok := gostmt.Call.Fun.(*ast.FuncLit)
-		if !ok {
-			return
-		}
-		checkGoroutineBody(pass, lit)
-	})
+	for _, file := range pass.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			if gostmt, ok := n.(*ast.GoStmt); ok {
+				if lit, ok := gostmt.Call.Fun.(*ast.FuncLit); ok {
+					checkGoroutineBody(pass, lit)
+				}
+			}
+			return true
+		})
+	}
 }
 
 // checkGoroutineBody scans one goroutine literal for shared float

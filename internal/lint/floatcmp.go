@@ -21,25 +21,28 @@ var FloatCmp = &Analyzer{
 }
 
 func runFloatCmp(pass *Pass) {
-	pass.Inspect.Preorder([]ast.Node{(*ast.BinaryExpr)(nil)}, func(n ast.Node) {
-		bin := n.(*ast.BinaryExpr)
-		if bin.Op != token.EQL && bin.Op != token.NEQ {
-			return
-		}
-		x, xok := pass.Info.Types[bin.X]
-		y, yok := pass.Info.Types[bin.Y]
-		if !xok || !yok {
-			return
-		}
-		if x.Value != nil && y.Value != nil {
-			return // constant-folded at compile time
-		}
-		if isFloat(x.Type) || isFloat(y.Type) {
-			pass.Reportf(bin.OpPos,
-				"floating-point %s comparison; use matrix.ApproxEqual or an explicit tolerance",
-				bin.Op)
-		}
-	})
+	for _, file := range pass.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			bin, ok := n.(*ast.BinaryExpr)
+			if !ok || (bin.Op != token.EQL && bin.Op != token.NEQ) {
+				return true
+			}
+			x, xok := pass.Info.Types[bin.X]
+			y, yok := pass.Info.Types[bin.Y]
+			if !xok || !yok {
+				return true
+			}
+			if x.Value != nil && y.Value != nil {
+				return true // constant-folded at compile time
+			}
+			if isFloat(x.Type) || isFloat(y.Type) {
+				pass.Reportf(bin.OpPos,
+					"floating-point %s comparison; use matrix.ApproxEqual or an explicit tolerance",
+					bin.Op)
+			}
+			return true
+		})
+	}
 }
 
 // isFloat reports whether t's underlying type is float32 or float64.

@@ -1,100 +1,22 @@
 package lint
 
-// Tests for the second-generation analysis layer: the shared inspector,
-// the fact store, the stale-suppression check, parallel-run
-// determinism, and exact diagnostic positions for the four determinism
-// and concurrency analyzers.
+// Tests for the second-generation analysis layer: the fact store, the
+// stale-suppression check, parallel-run determinism, and exact
+// diagnostic positions for the determinism and concurrency analyzers.
 
 import (
 	"fmt"
-	"go/ast"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 )
 
-// TestInspectorMatchesAstInspect replays the inspector's filtered
-// traversals against a reference ast.Inspect walk over a real fixture
-// package and requires identical node sequences.
-func TestInspectorMatchesAstInspect(t *testing.T) {
-	_, pkg := loadFixture(t, "maporder_pos")
-	in := NewInspector(pkg.Files)
-
-	filters := [][]ast.Node{
-		nil, // every node
-		{(*ast.CallExpr)(nil)},
-		{(*ast.AssignStmt)(nil), (*ast.RangeStmt)(nil)},
-		{(*ast.FuncDecl)(nil), (*ast.FuncLit)(nil)},
-	}
-	match := func(n ast.Node, filter []ast.Node) bool {
-		if len(filter) == 0 {
-			return true
-		}
-		return typeBit(n)&maskOf(filter) != 0
-	}
-	for fi, filter := range filters {
-		var want []ast.Node
-		for _, f := range pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				if n != nil && match(n, filter) {
-					want = append(want, n)
-				}
-				return true
-			})
-		}
-		var got []ast.Node
-		in.Preorder(filter, func(n ast.Node) { got = append(got, n) })
-		if len(got) != len(want) {
-			t.Fatalf("filter %d: Preorder visited %d nodes, ast.Inspect %d", fi, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("filter %d: node %d differs: %T vs %T", fi, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestInspectorWithStack checks that the reported stack runs from the
-// file down to the node itself.
-func TestInspectorWithStack(t *testing.T) {
-	_, pkg := loadFixture(t, "maporder_pos")
-	in := NewInspector(pkg.Files)
-	seen := 0
-	in.WithStack([]ast.Node{(*ast.RangeStmt)(nil)}, func(n ast.Node, stack []ast.Node) bool {
-		seen++
-		if len(stack) < 2 {
-			t.Fatalf("stack too short: %d", len(stack))
-		}
-		if _, ok := stack[0].(*ast.File); !ok {
-			t.Errorf("stack[0] = %T, want *ast.File", stack[0])
-		}
-		if stack[len(stack)-1] != n {
-			t.Errorf("stack top is %T, want the visited node", stack[len(stack)-1])
-		}
-		foundFunc := false
-		for _, s := range stack {
-			if _, ok := s.(*ast.FuncDecl); ok {
-				foundFunc = true
-			}
-		}
-		if !foundFunc {
-			t.Errorf("range statement with no enclosing FuncDecl on the stack")
-		}
-		return true
-	})
-	if seen == 0 {
-		t.Fatal("WithStack visited no range statements")
-	}
-}
-
 // TestFactStore checks the per-function facts on the floataccum
 // fixture, whose helper is the canonical shared-float accumulator.
 func TestFactStore(t *testing.T) {
 	_, pkg := loadFixture(t, "floataccum_pos")
-	in := NewInspector(pkg.Files)
-	facts := computeFacts(in, pkg.Info)
+	facts := computeFacts(pkg.Files, pkg.Info)
 
 	byName := map[string]*FuncFacts{}
 	for fn, ff := range facts.funcs {
@@ -102,9 +24,6 @@ func TestFactStore(t *testing.T) {
 	}
 	if ff := byName["accumulateInto"]; ff == nil || !ff.AccumulatesSharedFloat {
 		t.Errorf("accumulateInto: want AccumulatesSharedFloat, got %+v", ff)
-	}
-	if ff := byName["oneCallDeep"]; ff == nil || !ff.Spawns {
-		t.Errorf("oneCallDeep: want Spawns, got %+v", ff)
 	}
 	if ff := byName["intoGlobal"]; ff == nil || ff.TouchesPool {
 		t.Errorf("intoGlobal: want !TouchesPool, got %+v", ff)
@@ -114,8 +33,7 @@ func TestFactStore(t *testing.T) {
 // TestFactStorePool checks pool-touch facts on the poolescape fixture.
 func TestFactStorePool(t *testing.T) {
 	_, pkg := loadFixture(t, "poolescape_neg")
-	in := NewInspector(pkg.Files)
-	facts := computeFacts(in, pkg.Info)
+	facts := computeFacts(pkg.Files, pkg.Info)
 	byName := map[string]*FuncFacts{}
 	for fn, ff := range facts.funcs {
 		byName[fn.Name()] = ff
@@ -163,8 +81,8 @@ func TestParallelRunDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	fixtures := []string{
-		"maporder_pos", "floataccum_pos", "poolescape_pos", "wgmisuse_pos",
-		"fixture", "ctxarg_pos",
+		"maporder_pos", "floataccum_pos", "poolescape_pos", "panicfree_pos",
+		"fixture", "errcheckgob_pos",
 	}
 	var pkgs []*Package
 	for _, rel := range fixtures {
@@ -201,6 +119,7 @@ func TestNewAnalyzersExactPositions(t *testing.T) {
 		want     []string
 	}{
 		{"maporder_pos", MapOrder, []string{
+			"closure.go:12:4",
 			"maporder_pos.go:8:3",
 			"maporder_pos.go:17:3",
 			"maporder_pos.go:26:3",
@@ -220,11 +139,6 @@ func TestNewAnalyzersExactPositions(t *testing.T) {
 			"poolescape_pos.go:33:8",
 			"poolescape_pos.go:41:16",
 			"poolescape_pos.go:46:16",
-		}},
-		{"wgmisuse_pos", WgMisuse, []string{
-			"wgmisuse_pos.go:11:4",
-			"wgmisuse_pos.go:36:2",
-			"wgmisuse_pos.go:53:2",
 		}},
 	}
 	for _, tc := range cases {

@@ -49,23 +49,26 @@ func runGoroutineGuard(pass *Pass) {
 		return
 	}
 	owner := ownsGoroutines(pass.Path)
-	pass.Inspect.Preorder([]ast.Node{(*ast.GoStmt)(nil)}, func(n ast.Node) {
-		gostmt := n.(*ast.GoStmt)
-		if !owner {
-			pass.Reportf(gostmt.Pos(),
-				"go statement outside the packages that own goroutines (internal/%s); run compute loops through par.Workers or par.Each",
-				strings.Join(goroutineOwners, ", internal/"))
-			return
-		}
-		lit, ok := gostmt.Call.Fun.(*ast.FuncLit)
-		if !ok {
-			return // named function: its body is checked where defined
-		}
-		if !hasCompletionGuard(lit.Body) {
-			pass.Reportf(gostmt.Pos(),
-				"goroutine literal has no completion signal (Done/channel send/close) and no deferred recover; a panic here deadlocks the job")
-		}
-	})
+	for _, file := range pass.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			gostmt, ok := n.(*ast.GoStmt)
+			if !ok {
+				return true
+			}
+			if !owner {
+				pass.Reportf(gostmt.Pos(),
+					"go statement outside the packages that own goroutines (internal/%s); run compute loops through par.Workers or par.Each",
+					strings.Join(goroutineOwners, ", internal/"))
+				return true
+			}
+			// A named function's body is checked where it is defined.
+			if lit, ok := gostmt.Call.Fun.(*ast.FuncLit); ok && !hasCompletionGuard(lit.Body) {
+				pass.Reportf(gostmt.Pos(),
+					"goroutine literal has no completion signal (Done/channel send/close) and no deferred recover; a panic here deadlocks the job")
+			}
+			return true
+		})
+	}
 }
 
 // hasCompletionGuard reports whether body contains any of: a call to a

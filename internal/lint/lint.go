@@ -41,7 +41,6 @@ type Analyzer struct {
 
 // All is the analyzer suite run by default, in reporting order.
 var All = []*Analyzer{
-	CtxArg,
 	FloatCmp,
 	ErrcheckGob,
 	GoroutineGuard,
@@ -49,12 +48,11 @@ var All = []*Analyzer{
 	MapOrder,
 	FloatAccum,
 	PoolEscape,
-	WgMisuse,
 }
 
 // Pass carries one package's parsed and type-checked state to an
-// analyzer invocation. The Inspect traversal and the Facts store are
-// built once per package and shared by every analyzer in the suite.
+// analyzer invocation. The Facts store is built once per package and
+// shared by every analyzer in the suite.
 type Pass struct {
 	// Analyzer is the check currently running.
 	Analyzer *Analyzer
@@ -68,12 +66,9 @@ type Pass struct {
 	Pkg *types.Package
 	// Info holds the type-checker's expression and object facts.
 	Info *types.Info
-	// Inspect replays the package's flattened AST traversal filtered by
-	// node type; analyzers subscribe instead of re-walking the files.
-	Inspect *Inspector
 	// Facts answers one-call-deep questions about functions declared in
-	// this package (does the callee spawn goroutines / touch a pool /
-	// accumulate shared floats).
+	// this package (does the callee touch a pool / accumulate shared
+	// floats).
 	Facts *FactStore
 
 	report func(Diagnostic)

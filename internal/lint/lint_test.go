@@ -74,7 +74,6 @@ var golden = []struct {
 	analyzer *Analyzer
 	pos, neg string
 }{
-	{CtxArg, "ctxarg_pos", "ctxarg_neg"},
 	{FloatCmp, "floatcmp_pos", "floatcmp_neg"},
 	{ErrcheckGob, "errcheckgob_pos", "errcheckgob_neg"},
 	{GoroutineGuard, "goroutineguard_pos", "goroutineguard_neg"},
@@ -83,7 +82,6 @@ var golden = []struct {
 	{MapOrder, "maporder_pos", "maporder_neg"},
 	{FloatAccum, "floataccum_pos", "floataccum_neg"},
 	{PoolEscape, "poolescape_pos", "poolescape_neg"},
-	{WgMisuse, "wgmisuse_pos", "wgmisuse_neg"},
 }
 
 func TestAnalyzersGolden(t *testing.T) {

@@ -30,33 +30,35 @@ var MapOrder = &Analyzer{
 }
 
 func runMapOrder(pass *Pass) {
-	pass.Inspect.WithStack([]ast.Node{(*ast.RangeStmt)(nil)}, func(n ast.Node, stack []ast.Node) bool {
-		rng := n.(*ast.RangeStmt)
-		t := pass.Info.TypeOf(rng.X)
-		if t == nil {
-			return true
-		}
-		if _, ok := t.Underlying().(*types.Map); !ok {
-			return true
-		}
-		fnBody := enclosingFuncBody(stack)
-		checkMapRangeBody(pass, rng, fnBody)
-		return true
-	})
-}
-
-// enclosingFuncBody returns the body of the innermost function literal
-// or declaration on the stack, or nil at package scope.
-func enclosingFuncBody(stack []ast.Node) *ast.BlockStmt {
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch fn := stack[i].(type) {
-		case *ast.FuncLit:
-			return fn.Body
-		case *ast.FuncDecl:
-			return fn.Body
+	for _, file := range pass.Files {
+		for _, decl := range file.Decls {
+			var fnBody *ast.BlockStmt // nil at package scope
+			if fn, ok := decl.(*ast.FuncDecl); ok {
+				fnBody = fn.Body
+			}
+			checkMapRanges(pass, decl, fnBody)
 		}
 	}
-	return nil
+}
+
+// checkMapRanges checks every map range under root against fnBody, the
+// body of the innermost function enclosing root (nil at package scope).
+// Each function literal is checked against its own body.
+func checkMapRanges(pass *Pass, root ast.Node, fnBody *ast.BlockStmt) {
+	ast.Inspect(root, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.FuncLit:
+			checkMapRanges(pass, x.Body, x.Body)
+			return false
+		case *ast.RangeStmt:
+			if t := pass.Info.TypeOf(x.X); t != nil {
+				if _, ok := t.Underlying().(*types.Map); ok {
+					checkMapRangeBody(pass, x, fnBody)
+				}
+			}
+		}
+		return true
+	})
 }
 
 // checkMapRangeBody flags the order-observable statement shapes inside

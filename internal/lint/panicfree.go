@@ -34,28 +34,30 @@ func runPanicFree(pass *Pass) {
 	if !strings.Contains(pass.Path, "/internal/") {
 		return // commands and examples may crash; libraries may not
 	}
-	pass.Inspect.WithStack([]ast.Node{(*ast.CallExpr)(nil)}, func(n ast.Node, stack []ast.Node) bool {
-		call := n.(*ast.CallExpr)
-		id, ok := call.Fun.(*ast.Ident)
-		if !ok || id.Name != "panic" {
-			return true
-		}
-		if _, isBuiltin := pass.Info.Uses[id].(*types.Builtin); !isBuiltin {
-			return true // a local function shadowing the builtin
-		}
-		// The invariant-helper waiver keys on the outermost enclosing
-		// function declaration (a panic in a closure belongs to the
-		// function that defines the closure).
-		for _, outer := range stack {
-			if fn, ok := outer.(*ast.FuncDecl); ok {
-				if panicAllowed(pass.Path, fn.Name.Name) {
+	for _, file := range pass.Files {
+		for _, decl := range file.Decls {
+			// The invariant-helper waiver keys on the outermost enclosing
+			// declaration: a panic in a closure belongs to the function
+			// that defines the closure, and a package-level var has none.
+			if fn, ok := decl.(*ast.FuncDecl); ok && panicAllowed(pass.Path, fn.Name.Name) {
+				continue
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
 					return true
 				}
-				break
-			}
+				id, ok := call.Fun.(*ast.Ident)
+				if !ok || id.Name != "panic" {
+					return true
+				}
+				if _, isBuiltin := pass.Info.Uses[id].(*types.Builtin); !isBuiltin {
+					return true // a local function shadowing the builtin
+				}
+				pass.Reportf(call.Pos(),
+					"panic in library package %s; return an error or route through a matrix invariant helper", pass.Path)
+				return true
+			})
 		}
-		pass.Reportf(call.Pos(),
-			"panic in library package %s; return an error or route through a matrix invariant helper", pass.Path)
-		return true
-	})
+	}
 }

@@ -28,20 +28,22 @@ var PoolEscape = &Analyzer{
 }
 
 func runPoolEscape(pass *Pass) {
-	pass.Inspect.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
-		decl := n.(*ast.FuncDecl)
-		if decl.Body == nil {
-			return
-		}
-		// The fact store knows which functions touch a pool; skip the
-		// rest without walking them.
-		if fn, ok := pass.Info.Defs[decl.Name].(*types.Func); ok {
-			if facts := pass.Facts.funcs[fn]; facts != nil && !facts.TouchesPool {
-				return
+	for _, file := range pass.Files {
+		for _, d := range file.Decls {
+			decl, ok := d.(*ast.FuncDecl)
+			if !ok || decl.Body == nil {
+				continue
 			}
+			// The fact store knows which functions touch a pool; skip the
+			// rest without walking them.
+			if fn, ok := pass.Info.Defs[decl.Name].(*types.Func); ok {
+				if facts := pass.Facts.funcs[fn]; facts != nil && !facts.TouchesPool {
+					continue
+				}
+			}
+			checkPoolUse(pass, decl.Body)
 		}
-		checkPoolUse(pass, decl.Body)
-	})
+	}
 }
 
 // checkPoolUse tracks Get loans and flags escapes and bad Puts within

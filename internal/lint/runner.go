@@ -19,8 +19,8 @@ const IgnorePrefix = "//lint:ignore"
 // through //lint:ignore comments, and returns the remaining diagnostics
 // sorted by file, line, column, and analyzer. Packages are analyzed
 // concurrently across GOMAXPROCS goroutines (each package on one: the
-// flattened traversal and fact store are built once and replayed by
-// every analyzer), and the global sort makes the output order
+// fact store is built once and shared by every analyzer), and the
+// global sort makes the output order
 // independent of scheduling. Malformed ignore comments (missing analyzer
 // or reason) and directives that suppressed nothing are reported under
 // the pseudo-analyzer "lint".
@@ -69,13 +69,11 @@ func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) []Diagnost
 	return diags
 }
 
-// runPackage analyzes one package: shared traversal and facts first,
-// then every analyzer replayed over them, then suppression filtering
-// and stale-directive reporting.
+// runPackage analyzes one package: facts first, then every analyzer,
+// then suppression filtering and stale-directive reporting.
 func runPackage(fset *token.FileSet, pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	dirs, diags := suppressions(fset, pkg.Files)
-	inspect := NewInspector(pkg.Files)
-	facts := computeFacts(inspect, pkg.Info)
+	facts := computeFacts(pkg.Files, pkg.Info)
 	for _, a := range analyzers {
 		pass := &Pass{
 			Analyzer: a,
@@ -84,7 +82,6 @@ func runPackage(fset *token.FileSet, pkg *Package, analyzers []*Analyzer) []Diag
 			Files:    pkg.Files,
 			Pkg:      pkg.Types,
 			Info:     pkg.Info,
-			Inspect:  inspect,
 			Facts:    facts,
 		}
 		pass.report = func(d Diagnostic) {

@@ -57,3 +57,15 @@ func mergeCounts(dst, src map[string]int) {
 		dst[k] += v
 	}
 }
+
+// The range and its sort both live in one returned closure.
+func sortedInClosure(m map[string]int) func() []string {
+	return func() []string {
+		var keys []string
+		for k := range m {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		return keys
+	}
+}

@@ -38,3 +38,16 @@ func shadowed() {
 	panic := func(s string) {}
 	panic("not the builtin")
 }
+
+// checkAll panics inside a closure; the waiver belongs to the outermost
+// declaration, so a check* helper's closures are waived too.
+func checkAll(xs []int, n int) {
+	each := func(i int) {
+		if i < 0 || i >= n {
+			panic(fmt.Sprintf("index %d out of range %d", i, n))
+		}
+	}
+	for _, i := range xs {
+		each(i)
+	}
+}

@@ -15,3 +15,8 @@ func inClosure(xs []int) func() {
 		panic("closure panic") // want panicfree "panic in library package"
 	}
 }
+
+// A package-level function literal has no declaration to waive it.
+var explodeLater = func() {
+	panic("package-level closure panic") // want panicfree "panic in library package"
+}

@@ -55,10 +55,6 @@ type Config struct {
 	// M is the number of signature bits (hash functions). If zero,
 	// DefaultM(n) is used.
 	M int
-	// P is the minimum number of identical bits two signatures must
-	// share for their buckets to be merged. If zero, M-1 is used, which
-	// permits the O(1) single-differing-bit test of Eq. 6.
-	P int
 	// Policy selects the dimension-choice strategy (default TopSpan).
 	Policy DimensionPolicy
 	// Bins is the histogram resolution for threshold selection
