@@ -13,6 +13,7 @@
 package dasc_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -121,7 +122,7 @@ func reportDASC(b *testing.B, l *dataset.Labeled, cfg core.Config) {
 	var res *core.Result
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = core.Cluster(l.Points, cfg)
+		res, err = core.Run(context.Background(), core.Source{Points: l.Points}, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -335,7 +336,7 @@ func BenchmarkDASCvsSC(b *testing.B) {
 	l, _ := dataset.Mixture(dataset.MixtureConfig{N: 1024, D: 32, K: 8, Noise: 0.03, Seed: 8})
 	b.Run("dasc", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Cluster(l.Points, core.Config{K: 8, Seed: 1}); err != nil {
+			if _, err := core.Run(context.Background(), core.Source{Points: l.Points}, core.Config{K: 8, Seed: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -86,9 +86,10 @@ func main() {
 		var res *core.Result
 		switch *mr {
 		case "":
-			res, err = core.ClusterContext(ctx, l.Points, cfg)
+			res, err = core.Run(ctx, core.Source{Points: l.Points}, cfg)
 		case "local":
-			res, err = core.ClusterMapReduceShippedContext(ctx, l.Points, cfg, &mapreduce.Local{})
+			cfg.Executor = &mapreduce.Local{}
+			res, err = core.Run(ctx, core.Source{Points: l.Points}, cfg)
 		case "tcp":
 			res, err = runOverTCP(ctx, l, cfg, "127.0.0.1:0", *workers, false)
 		case "tcp-shipped":
@@ -164,7 +165,8 @@ func runOverTCP(ctx context.Context, l *dataset.Labeled, cfg core.Config, listen
 			}
 		}()
 	}
-	return core.ClusterMapReduceShippedContext(ctx, l.Points, cfg, master)
+	cfg.Executor = master
+	return core.Run(ctx, core.Source{Points: l.Points}, cfg)
 }
 
 func fatal(err error) {

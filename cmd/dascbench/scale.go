@@ -10,6 +10,7 @@ package main
 // the recorded peak RSS is the out-of-core working set.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -178,7 +179,8 @@ func runShardedTCP(dir string, cfg core.Config) (int64, *core.Result, error) {
 		time.Sleep(time.Millisecond)
 	}
 	start := time.Now()
-	res, err := core.ClusterMapReduceSharded(dir, cfg, m)
+	cfg.Executor = m
+	res, err := core.Run(context.Background(), core.Source{Dir: dir}, cfg)
 	if err != nil {
 		return 0, nil, err
 	}

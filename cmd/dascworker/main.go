@@ -1,14 +1,14 @@
 // Command dascworker is a standalone MapReduce worker process: it dials
 // the master, serves tasks until the master shuts down, and exits. The
-// DASC jobs whose rows travel in the records (ClusterMapReduceShipped)
-// or sit in shard files (ClusterMapReduceSharded) are available to it
-// through the factories registered by the core package, so a real
-// multi-process deployment is:
+// DASC jobs core.Run submits to a TCP Master — rows inside the records
+// (core.Source.Points) or in shard files (core.Source.Dir) — are
+// available to it through the factories registered by the core package,
+// so a real multi-process deployment is:
 //
 //	terminal 1:  dasc -algo dasc -mapreduce tcp-shipped -in data.csv
 //	terminal 2+: dascworker -master 127.0.0.1:<port>
 //
-// For sharded jobs (core.ClusterMapReduceSharded) the shard directory
+// For sharded jobs (a Run on core.Source.Dir) the shard directory
 // path inside the job conf must resolve on the worker's filesystem —
 // a shared mount in a real deployment. Workers cache one open shard
 // reader per directory for their lifetime and ship their read meter

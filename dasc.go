@@ -3,15 +3,15 @@
 // reimplemented in pure Go.
 //
 // The package re-exports the stable surface of the internal subsystem
-// packages: the DASC clusterer and its drivers, the three baselines the
-// paper compares against, dataset generators, the evaluation metrics,
-// and the MapReduce/EMR runtimes. See README.md for a tour and
+// packages: the DASC clusterer behind its one entry point, Run, the three
+// baselines the paper compares against, dataset generators, the
+// evaluation metrics, and the MapReduce/EMR runtimes. See README.md for a tour and
 // DESIGN.md for the architecture.
 //
 // Minimal use:
 //
 //	data, _ := dasc.Mixture(dasc.MixtureConfig{N: 2000, D: 16, K: 5})
-//	res, _ := dasc.Cluster(data.Points, dasc.Config{K: 5})
+//	res, _ := dasc.Run(context.Background(), dasc.Source{Points: data.Points}, dasc.Config{K: 5})
 //	acc, _ := dasc.Accuracy(data.Labels, res.Labels)
 package dasc
 
@@ -53,65 +53,23 @@ type Config = core.Config
 // Result reports a DASC run: labels, bucket structure, Gram memory.
 type Result = core.Result
 
-// IncrementalResult extends Result with bounded-memory accounting.
-type IncrementalResult = core.IncrementalResult
+// Source names where a run's rows come from: exactly one of a resident
+// matrix (Points) or a shard directory (Dir, see WriteShards).
+type Source = core.Source
 
-// Cluster runs DASC in-process with a parallel bucket pool.
-func Cluster(points *Matrix, cfg Config) (*Result, error) {
-	return core.Cluster(points, cfg)
-}
-
-// ClusterContext is Cluster with cancellation: the run aborts between
-// pipeline stages and before each bucket solve once ctx is done.
-func ClusterContext(ctx context.Context, points *Matrix, cfg Config) (*Result, error) {
-	return core.ClusterContext(ctx, points, cfg)
-}
-
-// ClusterMapReduceShipped runs DASC as the paper's two MapReduce stages
-// on any executor (LocalExecutor, or a TCP Master with connected
-// workers). All data travels through the records, so the executor's
-// workers may live in other OS processes (see cmd/dascworker).
-func ClusterMapReduceShipped(points *Matrix, cfg Config, exec Executor) (*Result, error) {
-	return core.ClusterMapReduceShipped(points, cfg, exec)
-}
-
-// ClusterMapReduceShippedContext is ClusterMapReduceShipped with
-// cancellation.
-func ClusterMapReduceShippedContext(ctx context.Context, points *Matrix, cfg Config, exec Executor) (*Result, error) {
-	return core.ClusterMapReduceShippedContext(ctx, points, cfg, exec)
-}
-
-// ClusterMapReduceSharded runs the out-of-core MapReduce formulation
-// against a shard directory (see WriteShards): the input matrix never
-// materializes in driver memory — stage-1 mappers stream shard row
-// ranges and stage-2 reducers demand-read only the rows their buckets
-// reference. Combine with Config.SpillBytes to bound the shuffle too.
-func ClusterMapReduceSharded(dir string, cfg Config, exec Executor) (*Result, error) {
-	return core.ClusterMapReduceSharded(dir, cfg, exec)
-}
-
-// ClusterMapReduceShardedContext is ClusterMapReduceSharded with
-// cancellation.
-func ClusterMapReduceShardedContext(ctx context.Context, dir string, cfg Config, exec Executor) (*Result, error) {
-	return core.ClusterMapReduceShardedContext(ctx, dir, cfg, exec)
-}
-
-// ClusterIncremental runs DASC with the resident Gram storage bounded
-// by budgetBytes, processing buckets in waves.
-func ClusterIncremental(points *Matrix, cfg Config, budgetBytes int64) (*IncrementalResult, error) {
-	return core.ClusterIncremental(points, cfg, budgetBytes)
-}
-
-// ClusterIncrementalContext is ClusterIncremental with cancellation.
-func ClusterIncrementalContext(ctx context.Context, points *Matrix, cfg Config, budgetBytes int64) (*IncrementalResult, error) {
-	return core.ClusterIncrementalContext(ctx, points, cfg, budgetBytes)
+// Run runs DASC on src. A nil cfg.Executor solves a Points source on
+// the in-process bucket pool, in waves within cfg.MemoryBudget; an
+// Executor (LocalExecutor, or a TCP Master whose workers may live in
+// other OS processes) runs the paper's two MapReduce stages, which a Dir
+// source always takes. The run aborts once ctx is done.
+func Run(ctx context.Context, src Source, cfg Config) (*Result, error) {
+	return core.Run(ctx, src, cfg)
 }
 
 // TuneM sweeps the signature width and returns the largest M whose
 // approximated Gram matrix keeps at least minFnormRatio of the full
 // matrix's Frobenius norm (the paper's §5.5 accuracy/parallelism knob,
-// measured as in its Figure 5) on the partition Cluster builds at that
-// M. A set cfg.Family is an error: its width is fixed.
+// measured as in its Figure 5) on the partition Run builds at that M. A set cfg.Family is an error: its width is fixed.
 func TuneM(points *Matrix, cfg Config, minFnormRatio float64) (int, error) {
 	m, _, err := core.TuneM(points, cfg, minFnormRatio, 0)
 	return m, err
@@ -253,7 +211,7 @@ func NewShardWriter(dir string, cols, rowsPerShard int) (*ShardWriter, error) {
 func OpenShards(dir string) (*ShardReader, error) { return shard.Open(dir) }
 
 // WriteShards splits an in-memory matrix into row-range shard files
-// under dir, for feeding ClusterMapReduceSharded.
+// under dir, for a Run on Source{Dir: dir}.
 func WriteShards(dir string, points *Matrix, rowsPerShard int) error {
 	w, err := shard.NewWriter(dir, points.Cols(), rowsPerShard)
 	if err != nil {
@@ -343,6 +301,6 @@ func NewEMRCluster(n int) (*EMRCluster, error) { return emr.NewCluster(n) }
 // EMRFlow builds the DASC job flow for a dataset so it can be scheduled
 // on simulated clusters of different sizes (Table 3).
 func EMRFlow(points *Matrix, cfg Config, beta float64) (*emr.JobFlow, error) {
-	flow, _, err := core.EMRFlow(points, cfg, beta)
+	flow, _, err := core.EMRFlow(context.Background(), points, cfg, beta)
 	return flow, err
 }

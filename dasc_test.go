@@ -1,6 +1,7 @@
 package dasc_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -14,7 +15,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := dasc.Cluster(data.Points, dasc.Config{K: 3, Seed: 1})
+	res, err := dasc.Run(context.Background(), dasc.Source{Points: data.Points}, dasc.Config{K: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestPublicAPICorpusAndIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc, err := dasc.ClusterIncremental(data.Points, dasc.Config{K: 4, Seed: 1}, 1<<20)
+	inc, err := dasc.Run(context.Background(), dasc.Source{Points: data.Points}, dasc.Config{K: 4, Seed: 1, MemoryBudget: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +137,12 @@ func TestPublicAPIDistributed(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	res, err := dasc.ClusterMapReduceShipped(data.Points, dasc.Config{K: 2, Seed: 1}, m)
+	src := dasc.Source{Points: data.Points}
+	res, err := dasc.Run(context.Background(), src, dasc.Config{K: 2, Seed: 1, Executor: m})
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := dasc.ClusterMapReduceShipped(data.Points, dasc.Config{K: 2, Seed: 1}, &dasc.LocalExecutor{})
+	local, err := dasc.Run(context.Background(), src, dasc.Config{K: 2, Seed: 1, Executor: &dasc.LocalExecutor{}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package dasc_test
 
 import (
+	"context"
 	"fmt"
 
 	dasc "repro"
@@ -14,7 +15,7 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	res, err := dasc.Cluster(data.Points, dasc.Config{K: 4, Seed: 1})
+	res, err := dasc.Run(context.Background(), dasc.Source{Points: data.Points}, dasc.Config{K: 4, Seed: 1})
 	if err != nil {
 		panic(err)
 	}
@@ -26,14 +27,14 @@ func Example() {
 	// Output: clusters=4 accuracy>=0.95: true
 }
 
-// ExampleCluster_memorySavings shows the approximated Gram matrix
+// ExampleRun_memorySavings shows the approximated Gram matrix
 // staying below the full N^2 cost — the paper's headline property.
-func ExampleCluster_memorySavings() {
+func ExampleRun_memorySavings() {
 	data, err := dasc.Mixture(dasc.MixtureConfig{N: 1000, D: 16, K: 8, Noise: 0.03, Seed: 7})
 	if err != nil {
 		panic(err)
 	}
-	res, err := dasc.Cluster(data.Points, dasc.Config{K: 8, Seed: 1})
+	res, err := dasc.Run(context.Background(), dasc.Source{Points: data.Points}, dasc.Config{K: 8, Seed: 1})
 	if err != nil {
 		panic(err)
 	}

@@ -25,15 +25,16 @@ func main() {
 		log.Fatal(err)
 	}
 	cfg := core.Config{K: 4, Seed: 1}
+	src := core.Source{Points: data.Points}
 
 	// Cancelling this context aborts in-flight map/reduce tasks on both
-	// executors (the ClusterMapReduceShipped form without Context is the
-	// same driver with context.Background()).
+	// executors.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
 	// Local executor: a bounded worker pool in this process.
-	local, err := core.ClusterMapReduceShippedContext(ctx, data.Points, cfg, &mapreduce.Local{})
+	cfg.Executor = &mapreduce.Local{}
+	local, err := core.Run(ctx, src, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,7 +63,8 @@ func main() {
 		}()
 	}
 	fmt.Printf("master listening on %s, waiting for 4 workers...\n", master.Addr())
-	tcp, err := core.ClusterMapReduceShippedContext(ctx, data.Points, cfg, master)
+	cfg.Executor = master
+	tcp, err := core.Run(ctx, src, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

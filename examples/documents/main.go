@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -42,7 +43,7 @@ func main() {
 	fmt.Printf("vectors:  %d x %d (union vocabulary of kept terms)\n",
 		data.Points.Rows(), data.Points.Cols())
 
-	dasc, err := core.Cluster(data.Points, core.Config{K: c.Categories, Seed: 1})
+	dasc, err := core.Run(context.Background(), core.Source{Points: data.Points}, core.Config{K: c.Categories, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -27,7 +28,7 @@ func main() {
 	cfg := core.Config{K: c.Categories, Seed: 1, M: 10}
 
 	// Real run for accuracy.
-	run, err := core.Cluster(data.Points, cfg)
+	run, err := core.Run(context.Background(), core.Source{Points: data.Points}, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func main() {
 		data.Points.Rows(), len(run.Buckets), acc)
 
 	// Simulated elastic execution of the same work.
-	flow, _, err := core.EMRFlow(data.Points, cfg, 0)
+	flow, _, err := core.EMRFlow(context.Background(), data.Points, cfg, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

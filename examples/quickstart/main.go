@@ -1,6 +1,6 @@
 // Quickstart: cluster a synthetic Gaussian mixture with DASC and check
 // the result against ground truth — the smallest end-to-end use of the
-// library's public pipeline (dataset -> core.Cluster -> metrics).
+// library's public pipeline (dataset -> core.Run -> metrics).
 package main
 
 import (
@@ -25,13 +25,13 @@ func main() {
 
 	// DASC with paper defaults: M = ceil(log2 N / 2) - 1 signature
 	// bits, bucket merging at Hamming distance 1, Gaussian kernel with
-	// the median-distance bandwidth. Every driver has a Context variant
-	// (core.Cluster == core.ClusterContext with context.Background());
-	// the deadline here bounds the run, cancelling between stages and
-	// before each bucket solve.
+	// the median-distance bandwidth. core.Run is the one entry point: a
+	// resident matrix and no Executor solve the buckets on the
+	// in-process pool. The deadline bounds the run, cancelling between
+	// stages and before each bucket solve.
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	res, err := core.ClusterContext(ctx, data.Points, core.Config{K: 5, Seed: 1})
+	res, err := core.Run(ctx, core.Source{Points: data.Points}, core.Config{K: 5, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

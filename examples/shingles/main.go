@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -51,7 +52,7 @@ func main() {
 		{4, 0}, // four independent tables
 		{4, 1}, // ... plus one-bit Hamming probes
 	} {
-		res, err := core.Cluster(points, core.Config{
+		res, err := core.Run(context.Background(), core.Source{Points: points}, core.Config{
 			K: c.Categories, Seed: 1, Family: mh,
 			Tables: dial.tables, ProbeRadius: dial.probe,
 		})

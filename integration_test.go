@@ -1,6 +1,7 @@
 package dasc_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/baseline"
@@ -31,22 +32,24 @@ func TestAllDriversAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := core.Config{K: 4, Seed: 61}
-	ref, err := core.Cluster(l.Points, cfg)
+	src := core.Source{Points: l.Points}
+	ref, err := core.Run(context.Background(), src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc, err := core.ClusterIncremental(l.Points, cfg, ref.GramBytes/3+1)
-	if err != nil {
-		t.Fatal(err)
+	run := func(budget int64, exec mapreduce.Executor) *core.Result {
+		t.Helper()
+		c := cfg
+		c.MemoryBudget, c.Executor = budget, exec
+		res, err := core.Run(context.Background(), src, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	mr, err := core.ClusterMapReduceShipped(l.Points, cfg, &mapreduce.Local{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shipped, err := core.ClusterMapReduceShipped(l.Points, cfg, &mapreduce.Local{Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	inc := run(ref.GramBytes/3+1, nil)
+	mr := run(0, &mapreduce.Local{})
+	shipped := run(0, &mapreduce.Local{Workers: 3})
 	for name, labels := range map[string][]int{
 		"incremental":     inc.Labels,
 		"shipped":         mr.Labels,
@@ -77,7 +80,7 @@ func TestDocumentPipelineClusterChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := core.Cluster(pts, core.Config{K: 4, Seed: 64})
+	run, err := core.Run(context.Background(), core.Source{Points: pts}, core.Config{K: 4, Seed: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +102,7 @@ func TestMetricsConsistentAcrossAlgorithms(t *testing.T) {
 		t.Fatal(err)
 	}
 	runs := map[string][]int{}
-	if r, err := core.Cluster(l.Points, core.Config{K: 3, Seed: 1}); err == nil {
+	if r, err := core.Run(context.Background(), core.Source{Points: l.Points}, core.Config{K: 3, Seed: 1}); err == nil {
 		runs["dasc"] = r.Labels
 	} else {
 		t.Fatal(err)
@@ -142,11 +145,11 @@ func TestEMRFlowMatchesRealWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := core.Config{K: 8, Seed: 67}
-	run, err := core.Cluster(l.Points, cfg)
+	run, err := core.Run(context.Background(), core.Source{Points: l.Points}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flow, part, err := core.EMRFlow(l.Points, cfg, 0)
+	flow, part, err := core.EMRFlow(context.Background(), l.Points, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +181,7 @@ func TestFamilySwapKeepsCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Cluster(l.Points, core.Config{K: 3, Seed: 69, Family: sim})
+	res, err := core.Run(context.Background(), core.Source{Points: l.Points}, core.Config{K: 3, Seed: 69, Family: sim})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ import (
 // reproduce the uncompressed in-memory labels bit for bit.
 func TestCompressionLabelIdentityAcrossDrivers(t *testing.T) {
 	l := mixture(t, 240, 10, 3, 0.03, 51)
-	base, err := Cluster(l.Points, Config{K: 3, Seed: 52})
+	base, err := Run(bg, Source{Points: l.Points}, Config{K: 3, Seed: 52})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,12 +39,12 @@ func TestCompressionLabelIdentityAcrossDrivers(t *testing.T) {
 	for _, spill := range []int64{1, 64, 1 << 20} {
 		cfg := Config{K: 3, Seed: 52, Compression: true, SpillBytes: spill}
 
-		sh, err := ClusterMapReduceShipped(l.Points, cfg, &mapreduce.Local{})
+		sh, err := Run(bg, Source{Points: l.Points}, onExec(&mapreduce.Local{}, cfg))
 		check(fmt.Sprintf("shipped/local spill=%d", spill), sh, err)
 
 		scfg := cfg
 		scfg.FitSample = 240
-		shd, err := ClusterMapReduceSharded(dir, scfg, &mapreduce.Local{})
+		shd, err := Run(bg, Source{Dir: dir}, onExec(&mapreduce.Local{}, scfg))
 		check(fmt.Sprintf("sharded/local spill=%d", spill), shd, err)
 		if shd.MapReduce == nil || shd.MapReduce.ShardReadBytes == 0 {
 			t.Fatalf("sharded spill=%d: shard read accounting missing", spill)
@@ -55,7 +55,7 @@ func TestCompressionLabelIdentityAcrossDrivers(t *testing.T) {
 	}
 
 	// And with compression off everything must still match.
-	off, err := ClusterMapReduceShipped(l.Points, Config{K: 3, Seed: 52}, &mapreduce.Local{})
+	off, err := Run(bg, Source{Points: l.Points}, onExec(&mapreduce.Local{}, Config{K: 3, Seed: 52}))
 	check("shipped/local compression=off", off, err)
 }
 
@@ -64,7 +64,7 @@ func TestCompressionLabelIdentityAcrossDrivers(t *testing.T) {
 // directions.
 func TestCompressionLabelIdentityOverTCP(t *testing.T) {
 	l := mixture(t, 200, 10, 3, 0.03, 61)
-	base, err := Cluster(l.Points, Config{K: 3, Seed: 62})
+	base, err := Run(bg, Source{Points: l.Points}, Config{K: 3, Seed: 62})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestCompressionLabelIdentityOverTCP(t *testing.T) {
 	}
 
 	cfg := Config{K: 3, Seed: 62, Compression: true, SpillBytes: 64}
-	res, err := ClusterMapReduceShipped(l.Points, cfg, m)
+	res, err := Run(bg, Source{Points: l.Points}, onExec(m, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,13 +117,13 @@ func TestCompressionEmbedShippedIdentity(t *testing.T) {
 	l := mixture(t, 300, 10, 3, 0.03, 17)
 	cfg := Config{K: 3, Seed: 5, EmbedDim: 16, EmbedCutoff: 40}
 
-	off, err := ClusterMapReduceShipped(l.Points, cfg, &mapreduce.Local{})
+	off, err := Run(bg, Source{Points: l.Points}, onExec(&mapreduce.Local{}, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
 	on := cfg
 	on.Compression = true
-	res, err := ClusterMapReduceShipped(l.Points, on, &mapreduce.Local{})
+	res, err := Run(bg, Source{Points: l.Points}, onExec(&mapreduce.Local{}, on))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,9 +194,9 @@ func TestPackedIndicesCodec(t *testing.T) {
 // earlier layout, and an empty buffer, a wrong kind or version, a
 // record cut inside its stats, and trailing bytes are refused.
 func TestPackedStatsCodec(t *testing.T) {
-	s := BucketSolution{NNZ: 12345, Fill: 0.625, SolveNanos: 1 << 40, GramBytes: 9999, Solver: "dense"}
+	s := bucketSolution{NNZ: 12345, Fill: 0.625, SolveNanos: 1 << 40, GramBytes: 9999, Solver: "dense"}
 	rec := encodeBucketResult(s)
-	var got BucketSolution
+	var got bucketSolution
 	if err := decodeBucketResult(rec, &got); err != nil {
 		t.Fatal(err)
 	}
@@ -205,11 +205,11 @@ func TestPackedStatsCodec(t *testing.T) {
 		t.Fatalf("round trip %+v != %+v", got, s)
 	}
 
-	if min := encodeBucketResult(BucketSolution{}); len(min) <= 12 {
+	if min := encodeBucketResult(bucketSolution{}); len(min) <= 12 {
 		t.Fatalf("minimal result record is %d bytes", len(min))
 	}
 
-	good := encodeBucketResult(BucketSolution{Labels: []int{1, 0}, K: 2, Solver: "dense"})
+	good := encodeBucketResult(bucketSolution{Labels: []int{1, 0}, K: 2, Solver: "dense"})
 	for name, buf := range map[string][]byte{
 		"empty":      {},
 		"wrong kind": append([]byte{'S'}, good[1:]...),
@@ -217,7 +217,7 @@ func TestPackedStatsCodec(t *testing.T) {
 		"truncated":  rec[:6],
 		"trailing":   append(append([]byte(nil), good...), 0),
 	} {
-		var tmp BucketSolution
+		var tmp bucketSolution
 		if err := decodeBucketResult(buf, &tmp); err == nil {
 			t.Errorf("%s accepted", name)
 		}

@@ -10,19 +10,17 @@
 //  4. run spectral clustering independently on every bucket
 //     (internal/spectral) and assemble global labels.
 //
-// There is exactly one implementation of that dataflow — the canonical
-// plan in pipeline.go — and one solve stage: the bucketSolver of
-// solver.go plans, costs and solves every bucket. It runs on two
-// backends behind the Runner interface: the in-process pool (Cluster,
-// and ClusterIncremental, which bounds the pool's waves by memory) and
-// the paper's two Hadoop jobs on any mapreduce.Executor (mapreduce.go)
-// over two row sources (rowsource.go): ClusterMapReduceShipped (rows
-// inside the records) and ClusterMapReduceSharded (rows in shard files,
-// never resident); either way the workers may live in other OS
-// processes. Every driver has a Context-taking form; the plain forms
-// wrap context.Background(). EMRFlow additionally builds an emr job flow
-// whose task costs follow §4.1's model, for the elasticity study of
-// Table 3.
+// There is exactly one driver, Run (pipeline.go): it fits one plan and
+// runs that dataflow once, and one solve stage, the bucketSolver of
+// solver.go, plans, costs and solves every bucket. Where the rows come
+// from (a resident matrix or a shard directory, the Source) and
+// Config.Executor choose the runner: the in-process pool, in waves
+// bounded by Config.MemoryBudget (the paper's §5.1 incremental
+// processing), or the paper's two Hadoop jobs on any mapreduce.Executor
+// (mapreduce.go) over the rows shipped inside the records or left in
+// shard files (rowsource.go) — either way the workers may live in other
+// OS processes. EMRFlow additionally builds an emr job flow whose task
+// costs follow §4.1's model, for the elasticity study of Table 3.
 package core
 
 import (
@@ -85,25 +83,27 @@ type Config struct {
 	// 0 means unlimited.
 	MaxMergedBucket int
 	// SparseCutoff enables the thresholded-CSR solve engine for buckets
-	// with at least this many points. 0 (the default) keeps every bucket
-	// on the dense path, which reproduces pre-engine labels bit for bit.
+	// with at least this many points; it needs Epsilon > 0, and one set
+	// without the other is ErrBadConfig. 0 (the default) keeps every
+	// bucket on the dense path, which reproduces pre-engine labels bit
+	// for bit.
 	SparseCutoff int
 	// Epsilon is the similarity threshold of the sparse Gram pass:
-	// kernel entries below it are dropped before the eigensolve. Only
-	// consulted when SparseCutoff > 0; must lie in [0, 1).
+	// kernel entries below it are dropped before the eigensolve. Set
+	// with SparseCutoff; must lie in [0, 1).
 	Epsilon float64
 	// EmbedDim enables the embed-and-conquer solve path: when > 0, the
 	// plan fits a random Fourier feature map of this dimension (must be
 	// even — the features come in cos/sin pairs) and buckets of at least
 	// EmbedCutoff points skip the Gram + eigensolve entirely, running
-	// k-means on embedded rows instead. Every driver embeds a bucket
+	// k-means on embedded rows instead. Every runner embeds a bucket
 	// where it is solved; what travels between MapReduce stages is raw
 	// rows either way. 0 (the default) keeps every bucket on the exact
 	// Gram path.
 	EmbedDim int
 	// EmbedCutoff is the bucket size at or above which the embedded
-	// solve runs. Only consulted when EmbedDim > 0; 0 then defaults to
-	// DefaultEmbedCutoff.
+	// solve runs. Set without EmbedDim it is ErrBadConfig; 0 with
+	// EmbedDim > 0 defaults to DefaultEmbedCutoff.
 	EmbedCutoff int
 	// SpillBytes bounds the MapReduce master's in-memory shuffle buffer
 	// (mapreduce.Job.SpillBytes, Hadoop's io.sort.mb analogue): the
@@ -118,16 +118,31 @@ type Config struct {
 	// with it on or off — only bytes moved and CPU spent in the codec
 	// change.
 	Compression bool
-	// FitSample is the number of evenly spaced rows the sharded driver
+	// FitSample is the number of evenly spaced rows a Source.Dir run
 	// reads to fit its plan (LSH thresholds, kernel bandwidth) without
 	// loading the full matrix; 0 uses DefaultFitSample. FitSample >= N
 	// reads every row in order, which makes the fit — and therefore the
-	// labels — identical to the in-memory drivers'. Only the sharded
-	// driver consults it.
+	// labels — identical to a Source.Points run's. Only a Source.Dir run
+	// consults it.
 	FitSample int
+	// Executor runs the paper's two MapReduce jobs: a mapreduce.Local, or
+	// a TCP Master whose workers may live in other OS processes (start
+	// them with cmd/dascworker). Nil runs a Source.Points run on the
+	// in-process pool and a Source.Dir run on a mapreduce.Local. Only Run
+	// reads it.
+	Executor mapreduce.Executor
+	// MemoryBudget bounds, in bytes, the similarity storage the
+	// in-process pool holds at once — the paper's §5.1 "the data
+	// partitions (or splits) are incrementally processed, split by split":
+	// buckets are solved in sequential waves whose planned footprint fits
+	// it, and one bucket larger than the budget in a wave of its own (raise
+	// M if Result.PeakGramBytes shows one). 0 means one wave. Negative, or
+	// set with an Executor or a Source.Dir, is ErrBadConfig: the MapReduce
+	// runners do not bound their reducers by it. Only Run reads it.
+	MemoryBudget int64
 }
 
-// DefaultFitSample is the sharded driver's plan-fitting sample size: a
+// DefaultFitSample is a Source.Dir run's plan-fitting sample size: a
 // few thousand rows pin LSH valley thresholds and the median bandwidth
 // closely while keeping the fit working set independent of N.
 const DefaultFitSample = 4096
@@ -194,9 +209,17 @@ type Result struct {
 	Elapsed time.Duration
 	// MapReduce aggregates the executor's counters across both
 	// MapReduce stages (task/record totals, shuffle size, and — for the
-	// TCP executor — wire traffic and codec time). Nil for runners that
-	// do not execute through a mapreduce.Executor.
+	// TCP executor — wire traffic and codec time). Nil on the in-process
+	// pool.
 	MapReduce *mapreduce.Counters
+	// Waves is the number of sequential batches the in-process pool
+	// solved the buckets in (1 without a MemoryBudget); zero on the
+	// MapReduce runners.
+	Waves int
+	// PeakGramBytes is the largest planned similarity storage the
+	// in-process pool held at once — the quantity MemoryBudget bounds;
+	// zero on the MapReduce runners.
+	PeakGramBytes int64
 }
 
 // ErrBadConfig reports unusable configuration.
@@ -262,46 +285,37 @@ func (c Config) resolve(n int) (Config, int, error) {
 	return c, radius, nil
 }
 
-// Cluster runs DASC in-process, solving the buckets on a pool in
-// longest-first order.
-func Cluster(points *matrix.Dense, cfg Config) (*Result, error) {
-	return ClusterContext(context.Background(), points, cfg)
-}
-
-// ClusterContext is Cluster with cancellation: the context is checked
-// between pipeline stages and before every bucket solve.
-func ClusterContext(ctx context.Context, points *matrix.Dense, cfg Config) (*Result, error) {
-	return RunPipeline(ctx, points, cfg, &localRunner{})
-}
-
 // localRunner is the in-process backend: signatures are hashed inline
 // and buckets are solved on lsh.EachBucket, in waves whose planned
 // similarity storage fits budget — 0 means unbounded, one wave. Labels
 // are assembled in canonical partition order (the shared assembly path),
 // so they do not depend on the packing.
 type localRunner struct {
+	points *matrix.Dense
 	budget int64
-	// peak and waves are written by Solve and read by ClusterIncremental
-	// after the pipeline returns.
+	// peak and waves are written by solve and reported on the result.
 	peak  int64
 	waves int
 }
 
-func (*localRunner) Name() string      { return "local" }
-func (*localRunner) NeedsHasher() bool { return false }
+func (*localRunner) name() string { return "local" }
 
-// Signatures is the in-process signature stage: the ensemble hashes
+func (r *localRunner) report(res *Result) {
+	res.Waves, res.PeakGramBytes = r.waves, r.peak
+}
+
+// signatures is the in-process signature stage: the ensemble hashes
 // every row under every table, in parallel for large inputs, with
 // identical output at any worker count.
-func (*localRunner) Signatures(ctx context.Context, p *Plan) (*lsh.SignatureSet, error) {
-	sigs, err := p.Ensemble.HashContext(ctx, p.Points)
+func (r *localRunner) signatures(ctx context.Context, p *Plan) (*lsh.SignatureSet, error) {
+	sigs, err := p.Ensemble.HashContext(ctx, r.points)
 	if err != nil {
 		return nil, fmt.Errorf("core: signatures: %w", err)
 	}
 	return sigs, nil
 }
 
-func (r *localRunner) Solve(ctx context.Context, p *Plan, part *lsh.Partition) ([]BucketSolution, error) {
+func (r *localRunner) solve(ctx context.Context, p *Plan, part *lsh.Partition) ([]bucketSolution, error) {
 	// Pack the buckets into waves first-fit-decreasing at their planned
 	// footprint: the dense worst case (a sparse solve only shrinks what
 	// is resident), or the embedded rows. A bucket larger than the budget
@@ -329,12 +343,12 @@ func (r *localRunner) Solve(ctx context.Context, p *Plan, part *lsh.Partition) (
 	// a wave's load bounds what its solves hold at once. The buffers
 	// themselves are lsh.EachBucket's pooled scratch, reused from wave to
 	// wave and from call to call.
-	sols := make([]BucketSolution, len(part.Buckets))
+	sols := make([]bucketSolution, len(part.Buckets))
 	for w, wave := range waves {
 		r.peak = max(r.peak, loads[w])
 		err := lsh.EachBucket(ctx, wave, func(bi int, scratch *[]float64) error {
 			b := part.Buckets[bi]
-			sol, err := p.solver.solve(bucket{points: p.Points, rows: b.Indices, ids: b.Indices}, scratch)
+			sol, err := p.solver.solve(bucket{points: r.points, rows: b.Indices, ids: b.Indices}, scratch)
 			if err != nil {
 				return fmt.Errorf("bucket %x: %w", b.Signature, err)
 			}

@@ -1,14 +1,31 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/lsh"
+	"repro/internal/mapreduce"
 	"repro/internal/metrics"
 )
+
+// bg is the context of every run a test does not cancel.
+var bg = context.Background()
+
+// onExec is cfg with its tasks run on exec.
+func onExec(exec mapreduce.Executor, cfg Config) Config {
+	cfg.Executor = exec
+	return cfg
+}
+
+// withBudget is cfg with the in-process pool's waves bounded by budget.
+func withBudget(budget int64, cfg Config) Config {
+	cfg.MemoryBudget = budget
+	return cfg
+}
 
 // metricsAccuracy keeps call sites short.
 func metricsAccuracy(truth, pred []int) (float64, error) {
@@ -33,7 +50,7 @@ func mixture(t *testing.T, n, d, k int, noise float64, seed int64) *dataset.Labe
 
 func TestClusterRecoversBlobs(t *testing.T) {
 	l := mixture(t, 200, 16, 4, 0.02, 1)
-	res, err := Cluster(l.Points, Config{K: 4, Seed: 2})
+	res, err := Run(bg, Source{Points: l.Points}, Config{K: 4, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +71,7 @@ func TestClusterRecoversBlobs(t *testing.T) {
 
 func TestClusterLabelInvariants(t *testing.T) {
 	l := mixture(t, 150, 8, 3, 0.05, 3)
-	res, err := Cluster(l.Points, Config{K: 3, Seed: 4})
+	res, err := Run(bg, Source{Points: l.Points}, Config{K: 3, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,26 +102,26 @@ func TestClusterLabelInvariants(t *testing.T) {
 
 func TestClusterConfigValidation(t *testing.T) {
 	l := mixture(t, 20, 4, 2, 0.05, 5)
-	if _, err := Cluster(l.Points, Config{K: 21}); !errors.Is(err, ErrBadConfig) {
+	if _, err := Run(bg, Source{Points: l.Points}, Config{K: 21}); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("err = %v, want ErrBadConfig", err)
 	}
-	if _, err := Cluster(l.Points, Config{M: 99}); !errors.Is(err, ErrBadConfig) {
+	if _, err := Run(bg, Source{Points: l.Points}, Config{M: 99}); !errors.Is(err, ErrBadConfig) {
 		t.Fatal("expected ErrBadConfig for M=99")
 	}
-	if _, err := Cluster(l.Points, Config{K: 2, M: 4, P: 7}); !errors.Is(err, ErrBadConfig) {
+	if _, err := Run(bg, Source{Points: l.Points}, Config{K: 2, M: 4, P: 7}); !errors.Is(err, ErrBadConfig) {
 		t.Fatal("expected ErrBadConfig for P > M")
 	}
-	if _, err := Cluster(l.Points, Config{K: 2, M: 4, P: -2}); !errors.Is(err, ErrBadConfig) {
+	if _, err := Run(bg, Source{Points: l.Points}, Config{K: 2, M: 4, P: -2}); !errors.Is(err, ErrBadConfig) {
 		t.Fatal("expected ErrBadConfig for P < -1")
 	}
-	if _, err := Cluster(l.Points, Config{K: 2, M: 4, Sigma: -1}); !errors.Is(err, ErrBadConfig) {
+	if _, err := Run(bg, Source{Points: l.Points}, Config{K: 2, M: 4, Sigma: -1}); !errors.Is(err, ErrBadConfig) {
 		t.Fatal("expected ErrBadConfig for Sigma < 0")
 	}
 }
 
 func TestClusterDefaultsFromPaperLaws(t *testing.T) {
 	l := mixture(t, 1024, 8, 4, 0.05, 6)
-	res, err := Cluster(l.Points, Config{Seed: 7})
+	res, err := Run(bg, Source{Points: l.Points}, Config{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +138,11 @@ func TestClusterDefaultsFromPaperLaws(t *testing.T) {
 
 func TestClusterMergeAblation(t *testing.T) {
 	l := mixture(t, 300, 16, 4, 0.08, 8)
-	merged, err := Cluster(l.Points, Config{K: 4, Seed: 9, M: 6})
+	merged, err := Run(bg, Source{Points: l.Points}, Config{K: 4, Seed: 9, M: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	unmerged, err := Cluster(l.Points, Config{K: 4, Seed: 9, M: 6, P: -1})
+	unmerged, err := Run(bg, Source{Points: l.Points}, Config{K: 4, Seed: 9, M: 6, P: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,12 +158,12 @@ func TestClusterMergeAblation(t *testing.T) {
 func TestClusterWorkerCountInvariant(t *testing.T) {
 	l := mixture(t, 120, 8, 3, 0.04, 10)
 	setProcs(t, 1)
-	a, err := Cluster(l.Points, Config{K: 3, Seed: 11})
+	a, err := Run(bg, Source{Points: l.Points}, Config{K: 3, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
 	setProcs(t, 8)
-	b, err := Cluster(l.Points, Config{K: 3, Seed: 11})
+	b, err := Run(bg, Source{Points: l.Points}, Config{K: 3, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +176,7 @@ func TestClusterWorkerCountInvariant(t *testing.T) {
 
 func TestClusterSinglePointAndTinyBuckets(t *testing.T) {
 	l := mixture(t, 5, 3, 2, 0.01, 12)
-	res, err := Cluster(l.Points, Config{K: 2, Seed: 13, M: 8})
+	res, err := Run(bg, Source{Points: l.Points}, Config{K: 2, Seed: 13, M: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +186,7 @@ func TestClusterSinglePointAndTinyBuckets(t *testing.T) {
 }
 
 func TestClusterEmpty(t *testing.T) {
-	if _, err := Cluster(matrixOfSize(0, 0), Config{}); err == nil {
+	if _, err := Run(bg, Source{Points: matrixOfSize(0, 0)}, Config{}); err == nil {
 		t.Fatal("expected error for empty dataset")
 	}
 }
@@ -190,7 +207,7 @@ func TestClusterWithAlternateFamilies(t *testing.T) {
 	// accuracy price on clustered data (exactly why the paper prefers
 	// valley thresholds there; spectral hashing is for skewed data).
 	for name, fam := range map[string]lsh.Family{"simhash": sim, "spectral": spec} {
-		res, err := Cluster(l.Points, Config{K: 3, Seed: 2, Family: fam})
+		res, err := Run(bg, Source{Points: l.Points}, Config{K: 3, Seed: 2, Family: fam})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/mapreduce"
 	"repro/internal/spectral"
 )
 
@@ -22,9 +21,9 @@ func TestResultDeterministicAcrossRunsAndWorkers(t *testing.T) {
 	run := func(procs int) *Result {
 		t.Helper()
 		setProcs(t, procs)
-		res, err := Cluster(l.Points, cfg)
+		res, err := Run(bg, Source{Points: l.Points}, cfg)
 		if err != nil {
-			t.Fatalf("Cluster(GOMAXPROCS=%d): %v", procs, err)
+			t.Fatalf("Run(GOMAXPROCS=%d): %v", procs, err)
 		}
 		return res
 	}
@@ -65,38 +64,23 @@ func TestResultDeterministicAcrossRunsAndWorkers(t *testing.T) {
 // TestLabelsIdenticalAcrossProcsOnAllDrivers is the north star's
 // "bit-identical labels on every driver" with GOMAXPROCS — since
 // internal/par the only parallelism dial, and one whose helper count is
-// timing-dependent — swept over 1, 2, 4 and 8 on all four drivers. The
-// mixture hashes to one embedded bucket of more than 4096 rows, so the
-// bucket's k-means crosses parallelUpdateCutoff: its centroid sums must
-// take the block-partial order from n, not from how many goroutines
-// showed up, or a label can flip between thread counts.
+// timing-dependent — swept over 1, 2, 4 and 8 on every route of the
+// driver grid. The mixture hashes to one embedded bucket of more than
+// 4096 rows, so the bucket's k-means crosses parallelUpdateCutoff: its
+// centroid sums must take the block-partial order from n, not from how
+// many goroutines showed up, or a label can flip between thread counts.
 func TestLabelsIdenticalAcrossProcsOnAllDrivers(t *testing.T) {
 	const n = 4600
 	l := mixture(t, n, 8, 4, 0.08, 19)
 	cfg := Config{K: 4, M: 1, Seed: 3, EmbedDim: 16, EmbedCutoff: 64, FitSample: n}
 	dir := writeShardDir(t, l.Points, 1024)
 
-	drivers := []struct {
-		name string
-		run  func() (*Result, error)
-	}{
-		{"local", func() (*Result, error) { return Cluster(l.Points, cfg) }},
-		{"incremental", func() (*Result, error) {
-			res, err := ClusterIncremental(l.Points, cfg, 1<<20)
-			if err != nil {
-				return nil, err
-			}
-			return &res.Result, nil
-		}},
-		{"shipped", func() (*Result, error) { return ClusterMapReduceShipped(l.Points, cfg, &mapreduce.Local{}) }},
-		{"sharded", func() (*Result, error) { return ClusterMapReduceSharded(dir, cfg, &mapreduce.Local{}) }},
-	}
-
+	drivers := driverGrid(l.Points, dir, 1<<20)
 	var base *Result
 	for _, procs := range []int{1, 2, 4, 8} {
 		setProcs(t, procs)
 		for _, d := range drivers {
-			res, err := d.run()
+			res, err := d.run(bg, cfg)
 			if err != nil {
 				t.Fatalf("%s at GOMAXPROCS=%d: %v", d.name, procs, err)
 			}
@@ -112,7 +96,7 @@ func TestLabelsIdenticalAcrossProcsOnAllDrivers(t *testing.T) {
 				continue
 			}
 			if !reflect.DeepEqual(res.Labels, base.Labels) {
-				t.Fatalf("%s at GOMAXPROCS=%d: labels differ from local at 1", d.name, procs)
+				t.Fatalf("%s at GOMAXPROCS=%d: labels differ from batch at 1", d.name, procs)
 			}
 		}
 	}

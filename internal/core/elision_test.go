@@ -41,7 +41,7 @@ func (c *capturingExec) Run(job *mapreduce.Job, input []mapreduce.Pair) ([]mapre
 // of the stream that two executions of the same reducer do not share.
 func zeroSolveNanos(pairs []mapreduce.Pair) {
 	for i, p := range pairs {
-		var sol BucketSolution
+		var sol bucketSolution
 		if err := decodeBucketResult(p.Value, &sol); err != nil {
 			continue // left as is; the comparison will show it
 		}
@@ -53,8 +53,8 @@ func zeroSolveNanos(pairs []mapreduce.Pair) {
 // TestCoreJobsElisionMatchesExecution is the cross-source table: the one
 // MapReduce job pair over each of the two row sources, with the
 // shuffle in memory and spilled, compressed and not. Every run must
-// yield exactly what Cluster yields — labels, cluster count, Gram
-// accounting, per-bucket solver — and the two jobs each source submits
+// yield exactly what an in-process Run yields — labels, cluster count,
+// Gram accounting, per-bucket solver — and the two jobs each source submits
 // are captured with their real input and held to their identity
 // declarations: re-run with the declared phase elided and executed, on
 // Local and over TCP, at every spill budget, compressed and not.
@@ -67,7 +67,7 @@ func zeroSolveNanos(pairs []mapreduce.Pair) {
 func TestCoreJobsElisionMatchesExecution(t *testing.T) {
 	l := mixture(t, 400, 12, 6, 0.05, 60)
 	cfg := Config{K: 12, Seed: 61, M: 6, P: -1, Tables: 2, MaxMergedBucket: 100, EmbedDim: 16, EmbedCutoff: 100, FitSample: 400}
-	want, err := Cluster(l.Points, cfg)
+	want, err := Run(bg, Source{Points: l.Points}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,10 +80,10 @@ func TestCoreJobsElisionMatchesExecution(t *testing.T) {
 		run  func(cfg Config, exec mapreduce.Executor) (*Result, error)
 	}{
 		{"shipped", func(cfg Config, exec mapreduce.Executor) (*Result, error) {
-			return ClusterMapReduceShipped(l.Points, cfg, exec)
+			return Run(bg, Source{Points: l.Points}, onExec(exec, cfg))
 		}},
 		{"sharded", func(cfg Config, exec mapreduce.Executor) (*Result, error) {
-			return ClusterMapReduceSharded(dir, cfg, exec)
+			return Run(bg, Source{Dir: dir}, onExec(exec, cfg))
 		}},
 	}
 	for _, src := range sources {
@@ -207,7 +207,7 @@ func resultStream(part *lsh.Partition) []mapreduce.Pair {
 		for pi := range labels {
 			labels[pi] = pi % 2
 		}
-		sol := BucketSolution{Labels: labels, K: 2, Solver: SolverTrivial, NNZ: 4}
+		sol := bucketSolution{Labels: labels, K: 2, Solver: SolverTrivial, NNZ: 4}
 		out = append(out, mapreduce.Pair{Key: fmt.Sprintf("%016x", b.Signature), Value: encodeBucketResult(sol)})
 	}
 	return out
@@ -244,7 +244,7 @@ func TestSolutionsFromLabelPairsValidates(t *testing.T) {
 		return out
 	}
 	result := func(k int, labels ...int) []byte {
-		return encodeBucketResult(BucketSolution{Labels: labels, K: k, Solver: SolverTrivial})
+		return encodeBucketResult(bucketSolution{Labels: labels, K: k, Solver: SolverTrivial})
 	}
 	// The earlier layout's label record for point 'R' (82): its leading
 	// bytes are this layout's kind and version.

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/mapreduce"
 	"repro/internal/spectral"
 )
 
@@ -17,15 +16,15 @@ func embedTestConfig() Config {
 }
 
 // TestEmbeddedAllDriversIdenticalLabels extends the cross-driver
-// identity contract to embed mode: the local pool, the incremental
-// waves, the sharded runner and the shipped runner must produce bitwise
-// identical labels and bucket reports, with the embedded solver actually
-// engaged — every one of them embedding where the bucket is solved.
+// identity contract to embed mode: every route of the driver grid must
+// produce bitwise identical labels and bucket reports, with the embedded
+// solver actually engaged — every one of them embedding where the bucket
+// is solved.
 func TestEmbeddedAllDriversIdenticalLabels(t *testing.T) {
 	l := mixture(t, 240, 12, 4, 0.03, 40)
 	cfg := embedTestConfig()
 
-	batch, err := Cluster(l.Points, cfg)
+	batch, err := Run(bg, Source{Points: l.Points}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,50 +35,34 @@ func TestEmbeddedAllDriversIdenticalLabels(t *testing.T) {
 		t.Fatalf("embedded accuracy = %v (%v)", acc, err)
 	}
 
-	inc, err := ClusterIncremental(l.Points, cfg, batch.GramBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scfg := cfg
-	scfg.FitSample = l.Points.Rows() // the full-matrix fit of the in-memory drivers
-	sharded, err := ClusterMapReduceSharded(writeShardDir(t, l.Points, 64), scfg, &mapreduce.Local{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shipped, err := ClusterMapReduceShipped(l.Points, cfg, &mapreduce.Local{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	others := map[string]*Result{
-		"incremental": &inc.Result,
-		"sharded":     sharded,
-		"shipped":     shipped,
-	}
-	for name, res := range others {
+	for _, c := range driverGrid(l.Points, writeShardDir(t, l.Points, 64), batch.GramBytes) {
+		res, err := c.run(bg, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
 		if !reflect.DeepEqual(res.Labels, batch.Labels) {
-			t.Fatalf("%s labels differ from batch", name)
+			t.Fatalf("%s labels differ from batch", c.name)
 		}
 		if !reflect.DeepEqual(res.Solvers, batch.Solvers) {
-			t.Fatalf("%s Solvers = %v, batch %v", name, res.Solvers, batch.Solvers)
+			t.Fatalf("%s Solvers = %v, batch %v", c.name, res.Solvers, batch.Solvers)
 		}
 		if res.GramBytes != batch.GramBytes {
-			t.Fatalf("%s GramBytes = %d, batch %d", name, res.GramBytes, batch.GramBytes)
+			t.Fatalf("%s GramBytes = %d, batch %d", c.name, res.GramBytes, batch.GramBytes)
 		}
 		for bi, b := range res.Buckets {
 			want := batch.Buckets[bi]
 			b.SolveNanos, want.SolveNanos = 0, 0
 			if b != want {
-				t.Fatalf("%s bucket %d = %+v, batch %+v", name, bi, b, want)
+				t.Fatalf("%s bucket %d = %+v, batch %+v", c.name, bi, b, want)
 			}
 		}
-	}
-
-	// Both sources ship raw rows and embed in the reducer, so neither
-	// meters a driver-side embed.
-	for name, res := range map[string]*Result{"shipped": shipped, "sharded": sharded} {
-		if res.MapReduce == nil || res.MapReduce.EmbedBytes != 0 || res.MapReduce.EmbedNanos != 0 {
-			t.Fatalf("%s metered a driver-side embed: %+v", name, res.MapReduce)
+		// Both MapReduce sources ship raw rows and embed in the reducer,
+		// so neither meters a driver-side embed.
+		if c.exec == nil && c.src.Dir == "" {
+			continue
+		}
+		if mr := res.MapReduce; mr == nil || mr.EmbedBytes != 0 || mr.EmbedNanos != 0 {
+			t.Fatalf("%s metered a driver-side embed: %+v", c.name, mr)
 		}
 	}
 }
@@ -89,13 +72,13 @@ func TestEmbeddedAllDriversIdenticalLabels(t *testing.T) {
 // rows whether or not the plan embeds them, so the stage-2 shuffle is
 // the same to the byte with the embed on and off (at D = 48 > d′ = 8,
 // where shipping embedded rows would have been smaller), and the
-// embedded run still solves embedded and agrees with Cluster.
+// embedded run still solves embedded and agrees with the in-process pool.
 func TestEmbeddedShippedShipsRawRows(t *testing.T) {
 	l := mixture(t, 240, 48, 4, 0.03, 40)
 	stage2 := func(cfg Config) (*Result, int64) {
 		t.Helper()
 		var captured capturingExec
-		res, err := ClusterMapReduceShipped(l.Points, cfg, &captured)
+		res, err := Run(bg, Source{Points: l.Points}, onExec(&captured, cfg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +97,7 @@ func TestEmbeddedShippedShipsRawRows(t *testing.T) {
 	if emb.Solvers[spectral.SolverEmbedded] == 0 {
 		t.Fatalf("embedded solver never engaged: %v", emb.Solvers)
 	}
-	want, err := Cluster(l.Points, cfg)
+	want, err := Run(bg, Source{Points: l.Points}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,9 +117,9 @@ func TestEmbeddedDeterministicAcrossWorkers(t *testing.T) {
 	run := func(procs int) *Result {
 		t.Helper()
 		setProcs(t, procs)
-		res, err := Cluster(l.Points, cfg)
+		res, err := Run(bg, Source{Points: l.Points}, cfg)
 		if err != nil {
-			t.Fatalf("Cluster(GOMAXPROCS=%d): %v", procs, err)
+			t.Fatalf("Run(GOMAXPROCS=%d): %v", procs, err)
 		}
 		return res
 	}
@@ -169,12 +152,12 @@ func TestEmbedConfigValidation(t *testing.T) {
 		"odd dim":         {K: 2, EmbedDim: 7},
 		"negative cutoff": {K: 2, EmbedDim: 8, EmbedCutoff: -1},
 	} {
-		if _, err := Cluster(l.Points, cfg); err == nil {
+		if _, err := Run(bg, Source{Points: l.Points}, cfg); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
 	// Zero cutoff with a positive dim resolves to the default.
-	res, err := Cluster(l.Points, Config{K: 2, Seed: 1, EmbedDim: 8})
+	res, err := Run(bg, Source{Points: l.Points}, Config{K: 2, Seed: 1, EmbedDim: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

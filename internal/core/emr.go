@@ -18,19 +18,14 @@ import (
 // so simulated makespans reflect the actual bucket skew.
 //
 // The returned flow can be scheduled on emr.Clusters of different sizes
-// to reproduce Table 3's elasticity study.
-func EMRFlow(points *matrix.Dense, cfg Config, beta float64) (*emr.JobFlow, *lsh.Partition, error) {
-	return EMRFlowContext(context.Background(), points, cfg, beta)
-}
-
-// EMRFlowContext is EMRFlow with cancellation: the context is checked
-// during the signature pass and before the partition pass.
-func EMRFlowContext(ctx context.Context, points *matrix.Dense, cfg Config, beta float64) (*emr.JobFlow, *lsh.Partition, error) {
+// to reproduce Table 3's elasticity study. The context is checked during
+// the signature pass and before the partition pass.
+func EMRFlow(ctx context.Context, points *matrix.Dense, cfg Config, beta float64) (*emr.JobFlow, *lsh.Partition, error) {
 	p, err := NewPlan(points, cfg, true)
 	if err != nil {
 		return nil, nil, err
 	}
-	sigs, err := (&localRunner{}).Signatures(ctx, p)
+	sigs, err := (&localRunner{points: points}).signatures(ctx, p)
 	if err != nil {
 		return nil, nil, err
 	}

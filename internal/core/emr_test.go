@@ -11,7 +11,7 @@ import (
 
 func TestEMRFlowStructure(t *testing.T) {
 	l := mixture(t, 512, 16, 4, 0.05, 30)
-	flow, part, err := EMRFlow(l.Points, Config{K: 4, Seed: 31}, 0)
+	flow, part, err := EMRFlow(bg, l.Points, Config{K: 4, Seed: 31}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestEMRFlowDiskCosting(t *testing.T) {
 
 func TestEMRFlowValidation(t *testing.T) {
 	l := mixture(t, 16, 4, 2, 0.05, 34)
-	if _, _, err := EMRFlow(l.Points, Config{K: 99}, 0); err == nil {
+	if _, _, err := EMRFlow(bg, l.Points, Config{K: 99}, 0); err == nil {
 		t.Fatal("expected config error")
 	}
 }

@@ -36,7 +36,7 @@ func blobPoints(seed int64, k, per, d int, sep, noise float64) (*matrix.Dense, [
 // sums.
 func TestClusterSolveCounters(t *testing.T) {
 	l := mixture(t, 200, 16, 4, 0.02, 31)
-	res, err := Cluster(l.Points, Config{K: 4, Seed: 32})
+	res, err := Run(bg, Source{Points: l.Points}, Config{K: 4, Seed: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestClusterSolveCounters(t *testing.T) {
 func TestClusterSparseMode(t *testing.T) {
 	pts, truth := blobPoints(41, 8, 100, 16, 12, 0.3)
 	cfg := Config{K: 8, M: 1, Sigma: 1.0, Seed: 42, SparseCutoff: 128, Epsilon: 1e-4}
-	res, err := Cluster(pts, cfg)
+	res, err := Run(bg, Source{Points: pts}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,13 +109,13 @@ func TestClusterSparseModeWorkerInvariant(t *testing.T) {
 	pts, _ := blobPoints(51, 8, 80, 12, 10, 0.3)
 	cfg := Config{K: 8, M: 1, Sigma: 1.0, Seed: 52, SparseCutoff: 128, Epsilon: 1e-4}
 	setProcs(t, 1)
-	base, err := Cluster(pts, cfg)
+	base, err := Run(bg, Source{Points: pts}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 8} {
 		setProcs(t, workers)
-		res, err := Cluster(pts, cfg)
+		res, err := Run(bg, Source{Points: pts}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,16 +134,20 @@ func TestClusterSparseModeWorkerInvariant(t *testing.T) {
 }
 
 // TestResolveValidatesEngineConfig: the solve-engine knobs are
-// validated with the rest of the configuration.
+// validated with the rest of the configuration, and a dial that only
+// acts with its partner is an error without it rather than ignored.
 func TestResolveValidatesEngineConfig(t *testing.T) {
 	l := mixture(t, 20, 4, 2, 0.05, 61)
 	bad := []Config{
 		{K: 2, SparseCutoff: -1},
 		{K: 2, Epsilon: -0.1},
 		{K: 2, Epsilon: 1.0},
+		{K: 2, SparseCutoff: 64},
+		{K: 2, Epsilon: 0.5},
+		{K: 2, EmbedCutoff: 64},
 	}
 	for _, cfg := range bad {
-		if _, err := Cluster(l.Points, cfg); !errors.Is(err, ErrBadConfig) {
+		if _, err := Run(bg, Source{Points: l.Points}, cfg); !errors.Is(err, ErrBadConfig) {
 			t.Fatalf("cfg %+v: err = %v, want ErrBadConfig", cfg, err)
 		}
 	}
@@ -155,14 +159,14 @@ func TestResolveValidatesEngineConfig(t *testing.T) {
 func TestMapReduceCarriesSolverStats(t *testing.T) {
 	pts, _ := blobPoints(71, 8, 60, 12, 10, 0.3)
 	cfg := Config{K: 8, M: 1, Sigma: 1.0, Seed: 72, SparseCutoff: 128, Epsilon: 1e-4}
-	local, err := Cluster(pts, cfg)
+	local, err := Run(bg, Source{Points: pts}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if local.Solvers[spectral.SolverSparseLanczos] == 0 {
 		t.Fatalf("fixture never goes sparse: %v", local.Solvers)
 	}
-	viaShipped, err := ClusterMapReduceShipped(pts, cfg, &mapreduce.Local{Workers: 3})
+	viaShipped, err := Run(bg, Source{Points: pts}, onExec(&mapreduce.Local{Workers: 3}, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,13 +201,13 @@ func TestBucketStatsCodecRoundTrip(t *testing.T) {
 	for i := range labels {
 		labels[i] = (7 * i) % 90
 	}
-	for _, in := range []BucketSolution{
+	for _, in := range []bucketSolution{
 		{Labels: labels, K: 90, Solver: spectral.SolverSparseLanczos, NNZ: 12345, Fill: 0.17, SolveNanos: 987654321, GramBytes: 98760},
 		{Labels: []int{0}, K: 1, Solver: "dense", NNZ: 1, Fill: 0.625, SolveNanos: 1 << 40, GramBytes: 9999},
 		{},
 	} {
 		blob := encodeBucketResult(in)
-		var out BucketSolution
+		var out bucketSolution
 		if err := decodeBucketResult(blob, &out); err != nil {
 			t.Fatal(err)
 		}

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"testing"
-
-	"repro/internal/mapreduce"
-)
+import "testing"
 
 // The golden labelings below were captured from the pre-ensemble
 // pipeline (commit ddfed36, single-signature bucketing) with the exact
@@ -25,9 +21,10 @@ func blocks60(vals ...int) []int {
 }
 
 // TestGoldenLabelsDegenerateDial pins the degenerate ensemble against
-// the pre-refactor labels on all four drivers: corpus A (the
-// cross-driver dataset) must reproduce goldenA everywhere, and corpus B
-// (the sparse-engine determinism dataset) must reproduce goldenB.
+// the pre-refactor labels on every route of the driver grid: corpus A
+// (the cross-driver dataset) must reproduce goldenA everywhere, and
+// corpus B (the sparse-engine determinism dataset) must reproduce
+// goldenB.
 func TestGoldenLabelsDegenerateDial(t *testing.T) {
 	goldenA := blocks60(3, 1, 0, 2)
 	goldenB := blocks60(0, 1, 2, 3)
@@ -46,7 +43,7 @@ func TestGoldenLabelsDegenerateDial(t *testing.T) {
 
 	a := mixture(t, 240, 12, 4, 0.03, 40)
 	cfgA := Config{K: 4, Seed: 41}
-	batch, err := Cluster(a.Points, cfgA)
+	batch, err := Run(bg, Source{Points: a.Points}, cfgA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,26 +56,16 @@ func TestGoldenLabelsDegenerateDial(t *testing.T) {
 			batch.Clusters, batch.GramBytes, len(batch.Buckets), batch.SignatureBits)
 	}
 
-	inc, err := ClusterIncremental(a.Points, cfgA, batch.GramBytes)
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range driverGrid(a.Points, writeShardDir(t, a.Points, 64), batch.GramBytes) {
+		res, err := c.run(bg, cfgA)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		check(c.name, res.Labels, goldenA)
 	}
-	check("incremental", inc.Labels, goldenA)
-	shipped, err := ClusterMapReduceShipped(a.Points, cfgA, &mapreduce.Local{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("shipped", shipped.Labels, goldenA)
-	scfgA := cfgA
-	scfgA.FitSample = a.Points.Rows() // the full-matrix fit of the in-memory drivers
-	sharded, err := ClusterMapReduceSharded(writeShardDir(t, a.Points, 64), scfgA, &mapreduce.Local{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("sharded", sharded.Labels, goldenA)
 
 	b := mixture(t, 240, 12, 4, 0.04, 11)
-	res, err := Cluster(b.Points, Config{K: 4, Seed: 7, SparseCutoff: 24, Epsilon: 1e-4})
+	res, err := Run(bg, Source{Points: b.Points}, Config{K: 4, Seed: 7, SparseCutoff: 24, Epsilon: 1e-4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,50 +77,23 @@ func TestGoldenLabelsDegenerateDial(t *testing.T) {
 
 // TestAllDriversEnsembleIdenticalLabels extends the cross-driver
 // identity guarantee to a non-degenerate dial: with two tables and one
-// probe flip, all four drivers must still agree exactly — the ensemble
-// merge runs on the driver, so backend choice cannot change the
-// partition.
+// probe flip, every route of the driver grid must still agree exactly —
+// the ensemble merge runs on the driver, so backend choice cannot change
+// the partition.
 func TestAllDriversEnsembleIdenticalLabels(t *testing.T) {
 	l := mixture(t, 240, 12, 4, 0.03, 40)
 	cfg := Config{K: 4, Seed: 41, Tables: 2, ProbeRadius: 1}
 
-	batch, err := Cluster(l.Points, cfg)
+	batch, err := Run(bg, Source{Points: l.Points}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc, err := ClusterIncremental(l.Points, cfg, batch.GramBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shipped, err := ClusterMapReduceShipped(l.Points, cfg, &mapreduce.Local{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scfg := cfg
-	scfg.FitSample = l.Points.Rows() // the full-matrix fit of the in-memory drivers
-	sharded, err := ClusterMapReduceSharded(writeShardDir(t, l.Points, 64), scfg, &mapreduce.Local{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	others := map[string]*Result{
-		"incremental": &inc.Result,
-		"shipped":     shipped,
-		"sharded":     sharded,
-	}
-	for name, res := range others {
-		if len(res.Labels) != len(batch.Labels) {
-			t.Fatalf("%s: %d labels, batch has %d", name, len(res.Labels), len(batch.Labels))
+	for _, c := range driverGrid(l.Points, writeShardDir(t, l.Points, 64), batch.GramBytes) {
+		res, err := c.run(bg, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
 		}
-		for i := range batch.Labels {
-			if res.Labels[i] != batch.Labels[i] {
-				t.Fatalf("%s: label[%d] = %d, batch %d", name, i, res.Labels[i], batch.Labels[i])
-			}
-		}
-		if res.Clusters != batch.Clusters || res.GramBytes != batch.GramBytes {
-			t.Errorf("%s bookkeeping differs: %d clusters / %d bytes vs %d / %d",
-				name, res.Clusters, res.GramBytes, batch.Clusters, batch.GramBytes)
-		}
+		agreesWithBatch(t, c.name, res, batch)
 	}
 }
 
@@ -147,9 +107,9 @@ func TestEnsembleResultDeterministic(t *testing.T) {
 	run := func(procs int) *Result {
 		t.Helper()
 		setProcs(t, procs)
-		res, err := Cluster(l.Points, cfg)
+		res, err := Run(bg, Source{Points: l.Points}, cfg)
 		if err != nil {
-			t.Fatalf("Cluster(GOMAXPROCS=%d): %v", procs, err)
+			t.Fatalf("Run(GOMAXPROCS=%d): %v", procs, err)
 		}
 		return res
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -11,11 +12,11 @@ import (
 func TestClusterIncrementalMatchesBatch(t *testing.T) {
 	l := mixture(t, 240, 12, 4, 0.03, 40)
 	cfg := Config{K: 4, Seed: 41}
-	batch, err := Cluster(l.Points, cfg)
+	batch, err := Run(bg, Source{Points: l.Points}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc, err := ClusterIncremental(l.Points, cfg, batch.GramBytes) // one wave fits
+	inc, err := Run(bg, Source{Points: l.Points}, withBudget(batch.GramBytes, cfg)) // one wave fits
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,14 +26,14 @@ func TestClusterIncrementalMatchesBatch(t *testing.T) {
 		}
 	}
 	if inc.GramBytes != batch.GramBytes || inc.Clusters != batch.Clusters {
-		t.Fatalf("bookkeeping differs: %+v vs %+v", inc.Result, *batch)
+		t.Fatalf("bookkeeping differs: %+v vs %+v", *inc, *batch)
 	}
 }
 
 func TestClusterIncrementalRespectsBudget(t *testing.T) {
 	l := mixture(t, 300, 12, 6, 0.03, 42)
 	cfg := Config{K: 6, Seed: 43, M: 6}
-	full, err := Cluster(l.Points, cfg)
+	full, err := Run(bg, Source{Points: l.Points}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestClusterIncrementalRespectsBudget(t *testing.T) {
 			largest = b.GramBytes
 		}
 	}
-	inc, err := ClusterIncremental(l.Points, cfg, budget)
+	inc, err := Run(bg, Source{Points: l.Points}, withBudget(budget, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,12 +68,19 @@ func TestClusterIncrementalRespectsBudget(t *testing.T) {
 	}
 }
 
+// TestClusterIncrementalValidation: a negative budget is an error and a
+// zero one is no bound — one wave.
 func TestClusterIncrementalValidation(t *testing.T) {
 	l := mixture(t, 20, 4, 2, 0.05, 44)
-	if _, err := ClusterIncremental(l.Points, Config{K: 2}, 0); err == nil {
-		t.Fatal("expected error for zero budget")
+	if _, err := Run(bg, Source{Points: l.Points}, withBudget(-1, Config{K: 2})); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("negative budget: err = %v, want ErrBadConfig", err)
 	}
-	if _, err := ClusterIncremental(l.Points, Config{K: 99}, 1<<20); err == nil {
+	if res, err := Run(bg, Source{Points: l.Points}, withBudget(0, Config{K: 2})); err != nil {
+		t.Fatal(err)
+	} else if res.Waves != 1 {
+		t.Fatalf("zero budget: %d waves, want one", res.Waves)
+	}
+	if _, err := Run(bg, Source{Points: l.Points}, withBudget(1<<20, Config{K: 99})); err == nil {
 		t.Fatal("expected config error")
 	}
 }
@@ -81,7 +89,7 @@ func TestClusterIncrementalOversizedBucket(t *testing.T) {
 	// A budget smaller than the largest bucket still completes; the
 	// peak simply reports the irreducible bucket.
 	l := mixture(t, 120, 8, 2, 0.02, 45)
-	inc, err := ClusterIncremental(l.Points, Config{K: 2, Seed: 46}, 8)
+	inc, err := Run(bg, Source{Points: l.Points}, withBudget(8, Config{K: 2, Seed: 46}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,10 +104,11 @@ func TestClusterIncrementalOversizedBucket(t *testing.T) {
 // TestClusterIncrementalWavesPinned: the bounded-memory driver is the
 // in-process runner with a budget, packing waves from the solve stage's
 // plan. At a budget nothing fits, at exactly the largest bucket's dense
-// footprint and at no bound at all it must label like Cluster and report
-// the waves and peak the dedicated runner it replaced reported (commit
-// bbdcb14) — on an exact run and on one mixing embedded, dense and
-// trivial buckets, where the peak counts embedded rows, not Grams.
+// footprint and at no bound at all it must label like an unbounded Run
+// and report the waves and peak the dedicated runner it replaced
+// reported (commit bbdcb14) — on an exact run and on one mixing
+// embedded, dense and trivial buckets, where the peak counts embedded
+// rows, not Grams.
 func TestClusterIncrementalWavesPinned(t *testing.T) {
 	for _, fx := range []struct {
 		name    string
@@ -115,7 +124,7 @@ func TestClusterIncrementalWavesPinned(t *testing.T) {
 			41616, [3][2]int64{{15, 13056}, {2, 37904}, {1, 73872}}},
 	} {
 		l := mixture(t, fx.n, 12, 6, fx.noise, 42)
-		full, err := Cluster(l.Points, fx.cfg)
+		full, err := Run(bg, Source{Points: l.Points}, fx.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +136,7 @@ func TestClusterIncrementalWavesPinned(t *testing.T) {
 			t.Fatalf("%s: largest bucket's dense footprint %d, fixture expects %d", fx.name, largest, fx.largest)
 		}
 		for i, budget := range []int64{1, largest, math.MaxInt64} {
-			inc, err := ClusterIncremental(l.Points, fx.cfg, budget)
+			inc, err := Run(bg, Source{Points: l.Points}, withBudget(budget, fx.cfg))
 			if err != nil {
 				t.Fatal(err)
 			}

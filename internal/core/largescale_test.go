@@ -48,7 +48,7 @@ func TestLargeScaleOutOfCore(t *testing.T) {
 	// does); 64 KiB is below a quarter of it, so the merge runs
 	// file-backed.
 	cfg := Config{Seed: 1, SpillBytes: 64 << 10, EmbedDim: 64, EmbedCutoff: 2048}
-	res, err := ClusterMapReduceSharded(dir, cfg, &mapreduce.Local{})
+	res, err := Run(bg, Source{Dir: dir}, onExec(&mapreduce.Local{}, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}

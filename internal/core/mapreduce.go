@@ -9,15 +9,13 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"time"
 
 	"repro/internal/lsh"
 	"repro/internal/mapreduce"
-	"repro/internal/matrix"
 )
 
 // This file is DASC as the paper's two MapReduce jobs (§3.3), written
-// once against a rowSource (rowsource.go) and run by one Runner on any
+// once against a rowSource (rowsource.go) and run by one runner on any
 // mapreduce.Executor:
 //
 //	stage 1 (Algorithm 1): hash each input record's rows once per table
@@ -27,97 +25,14 @@ import (
 //	  reduce output is the raw signature partition,
 //	stage 2 (Algorithm 2): after the driver merges near-duplicate
 //	  signatures, each reducer solves its buckets with the bucketSolver
-//	  every other driver uses, emitting one result record per bucket:
+//	  every other runner uses, emitting one result record per bucket:
 //	  its solver stats, K and local labels.
 //
 // Both jobs travel as a registered name ("dasc-lsh", "dasc-cluster" —
 // bench/ tells the stages apart by those suffixes) plus a gob Conf, so
-// any process that imports this package can run their tasks. The two
-// public MapReduce drivers differ only in the rowSource they hand the
-// runner: where a worker gets row i.
-
-// ClusterMapReduceShipped runs the two stages with all data shipped
-// through the records — blocks of rows in stage 1, each bucket's raw rows
-// in stage 2, embedded (where the plan says so) by the reducer that
-// solves it — and all configuration through the job Conf, so the
-// executor's workers may live in other OS processes (start them with
-// cmd/dascworker): the full Hadoop deployment model.
-func ClusterMapReduceShipped(points *matrix.Dense, cfg Config, exec mapreduce.Executor) (*Result, error) {
-	return ClusterMapReduceShippedContext(context.Background(), points, cfg, exec)
-}
-
-// ClusterMapReduceShippedContext is ClusterMapReduceShipped with
-// cancellation.
-func ClusterMapReduceShippedContext(ctx context.Context, points *matrix.Dense, cfg Config, exec mapreduce.Executor) (*Result, error) {
-	return RunPipeline(ctx, points, cfg, &mrRunner{exec: exec, src: &recordRows{points: points}})
-}
-
-// ClusterMapReduceSharded runs the two stages against a shard directory
-// written by internal/shard, never materializing the input matrix in
-// driver memory: stage-1 mappers stream their assigned shard row ranges
-// and stage-2 reducers demand-read only the rows their buckets
-// reference, so dataset size is bounded by disk, not RAM (combine with
-// Config.SpillBytes for an out-of-core shuffle too). The plan (LSH
-// thresholds, kernel bandwidth, feature map) is fitted from
-// Config.FitSample evenly spaced rows; FitSample >= N makes the labels
-// bit-identical to the in-memory drivers. Workers may live in other OS
-// processes provided they can open the same shard directory.
-func ClusterMapReduceSharded(dir string, cfg Config, exec mapreduce.Executor) (*Result, error) {
-	return ClusterMapReduceShardedContext(context.Background(), dir, cfg, exec)
-}
-
-// ClusterMapReduceShardedContext is ClusterMapReduceSharded with
-// cancellation.
-func ClusterMapReduceShardedContext(ctx context.Context, dir string, cfg Config, exec mapreduce.Executor) (*Result, error) {
-	start := time.Now()
-	ioBefore := workerShardIO()
-	// The driver uses the same process-wide cached reader as in-process
-	// workers: one set of handles per directory, shared by the fit
-	// sample, probe reads, and every local task.
-	src, err := openShardRows(dir)
-	if err != nil {
-		return nil, err
-	}
-	n := src.r.Rows()
-	cfg, radius, err := cfg.resolve(n)
-	if err != nil {
-		return nil, err
-	}
-	sample, err := src.fitSample(cfg.FitSample)
-	if err != nil {
-		return nil, fmt.Errorf("core: sharded fit sample: %w", err)
-	}
-	p, err := fitPlan(sample, n, cfg, radius, true)
-	if err != nil {
-		return nil, err
-	}
-	p.Points = nil // nothing past the fit reads the sample; do not keep it resident
-	// Margin-ordered probing sweeps the rows through a windowed cursor
-	// over the shard reader; without probing the partition stage touches
-	// no row.
-	var probe lsh.PointSource
-	var cursor *probeCursor
-	if cfg.ProbeRadius > 0 {
-		cursor = newProbeCursor(src.r)
-		probe = cursor
-	}
-	res, err := runStages(ctx, start, p, probe, &mrRunner{exec: exec, src: src})
-	if cursor != nil && cursor.err != nil {
-		return nil, fmt.Errorf("core: sharded probe rows: %w", cursor.err)
-	}
-	if err != nil {
-		return nil, err
-	}
-	// Process-local shard-read accounting: exact when the executor's
-	// workers share this process; external TCP worker processes report
-	// their byte meter on result frames, which the master already folded
-	// into the stage counters (see mapreduce.Counters.ShardReadBytes).
-	ioAfter := workerShardIO()
-	res.MapReduce.ShardReadBytes += ioAfter.bytes - ioBefore.bytes
-	res.MapReduce.ShardReadOps += ioAfter.ops - ioBefore.ops
-	res.MapReduce.ShardCoalescedReads += ioAfter.coalesced - ioBefore.coalesced
-	return res, nil
-}
+// any process that imports this package can run their tasks. Run's two
+// MapReduce routes differ only in the rowSource they hand the runner:
+// where a worker gets row i.
 
 // mrRunner is the MapReduce backend: both stages run as jobs on exec,
 // with src answering where their rows live.
@@ -127,16 +42,13 @@ type mrRunner struct {
 	ctr  mapreduce.Counters
 }
 
-func (*mrRunner) Name() string      { return "mapreduce" }
-func (*mrRunner) NeedsHasher() bool { return true }
+func (*mrRunner) name() string { return "mapreduce" }
 
-// MapReduceCounters reports the counters accumulated across both
-// stages; the pipeline puts them on the Result. A copy, so that a
-// retained Result does not keep the runner — and through its source the
-// dataset — alive.
-func (r *mrRunner) MapReduceCounters() *mapreduce.Counters {
+// report puts a copy of the counters accumulated across both stages on
+// the result.
+func (r *mrRunner) report(res *Result) {
 	ctr := r.ctr
-	return &ctr
+	res.MapReduce = &ctr
 }
 
 // run names one stage's job ("lsh" or "cluster") for the registered
@@ -157,7 +69,7 @@ func (r *mrRunner) run(ctx context.Context, p *Plan, job *mapreduce.Job, stage s
 	return out, nil
 }
 
-func (r *mrRunner) Signatures(ctx context.Context, p *Plan) (*lsh.SignatureSet, error) {
+func (r *mrRunner) signatures(ctx context.Context, p *Plan) (*lsh.SignatureSet, error) {
 	hashers, err := p.Hashers()
 	if err != nil {
 		return nil, err
@@ -179,7 +91,7 @@ func (r *mrRunner) Signatures(ctx context.Context, p *Plan) (*lsh.SignatureSet, 
 	return signaturesFromPairs(sigPairs, p.solver.pol.N, len(hashers))
 }
 
-func (r *mrRunner) Solve(ctx context.Context, p *Plan, part *lsh.Partition) ([]BucketSolution, error) {
+func (r *mrRunner) solve(ctx context.Context, p *Plan, part *lsh.Partition) ([]bucketSolution, error) {
 	input := make([]mapreduce.Pair, len(part.Buckets))
 	var scratch []float64
 	for bi, b := range part.Buckets {
@@ -454,12 +366,12 @@ func signaturesFromPairs(sigPairs []mapreduce.Pair, n, tables int) (*lsh.Signatu
 // repeated or misshapen record is an error, not a silent label 0 or last
 // write wins. The shared assembly path then offsets the solutions
 // exactly like every other runner's.
-func solutionsFromLabelPairs(part *lsh.Partition, pairs []mapreduce.Pair) ([]BucketSolution, error) {
+func solutionsFromLabelPairs(part *lsh.Partition, pairs []mapreduce.Pair) ([]bucketSolution, error) {
 	sigOf := make(map[uint64]int, len(part.Buckets))
 	for bi, b := range part.Buckets {
 		sigOf[b.Signature] = bi
 	}
-	sols := make([]BucketSolution, len(part.Buckets))
+	sols := make([]bucketSolution, len(part.Buckets))
 	solved := make([]bool, len(part.Buckets))
 	for _, p := range pairs {
 		sig, err := strconv.ParseUint(p.Key, 16, 64)
@@ -500,7 +412,7 @@ func solutionsFromLabelPairs(part *lsh.Partition, pairs []mapreduce.Pair) ([]Buc
 const resultKind = 'R'
 
 // encodeBucketResult packs a bucket's solution into its result record.
-func encodeBucketResult(s BucketSolution) []byte {
+func encodeBucketResult(s bucketSolution) []byte {
 	buf := make([]byte, 0, 2+6*binary.MaxVarintLen64+8+len(s.Solver)+2*len(s.Labels))
 	buf = append(buf, resultKind, 0)
 	buf = binary.AppendUvarint(buf, uint64(s.NNZ))
@@ -519,7 +431,7 @@ func encodeBucketResult(s BucketSolution) []byte {
 
 // decodeBucketResult is the inverse of encodeBucketResult. K must fit
 // int32, every label must be below K, and nothing may follow the labels.
-func decodeBucketResult(buf []byte, s *BucketSolution) error {
+func decodeBucketResult(buf []byte, s *bucketSolution) error {
 	if len(buf) < 2 || buf[0] != resultKind || buf[1] != 0 {
 		return fmt.Errorf("not a result record")
 	}
@@ -574,7 +486,7 @@ func decodeBucketResult(buf []byte, s *BucketSolution) error {
 	if len(rest) != 0 {
 		return fmt.Errorf("%d trailing bytes after result record", len(rest))
 	}
-	*s = BucketSolution{Labels: labels, K: int(k), Solver: solver, NNZ: int64(nnz), Fill: fill, SolveNanos: int64(nanos), GramBytes: int64(gram)}
+	*s = bucketSolution{Labels: labels, K: int(k), Solver: solver, NNZ: int64(nnz), Fill: fill, SolveNanos: int64(nanos), GramBytes: int64(gram)}
 	return nil
 }
 

@@ -19,11 +19,11 @@ func matrixOfSize(r, c int) *matrix.Dense { return matrix.NewDense(r, c) }
 
 func TestClusterMapReduceMatchesLocalDriver(t *testing.T) {
 	l := mixture(t, 180, 12, 3, 0.03, 20)
-	direct, err := Cluster(l.Points, Config{K: 3, Seed: 21})
+	direct, err := Run(bg, Source{Points: l.Points}, Config{K: 3, Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaMR, err := ClusterMapReduceShipped(l.Points, Config{K: 3, Seed: 21}, &mapreduce.Local{})
+	viaMR, err := Run(bg, Source{Points: l.Points}, onExec(&mapreduce.Local{}, Config{K: 3, Seed: 21}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestClusterMapReduceMatchesLocalDriver(t *testing.T) {
 
 func TestClusterMapReduceAccuracy(t *testing.T) {
 	l := mixture(t, 160, 16, 4, 0.02, 22)
-	res, err := ClusterMapReduceShipped(l.Points, Config{K: 4, Seed: 23}, &mapreduce.Local{Workers: 4})
+	res, err := Run(bg, Source{Points: l.Points}, onExec(&mapreduce.Local{Workers: 4}, Config{K: 4, Seed: 23}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestClusterMapReduceOverTCP(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	res, err := ClusterMapReduceShipped(l.Points, Config{K: 2, Seed: 25}, m)
+	res, err := Run(bg, Source{Points: l.Points}, onExec(m, Config{K: 2, Seed: 25}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,11 +160,11 @@ func FuzzIndexList(f *testing.F) {
 // can describe, every accepted label below K, and an accepted record
 // survives a second round trip.
 func FuzzBucketResult(f *testing.F) {
-	f.Add(encodeBucketResult(BucketSolution{Labels: []int{0, 1, 0}, K: 2, Solver: "dense-eigen", NNZ: 9, Fill: 1, SolveNanos: 5, GramBytes: 36}))
-	f.Add(encodeBucketResult(BucketSolution{}))
+	f.Add(encodeBucketResult(bucketSolution{Labels: []int{0, 1, 0}, K: 2, Solver: "dense-eigen", NNZ: 9, Fill: 1, SolveNanos: 5, GramBytes: 36}))
+	f.Add(encodeBucketResult(bucketSolution{}))
 	f.Add([]byte{resultKind, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0xff, 0xff, 0x03})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var s BucketSolution
+		var s bucketSolution
 		if err := decodeBucketResult(data, &s); err != nil {
 			return
 		}
@@ -176,7 +176,7 @@ func FuzzBucketResult(f *testing.F) {
 				t.Fatalf("accepted label %d for K = %d", l, s.K)
 			}
 		}
-		var back BucketSolution
+		var back bucketSolution
 		if err := decodeBucketResult(encodeBucketResult(s), &back); err != nil ||
 			!slices.Equal(back.Labels, s.Labels) || back.K != s.K || back.Solver != s.Solver || back.NNZ != s.NNZ ||
 			math.Float64bits(back.Fill) != math.Float64bits(s.Fill) || back.SolveNanos != s.SolveNanos || back.GramBytes != s.GramBytes {
@@ -243,10 +243,10 @@ func TestStageRecordCounts(t *testing.T) {
 		run   func(Config, mapreduce.Executor) (*Result, error)
 	}{
 		{"shipped", blockRows, func(c Config, e mapreduce.Executor) (*Result, error) {
-			return ClusterMapReduceShipped(l.Points, c, e)
+			return Run(bg, Source{Points: l.Points}, onExec(e, c))
 		}},
 		{"sharded", perShard, func(c Config, e mapreduce.Executor) (*Result, error) {
-			return ClusterMapReduceSharded(dir, c, e)
+			return Run(bg, Source{Dir: dir}, onExec(e, c))
 		}},
 	} {
 		stage1 := distinct(src.split)
@@ -299,8 +299,8 @@ func BenchmarkStages(b *testing.B) {
 		name string
 		run  func(mapreduce.Executor) (*Result, error)
 	}{
-		{"sharded", func(e mapreduce.Executor) (*Result, error) { return ClusterMapReduceSharded(dir, cfg, e) }},
-		{"shipped", func(e mapreduce.Executor) (*Result, error) { return ClusterMapReduceShipped(l.Points, cfg, e) }},
+		{"sharded", func(e mapreduce.Executor) (*Result, error) { return Run(bg, Source{Dir: dir}, onExec(e, cfg)) }},
+		{"shipped", func(e mapreduce.Executor) (*Result, error) { return Run(bg, Source{Points: l.Points}, onExec(e, cfg)) }},
 	} {
 		b.Run(src.name, func(b *testing.B) {
 			records, stage2 := 0, int64(0)

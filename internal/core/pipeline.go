@@ -1,7 +1,7 @@
 package core
 
-// This file is the canonical DASC plan: every public driver is a thin
-// adapter over one four-stage dataflow —
+// This file is the canonical DASC plan: Run, the one driver, fits a plan
+// and runs one four-stage dataflow —
 //
 //	signature   : hash every point to an M-bit LSH signature,
 //	bucket-merge: group by signature and merge near-duplicates (Eq. 6),
@@ -9,10 +9,10 @@ package core
 //	assembly    : offset per-bucket labels into one global labeling.
 //
 // The stages that admit different execution strategies (signature and
-// solve) are behind the Runner interface — where the work runs; what a
+// solve) are behind the runner interface — where the work runs; what a
 // bucket's solve is belongs to the plan's bucketSolver (solver.go), which
 // every runner calls. Bucket-merge and assembly are pure driver-side
-// functions shared by every runner, so the drivers cannot drift apart.
+// functions shared by every runner, so the routes cannot drift apart.
 // Runners receive a context.Context and must return promptly with its
 // error once it is cancelled.
 
@@ -29,12 +29,10 @@ import (
 )
 
 // Plan is the resolved execution plan shared by all pipeline stages:
-// the dataset, the defaulted configuration, the fitted hash ensemble,
-// the merge radius, and the kernel bandwidth.
+// the defaulted configuration, the fitted hash ensemble, the merge
+// radius, and the kernel bandwidth. It holds no rows: the runner knows
+// where they live.
 type Plan struct {
-	// Points is the dataset, one row per point; nil in the sharded
-	// driver's plan, which is fitted on a sample and never holds it.
-	Points *matrix.Dense
 	// Cfg is the configuration with every default resolved (K, M,
 	// Tables filled in).
 	Cfg Config
@@ -49,7 +47,7 @@ type Plan struct {
 	// Embedder is the fitted random Fourier feature map of the
 	// embed-and-conquer solve path; non-nil exactly when Cfg.EmbedDim > 0.
 	// It is a pure function of (dataset dims, EmbedDim, Sigma, Seed), so
-	// every driver fits bitwise the same map.
+	// every route fits bitwise the same map.
 	Embedder *embed.RFF
 	// solver is the solve stage, built from Cfg, the dataset shape and
 	// Sigma; Sigma and Embedder above are its kernel's and its map.
@@ -72,12 +70,12 @@ func (p *Plan) Hashers() ([]*lsh.Hasher, error) {
 	return hashers, nil
 }
 
-// BucketSolution is the solve stage's output for one bucket: local
+// bucketSolution is the solve stage's output for one bucket: local
 // cluster ids per bucket point (bucket order), the number of clusters
 // extracted, and the solve engine's accounting. Solver/NNZ/Fill/
 // SolveNanos/GramBytes mirror the BucketReport fields; a zero GramBytes
 // makes assembly fall back to the bucket's planned footprint.
-type BucketSolution struct {
+type bucketSolution struct {
 	Labels     []int
 	K          int
 	Solver     string
@@ -87,28 +85,28 @@ type BucketSolution struct {
 	GramBytes  int64
 }
 
-// Runner executes the backend-specific pipeline stages. Implementations
-// exist for the in-process pool (optionally in memory-bounded waves) and
-// MapReduce (one runner over two row sources).
-type Runner interface {
-	// Name identifies the runner in errors.
-	Name() string
-	// NeedsHasher reports whether the runner requires the fitted
-	// span/threshold Hasher (distributed runners ship its parameters);
-	// such runners cannot run a custom Config.Family.
-	NeedsHasher() bool
-	// Signatures computes the per-point per-table LSH signatures
+// runner executes the backend-specific pipeline stages: the in-process
+// pool (localRunner, optionally in memory-bounded waves) or the two
+// MapReduce jobs (mrRunner, over either row source).
+type runner interface {
+	// name identifies the runner in errors.
+	name() string
+	// signatures computes the per-point per-table LSH signatures
 	// (stage 1).
-	Signatures(ctx context.Context, p *Plan) (*lsh.SignatureSet, error)
-	// Solve clusters every bucket of the partition (stage 3), returning
+	signatures(ctx context.Context, p *Plan) (*lsh.SignatureSet, error)
+	// solve clusters every bucket of the partition (stage 3), returning
 	// one solution per bucket in partition order. Assembly rejects a
 	// solution whose K is not the bucket's planned share.
-	Solve(ctx context.Context, p *Plan, part *lsh.Partition) ([]BucketSolution, error)
+	solve(ctx context.Context, p *Plan, part *lsh.Partition) ([]bucketSolution, error)
+	// report writes the runner's own accounting onto the assembled
+	// result. It copies values, so that a retained Result does not keep
+	// the runner — and through it the dataset — alive.
+	report(res *Result)
 }
 
 // NewPlan resolves the configuration against the dataset and fits the
 // hash ensemble, the kernel bandwidth and the solve stage. needsHasher
-// asks for the paper's span/threshold hashers (the distributed drivers'
+// asks for the paper's span/threshold hashers (the MapReduce runner's
 // jobs ship hash thresholds) and makes a set Config.Family an error.
 func NewPlan(points *matrix.Dense, cfg Config, needsHasher bool) (*Plan, error) {
 	cfg, radius, err := cfg.resolve(points.Rows())
@@ -118,7 +116,7 @@ func NewPlan(points *matrix.Dense, cfg Config, needsHasher bool) (*Plan, error) 
 	return fitPlan(points, points.Rows(), cfg, radius, needsHasher)
 }
 
-// fitPlan is NewPlan past the resolution of cfg: the sharded driver
+// fitPlan is NewPlan past the resolution of cfg: a Source.Dir run
 // resolves against the dataset's n and fits on a sample of it.
 func fitPlan(points *matrix.Dense, n int, cfg Config, radius int, needsHasher bool) (*Plan, error) {
 	if cfg.Family != nil && needsHasher {
@@ -128,7 +126,7 @@ func fitPlan(points *matrix.Dense, n int, cfg Config, radius int, needsHasher bo
 	if err != nil {
 		return nil, err
 	}
-	p := &Plan{Points: points, Radius: radius, Ensemble: ens}
+	p := &Plan{Radius: radius, Ensemble: ens}
 	if cfg.Family != nil {
 		cfg.M = ens.Bits()
 		cfg.Tables = ens.Tables()
@@ -171,36 +169,153 @@ func planEnsemble(points *matrix.Dense, cfg Config) (*lsh.Ensemble, error) {
 	return ens, nil
 }
 
-// RunPipeline executes the canonical DASC dataflow on the given runner.
-// Every public driver of a resident matrix delegates here, so for a
-// fixed seed they produce identical labels regardless of the execution
-// backend.
-func RunPipeline(ctx context.Context, points *matrix.Dense, cfg Config, r Runner) (*Result, error) {
+// Source names where a run's rows come from: exactly one of Points and
+// Dir.
+type Source struct {
+	// Points is a resident matrix, one row per point.
+	Points *matrix.Dense
+	// Dir is a shard directory written by internal/shard, never
+	// materialized in driver memory: stage-1 mappers stream their shard
+	// row ranges and stage-2 reducers demand-read only the rows their
+	// buckets reference, so dataset size is bounded by disk, not RAM
+	// (combine with Config.SpillBytes for an out-of-core shuffle too).
+	// The plan (LSH thresholds, kernel bandwidth, feature map) is fitted
+	// from Config.FitSample evenly spaced rows. Workers may live in other
+	// OS processes provided they can open the same directory.
+	Dir string
+}
+
+// Run is DASC on src under cfg. Where the rows come from and
+// cfg.Executor choose where the tasks run:
+//
+//	Source  Executor  runs on
+//	Points  nil       the in-process pool, in waves within cfg.MemoryBudget
+//	Points  set       the paper's two MapReduce jobs (§3.3), rows inside the records
+//	Dir     any       the two jobs over the shard files, on a mapreduce.Local when nil
+//
+// Every route runs one plan through one dataflow, so for a fixed seed
+// they label identically (a Dir run at FitSample >= N). The context is
+// checked between stages and by every runner's solve; a cancelled run
+// returns its error.
+func Run(ctx context.Context, src Source, cfg Config) (*Result, error) {
 	start := time.Now()
-	p, err := NewPlan(points, cfg, r.NeedsHasher())
+	// A MapReduce route ships the fitted span/threshold hasher to its
+	// workers, so it cannot run a custom Config.Family.
+	mrRoute := cfg.Executor != nil || src.Dir != ""
+	switch {
+	case (src.Points == nil) == (src.Dir == ""):
+		return nil, fmt.Errorf("%w: a Source names exactly one of Points and Dir", ErrBadConfig)
+	case cfg.MemoryBudget < 0:
+		return nil, fmt.Errorf("%w: MemoryBudget=%d negative", ErrBadConfig, cfg.MemoryBudget)
+	case cfg.MemoryBudget > 0 && mrRoute:
+		return nil, fmt.Errorf("%w: MemoryBudget bounds the in-process pool; the MapReduce runners do not honour it", ErrBadConfig)
+	}
+	var (
+		r      runner
+		n      int
+		shards *shardRows
+		err    error
+	)
+	switch {
+	case src.Dir != "":
+		// The driver reads through the same process-wide cached reader as
+		// in-process workers: one set of handles per directory, shared by
+		// the fit sample, probe reads and every local task.
+		if shards, err = openShardRows(src.Dir); err != nil {
+			return nil, err
+		}
+		if cfg.Executor == nil {
+			cfg.Executor = &mapreduce.Local{}
+		}
+		r, n = &mrRunner{exec: cfg.Executor, src: shards}, shards.r.Rows()
+	case cfg.Executor != nil:
+		r, n = &mrRunner{exec: cfg.Executor, src: &recordRows{points: src.Points}}, src.Points.Rows()
+	default:
+		r, n = &localRunner{points: src.Points, budget: cfg.MemoryBudget}, src.Points.Rows()
+	}
+	cfg, radius, err := cfg.resolve(n)
 	if err != nil {
 		return nil, err
 	}
-	return runStages(ctx, start, p, points, r)
+
+	// Only the fit rows, the probe rows and the read accounting depend on
+	// the source. A Dir run fits on a sample and probes — margin-ordered
+	// probing sweeps the rows in order — through a windowed cursor over
+	// the shard reader; without probing its partition stage reads no row.
+	fit, probe := src.Points, lsh.PointSource(src.Points)
+	var ioBefore shardIO
+	var cursor *probeCursor
+	if shards != nil {
+		ioBefore = shards.io()
+		if fit, err = shards.fitSample(cfg.FitSample); err != nil {
+			return nil, fmt.Errorf("core: sharded fit sample: %w", err)
+		}
+		probe = nil
+		if cfg.ProbeRadius > 0 {
+			cursor = newProbeCursor(shards.r)
+			probe = cursor
+		}
+	}
+	p, err := fitPlan(fit, n, cfg, radius, mrRoute)
+	if err != nil {
+		return nil, err
+	}
+	res, err := runStages(ctx, start, p, probe, r)
+	if cursor != nil && cursor.err != nil {
+		return nil, fmt.Errorf("core: sharded probe rows: %w", cursor.err)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if shards != nil {
+		// This run's reader meters the driver and every in-process worker;
+		// external TCP worker processes report their byte meter on result
+		// frames, which the master already folded into the stage counters.
+		io := shards.io()
+		res.MapReduce.ShardReadBytes += io.bytes - ioBefore.bytes
+		res.MapReduce.ShardReadOps += io.ops - ioBefore.ops
+		res.MapReduce.ShardCoalescedReads += io.coalesced - ioBefore.coalesced
+	}
+	return res, nil
 }
 
-// runStages is the stage sequence of every driver, past the plan fit
-// (start is when the driver began, for Result.Elapsed): probe is the row
-// access of margin-ordered probing, nil when the plan does not probe.
-func runStages(ctx context.Context, start time.Time, p *Plan, probe lsh.PointSource, r Runner) (*Result, error) {
-	n := p.solver.pol.N // not p.Points.Rows(): the sharded plan is fitted on a sample
+// Cluster is Run on resident points on the in-process pool. bench/ is
+// its only caller.
+func Cluster(points *matrix.Dense, cfg Config) (*Result, error) {
+	return Run(context.Background(), Source{Points: points}, cfg)
+}
+
+// ClusterMapReduceShipped is Run on resident points on exec. bench/ is
+// its only caller.
+func ClusterMapReduceShipped(points *matrix.Dense, cfg Config, exec mapreduce.Executor) (*Result, error) {
+	cfg.Executor = exec
+	return Run(context.Background(), Source{Points: points}, cfg)
+}
+
+// ClusterMapReduceSharded is Run on a shard directory on exec. bench/
+// is its only caller.
+func ClusterMapReduceSharded(dir string, cfg Config, exec mapreduce.Executor) (*Result, error) {
+	cfg.Executor = exec
+	return Run(context.Background(), Source{Dir: dir}, cfg)
+}
+
+// runStages is Run's stage sequence past the plan fit (start is when
+// the run began, for Result.Elapsed): probe is the row access of
+// margin-ordered probing, nil when the plan does not probe.
+func runStages(ctx context.Context, start time.Time, p *Plan, probe lsh.PointSource, r runner) (*Result, error) {
+	n := p.solver.pol.N
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: %s: %w", r.Name(), err)
+		return nil, fmt.Errorf("core: %s: %w", r.name(), err)
 	}
 
 	// Stage 1: per-table signatures.
-	sigs, err := r.Signatures(ctx, p)
+	sigs, err := r.signatures(ctx, p)
 	if err != nil {
 		return nil, err
 	}
 	if sigs.Len() != n || sigs.NumTables() != p.Ensemble.Tables() {
 		return nil, fmt.Errorf("core: %s produced %d signatures x %d tables for %d points x %d tables",
-			r.Name(), sigs.Len(), sigs.NumTables(), n, p.Ensemble.Tables())
+			r.name(), sigs.Len(), sigs.NumTables(), n, p.Ensemble.Tables())
 	}
 
 	// Stage 2: bucket-merge, always on the driver (the paper merges
@@ -210,14 +325,14 @@ func runStages(ctx context.Context, start time.Time, p *Plan, probe lsh.PointSou
 	// the single-signature partition.
 	part, err := p.Ensemble.Partition(probe, sigs, p.Radius)
 	if err != nil {
-		return nil, fmt.Errorf("core: %s: %w", r.Name(), err)
+		return nil, fmt.Errorf("core: %s: %w", r.name(), err)
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: %s: %w", r.Name(), err)
+		return nil, fmt.Errorf("core: %s: %w", r.name(), err)
 	}
 
 	// Stage 3: per-bucket solve.
-	sols, err := r.Solve(ctx, p, part)
+	sols, err := r.solve(ctx, p, part)
 	if err != nil {
 		return nil, err
 	}
@@ -225,28 +340,20 @@ func runStages(ctx context.Context, start time.Time, p *Plan, probe lsh.PointSou
 	// Stage 4: global label assembly.
 	res, err := assembleSolutions(p.solver, part, sols)
 	if err != nil {
-		return nil, fmt.Errorf("core: %s: %w", r.Name(), err)
+		return nil, fmt.Errorf("core: %s: %w", r.name(), err)
 	}
 	res.SignatureBits = p.Cfg.M
 	res.MergeRadius = p.Radius
 	res.Elapsed = time.Since(start)
-	if cs, ok := r.(counterSource); ok {
-		res.MapReduce = cs.MapReduceCounters()
-	}
+	r.report(res)
 	return res, nil
-}
-
-// counterSource is implemented by runners that execute through a
-// mapreduce.Executor and can report the aggregated job counters.
-type counterSource interface {
-	MapReduceCounters() *mapreduce.Counters
 }
 
 // assembleSolutions is the single label-assembly path: cluster-id
 // offsets are assigned in partition order (ascending bucket signature),
 // so every runner yields the same global labeling for the same
 // per-bucket solutions.
-func assembleSolutions(solver *bucketSolver, part *lsh.Partition, sols []BucketSolution) (*Result, error) {
+func assembleSolutions(solver *bucketSolver, part *lsh.Partition, sols []bucketSolution) (*Result, error) {
 	n := solver.pol.N
 	if len(sols) != len(part.Buckets) {
 		return nil, fmt.Errorf("%d solutions for %d buckets", len(sols), len(part.Buckets))

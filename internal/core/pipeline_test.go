@@ -11,75 +11,43 @@ import (
 )
 
 // TestAllDriversProduceIdenticalLabels is the pipeline's central
-// guarantee: the four public drivers are thin adapters over one
-// dataflow, so for a fixed seed their labels, cluster counts, and Gram
-// accounting must agree exactly.
+// guarantee: every route of Run is one dataflow, so for a fixed seed
+// their labels, cluster counts, and Gram accounting must agree exactly.
 func TestAllDriversProduceIdenticalLabels(t *testing.T) {
 	l := mixture(t, 240, 12, 4, 0.03, 40)
 	cfg := Config{K: 4, Seed: 41}
 
-	batch, err := Cluster(l.Points, cfg)
+	batch, err := Run(bg, Source{Points: l.Points}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc, err := ClusterIncremental(l.Points, cfg, batch.GramBytes/2+1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shipped, err := ClusterMapReduceShipped(l.Points, cfg, &mapreduce.Local{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scfg := cfg
-	scfg.FitSample = l.Points.Rows() // the full-matrix fit of the in-memory drivers
-	sharded, err := ClusterMapReduceSharded(writeShardDir(t, l.Points, 64), scfg, &mapreduce.Local{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	others := map[string]*Result{
-		"incremental": &inc.Result,
-		"shipped":     shipped,
-		"sharded":     sharded,
-	}
-	for name, res := range others {
-		if len(res.Labels) != len(batch.Labels) {
-			t.Fatalf("%s: %d labels, batch has %d", name, len(res.Labels), len(batch.Labels))
+	for _, c := range driverGrid(l.Points, writeShardDir(t, l.Points, 64), batch.GramBytes/2+1) {
+		res, err := c.run(bg, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
 		}
-		for i := range batch.Labels {
-			if res.Labels[i] != batch.Labels[i] {
-				t.Fatalf("%s: label[%d] = %d, batch %d", name, i, res.Labels[i], batch.Labels[i])
-			}
+		agreesWithBatch(t, c.name, res, batch)
+		if c.budget > 0 && res.Waves < 2 {
+			t.Errorf("half-budget %s run used %d wave(s), want >= 2", c.name, res.Waves)
 		}
-		if res.Clusters != batch.Clusters || res.GramBytes != batch.GramBytes {
-			t.Errorf("%s bookkeeping differs: %d clusters / %d bytes vs %d / %d",
-				name, res.Clusters, res.GramBytes, batch.Clusters, batch.GramBytes)
-		}
-	}
-	if inc.Waves < 2 {
-		t.Errorf("half-budget incremental run used %d wave(s), want >= 2", inc.Waves)
 	}
 }
 
-// TestPipelineCancellation checks every driver's Context variant returns
-// context.Canceled when cancelled up front.
+// TestPipelineCancellation checks that every route of Run, and EMRFlow,
+// returns context.Canceled when cancelled up front.
 func TestPipelineCancellation(t *testing.T) {
 	l := mixture(t, 120, 8, 3, 0.03, 7)
 	cfg := Config{K: 3, Seed: 9}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if _, err := ClusterContext(ctx, l.Points, cfg); !errors.Is(err, context.Canceled) {
-		t.Errorf("ClusterContext err = %v, want context.Canceled", err)
+	for _, c := range driverGrid(l.Points, writeShardDir(t, l.Points, 32), 1<<20) {
+		if _, err := c.run(ctx, cfg); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s err = %v, want context.Canceled", c.name, err)
+		}
 	}
-	if _, err := ClusterIncrementalContext(ctx, l.Points, cfg, 1<<20); !errors.Is(err, context.Canceled) {
-		t.Errorf("ClusterIncrementalContext err = %v, want context.Canceled", err)
-	}
-	if _, err := ClusterMapReduceShippedContext(ctx, l.Points, cfg, &mapreduce.Local{}); !errors.Is(err, context.Canceled) {
-		t.Errorf("ClusterMapReduceShippedContext err = %v, want context.Canceled", err)
-	}
-	if _, _, err := EMRFlowContext(ctx, l.Points, cfg, 0); !errors.Is(err, context.Canceled) {
-		t.Errorf("EMRFlowContext err = %v, want context.Canceled", err)
+	if _, _, err := EMRFlow(ctx, l.Points, cfg, 0); !errors.Is(err, context.Canceled) {
+		t.Errorf("EMRFlow err = %v, want context.Canceled", err)
 	}
 }
 
@@ -103,11 +71,11 @@ func TestNewPlanFamilyOverride(t *testing.T) {
 	cfg := Config{K: 2, Seed: 1, Family: fam}
 	for name, run := range map[string]func() error{
 		"mapreduce": func() error {
-			_, err := ClusterMapReduceShipped(l.Points, cfg, &mapreduce.Local{})
+			_, err := Run(bg, Source{Points: l.Points}, onExec(&mapreduce.Local{}, cfg))
 			return err
 		},
 		"EMRFlow": func() error {
-			_, _, err := EMRFlow(l.Points, cfg, 0)
+			_, _, err := EMRFlow(bg, l.Points, cfg, 0)
 			return err
 		},
 	} {
@@ -143,7 +111,7 @@ func TestAssemblyHoldsSolutionsToThePlan(t *testing.T) {
 		{Signature: 0xa, Indices: []int{0, 1, 2}},
 		{Signature: 0xb, Indices: []int{3, 4, 5}},
 	}}
-	sols := []BucketSolution{{Labels: []int{0, 0, 0}, K: 1}, {Labels: []int{0, 0, 0}, K: 1}}
+	sols := []bucketSolution{{Labels: []int{0, 0, 0}, K: 1}, {Labels: []int{0, 0, 0}, K: 1}}
 	res, err := assembleSolutions(solver, part, sols)
 	if err != nil {
 		t.Fatal(err)

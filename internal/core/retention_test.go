@@ -19,8 +19,8 @@ func allocated(f func()) int64 {
 }
 
 // TestClusterRetainsSolveScratch: the in-process runner solves on
-// lsh.EachBucket's pooled scratch, so once a Cluster call has grown it,
-// the next call reuses it — two calls after a warm one allocate, at
+// lsh.EachBucket's pooled scratch, so once an in-process Run has grown
+// it, the next call reuses it — two calls after a warm one allocate, at
 // least once, less than one packed Gram of the largest bucket. The
 // MapReduce reducers keep their per-invocation scratch (pooling there
 // cost 15–20 %), so every shipped run allocates that Gram afresh.
@@ -36,8 +36,8 @@ func TestClusterRetainsSolveScratch(t *testing.T) {
 		run    func() (*Result, error)
 		pooled bool
 	}{
-		{"inproc", func() (*Result, error) { return Cluster(l.Points, cfg) }, true},
-		{"shipped", func() (*Result, error) { return ClusterMapReduceShipped(l.Points, cfg, &mapreduce.Local{}) }, false},
+		{"inproc", func() (*Result, error) { return Run(bg, Source{Points: l.Points}, cfg) }, true},
+		{"shipped", func() (*Result, error) { return Run(bg, Source{Points: l.Points}, onExec(&mapreduce.Local{}, cfg)) }, false},
 	} {
 		warm, err := d.run()
 		if err != nil {

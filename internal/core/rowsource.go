@@ -11,7 +11,7 @@ import (
 	"repro/internal/shard"
 )
 
-// rowSource answers the questions the MapReduce drivers disagree on —
+// rowSource answers the questions Run's two MapReduce routes disagree on —
 // all of them forms of "where does a worker get row i":
 //
 //	source      stage-1 record          stage-2 record              workers
@@ -22,9 +22,8 @@ import (
 // solve does whatever the plan derives from them (sub-Gram or embedding).
 // The two jobs in mapreduce.go are written against this interface only.
 // Driver-side methods (lshInput, encodeBucket) run on a source built by
-// a public driver; mapper/reducer-side methods (eachRow, openBucket)
-// also run on the source a worker process rebuilds from the job Conf
-// (workerSource).
+// Run; mapper/reducer-side methods (eachRow, openBucket) also run on the
+// source a worker process rebuilds from the job Conf (workerSource).
 type rowSource interface {
 	// dir is what a worker in another process needs to rebuild the
 	// source: the shard directory, or "" when rows reach workers inside
@@ -48,9 +47,16 @@ type rowSource interface {
 func init() {
 	mapreduce.RegisterFactory("dasc-lsh", lshJobFromConf)
 	mapreduce.RegisterFactory("dasc-cluster", clusterJobFromConf)
-	// Workers ship this process-cumulative meter back on TCP results so
-	// a master in another process can account our shard reads.
-	mapreduce.SetShardMeter(func() int64 { return workerShardIO().bytes })
+	// Workers ship this process-cumulative meter — the bytes every cached
+	// reader has read — back on TCP results so a master in another
+	// process can account our shard reads.
+	mapreduce.SetShardMeter(func() (total int64) {
+		shardReaders.Range(func(_, v any) bool {
+			total += v.(*shard.Reader).BytesRead()
+			return true
+		})
+		return total
+	})
 }
 
 // workerSource rebuilds, from a job Conf, the source a task runs
@@ -177,21 +183,13 @@ func openShardRows(dir string) (*shardRows, error) {
 	return &shardRows{path: dir, r: r}, nil
 }
 
-// shardIO is a reading of the process's shard meters.
+// shardIO is a reading of one reader's meters.
 type shardIO struct{ bytes, ops, coalesced int64 }
 
-// workerShardIO sums the bytes, ReadAt calls and coalesced reads of
-// every reader in this process's cache, for the sharded driver's delta
-// accounting and the meter TCP workers ship back.
-func workerShardIO() (total shardIO) {
-	shardReaders.Range(func(_, v any) bool {
-		r := v.(*shard.Reader)
-		total.bytes += r.BytesRead()
-		total.ops += r.ReadOps()
-		total.coalesced += r.CoalescedReads()
-		return true
-	})
-	return total
+// io reads the meters of the source's reader, which Run takes the delta
+// of around a run.
+func (s *shardRows) io() shardIO {
+	return shardIO{s.r.BytesRead(), s.r.ReadOps(), s.r.CoalescedReads()}
 }
 
 func (s *shardRows) dir() string { return s.path }
@@ -302,7 +300,7 @@ func (c *probeCursor) Row(i int) []float64 {
 
 // fitSample reads min(size, N) evenly spaced rows into a dense fit
 // matrix. With size >= N this is the full matrix in row order, which
-// makes every downstream fit identical to the in-memory drivers'.
+// makes every downstream fit identical to a Source.Points run's.
 func (s *shardRows) fitSample(size int) (*matrix.Dense, error) {
 	n := s.r.Rows()
 	m := min(size, n)

@@ -45,14 +45,14 @@ func TestShardedMatchesInMemoryWithFullFitSample(t *testing.T) {
 	l := mixture(t, 240, 12, 4, 0.03, 40)
 	cfg := Config{K: 4, Seed: 41, FitSample: 240}
 
-	batch, err := Cluster(l.Points, cfg)
+	batch, err := Run(bg, Source{Points: l.Points}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := writeShardDir(t, l.Points, 64)
 	for _, spill := range []int64{0, 64} {
 		cfg.SpillBytes = spill
-		res, err := ClusterMapReduceSharded(dir, cfg, &mapreduce.Local{})
+		res, err := Run(bg, Source{Dir: dir}, onExec(&mapreduce.Local{}, cfg))
 		if err != nil {
 			t.Fatalf("spill=%d: %v", spill, err)
 		}
@@ -89,12 +89,12 @@ func TestShardedEmbedAndProbeMatchInMemory(t *testing.T) {
 		{K: 3, Seed: 5, FitSample: 300, EmbedDim: 16, EmbedCutoff: 40},
 		{K: 3, Seed: 5, FitSample: 300, Tables: 2, ProbeRadius: 1},
 	} {
-		batch, err := Cluster(l.Points, cfg)
+		batch, err := Run(bg, Source{Points: l.Points}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		dir := writeShardDir(t, l.Points, 50)
-		res, err := ClusterMapReduceSharded(dir, cfg, &mapreduce.Local{})
+		res, err := Run(bg, Source{Dir: dir}, onExec(&mapreduce.Local{}, cfg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func TestShardedEmbedAndProbeMatchInMemory(t *testing.T) {
 func TestShardedSampledFitStillClusters(t *testing.T) {
 	l := mixture(t, 400, 8, 4, 0.03, 23)
 	dir := writeShardDir(t, l.Points, 128)
-	res, err := ClusterMapReduceSharded(dir, Config{K: 4, Seed: 23, FitSample: 64}, &mapreduce.Local{})
+	res, err := Run(bg, Source{Dir: dir}, onExec(&mapreduce.Local{}, Config{K: 4, Seed: 23, FitSample: 64}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestShardedCancellation(t *testing.T) {
 	dir := writeShardDir(t, l.Points, 64)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ClusterMapReduceShardedContext(ctx, dir, Config{K: 3, Seed: 9}, &mapreduce.Local{}); !errors.Is(err, context.Canceled) {
+	if _, err := Run(ctx, Source{Dir: dir}, onExec(&mapreduce.Local{}, Config{K: 3, Seed: 9})); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }
@@ -173,7 +173,7 @@ func TestShardedConfValidation(t *testing.T) {
 			t.Errorf("cluster conf with %s accepted", name)
 		}
 	}
-	if _, err := ClusterMapReduceSharded(t.TempDir(), Config{}, &mapreduce.Local{}); err == nil {
+	if _, err := Run(bg, Source{Dir: t.TempDir()}, onExec(&mapreduce.Local{}, Config{})); err == nil {
 		t.Error("empty shard dir accepted")
 	}
 }
@@ -239,7 +239,7 @@ func TestProbeCursorWindows(t *testing.T) {
 
 // TestShardedProbeReadsAreWindowed is the end-to-end pin that keeps the
 // per-row probe read from coming back: a probing run over shards of
-// every alignment labels the points exactly as Cluster does, and its
+// every alignment labels the points exactly as a Points run does, and its
 // whole read-op count stays under what the windowed sweeps, the fit
 // sample, the stage-1 streams and the stage-2 gathers can need — far
 // under the Tables·N a read per probed row would add.
@@ -247,13 +247,13 @@ func TestShardedProbeReadsAreWindowed(t *testing.T) {
 	const n, d = 1300, 16
 	l := mixture(t, n, d, 4, 0.03, 29)
 	cfg := Config{K: 4, Seed: 7, FitSample: n, Tables: 3, ProbeRadius: 1}
-	batch, err := Cluster(l.Points, cfg)
+	batch, err := Run(bg, Source{Points: l.Points}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	win := probeWindowBytes / (8 * d)
 	for _, per := range []int{win / 4, win, 300} {
-		res, err := ClusterMapReduceSharded(writeShardDir(t, l.Points, per), cfg, &mapreduce.Local{})
+		res, err := Run(bg, Source{Dir: writeShardDir(t, l.Points, per)}, onExec(&mapreduce.Local{}, cfg))
 		if err != nil {
 			t.Fatalf("per=%d: %v", per, err)
 		}
@@ -299,7 +299,7 @@ func TestShardedProbeReadFailureSurfaces(t *testing.T) {
 	l := mixture(t, 300, 10, 3, 0.03, 17)
 	dir := writeShardDir(t, l.Points, 50)
 	cfg := Config{K: 3, Seed: 5, FitSample: 300, Tables: 2, ProbeRadius: 1}
-	_, err := ClusterMapReduceSharded(dir, cfg, &truncateAfterLSH{dir: dir})
+	_, err := Run(bg, Source{Dir: dir}, onExec(&truncateAfterLSH{dir: dir}, cfg))
 	if err == nil || !strings.Contains(err.Error(), "core: sharded probe rows") {
 		t.Fatalf("err = %v, want the probe's read failure", err)
 	}

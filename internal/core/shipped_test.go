@@ -17,11 +17,11 @@ import (
 func TestClusterMapReduceShippedMatchesLocal(t *testing.T) {
 	l := mixture(t, 160, 10, 3, 0.03, 50)
 	cfg := Config{K: 3, Seed: 51}
-	direct, err := Cluster(l.Points, cfg)
+	direct, err := Run(bg, Source{Points: l.Points}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shipped, err := ClusterMapReduceShipped(l.Points, cfg, &mapreduce.Local{Workers: 4})
+	shipped, err := Run(bg, Source{Points: l.Points}, onExec(&mapreduce.Local{Workers: 4}, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestClusterMapReduceShippedOverTCPSameProcess(t *testing.T) {
 	}
 	waitWorkers(t, m, 2)
 
-	res, err := ClusterMapReduceShipped(l.Points, Config{K: 2, Seed: 53}, m)
+	res, err := Run(bg, Source{Points: l.Points}, onExec(m, Config{K: 2, Seed: 53}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestClusterMapReduceShippedAcrossProcesses(t *testing.T) {
 
 	l := mixture(t, 150, 8, 3, 0.02, 54)
 	cfg := Config{K: 3, Seed: 55}
-	want, err := Cluster(l.Points, cfg)
+	want, err := Run(bg, Source{Points: l.Points}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestClusterMapReduceShippedAcrossProcesses(t *testing.T) {
 	}
 	waitWorkers(t, m, 2)
 
-	res, err := ClusterMapReduceShipped(l.Points, cfg, m)
+	res, err := Run(bg, Source{Points: l.Points}, onExec(m, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}

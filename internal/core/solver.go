@@ -69,10 +69,14 @@ func newBucketSolver(pol solvePolicy) (*bucketSolver, error) {
 		bad = "SparseCutoff negative"
 	case !(pol.Epsilon >= 0 && pol.Epsilon < 1):
 		bad = "Epsilon outside [0,1)"
+	case (pol.SparseCutoff > 0) != (pol.Epsilon > 0):
+		bad = "SparseCutoff and Epsilon not set together (the sparse path needs both)"
 	case pol.EmbedDim < 0 || pol.EmbedDim%2 != 0:
 		bad = "EmbedDim negative or odd (features come in cos/sin pairs)"
 	case pol.EmbedCutoff < 0 || (pol.EmbedDim > 0 && pol.EmbedCutoff < 1):
 		bad = "EmbedCutoff not positive"
+	case pol.EmbedCutoff > 0 && pol.EmbedDim == 0:
+		bad = "EmbedCutoff set without EmbedDim"
 	}
 	if bad != "" {
 		return nil, fmt.Errorf("%w: %s in %+v", ErrBadConfig, bad, pol)
@@ -167,7 +171,7 @@ type bucket struct {
 // start nil) and consumed in place: the Laplacian overwrites it, so
 // nothing retains the buffer after the solve. Sparse and trivial solves
 // never touch it.
-func (s *bucketSolver) solve(b bucket, buf *[]float64) (BucketSolution, error) {
+func (s *bucketSolver) solve(b bucket, buf *[]float64) (bucketSolution, error) {
 	ni := len(b.rows)
 	pl := s.plan(ni)
 	if pl.Class == classTrivial {
@@ -177,12 +181,12 @@ func (s *bucketSolver) solve(b bucket, buf *[]float64) (BucketSolution, error) {
 				labels[i] = i
 			}
 		}
-		return BucketSolution{Labels: labels, K: pl.K, Solver: SolverTrivial, GramBytes: pl.Bytes}, nil
+		return bucketSolution{Labels: labels, K: pl.K, Solver: SolverTrivial, GramBytes: pl.Bytes}, nil
 	}
 	ecfg := s.engine(pl.K)
 	ecfg.Seed = s.pol.Seed + int64(b.ids[0])
 	res, stats, err := spectral.ClusterBucket(b.points, b.rows, s.kf, ecfg, buf)
-	sol := BucketSolution{
+	sol := bucketSolution{
 		K: pl.K, Solver: stats.Solver, NNZ: stats.NNZ, Fill: stats.Fill,
 		SolveNanos: stats.Nanos, GramBytes: stats.GramBytes,
 	}
@@ -196,7 +200,7 @@ func (s *bucketSolver) solve(b bucket, buf *[]float64) (BucketSolution, error) {
 	matrix.GatherRows(bucketPts.Data(), b.points, b.rows)
 	km, kerr := kmeans.Run(bucketPts, kmeans.Config{K: pl.K, Seed: s.pol.Seed})
 	if kerr != nil {
-		return BucketSolution{}, fmt.Errorf("spectral (%v) and kmeans fallback (%v) both failed", err, kerr)
+		return bucketSolution{}, fmt.Errorf("spectral (%v) and kmeans fallback (%v) both failed", err, kerr)
 	}
 	sol.Labels, sol.Solver = km.Labels, SolverKMeansFallback
 	return sol, nil

@@ -78,7 +78,7 @@ func TestPlanAgreesWithSolve(t *testing.T) {
 // scratch's) — and the sparse and trivial routes do not grow it. Only a
 // CSR densified past MaxSparseFill holds the full n x n, which
 // spectral's TestClusterBucketHighFillDensifies pins. So the budgeted
-// waves of ClusterIncremental, packed by plan Bytes, bound real bytes.
+// waves of a MemoryBudget run, packed by plan Bytes, bound real bytes.
 func TestSolveHoldsWhatItPlans(t *testing.T) {
 	pts, _ := blobPoints(71, 8, 60, 12, 10, 0.3)
 	n := pts.Rows()

@@ -15,7 +15,7 @@ import (
 // reproduce the in-memory driver's labels bit for bit.
 func TestSpillEnabledDriversMatchInMemory(t *testing.T) {
 	l := mixture(t, 200, 10, 3, 0.03, 31)
-	base, err := Cluster(l.Points, Config{K: 3, Seed: 32})
+	base, err := Run(bg, Source{Points: l.Points}, Config{K: 3, Seed: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestSpillEnabledDriversMatchInMemory(t *testing.T) {
 		}
 	}
 
-	sh, err := ClusterMapReduceShipped(l.Points, cfg, &mapreduce.Local{})
+	sh, err := Run(bg, Source{Points: l.Points}, onExec(&mapreduce.Local{}, cfg))
 	check("shipped/local", sh, err)
 
 	m, err := mapreduce.NewMaster("127.0.0.1:0", 2)
@@ -63,7 +63,7 @@ func TestSpillEnabledDriversMatchInMemory(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	tcp, err := ClusterMapReduceShipped(l.Points, cfg, m)
+	tcp, err := Run(bg, Source{Points: l.Points}, onExec(m, cfg))
 	check("shipped/tcp", tcp, err)
 	m.Close()
 	wg.Wait()

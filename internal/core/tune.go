@@ -25,7 +25,7 @@ type TuneReport struct {
 // clustering algorithm and the degree of parallelization"), driven by
 // the Figure 5 measurement. The norm ratio is estimated on a sampled
 // subset of pairs so tuning stays far below the O(N^2) of the matrices
-// it reasons about. Each step partitions exactly as Cluster would with
+// it reasons about. Each step partitions exactly as Run would with
 // cfg.M set to that width — same tables, probing and merge radius — and
 // a P > 0 starts the sweep at M = P. A set Family has a fixed width, so
 // there is nothing to sweep. Returns the chosen M and the sweep.

@@ -79,7 +79,7 @@ func TestTuneMFeedsCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Cluster(l.Points, Config{K: 4, Seed: 84, M: m})
+	res, err := Run(bg, Source{Points: l.Points}, Config{K: 4, Seed: 84, M: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestTuneMFeedsCluster(t *testing.T) {
 }
 
 // TestTuneMMeasuresTheRunPartition: every sweep entry must describe the
-// partition Cluster builds at that M — the same ensemble (Tables,
+// partition Run builds at that M — the same ensemble (Tables,
 // ProbeRadius) and the same P → radius rule — not a one-table stand-in.
 func TestTuneMMeasuresTheRunPartition(t *testing.T) {
 	l := mixture(t, 512, 16, 8, 0.05, 3)
@@ -109,7 +109,7 @@ func TestTuneMMeasuresTheRunPartition(t *testing.T) {
 		for _, r := range sweep {
 			at := cfg
 			at.M = r.M
-			res, err := Cluster(l.Points, at)
+			res, err := Run(bg, Source{Points: l.Points}, at)
 			if err != nil {
 				t.Fatal(err)
 			}

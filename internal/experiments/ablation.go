@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -29,7 +30,7 @@ func Ablations(scale Scale) (*Table, error) {
 		Headers: []string{"study", "variant", "accuracy", "buckets", "gram frac"},
 	}
 	add := func(study, variant string, cfg core.Config) error {
-		res, err := core.Cluster(l.Points, cfg)
+		res, err := core.Run(context.Background(), core.Source{Points: l.Points}, cfg)
 		if err != nil {
 			return fmt.Errorf("%s/%s: %w", study, variant, err)
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"repro/internal/core"
 	"repro/internal/emr"
 	"repro/internal/lsh"
@@ -31,7 +32,7 @@ func Table3(scale Scale) (*Table, error) {
 	// M); the bucket-size distribution for the cluster simulation comes
 	// from a bucket-rich partition (larger M), since at the paper's N
 	// the default M itself is that much larger.
-	prod, err := core.Cluster(l.Points, core.Config{K: k, Seed: 1})
+	prod, err := core.Run(context.Background(), core.Source{Points: l.Points}, core.Config{K: k, Seed: 1})
 	if err != nil {
 		return nil, err
 	}
@@ -40,7 +41,7 @@ func Table3(scale Scale) (*Table, error) {
 		return nil, err
 	}
 	cfg := core.Config{K: k, Seed: 1, M: m}
-	run, err := core.Cluster(l.Points, cfg)
+	run, err := core.Run(context.Background(), core.Source{Points: l.Points}, cfg)
 	if err != nil {
 		return nil, err
 	}

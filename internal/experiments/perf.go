@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"time"
 
 	"repro/internal/baseline"
@@ -33,7 +34,7 @@ func Figure6(scale Scale) (*Table, error) {
 		row := []string{f("%d", n)}
 		var times, mems []string
 
-		dasc, err := core.Cluster(l.Points, core.Config{K: k, Seed: 1})
+		dasc, err := core.Run(context.Background(), core.Source{Points: l.Points}, core.Config{K: k, Seed: 1})
 		if err != nil {
 			return nil, err
 		}

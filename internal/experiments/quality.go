@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/analytic"
@@ -60,7 +61,7 @@ func Figure3(scale Scale) (*Table, error) {
 		}
 		row := []string{f("%d", n), f("%d", k)}
 
-		dasc, err := core.Cluster(l.Points, core.Config{K: k, Seed: 1})
+		dasc, err := core.Run(context.Background(), core.Source{Points: l.Points}, core.Config{K: k, Seed: 1})
 		if err != nil {
 			return nil, fmt.Errorf("figure3: dasc at %d: %w", n, err)
 		}
@@ -142,7 +143,7 @@ func Figure4(scale Scale) (*Table, error) {
 		}
 		skip := outcome{"-", "-"}
 
-		dasc, err := core.Cluster(l.Points, core.Config{K: k, Seed: 1})
+		dasc, err := core.Run(context.Background(), core.Source{Points: l.Points}, core.Config{K: k, Seed: 1})
 		if err != nil {
 			return nil, err
 		}

@@ -166,7 +166,7 @@ var bucketScratch = sync.Pool{New: func() any { return new([]float64) }}
 // small buckets free as they drain. Each goroutine takes one scratch
 // buffer from a package pool, hands it to every solve it runs and puts
 // it back when the loop ends, so the next loop — the next wave, the next
-// Cluster call — grows nothing it has grown before instead of
+// in-process run — grows nothing it has grown before instead of
 // allocating a sub-Gram beside the last one's garbage. solve must not
 // keep the buffer past its return. Up to GOMAXPROCS buffers of the
 // largest bucket's size therefore stay pooled until two GC cycles pass

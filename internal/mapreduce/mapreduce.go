@@ -139,11 +139,13 @@ type Counters struct {
 	SpillBytes int64
 	SpillNanos int64
 	// ShardReadBytes counts bytes demand-read from input shard files by
-	// sharded jobs (see internal/shard). Workers in this process (Local,
-	// or TCP workers started in-process) are metered directly by the
-	// sharded driver; external TCP worker processes ship their meter
-	// back on result frames (see SetShardMeter) and the master folds
-	// the de-duplicated per-process spans in here.
+	// sharded jobs (see internal/shard). The driver and workers in its
+	// process (Local, or TCP workers started in-process) are metered by
+	// the run's own shard reader — which concurrent runs on the same
+	// directory share, so each of them counts the others' reads too;
+	// external TCP worker processes ship their meter back on result
+	// frames (see SetShardMeter) and the master folds the de-duplicated
+	// per-process spans in here.
 	ShardReadBytes int64
 	// ShardReadOps / ShardCoalescedReads count the ReadAt calls issued
 	// against shard files and how many of those served more than one
