@@ -22,7 +22,7 @@ import (
 func main() {
 	var (
 		quick = flag.Bool("quick", false, "reduced dataset sizes (seconds, not minutes)")
-		only  = flag.String("only", "", "comma-separated subset: fig1 fig2 fig3 fig4 fig5 fig6 table1 table2 table3 ablations locality")
+		only  = flag.String("only", "", "comma-separated subset: fig1 fig2 fig2measured fig3 fig4 fig5 fig6 table1 table2 table3 ablations locality")
 	)
 	flag.Parse()
 	scale := experiments.Full
@@ -36,42 +36,23 @@ func main() {
 			want[strings.TrimSpace(strings.ToLower(id))] = true
 		}
 	}
-	sel := func(id string) bool { return len(want) == 0 || want[id] }
 
-	type artifact struct {
-		id  string
-		run func() (*experiments.Table, error)
-	}
-	artifacts := []artifact{
-		{"fig1", func() (*experiments.Table, error) { return experiments.Figure1(), nil }},
-		{"table1", func() (*experiments.Table, error) { return experiments.Table1(), nil }},
-		{"fig2", func() (*experiments.Table, error) { return experiments.Figure2(), nil }},
-		{"fig2measured", func() (*experiments.Table, error) { return experiments.Figure2Measured(scale) }},
-		{"table2", func() (*experiments.Table, error) { return experiments.Table2(), nil }},
-		{"fig3", func() (*experiments.Table, error) { return experiments.Figure3(scale) }},
-		{"fig4", func() (*experiments.Table, error) { return experiments.Figure4(scale) }},
-		{"fig5", func() (*experiments.Table, error) { return experiments.Figure5(scale) }},
-		{"fig6", func() (*experiments.Table, error) { return experiments.Figure6(scale) }},
-		{"table3", func() (*experiments.Table, error) { return experiments.Table3(scale) }},
-		{"ablations", func() (*experiments.Table, error) { return experiments.Ablations(scale) }},
-		{"locality", func() (*experiments.Table, error) { return experiments.Locality(scale) }},
-	}
 	// SIGINT/SIGTERM stop the sweep at the next artifact boundary, so a
 	// long full-scale run can be abandoned without kill -9.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	for _, a := range artifacts {
-		if !sel(a.id) {
+	for _, a := range experiments.Artifacts {
+		if len(want) > 0 && !want[a.ID] {
 			continue
 		}
 		if ctx.Err() != nil {
 			fmt.Fprintln(os.Stderr, "experiments: interrupted")
 			os.Exit(1)
 		}
-		tab, err := a.run()
+		tab, err := a.Run(scale)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", a.id, err)
+			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", a.ID, err)
 			os.Exit(1)
 		}
 		tab.Fprint(os.Stdout)

@@ -4,9 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"reflect"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/mapreduce"
 	"repro/internal/spectral"
@@ -69,28 +67,7 @@ func TestCompressionLabelIdentityOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m, err := mapreduce.NewMaster("127.0.0.1:0", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := mapreduce.RunWorker(m.Addr()); err != nil {
-				t.Errorf("worker: %v", err)
-			}
-		}()
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for m.ConnectedWorkers() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("workers did not join")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	m := loopbackCluster(t, 2)
 
 	cfg := Config{K: 3, Seed: 62, Compression: true, SpillBytes: 64}
 	res, err := Run(bg, Source{Points: l.Points}, onExec(m, cfg))
@@ -105,8 +82,6 @@ func TestCompressionLabelIdentityOverTCP(t *testing.T) {
 	if res.MapReduce == nil || res.MapReduce.SpillBytes == 0 {
 		t.Fatal("expected spill counters over TCP")
 	}
-	m.Close()
-	wg.Wait()
 }
 
 // TestCompressionEmbedShippedIdentity runs the shipped driver with

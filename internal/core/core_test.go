@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/dataset"
@@ -19,6 +20,33 @@ var bg = context.Background()
 func onExec(exec mapreduce.Executor, cfg Config) Config {
 	cfg.Executor = exec
 	return cfg
+}
+
+// loopbackCluster is a TCP master with n in-process workers, all
+// joined. Cleanup closes the master and waits for the workers to see
+// the EOF and return.
+func loopbackCluster(t testing.TB, n int) *mapreduce.Master {
+	t.Helper()
+	m, err := mapreduce.NewMaster("127.0.0.1:0", n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	t.Cleanup(func() {
+		_ = m.Close()
+		wg.Wait()
+	})
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := mapreduce.RunWorker(m.Addr()); err != nil {
+				t.Errorf("worker: %v", err)
+			}
+		}()
+	}
+	waitWorkers(t, m, n)
+	return m
 }
 
 // withBudget is cfg with the in-process pool's waves bounded by budget.

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/mapreduce"
@@ -63,28 +61,7 @@ func TestClusterMapReduceOverTCP(t *testing.T) {
 	// The jobs travel by registered name plus Conf, and the in-process
 	// TCP workers share this package's factory registry — the same way
 	// Hadoop workers share the job jar.
-	m, err := mapreduce.NewMaster("127.0.0.1:0", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := mapreduce.RunWorker(m.Addr()); err != nil {
-				t.Errorf("worker: %v", err)
-			}
-		}()
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for m.ConnectedWorkers() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("workers did not join")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	m := loopbackCluster(t, 2)
 
 	res, err := Run(bg, Source{Points: l.Points}, onExec(m, Config{K: 2, Seed: 25}))
 	if err != nil {
@@ -108,8 +85,6 @@ func TestClusterMapReduceOverTCP(t *testing.T) {
 	if res.MapReduce.WireBytesOut <= 0 || res.MapReduce.WireBytesIn <= 0 {
 		t.Fatalf("TCP wire counters not aggregated: %+v", res.MapReduce)
 	}
-	m.Close()
-	wg.Wait()
 }
 
 func TestIndexCodecRoundTrip(t *testing.T) {
@@ -220,22 +195,7 @@ func TestStageRecordCounts(t *testing.T) {
 	}
 	dir := writeShardDir(t, l.Points, perShard)
 
-	m, err := mapreduce.NewMaster("127.0.0.1:0", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := mapreduce.RunWorker(m.Addr()); err != nil {
-				t.Errorf("worker: %v", err)
-			}
-		}()
-	}
-	waitWorkers(t, m, 2)
+	m := loopbackCluster(t, 2)
 
 	for _, src := range []struct {
 		name  string
@@ -277,8 +237,6 @@ func TestStageRecordCounts(t *testing.T) {
 			}
 		}
 	}
-	m.Close()
-	wg.Wait()
 }
 
 // BenchmarkStages runs each source's two jobs on Local at 32 768 × 16 —

@@ -5,7 +5,6 @@ import (
 	"math"
 	"os"
 	"os/exec"
-	"sync"
 	"testing"
 	"time"
 
@@ -39,23 +38,7 @@ func TestClusterMapReduceShippedMatchesLocal(t *testing.T) {
 
 func TestClusterMapReduceShippedOverTCPSameProcess(t *testing.T) {
 	l := mixture(t, 120, 8, 2, 0.03, 52)
-	m, err := mapreduce.NewMaster("127.0.0.1:0", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := mapreduce.RunWorker(m.Addr()); err != nil {
-				t.Errorf("worker: %v", err)
-			}
-		}()
-	}
-	waitWorkers(t, m, 2)
-
+	m := loopbackCluster(t, 2)
 	res, err := Run(bg, Source{Points: l.Points}, onExec(m, Config{K: 2, Seed: 53}))
 	if err != nil {
 		t.Fatal(err)
@@ -67,8 +50,6 @@ func TestClusterMapReduceShippedOverTCPSameProcess(t *testing.T) {
 	if acc < 0.9 {
 		t.Fatalf("accuracy = %v", acc)
 	}
-	m.Close()
-	wg.Wait()
 }
 
 // TestClusterMapReduceShippedAcrossProcesses runs DASC with workers in
@@ -140,7 +121,7 @@ func TestClusterMapReduceShippedAcrossProcesses(t *testing.T) {
 	}
 }
 
-func waitWorkers(t *testing.T, m *mapreduce.Master, n int) {
+func waitWorkers(t testing.TB, m *mapreduce.Master, n int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for m.ConnectedWorkers() < n {

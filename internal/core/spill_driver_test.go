@@ -1,9 +1,7 @@
 package core
 
 import (
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/mapreduce"
 )
@@ -41,30 +39,7 @@ func TestSpillEnabledDriversMatchInMemory(t *testing.T) {
 	sh, err := Run(bg, Source{Points: l.Points}, onExec(&mapreduce.Local{}, cfg))
 	check("shipped/local", sh, err)
 
-	m, err := mapreduce.NewMaster("127.0.0.1:0", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := mapreduce.RunWorker(m.Addr()); err != nil {
-				t.Errorf("worker: %v", err)
-			}
-		}()
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for m.ConnectedWorkers() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("workers did not join")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	m := loopbackCluster(t, 2)
 	tcp, err := Run(bg, Source{Points: l.Points}, onExec(m, cfg))
 	check("shipped/tcp", tcp, err)
-	m.Close()
-	wg.Wait()
 }

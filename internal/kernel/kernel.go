@@ -49,18 +49,17 @@ func MedianSigma(points *matrix.Dense, sampleSize int, seed int64) float64 {
 	if max := n * (n - 1) / 2; pairs > max {
 		pairs = max
 	}
-	// Precomputed row norms turn each sampled distance into one dot
-	// product: ||x-y||^2 = ||x||^2 + ||y||^2 - 2 x.y.
-	sqTok, sq := getScratch(n)
-	defer putScratch(sqTok)
-	matrix.SqNormsInto(sq, points)
+	// Each sampled distance is three dot products of the pair's rows,
+	// ||x-y||^2 = ||x||^2 + ||y||^2 - 2 x.y, so no O(N) norm pass is
+	// needed for a few hundred pairs.
 	dists := make([]float64, 0, pairs)
 	for len(dists) < pairs {
 		i, j := rng.Intn(n), rng.Intn(n)
 		if i == j {
 			continue
 		}
-		d2 := sq[i] + sq[j] - 2*matrix.Dot4(points.Row(i), points.Row(j))
+		x, y := points.Row(i), points.Row(j)
+		d2 := matrix.Dot4(x, x) + matrix.Dot4(y, y) - 2*matrix.Dot4(x, y)
 		if d2 < 0 {
 			d2 = 0
 		}

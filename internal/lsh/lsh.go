@@ -137,7 +137,7 @@ func Fit(points *matrix.Dense, cfg Config) (*Hasher, error) {
 		return nil, fmt.Errorf("lsh: Bins=%d must be >= 2", binCount)
 	}
 
-	mins, maxs, spans := dimensionSpans(points)
+	mins, spans := dimensionSpans(points)
 	dims, err := chooseDimensions(spans, m, cfg.Policy, cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -145,12 +145,12 @@ func Fit(points *matrix.Dense, cfg Config) (*Hasher, error) {
 
 	thresholds := make([]float64, m)
 	for i, dim := range dims {
-		thresholds[i] = valleyThreshold(points, dim, mins[dim], maxs[dim], spans[dim], binCount)
+		thresholds[i] = valleyThreshold(points, dim, mins[dim], spans[dim], binCount)
 	}
 	return &Hasher{dims: dims, thresholds: thresholds}, nil
 }
 
-// dimensionSpans computes per-dimension min, max and span. The span
+// dimensionSpans computes per-dimension min and span. The span
 // used for dimension *ranking* is robust: the 5th-to-95th percentile
 // range plus a small full-range tiebreak. On dense data this equals
 // max-min (the paper's §3.2 definition); on sparse representations
@@ -158,10 +158,10 @@ func Fit(points *matrix.Dense, cfg Config) (*Hasher, error) {
 // points from outranking a dimension that actually spreads the corpus
 // — the paper's own rationale for the span heuristic ("dimensions in
 // which data points are as spread out as possible").
-func dimensionSpans(points *matrix.Dense) (mins, maxs, spans []float64) {
+func dimensionSpans(points *matrix.Dense) (mins, spans []float64) {
 	n, d := points.Rows(), points.Cols()
 	mins = make([]float64, d)
-	maxs = make([]float64, d)
+	maxs := make([]float64, d)
 	copy(mins, points.Row(0))
 	copy(maxs, points.Row(0))
 	for i := 1; i < n; i++ {
@@ -191,7 +191,7 @@ func dimensionSpans(points *matrix.Dense) (mins, maxs, spans []float64) {
 		hi := matrix.SelectKth(col, int(math.Ceil(0.95*float64(n-1))))
 		spans[j] = (hi - lo) + 1e-6*full
 	}
-	return mins, maxs, spans
+	return mins, spans
 }
 
 // chooseDimensions implements the three policies. TopSpan may choose a
@@ -260,7 +260,7 @@ func chooseDimensions(spans []float64, m int, policy DimensionPolicy, seed int64
 // bin, which sends almost every point to the same signature and
 // destroys the partition. If no balanced bin exists, the median is
 // used.
-func valleyThreshold(points *matrix.Dense, dim int, min, max, span float64, binCount int) float64 {
+func valleyThreshold(points *matrix.Dense, dim int, min, span float64, binCount int) float64 {
 	if span <= 0 {
 		return min // constant dimension: threshold is degenerate anyway
 	}

@@ -98,26 +98,37 @@ func NMI(truth, pred []int) (float64, error) {
 	return mi / math.Sqrt(ht*hp), nil
 }
 
+// pairCounts sums C(x,2) over the contingency table's cells, its
+// cluster and class marginals, and N: the point pairs that share both a
+// cluster and a class, a cluster, a class, and all pairs. Every term is
+// an integer below 2^53 for any N that fits in memory, so the sums are
+// exact.
+func pairCounts(truth, pred []int) (cells, clusters, classes, all float64, err error) {
+	table, rowSum, colSum, n, err := contingency(truth, pred)
+	if err != nil {
+		return 0, 0, 0, 0, err
+	}
+	choose2 := func(x float64) float64 { return x * (x - 1) / 2 }
+	for r, row := range table {
+		clusters += choose2(rowSum[r])
+		for _, v := range row {
+			cells += choose2(v)
+		}
+	}
+	for _, v := range colSum {
+		classes += choose2(v)
+	}
+	return cells, clusters, classes, choose2(n), nil
+}
+
 // AdjustedRand returns the adjusted Rand index between the labelings:
 // 1 for identical partitions, ~0 for independent ones, negative for
 // worse-than-chance agreement.
 func AdjustedRand(truth, pred []int) (float64, error) {
-	table, rowSum, colSum, n, err := contingency(truth, pred)
+	sumCells, sumRows, sumCols, total, err := pairCounts(truth, pred)
 	if err != nil {
 		return 0, err
 	}
-	choose2 := func(x float64) float64 { return x * (x - 1) / 2 }
-	var sumCells, sumRows, sumCols float64
-	for r, row := range table {
-		sumRows += choose2(rowSum[r])
-		for _, v := range row {
-			sumCells += choose2(v)
-		}
-	}
-	for _, v := range colSum {
-		sumCols += choose2(v)
-	}
-	total := choose2(n)
 	if matrix.IsZero(total) {
 		return 1, nil // a single point: partitions trivially agree
 	}
@@ -127,6 +138,18 @@ func AdjustedRand(truth, pred []int) (float64, error) {
 		return 1, nil // both partitions degenerate identically
 	}
 	return (sumCells - expected) / (maxIdx - expected), nil
+}
+
+// PairRecall is the share of same-class point pairs that the clustering
+// keeps in one cluster: Σ C(n_ij,2) over the contingency table divided
+// by Σ C(a_i,2) over the class sizes, or 0 when no two points share a
+// class.
+func PairRecall(truth, pred []int) (float64, error) {
+	kept, _, same, _, err := pairCounts(truth, pred)
+	if err != nil || matrix.IsZero(same) {
+		return 0, err
+	}
+	return kept / same, nil
 }
 
 var errEmpty = errEmptyType{}

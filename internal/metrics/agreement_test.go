@@ -111,3 +111,49 @@ func TestPropNMISymmetric(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPairRecall: a hand-counted case, the degenerate ends, and, on
+// random labelings, the contingency-table count against a brute-force
+// walk over every pair of points.
+func TestPairRecall(t *testing.T) {
+	// Class 0 split 3+1 keeps 3 of its 6 pairs; class 1 keeps its one.
+	if v, err := PairRecall([]int{0, 0, 0, 0, 1, 1}, []int{0, 0, 0, 1, 2, 2}); err != nil || math.Abs(v-4.0/7.0) > 1e-12 {
+		t.Fatalf("PairRecall = %v, %v; want 4/7", v, err)
+	}
+	if v, _ := PairRecall([]int{0, 1, 2}, []int{0, 0, 0}); v != 0 {
+		t.Fatalf("no same-class pair: PairRecall = %v, want 0", v)
+	}
+	if _, err := PairRecall([]int{0}, []int{0, 1}); err == nil {
+		t.Fatal("length mismatch accepted")
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(80)
+		truth := make([]int, n)
+		pred := make([]int, n)
+		for i := range truth {
+			truth[i] = rng.Intn(5)
+			pred[i] = rng.Intn(7)
+		}
+		same, kept := 0, 0
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if truth[i] == truth[j] {
+					same++
+					if pred[i] == pred[j] {
+						kept++
+					}
+				}
+			}
+		}
+		want := 0.0
+		if same > 0 {
+			want = float64(kept) / float64(same)
+		}
+		got, err := PairRecall(truth, pred)
+		return err == nil && got == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
