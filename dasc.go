@@ -139,8 +139,10 @@ func Gram(points *Matrix, k Kernel) *Matrix { return kernel.Gram(points, k) }
 // Embedder is the deterministic random Fourier feature map for the
 // Gaussian kernel: TransformInto fills d′-dimensional embedded rows whose
 // dot products approximate the kernel, so eigensolves become dot
-// products (the embed-and-conquer solve path). Enable it inside a DASC
-// run with Config.EmbedDim and Config.EmbedCutoff; NewRFFEmbedder serves
+// products (the embed-and-conquer solve path). Inside a DASC run,
+// Config.EmbedDim and Config.EmbedCutoff enable it for the big buckets
+// with many clusters (4·Ki > EmbedDim); the others take the landmark
+// solve, whose width the same EmbedDim bounds. NewRFFEmbedder serves
 // callers who want the features themselves.
 type Embedder = embed.RFF
 

@@ -85,33 +85,39 @@ func TestCompressionLabelIdentityOverTCP(t *testing.T) {
 }
 
 // TestCompressionEmbedShippedIdentity runs the shipped driver with
-// embedded buckets, Compression on and off: same labels and the same
+// embedded buckets — on the RFF route at EmbedDim 6, on the landmark
+// route at 16 — Compression on and off: same labels and the same
 // solvers — the flag compresses frames and spill runs, it does not
 // choose how a bucket is solved.
 func TestCompressionEmbedShippedIdentity(t *testing.T) {
 	l := mixture(t, 300, 10, 3, 0.03, 17)
-	cfg := Config{K: 3, Seed: 5, EmbedDim: 16, EmbedCutoff: 40}
+	for _, route := range []struct {
+		dim    int
+		solver string
+	}{{6, spectral.SolverEmbedded}, {16, spectral.SolverLandmark}} {
+		cfg := Config{K: 3, Seed: 5, EmbedDim: route.dim, EmbedCutoff: 40}
 
-	off, err := Run(bg, Source{Points: l.Points}, onExec(&mapreduce.Local{}, cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	on := cfg
-	on.Compression = true
-	res, err := Run(bg, Source{Points: l.Points}, onExec(&mapreduce.Local{}, on))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range off.Labels {
-		if res.Labels[i] != off.Labels[i] {
-			t.Fatalf("label[%d] = %d, uncompressed %d", i, res.Labels[i], off.Labels[i])
+		off, err := Run(bg, Source{Points: l.Points}, onExec(&mapreduce.Local{}, cfg))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if off.Solvers[spectral.SolverEmbedded] == 0 {
-		t.Fatalf("no buckets embedded at this size; nothing was compared: %v", off.Solvers)
-	}
-	if !reflect.DeepEqual(res.Solvers, off.Solvers) {
-		t.Fatalf("solvers %v with Compression, %v without", res.Solvers, off.Solvers)
+		on := cfg
+		on.Compression = true
+		res, err := Run(bg, Source{Points: l.Points}, onExec(&mapreduce.Local{}, on))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range off.Labels {
+			if res.Labels[i] != off.Labels[i] {
+				t.Fatalf("%s: label[%d] = %d, uncompressed %d", route.solver, i, res.Labels[i], off.Labels[i])
+			}
+		}
+		if off.Solvers[route.solver] == 0 {
+			t.Fatalf("no buckets took the %s solver at this size; nothing was compared: %v", route.solver, off.Solvers)
+		}
+		if !reflect.DeepEqual(res.Solvers, off.Solvers) {
+			t.Fatalf("solvers %v with Compression, %v without", res.Solvers, off.Solvers)
+		}
 	}
 }
 

@@ -92,17 +92,20 @@ type Config struct {
 	// kernel entries below it are dropped before the eigensolve. Set
 	// with SparseCutoff; must lie in [0, 1).
 	Epsilon float64
-	// EmbedDim enables the embed-and-conquer solve path: when > 0, the
-	// plan fits a random Fourier feature map of this dimension (must be
-	// even — the features come in cos/sin pairs) and buckets of at least
-	// EmbedCutoff points skip the Gram + eigensolve entirely, running
-	// k-means on embedded rows instead. Every runner embeds a bucket
-	// where it is solved; what travels between MapReduce stages is raw
-	// rows either way. 0 (the default) keeps every bucket on the exact
-	// Gram path.
+	// EmbedDim enables the embed-family solves: when > 0, buckets of at
+	// least EmbedCutoff points skip the sub-Gram entirely, and EmbedDim
+	// is the per-row width budget of both routes. A bucket whose share
+	// Ki of K has 4·Ki ≤ EmbedDim takes the landmark solve: Nyström
+	// eigenvectors from min(Ni, max(4·Ki, EmbedDim/2)) landmark rows,
+	// then k-means in Ki dimensions. Any other takes the random Fourier
+	// feature solve: the plan fits a feature map of this dimension (must
+	// be even — the features come in cos/sin pairs), and k-means runs
+	// on the embedded rows. Every runner solves a bucket where it is
+	// solved; what travels between MapReduce stages is raw rows either
+	// way. 0 (the default) keeps every bucket on the exact Gram path.
 	EmbedDim int
-	// EmbedCutoff is the bucket size at or above which the embedded
-	// solve runs. Set without EmbedDim it is ErrBadConfig; 0 with
+	// EmbedCutoff is the bucket size at or above which the embed-family
+	// solves run. Set without EmbedDim it is ErrBadConfig; 0 with
 	// EmbedDim > 0 defaults to DefaultEmbedCutoff.
 	EmbedCutoff int
 	// SpillBytes bounds the MapReduce master's in-memory shuffle buffer

@@ -72,31 +72,37 @@ func TestResultDeterministicAcrossRunsAndWorkers(t *testing.T) {
 func TestLabelsIdenticalAcrossProcsOnAllDrivers(t *testing.T) {
 	const n = 4600
 	l := mixture(t, n, 8, 4, 0.08, 19)
-	cfg := Config{K: 4, M: 1, Seed: 3, EmbedDim: 16, EmbedCutoff: 64, FitSample: n}
 	dir := writeShardDir(t, l.Points, 1024)
-
 	drivers := driverGrid(l.Points, dir, 1<<20)
-	var base *Result
-	for _, procs := range []int{1, 2, 4, 8} {
-		setProcs(t, procs)
-		for _, d := range drivers {
-			res, err := d.run(bg, cfg)
-			if err != nil {
-				t.Fatalf("%s at GOMAXPROCS=%d: %v", d.name, procs, err)
-			}
-			if base == nil {
-				base = res
-				big := false
-				for _, b := range res.Buckets {
-					big = big || (b.Solver == spectral.SolverEmbedded && b.Size >= 4096)
+	// One bucket with K 4: at EmbedDim 14 its 4·K exceeds the width and
+	// it takes the RFF solve, at 16 the landmark solve.
+	for _, route := range []struct {
+		dim    int
+		solver string
+	}{{14, spectral.SolverEmbedded}, {16, spectral.SolverLandmark}} {
+		cfg := Config{K: 4, M: 1, Seed: 3, EmbedDim: route.dim, EmbedCutoff: 64, FitSample: n}
+		var base *Result
+		for _, procs := range []int{1, 2, 4, 8} {
+			setProcs(t, procs)
+			for _, d := range drivers {
+				res, err := d.run(bg, cfg)
+				if err != nil {
+					t.Fatalf("%s at GOMAXPROCS=%d: %v", d.name, procs, err)
 				}
-				if !big {
-					t.Fatalf("fixture has no embedded bucket of >= 4096 rows: %+v", res.Buckets)
+				if base == nil {
+					base = res
+					big := false
+					for _, b := range res.Buckets {
+						big = big || (b.Solver == route.solver && b.Size >= 4096)
+					}
+					if !big {
+						t.Fatalf("fixture has no %s bucket of >= 4096 rows: %+v", route.solver, res.Buckets)
+					}
+					continue
 				}
-				continue
-			}
-			if !reflect.DeepEqual(res.Labels, base.Labels) {
-				t.Fatalf("%s at GOMAXPROCS=%d: labels differ from batch at 1", d.name, procs)
+				if !reflect.DeepEqual(res.Labels, base.Labels) {
+					t.Fatalf("%s: %s at GOMAXPROCS=%d: labels differ from batch at 1", route.solver, d.name, procs)
+				}
 			}
 		}
 	}

@@ -66,13 +66,27 @@ func zeroSolveNanos(pairs []mapreduce.Pair) {
 // how a bucket is solved, never what travels.
 func TestCoreJobsElisionMatchesExecution(t *testing.T) {
 	l := mixture(t, 400, 12, 6, 0.05, 60)
-	cfg := Config{K: 12, Seed: 61, M: 6, P: -1, Tables: 2, MaxMergedBucket: 100, EmbedDim: 16, EmbedCutoff: 100, FitSample: 400}
-	want, err := Run(bg, Source{Points: l.Points}, cfg)
-	if err != nil {
-		t.Fatal(err)
+	// The one bucket above the cutoff has K 4: at EmbedDim 14 it takes
+	// the RFF solve, at 16 the landmark solve.
+	type route struct {
+		solver string
+		cfg    Config
+		want   *Result
 	}
-	if want.Solvers[spectral.SolverEmbedded] == 0 || want.Solvers[spectral.SolverDenseEigen] == 0 {
-		t.Fatalf("the dial must put buckets on both sides of EmbedCutoff, got %v", want.Solvers)
+	var routes []route
+	for _, r := range []struct {
+		dim    int
+		solver string
+	}{{14, spectral.SolverEmbedded}, {16, spectral.SolverLandmark}} {
+		cfg := Config{K: 12, Seed: 61, M: 6, P: -1, Tables: 2, MaxMergedBucket: 100, EmbedDim: r.dim, EmbedCutoff: 100, FitSample: 400}
+		want, err := Run(bg, Source{Points: l.Points}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Solvers[r.solver] == 0 || want.Solvers[spectral.SolverDenseEigen] == 0 {
+			t.Fatalf("the dial must put buckets on both sides of EmbedCutoff, the big one on the %s solver, got %v", r.solver, want.Solvers)
+		}
+		routes = append(routes, route{r.solver, cfg, want})
 	}
 	dir := writeShardDir(t, l.Points, 64)
 	sources := []struct {
@@ -88,57 +102,60 @@ func TestCoreJobsElisionMatchesExecution(t *testing.T) {
 	}
 	for _, src := range sources {
 		t.Run(src.name, func(t *testing.T) {
-			var captured capturingExec
-			for _, spill := range []int64{0, 512} {
-				for _, compress := range []bool{false, true} {
-					captured = capturingExec{}
-					c := cfg
-					c.SpillBytes, c.Compression = spill, compress
-					got, err := src.run(c, &captured)
-					if err != nil {
-						t.Fatalf("SpillBytes=%d Compression=%v: %v", spill, compress, err)
-					}
-					if !reflect.DeepEqual(got.Labels, want.Labels) || got.Clusters != want.Clusters ||
-						got.GramBytes != want.GramBytes || !reflect.DeepEqual(got.Solvers, want.Solvers) {
-						t.Fatalf("SpillBytes=%d Compression=%v: %d clusters, %d Gram bytes, solvers %v; Cluster has %d, %d, %v (labels equal: %v)",
-							spill, compress, got.Clusters, got.GramBytes, got.Solvers,
-							want.Clusters, want.GramBytes, want.Solvers, reflect.DeepEqual(got.Labels, want.Labels))
-					}
-					if (got.MapReduce.SpillBytes > 0) != (spill > 0) {
-						t.Fatalf("SpillBytes=%d: %d bytes spilled", spill, got.MapReduce.SpillBytes)
-					}
-					if src.name == "sharded" && (got.MapReduce.ShardReadBytes == 0 || got.MapReduce.ShardReadOps == 0) {
-						t.Fatalf("shard read accounting missing: %+v", got.MapReduce)
+			for _, r := range routes {
+				cfg, want := r.cfg, r.want
+				var captured capturingExec
+				for _, spill := range []int64{0, 512} {
+					for _, compress := range []bool{false, true} {
+						captured = capturingExec{}
+						c := cfg
+						c.SpillBytes, c.Compression = spill, compress
+						got, err := src.run(c, &captured)
+						if err != nil {
+							t.Fatalf("SpillBytes=%d Compression=%v: %v", spill, compress, err)
+						}
+						if !reflect.DeepEqual(got.Labels, want.Labels) || got.Clusters != want.Clusters ||
+							got.GramBytes != want.GramBytes || !reflect.DeepEqual(got.Solvers, want.Solvers) {
+							t.Fatalf("SpillBytes=%d Compression=%v: %d clusters, %d Gram bytes, solvers %v; Cluster has %d, %d, %v (labels equal: %v)",
+								spill, compress, got.Clusters, got.GramBytes, got.Solvers,
+								want.Clusters, want.GramBytes, want.Solvers, reflect.DeepEqual(got.Labels, want.Labels))
+						}
+						if (got.MapReduce.SpillBytes > 0) != (spill > 0) {
+							t.Fatalf("SpillBytes=%d: %d bytes spilled", spill, got.MapReduce.SpillBytes)
+						}
+						if src.name == "sharded" && (got.MapReduce.ShardReadBytes == 0 || got.MapReduce.ShardReadOps == 0) {
+							t.Fatalf("shard read accounting missing: %+v", got.MapReduce)
+						}
 					}
 				}
-			}
-			if len(captured.jobs) != 2 {
-				t.Fatalf("runner submitted %d jobs, want the two DASC stages", len(captured.jobs))
-			}
-			if buckets := len(captured.inputs[1]); buckets < 4 {
-				t.Fatalf("stage 2 has only %d buckets; the check wants them spread over the reduce partitions", buckets)
-			}
-			if src.name == "shipped" {
-				kinds := map[byte]int{}
-				for _, rec := range captured.inputs[1] {
-					kinds[rec.Value[0]]++
+				if len(captured.jobs) != 2 {
+					t.Fatalf("runner submitted %d jobs, want the two DASC stages", len(captured.jobs))
 				}
-				if len(kinds) != 1 || kinds['B'] != len(captured.inputs[1]) {
-					t.Fatalf("stage-2 record kinds %v, want every bucket a raw 'B' record", kinds)
+				if buckets := len(captured.inputs[1]); buckets < 4 {
+					t.Fatalf("stage 2 has only %d buckets; the check wants them spread over the reduce partitions", buckets)
 				}
-			}
-			stage1, stage2 := captured.jobs[0], captured.jobs[1]
-			if !stage1.IdentityReduce || stage1.IdentityMap {
-				t.Errorf("stage 1 (%s) must declare exactly its reduce an identity", stage1.Name)
-			}
-			if !stage2.IdentityMap || stage2.IdentityReduce {
-				t.Errorf("stage 2 (%s) must declare exactly its map an identity", stage2.Name)
-			}
-			if err := mrtest.CheckElision(stage1, captured.inputs[0], nil); err != nil {
-				t.Error(err)
-			}
-			if err := mrtest.CheckElision(stage2, captured.inputs[1], zeroSolveNanos); err != nil {
-				t.Error(err)
+				if src.name == "shipped" {
+					kinds := map[byte]int{}
+					for _, rec := range captured.inputs[1] {
+						kinds[rec.Value[0]]++
+					}
+					if len(kinds) != 1 || kinds['B'] != len(captured.inputs[1]) {
+						t.Fatalf("stage-2 record kinds %v, want every bucket a raw 'B' record", kinds)
+					}
+				}
+				stage1, stage2 := captured.jobs[0], captured.jobs[1]
+				if !stage1.IdentityReduce || stage1.IdentityMap {
+					t.Errorf("stage 1 (%s) must declare exactly its reduce an identity", stage1.Name)
+				}
+				if !stage2.IdentityMap || stage2.IdentityReduce {
+					t.Errorf("stage 2 (%s) must declare exactly its map an identity", stage2.Name)
+				}
+				if err := mrtest.CheckElision(stage1, captured.inputs[0], nil); err != nil {
+					t.Error(err)
+				}
+				if err := mrtest.CheckElision(stage2, captured.inputs[1], zeroSolveNanos); err != nil {
+					t.Error(err)
+				}
 			}
 		})
 	}

@@ -94,11 +94,13 @@ func spillDiskAndCodec(raw int64, compressed bool) (disk int64, codec float64) {
 // 4 Ni^2-byte sub-Gram); collection is a single linear pass.
 //
 // With embed mode on (EmbedDim > 0), buckets the embed policy claims
-// become dot-product-bound: cost beta*(2 Ni d′ + 2 Ki Ni) and memory
-// 8·Ni·d′ (the embedded rows), no Gram term at all. The feature
-// transform, beta*d′ per point, runs in the reducer that solves the
-// bucket; the model bills it to the stage-1 map tasks instead, as a
-// simplification that spreads it evenly over the splits.
+// become dot-product-bound, with no Gram term at all: a landmark bucket
+// (4·Ki ≤ EmbedDim) costs beta*(2 Ni m + 2 Ki Ni) and holds 8·Ni·m (its
+// Ni×m cross block, m ≤ EmbedDim landmarks), any other beta*(2 Ni d′ +
+// 2 Ki Ni) and 8·Ni·d′ (the embedded rows). The model bills the width
+// budget, beta*d′ per point, to the stage-1 map tasks on top, as the
+// feature transform of a simplification that spreads it evenly over the
+// splits; the solve itself runs in the reducer that owns the bucket.
 //
 // With cfg.SpillBytes > 0 the flow models the out-of-core shuffle:
 // every stage-1 record is written to a spill run and re-read by the

@@ -185,7 +185,10 @@ func TestEMRFlowValidation(t *testing.T) {
 // bucket costing into the solve stage: a raw Config and its resolved
 // form build the same flow task for task, and the simulated totals of
 // both builders, over spill x compression x embed, are the constants
-// captured before the move (commit bbdcb14).
+// captured before the move (commit bbdcb14). The embed rows were
+// re-pinned when the landmark class took the 24 embedded buckets whose
+// 4·Ki fits EmbedDim 64: step-2 memory fell by exactly Σ 8·Ni·(64 − m)
+// over them, 3 025 920 bytes, and disk did not move.
 func TestBuildFlowPinned(t *testing.T) {
 	part := syntheticPartition(40, 600)
 	n := 0
@@ -205,21 +208,21 @@ func TestBuildFlowPinned(t *testing.T) {
 		want     string // TotalTime, TotalDiskBytes, step-2 TotalMemory
 	}{
 		{false, 0, false, 0, "101.654 0 31529840"},
-		{false, 0, false, 64, "46.0464 0 14070880"},
+		{false, 0, false, 64, "41.305800000000005 0 11044960"},
 		{false, 0, true, 0, "101.654 0 31529840"},
-		{false, 0, true, 64, "46.0464 0 14070880"},
+		{false, 0, true, 64, "41.305800000000005 0 11044960"},
 		{false, 1048576, false, 0, "101.65727026367188 1014280 31529840"},
-		{false, 1048576, false, 64, "46.049669195556646 1014280 14070880"},
+		{false, 1048576, false, 64, "41.309055310058596 1014280 11044960"},
 		{false, 1048576, true, 0, "101.65612558746339 405680 31529840"},
-		{false, 1048576, true, 64, "46.04852490081787 405680 14070880"},
+		{false, 1048576, true, 64, "41.30791589813232 405680 11044960"},
 		{true, 0, false, 0, "101.66688818359376 4469760 33764720"},
-		{true, 0, false, 64, "46.05927109375 4469760 16305760"},
+		{true, 0, false, 64, "41.31844892578125 4469760 13279840"},
 		{true, 0, true, 0, "101.66688818359376 4469760 33764720"},
-		{true, 0, true, 64, "46.05927109375 4469760 16305760"},
+		{true, 0, true, 64, "41.31844892578125 4469760 13279840"},
 		{true, 1048576, false, 0, "101.67015844726562 5484040 33764720"},
-		{true, 1048576, false, 64, "46.06254028930664 5484040 16305760"},
+		{true, 1048576, false, 64, "41.321704235839846 5484040 13279840"},
 		{true, 1048576, true, 0, "101.66901377105712 4875440 33764720"},
-		{true, 1048576, true, 64, "46.061395994567874 4875440 16305760"},
+		{true, 1048576, true, 64, "41.32056482391357 4875440 13279840"},
 	} {
 		raw := Config{K: 64, SpillBytes: fx.spill, Compression: fx.compress, EmbedDim: fx.embedDim}
 		resolved, _, err := raw.resolve(n)

@@ -108,7 +108,10 @@ func TestClusterIncrementalOversizedBucket(t *testing.T) {
 // and report the waves and peak the dedicated runner it replaced
 // reported (commit bbdcb14) — on an exact run and on one mixing
 // embedded, dense and trivial buckets, where the peak counts embedded
-// rows, not Grams.
+// rows, not Grams. Its embedded buckets are landmark buckets since the
+// landmark class took those whose 4·Ki fits EmbedDim: the unbounded
+// peak was re-pinned from 73 872 to 66 480 bytes, exactly Σ 8·Ni·(16 − m)
+// over its six landmark buckets lower.
 func TestClusterIncrementalWavesPinned(t *testing.T) {
 	for _, fx := range []struct {
 		name    string
@@ -121,7 +124,7 @@ func TestClusterIncrementalWavesPinned(t *testing.T) {
 		{"exact", 0.03, 300, Config{K: 6, Seed: 43, M: 6},
 			40000, [3][2]int64{{5, 40000}, {3, 40000}, {1, 80008}}},
 		{"mixed", 0.2, 600, Config{K: 24, Seed: 43, M: 4, P: -1, EmbedDim: 16, EmbedCutoff: 60},
-			41616, [3][2]int64{{15, 13056}, {2, 37904}, {1, 73872}}},
+			41616, [3][2]int64{{15, 13056}, {2, 37904}, {1, 66480}}},
 	} {
 		l := mixture(t, fx.n, 12, 6, fx.noise, 42)
 		full, err := Run(bg, Source{Points: l.Points}, fx.cfg)

@@ -2,10 +2,10 @@ package core
 
 // This file is the solve stage's one rule (§4.1, Eqs. 7–12): a bucket of
 // Ni points out of N gets its share Ki of K, holds a 4·Ni² sub-Gram —
-// or 8·Ni·d′ of embedded rows where the embed policy claims it — and
-// costs β(2Ni² + 2KiNi). Whatever needs that before, beside or after the
-// solve (wave packing, the EMR flow, label assembly) reads
-// bucketSolver.plan instead of restating it.
+// or, where the embed policy claims it, 8·Ni·m of landmark block or
+// 8·Ni·d′ of embedded rows — and costs β(2Ni² + 2KiNi). Whatever needs
+// that before, beside or after the solve (wave packing, the EMR flow,
+// label assembly) reads bucketSolver.plan instead of restating it.
 
 import (
 	"fmt"
@@ -97,17 +97,18 @@ type solveClass uint8
 
 const (
 	classTrivial  solveClass = iota // one cluster, or one per point: no similarity at all
-	classEmbedded                   // k-means on kernel-embedded rows, no Gram
+	classEmbedded                   // k-means on random Fourier features, no Gram
+	classLandmark                   // k-means on Nyström eigenvectors of m landmarks, no Gram
 	classGram                       // a sub-Gram; which eigensolver is the engine's choice from measured fill
 )
 
 // bucketPlan is what a bucket's size says about its solve: its share K
 // of the policy's K, its class, and the similarity storage resident
-// while it is solved — the embedded rows, else the paper's dense 4·Ni²,
-// which the packed float64 triangle the engine solves on holds within
-// 4·Ni (also for trivial buckets, which Figure 6(b)'s Gram metric
-// counts in full; an upper bound when the engine's sparse attempt
-// succeeds).
+// while it is solved — the landmark block or the embedded rows, else
+// the paper's dense 4·Ni², which the packed float64 triangle the engine
+// solves on holds within 4·Ni (also for trivial buckets, which Figure
+// 6(b)'s Gram metric counts in full; an upper bound when the engine's
+// sparse attempt succeeds).
 type bucketPlan struct {
 	K     int
 	Class solveClass
@@ -117,10 +118,14 @@ type bucketPlan struct {
 // plan decides a bucket of ni points.
 func (s *bucketSolver) plan(ni int) bucketPlan {
 	ki := BucketK(s.pol.K, ni, s.pol.N)
+	ecfg := s.engine(ki)
+	m := ecfg.Landmarks(ni)
 	switch {
 	case ki == 1 || ki == ni: // covers ni <= 1
 		return bucketPlan{K: ki, Class: classTrivial, Bytes: kernel.GramBytes(ni)}
-	case s.engine(ki).Embeds(ni):
+	case m > 0:
+		return bucketPlan{K: ki, Class: classLandmark, Bytes: embed.Bytes(ni, m)}
+	case ecfg.Embeds(ni):
 		return bucketPlan{K: ki, Class: classEmbedded, Bytes: embed.Bytes(ni, s.emb.Dim())}
 	}
 	return bucketPlan{K: ki, Class: classGram, Bytes: kernel.GramBytes(ni)}
@@ -139,12 +144,16 @@ func (s *bucketSolver) engine(ki int) spectral.EngineConfig {
 }
 
 // cost is the §4.1 time model, β(2Ni² + 2KiNi); an embedded bucket is
-// dot-product-bound, 2Ni·d′ in place of 2Ni². Trivial buckets are billed
-// the Gram term like the paper's reducer, which builds it regardless.
+// dot-product-bound, 2Ni·d′ in place of 2Ni², and a landmark bucket
+// 2Ni·m. Trivial buckets are billed the Gram term like the paper's
+// reducer, which builds it regardless.
 func (s *bucketSolver) cost(pl bucketPlan, ni int, beta float64) float64 {
 	width := float64(ni)
-	if pl.Class == classEmbedded {
+	switch pl.Class {
+	case classEmbedded:
 		width = float64(s.emb.Dim())
+	case classLandmark:
+		width = float64(s.engine(pl.K).Landmarks(ni))
 	}
 	return beta * (2*float64(ni)*width + 2*float64(pl.K)*float64(ni))
 }
@@ -162,14 +171,15 @@ type bucket struct {
 // solve is what every runner does with a bucket, whatever its rows'
 // provenance: nothing for a trivial one; otherwise the spectral engine —
 // sub-Gram (dense or thresholded CSR), normalized Laplacian,
-// eigenvectors, K-means, or kernel embedding + k-means with no Gram at
-// all.
+// eigenvectors, K-means, or, with no Gram at all, landmark Nyström
+// eigenvectors or a kernel embedding + k-means.
 //
 // Dense sub-Grams (the packed upper triangle, 8·Ni(Ni+1)/2 bytes — the
-// plan's Bytes plus 4·Ni) and embedded row blocks are built inside *buf
-// (grown as needed, reused across calls — each worker owns one; it may
-// start nil) and consumed in place: the Laplacian overwrites it, so
-// nothing retains the buffer after the solve. Sparse and trivial solves
+// plan's Bytes plus 4·Ni), landmark cross blocks and embedded row
+// blocks are built inside *buf (grown as needed, reused across calls —
+// each worker owns one; it may start nil) and consumed in place: the
+// Laplacian overwrites it, so nothing retains the buffer after the
+// solve. Sparse and trivial solves
 // never touch it.
 func (s *bucketSolver) solve(b bucket, buf *[]float64) (bucketSolution, error) {
 	ni := len(b.rows)

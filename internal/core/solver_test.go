@@ -130,6 +130,50 @@ func TestSolveHoldsWhatItPlans(t *testing.T) {
 	}
 }
 
+// TestLandmarkSolveHoldsWhatItPlans: a landmark bucket's scratch holds
+// exactly its plan's 8·Ni·m bytes — the cross block, which the embedding
+// then overwrites — and a bucket of coincident rows, whose landmark
+// block has rank one, fails the landmark solve and ends in the k-means
+// fallback with the plan's bytes accounted.
+func TestLandmarkSolveHoldsWhatItPlans(t *testing.T) {
+	blobs, _ := blobPoints(71, 8, 60, 12, 10, 0.3)
+	same := matrix.NewDense(blobs.Rows(), blobs.Cols())
+	for i := 0; i < same.Rows(); i++ {
+		copy(same.Row(i), blobs.Row(0))
+	}
+	n := blobs.Rows()
+	for _, tc := range []struct {
+		name   string
+		pts    *matrix.Dense
+		solver string
+	}{{"blobs", blobs, spectral.SolverLandmark}, {"coincident", same, SolverKMeansFallback}} {
+		solver, err := newBucketSolver(solvePolicy{N: n, Cols: blobs.Cols(), K: 4, Sigma: 1, Seed: 72, EmbedDim: 64, EmbedCutoff: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := make([]int, n)
+		for i := range rows {
+			rows[i] = i
+		}
+		pl := solver.plan(n)
+		if pl.Class != classLandmark || pl.Bytes != 8*int64(n)*32 {
+			t.Fatalf("%s: plan %+v, want the landmark class with 32 landmarks", tc.name, pl)
+		}
+		var scratch []float64
+		sol, err := solver.solve(bucket{points: tc.pts, rows: rows, ids: rows}, &scratch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Solver != tc.solver || len(sol.Labels) != n || sol.GramBytes != pl.Bytes {
+			t.Errorf("%s: solver %q over %d labels holding %d bytes; want %q over %d, planned %d",
+				tc.name, sol.Solver, len(sol.Labels), sol.GramBytes, tc.solver, n, pl.Bytes)
+		}
+		if held := 8 * int64(cap(scratch)); held != pl.Bytes {
+			t.Errorf("%s: the solve holds %d bytes of scratch, planned %d", tc.name, held, pl.Bytes)
+		}
+	}
+}
+
 // TestSolvePolicyRoundTripBuildsSameMap: a worker builds its solver
 // from the policy in the job Conf; its feature map must be the
 // driver's, bit for bit, or a bucket embedded in a worker would differ

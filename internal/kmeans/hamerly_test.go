@@ -54,7 +54,7 @@ func referenceLloyd(points *matrix.Dense, cfg Config) (*Result, int) {
 	var iter int
 	for iter = 0; iter < cfg.MaxIter; iter++ {
 		assign()
-		accumulate(points, labels, counts, sums, upd)
+		accumulate(points, labels, counts, sums, upd, nil)
 		var moved float64
 		for c := 0; c < cfg.K; c++ {
 			if counts[c] == 0 {
@@ -306,6 +306,24 @@ func TestBoundedMatchesLloydOnTies(t *testing.T) {
 	if repaired == 0 {
 		t.Fatal("the duplicate-point fixture must force empty-cluster repairs")
 	}
+
+	// The same repairs on the block-partial update, which keeps the
+	// partial of every block whose labels did not change: a block a
+	// repair relabels must be re-summed like one the assignment changed.
+	old := parallelUpdateCutoff
+	parallelUpdateCutoff = 64
+	defer func() { parallelUpdateCutoff = old }()
+	repaired = 0
+	for seed := int64(0); seed < 8; seed++ {
+		for _, procs := range []int{1, 4} {
+			setProcs(t, procs)
+			_, _, repairs := requireMatchesLloyd(t, lattice(seed, 1100, 2, 2), Config{K: 6, Seed: seed, MaxIter: 12})
+			repaired += repairs
+		}
+	}
+	if repaired == 0 {
+		t.Fatal("the block-partial fixture must force empty-cluster repairs")
+	}
 }
 
 // TestDistanceEvalsCorpusShaped: on the shape of corpus-local's embedded
@@ -480,12 +498,12 @@ func TestAccumulateParallelMatchesSequential(t *testing.T) {
 	}
 	seqCounts := make([]int, k)
 	seqSums := matrix.NewDense(k, d)
-	accumulate(pts, labels, seqCounts, seqSums, nil)
+	accumulate(pts, labels, seqCounts, seqSums, nil, nil)
 
 	parCounts := make([]int, k)
 	parSums := matrix.NewDense(k, d)
 	setProcs(t, 4)
-	accumulate(pts, labels, parCounts, parSums, newUpdateScratch(n, k, d))
+	accumulate(pts, labels, parCounts, parSums, newUpdateScratch(n, k, d), nil)
 	for c := 0; c < k; c++ {
 		if parCounts[c] != seqCounts[c] {
 			t.Fatalf("count[%d] = %d vs %d", c, parCounts[c], seqCounts[c])

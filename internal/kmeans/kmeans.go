@@ -28,8 +28,10 @@
 // labels byte-identical to the plain implementation, which the DASC
 // determinism guarantees rest on. The assignment pass and, for large
 // inputs, the centroid update run over fixed row blocks on internal/par,
-// with per-block partials reduced in block order; empty clusters are
-// repaired by re-seeding from the point farthest from its centroid.
+// with per-block partials reduced in block order — an update partial is
+// kept across iterations and re-summed only when its block's labels
+// changed; empty clusters are repaired by re-seeding from the point
+// farthest from its centroid.
 package kmeans
 
 import (
@@ -87,8 +89,9 @@ const (
 	// parallelism level.
 	assignBlockRows = 256
 	// updateBlockRows is the fixed row-block edge of the block-partial
-	// centroid update.
-	updateBlockRows = 256
+	// centroid update. It is the assignment block, so a block the
+	// assignment pass leaves unchanged keeps its update partial.
+	updateBlockRows = assignBlockRows
 	// boundsPad slightly shrinks the bound-skip region to absorb the
 	// ulp-level rounding the drifted bounds accumulate, keeping the
 	// skip decisions provably label-preserving.
@@ -356,6 +359,13 @@ func Run(points *matrix.Dense, cfg Config) (*Result, error) {
 	// centroid by a finite amount, so the centroids are exactly the means
 	// of the current labels.
 	stable := false
+	// dirty marks the update blocks whose kept partial is stale: all of
+	// them before the first update, then the blocks whose labels the
+	// assignment pass or a repair changed.
+	dirty := make([]bool, len(st.blockChanged))
+	for b := range dirty {
+		dirty[b] = true
+	}
 	var iter int
 	for iter = 0; iter < cfg.MaxIter; iter++ {
 		st.refreshHalf(centroids)
@@ -369,7 +379,11 @@ func Run(points *matrix.Dense, cfg Config) (*Result, error) {
 			iter++
 			break
 		}
-		accumulate(points, labels, counts, sums, upd)
+		for b, ch := range st.blockChanged {
+			dirty[b] = dirty[b] || ch
+		}
+		accumulate(points, labels, counts, sums, upd, dirty)
+		clear(dirty)
 
 		var moved float64
 		repaired := false
@@ -382,6 +396,7 @@ func Run(points *matrix.Dense, cfg Config) (*Result, error) {
 				counts[c] = 1
 				labels[far] = c
 				st.reset(far)
+				dirty[far/updateBlockRows] = true
 				repaired = true
 			}
 			inv := 1 / float64(counts[c])
@@ -699,8 +714,11 @@ func newUpdateScratch(n, k, d int) *updateScratch {
 // summation order the default configurations depend on bitwise. Large
 // inputs accumulate per fixed 256-row block and reduce the block
 // partials in block order — on one goroutine or many, every sum bit is
-// the same.
-func accumulate(points *matrix.Dense, labels []int, counts []int, sums *matrix.Dense, upd *updateScratch) {
+// the same. upd keeps the block partials between calls, so only the
+// blocks dirty marks are re-summed; a block whose labels did not change
+// since its partial was summed has a bit-identical partial. nil dirty
+// re-sums every block.
+func accumulate(points *matrix.Dense, labels []int, counts []int, sums *matrix.Dense, upd *updateScratch, dirty []bool) {
 	n := points.Rows()
 	k := len(counts)
 	d := sums.Cols()
@@ -717,16 +735,16 @@ func accumulate(points *matrix.Dense, labels []int, counts []int, sums *matrix.D
 	}
 
 	nb := upd.nb
-	for i := range upd.counts {
-		upd.counts[i] = 0
-	}
-	for i := range upd.sums {
-		upd.sums[i] = 0
-	}
 	// sumRows cannot fail.
 	_ = par.Each(nb, nb, func(b int) error {
+		if dirty != nil && !dirty[b] {
+			return nil
+		}
 		lo := b * updateBlockRows
-		sumRows(points, labels, lo, min(lo+updateBlockRows, n), upd.counts[b*k:(b+1)*k], upd.sums[b*k*d:(b+1)*k*d])
+		bc, bs := upd.counts[b*k:(b+1)*k], upd.sums[b*k*d:(b+1)*k*d]
+		clear(bc)
+		clear(bs)
+		sumRows(points, labels, lo, min(lo+updateBlockRows, n), bc, bs)
 		return nil
 	})
 	// Deterministic reduction: block partials in block order.

@@ -7,7 +7,9 @@ package spectral
 // dense path pays O(n²d) for the Gram and O(n³)/O(n²k) for the
 // eigensolve, the embedded path pays O(n·d·d′) for the transform and
 // O(n·d′·k) per Lloyd iteration — dot-product-bound, not solver-bound —
-// and its working set is 8·n·d′ bytes instead of the 4·n² Gram.
+// and its working set is 8·n·d′ bytes instead of the 4·n² Gram. It takes
+// the embed-mode buckets with many clusters, 4·K > d′; the others take
+// the landmark solve (landmark.go).
 //
 // Every driver reaches it through ClusterBucket with raw rows, so one
 // bucket is embedded in one place whichever process solves it.

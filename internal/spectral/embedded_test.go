@@ -33,9 +33,10 @@ func embeddedAccuracy(labels, truth []int, k int) float64 {
 }
 
 // TestClusterBucketEmbeddedPolicy: with embed mode on, buckets at or
-// above the cutoff take the embedded solver (no Gram), report d′-sized
-// stats, and still recover well-separated blobs; buckets below the
-// cutoff are untouched.
+// above the cutoff whose 4·K exceeds the feature map's width take the
+// embedded solver (no Gram), report d′-sized stats, and still recover
+// well-separated blobs; buckets below the cutoff are untouched.
+// TestClusterBucketLandmarkPolicy is its twin for 4·K within the width.
 func TestClusterBucketEmbeddedPolicy(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	pts, truth := makeBlobs(rng, 4, 80, 8, 8, 0.3)
@@ -45,13 +46,13 @@ func TestClusterBucketEmbeddedPolicy(t *testing.T) {
 		indices[i] = i
 	}
 	kf := kernel.NewGaussian(1.5)
-	e, err := embed.NewRFF(8, 64, 1.5, 11)
+	e, err := embed.NewRFF(8, 12, 1.5, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var buf []float64
-	cfg := EngineConfig{K: 4, Seed: 9, Embedder: e, EmbedCutoff: 256}
+	cfg := EngineConfig{K: 4, Seed: 9, Embedder: e, EmbedCutoff: 256} // 4·K = 16 > 12
 	res, stats, err := ClusterBucket(pts, indices, kf, cfg, &buf)
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +60,7 @@ func TestClusterBucketEmbeddedPolicy(t *testing.T) {
 	if stats.Solver != SolverEmbedded {
 		t.Fatalf("solver = %q, want %q", stats.Solver, SolverEmbedded)
 	}
-	if stats.NNZ != int64(n)*64 || stats.GramBytes != embed.Bytes(n, 64) {
+	if stats.NNZ != int64(n)*12 || stats.GramBytes != embed.Bytes(n, 12) {
 		t.Fatalf("embedded stats: %+v", stats)
 	}
 	if acc := embeddedAccuracy(res.Labels, truth, 4); acc < 0.95 {
@@ -87,13 +88,13 @@ func TestClusterBucketEmbeddedMatchesRowsHalf(t *testing.T) {
 	indices := []int{5, 250, 7, 100, 42, 199, 0, 269, 77, 133, 201, 18, 93, 150, 222, 60,
 		11, 12, 13, 14, 15, 16, 17, 30, 31, 32, 33, 34, 35, 36, 37, 38}
 	kf := kernel.NewGaussian(1.2)
-	e, err := embed.NewRFF(pts.Cols(), 16, 1.2, 3)
+	e, err := embed.NewRFF(pts.Cols(), 10, 1.2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var buf []float64
-	cfg := EngineConfig{K: 3, Seed: 41, Embedder: e, EmbedCutoff: 16}
+	cfg := EngineConfig{K: 3, Seed: 41, Embedder: e, EmbedCutoff: 16} // 4·K = 12 > 10
 	engine, stats, err := ClusterBucket(pts, indices, kf, cfg, &buf)
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +127,9 @@ func TestClusterBucketEmbeddedMatchesRowsHalf(t *testing.T) {
 }
 
 // TestClusterBucketEmbedPrecedesSparse: a bucket eligible for both
-// approximate modes takes the embedded path.
+// approximate modes takes the embed family's path — the embedded solve
+// when 4·K exceeds the feature map's width, the landmark solve when it
+// fits.
 func TestClusterBucketEmbedPrecedesSparse(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	pts, _ := makeBlobs(rng, 4, 70, 8, 9, 0.3)
@@ -134,22 +137,27 @@ func TestClusterBucketEmbedPrecedesSparse(t *testing.T) {
 	for i := range indices {
 		indices[i] = i
 	}
-	e, err := embed.NewRFF(8, 32, 1.5, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf []float64
-	cfg := EngineConfig{
-		K: 4, Seed: 1,
-		SparseCutoff: 128, Epsilon: 1e-3,
-		Embedder: e, EmbedCutoff: 128,
-	}
-	_, stats, err := ClusterBucket(pts, indices, kernel.NewGaussian(1.5), cfg, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Solver != SolverEmbedded {
-		t.Fatalf("solver = %q, want embedded to take precedence", stats.Solver)
+	for _, tc := range []struct {
+		dim  int
+		want string
+	}{{8, SolverEmbedded}, {32, SolverLandmark}} {
+		e, err := embed.NewRFF(8, tc.dim, 1.5, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf []float64
+		cfg := EngineConfig{
+			K: 4, Seed: 1,
+			SparseCutoff: 128, Epsilon: 1e-3,
+			Embedder: e, EmbedCutoff: 128,
+		}
+		_, stats, err := ClusterBucket(pts, indices, kernel.NewGaussian(1.5), cfg, &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Solver != tc.want {
+			t.Fatalf("dim %d: solver = %q, want %s to take precedence", tc.dim, stats.Solver, tc.want)
+		}
 	}
 }
 

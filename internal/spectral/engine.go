@@ -7,7 +7,9 @@ package spectral
 //
 //	bucket size / measured fill          solver            similarity form
 //	------------------------------------ ----------------- ------------------
-//	embed mode on, ni >= EmbedCutoff     embedded          none (d′ rows)
+//	embed mode on, ni >= EmbedCutoff:
+//	  4K <= d′                           landmark          none (n x m cross block)
+//	  4K >  d′                           embedded          none (d′ rows)
 //	ni <= 96 or 3K >= ni                 dense-eigen       packed (+ n x n)
 //	larger, sparse mode off              dense-lanczos     packed
 //	sparse mode on, fill <= 0.35         sparse-lanczos    CSR (owned)
@@ -22,16 +24,16 @@ package spectral
 // approximation: entries below ε are dropped before the eigensolve.
 // Embed mode (a feature map plus EmbedCutoff > 0) is likewise opt-in and
 // likewise approximate — it skips the Gram entirely and runs k-means on
-// kernel-embedded rows (see embedded.go) — and it takes precedence over
-// the sparse attempt, since a bucket big enough to embed never needs
-// the ε-cut. With both modes off the engine executes exactly the dense
-// sequence of ClusterInPlace on the mirrored sub-Gram, on half the
-// storage, so default configurations reproduce byte-identical labels
-// and eigenvalues. Every branch
-// of the policy is a deterministic function of the bucket's size,
-// config, and measured fill — never of the worker count — and each
-// solver is itself bitwise worker-independent, so label bits never
-// depend on parallelism.
+// Nyström eigenvectors of m ≤ d′ landmarks (landmark.go) or on
+// kernel-embedded rows (embedded.go), d′ being the width budget of both
+// — and it takes precedence over the sparse attempt, since a bucket big
+// enough to embed never needs the ε-cut. With both modes off the engine
+// executes exactly the dense sequence of ClusterInPlace on the mirrored
+// sub-Gram, on half the storage, so default configurations reproduce
+// byte-identical labels and eigenvalues. Every branch of the policy is
+// a deterministic function of the bucket's size, config, and measured
+// fill — never of the worker count — and each solver is itself bitwise
+// worker-independent, so label bits never depend on parallelism.
 
 import (
 	"time"
@@ -76,8 +78,10 @@ type EngineConfig struct {
 	// defaults (0) keep the exact dense path.
 	Epsilon float64
 	// Embedder, when non-nil together with EmbedCutoff > 0, enables the
-	// embedded solve for buckets of at least EmbedCutoff rows: random
-	// Fourier features + k-means instead of Gram + eigensolve.
+	// embed-family solves for buckets of at least EmbedCutoff rows:
+	// landmark Nyström eigenvectors or random Fourier features, then
+	// k-means, instead of Gram + eigensolve. Its Dim is the per-row width
+	// budget of both (see Landmarks).
 	Embedder *embed.RFF
 	// EmbedCutoff is the bucket size at or above which the embedded
 	// solve runs. 0 disables embed mode.
@@ -126,8 +130,8 @@ func denseSolverName(n, k int) string {
 // ClusterBucket runs spectral clustering on the sub-Gram of the listed
 // rows, choosing the solver by the policy above. scratch is the
 // caller's pooled sub-Gram buffer (grown as needed, reused across
-// buckets): the packed triangle, the embedded rows, or a densified CSR;
-// the sparse path never touches it. The returned stats
+// buckets): the packed triangle, the landmark cross block, the embedded
+// rows, or a densified CSR; the sparse path never touches it. The returned stats
 // describe the solver choice, the similarity storage, and the wall
 // time; they are filled even when err != nil, so fallback paths can
 // still be accounted.
@@ -143,7 +147,10 @@ func ClusterBucket(points *matrix.Dense, indices []int, kf kernel.Kernel, cfg En
 
 	// Embed mode takes the bucket out of the Gram economy altogether,
 	// and embed errors surface instead of downgrading to a Gram solve the
-	// caller's plan did not cost.
+	// caller's plan did not cost. Landmarks decides between its routes.
+	if m := cfg.Landmarks(ni); m > 0 {
+		return clusterLandmark(points, indices, kf, m, cfg, scratch)
+	}
 	if cfg.Embeds(ni) {
 		return clusterEmbedded(points, indices, cfg.Embedder, cfg, scratch)
 	}
