@@ -27,8 +27,8 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/lsh"
 	"repro/internal/mapreduce"
-	"repro/internal/matrix"
 	"repro/internal/metrics"
+	"repro/internal/spectral"
 	"repro/internal/text"
 )
 
@@ -212,12 +212,7 @@ func BenchmarkAblationEigensolver(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := kernel.Gram(l.Points, kernel.Gaussian(0.5))
-	deg, err := matrix.RowSums(s)
-	if err != nil {
-		b.Fatal(err)
-	}
-	lap, err := deg.InvSqrt().ScaleSym(s)
+	lap, err := spectral.Laplacian(kernel.Gram(l.Points, kernel.Gaussian(0.5)))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -106,6 +106,9 @@ func TestNYSTValidation(t *testing.T) {
 	if _, err := NYST(pts, Config{K: 0}); err == nil {
 		t.Fatal("expected error for K=0")
 	}
+	if _, err := NYST(pts, Config{K: 2, Samples: -3}); err == nil {
+		t.Fatal("expected error for negative samples")
+	}
 	res, err := NYST(matrix.NewDense(0, 0), Config{K: 2})
 	if err != nil || len(res.Labels) != 0 {
 		t.Fatalf("empty: %v %v", res, err)

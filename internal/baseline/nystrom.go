@@ -3,161 +3,57 @@ package baseline
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 
 	"repro/internal/kernel"
-	"repro/internal/kmeans"
-	"repro/internal/linalg"
 	"repro/internal/matrix"
+	"repro/internal/spectral"
 )
 
 // NYST runs spectral clustering with the Nyström extension in the
 // style of Shi et al. (§5.4's Matlab comparator): sample m landmark
-// points, compute the landmark kernel block W (m x m) and the cross
-// block C (n x m), extend W's eigenvectors to all points as
-// V ~= C U Lambda^{-1}, normalize rows, and run K-means. Only
+// points uniformly, then run spectral.ClusterLandmarkRows — the
+// algebra of DASC's in-bucket landmark solve — on them: kernel blocks W
+// (m x m) and C (n x m), W's eigenvectors extended to all points as
+// V ~= D^{-1/2} C U Lambda^{-1}, normalized rows, and K-means. Only
 // O(n m + m^2) kernel entries are ever computed or stored.
 func NYST(points *matrix.Dense, cfg Config) (*Result, error) {
 	n := points.Rows()
 	if cfg.K <= 0 {
 		return nil, errors.New("baseline: NYST needs K > 0")
 	}
+	if cfg.Samples < 0 {
+		return nil, fmt.Errorf("baseline: NYST samples %d", cfg.Samples)
+	}
 	if n == 0 {
 		return &Result{Labels: []int{}}, nil
 	}
-	k := cfg.K
-	if k > n {
-		k = n
-	}
+	k := min(cfg.K, n)
 	m := cfg.Samples
 	if m == 0 {
-		m = cfg.K * 4
-		if m < 64 {
-			m = 64
-		}
+		m = max(cfg.K*4, 64)
 	}
-	if m < k {
-		m = k
-	}
-	if m > n {
-		m = n
-	}
+	m = min(max(m, k), n)
 	start := time.Now()
 	kf := kernel.NewGaussian(cfg.sigma(points))
+
+	// The landmarks are the first m rows of a uniform permutation: the
+	// paper's column sample without replacement.
 	rng := rand.New(rand.NewSource(cfg.Seed))
-
-	// Landmark sample without replacement (Fisher–Yates prefix).
-	perm := rng.Perm(n)
-	landmarks := perm[:m]
-
-	// Both kernel blocks go through the blocked recognized-kernel fast
-	// path (micro-tiled dot blocks over precomputed row norms) instead of
-	// per-pair scalar Eval loops. The cross path yields k(x,x)=1 exactly
-	// for coincident rows — the norm and dot terms cancel bitwise — so W
-	// keeps its unit diagonal and C its unit landmark entries without
-	// special-casing, and W stays bitwise symmetric for the eigensolver.
-	w, c, err := nystKernelBlocks(points, landmarks, kf)
+	lm := matrix.NewDense(m, points.Cols())
+	matrix.GatherRows(lm.Data(), points, rng.Perm(n)[:m])
+	var scratch []float64
+	res, err := spectral.ClusterLandmarkRows(points, lm, kf, k, cfg.Seed, &scratch)
 	if err != nil {
-		return nil, err
-	}
-
-	// Approximate degrees for normalization: d ~= C W^{-1} (C^T 1)
-	// reduces to row sums of the Nyström-approximated similarity; the
-	// standard one-shot approximation uses d = C * (W^+ * (C^T * 1)).
-	ones := make([]float64, n)
-	for i := range ones {
-		ones[i] = 1
-	}
-	ctOnes := make([]float64, m) // C^T * 1
-	for i := 0; i < n; i++ {
-		row := c.Row(i)
-		for b, v := range row {
-			ctOnes[b] += v
-		}
-	}
-	vals, vecs, err := linalg.EigenSym(w)
-	if err != nil {
-		return nil, fmt.Errorf("baseline: NYST landmark eigensolver: %w", err)
-	}
-	// Pseudo-inverse application: W^+ x = U Lambda^+ U^T x.
-	winvCtOnes := applyPinv(vals, vecs, ctOnes)
-	deg, err := c.MulVec(winvCtOnes)
-	if err != nil {
-		return nil, err
-	}
-	dInv := make([]float64, n)
-	for i, v := range deg {
-		if v > 1e-12 {
-			dInv[i] = 1 / math.Sqrt(v)
-		}
-	}
-
-	// Extended eigenvectors of the normalized similarity:
-	// V[:, j] = D^{-1/2} C u_j / lambda_j for the top-k landmark pairs.
-	embed := matrix.NewDense(n, k)
-	for j := 0; j < k && j < len(vals); j++ {
-		if vals[j] <= 1e-12 {
-			break
-		}
-		uj := vecs.Col(j)
-		cu, err := c.MulVec(uj)
-		if err != nil {
-			return nil, err
-		}
-		inv := 1 / vals[j]
-		for i := 0; i < n; i++ {
-			embed.Set(i, j, cu[i]*inv*dInv[i])
-		}
-	}
-	matrix.NormalizeRows(embed)
-	km, err := kmeans.Run(embed, kmeans.Config{K: k, Seed: cfg.Seed})
-	if err != nil {
-		return nil, fmt.Errorf("baseline: NYST kmeans: %w", err)
+		return nil, fmt.Errorf("baseline: NYST: %w", err)
 	}
 	stored := int64(n)*int64(m) + int64(m)*int64(m)
 	return &Result{
-		Labels:    km.Labels,
+		Labels:    res.Labels,
 		GramBytes: 4 * stored,
 		NNZ:       stored,
 		Fill:      float64(stored) / (float64(n) * float64(n)),
 		Elapsed:   time.Since(start),
 	}, nil
-}
-
-// nystKernelBlocks builds the Nyström kernel blocks W (m×m,
-// landmark-landmark) and C (n×m, all points vs landmarks) through
-// kernel.CrossGramInto's deterministic blocked path. Split out so the
-// byte-identity test can pin it against a scalar reference.
-func nystKernelBlocks(points *matrix.Dense, landmarks []int, kf kernel.Kernel) (w, c *matrix.Dense, err error) {
-	m := len(landmarks)
-	lm := matrix.NewDense(m, points.Cols())
-	for a, idx := range landmarks {
-		copy(lm.Row(a), points.Row(idx))
-	}
-	w = matrix.NewDense(m, m)
-	if err := kernel.CrossGramInto(w, lm, lm, kf); err != nil {
-		return nil, nil, fmt.Errorf("baseline: NYST landmark block: %w", err)
-	}
-	c = matrix.NewDense(points.Rows(), m)
-	if err := kernel.CrossGramInto(c, points, lm, kf); err != nil {
-		return nil, nil, fmt.Errorf("baseline: NYST cross block: %w", err)
-	}
-	return w, c, nil
-}
-
-// applyPinv computes U diag(1/vals) U^T x, skipping tiny eigenvalues.
-func applyPinv(vals []float64, vecs *matrix.Dense, x []float64) []float64 {
-	n := vecs.Rows()
-	out := make([]float64, n)
-	for j, lambda := range vals {
-		if math.Abs(lambda) < 1e-10 {
-			continue
-		}
-		uj := vecs.Col(j)
-		c := matrix.Dot(uj, x) / lambda
-		matrix.AXPY(c, uj, out)
-	}
-	return out
 }

@@ -2,8 +2,9 @@ package kernel
 
 // This file is the rectangular half of the blocked Gram engine: a
 // cross-kernel block k(a_i, b_j) between the rows of two matrices,
-// which the Nyström baseline's landmark math needs twice (the m×m
-// landmark block W and the n×m cross block C). It shares
+// which the Nyström algebra (spectral.ClusterLandmarkRows, run by the
+// in-bucket landmark solve and the NYST baseline) needs twice: the m×m
+// landmark block W and the n×m cross block C. It shares
 // the fast.go recipe — precomputed squared row norms plus blocked
 // pairwise dot products over contiguous storage — but with one extra
 // contract the symmetric engine does not make:
@@ -18,8 +19,8 @@ package kernel
 //
 // evaluated with plain left-to-right sums — byte-identical to a scalar
 // per-pair loop over the same factorized formula, regardless of block
-// shape, tile position, or goroutine count. Tests pin the Nyström blocks
-// to that scalar reference bit for bit.
+// shape, tile position, or goroutine count. Tests pin the block to that
+// scalar reference bit for bit.
 
 import (
 	"fmt"

@@ -129,16 +129,26 @@ func TestCrossGramGaussianAndGenericAgree(t *testing.T) {
 	}
 }
 
+// TestCrossGramSelfPairIsOne: a block of a matrix against itself — the
+// Nyström landmark block W — has an exactly-one diagonal and is bitwise
+// symmetric, which the landmark eigensolve relies on. 257 rows are above
+// the parallel cutoff, so the worker pool builds it.
 func TestCrossGramSelfPairIsOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	a := randDense(rng, 10, 4)
-	g, err := crossGram(a, a, NewGaussian(1))
+	const n = 257
+	a := randDense(rng, n, 9)
+	g, err := crossGram(a, a, NewGaussian(1.3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10; i++ {
+	for i := 0; i < n; i++ {
 		if g.At(i, i) != 1 {
 			t.Fatalf("diagonal self pair (%d,%d) = %v, want exactly 1", i, i, g.At(i, i))
+		}
+		for j := 0; j < i; j++ {
+			if math.Float64bits(g.At(i, j)) != math.Float64bits(g.At(j, i)) {
+				t.Fatalf("W not bitwise symmetric at (%d,%d)", i, j)
+			}
 		}
 	}
 }

@@ -27,12 +27,6 @@ import (
 // partition, allocating the global cluster budget k proportionally.
 // Returned labels are globally unique across buckets.
 func BucketedKernelKMeans(points *matrix.Dense, part *lsh.Partition, kf kernel.Kernel, k int, seed int64) ([]int, int, error) {
-	return BucketedKernelKMeansContext(context.Background(), points, part, kf, k, seed)
-}
-
-// BucketedKernelKMeansContext is BucketedKernelKMeans with
-// cancellation: the context is checked before each bucket solve.
-func BucketedKernelKMeansContext(ctx context.Context, points *matrix.Dense, part *lsh.Partition, kf kernel.Kernel, k int, seed int64) ([]int, int, error) {
 	n := points.Rows()
 	if k < 1 || k > n {
 		return nil, 0, fmt.Errorf("kernelml: K=%d with %d points", k, n)
@@ -54,7 +48,7 @@ func BucketedKernelKMeansContext(ctx context.Context, points *matrix.Dense, part
 		total += ki
 	}
 	labels := make([]int, n)
-	err := lsh.EachBucket(ctx, part.LPTOrder(), func(bi int, scratch *[]float64) error {
+	err := lsh.EachBucket(context.Background(), part.LPTOrder(), func(bi int, scratch *[]float64) error {
 		b := part.Buckets[bi]
 		ni := len(b.Indices)
 		if counts[bi] >= ni {
@@ -88,17 +82,11 @@ func BucketedKernelKMeansContext(ctx context.Context, points *matrix.Dense, part
 // dataset). Component axes are per-bucket, as the Gram approximation
 // has no cross-bucket similarities by construction.
 func BucketedKernelPCA(points *matrix.Dense, part *lsh.Partition, kf kernel.Kernel, k int) (*matrix.Dense, error) {
-	return BucketedKernelPCAContext(context.Background(), points, part, kf, k)
-}
-
-// BucketedKernelPCAContext is BucketedKernelPCA with cancellation: the
-// context is checked before each bucket decomposition.
-func BucketedKernelPCAContext(ctx context.Context, points *matrix.Dense, part *lsh.Partition, kf kernel.Kernel, k int) (*matrix.Dense, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("kernelml: k=%d", k)
 	}
 	out := matrix.NewDense(points.Rows(), k)
-	err := lsh.EachBucket(ctx, part.LPTOrder(), func(bi int, scratch *[]float64) error {
+	err := lsh.EachBucket(context.Background(), part.LPTOrder(), func(bi int, scratch *[]float64) error {
 		b := part.Buckets[bi]
 		if len(b.Indices) == 1 {
 			return nil // a singleton has no variance to decompose
@@ -145,16 +133,14 @@ type bucketModel struct {
 // TrainBucketedSVM trains the per-bucket ensemble. y must be -1/+1 per
 // training point. Buckets whose labels are single-class get a trivial
 // constant model (SVM with no support vectors and bias = the class).
+// Training is sequential — the ensemble's signature list is
+// order-dependent — and one sub-Gram scratch buffer is reused across
+// all buckets. No training points is ErrEmptyGram, as for TrainSVM.
 func TrainBucketedSVM(points *matrix.Dense, y []int, family lsh.Family, kf kernel.Kernel, cfg SVMConfig) (*BucketedSVM, error) {
-	return TrainBucketedSVMContext(context.Background(), points, y, family, kf, cfg)
-}
-
-// TrainBucketedSVMContext is TrainBucketedSVM with cancellation: the
-// context is checked before each bucket's SVM training. Training stays
-// sequential — the ensemble's signature list is order-dependent — but
-// one sub-Gram scratch buffer is reused across all buckets.
-func TrainBucketedSVMContext(ctx context.Context, points *matrix.Dense, y []int, family lsh.Family, kf kernel.Kernel, cfg SVMConfig) (*BucketedSVM, error) {
 	n := points.Rows()
+	if n == 0 {
+		return nil, ErrEmptyGram
+	}
 	if len(y) != n {
 		return nil, fmt.Errorf("kernelml: %d labels for %d points", len(y), n)
 	}
@@ -167,9 +153,6 @@ func TrainBucketedSVMContext(ctx context.Context, points *matrix.Dense, y []int,
 	}
 	var scratch []float64
 	for _, b := range part.Buckets {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("kernelml: svm: %w", err)
-		}
 		ens.signatures = append(ens.signatures, b.Signature)
 		subY := make([]int, len(b.Indices))
 		pos, neg := 0, 0

@@ -1,6 +1,7 @@
 package kernelml
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -304,6 +305,9 @@ func TestTrainBucketedSVMValidation(t *testing.T) {
 	}
 	if _, err := TrainBucketedSVM(pts, y[:10], fam, kernel.Gaussian(1), SVMConfig{}); err == nil {
 		t.Fatal("expected label-length error")
+	}
+	if _, err := TrainBucketedSVM(matrix.NewDense(0, pts.Cols()), nil, fam, kernel.Gaussian(1), SVMConfig{}); !errors.Is(err, ErrEmptyGram) {
+		t.Fatalf("zero rows: err = %v, want ErrEmptyGram", err)
 	}
 }
 

@@ -98,24 +98,6 @@ func TestDotBlock(t *testing.T) {
 	DotBlock(a.Data(), 5, b.Data(), 3, 7, make([]float64, 2))
 }
 
-func TestScaleSymInPlaceMatchesScaleSym(t *testing.T) {
-	s := randomDenseSeed(6, 6, 6)
-	d := NewDiagonal([]float64{1, 2, 0.5, 3, 0.25, 1.5})
-	want, err := d.ScaleSym(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.ScaleSymInPlace(s); err != nil {
-		t.Fatal(err)
-	}
-	if !Equal(s, want, 0) {
-		t.Fatal("in-place scale differs from ScaleSym")
-	}
-	if err := d.ScaleSymInPlace(NewDense(2, 2)); err == nil {
-		t.Fatal("expected shape error")
-	}
-}
-
 // TestSqDistBlockBitwise: every output of the micro-tiled kernels — the
 // contiguous block and the gathered four-pair form — is Float64bits-equal
 // to SqDist on the same pair, for every tile/tail split (rb 0…9), odd

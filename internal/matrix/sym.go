@@ -58,30 +58,30 @@ func (s *Sym) Row(i int) []float64 {
 	return s.data[o : o+s.n-i]
 }
 
-// RowSums returns the degree matrix D of Eq. 2. Row i is summed in
-// ascending column order, as RowSums does on the mirrored matrix, so the
-// two agree bit for bit.
-func (s *Sym) RowSums() *Diagonal {
+// RowSums returns the degrees of Eq. 2's D, the row sums of S. Row i
+// is summed in one chain in ascending column order, as a plain loop over
+// the mirrored matrix's row does, so packed and full storage agree bit
+// for bit.
+func (s *Sym) RowSums() []float64 {
 	ones := make([]float64, s.n)
 	for i := range ones {
 		ones[i] = 1
 	}
 	d := make([]float64, s.n)
 	s.mulVec(d, ones, false)
-	return &Diagonal{d: d}
+	return d
 }
 
-// ScaleSym computes D * S * D in place, where D is d: entry (i, j)
-// becomes s_ij·(d_i·d_j), the per-element formula of
-// Diagonal.ScaleSymInPlace. For d = D^{-1/2} this is the normalized
-// Laplacian of Eq. 2. It panics if d's dimension differs.
-func (s *Sym) ScaleSym(d *Diagonal) {
-	if len(d.d) != s.n {
-		Panicf("matrix: diag(%d) scale of symmetric %d", len(d.d), s.n)
+// ScaleSym computes D * S * D in place, where D is diag(d): entry
+// (i, j) becomes s_ij·(d_i·d_j). For d = InvSqrt(RowSums()) this is the
+// normalized Laplacian of Eq. 2. It panics if len(d) differs from N.
+func (s *Sym) ScaleSym(d []float64) {
+	if len(d) != s.n {
+		Panicf("matrix: diag(%d) scale of symmetric %d", len(d), s.n)
 	}
 	for i := 0; i < s.n; i++ {
-		di := d.d[i]
-		dj := d.d[i:]
+		di := d[i]
+		dj := d[i:]
 		row := s.Row(i)
 		for t := range row {
 			row[t] *= di * dj[t]

@@ -12,6 +12,20 @@ func Dot(x, y []float64) float64 {
 	return s
 }
 
+// InvSqrt replaces each entry of d by d_i^{-1/2}, in place, and returns
+// d. Non-positive entries map to 0, the convention for isolated points
+// in normalized Laplacians: a zero-degree row stays zero.
+func InvSqrt(d []float64) []float64 {
+	for i, v := range d {
+		if v > 0 {
+			d[i] = 1 / math.Sqrt(v)
+		} else {
+			d[i] = 0
+		}
+	}
+	return d
+}
+
 // Norm2 returns the Euclidean norm of x.
 func Norm2(x []float64) float64 {
 	var scale, ssq float64 = 0, 1

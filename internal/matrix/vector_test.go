@@ -19,6 +19,19 @@ func TestDot(t *testing.T) {
 	Dot([]float64{1}, []float64{1, 2})
 }
 
+func TestInvSqrt(t *testing.T) {
+	d := []float64{4, 0, -1, 0.25}
+	if got := InvSqrt(d); &got[0] != &d[0] {
+		t.Fatal("InvSqrt must work in place")
+	}
+	if d[0] != 0.5 || d[3] != 2 {
+		t.Fatalf("InvSqrt = %v", d)
+	}
+	if d[1] != 0 || d[2] != 0 {
+		t.Fatal("non-positive entries must map to 0")
+	}
+}
+
 func TestNorm2(t *testing.T) {
 	if got := Norm2([]float64{3, 4}); math.Abs(got-5) > 1e-12 {
 		t.Fatalf("Norm2 = %v, want 5", got)

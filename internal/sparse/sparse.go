@@ -15,9 +15,9 @@ import (
 	"repro/internal/par"
 )
 
-// CSR is an immutable n x n sparse matrix in compressed sparse row
-// form: row i's entries live in cols/vals[rowPtr[i]:rowPtr[i+1]],
-// column-sorted.
+// CSR is an n x n sparse matrix in compressed sparse row form: row i's
+// entries live in cols/vals[rowPtr[i]:rowPtr[i+1]], column-sorted. The
+// pattern is fixed at construction; only ScaleSym rewrites values.
 type CSR struct {
 	n      int
 	rowPtr []int
@@ -218,36 +218,14 @@ func (m *CSR) RowSums() []float64 {
 	return out
 }
 
-// ScaleSym returns a new CSR with entry (i,j) multiplied by d[i]*d[j] —
-// the sparse analogue of the normalized-Laplacian scaling. The product
-// is grouped as v*(d[i]*d[j]) to match matrix.Diagonal.ScaleSym bit for
-// bit on shared entries.
-func (m *CSR) ScaleSym(d []float64) (*CSR, error) {
+// ScaleSym multiplies entry (i,j) by d[i]*d[j], overwriting the stored
+// values — the sparse analogue of matrix.Sym.ScaleSym, grouped
+// v*(d[i]*d[j]) as it is, so the two agree bit for bit on shared
+// entries. For d = matrix.InvSqrt(RowSums()) the matrix becomes the
+// normalized Laplacian of Eq. 2.
+func (m *CSR) ScaleSym(d []float64) error {
 	if len(d) != m.n {
-		return nil, errors.New("sparse: ScaleSym length mismatch")
-	}
-	out := &CSR{
-		n:      m.n,
-		rowPtr: append([]int(nil), m.rowPtr...),
-		cols:   append([]int(nil), m.cols...),
-		vals:   make([]float64, len(m.vals)),
-	}
-	for i := 0; i < m.n; i++ {
-		di := d[i]
-		for idx := m.rowPtr[i]; idx < m.rowPtr[i+1]; idx++ {
-			out.vals[idx] = m.vals[idx] * (di * d[m.cols[idx]])
-		}
-	}
-	return out, nil
-}
-
-// ScaleSymInPlace multiplies entry (i,j) by d[i]*d[j] overwriting the
-// stored values — the allocation-free ScaleSym for callers (the
-// per-bucket sparse solve) that own the matrix and no longer need the
-// raw similarities.
-func (m *CSR) ScaleSymInPlace(d []float64) error {
-	if len(d) != m.n {
-		return errors.New("sparse: ScaleSymInPlace length mismatch")
+		return errors.New("sparse: ScaleSym length mismatch")
 	}
 	for i := 0; i < m.n; i++ {
 		di := d[i]
@@ -261,28 +239,13 @@ func (m *CSR) ScaleSymInPlace(d []float64) error {
 // Dense materializes the matrix (tests and small problems only).
 func (m *CSR) Dense() *matrix.Dense {
 	out := matrix.NewDense(m.n, m.n)
-	m.DenseInto(out)
-	return out
-}
-
-// DenseInto scatters the matrix into dst, which must be n x n; every
-// entry of dst is overwritten (absent entries become 0), so pooled,
-// dirty buffers are fine. The solve engine uses it to densify a
-// high-fill thresholded Gram into the pooled sub-Gram scratch.
-func (m *CSR) DenseInto(dst *matrix.Dense) {
-	if dst.Rows() != m.n || dst.Cols() != m.n {
-		matrix.Panicf("sparse: DenseInto %dx%d for dimension %d", dst.Rows(), dst.Cols(), m.n)
-	}
-	data := dst.Data()
-	for i := range data {
-		data[i] = 0
-	}
 	for i := 0; i < m.n; i++ {
-		row := dst.Row(i)
+		row := out.Row(i)
 		for idx := m.rowPtr[i]; idx < m.rowPtr[i+1]; idx++ {
 			row[m.cols[idx]] = m.vals[idx]
 		}
 	}
+	return out
 }
 
 // Fill returns the stored-entry fraction nnz/n² — the quantity the

@@ -13,7 +13,10 @@ package spectral
 //	ni <= 96 or 3K >= ni                 dense-eigen       packed (+ n x n)
 //	larger, sparse mode off              dense-lanczos     packed
 //	sparse mode on, fill <= 0.35         sparse-lanczos    CSR (owned)
-//	sparse mode on, fill  > 0.35         dense-*           CSR densified n x n
+//
+// A sparse-mode bucket whose ε-cut keeps more than 0.35 of the entries,
+// or whose thresholded graph is degenerate, takes the exact packed solve
+// of the rows above it.
 //
 // "packed" is the sub-Gram's upper triangle in the caller's scratch
 // (kernel.SubGramPacked, n(n+1)/2 float64s); the normalized Laplacian
@@ -28,7 +31,7 @@ package spectral
 // kernel-embedded rows (embedded.go), d′ being the width budget of both
 // — and it takes precedence over the sparse attempt, since a bucket big
 // enough to embed never needs the ε-cut. With both modes off the engine
-// executes exactly the dense sequence of ClusterInPlace on the mirrored
+// executes exactly the dense sequence of Cluster on the mirrored
 // sub-Gram, on half the storage, so default configurations reproduce
 // byte-identical labels and eigenvalues. Every branch of the policy is
 // a deterministic function of the bucket's size, config, and measured
@@ -58,10 +61,10 @@ const (
 )
 
 // MaxSparseFill is the measured-fill ceiling for the CSR solver: above
-// it the thresholded matrix is densified into the pooled scratch
-// instead, since CSR row scans at ~8 bytes/entry stop paying for
-// themselves against the dense engine's 1x4 micro-tiled rows well
-// before the pattern is actually dense.
+// it the bucket takes the exact packed solve instead, since CSR row
+// scans at ~8 bytes/entry stop paying for themselves against the dense
+// engine's 1x4 micro-tiled rows well before the pattern is actually
+// dense.
 const MaxSparseFill = 0.35
 
 // EngineConfig configures one bucket solve.
@@ -111,8 +114,7 @@ type SolveStats struct {
 	Fill float64
 	// GramBytes is the similarity storage held during the solve: 8·nnz
 	// for the CSR path; for dense, the paper's 4·n², which the packed
-	// float64 triangle it solves on holds within 4·n (a densified CSR
-	// holds the full n x n, 8·n²).
+	// float64 triangle it solves on holds within 4·n.
 	GramBytes int64
 	// Nanos is the solve wall time, sub-Gram build included.
 	Nanos int64
@@ -130,8 +132,8 @@ func denseSolverName(n, k int) string {
 // ClusterBucket runs spectral clustering on the sub-Gram of the listed
 // rows, choosing the solver by the policy above. scratch is the
 // caller's pooled sub-Gram buffer (grown as needed, reused across
-// buckets): the packed triangle, the landmark cross block, the embedded
-// rows, or a densified CSR; the sparse path never touches it. The returned stats
+// buckets): the packed triangle, the landmark cross block or the
+// embedded rows; the sparse path never touches it. The returned stats
 // describe the solver choice, the similarity storage, and the wall
 // time; they are filled even when err != nil, so fallback paths can
 // still be accounted.
@@ -160,36 +162,14 @@ func ClusterBucket(points *matrix.Dense, indices []int, kf kernel.Kernel, cfg En
 	// solve with the full reduction anyway skip the emit entirely.
 	if cfg.SparseCutoff > 0 && cfg.Epsilon > 0 && ni >= cfg.SparseCutoff && linalg.UsesLanczos(ni, k) {
 		csr, err := kernel.SubGramSparse(points, indices, kf, cfg.Epsilon)
-		if err == nil {
-			stats.NNZ = int64(csr.NNZ())
-			stats.Fill = csr.Fill()
-			if stats.Fill <= MaxSparseFill {
-				res, serr := clusterCSR(csr, sCfg, true)
-				if serr == nil {
-					stats.Solver = SolverSparseLanczos
-					stats.GramBytes = csr.Bytes()
-					stats.Nanos = time.Since(start).Nanoseconds()
-					return res, stats, nil
-				}
-				// A degenerate thresholded graph (e.g. isolated rows)
-				// falls through to the exact dense solve below.
-			} else {
-				// The ε-cut kept too much: densify the thresholded
-				// matrix into the pooled scratch and solve dense.
-				if cap(*scratch) < ni*ni {
-					*scratch = make([]float64, ni*ni)
-				}
-				sub, derr := matrix.NewDenseData(ni, ni, (*scratch)[:ni*ni])
-				if derr == nil {
-					csr.DenseInto(sub)
-					res, cerr := ClusterInPlace(sub, sCfg)
-					if cerr == nil {
-						stats.Solver = denseSolverName(ni, k)
-						stats.GramBytes = kernel.GramBytes(ni)
-						stats.Nanos = time.Since(start).Nanoseconds()
-						return res, stats, nil
-					}
-				}
+		// An ε-cut that kept too much, or a degenerate thresholded
+		// graph (e.g. isolated rows), falls through to the exact solve.
+		if err == nil && csr.Fill() <= MaxSparseFill {
+			if res, err := ClusterSparse(csr, sCfg); err == nil {
+				stats.Solver = SolverSparseLanczos
+				stats.NNZ, stats.Fill, stats.GramBytes = int64(csr.NNZ()), csr.Fill(), csr.Bytes()
+				stats.Nanos = time.Since(start).Nanoseconds()
+				return res, stats, nil
 			}
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/kernel"
+	"repro/internal/matrix"
 )
 
 // TestClusterBucketDenseDefaultIdentical: with sparse mode off the
@@ -29,7 +30,7 @@ func TestClusterBucketDenseDefaultIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ClusterInPlace(sub, Config{K: 4, Seed: 9})
+	want, err := Cluster(sub, Config{K: 4, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestClusterBucketDenseDefaultIdentical(t *testing.T) {
 }
 
 // TestClusterBucketPackedMatchesInPlace: the engine's packed solve and
-// ClusterInPlace on the mirrored n x n sub-Gram share one normalization
+// Cluster on the mirrored n x n sub-Gram share one normalization
 // and one operator, so labels and eigenvalue bits agree on the Lanczos
 // route and on the dense-eigen route (small n, and 3K ≥ n), at
 // GOMAXPROCS 1 and 4 — and the engine's result does not depend on the
@@ -82,7 +83,7 @@ func TestClusterBucketPackedMatchesInPlace(t *testing.T) {
 		var first *Result
 		for _, procs := range []int{1, 4} {
 			prev := runtime.GOMAXPROCS(procs)
-			want, err := ClusterInPlace(kernel.SubGram(pts, indices, kf), Config{K: tc.k, Seed: 3})
+			want, err := Cluster(kernel.SubGram(pts, indices, kf), Config{K: tc.k, Seed: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -168,10 +169,11 @@ func TestClusterBucketSparsePath(t *testing.T) {
 	}
 }
 
-// TestClusterBucketHighFillDensifies: a wide bandwidth keeps nearly
-// every entry, so the engine densifies the thresholded CSR into the
-// pooled scratch and reports a dense solver with the measured fill.
-func TestClusterBucketHighFillDensifies(t *testing.T) {
+// TestClusterBucketHighFillSolvesPacked: a wide bandwidth keeps nearly
+// every entry of the ε-cut, so the sparse-mode bucket takes the exact
+// packed solve of sparse mode off: the same labels and eigenvalue bits,
+// Fill 1, and a scratch grown only to the packed triangle.
+func TestClusterBucketHighFillSolvesPacked(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	pts, _ := makeBlobs(rng, 4, 50, 6, 3, 0.4)
 	n := pts.Rows()
@@ -180,20 +182,35 @@ func TestClusterBucketHighFillDensifies(t *testing.T) {
 		indices[i] = i
 	}
 	kf := kernel.NewGaussian(20) // everything similar: fill ~ 1
-	var buf []float64
-	cfg := EngineConfig{K: 4, Seed: 5, SparseCutoff: 128, Epsilon: 1e-4}
-	_, stats, err := ClusterBucket(pts, indices, kf, cfg, &buf)
+	csr, err := kernel.SubGramSparse(pts, indices, kf, 1e-4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Solver != SolverDenseLanczos {
-		t.Fatalf("solver = %q", stats.Solver)
+	if csr.Fill() <= MaxSparseFill {
+		t.Fatalf("fixture ε-cut fill %v should exceed the sparse ceiling", csr.Fill())
 	}
-	if stats.Fill <= MaxSparseFill {
-		t.Fatalf("fill = %v should exceed the sparse ceiling", stats.Fill)
+	var offBuf, onBuf []float64
+	want, _, err := ClusterBucket(pts, indices, kf, EngineConfig{K: 4, Seed: 5}, &offBuf)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(buf) < n*n {
-		t.Fatal("densify must land in the pooled scratch")
+	got, stats, err := ClusterBucket(pts, indices, kf, EngineConfig{K: 4, Seed: 5, SparseCutoff: 128, Epsilon: 1e-4}, &onBuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Solver != SolverDenseLanczos || stats.Fill != 1 || stats.GramBytes != kernel.GramBytes(n) {
+		t.Fatalf("stats %+v, want the dense-lanczos solve at fill 1", stats)
+	}
+	if !reflect.DeepEqual(got.Labels, want.Labels) {
+		t.Fatal("labels differ from the sparse-off solve")
+	}
+	for i, v := range want.Eigenvalues {
+		if math.Float64bits(got.Eigenvalues[i]) != math.Float64bits(v) {
+			t.Fatalf("eigenvalue %d = %v, sparse off %v", i, got.Eigenvalues[i], v)
+		}
+	}
+	if cap(onBuf) != matrix.PackedLen(n) {
+		t.Fatalf("scratch grew to %d float64s, the packed triangle is %d", cap(onBuf), matrix.PackedLen(n))
 	}
 }
 

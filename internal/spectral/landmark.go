@@ -2,8 +2,9 @@ package spectral
 
 // This file is the landmark solve of the per-bucket engine: Nyström
 // spectral clustering inside one bucket (the landmark step of PAPERS.md
-// arXiv:2104.15042, the same algebra as baseline.NYST). m landmarks are
-// fitted to the bucket; the m×m landmark block W and the Ni×m cross
+// arXiv:2104.15042). Its algebra, ClusterLandmarkRows, is also the whole
+// of baseline.NYST, which feeds it sampled rows. m landmarks are fitted
+// to the bucket; the m×m landmark block W and the Ni×m cross
 // block C stand in for the Ni×Ni sub-Gram; W's top eigenpairs extend to
 // every row as degree-normalised Nyström eigenvectors, and k-means
 // clusters their normalised rows. The working set is the 8·Ni·m bytes
@@ -80,35 +81,30 @@ func (c EngineConfig) Landmarks(ni int) int {
 	return min(ni, max(landmarksPerCluster*c.K, budget/2))
 }
 
-// ClusterLandmarkRows runs the landmark solve on the rows of a bucket,
-// in bucket order: m landmarks L fitted by fitLandmarks, kernel blocks
-// W = k(L, L) and C = k(rows, L), the top
-// min(k, rank) eigenpairs of W extended to every row as
-// C·U·Λ⁻¹ / √(C·W⁺·Cᵀ1), row normalisation, and k-means at k seeded by
-// seed. C is built in *scratch (grown as needed) and the embedding
-// overwrites it in place. It is a pure function of (rows, kf, k, m,
-// seed): the labels do not depend on the scratch or on GOMAXPROCS.
-// A landmark block with fewer than min(k, 2) eigenvalues above 1e-12 —
-// a bucket of coincident rows, say, whose one-column embedding
-// normalises to a constant — is an error.
-func ClusterLandmarkRows(rows *matrix.Dense, kf kernel.Kernel, k, m int, seed int64, scratch *[]float64) (*Result, error) {
-	n := rows.Rows()
+// ClusterLandmarkRows is the Nyström algebra on given landmark rows L,
+// shared by the engine's landmark solve and baseline.NYST: kernel blocks
+// W = k(L, L) and C = k(rows, L), the top min(k, rank) eigenpairs of W
+// extended to every row as C·U·Λ⁻¹ / √(C·W⁺·Cᵀ1), row normalisation,
+// and k-means at k seeded by seed. C is built in *scratch (grown as
+// needed) and the embedding overwrites it in place. It is a pure
+// function of (rows, landmarks, kf, k, seed): the labels do not depend
+// on the scratch or on GOMAXPROCS. A landmark block with fewer than
+// min(k, 2) eigenvalues above 1e-12 — landmarks of coincident rows, say,
+// whose one-column embedding normalises to a constant — is an error.
+func ClusterLandmarkRows(rows, landmarks *matrix.Dense, kf kernel.Kernel, k int, seed int64, scratch *[]float64) (*Result, error) {
+	n, m := rows.Rows(), landmarks.Rows()
 	switch {
 	case k <= 0:
 		return nil, fmt.Errorf("%w: K=%d", ErrBadInput, k)
 	case n == 0:
 		return &Result{Labels: []int{}, Eigenvalues: []float64{}}, nil
-	case m < 1 || m > n:
-		return nil, fmt.Errorf("%w: %d landmarks for %d rows", ErrBadInput, m, n)
+	case m < 1 || m > n || landmarks.Cols() != rows.Cols():
+		return nil, fmt.Errorf("%w: %dx%d landmarks for %dx%d rows", ErrBadInput, m, landmarks.Cols(), n, rows.Cols())
 	}
 	k = min(k, n)
 
-	lm, err := fitLandmarks(rows, m, seed^landmarkSalt)
-	if err != nil {
-		return nil, err
-	}
 	w := matrix.NewDense(m, m)
-	if err := kernel.CrossGramInto(w, lm, lm, kf); err != nil {
+	if err := kernel.CrossGramInto(w, landmarks, landmarks, kf); err != nil {
 		return nil, err
 	}
 	if cap(*scratch) < n*m {
@@ -119,7 +115,7 @@ func ClusterLandmarkRows(rows *matrix.Dense, kf kernel.Kernel, k, m int, seed in
 	if err != nil {
 		return nil, err
 	}
-	if err := kernel.CrossGramInto(c, rows, lm, kf); err != nil {
+	if err := kernel.CrossGramInto(c, rows, landmarks, kf); err != nil {
 		return nil, err
 	}
 
@@ -226,9 +222,10 @@ func sampleRows(n, m int, seed int64) []int {
 }
 
 // clusterLandmark runs the landmark solve for the engine on m
-// landmarks. The bucket's rows are used in place when they are the
-// whole of points, and gathered otherwise. Errors are returned for the
-// caller's fallback, as the embedded solve's are.
+// landmarks fitted to the bucket by fitLandmarks. The bucket's rows are
+// used in place when they are the whole of points, and gathered
+// otherwise. Errors are returned for the caller's fallback, as the
+// embedded solve's are.
 func clusterLandmark(points *matrix.Dense, indices []int, kf kernel.Kernel, m int, cfg EngineConfig, scratch *[]float64) (*Result, SolveStats, error) {
 	start := time.Now()
 	ni := len(indices)
@@ -244,7 +241,11 @@ func clusterLandmark(points *matrix.Dense, indices []int, kf kernel.Kernel, m in
 		rows = matrix.NewDense(ni, points.Cols())
 		matrix.GatherRows(rows.Data(), points, indices)
 	}
-	res, err := ClusterLandmarkRows(rows, kf, cfg.K, m, cfg.Seed, scratch)
+	lm, err := fitLandmarks(rows, m, cfg.Seed^landmarkSalt)
+	var res *Result
+	if err == nil {
+		res, err = ClusterLandmarkRows(rows, lm, kf, cfg.K, cfg.Seed, scratch)
+	}
 	stats.Nanos = time.Since(start).Nanoseconds()
 	return res, stats, err
 }

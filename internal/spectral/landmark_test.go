@@ -92,7 +92,7 @@ func TestClusterBucketLandmarkPolicy(t *testing.T) {
 // TestClusterBucketLandmarkMatchesRows is
 // TestClusterBucketEmbeddedMatchesRowsHalf's twin: the engine's landmark
 // solve of a scattered bucket gives bitwise the labels and inertia of
-// ClusterLandmarkRows on the gathered rows, at GOMAXPROCS 1 and 4 (the
+// ClusterLandmarkRows on the gathered rows and their fitted landmarks, at GOMAXPROCS 1 and 4 (the
 // bucket is large enough for the cross block to fan out).
 func TestClusterBucketLandmarkMatchesRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
@@ -120,7 +120,12 @@ func TestClusterBucketLandmarkMatchesRows(t *testing.T) {
 			runtime.GOMAXPROCS(prev)
 			t.Fatal(err)
 		}
-		byHand, err := ClusterLandmarkRows(rows, kf, cfg.K, m, cfg.Seed, &rowsBuf)
+		lm, err := fitLandmarks(rows, m, cfg.Seed^landmarkSalt)
+		if err != nil {
+			runtime.GOMAXPROCS(prev)
+			t.Fatal(err)
+		}
+		byHand, err := ClusterLandmarkRows(rows, lm, kf, cfg.K, cfg.Seed, &rowsBuf)
 		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			t.Fatal(err)
@@ -149,7 +154,11 @@ func TestClusterLandmarkRowsCoincident(t *testing.T) {
 		copy(rows.Row(i), []float64{0.25, 0.5, 0.75, 1})
 	}
 	var buf []float64
-	_, err := ClusterLandmarkRows(rows, kernel.NewGaussian(1), 3, 32, 1, &buf)
+	lm, err := matrix.NewDenseData(32, 4, rows.Data()[:32*4])
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = ClusterLandmarkRows(rows, lm, kernel.NewGaussian(1), 3, 1, &buf)
 	if !errors.Is(err, errLandmarkRank) {
 		t.Fatalf("coincident rows: err = %v, want errLandmarkRank", err)
 	}
@@ -171,12 +180,12 @@ func TestClusterLandmarkRowsValidation(t *testing.T) {
 	var buf []float64
 	kf := kernel.NewGaussian(1)
 	rows := matrix.NewDense(10, 2)
-	for _, tc := range []struct{ k, m int }{{0, 4}, {2, 0}, {2, 11}} {
-		if _, err := ClusterLandmarkRows(rows, kf, tc.k, tc.m, 1, &buf); !errors.Is(err, ErrBadInput) {
-			t.Errorf("K=%d m=%d: err = %v, want ErrBadInput", tc.k, tc.m, err)
+	for _, tc := range []struct{ k, m, d int }{{0, 4, 2}, {2, 0, 2}, {2, 11, 2}, {2, 4, 3}} {
+		if _, err := ClusterLandmarkRows(rows, matrix.NewDense(tc.m, tc.d), kf, tc.k, 1, &buf); !errors.Is(err, ErrBadInput) {
+			t.Errorf("K=%d m=%d d=%d: err = %v, want ErrBadInput", tc.k, tc.m, tc.d, err)
 		}
 	}
-	res, err := ClusterLandmarkRows(matrix.NewDense(0, 2), kf, 2, 4, 1, &buf)
+	res, err := ClusterLandmarkRows(matrix.NewDense(0, 2), matrix.NewDense(4, 2), kf, 2, 1, &buf)
 	if err != nil || len(res.Labels) != 0 {
 		t.Fatalf("empty input: %v %v", res, err)
 	}

@@ -2,7 +2,6 @@ package spectral
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/kmeans"
 	"repro/internal/linalg"
@@ -14,17 +13,10 @@ import (
 // similarity graph: the normalized Laplacian is applied implicitly
 // through the CSR matrix, the top-K eigenvectors come from Lanczos, and
 // the row-normalized embedding is clustered with K-means. This is the
-// eigensolver path the PSC baseline and any user-supplied sparse
-// affinity share.
+// eigensolver path the PSC baseline, the per-bucket engine's sparse
+// solve and any user-supplied sparse affinity share. It consumes s: the
+// Laplacian scaling overwrites the stored similarities.
 func ClusterSparse(s *sparse.CSR, cfg Config) (*Result, error) {
-	return clusterCSR(s, cfg, false)
-}
-
-// clusterCSR is the shared sparse eigensolver path. owned callers (the
-// per-bucket solve engine, which built the CSR itself and drops it
-// afterwards) let the Laplacian scaling overwrite the stored
-// similarities instead of copying the matrix.
-func clusterCSR(s *sparse.CSR, cfg Config, owned bool) (*Result, error) {
 	n := s.N()
 	if cfg.K <= 0 {
 		return nil, fmt.Errorf("%w: K=%d", ErrBadInput, cfg.K)
@@ -44,28 +36,11 @@ func clusterCSR(s *sparse.CSR, cfg Config, owned bool) (*Result, error) {
 		return &Result{Labels: labels, Eigenvalues: make([]float64, k), Embedding: matrix.NewDense(n, k)}, nil
 	}
 
-	dInv := s.RowSums()
-	for i, v := range dInv {
-		if v > 0 {
-			dInv[i] = 1 / math.Sqrt(v)
-		} else {
-			dInv[i] = 0
-		}
-	}
-	lap := s
-	if owned {
-		if err := s.ScaleSymInPlace(dInv); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
-		}
-	} else {
-		var err error
-		lap, err = s.ScaleSym(dInv)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
-		}
+	if err := s.ScaleSym(matrix.InvSqrt(s.RowSums())); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
 	}
 	op := func(dst, src []float64) {
-		if err := lap.MulVec(dst, src); err != nil {
+		if err := s.MulVec(dst, src); err != nil {
 			// Lengths are fixed by construction; a mismatch here is a
 			// spectral-package bug, not a runtime condition.
 			matrix.Panicf("spectral: %v", err)

@@ -40,17 +40,12 @@ type Result struct {
 var ErrBadInput = errors.New("spectral: bad input")
 
 // Cluster runs spectral clustering on the symmetric similarity matrix
-// s, which is left untouched: ClusterInPlace on a copy.
+// s, which is left untouched. Only the upper triangle of s is read: a
+// copy is seen through a matrix.Sym view and overwritten with the
+// normalized Laplacian — the solve ClusterBucket runs on its packed
+// sub-Gram, bit for bit.
 func Cluster(s *matrix.Dense, cfg Config) (*Result, error) {
-	return ClusterInPlace(s.Clone(), cfg)
-}
-
-// ClusterInPlace is Cluster for callers that own s and do not need it
-// afterwards. Only the upper triangle of s is read: it is seen through a
-// matrix.Sym view and overwritten with the normalized Laplacian — the
-// solve ClusterBucket runs on its packed sub-Gram, bit for bit.
-func ClusterInPlace(s *matrix.Dense, cfg Config) (*Result, error) {
-	v, err := matrix.UpperSym(s)
+	v, err := matrix.UpperSym(s.Clone())
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
 	}
@@ -79,7 +74,7 @@ func clusterSym(v *matrix.Sym, cfg Config) (*Result, error) {
 		return &Result{Labels: labels, Eigenvalues: make([]float64, k), Embedding: matrix.NewDense(n, k)}, nil
 	}
 
-	v.ScaleSym(v.RowSums().InvSqrt())
+	v.ScaleSym(matrix.InvSqrt(v.RowSums()))
 	vals, vecs, err := topK(v, k)
 	if err != nil {
 		return nil, fmt.Errorf("spectral: eigendecomposition: %w", err)
@@ -112,15 +107,13 @@ func topK(v *matrix.Sym, k int) ([]float64, *matrix.Dense, error) {
 }
 
 // Laplacian computes the normalized Laplacian L = D^{-1/2} S D^{-1/2}
-// of Eq. 2, where D is the diagonal row-sum (degree) matrix of S.
+// of Eq. 2, where D is the diagonal row-sum (degree) matrix of S. S is
+// left untouched and, as in Cluster, only its upper triangle is read.
 func Laplacian(s *matrix.Dense) (*matrix.Dense, error) {
-	deg, err := matrix.RowSums(s)
+	v, err := matrix.UpperSym(s.Clone())
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
 	}
-	lap, err := deg.InvSqrt().ScaleSym(s)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
-	}
-	return lap, nil
+	v.ScaleSym(matrix.InvSqrt(v.RowSums()))
+	return v.Dense(), nil
 }

@@ -162,9 +162,13 @@ func TestLaplacianProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	pts, _ := makeBlobs(rng, 2, 10, 2, 3, 0.3)
 	s := kernel.Gram(pts, kernel.Gaussian(1))
+	before := s.Clone()
 	lap, err := Laplacian(s)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !matrix.Equal(s, before, 0) {
+		t.Fatal("Laplacian must not mutate its argument")
 	}
 	if !lap.IsSymmetric(1e-10) {
 		t.Fatal("Laplacian must be symmetric")
@@ -174,6 +178,56 @@ func TestLaplacianProperties(t *testing.T) {
 	}
 	if _, err := Laplacian(matrix.NewDense(2, 3)); err == nil {
 		t.Fatal("expected error for non-square")
+	}
+}
+
+// TestLaplacianMatchesFullLoop: on symmetric Gaussian Grams, one in five
+// with an isolated row, the upper-triangle Laplacian is bit for bit the
+// plain loop over the full matrix — full row sums, d_i^{-1/2} (0 for a
+// zero degree), s_ij·(d_i·d_j).
+func TestLaplacianMatchesFullLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 50; trial++ {
+		n := 2 + rng.Intn(299)
+		pts := matrix.NewDense(n, 5)
+		for i := range pts.Data() {
+			pts.Data()[i] = rng.NormFloat64()
+		}
+		s := kernel.Gram(pts, kernel.NewGaussian(0.5+rng.Float64()))
+		if trial%5 == 0 {
+			iso := rng.Intn(n)
+			for j := 0; j < n; j++ {
+				s.Set(iso, j, 0)
+				s.Set(j, iso, 0)
+			}
+		}
+		want := s.Clone()
+		d := make([]float64, n)
+		for i := range d {
+			for _, v := range want.Row(i) {
+				d[i] += v
+			}
+			if d[i] > 0 {
+				d[i] = 1 / math.Sqrt(d[i])
+			} else {
+				d[i] = 0
+			}
+		}
+		for i := range d {
+			row := want.Row(i)
+			for j := range row {
+				row[j] *= d[i] * d[j]
+			}
+		}
+		got, err := Laplacian(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range want.Data() {
+			if math.Float64bits(got.Data()[i]) != math.Float64bits(v) {
+				t.Fatalf("trial %d (n=%d): entry %d = %v, full loop %v", trial, n, i, got.Data()[i], v)
+			}
+		}
 	}
 }
 
