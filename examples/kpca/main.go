@@ -37,8 +37,11 @@ func main() {
 	}
 	kf := kernel.Gaussian(1.2)
 
-	// Full kernel PCA.
-	gram := kernel.GramWithDiagonal(pts, kf)
+	// Full kernel PCA, on the upper triangle of the whole Gram matrix.
+	gram, err := matrix.UpperSym(kernel.GramWithDiagonal(pts, kf))
+	if err != nil {
+		log.Fatal(err)
+	}
 	res, err := kernelml.KernelPCA(gram, 2)
 	if err != nil {
 		log.Fatal(err)

@@ -93,7 +93,7 @@ func TuneM(points *matrix.Dense, cfg Config, minFnormRatio float64, samplePairs 
 		if err != nil {
 			return 0, nil, err
 		}
-		part := ens.PartitionPoints(points, radius)
+		part := lsh.PartitionWith(ens, points, radius)
 		bucketOf := make([]int, n)
 		for bi, b := range part.Buckets {
 			for _, idx := range b.Indices {

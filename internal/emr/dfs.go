@@ -18,7 +18,7 @@ type DFS struct {
 
 // NewDFS creates a DFS over the cluster's nodes using its configured
 // replication factor.
-func (c *Cluster) NewDFS(seed int64) *DFS {
+func (c *Cluster) NewDFS() *DFS {
 	r := c.Config.ReplicationFactor
 	if r < 1 {
 		r = 1
@@ -52,119 +52,16 @@ func (d *DFS) Place(splitID string, seed int64) []int {
 // Holders returns the nodes storing splitID (nil when never placed).
 func (d *DFS) Holders(splitID string) []int { return d.placement[splitID] }
 
-// LocalTask couples a task with the input split it reads.
-type LocalTask struct {
-	Task
-	// SplitID names the DFS split the task reads; empty means no input
-	// affinity (e.g. a reducer reading shuffled data).
-	SplitID string
-	// InputBytes is the split size charged to the network when the
-	// task runs on a node without a replica.
-	InputBytes int64
-}
-
-// LocalitySchedule extends Schedule with data-locality accounting.
-type LocalitySchedule struct {
-	Schedule
-	// LocalTasks ran on a node holding their input split.
-	LocalTasks int
-	// RemoteTasks had to read their split over the network.
-	RemoteTasks int
-	// NetworkBytes is the traffic caused by remote reads.
-	NetworkBytes int64
-}
-
-// ScheduleLocal places tasks LPT like ScheduleTasks, but when several
-// slots tie within `slack` seconds of the least-loaded one, it prefers
-// a slot on a node that holds the task's split. Remote placements are
-// charged the split's bytes to the network counter.
-func (c *Cluster) ScheduleLocal(tasks []LocalTask, dfs *DFS, slack float64) (*LocalitySchedule, error) {
+// ScheduleLocal places tasks LPT like ScheduleTasks, but a task with
+// a SplitID goes to a slot on a node that holds its split when one is
+// within slack seconds of the least-loaded slot; a remote placement is
+// charged the task's InputBytes on the network counter.
+func (c *Cluster) ScheduleLocal(tasks []Task, dfs *DFS, slack float64) (*Schedule, error) {
 	if dfs == nil {
 		return nil, fmt.Errorf("emr: ScheduleLocal needs a DFS")
 	}
 	if slack < 0 {
 		return nil, fmt.Errorf("emr: negative slack %v", slack)
 	}
-	slots := c.Slots()
-	perNode := slots / c.Nodes
-	out := &LocalitySchedule{}
-	out.SlotBusy = make([]float64, slots)
-	out.NodeBusy = make([]float64, c.Nodes)
-	out.Assignments = make([]int, len(tasks))
-
-	order := make([]int, len(tasks))
-	for i := range order {
-		order[i] = i
-	}
-	// LPT order.
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && tasks[order[j]].Cost > tasks[order[j-1]].Cost; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-
-	slotPeak := make([]int64, slots)
-	for _, t := range order {
-		task := tasks[t]
-		// Least-loaded slot overall.
-		best := 0
-		for s := 1; s < slots; s++ {
-			if out.SlotBusy[s] < out.SlotBusy[best] {
-				best = s
-			}
-		}
-		chosen := best
-		local := false
-		if task.SplitID != "" {
-			holders := dfs.Holders(task.SplitID)
-			// Least-loaded slot on a holder node within the slack.
-			bestLocal, found := -1, false
-			for _, node := range holders {
-				for s := node * perNode; s < (node+1)*perNode; s++ {
-					if !found || out.SlotBusy[s] < out.SlotBusy[bestLocal] {
-						bestLocal, found = s, true
-					}
-				}
-			}
-			if found && out.SlotBusy[bestLocal] <= out.SlotBusy[best]+slack {
-				chosen = bestLocal
-				local = true
-			}
-		}
-		out.SlotBusy[chosen] += task.Cost
-		out.Assignments[t] = chosen
-		out.TotalMemory += task.MemoryBytes
-		if task.MemoryBytes > slotPeak[chosen] {
-			slotPeak[chosen] = task.MemoryBytes
-		}
-		if task.SplitID == "" {
-			// No affinity: counts as neither local nor remote.
-			continue
-		}
-		if local {
-			out.LocalTasks++
-		} else {
-			out.RemoteTasks++
-			out.NetworkBytes += task.InputBytes
-		}
-	}
-	for s, busy := range out.SlotBusy {
-		node := s / perNode
-		out.NodeBusy[node] += busy
-		if busy > out.Makespan {
-			out.Makespan = busy
-		}
-	}
-	var nodeMem int64
-	for n := 0; n < c.Nodes; n++ {
-		var sum int64
-		for s := n * perNode; s < (n+1)*perNode; s++ {
-			sum += slotPeak[s]
-		}
-		if sum > nodeMem {
-			nodeMem = sum
-		}
-	}
-	out.PeakNodeMemory = nodeMem
-	return out, nil
+	return c.schedule(tasks, dfs, slack), nil
 }

@@ -8,7 +8,7 @@ import (
 
 func TestDFSPlacement(t *testing.T) {
 	c, _ := NewCluster(8)
-	dfs := c.NewDFS(1)
+	dfs := c.NewDFS()
 	nodes := dfs.Place("split-0", 1)
 	if len(nodes) != 3 { // Table 2 replication factor
 		t.Fatalf("replicas = %d, want 3", len(nodes))
@@ -34,7 +34,7 @@ func TestDFSPlacement(t *testing.T) {
 
 func TestDFSReplicationClamped(t *testing.T) {
 	c, _ := NewCluster(2) // fewer nodes than replication factor 3
-	dfs := c.NewDFS(1)
+	dfs := c.NewDFS()
 	if got := len(dfs.Place("s", 1)); got != 2 {
 		t.Fatalf("replicas = %d, want 2", got)
 	}
@@ -42,16 +42,12 @@ func TestDFSReplicationClamped(t *testing.T) {
 
 func TestScheduleLocalPrefersHolders(t *testing.T) {
 	c, _ := NewCluster(4)
-	dfs := c.NewDFS(1)
-	var tasks []LocalTask
+	dfs := c.NewDFS()
+	var tasks []Task
 	for i := 0; i < 32; i++ {
 		id := fmt.Sprintf("split-%d", i)
 		dfs.Place(id, int64(i))
-		tasks = append(tasks, LocalTask{
-			Task:       Task{Name: id, Cost: 1, MemoryBytes: 10},
-			SplitID:    id,
-			InputBytes: 1000,
-		})
+		tasks = append(tasks, Task{Name: id, Cost: 1, MemoryBytes: 10, SplitID: id, InputBytes: 1000})
 	}
 	// Generous slack: everything can be placed locally.
 	sched, err := c.ScheduleLocal(tasks, dfs, 10)
@@ -78,35 +74,23 @@ func TestScheduleLocalPrefersHolders(t *testing.T) {
 	if strict.NetworkBytes != int64(strict.RemoteTasks)*1000 {
 		t.Fatalf("network bytes %d for %d remote tasks", strict.NetworkBytes, strict.RemoteTasks)
 	}
-	plain := c.ScheduleTasks(toPlain(tasks))
+	plain := c.ScheduleTasks(tasks)
 	if strict.Makespan > plain.Makespan+1e-9 {
 		t.Fatalf("zero-slack locality hurt makespan: %v vs %v", strict.Makespan, plain.Makespan)
 	}
-}
-
-func toPlain(tasks []LocalTask) []Task {
-	out := make([]Task, len(tasks))
-	for i, t := range tasks {
-		out[i] = t.Task
-	}
-	return out
 }
 
 func TestScheduleLocalSlackTradeoff(t *testing.T) {
 	// With a modest slack, locality improves markedly versus zero slack
 	// at bounded makespan cost.
 	c, _ := NewCluster(8)
-	dfs := c.NewDFS(2)
+	dfs := c.NewDFS()
 	rng := rand.New(rand.NewSource(3))
-	var tasks []LocalTask
+	var tasks []Task
 	for i := 0; i < 200; i++ {
 		id := fmt.Sprintf("s%d", i)
 		dfs.Place(id, int64(i))
-		tasks = append(tasks, LocalTask{
-			Task:       Task{Cost: 0.5 + rng.Float64(), MemoryBytes: 5},
-			SplitID:    id,
-			InputBytes: 100,
-		})
+		tasks = append(tasks, Task{Cost: 0.5 + rng.Float64(), MemoryBytes: 5, SplitID: id, InputBytes: 100})
 	}
 	strict, err := c.ScheduleLocal(tasks, dfs, 0)
 	if err != nil {
@@ -126,11 +110,8 @@ func TestScheduleLocalSlackTradeoff(t *testing.T) {
 
 func TestScheduleLocalNoAffinityTasks(t *testing.T) {
 	c, _ := NewCluster(2)
-	dfs := c.NewDFS(1)
-	tasks := []LocalTask{
-		{Task: Task{Cost: 1}},
-		{Task: Task{Cost: 1}},
-	}
+	dfs := c.NewDFS()
+	tasks := []Task{{Cost: 1}, {Cost: 1}}
 	sched, err := c.ScheduleLocal(tasks, dfs, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +126,28 @@ func TestScheduleLocalValidation(t *testing.T) {
 	if _, err := c.ScheduleLocal(nil, nil, 0); err == nil {
 		t.Fatal("expected nil-DFS error")
 	}
-	if _, err := c.ScheduleLocal(nil, c.NewDFS(1), -1); err == nil {
+	if _, err := c.ScheduleLocal(nil, c.NewDFS(), -1); err == nil {
 		t.Fatal("expected negative-slack error")
+	}
+}
+
+// TestScheduleLocalWithoutAffinityIsScheduleTasks: tasks with no split
+// get plain LPT from ScheduleLocal, whatever the slack.
+func TestScheduleLocalWithoutAffinityIsScheduleTasks(t *testing.T) {
+	c, _ := NewCluster(4)
+	rng := rand.New(rand.NewSource(5))
+	tasks := make([]Task, 100)
+	for i := range tasks {
+		tasks[i] = Task{Cost: rng.Float64(), MemoryBytes: rng.Int63n(1000), DiskBytes: rng.Int63n(1000)}
+	}
+	want := c.ScheduleTasks(tasks)
+	for _, slack := range []float64{0, 0.5} {
+		got, err := c.ScheduleLocal(tasks, c.NewDFS(), slack)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *got != *want {
+			t.Fatalf("slack %v: ScheduleLocal %+v, ScheduleTasks %+v", slack, *got, *want)
+		}
 	}
 }

@@ -8,7 +8,6 @@
 package emr
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -59,6 +58,13 @@ type Task struct {
 	// corresponding transfer time into Cost; the scheduler aggregates
 	// the bytes so reports can separate I/O volume from compute.
 	DiskBytes int64
+	// SplitID names the DFS split the task reads; empty means no input
+	// affinity (e.g. a reducer reading shuffled data). Only ScheduleLocal
+	// reads it.
+	SplitID string
+	// InputBytes is the split size ScheduleLocal charges to the network
+	// when it places the task on a node without a replica.
+	InputBytes int64
 }
 
 // Cluster is a simulated elastic cluster.
@@ -92,12 +98,6 @@ type Schedule struct {
 	// Makespan is the simulated wall-clock seconds until the last slot
 	// finishes.
 	Makespan float64
-	// SlotBusy[i] is the total busy time of slot i.
-	SlotBusy []float64
-	// NodeBusy[i] aggregates the busy time of node i's slots.
-	NodeBusy []float64
-	// Assignments[t] is the slot index task t ran on.
-	Assignments []int
 	// PeakNodeMemory is the largest simulated concurrent memory
 	// footprint of any node: the sum of its slots' biggest tasks.
 	PeakNodeMemory int64
@@ -107,63 +107,80 @@ type Schedule struct {
 	// TotalDiskBytes sums every task's local-disk traffic (spill and
 	// shard I/O).
 	TotalDiskBytes int64
+	// LocalTasks ran on a node holding their input split, RemoteTasks
+	// read it over the network, and NetworkBytes is the traffic of those
+	// remote reads. Only ScheduleLocal counts them, and only for tasks
+	// with a SplitID.
+	LocalTasks   int
+	RemoteTasks  int
+	NetworkBytes int64
 }
 
 // ScheduleTasks places tasks with the classic LPT (longest processing
 // time first) greedy: sort by descending cost, assign each to the
 // least-loaded slot. LPT is within 4/3 of the optimal makespan, which
 // is accurate enough to study scaling shape.
-func (c *Cluster) ScheduleTasks(tasks []Task) *Schedule {
+func (c *Cluster) ScheduleTasks(tasks []Task) *Schedule { return c.schedule(tasks, nil, 0) }
+
+// schedule is the one LPT loop. With a DFS, a task with a SplitID goes
+// to the least-loaded slot on a node holding a replica of its split
+// when that slot is within slack seconds of the least-loaded slot
+// overall, and is counted local; otherwise it is counted remote.
+func (c *Cluster) schedule(tasks []Task, dfs *DFS, slack float64) *Schedule {
 	slots := c.Slots()
-	sched := &Schedule{
-		SlotBusy:    make([]float64, slots),
-		NodeBusy:    make([]float64, c.Nodes),
-		Assignments: make([]int, len(tasks)),
-	}
+	perNode := slots / c.Nodes
+	sched := &Schedule{}
 	order := make([]int, len(tasks))
 	for i := range order {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool { return tasks[order[a]].Cost > tasks[order[b]].Cost })
 
+	busy := make([]float64, slots)
 	// slotPeak[s] tracks the largest single task on each slot: slots run
 	// tasks sequentially, so a slot's concurrent footprint is its
 	// largest task.
 	slotPeak := make([]int64, slots)
 	for _, t := range order {
+		task := tasks[t]
 		best := 0
 		for s := 1; s < slots; s++ {
-			if sched.SlotBusy[s] < sched.SlotBusy[best] {
+			if busy[s] < busy[best] {
 				best = s
 			}
 		}
-		sched.SlotBusy[best] += tasks[t].Cost
-		sched.Assignments[t] = best
-		if tasks[t].MemoryBytes > slotPeak[best] {
-			slotPeak[best] = tasks[t].MemoryBytes
+		if dfs != nil && task.SplitID != "" {
+			local := -1
+			for _, node := range dfs.Holders(task.SplitID) {
+				for s := node * perNode; s < (node+1)*perNode; s++ {
+					if local < 0 || busy[s] < busy[local] {
+						local = s
+					}
+				}
+			}
+			if local >= 0 && busy[local] <= busy[best]+slack {
+				best = local
+				sched.LocalTasks++
+			} else {
+				sched.RemoteTasks++
+				sched.NetworkBytes += task.InputBytes
+			}
 		}
-		sched.TotalMemory += tasks[t].MemoryBytes
-		sched.TotalDiskBytes += tasks[t].DiskBytes
+		busy[best] += task.Cost
+		slotPeak[best] = max(slotPeak[best], task.MemoryBytes)
+		sched.TotalMemory += task.MemoryBytes
+		sched.TotalDiskBytes += task.DiskBytes
 	}
-	perNode := slots / c.Nodes
-	for s, busy := range sched.SlotBusy {
-		node := s / perNode
-		sched.NodeBusy[node] += busy
-		if busy > sched.Makespan {
-			sched.Makespan = busy
-		}
+	for _, b := range busy {
+		sched.Makespan = max(sched.Makespan, b)
 	}
-	var nodeMem int64
 	for n := 0; n < c.Nodes; n++ {
 		var sum int64
-		for s := n * perNode; s < (n+1)*perNode; s++ {
-			sum += slotPeak[s]
+		for _, peak := range slotPeak[n*perNode : (n+1)*perNode] {
+			sum += peak
 		}
-		if sum > nodeMem {
-			nodeMem = sum
-		}
+		sched.PeakNodeMemory = max(sched.PeakNodeMemory, sum)
 	}
-	sched.PeakNodeMemory = nodeMem
 	return sched
 }
 
@@ -205,21 +222,11 @@ type FlowReport struct {
 // RunJobFlow executes the steps sequentially (steps have a barrier
 // between them, as EMR steps do) and aggregates the reports.
 func (c *Cluster) RunJobFlow(flow *JobFlow) (*FlowReport, error) {
-	return c.RunJobFlowContext(context.Background(), flow)
-}
-
-// RunJobFlowContext is RunJobFlow with cancellation: the context is
-// checked at each step barrier, so a cancel abandons the remaining
-// steps (mirroring terminating an EMR job flow between steps).
-func (c *Cluster) RunJobFlowContext(ctx context.Context, flow *JobFlow) (*FlowReport, error) {
 	if flow == nil || len(flow.Steps) == 0 {
 		return nil, errors.New("emr: empty job flow")
 	}
 	rep := &FlowReport{Cluster: c.Nodes}
 	for _, step := range flow.Steps {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("emr: job flow %q at step %q: %w", flow.Name, step.Name, err)
-		}
 		s := c.ScheduleTasks(step.Tasks)
 		rep.Steps = append(rep.Steps, StepReport{
 			Name:     step.Name,
@@ -228,12 +235,8 @@ func (c *Cluster) RunJobFlowContext(ctx context.Context, flow *JobFlow) (*FlowRe
 			Schedule: s,
 		})
 		rep.TotalTime += s.Makespan
-		if s.PeakNodeMemory > rep.PeakNodeMemory {
-			rep.PeakNodeMemory = s.PeakNodeMemory
-		}
-		if s.TotalMemory > rep.TotalMemory {
-			rep.TotalMemory = s.TotalMemory
-		}
+		rep.PeakNodeMemory = max(rep.PeakNodeMemory, s.PeakNodeMemory)
+		rep.TotalMemory = max(rep.TotalMemory, s.TotalMemory)
 		rep.TotalDiskBytes += s.TotalDiskBytes
 	}
 	return rep, nil

@@ -34,7 +34,7 @@ func Figure2Measured(scale Scale) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			part := h.Partition(l.Points, 1)
+			part := lsh.PartitionWith(h, l.Points, 1)
 			bucketOf := make([]int, n)
 			for bi, b := range part.Buckets {
 				for _, idx := range b.Indices {

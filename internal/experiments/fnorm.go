@@ -43,7 +43,7 @@ func Figure5(scale Scale) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			part := h.Partition(l.Points, 1)
+			part := lsh.PartitionWith(h, l.Points, 1)
 			approxSq := approxGramNormSq(l.Points, part, kf)
 			ratio := 0.0
 			if fullSq > 0 {

@@ -33,16 +33,14 @@ func Locality(scale Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		dfs := cluster.NewDFS(1)
-		var tasks []emr.LocalTask
+		dfs := cluster.NewDFS()
+		var tasks []emr.Task
 		for s := 0; s*splitSize < n; s++ {
 			id := fmt.Sprintf("split-%d", s)
 			dfs.Place(id, int64(s))
-			tasks = append(tasks, emr.LocalTask{
-				Task: emr.Task{
-					Name: id,
-					Cost: beta * float64(m) * splitSize,
-				},
+			tasks = append(tasks, emr.Task{
+				Name:       id,
+				Cost:       beta * float64(m) * splitSize,
 				SplitID:    id,
 				InputBytes: splitSize * bytesPerPoint,
 			})

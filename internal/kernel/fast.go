@@ -1,9 +1,9 @@
 package kernel
 
-// This file is the vectorized Gram compute engine. Gram, SubGram,
-// SubGramPacked and ApproxGram all funnel into symGramInto, one
-// block-pair loop over the upper triangle that writes through a
-// matrix.Sym view and dispatches on the kernel's dynamic type:
+// This file is the vectorized Gram compute engine. Gram, SubGram and
+// SubGramPacked all funnel into symGramInto, one block-pair loop over
+// the upper triangle that writes through a matrix.Sym view and
+// dispatches on the kernel's dynamic type:
 //
 //   - the recognized kernel (*GaussianKernel) takes the blocked fast
 //     path: squared row norms are precomputed once, bucket rows are

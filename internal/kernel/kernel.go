@@ -12,8 +12,6 @@
 package kernel
 
 import (
-	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -146,36 +144,6 @@ func SubGramPacked(points *matrix.Dense, indices []int, k Kernel, scratch *[]flo
 	}
 	symGramInto(sub, points, indices, k)
 	return sub, nil
-}
-
-// ErrIndexRange reports a bucket index outside the dataset.
-var ErrIndexRange = errors.New("kernel: bucket index out of range")
-
-// ApproxGram assembles the full-size N x N block-diagonal approximation
-// of the Gram matrix implied by a bucket partition: similarities are
-// computed only within buckets and cross-bucket entries stay zero. It
-// exists for the Frobenius-norm comparison of Figure 5; the production
-// DASC path never materializes it.
-func ApproxGram(points *matrix.Dense, buckets [][]int, k Kernel) (*matrix.Dense, error) {
-	n := points.Rows()
-	s := matrix.NewDense(n, n)
-	for _, idxs := range buckets {
-		for _, i := range idxs {
-			if i < 0 || i >= n {
-				return nil, fmt.Errorf("%w: %d with N=%d", ErrIndexRange, i, n)
-			}
-		}
-		sub := SubGram(points, idxs, k)
-		for a, ia := range idxs {
-			row := sub.Row(a)
-			for b := a + 1; b < len(idxs); b++ {
-				v := row[b]
-				s.Set(ia, idxs[b], v)
-				s.Set(idxs[b], ia, v)
-			}
-		}
-	}
-	return s, nil
 }
 
 // GramBytes returns the paper's Eq. 12 storage figure for an N x N Gram

@@ -28,8 +28,9 @@ import (
 // SubGramPooled builds the dense sub-Gram of the listed rows inside
 // *scratch (grown as needed and reused across calls) and optionally
 // completes the diagonal with the true self-similarities k(x,x) that
-// SVM and kernel PCA require; spectral clustering keeps the
-// zero-diagonal convention. The returned matrix aliases *scratch.
+// SVM requires; kernel k-means keeps the zero-diagonal convention. Its
+// callers, bucketed kernel k-means and SMO, scan whole rows. The
+// returned matrix aliases *scratch.
 func SubGramPooled(points *matrix.Dense, indices []int, k Kernel, scratch *[]float64, withDiagonal bool) (*matrix.Dense, error) {
 	ni := len(indices)
 	if cap(*scratch) < ni*ni {

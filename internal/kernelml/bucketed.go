@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/lsh"
 	"repro/internal/matrix"
@@ -19,13 +20,16 @@ import (
 // lsh.EachBucket in LPT order (largest bucket first — solve cost grows
 // like Ni^2 and beyond), the loop internal/core runs its buckets on;
 // global label offsets are prefix-summed up front so the parallel result
-// is identical to sequential execution. Sub-Grams are built in the
-// loop's pooled per-goroutine scratch by kernel.SubGramPooled, the n x n
-// form of the fill the spectral engine runs packed.
+// is identical to sequential execution; each bucket's share of the
+// global K is core.BucketK, the DASC drivers' rule. Sub-Grams are built
+// in reused scratch: packed by kernel.SubGramPacked for PCA, which reads
+// only the upper triangle, and n x n by kernel.SubGramPooled for k-means
+// and SMO, which scan whole rows (on the packed triangle with gathered
+// rows they ran 1.5–3.4x slower).
 
 // BucketedKernelKMeans runs kernel k-means inside every bucket of the
-// partition, allocating the global cluster budget k proportionally.
-// Returned labels are globally unique across buckets.
+// partition, allocating the global cluster budget k proportionally
+// (core.BucketK). Returned labels are globally unique across buckets.
 func BucketedKernelKMeans(points *matrix.Dense, part *lsh.Partition, kf kernel.Kernel, k int, seed int64) ([]int, int, error) {
 	n := points.Rows()
 	if k < 1 || k > n {
@@ -38,14 +42,9 @@ func BucketedKernelKMeans(points *matrix.Dense, part *lsh.Partition, kf kernel.K
 	offsets := make([]int, len(part.Buckets))
 	total := 0
 	for bi, b := range part.Buckets {
-		ni := len(b.Indices)
-		ki := proportionalK(k, ni, n)
-		if ki >= ni {
-			ki = ni
-		}
+		counts[bi] = core.BucketK(k, len(b.Indices), n)
 		offsets[bi] = total
-		counts[bi] = ki
-		total += ki
+		total += counts[bi]
 	}
 	labels := make([]int, n)
 	err := lsh.EachBucket(context.Background(), part.LPTOrder(), func(bi int, scratch *[]float64) error {
@@ -91,9 +90,12 @@ func BucketedKernelPCA(points *matrix.Dense, part *lsh.Partition, kf kernel.Kern
 		if len(b.Indices) == 1 {
 			return nil // a singleton has no variance to decompose
 		}
-		sub, err := kernel.SubGramPooled(points, b.Indices, kf, scratch, true)
+		sub, err := kernel.SubGramPacked(points, b.Indices, kf, scratch)
 		if err != nil {
 			return err
+		}
+		for i, idx := range b.Indices {
+			sub.Row(i)[0] = kf.Eval(points.Row(idx), points.Row(idx))
 		}
 		res, err := KernelPCA(sub, k)
 		if err != nil {
@@ -131,8 +133,8 @@ type bucketModel struct {
 }
 
 // TrainBucketedSVM trains the per-bucket ensemble. y must be -1/+1 per
-// training point. Buckets whose labels are single-class get a trivial
-// constant model (SVM with no support vectors and bias = the class).
+// training point. Buckets whose labels are single-class get TrainSVM's
+// constant model without building their sub-Gram.
 // Training is sequential — the ensemble's signature list is
 // order-dependent — and one sub-Gram scratch buffer is reused across
 // all buckets. No training points is ErrEmptyGram, as for TrainSVM.
@@ -155,25 +157,11 @@ func TrainBucketedSVM(points *matrix.Dense, y []int, family lsh.Family, kf kerne
 	for _, b := range part.Buckets {
 		ens.signatures = append(ens.signatures, b.Signature)
 		subY := make([]int, len(b.Indices))
-		pos, neg := 0, 0
 		for i, idx := range b.Indices {
 			subY[i] = y[idx]
-			if y[idx] > 0 {
-				pos++
-			} else {
-				neg++
-			}
 		}
-		if pos == 0 || neg == 0 {
-			// Single-class bucket: constant decision.
-			bias := 1.0
-			if pos == 0 {
-				bias = -1
-			}
-			ens.models[b.Signature] = &bucketModel{
-				svm:     &SVM{Alpha: map[int]float64{}, B: bias, Labels: subY},
-				indices: b.Indices,
-			}
+		if m := constantModel(subY); m != nil {
+			ens.models[b.Signature] = &bucketModel{svm: m, indices: b.Indices}
 			continue
 		}
 		sub, err := kernel.SubGramPooled(points, b.Indices, kf, &scratch, true)
@@ -218,18 +206,3 @@ func (e *BucketedSVM) Predict(x []float64) int {
 
 // Buckets returns the number of per-bucket models.
 func (e *BucketedSVM) Buckets() int { return len(e.models) }
-
-// proportionalK mirrors core.BucketK. Importing core would not be a
-// cycle (core does not import kernelml); the four lines are kept here so
-// that kernelml depends on the LSH front-end only, not on the DASC
-// drivers.
-func proportionalK(k, ni, n int) int {
-	ki := (k*ni + n/2) / n
-	if ki < 1 {
-		ki = 1
-	}
-	if ki > ni {
-		ki = ni
-	}
-	return ki
-}

@@ -74,8 +74,7 @@ func TestKernelKMeansDeterministic(t *testing.T) {
 
 func TestKernelPCASeparatesBlobsInOneComponent(t *testing.T) {
 	l := blobs(t, 80, 6, 2, 0.02, 4)
-	gram := kernel.GramWithDiagonal(l.Points, kernel.Gaussian(1))
-	res, err := KernelPCA(gram, 2)
+	res, err := KernelPCA(upper(t, kernel.GramWithDiagonal(l.Points, kernel.Gaussian(1))), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,19 +105,26 @@ func TestKernelPCASeparatesBlobsInOneComponent(t *testing.T) {
 	}
 }
 
-func TestKernelPCAValidation(t *testing.T) {
-	if _, err := KernelPCA(matrix.NewDense(2, 3), 1); err == nil {
-		t.Fatal("expected error for non-square")
+// upper views the upper triangle of the square matrix m.
+func upper(t *testing.T, m *matrix.Dense) *matrix.Sym {
+	t.Helper()
+	v, err := matrix.UpperSym(m)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := KernelPCA(matrix.NewDense(0, 0), 1); err == nil {
+	return v
+}
+
+func TestKernelPCAValidation(t *testing.T) {
+	if _, err := KernelPCA(upper(t, matrix.NewDense(0, 0)), 1); err == nil {
 		t.Fatal("expected error for empty")
 	}
-	if _, err := KernelPCA(matrix.NewDense(3, 3), 0); err == nil {
+	if _, err := KernelPCA(upper(t, matrix.NewDense(3, 3)), 0); err == nil {
 		t.Fatal("expected error for k=0")
 	}
 	// k > n clamps.
 	g := kernel.GramWithDiagonal(blobs(t, 5, 2, 2, 0.05, 5).Points, kernel.Gaussian(1))
-	res, err := KernelPCA(g, 10)
+	res, err := KernelPCA(upper(t, g), 10)
 	if err != nil || res.Projections.Cols() != 5 {
 		t.Fatalf("clamp: %v %v", res, err)
 	}
@@ -127,22 +133,19 @@ func TestKernelPCAValidation(t *testing.T) {
 func TestCenterGramZeroRowMeans(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	n := 12
-	g := matrix.NewDense(n, n)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			v := rng.Float64()
-			g.Set(i, j, v)
-			g.Set(j, i, v)
-		}
+	packed := make([]float64, matrix.PackedLen(n))
+	for i := range packed {
+		packed[i] = rng.Float64()
 	}
-	c := centerGram(g)
-	for i := 0; i < n; i++ {
-		if m := matrix.Mean(c.Row(i)); math.Abs(m) > 1e-10 {
+	g, err := matrix.NewPackedSym(n, packed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	centerGram(g)
+	for i, s := range g.RowSums() {
+		if m := s / float64(n); math.Abs(m) > 1e-10 {
 			t.Fatalf("row %d mean = %v after centering", i, m)
 		}
-	}
-	if !c.IsSymmetric(1e-10) {
-		t.Fatal("centering must preserve symmetry")
 	}
 }
 
@@ -208,6 +211,34 @@ func TestTrainSVMValidation(t *testing.T) {
 	}
 }
 
+// TestTrainSVMSingleClass: one training point, or several of one class,
+// give the constant model of that class instead of a panic or a
+// zero-bias model that answers +1 everywhere.
+func TestTrainSVMSingleClass(t *testing.T) {
+	kf := kernel.Gaussian(1)
+	one := matrix.Identity(1)
+	m, err := TrainSVM(kernel.GramWithDiagonal(one, kf), []int{1}, SVMConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.B != 1 || m.SupportCount != 0 || m.Predict(one, kf, []float64{5}) != 1 {
+		t.Fatalf("one point of class +1: B = %v, %d support vectors", m.B, m.SupportCount)
+	}
+	pts := matrix.Identity(3)
+	m, err = TrainSVM(kernel.GramWithDiagonal(pts, kf), []int{-1, -1, -1}, SVMConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.B != -1 || m.SupportCount != 0 {
+		t.Fatalf("three points of class -1: B = %v, %d support vectors", m.B, m.SupportCount)
+	}
+	for i := 0; i < 3; i++ {
+		if got := m.Predict(pts, kf, pts.Row(i)); got != -1 {
+			t.Fatalf("Predict(point %d) = %d, want -1", i, got)
+		}
+	}
+}
+
 func TestBucketedKernelKMeans(t *testing.T) {
 	l := blobs(t, 160, 8, 4, 0.02, 8)
 	kf := kernel.Gaussian(0.5)
@@ -215,7 +246,7 @@ func TestBucketedKernelKMeans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	part := h.Partition(l.Points, 1)
+	part := lsh.PartitionWith(h, l.Points, 1)
 	labels, clusters, err := BucketedKernelKMeans(l.Points, part, kf, 4, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +273,7 @@ func TestBucketedKernelPCA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	part := h.Partition(l.Points, 1)
+	part := lsh.PartitionWith(h, l.Points, 1)
 	emb, err := BucketedKernelPCA(l.Points, part, kf, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -334,18 +365,6 @@ func TestBucketedSVMSingleClassBucket(t *testing.T) {
 		if ens.Predict(pts.Row(i)) != 1 {
 			t.Fatal("single-class ensemble must predict the class")
 		}
-	}
-}
-
-func TestProportionalK(t *testing.T) {
-	if proportionalK(10, 50, 100) != 5 {
-		t.Fatal("proportionalK(10,50,100) != 5")
-	}
-	if proportionalK(10, 1, 100) != 1 {
-		t.Fatal("floor at 1")
-	}
-	if proportionalK(100, 5, 100) != 5 {
-		t.Fatal("cap at ni")
 	}
 }
 

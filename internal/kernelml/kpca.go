@@ -21,11 +21,10 @@ type KPCAResult struct {
 // dimensionality reduction): double-center the Gram matrix, take its
 // leading eigenpairs, and scale eigenvectors by sqrt(lambda) so row i
 // of Projections is the image of point i in the principal subspace.
-func KernelPCA(gram *matrix.Dense, k int) (*KPCAResult, error) {
-	n := gram.Rows()
-	if gram.Cols() != n {
-		return nil, fmt.Errorf("kernelml: gram %dx%d not square", n, gram.Cols())
-	}
+// Only gram's upper triangle is read, and it is centred in place: the
+// input is consumed.
+func KernelPCA(gram *matrix.Sym, k int) (*KPCAResult, error) {
+	n := gram.N()
 	if n == 0 {
 		return nil, ErrEmptyGram
 	}
@@ -35,8 +34,8 @@ func KernelPCA(gram *matrix.Dense, k int) (*KPCAResult, error) {
 	if k > n {
 		k = n
 	}
-	centered := centerGram(gram)
-	vals, vecs, err := linalg.TopKEigenSym(centered, k)
+	centerGram(gram)
+	vals, vecs, err := linalg.TopKEigenSym(gram, k)
 	if err != nil {
 		return nil, fmt.Errorf("kernelml: kpca eigensolver: %w", err)
 	}
@@ -56,27 +55,20 @@ func KernelPCA(gram *matrix.Dense, k int) (*KPCAResult, error) {
 }
 
 // centerGram applies the double-centering K - 1K - K1 + 1K1 that moves
-// the feature-space origin to the data mean.
-func centerGram(gram *matrix.Dense) *matrix.Dense {
-	n := gram.Rows()
-	rowMean := make([]float64, n)
+// the feature-space origin to the data mean, in place.
+func centerGram(gram *matrix.Sym) {
+	n := gram.N()
+	rowMean := gram.RowSums()
 	var total float64
-	for i := 0; i < n; i++ {
-		var s float64
-		for _, v := range gram.Row(i) {
-			s += v
-		}
+	for i, s := range rowMean {
 		rowMean[i] = s / float64(n)
 		total += s
 	}
 	grand := total / float64(n*n)
-	out := matrix.NewDense(n, n)
 	for i := 0; i < n; i++ {
-		src := gram.Row(i)
-		dst := out.Row(i)
-		for j := range src {
-			dst[j] = src[j] - rowMean[i] - rowMean[j] + grand
+		row := gram.Row(i)
+		for t := range row {
+			row[t] = row[t] - rowMean[i] - rowMean[i+t] + grand
 		}
 	}
-	return out
 }

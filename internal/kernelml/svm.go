@@ -41,7 +41,8 @@ type SVM struct {
 // TrainSVM runs simplified SMO (Platt) over a precomputed Gram matrix.
 // This is the training-phase bottleneck the paper's §2 discusses — the
 // kernel matrix dominates, which is exactly what the LSH approximation
-// shrinks. y must contain only +-1.
+// shrinks. y must contain only +-1; a y with one class gives the
+// constant model of that class.
 func TrainSVM(gram *matrix.Dense, y []int, cfg SVMConfig) (*SVM, error) {
 	n := gram.Rows()
 	if gram.Cols() != n {
@@ -69,6 +70,9 @@ func TrainSVM(gram *matrix.Dense, y []int, cfg SVMConfig) (*SVM, error) {
 	}
 	if cfg.MaxPasses == 0 {
 		cfg.MaxPasses = 5
+	}
+	if m := constantModel(y); m != nil {
+		return m, nil
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
@@ -156,6 +160,22 @@ func TrainSVM(gram *matrix.Dense, y []int, cfg SVMConfig) (*SVM, error) {
 		}
 	}
 	return model, nil
+}
+
+// constantModel returns the model of a single-class y — no support
+// vectors and the class as bias, so every prediction is that class — or
+// nil when y holds both classes.
+func constantModel(y []int) *SVM {
+	for _, v := range y[1:] {
+		if v != y[0] {
+			return nil
+		}
+	}
+	b := 1.0
+	if y[0] <= 0 {
+		b = -1
+	}
+	return &SVM{Alpha: map[int]float64{}, B: b, Labels: append([]int(nil), y...)}
 }
 
 // Decision evaluates the decision function for a new point, given the

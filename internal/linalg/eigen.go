@@ -235,13 +235,17 @@ const denseCutoff = 96
 // is about to run without duplicating the policy.
 func UsesLanczos(n, k int) bool { return n > denseCutoff && 3*k < n }
 
-// TopKEigenSym returns the k largest eigenvalues of a symmetric matrix
-// and the matrix of their eigenvectors (n x k, columns ordered by
-// descending eigenvalue). For small matrices it uses the dense solver;
-// for larger ones it runs Lanczos with full reorthogonalization, which
-// is the "transform to tridiagonal, then QR" strategy of the paper.
-func TopKEigenSym(a *matrix.Dense, k int) ([]float64, *matrix.Dense, error) {
-	n := a.Rows()
+// TopKEigenSym returns the k largest eigenvalues of the symmetric
+// matrix a and the matrix of their eigenvectors (n x k, columns ordered
+// by descending eigenvalue). Only a's upper triangle is read, so packed
+// and full storage give the same bits. For small matrices it runs the
+// dense solver on a.Dense() — which, for a view over a full matrix,
+// mirrors the upper triangle into that matrix's lower one; for larger
+// ones it runs Lanczos from seed 0 with full reorthogonalization on
+// a.MulVec, which is the "transform to tridiagonal, then QR" strategy
+// of the paper.
+func TopKEigenSym(a *matrix.Sym, k int) ([]float64, *matrix.Dense, error) {
+	n := a.N()
 	if k < 0 {
 		return nil, nil, fmt.Errorf("linalg: negative k %d", k)
 	}
@@ -252,13 +256,13 @@ func TopKEigenSym(a *matrix.Dense, k int) ([]float64, *matrix.Dense, error) {
 		return nil, matrix.NewDense(n, 0), nil
 	}
 	if !UsesLanczos(n, k) {
-		vals, vecs, err := EigenSym(a)
+		vals, vecs, err := EigenSym(a.Dense())
 		if err != nil {
 			return nil, nil, err
 		}
 		return vals[:k], firstCols(vecs, k), nil
 	}
-	lz, err := Lanczos(MatVec(a), n, k, 0)
+	lz, err := Lanczos(a.MulVec, n, k, 0)
 	if err != nil {
 		return nil, nil, err
 	}

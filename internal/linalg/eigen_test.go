@@ -171,7 +171,7 @@ func TestTopKEigenSymDensePath(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	want := []float64{10, 8, 3, 1, 0.1}
 	a := symFromSpectrum(rng, want)
-	vals, vecs, err := TopKEigenSym(a, 2)
+	vals, vecs, err := TopKEigenSym(upper(t, a), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,8 @@ func TestTopKEigenSymDensePath(t *testing.T) {
 }
 
 func TestTopKEigenSymEdgeCases(t *testing.T) {
-	a, _ := matrix.FromRows([][]float64{{2, 0}, {0, 1}})
+	d, _ := matrix.FromRows([][]float64{{2, 0}, {0, 1}})
+	a := upper(t, d)
 	if _, _, err := TopKEigenSym(a, -1); err == nil {
 		t.Fatal("expected error for negative k")
 	}
@@ -206,7 +207,7 @@ func TestTopKEigenSymLanczosPath(t *testing.T) {
 		vals[i] = float64(n - i)
 	}
 	a := symFromSpectrum(rng, vals)
-	got, vecs, err := TopKEigenSym(a, 3)
+	got, vecs, err := TopKEigenSym(upper(t, a), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,5 +218,51 @@ func TestTopKEigenSymLanczosPath(t *testing.T) {
 	}
 	if dev := Orthonormality(vecs); dev > 1e-6 {
 		t.Fatalf("ritz vectors deviation %g", dev)
+	}
+}
+
+// upper views the upper triangle of the square matrix a.
+func upper(t *testing.T, a *matrix.Dense) *matrix.Sym {
+	t.Helper()
+	v, err := matrix.UpperSym(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// TestTopKEigenSymPackedMatchesFull: packed storage and a view over the
+// full matrix give bit-identical eigenpairs, on the dense path (n = 50)
+// and the Lanczos path (n = 300).
+func TestTopKEigenSymPackedMatchesFull(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, n := range []int{50, 300} {
+		a := randSym(rng, n)
+		packed := make([]float64, 0, matrix.PackedLen(n))
+		for i := 0; i < n; i++ {
+			packed = append(packed, a.Row(i)[i:]...)
+		}
+		p, err := matrix.NewPackedSym(n, packed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pv, pvecs, err := TopKEigenSym(p, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fv, fvecs, err := TopKEigenSym(upper(t, a), 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range fv {
+			if math.Float64bits(pv[i]) != math.Float64bits(fv[i]) {
+				t.Fatalf("n=%d: value %d packed %v, full %v", n, i, pv[i], fv[i])
+			}
+		}
+		for i, v := range fvecs.Data() {
+			if math.Float64bits(pvecs.Data()[i]) != math.Float64bits(v) {
+				t.Fatalf("n=%d: vector entry %d packed %v, full %v", n, i, pvecs.Data()[i], v)
+			}
+		}
 	}
 }

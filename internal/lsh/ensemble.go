@@ -284,19 +284,6 @@ func (e *Ensemble) HashContext(ctx context.Context, points PointSource) (*Signat
 	return set, nil
 }
 
-// PartitionPoints hashes the rows and partitions them — the Family
-// analogue of Hasher.Partition for the whole ensemble.
-func (e *Ensemble) PartitionPoints(points PointSource, maxHamming int) *Partition {
-	part, err := e.Partition(points, e.Hash(points), maxHamming)
-	if err != nil {
-		// The signature set was built by this ensemble, so shape errors
-		// cannot occur; matrix.Panicf keeps the package panic-free lint
-		// contract explicit.
-		matrix.Panicf("lsh: ensemble partition: %v", err)
-	}
-	return part
-}
-
 // Partition builds the merged bucket partition from precomputed
 // per-table signatures. maxHamming is the paper's Eq. 6 keeper-merge
 // radius applied within every table; the cross-table and probe merges

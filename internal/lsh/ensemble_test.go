@@ -85,12 +85,12 @@ func TestEnsemblePartitionDeterministic(t *testing.T) {
 	pts := twoBlobs(rng, 80, 8)
 	e := fitTestEnsemble(t, pts, EnsembleConfig{Tables: 4, ProbeRadius: 2})
 
-	base := e.PartitionPoints(pts, 1)
+	base := PartitionWith(e, pts, 1)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
 		for rep := 0; rep < 3; rep++ {
-			got := e.PartitionPoints(pts, 1)
+			got := PartitionWith(e, pts, 1)
 			if !reflect.DeepEqual(got, base) {
 				t.Fatalf("procs=%d rep=%d: partition differs", procs, rep)
 			}
@@ -109,7 +109,7 @@ func TestEnsemblePartitionIsDisjointCover(t *testing.T) {
 		{Tables: 2, ProbeRadius: 2, MaxMergedBucket: 30},
 	} {
 		e := fitTestEnsemble(t, pts, ecfg)
-		p := e.PartitionPoints(pts, 1)
+		p := PartitionWith(e, pts, 1)
 		seen := make([]int, 140)
 		for _, b := range p.Buckets {
 			for _, idx := range b.Indices {
@@ -134,7 +134,7 @@ func TestEnsembleMergesAcrossTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := e.PartitionPoints(indexPoints(4), -1)
+	p := PartitionWith(e, indexPoints(4), -1)
 	if p.NumBuckets() != 1 || len(p.Buckets[0].Indices) != 4 {
 		t.Fatalf("cross-table merge failed: %+v", p.Buckets)
 	}
@@ -145,7 +145,7 @@ func TestEnsembleMergesAcrossTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p = capped.PartitionPoints(indexPoints(4), -1)
+	p = PartitionWith(capped, indexPoints(4), -1)
 	if p.NumBuckets() != 2 {
 		t.Fatalf("cap ignored: %+v", p.Buckets)
 	}
@@ -165,14 +165,14 @@ func TestEnsembleMultiProbeRecoversNearMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := exact.PartitionPoints(indexPoints(2), -1); p.NumBuckets() != 2 {
+	if p := PartitionWith(exact, indexPoints(2), -1); p.NumBuckets() != 2 {
 		t.Fatalf("exact bucketing should separate: %+v", p.Buckets)
 	}
 	probing, err := NewEnsemble([]Family{fam, fam}, EnsembleConfig{ProbeRadius: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := probing.PartitionPoints(indexPoints(2), -1); p.NumBuckets() != 1 {
+	if p := PartitionWith(probing, indexPoints(2), -1); p.NumBuckets() != 1 {
 		t.Fatalf("radius-1 probe should merge: %+v", p.Buckets)
 	}
 }

@@ -53,12 +53,22 @@ type Refittable interface {
 }
 
 // PartitionWith hashes every row of points with the family and builds
-// the merged bucket partition — the single partition entry point shared
-// by Hasher.Partition and every other family. An *Ensemble family runs
-// its full multi-table, multi-probe partition.
+// the merged bucket partition: points are grouped by exact signature,
+// then buckets whose signatures are within maxHamming bits of each other
+// merge (the paper merges at Hamming distance <= M-P with P = M-1, i.e.
+// distance 1, so the Eq. 6 constant-time test applies; larger radii fall
+// back to a popcount comparison); maxHamming < 0 disables merging. An
+// *Ensemble family runs its full multi-table, multi-probe partition.
 func PartitionWith(f Family, points PointSource, maxHamming int) *Partition {
 	if e, ok := f.(*Ensemble); ok {
-		return e.PartitionPoints(points, maxHamming)
+		part, err := e.Partition(points, e.Hash(points), maxHamming)
+		if err != nil {
+			// The signature set was built by this ensemble, so shape
+			// errors cannot occur; matrix.Panicf keeps the package
+			// panic-free lint contract explicit.
+			matrix.Panicf("lsh: ensemble partition: %v", err)
+		}
+		return part
 	}
 	n := points.Rows()
 	sigs := make([]uint64, n)

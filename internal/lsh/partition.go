@@ -35,17 +35,6 @@ type Partition struct {
 	Signatures []uint64
 }
 
-// Partition groups points by exact signature and then merges buckets
-// whose signatures are within maxHamming bits of each other (the paper
-// merges at Hamming distance <= M-P with P = M-1, i.e. distance 1, so
-// the Eq. 6 constant-time test applies; larger radii fall back to a
-// popcount comparison). maxHamming < 0 disables merging. It is
-// PartitionWith specialized to the paper's hasher; both entry points
-// share one implementation.
-func (h *Hasher) Partition(points PointSource, maxHamming int) *Partition {
-	return PartitionWith(h, points, maxHamming)
-}
-
 // PartitionSignatures builds the bucket partition from precomputed
 // signatures. It is the reducer-side grouping step of the MapReduce
 // formulation, split out so the distributed driver can reuse it.
@@ -188,17 +177,6 @@ func EachBucket(ctx context.Context, order []int, solve func(bi int, scratch *[]
 		}
 		return nil
 	})
-}
-
-// LargestBucket returns the size of the biggest bucket (0 when empty).
-func (p *Partition) LargestBucket() int {
-	var mx int
-	for _, b := range p.Buckets {
-		if len(b.Indices) > mx {
-			mx = len(b.Indices)
-		}
-	}
-	return mx
 }
 
 // ApproxGramEntries returns sum of Ni^2 over buckets — the number of

@@ -2,6 +2,7 @@ package lsh
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -84,8 +85,8 @@ func TestPartitionFullHypercubeSurvivesMerging(t *testing.T) {
 	if p.NumBuckets() < 3 {
 		t.Fatalf("buckets = %d, want >= 3", p.NumBuckets())
 	}
-	if p.LargestBucket() > 16 {
-		t.Fatalf("largest bucket %d too large", p.LargestBucket())
+	if slices.Max(append(p.Sizes(), 0)) > 16 {
+		t.Fatalf("largest bucket %d too large", slices.Max(append(p.Sizes(), 0)))
 	}
 }
 
@@ -107,7 +108,7 @@ func TestPartitionViaHasher(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := h.Partition(pts, 1)
+	p := PartitionWith(h, pts, 1)
 	if p.NumBuckets() < 1 || p.NumBuckets() > 2 {
 		t.Fatalf("blob partition has %d buckets", p.NumBuckets())
 	}
@@ -129,8 +130,8 @@ func TestPartitionStatistics(t *testing.T) {
 	if len(sizes) != 3 {
 		t.Fatalf("sizes = %v", sizes)
 	}
-	if p.LargestBucket() != 3 {
-		t.Fatalf("LargestBucket = %d", p.LargestBucket())
+	if slices.Max(append(p.Sizes(), 0)) != 3 {
+		t.Fatalf("LargestBucket = %d", slices.Max(append(p.Sizes(), 0)))
 	}
 	// 3^2 + 2^2 + 1^2 = 14
 	if p.ApproxGramEntries() != 14 {
@@ -140,7 +141,7 @@ func TestPartitionStatistics(t *testing.T) {
 
 func TestPartitionEmpty(t *testing.T) {
 	p := PartitionSignatures(nil, 1)
-	if p.NumBuckets() != 0 || p.LargestBucket() != 0 || p.ApproxGramEntries() != 0 {
+	if p.NumBuckets() != 0 || slices.Max(append(p.Sizes(), 0)) != 0 || p.ApproxGramEntries() != 0 {
 		t.Fatalf("empty partition: %+v", p)
 	}
 }

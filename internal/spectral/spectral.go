@@ -75,7 +75,7 @@ func clusterSym(v *matrix.Sym, cfg Config) (*Result, error) {
 	}
 
 	v.ScaleSym(matrix.InvSqrt(v.RowSums()))
-	vals, vecs, err := topK(v, k)
+	vals, vecs, err := linalg.TopKEigenSym(v, k)
 	if err != nil {
 		return nil, fmt.Errorf("spectral: eigendecomposition: %w", err)
 	}
@@ -91,19 +91,6 @@ func clusterSym(v *matrix.Sym, cfg Config) (*Result, error) {
 		Embedding:   vecs,
 		Inertia:     km.Inertia,
 	}, nil
-}
-
-// topK is linalg.TopKEigenSym's policy on the view: Lanczos from seed 0
-// on v.MulVec, or the dense reduction of v mirrored into an n x n.
-func topK(v *matrix.Sym, k int) ([]float64, *matrix.Dense, error) {
-	if !linalg.UsesLanczos(v.N(), k) {
-		return linalg.TopKEigenSym(v.Dense(), k)
-	}
-	lz, err := linalg.Lanczos(v.MulVec, v.N(), k, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	return lz.Values, lz.Vectors, nil
 }
 
 // Laplacian computes the normalized Laplacian L = D^{-1/2} S D^{-1/2}
