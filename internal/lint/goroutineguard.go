@@ -21,16 +21,16 @@ import (
 var GoroutineGuard = &Analyzer{
 	Name: "goroutine-guard",
 	Doc: "go statements in internal/ belong to the packages that own goroutines " +
-		"(par, mapreduce, shard, lint), and a goroutine literal there must signal a " +
+		"(par, mapreduce, lint), and a goroutine literal there must signal a " +
 		"WaitGroup/channel or defer a recover, so a panicking worker cannot deadlock the job",
 	Run: runGoroutineGuard,
 }
 
 // goroutineOwners are the internal packages (and their sub-packages)
 // that may contain a go statement: the fan-out primitive, the MapReduce
-// executors and their test harness (sockets, pipelined dispatch), the
-// shard read-ahead, and the linter's own parse/analyze pool.
-var goroutineOwners = []string{"par", "mapreduce", "shard", "lint"}
+// executors and their test harness (sockets, pipelined dispatch), and
+// the linter's own parse/analyze pool. Shard reads are synchronous.
+var goroutineOwners = []string{"par", "mapreduce", "lint"}
 
 // ownsGoroutines reports whether the package at pkgPath is, or is
 // beneath, one of goroutineOwners.

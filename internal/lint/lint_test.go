@@ -78,6 +78,7 @@ var golden = []struct {
 	{ErrcheckGob, "errcheckgob_pos", "errcheckgob_neg"},
 	{GoroutineGuard, "goroutineguard_pos", "goroutineguard_neg"},
 	{GoroutineGuard, "goroutineowner/internal/kernel", "goroutineowner/internal/par"},
+	{GoroutineGuard, "goroutineowner/internal/shard", "goroutineowner/internal/par"},
 	{PanicFree, "panicfree_pos", "matrixcase/internal/matrix"},
 	{MapOrder, "maporder_pos", "maporder_neg"},
 	{FloatAccum, "floataccum_pos", "floataccum_neg"},

@@ -149,8 +149,9 @@ type Counters struct {
 	ShardReadBytes int64
 	// ShardReadOps / ShardCoalescedReads count the ReadAt calls issued
 	// against shard files and how many of those served more than one
-	// row (the read-coalescing and streaming-readahead paths). Process-
-	// local, like the in-process part of ShardReadBytes.
+	// requested row (a gather over adjacent rows, or a range or stream
+	// read of several rows). Process-local, like the in-process part of
+	// ShardReadBytes.
 	ShardReadOps        int64
 	ShardCoalescedReads int64
 	// CompressedBytes is how many bytes Job.Compress removed from the

@@ -16,13 +16,13 @@ import (
 // must Register the jobs they will run; task messages carry only the
 // job name and the records.
 //
-// Task traffic is pipelined: every connection has a writer goroutine
-// and a reader goroutine sharing a bounded in-flight window
-// (maxInFlight), so the master encodes task i+1 while the
-// worker computes task i and the master decodes task i-1's result.
-// The worker mirrors the split with a decode → compute → encode
-// pipeline. Messages travel as binary frames (see wire.go); results are
-// matched to tasks by Seq.
+// Task traffic is pipelined on the master's side: every connection has
+// a writer goroutine and a reader goroutine sharing a bounded in-flight
+// window (maxInFlight), so the next tasks already wait in the socket
+// while the worker computes one. A worker, like a Hadoop task slot,
+// runs one task at a time: it reads a task, runs it and writes its
+// result before it reads the next. Messages travel as binary frames
+// (see wire.go); results are matched to tasks by Seq.
 
 // Default tuning for the TCP executor. A hung or partitioned peer must
 // never block the master (or a worker) forever; the deadlines bound
@@ -38,9 +38,6 @@ const (
 	// maxInFlight is the per-connection pipelining window: how many
 	// tasks may be outstanding on one worker socket.
 	maxInFlight = 4
-	// workerPipelineDepth is how many decoded tasks / pending results
-	// the worker buffers between its decode, compute, and encode stages.
-	workerPipelineDepth = 2
 )
 
 // TCPConfig configures a TCP master (see NewMasterTCP).
@@ -211,7 +208,7 @@ func (m *Master) RunContext(ctx context.Context, job *Job, input []Pair) ([]Pair
 	// task frames out; the tasks' taskFlagCompress tells workers to
 	// compress result frames back.
 	for _, w := range workers {
-		w.cdc.setCompress(job.Compress)
+		w.cdc.compress = job.Compress
 	}
 	before := sumWireStats(workers)
 	runner := &wireRunner{cfg: m.cfg, workers: workers}
@@ -581,13 +578,12 @@ func RunWorker(addr string) error {
 }
 
 // RunWorkerContext connects to a master (bounded by DefaultDialTimeout,
-// which also bounds the hello handshake) and serves tasks until the
-// master closes the connection (returns nil) or ctx is cancelled
-// (returns the context error, within one Map or Reduce call of a task
-// in progress). Decode, compute, and encode run as a
-// three-stage pipeline so the worker deserializes the next task and
-// serializes the previous result while the current task computes. The
-// idle wait for the next task is unbounded — a healthy master may
+// which also bounds the hello handshake) and serves tasks one at a time
+// until the master closes the connection (returns nil) or ctx is
+// cancelled (returns the context error, within one Map or Reduce call
+// of a task in progress; a cancelled task's result is never sent). A
+// frame that is not a well-formed task is an error, not a shutdown.
+// The idle wait for the next task is unbounded — a healthy master may
 // simply have no work — but every result write is bounded by
 // DefaultIOTimeout.
 func RunWorkerContext(ctx context.Context, addr string) (err error) {
@@ -617,67 +613,36 @@ func RunWorkerContext(ctx context.Context, addr string) (err error) {
 		}
 	}()
 
-	tasks := make(chan taskMsg, workerPipelineDepth)
-	results := make(chan resultMsg, workerPipelineDepth)
-	var encodeErr error
-	encodeDone := make(chan struct{})
-
-	go func() { // decoder: socket -> tasks
-		defer close(tasks)
-		for {
-			var task taskMsg
-			if _, derr := cdc.readTask(&task); derr != nil {
-				// Master closed the stream (clean shutdown), the
-				// watchdog expired the socket, or the encoder closed the
-				// connection after its own failure; the compute loop's
-				// exit path reports whichever applies.
-				return
-			}
-			tasks <- task
+	for {
+		var task taskMsg
+		_, rerr := cdc.readTask(&task)
+		if cerr := ctx.Err(); cerr != nil {
+			return cerr
 		}
-	}()
-	go func() { // encoder: results -> socket
-		defer close(encodeDone)
-		for res := range results {
-			if encodeErr != nil {
-				continue // drain so the compute loop never blocks
-			}
-			if werr := conn.SetWriteDeadline(time.Now().Add(DefaultIOTimeout)); werr != nil {
-				encodeErr = werr
-			} else if _, werr := cdc.writeResult(&res); werr != nil {
-				encodeErr = werr
-			}
-			if encodeErr != nil {
-				// Error the decoder out too: without a working result
-				// path, accepting more tasks only wastes master time.
-				_ = conn.Close()
-			}
+		if errors.Is(rerr, errMalformedFrame) {
+			return fmt.Errorf("mapreduce: read task: %w", rerr)
 		}
-	}()
-	for task := range tasks { // compute
-		if ctx.Err() != nil {
-			continue // drain without computing; the ctx error is returned below
+		if rerr != nil {
+			return nil // master closed the connection: clean shutdown
 		}
-		// Mirror the job's compression choice onto result frames. The
-		// codec flag is atomic: the encoder goroutine may be mid-write
-		// for an earlier task, and the master decodes 'C' frames whether
-		// or not it asked for them.
-		cdc.setCompress(task.Flags&taskFlagCompress != 0)
+		// Mirror the job's compression choice onto result frames; the
+		// master decodes 'C' frames whether or not it asked for them.
+		cdc.compress = task.Flags&taskFlagCompress != 0
 		res := serveTask(ctx, &task)
-		if ctx.Err() != nil {
-			continue // a cancelled task's error is the worker's own, not the job's
+		if cerr := ctx.Err(); cerr != nil {
+			return cerr // a cancelled task's error is the worker's own, not the job's
 		}
-		results <- res
+		werr := conn.SetWriteDeadline(time.Now().Add(DefaultIOTimeout))
+		if werr == nil {
+			_, werr = cdc.writeResult(&res)
+		}
+		if werr != nil {
+			if cerr := ctx.Err(); cerr != nil {
+				return cerr
+			}
+			return fmt.Errorf("mapreduce: send result: %w", werr)
+		}
 	}
-	close(results)
-	<-encodeDone
-	if cerr := ctx.Err(); cerr != nil {
-		return cerr
-	}
-	if encodeErr != nil {
-		return fmt.Errorf("mapreduce: send result: %w", encodeErr)
-	}
-	return nil // master closed the connection: clean shutdown
 }
 
 // serveTask runs one task off the wire: it resolves the job from this

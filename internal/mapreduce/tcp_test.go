@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -286,7 +287,7 @@ func TestTCPReduceWorkerFailureRequeues(t *testing.T) {
 						close(died)
 						return
 					}
-					cdc.setCompress(task.Flags&taskFlagCompress != 0)
+					cdc.compress = task.Flags&taskFlagCompress != 0
 					res := serveTask(context.Background(), &task)
 					if _, err := cdc.writeResult(&res); err != nil {
 						t.Errorf("faulty worker: %v", err)
@@ -346,5 +347,54 @@ func TestRegisterRequiresName(t *testing.T) {
 func TestRunWorkerBadAddress(t *testing.T) {
 	if err := RunWorker("127.0.0.1:1"); err == nil {
 		t.Fatal("expected dial error")
+	}
+}
+
+// TestRunWorkerMalformedFrame plays a master that completes the hello
+// and then sends something that is not a task. The worker must report
+// the malformed frame, not exit as if the master had shut down; a
+// master that hangs up after the hello is still a clean shutdown.
+func TestRunWorkerMalformedFrame(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		send      []byte
+		malformed bool
+	}{
+		{"hang-up", nil, false},
+		{"wrong-kind", []byte{1, frameResult}, true},
+		{"body-length-out-of-range", binary.AppendUvarint(nil, maxFrameBody+1), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = ln.Close() }()
+			masterErr := make(chan error, 1)
+			go func() {
+				conn, err := ln.Accept()
+				if err != nil {
+					masterErr <- err
+					return
+				}
+				defer func() { _ = conn.Close() }()
+				if err := acceptHello(conn, time.Second, &wireStats{}); err != nil {
+					masterErr <- err
+					return
+				}
+				_, err = conn.Write(tc.send)
+				masterErr <- err
+			}()
+			err = RunWorker(ln.Addr().String())
+			if merr := <-masterErr; merr != nil {
+				t.Fatalf("fake master: %v", merr)
+			}
+			if tc.malformed && !errors.Is(err, errMalformedFrame) {
+				t.Fatalf("worker returned %v, want a malformed-frame error", err)
+			}
+			if !tc.malformed && err != nil {
+				t.Fatalf("worker returned %v after a clean hang-up, want nil", err)
+			}
+		})
 	}
 }

@@ -208,22 +208,20 @@ var encBufPool = sync.Pool{
 // frameCodec reads and writes task/result frames on one connection;
 // every read/write method returns the frame's size in wire bytes. It is
 // safe for one concurrent reader plus one concurrent writer (the
-// pipelined connection split), not for two of either. compress turns
-// outbound 'C' wrapping on or off and is flipped per job (atomically:
-// the pipelined worker reads tasks and writes results from different
-// goroutines); inbound 'C' frames are always understood.
+// master's pipelined connection split), not for two of either. compress
+// turns outbound 'C' wrapping on or off; it is set per job (master) or
+// per task (worker) while no frame is being written. Inbound 'C' frames
+// are always understood.
 type frameCodec struct {
 	w        io.Writer
 	br       *bufio.Reader
 	st       *wireStats
-	compress atomic.Bool
+	compress bool
 }
 
 func newFrameCodec(conn net.Conn, st *wireStats) *frameCodec {
 	return &frameCodec{w: conn, br: bufio.NewReaderSize(conn, 1<<16), st: st}
 }
-
-func (c *frameCodec) setCompress(on bool) { c.compress.Store(on) }
 
 // flateWriterPool / flateReaderPool reuse codec state across frames and
 // spill runs; a flate.Writer alone is ~600KB of window and tables.
@@ -246,6 +244,13 @@ var flateReaderPool = sync.Pool{
 // errNoShrink is how sliceWriter stops a deflate pass whose output has
 // already outgrown the raw body.
 var errNoShrink = errors.New("mapreduce: deflate did not shrink the frame")
+
+// errMalformedFrame marks a frame that arrived whole but cannot be a
+// message of this protocol: a length out of range, a compressed
+// wrapper that does not inflate to what it declares, the wrong kind, or
+// a body that does not parse. A peer that sends one is broken, not
+// gone, so a worker reports it instead of exiting as on a hang-up.
+var errMalformedFrame = errors.New("mapreduce: malformed frame")
 
 // sliceWriter adapts an append target to io.Writer for flate. It never
 // grows its buffer: output that does not fit the capacity it was given
@@ -292,7 +297,7 @@ func (c *frameCodec) sendFrame(kind byte, size int, fill func(b []byte) []byte) 
 	b = fill(b)
 	eb.b = b
 	c.st.encodeNanos.Add(time.Since(start).Nanoseconds())
-	if c.compress.Load() && len(b)-hdrReserve >= CompressThreshold {
+	if c.compress && len(b)-hdrReserve >= CompressThreshold {
 		if n, err, ok := c.sendCompressed(b[hdrReserve:]); ok {
 			return n, err
 		}
@@ -343,7 +348,7 @@ func (c *frameCodec) recvFrame() (byte, []byte, int, error) {
 		return 0, nil, 0, err
 	}
 	if bodyLen < 1 || bodyLen > maxFrameBody {
-		return 0, nil, 0, fmt.Errorf("mapreduce: frame body length %d out of range", bodyLen)
+		return 0, nil, 0, fmt.Errorf("%w: body length %d out of range", errMalformedFrame, bodyLen)
 	}
 	body, err := readExactly(c.br, int(bodyLen))
 	if err != nil {
@@ -370,29 +375,29 @@ func (c *frameCodec) recvFrame() (byte, []byte, int, error) {
 func (c *frameCodec) inflateFrame(p []byte) ([]byte, error) {
 	rawLen, w := binary.Uvarint(p)
 	if w <= 0 {
-		return nil, errors.New("mapreduce: compressed frame: bad raw length")
+		return nil, fmt.Errorf("%w: compressed frame: bad raw length", errMalformedFrame)
 	}
 	if rawLen < 1 || rawLen > maxFrameBody {
-		return nil, fmt.Errorf("mapreduce: compressed frame raw length %d out of range", rawLen)
+		return nil, fmt.Errorf("%w: compressed frame raw length %d out of range", errMalformedFrame, rawLen)
 	}
 	start := time.Now()
 	zr := flateReaderPool.Get().(io.ReadCloser)
 	defer flateReaderPool.Put(zr)
 	if err := zr.(flate.Resetter).Reset(bytes.NewReader(p[w:]), nil); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: compressed frame: %w", errMalformedFrame, err)
 	}
 	raw, err := readExactly(zr, int(rawLen))
 	if err != nil {
-		return nil, fmt.Errorf("mapreduce: compressed frame: %w", err)
+		return nil, fmt.Errorf("%w: compressed frame: %w", errMalformedFrame, err)
 	}
 	var one [1]byte
 	if n, err := zr.Read(one[:]); n != 0 || (err != nil && err != io.EOF) {
-		return nil, errors.New("mapreduce: compressed frame longer than declared")
+		return nil, fmt.Errorf("%w: compressed frame longer than declared", errMalformedFrame)
 	}
 	c.st.compressNanos.Add(time.Since(start).Nanoseconds())
 	c.st.compressSaved.Add(int64(rawLen) - int64(len(p)))
 	if raw[0] == frameCompressed {
-		return nil, errors.New("mapreduce: nested compressed frame")
+		return nil, fmt.Errorf("%w: nested compressed frame", errMalformedFrame)
 	}
 	return raw, nil
 }
@@ -525,7 +530,7 @@ func (c *frameCodec) readTask(t *taskMsg) (int, error) {
 		return size, err
 	}
 	if kind != frameTask {
-		return size, fmt.Errorf("mapreduce: expected task frame, got %q", kind)
+		return size, fmt.Errorf("%w: expected task frame, got %q", errMalformedFrame, kind)
 	}
 	start := time.Now()
 	err = parseTask(body, t)
@@ -539,7 +544,7 @@ func (c *frameCodec) readResult(r *resultMsg) (int, error) {
 		return size, err
 	}
 	if kind != frameResult {
-		return size, fmt.Errorf("mapreduce: expected result frame, got %q", kind)
+		return size, fmt.Errorf("%w: expected result frame, got %q", errMalformedFrame, kind)
 	}
 	start := time.Now()
 	err = parseResult(body, r)
@@ -556,7 +561,7 @@ type parser struct {
 
 func (p *parser) fail(what string) {
 	if p.err == nil {
-		p.err = fmt.Errorf("mapreduce: malformed frame: %s", what)
+		p.err = fmt.Errorf("%w: %s", errMalformedFrame, what)
 	}
 }
 
@@ -675,7 +680,7 @@ func WireRoundTripOpts(pairs []Pair, compress bool) (wireSize, rawSize int, err 
 	var st wireStats
 	var buf writeBuffer
 	enc := &frameCodec{w: &buf, st: &st}
-	enc.compress.Store(compress)
+	enc.compress = compress
 	in := resultMsg{Seq: 1, Parts: [][]Pair{pairs}}
 	n, err := enc.writeResult(&in)
 	if err != nil {

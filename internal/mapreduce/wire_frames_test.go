@@ -30,7 +30,7 @@ func compressiblePairs(n int) []Pair {
 // stream, with outbound compression set as requested.
 func codecPeers(buf *writeBuffer, st *wireStats, compress bool) (enc, dec *frameCodec) {
 	enc = &frameCodec{w: buf, st: st}
-	enc.setCompress(compress)
+	enc.compress = compress
 	dec = &frameCodec{br: bufio.NewReader(buf), st: st}
 	return enc, dec
 }

@@ -162,26 +162,6 @@ func Mul(a, b *Dense) (*Dense, error) {
 	return out, nil
 }
 
-// Sub returns a-b.
-func Sub(a, b *Dense) (*Dense, error) {
-	if a.rows != b.rows || a.cols != b.cols {
-		return nil, fmt.Errorf("%w: %dx%d - %dx%d", ErrShape, a.rows, a.cols, b.rows, b.cols)
-	}
-	out := NewDense(a.rows, a.cols)
-	for i := range a.data {
-		out.data[i] = a.data[i] - b.data[i]
-	}
-	return out, nil
-}
-
-// Scale multiplies every element by s, in place, and returns m.
-func (m *Dense) Scale(s float64) *Dense {
-	for i := range m.data {
-		m.data[i] *= s
-	}
-	return m
-}
-
 // MulVec returns m*x for a column vector x (len(x) == Cols()).
 func (m *Dense) MulVec(x []float64) ([]float64, error) {
 	if len(x) != m.cols {

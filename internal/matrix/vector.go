@@ -97,15 +97,3 @@ func NormalizeRows(m *Dense) {
 		Normalize(m.Row(i))
 	}
 }
-
-// Mean returns the arithmetic mean of x, or 0 for an empty slice.
-func Mean(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range x {
-		s += v
-	}
-	return s / float64(len(x))
-}

@@ -114,15 +114,6 @@ func TestNormalizeRows(t *testing.T) {
 	}
 }
 
-func TestMean(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Fatal("Mean(nil) must be 0")
-	}
-	if got := Mean([]float64{1, 2, 3}); got != 2 {
-		t.Fatalf("Mean = %v, want 2", got)
-	}
-}
-
 // Property: Cauchy–Schwarz |<x,y>| <= |x| |y|.
 func TestPropCauchySchwarz(t *testing.T) {
 	f := func(seed int64) bool {

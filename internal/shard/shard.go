@@ -190,36 +190,21 @@ func (w *Writer) Close() error {
 // Rows returns the number of rows appended so far.
 func (w *Writer) Rows() int { return w.nextRow }
 
-// WriteRows shards an in-memory row slice in one call — the batch
-// convenience over NewWriter/Append/Close.
-func WriteRows(dir string, rows [][]float64, cols, rowsPerShard int) (err error) {
-	w, werr := NewWriter(dir, cols, rowsPerShard)
-	if werr != nil {
-		return werr
-	}
-	defer func() { err = errors.Join(err, w.Close()) }()
-	for _, r := range rows {
-		if err := w.Append(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // shardFile is one opened shard with its decoded header.
 type shardFile struct {
-	f          *os.File
-	startRow   int
-	rows       int
-	colsCached int
+	f        *os.File
+	startRow int
+	rows     int
+	cols     int
 }
 
 // Reader exposes a shard directory as a random-access row matrix. All
-// read methods are safe for concurrent use (reads go through ReadAt);
+// read methods are safe for concurrent use: every read is one ReadAt
+// (readRun) into the caller's own buffer, and nothing else is shared.
 // BytesRead tallies payload bytes fetched from disk, ReadOps the
 // ReadAt calls issued, and CoalescedReads how many of those calls
-// served more than one requested row (the gather-coalescing and
-// streaming-readahead paths).
+// served more than one requested row (a gather run over adjacent rows,
+// or a range read of more than one row).
 type Reader struct {
 	shards    []shardFile
 	rows      int
@@ -234,9 +219,9 @@ type Reader struct {
 // many bytes (always at least one row).
 const coalesceBlockBytes = 1 << 20
 
-// streamBlockBytes is the readahead granule for Stream: the producer
-// goroutine fetches blocks of about this size one block ahead of the
-// consumer.
+// streamBlockBytes caps one of Stream's reads: it fetches blocks of at
+// most this size, cut at shard ends, and decodes each before it reads
+// the next.
 const streamBlockBytes = 256 << 10
 
 // Open scans dir for shard-*.dshd files, validates their headers tile
@@ -270,9 +255,9 @@ func Open(dir string) (_ *Reader, err error) {
 		}
 		r.shards = append(r.shards, sf)
 		if len(r.shards) == 1 {
-			r.cols = sf.cols()
-		} else if sf.cols() != r.cols {
-			return nil, fmt.Errorf("shard: %s has %d cols, want %d", name, sf.cols(), r.cols)
+			r.cols = sf.cols
+		} else if sf.cols != r.cols {
+			return nil, fmt.Errorf("shard: %s has %d cols, want %d", name, sf.cols, r.cols)
 		}
 		if sf.startRow != r.rows {
 			return nil, fmt.Errorf("shard: %s starts at row %d, want %d (gap or overlap)", name, sf.startRow, r.rows)
@@ -281,9 +266,6 @@ func Open(dir string) (_ *Reader, err error) {
 	}
 	return r, nil
 }
-
-// cols reads the column count back out of the shard header cache.
-func (s *shardFile) cols() int { return s.colsCached }
 
 // openShard opens and validates one shard file.
 func openShard(path string) (shardFile, error) {
@@ -316,7 +298,7 @@ func openShard(path string) (shardFile, error) {
 	if st.Size() != want {
 		return shardFile{}, errors.Join(fmt.Errorf("shard: %s: size %d, want %d for %d×%d", path, st.Size(), want, rows, cols), f.Close())
 	}
-	return shardFile{f: f, startRow: int(startRow), rows: int(rows), colsCached: int(cols)}, nil
+	return shardFile{f: f, startRow: int(startRow), rows: int(rows), cols: int(cols)}, nil
 }
 
 // Rows returns the total row count across all shards.
@@ -365,6 +347,67 @@ func (r *Reader) ReadRow(i int, dst []float64) ([]float64, error) {
 	return dst, nil
 }
 
+// checkRange rejects a row range [start, start+count) outside [0, rows).
+func (r *Reader) checkRange(start, count int) error {
+	if start < 0 || count < 0 || start+count > r.rows {
+		return fmt.Errorf("shard: range [%d,%d) out of [0,%d)", start, start+count, r.rows)
+	}
+	return nil
+}
+
+// readRun is the reader's one disk read: it fetches the n consecutive
+// rows from global row first, all inside sf, with one ReadAt into
+// *block (grown when short) and returns the filled bytes. served is how
+// many requested rows the read answers; a read serving more than one
+// counts as coalesced.
+func (r *Reader) readRun(sf *shardFile, first, n, served int, block *[]byte) ([]byte, error) {
+	stride := int64(r.cols) * 8
+	need := int64(n) * stride
+	if int64(cap(*block)) < need {
+		*block = make([]byte, need)
+	}
+	b := (*block)[:need]
+	if _, err := sf.f.ReadAt(b, headerSize+int64(first-sf.startRow)*stride); err != nil {
+		return nil, fmt.Errorf("shard: read rows [%d,%d): %w", first, first+n, err)
+	}
+	r.read.Add(need)
+	r.ops.Add(1)
+	if served > 1 {
+		r.coalesced.Add(1)
+	}
+	return b, nil
+}
+
+// decodeRows fills dst with the little-endian float64s at the front of b.
+func decodeRows(dst []float64, b []byte) {
+	for j := range dst {
+		dst[j] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*j:]))
+	}
+}
+
+// eachRun reads rows [start, start+count) in order, in runs of at most
+// maxRows that never cross a shard, and hands fn each run's first row
+// and bytes. One block is reused across runs; fn must not keep it.
+func (r *Reader) eachRun(start, count, maxRows int, fn func(first int, b []byte) error) error {
+	var block []byte
+	for end := start + count; start < end; {
+		sf, err := r.locate(start)
+		if err != nil {
+			return err
+		}
+		n := min(end-start, sf.startRow+sf.rows-start, maxRows)
+		b, err := r.readRun(sf, start, n, n, &block)
+		if err != nil {
+			return err
+		}
+		if err := fn(start, b); err != nil {
+			return err
+		}
+		start += n
+	}
+	return nil
+}
+
 // ReadRange reads the count consecutive rows starting at global row
 // start into dst, row-major; dst must hold at least count·cols values.
 // It is the sequential window read — one ReadAt per shard the range
@@ -372,41 +415,16 @@ func (r *Reader) ReadRow(i int, dst []float64) ([]float64, error) {
 // rows in order and want them in their own buffer. Safe for concurrent
 // use.
 func (r *Reader) ReadRange(start, count int, dst []float64) error {
-	if start < 0 || count < 0 || start+count > r.rows {
-		return fmt.Errorf("shard: range [%d,%d) out of [0,%d)", start, start+count, r.rows)
+	if err := r.checkRange(start, count); err != nil {
+		return err
 	}
 	if len(dst) < count*r.cols {
 		return fmt.Errorf("shard: %d values of room for %d rows of %d cols", len(dst), count, r.cols)
 	}
-	stride := int64(r.cols) * 8
-	var block []byte // one buffer for every segment, grown to the largest
-	for count > 0 {
-		sf, err := r.locate(start)
-		if err != nil {
-			return err
-		}
-		n := min(count, sf.startRow+sf.rows-start)
-		need := int64(n) * stride
-		if int64(cap(block)) < need {
-			block = make([]byte, need)
-		}
-		b := block[:need]
-		if _, err := sf.f.ReadAt(b, headerSize+int64(start-sf.startRow)*stride); err != nil {
-			return fmt.Errorf("shard: read rows [%d,%d): %w", start, start+n, err)
-		}
-		r.read.Add(need)
-		r.ops.Add(1)
-		if n > 1 {
-			r.coalesced.Add(1)
-		}
-		for j := range dst[:n*r.cols] {
-			dst[j] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*j:]))
-		}
-		dst = dst[n*r.cols:]
-		start += n
-		count -= n
-	}
-	return nil
+	return r.eachRun(start, count, count, func(first int, b []byte) error {
+		decodeRows(dst[(first-start)*r.cols:][:len(b)/8], b)
+		return nil
+	})
 }
 
 // ReadRowsInto gathers the given global rows, writing row indices[pos]
@@ -421,11 +439,8 @@ func (r *Reader) ReadRowsInto(indices []int, dst func(pos int) []float64) error 
 	if len(indices) == 0 {
 		return nil
 	}
-	stride := int64(r.cols) * 8
-	maxRows := int(coalesceBlockBytes / stride)
-	if maxRows < 1 {
-		maxRows = 1
-	}
+	stride := r.cols * 8
+	maxRows := max(1, coalesceBlockBytes/stride)
 	// Sort request positions by row; ties keep request order (the
 	// comparator falls back to the position, which is unique).
 	order := make([]int, len(indices))
@@ -463,146 +478,42 @@ func (r *Reader) ReadRowsInto(indices []int, dst func(pos int) []float64) error 
 			last = idx
 			j++
 		}
-		n := last - first + 1
-		need := int64(n) * stride
-		if int64(cap(block)) < need {
-			block = make([]byte, need)
-		}
-		b := block[:need]
-		if _, err := sf.f.ReadAt(b, headerSize+int64(first-sf.startRow)*stride); err != nil {
-			return fmt.Errorf("shard: read rows [%d,%d]: %w", first, last, err)
-		}
-		r.read.Add(need)
-		r.ops.Add(1)
-		if j-k > 1 {
-			r.coalesced.Add(1)
+		b, err := r.readRun(sf, first, last-first+1, j-k, &block)
+		if err != nil {
+			return err
 		}
 		for ; k < j; k++ {
 			pos := order[k]
-			base := (indices[pos] - first) * int(stride)
-			d := dst(pos)[:r.cols]
-			for c := range d {
-				d[c] = math.Float64frombits(binary.LittleEndian.Uint64(b[base+8*c:]))
-			}
+			decodeRows(dst(pos)[:r.cols], b[(indices[pos]-first)*stride:])
 		}
 	}
 	return nil
-}
-
-// ReadRows gathers the given global rows into a freshly allocated
-// [len(indices)][cols] slice — the demand-hydration primitive for
-// bucket solves that touch a sparse subset of rows.
-func (r *Reader) ReadRows(indices []int) ([][]float64, error) {
-	out := make([][]float64, len(indices))
-	for k := range out {
-		out[k] = make([]float64, r.cols)
-	}
-	if err := r.ReadRowsInto(indices, func(pos int) []float64 { return out[pos] }); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Stream visits rows [start, start+count) in order, reusing one row
 // buffer across calls — the sequential scan primitive for map tasks
-// assigned a row range. A readahead goroutine fetches
-// streamBlockBytes-sized blocks double-buffered ahead of the consumer,
-// so disk latency overlaps fn. fn must not retain the slice.
+// assigned a row range. It checks the whole range before the first
+// call to fn, then reads blocks of at most streamBlockBytes, cut at
+// shard ends, and decodes each one row at a time. fn must not retain
+// the slice.
 func (r *Reader) Stream(start, count int, fn func(i int, row []float64) error) error {
 	if count == 0 {
 		return nil
 	}
-	if start < 0 || count < 0 || start+count > r.rows {
-		return fmt.Errorf("shard: range [%d,%d) out of [0,%d)", start, start+count, r.rows)
+	if err := r.checkRange(start, count); err != nil {
+		return err
 	}
-	stride := int64(r.cols) * 8
-	blockRows := int(streamBlockBytes / stride)
-	if blockRows < 1 {
-		blockRows = 1
-	}
-	type block struct {
-		start, n int
-		buf      []byte
-		err      error
-	}
-	// Two buffers circulate producer -> blocks -> consumer -> free, so
-	// the producer reads block k+1 while the consumer decodes block k.
-	free := make(chan []byte, 2)
-	free <- nil
-	free <- nil
-	blocks := make(chan block, 1)
-	stop := make(chan struct{})
-	go func() {
-		defer close(blocks)
-		for i, rem := start, count; rem > 0; {
-			sf, err := r.locate(i)
-			if err != nil {
-				select {
-				case blocks <- block{err: err}:
-				case <-stop:
-				}
-				return
-			}
-			n := sf.startRow + sf.rows - i
-			if n > rem {
-				n = rem
-			}
-			if n > blockRows {
-				n = blockRows
-			}
-			var buf []byte
-			select {
-			case buf = <-free:
-			case <-stop:
-				return
-			}
-			need := int(int64(n) * stride)
-			if cap(buf) < need {
-				buf = make([]byte, need)
-			}
-			buf = buf[:need]
-			if _, err := sf.f.ReadAt(buf, headerSize+int64(i-sf.startRow)*stride); err != nil {
-				select {
-				case blocks <- block{err: fmt.Errorf("shard: stream rows [%d,%d): %w", i, i+n, err)}:
-				case <-stop:
-				}
-				return
-			}
-			r.read.Add(int64(need))
-			r.ops.Add(1)
-			if n > 1 {
-				r.coalesced.Add(1)
-			}
-			select {
-			case blocks <- block{start: i, n: n, buf: buf}:
-			case <-stop:
-				return
-			}
-			i += n
-			rem -= n
-		}
-	}()
-	defer close(stop) // unblocks the producer on any early return
+	stride := r.cols * 8
 	row := make([]float64, r.cols)
-	for b := range blocks {
-		if b.err != nil {
-			return b.err
-		}
-		for k := 0; k < b.n; k++ {
-			base := k * int(stride)
-			for c := range row {
-				row[c] = math.Float64frombits(binary.LittleEndian.Uint64(b.buf[base+8*c:]))
-			}
-			if err := fn(b.start+k, row); err != nil {
+	return r.eachRun(start, count, max(1, streamBlockBytes/stride), func(first int, b []byte) error {
+		for k := 0; k < len(b)/stride; k++ {
+			decodeRows(row, b[k*stride:])
+			if err := fn(first+k, row); err != nil {
 				return err
 			}
 		}
-		select {
-		case free <- b.buf:
-		default:
-		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // Close releases every shard file handle.

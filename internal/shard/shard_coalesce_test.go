@@ -77,8 +77,9 @@ func TestGatherCoalescesAdjacentRows(t *testing.T) {
 	for i := range idx {
 		idx[i] = 64 + i // two full shards, perfectly contiguous
 	}
+	dst := func(int) []float64 { return make([]float64, 8) }
 	opsBefore, coalBefore := r.ReadOps(), r.CoalescedReads()
-	if _, err := r.ReadRows(idx); err != nil {
+	if err := r.ReadRowsInto(idx, dst); err != nil {
 		t.Fatal(err)
 	}
 	ops := r.ReadOps() - opsBefore
@@ -97,7 +98,7 @@ func TestGatherCoalescesAdjacentRows(t *testing.T) {
 	// cannot coalesce: reads ≈ rows.
 	scattered := []int{0, 128, 64, 192}
 	opsBefore = r.ReadOps()
-	if _, err := r.ReadRows(scattered); err != nil {
+	if err := r.ReadRowsInto(scattered, dst); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.ReadOps() - opsBefore; got != int64(len(scattered)) {
@@ -105,12 +106,11 @@ func TestGatherCoalescesAdjacentRows(t *testing.T) {
 	}
 }
 
-// TestStreamReadaheadMatchesAndStops checks the double-buffered stream
-// against the row reads and makes sure a callback error stops the
-// readahead goroutine cleanly (no deadlock, error surfaced).
-func TestStreamReadaheadMatchesAndStops(t *testing.T) {
+// TestStreamMatchesAndStops checks the stream against the row reads
+// and makes sure a callback error stops it with that error.
+func TestStreamMatchesAndStops(t *testing.T) {
 	dir := t.TempDir()
-	m := writeMatrix(t, dir, 300, 5, 32) // enough rows for several readahead blocks
+	m := writeMatrix(t, dir, 300, 5, 32) // ten shards, so ten blocks
 	r, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,7 @@ import (
 )
 
 // writeMatrix shards a deterministic rows×cols matrix and returns it.
-func writeMatrix(t *testing.T, dir string, rows, cols, perShard int) [][]float64 {
+func writeMatrix(t testing.TB, dir string, rows, cols, perShard int) [][]float64 {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(rows*1000 + cols)))
 	m := make([][]float64, rows)
@@ -21,10 +21,25 @@ func writeMatrix(t *testing.T, dir string, rows, cols, perShard int) [][]float64
 			m[i][j] = rng.NormFloat64()
 		}
 	}
-	if err := WriteRows(dir, m, cols, perShard); err != nil {
-		t.Fatalf("WriteRows: %v", err)
-	}
+	writeRows(t, dir, m, cols, perShard)
 	return m
+}
+
+// writeRows shards the given rows through one Writer.
+func writeRows(t testing.TB, dir string, rows [][]float64, cols, perShard int) {
+	t.Helper()
+	w, err := NewWriter(dir, cols, perShard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range rows {
+		if err := w.Append(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
@@ -83,8 +98,11 @@ func TestReadRowsGather(t *testing.T) {
 		}
 	}()
 	idx := []int{19, 0, 7, 7, 13}
-	rows, err := r.ReadRows(idx)
-	if err != nil {
+	rows := make([][]float64, len(idx))
+	if err := r.ReadRowsInto(idx, func(pos int) []float64 {
+		rows[pos] = make([]float64, 4)
+		return rows[pos]
+	}); err != nil {
 		t.Fatal(err)
 	}
 	for k, i := range idx {
@@ -94,7 +112,7 @@ func TestReadRowsGather(t *testing.T) {
 			}
 		}
 	}
-	if _, err := r.ReadRows([]int{20}); err == nil {
+	if err := r.ReadRowsInto([]int{20}, func(int) []float64 { return make([]float64, 4) }); err == nil {
 		t.Fatal("out-of-range gather succeeded")
 	}
 }
@@ -294,9 +312,7 @@ func TestWriterValidation(t *testing.T) {
 func TestSpecialFloatValues(t *testing.T) {
 	dir := t.TempDir()
 	rows := [][]float64{{math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}}
-	if err := WriteRows(dir, rows, 4, 0); err != nil {
-		t.Fatal(err)
-	}
+	writeRows(t, dir, rows, 4, 0)
 	r, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -322,17 +338,7 @@ func TestSpecialFloatValues(t *testing.T) {
 // demand-hydration path of the bucket reducers.
 func BenchmarkShardStream(b *testing.B) {
 	dir := b.TempDir()
-	rng := rand.New(rand.NewSource(1))
-	rows := make([][]float64, 4096)
-	for i := range rows {
-		rows[i] = make([]float64, 16)
-		for j := range rows[i] {
-			rows[i][j] = rng.NormFloat64()
-		}
-	}
-	if err := WriteRows(dir, rows, 16, 1024); err != nil {
-		b.Fatal(err)
-	}
+	rows := writeMatrix(b, dir, 4096, 16, 1024)
 	r, err := Open(dir)
 	if err != nil {
 		b.Fatal(err)
@@ -352,29 +358,22 @@ func BenchmarkShardStream(b *testing.B) {
 
 func BenchmarkShardGather(b *testing.B) {
 	dir := b.TempDir()
-	rng := rand.New(rand.NewSource(2))
-	rows := make([][]float64, 4096)
-	for i := range rows {
-		rows[i] = make([]float64, 16)
-		for j := range rows[i] {
-			rows[i][j] = rng.NormFloat64()
-		}
-	}
-	if err := WriteRows(dir, rows, 16, 1024); err != nil {
-		b.Fatal(err)
-	}
+	rows := writeMatrix(b, dir, 4096, 16, 1024)
 	r, err := Open(dir)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer r.Close()
+	rng := rand.New(rand.NewSource(2))
 	indices := make([]int, 512)
 	for i := range indices {
 		indices[i] = rng.Intn(len(rows))
 	}
+	out := make([]float64, len(indices)*16)
+	dst := func(pos int) []float64 { return out[pos*16 : (pos+1)*16] }
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.ReadRows(indices); err != nil {
+		if err := r.ReadRowsInto(indices, dst); err != nil {
 			b.Fatal(err)
 		}
 	}
