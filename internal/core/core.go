@@ -325,8 +325,12 @@ func (r *localRunner) solve(ctx context.Context, p *Plan, part *lsh.Partition) (
 	// gets a wave to itself.
 	var waves [][]int
 	var loads []int64
+	floats := make([]int, len(part.Buckets))
 	for _, bi := range part.LPTOrder() {
-		need := p.solver.plan(len(part.Buckets[bi].Indices)).Bytes
+		ni := len(part.Buckets[bi].Indices)
+		pl := p.solver.plan(ni)
+		need := pl.Bytes
+		floats[bi] = pl.scratchLen(ni)
 		w := 0
 		if r.budget > 0 {
 			for w < len(waves) && loads[w]+need > r.budget {
@@ -344,12 +348,14 @@ func (r *localRunner) solve(ctx context.Context, p *Plan, part *lsh.Partition) (
 
 	// One loop per wave: a solve holds its plan's Bytes (within 8·Ni), so
 	// a wave's load bounds what its solves hold at once. The buffers
-	// themselves are lsh.EachBucket's pooled scratch, reused from wave to
-	// wave and from call to call.
+	// themselves are lsh.EachBucket's: mapped at the plan's scratchLen
+	// for the wave's first bucket a goroutine takes, and freed when the
+	// wave ends.
 	sols := make([]bucketSolution, len(part.Buckets))
+	need := func(bi int) int { return floats[bi] }
 	for w, wave := range waves {
 		r.peak = max(r.peak, loads[w])
-		err := lsh.EachBucket(ctx, wave, func(bi int, scratch *[]float64) error {
+		err := lsh.EachBucket(ctx, wave, need, func(bi int, scratch *[]float64) error {
 			b := part.Buckets[bi]
 			sol, err := p.solver.solve(bucket{points: r.points, rows: b.Indices, ids: b.Indices}, scratch)
 			if err != nil {

@@ -1,6 +1,16 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"runtime"
+	rtmetrics "runtime/metrics"
+	"runtime/pprof"
+	"sort"
+	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -36,6 +46,8 @@ type scaleCase struct {
 // Σ bucket sizes = N, Σ Kᵢ = Clusters, shard reads of at least one full
 // pass, a spilled shuffle, and the recall floor. The max RSS is the
 // process's, so it belongs to this case only when the case runs alone.
+// The clustering's live heap is sampled throughout, and the three
+// allocation sites holding the most of it at its peak are logged.
 func (c scaleCase) run(t *testing.T) {
 	const f, dims = 11, 11
 	dir := t.TempDir()
@@ -64,11 +76,14 @@ func (c scaleCase) run(t *testing.T) {
 	}
 	cfg := Config{Seed: 1, SpillBytes: c.spill, Compression: c.compress, EmbedDim: 64, EmbedCutoff: 2048}
 	start = time.Now()
+	live := sampleLiveHeap(t, filepath.Join(t.TempDir(), "heap-at-peak.pprof"))
 	res, err := Run(bg, Source{Dir: dir}, onExec(exec, cfg))
+	peak := live()
 	if err != nil {
 		t.Fatal(err)
 	}
 	runTime := time.Since(start)
+	t.Logf("%s: %s", c.name, peak)
 
 	recall, err := metrics.PairRecall(truth, res.Labels)
 	if err != nil {
@@ -120,4 +135,115 @@ func (c scaleCase) run(t *testing.T) {
 func TestOutOfCoreSmall(t *testing.T) {
 	// The shuffle is 5 024 B and pair recall 0.2003.
 	scaleCase{name: "4k-tcp", n: 4096, workers: 2, spill: 1 << 10, minRecall: 0.19}.run(t)
+}
+
+// livePeak is the largest live heap a sampleLiveHeap run saw, when, and
+// the allocation sites that held the most of it then.
+type livePeak struct {
+	bytes uint64
+	at    time.Duration
+	sites []string
+}
+
+func (p livePeak) String() string {
+	return fmt.Sprintf("live-heap peak=%dMB at %.1fs; top live sites there: %s",
+		p.bytes>>20, p.at.Seconds(), strings.Join(p.sites, "; "))
+}
+
+// sampleLiveHeap reads the collector's live-heap figure every 20 ms
+// until the returned stop is called. At each new peak it writes the heap
+// profile to path and keeps the three sites with the most bytes in use —
+// both as of the collection that measured the peak.
+func sampleLiveHeap(t *testing.T, path string) (stop func() livePeak) {
+	sample := []rtmetrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	start := time.Now()
+	var peak livePeak
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		tick := time.NewTicker(20 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-done:
+				return
+			case <-tick.C:
+			}
+			rtmetrics.Read(sample)
+			if v := sample[0].Value.Uint64(); v > peak.bytes {
+				peak = livePeak{bytes: v, at: time.Since(start), sites: topLiveSites(3)}
+				if err := writeHeapProfile(path); err != nil {
+					t.Errorf("heap profile: %v", err)
+				}
+			}
+		}
+	}()
+	return func() livePeak {
+		close(done)
+		wg.Wait()
+		return peak
+	}
+}
+
+// writeHeapProfile writes the heap profile to path.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := pprof.Lookup("heap").WriteTo(f, 0); err != nil {
+		_ = f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// topLiveSites names the n allocation sites with the most bytes in use
+// in the memory profile, by the innermost non-runtime function and its
+// caller, with their in-use bytes scaled from the profile's samples as
+// pprof scales them.
+func topLiveSites(n int) []string {
+	recs := make([]runtime.MemProfileRecord, 1024)
+	for {
+		got, ok := runtime.MemProfile(recs, false)
+		if ok {
+			recs = recs[:got]
+			break
+		}
+		recs = make([]runtime.MemProfileRecord, got+got/4)
+	}
+	type site struct {
+		name  string
+		bytes float64
+	}
+	var sites []site
+	rate := float64(runtime.MemProfileRate)
+	for i := range recs {
+		r := &recs[i]
+		objs := r.InUseObjects()
+		if objs <= 0 {
+			continue
+		}
+		avg := float64(r.InUseBytes()) / float64(objs)
+		scale := 1 / (1 - math.Exp(-avg/rate))
+		var names []string
+		frames := runtime.CallersFrames(r.Stack())
+		for f, more := frames.Next(); len(names) < 2; f, more = frames.Next() {
+			if !strings.HasPrefix(f.Function, "runtime.") {
+				names = append(names, f.Function[strings.LastIndex(f.Function, "/")+1:])
+			}
+			if !more {
+				break
+			}
+		}
+		sites = append(sites, site{strings.Join(names, " < "), float64(r.InUseBytes()) * scale})
+	}
+	sort.Slice(sites, func(a, b int) bool { return sites[a].bytes > sites[b].bytes })
+	out := make([]string, 0, n)
+	for _, s := range sites[:min(n, len(sites))] {
+		out = append(out, fmt.Sprintf("%s %.1fMB", s.name, s.bytes/(1<<20)))
+	}
+	return out
 }

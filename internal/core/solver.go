@@ -115,6 +115,23 @@ type bucketPlan struct {
 	Bytes int64
 }
 
+// scratchLen is the float64s a solve of ni points under this plan
+// builds in its caller's scratch: the packed sub-Gram, ni(ni+1)/2, for
+// the Gram class (which the sparse attempt then may not touch); the
+// plan's Bytes in floats — ni·m of landmark cross block, ni·d′ of
+// embedded rows — for the embed classes; none for a trivial bucket. It
+// is the one size a runner maps before the solve, so a solve handed
+// this much never grows it.
+func (pl bucketPlan) scratchLen(ni int) int {
+	switch pl.Class {
+	case classGram:
+		return matrix.PackedLen(ni)
+	case classLandmark, classEmbedded:
+		return int(pl.Bytes / 8)
+	}
+	return 0
+}
+
 // plan decides a bucket of ni points.
 func (s *bucketSolver) plan(ni int) bucketPlan {
 	ki := BucketK(s.pol.K, ni, s.pol.N)
@@ -177,10 +194,10 @@ type bucket struct {
 // Dense sub-Grams (the packed upper triangle, 8·Ni(Ni+1)/2 bytes — the
 // plan's Bytes plus 4·Ni), landmark cross blocks and embedded row
 // blocks are built inside *buf (grown as needed, reused across calls —
-// each worker owns one; it may start nil) and consumed in place: the
-// Laplacian overwrites it, so nothing retains the buffer after the
-// solve. Sparse and trivial solves
-// never touch it.
+// each worker owns one; it may start nil, and holds no more than the
+// plan's scratchLen) and consumed in place: the Laplacian overwrites
+// it, so nothing retains the buffer after the solve. Sparse and trivial
+// solves never touch it.
 func (s *bucketSolver) solve(b bucket, buf *[]float64) (bucketSolution, error) {
 	ni := len(b.rows)
 	pl := s.plan(ni)

@@ -78,16 +78,21 @@ func TestPlanAgreesWithSolve(t *testing.T) {
 // scratch's), and on a sparse-mode bucket whose ε-cut is too full for
 // the CSR solver — and the sparse and trivial routes do not grow it. So
 // the budgeted waves of a MemoryBudget run, packed by plan Bytes, bound
-// real bytes.
+// real bytes. And on every class a solve handed exactly the plan's
+// scratchLen — what lsh.EachBucket maps — solves in that buffer and
+// never replaces it.
 func TestSolveHoldsWhatItPlans(t *testing.T) {
 	pts, _ := blobPoints(71, 8, 60, 12, 10, 0.3)
 	n := pts.Rows()
 	seen := map[string]int{}
-	for _, sparse := range []bool{false, true} {
+	for _, mode := range []string{"dense", "sparse", "embed"} {
 		for _, k := range []int{16, 160} {
 			pol := solvePolicy{N: n, Cols: pts.Cols(), K: k, Sigma: 1, Seed: 72}
-			if sparse {
+			switch mode {
+			case "sparse":
 				pol.SparseCutoff, pol.Epsilon = 96, 1e-4
+			case "embed":
+				pol.EmbedDim, pol.EmbedCutoff = 16, 96
 			}
 			solver, err := newBucketSolver(pol)
 			if err != nil {
@@ -116,10 +121,19 @@ func TestSolveHoldsWhatItPlans(t *testing.T) {
 						t.Errorf("%+v ni=%d: %s solve holds %d bytes, planned %d", pol, ni, sol.Solver, held, pl.Bytes)
 					}
 				}
+
+				sized := make([]float64, pl.scratchLen(ni))
+				scratch = sized
+				if _, err := solver.solve(bucket{points: pts, rows: rows, ids: rows}, &scratch); err != nil {
+					t.Fatalf("%+v ni=%d: %v", pol, ni, err)
+				}
+				if cap(scratch) != cap(sized) || (cap(sized) > 0 && &scratch[:1][0] != &sized[0]) {
+					t.Errorf("%+v ni=%d: %s solve handed its plan's %d floats regrew them to %d", pol, ni, sol.Solver, len(sized), cap(scratch))
+				}
 			}
 		}
 	}
-	for _, s := range []string{SolverTrivial, spectral.SolverSparseLanczos, spectral.SolverDenseEigen, spectral.SolverDenseLanczos} {
+	for _, s := range []string{SolverTrivial, spectral.SolverSparseLanczos, spectral.SolverDenseEigen, spectral.SolverDenseLanczos, spectral.SolverLandmark, spectral.SolverEmbedded} {
 		if seen[s] == 0 {
 			t.Errorf("the sweep never reached the %s solver: %v", s, seen)
 		}

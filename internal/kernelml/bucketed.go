@@ -22,10 +22,11 @@ import (
 // global label offsets are prefix-summed up front so the parallel result
 // is identical to sequential execution; each bucket's share of the
 // global K is core.BucketK, the DASC drivers' rule. Sub-Grams are built
-// in reused scratch: packed by kernel.SubGramPacked for PCA, which reads
-// only the upper triangle, and n x n by kernel.SubGramPooled for k-means
-// and SMO, which scan whole rows (on the packed triangle with gathered
-// rows they ran 1.5–3.4x slower).
+// in the loop's scratch, mapped at the largest bucket's size: packed by
+// kernel.SubGramPacked for PCA, which reads only the upper triangle, and
+// n x n by kernel.SubGramPooled for k-means and SMO, which scan whole
+// rows (on the packed triangle with gathered rows they ran 1.5–3.4x
+// slower).
 
 // BucketedKernelKMeans runs kernel k-means inside every bucket of the
 // partition, allocating the global cluster budget k proportionally
@@ -47,7 +48,8 @@ func BucketedKernelKMeans(points *matrix.Dense, part *lsh.Partition, kf kernel.K
 		total += counts[bi]
 	}
 	labels := make([]int, n)
-	err := lsh.EachBucket(context.Background(), part.LPTOrder(), func(bi int, scratch *[]float64) error {
+	need := func(bi int) int { ni := len(part.Buckets[bi].Indices); return ni * ni }
+	err := lsh.EachBucket(context.Background(), part.LPTOrder(), need, func(bi int, scratch *[]float64) error {
 		b := part.Buckets[bi]
 		ni := len(b.Indices)
 		if counts[bi] >= ni {
@@ -85,7 +87,8 @@ func BucketedKernelPCA(points *matrix.Dense, part *lsh.Partition, kf kernel.Kern
 		return nil, fmt.Errorf("kernelml: k=%d", k)
 	}
 	out := matrix.NewDense(points.Rows(), k)
-	err := lsh.EachBucket(context.Background(), part.LPTOrder(), func(bi int, scratch *[]float64) error {
+	need := func(bi int) int { return matrix.PackedLen(len(part.Buckets[bi].Indices)) }
+	err := lsh.EachBucket(context.Background(), part.LPTOrder(), need, func(bi int, scratch *[]float64) error {
 		b := part.Buckets[bi]
 		if len(b.Indices) == 1 {
 			return nil // a singleton has no variance to decompose

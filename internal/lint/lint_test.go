@@ -179,3 +179,31 @@ func TestLoaderModule(t *testing.T) {
 		t.Errorf("root %q has no go.mod: %v", loader.Root(), err)
 	}
 }
+
+// TestLoaderHonoursBuildConstraints: a package split across build tags
+// (internal/offheap's mmap file and its heap fallback both declare
+// Alloc) type-checks as `go build` compiles it, one side only.
+func TestLoaderHonoursBuildConstraints(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"on.go":      "//go:build !race\n\npackage split\n\nconst Side = 1\n",
+		"off.go":     "//go:build race\n\npackage split\n\nconst Side = 2\n",
+		"x_plan9.go": "package split\n\nconst Side = 3\n",
+	}
+	for name, src := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loader, err := sharedLoader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := loader.LoadDir(dir)
+	if err != nil {
+		t.Fatalf("LoadDir: %v", err)
+	}
+	if len(pkg.Files) != 1 || pkg.Types.Scope().Lookup("Side") == nil {
+		t.Fatalf("loaded %d files, want on.go alone", len(pkg.Files))
+	}
+}

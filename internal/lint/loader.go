@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -205,7 +206,10 @@ func (l *Loader) packageDirs() ([]string, error) {
 	return dirs, err
 }
 
-// goSources returns the sorted non-test .go file names in dir.
+// goSources returns the sorted non-test .go file names in dir that
+// `go build` would compile on this platform: a file whose name or
+// //go:build line excludes it (a heap fallback beside an mmap file,
+// say) would otherwise redeclare its sibling's names.
 func goSources(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -218,7 +222,13 @@ func goSources(dir string) ([]string, error) {
 			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
 			continue
 		}
-		names = append(names, name)
+		match, err := build.Default.MatchFile(dir, name)
+		if err != nil {
+			return nil, err
+		}
+		if match {
+			names = append(names, name)
+		}
 	}
 	sort.Strings(names)
 	return names, nil

@@ -137,7 +137,19 @@ func Fit(points *matrix.Dense, cfg Config) (*Hasher, error) {
 		return nil, fmt.Errorf("lsh: Bins=%d must be >= 2", binCount)
 	}
 
-	mins, spans := dimensionSpans(points)
+	// Every rule below reads the data one dimension at a time, so the
+	// rows are transposed once and each dimension is a contiguous
+	// column instead of a strided pass through the rows. The copy is
+	// scratch: the span selects reorder each column in place, which
+	// the thresholds do not see — a histogram counts the same in any
+	// order, and a selected order statistic is the same value.
+	cols := make([]float64, n*d)
+	for i := 0; i < n; i++ {
+		for j, v := range points.Row(i) {
+			cols[j*n+i] = v
+		}
+	}
+	mins, spans := dimensionSpans(cols, n)
 	dims, err := chooseDimensions(spans, m, cfg.Policy, cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -145,51 +157,45 @@ func Fit(points *matrix.Dense, cfg Config) (*Hasher, error) {
 
 	thresholds := make([]float64, m)
 	for i, dim := range dims {
-		thresholds[i] = valleyThreshold(points, dim, mins[dim], spans[dim], binCount)
+		thresholds[i] = valleyThreshold(cols[dim*n:(dim+1)*n], mins[dim], spans[dim], binCount)
 	}
 	return &Hasher{dims: dims, thresholds: thresholds}, nil
 }
 
-// dimensionSpans computes per-dimension min and span. The span
-// used for dimension *ranking* is robust: the 5th-to-95th percentile
-// range plus a small full-range tiebreak. On dense data this equals
-// max-min (the paper's §3.2 definition); on sparse representations
-// like tf-idf it stops a dimension that is nonzero in a handful of
-// points from outranking a dimension that actually spreads the corpus
-// — the paper's own rationale for the span heuristic ("dimensions in
-// which data points are as spread out as possible").
-func dimensionSpans(points *matrix.Dense) (mins, spans []float64) {
-	n, d := points.Rows(), points.Cols()
+// dimensionSpans computes per-dimension min and span of the data held
+// column-major in cols, n values a column, reordering each column. The
+// span used for dimension *ranking* is robust: the 5th-to-95th
+// percentile range plus a small full-range tiebreak. On dense data this
+// equals max-min (the paper's §3.2 definition); on sparse
+// representations like tf-idf it stops a dimension that is nonzero in a
+// handful of points from outranking a dimension that actually spreads
+// the corpus — the paper's own rationale for the span heuristic
+// ("dimensions in which data points are as spread out as possible").
+func dimensionSpans(cols []float64, n int) (mins, spans []float64) {
+	d := len(cols) / n
 	mins = make([]float64, d)
-	maxs := make([]float64, d)
-	copy(mins, points.Row(0))
-	copy(maxs, points.Row(0))
-	for i := 1; i < n; i++ {
-		row := points.Row(i)
-		for j, v := range row {
-			if v < mins[j] {
-				mins[j] = v
+	spans = make([]float64, d)
+	for j := range spans {
+		c := cols[j*n : (j+1)*n]
+		lo, hi := c[0], c[0]
+		for _, v := range c[1:] {
+			if v < lo {
+				lo = v
 			}
-			if v > maxs[j] {
-				maxs[j] = v
+			if v > hi {
+				hi = v
 			}
 		}
-	}
-	spans = make([]float64, d)
-	col := make([]float64, n)
-	for j := range spans {
-		full := maxs[j] - mins[j]
+		mins[j] = lo
+		full := hi - lo
 		if matrix.IsZero(full) {
 			continue
 		}
-		for i := 0; i < n; i++ {
-			col[i] = points.At(i, j)
-		}
 		// Two order statistics, not a full per-column sort: SelectKth
 		// returns exactly the value sorting would place at that index.
-		lo := matrix.SelectKth(col, int(0.05*float64(n-1)))
-		hi := matrix.SelectKth(col, int(math.Ceil(0.95*float64(n-1))))
-		spans[j] = (hi - lo) + 1e-6*full
+		p05 := matrix.SelectKth(c, int(0.05*float64(n-1)))
+		p95 := matrix.SelectKth(c, int(math.Ceil(0.95*float64(n-1))))
+		spans[j] = (p95 - p05) + 1e-6*full
 	}
 	return mins, spans
 }
@@ -247,8 +253,8 @@ func chooseDimensions(spans []float64, m int, policy DimensionPolicy, seed int64
 	return dims, nil
 }
 
-// valleyThreshold builds a binCount-bin histogram of the data along dim
-// and returns the lower edge of the emptiest bin (Eq. 5): the split
+// valleyThreshold builds a binCount-bin histogram of one column of the
+// data, in any row order, and returns the lower edge of the emptiest bin (Eq. 5): the split
 // point that cuts through the sparsest region of the distribution, so
 // that few near neighbours straddle it.
 //
@@ -260,16 +266,15 @@ func chooseDimensions(spans []float64, m int, policy DimensionPolicy, seed int64
 // bin, which sends almost every point to the same signature and
 // destroys the partition. If no balanced bin exists, the median is
 // used.
-func valleyThreshold(points *matrix.Dense, dim int, min, span float64, binCount int) float64 {
+func valleyThreshold(col []float64, min, span float64, binCount int) float64 {
 	if span <= 0 {
 		return min // constant dimension: threshold is degenerate anyway
 	}
 	const balanceMin = 0.15
 	bins := make([]int, binCount)
-	n := points.Rows()
+	n := len(col)
 	width := span / float64(binCount)
-	for i := 0; i < n; i++ {
-		v := points.At(i, dim)
+	for _, v := range col {
 		b := int((v - min) / width)
 		if b >= binCount {
 			b = binCount - 1 // v == max lands in the top bin
@@ -298,12 +303,9 @@ func valleyThreshold(points *matrix.Dense, dim int, min, span float64, binCount 
 	if s >= 0 {
 		return min + float64(s)*width
 	}
-	// No balanced valley: fall back to the median value along dim.
-	vals := make([]float64, n)
-	for i := 0; i < n; i++ {
-		vals[i] = points.At(i, dim)
-	}
-	return matrix.SelectKth(vals, n/2)
+	// No balanced valley: fall back to the median value along the
+	// column.
+	return matrix.SelectKth(col, n/2)
 }
 
 // Signature hashes one point. Bit i is set when x[dims[i]] > thresholds[i].

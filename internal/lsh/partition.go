@@ -3,8 +3,8 @@ package lsh
 import (
 	"context"
 	"sort"
-	"sync"
 
+	"repro/internal/offheap"
 	"repro/internal/par"
 )
 
@@ -145,33 +145,40 @@ func (p *Partition) LPTOrder() []int {
 	return order
 }
 
-// bucketScratch holds EachBucket's per-goroutine scratch between loops.
-var bucketScratch = sync.Pool{New: func() any { return new([]float64) }}
-
 // EachBucket is the one bucket-solve loop: it calls solve(bi, scratch)
 // for every bucket index of order — LPTOrder, or a wave cut from it —
 // through internal/par, so the bucket at the head runs on the calling
 // goroutine, whose inner Gram and k-means loops inherit the helpers the
-// small buckets free as they drain. Each goroutine takes one scratch
-// buffer from a package pool, hands it to every solve it runs and puts
-// it back when the loop ends, so the next loop — the next wave, the next
-// in-process run — grows nothing it has grown before instead of
-// allocating a sub-Gram beside the last one's garbage. solve must not
-// keep the buffer past its return. Up to GOMAXPROCS buffers of the
-// largest bucket's size therefore stay pooled until two GC cycles pass
-// without a loop taking them. The context is checked before every
-// solve, and the error of the bucket earliest in order is returned.
-// solve must write its result at the bucket's own index: scheduling
-// never changes an output.
-func EachBucket(ctx context.Context, order []int, solve func(bi int, scratch *[]float64) error) error {
+// small buckets free as they drain.
+//
+// Each goroutine of the loop owns one scratch buffer. need(bi) is the
+// float64s bucket bi's solve builds in (its sub-Gram, cross block or
+// embedded rows; 0 for none): before the solve, a buffer smaller than
+// that is freed and need(bi) floats are mapped in its place by
+// internal/offheap, and the buffer is freed when the loop ends. So the
+// scratch lives exactly as long as the loop, outside the Go heap on
+// Linux, and in LPT order a goroutine maps once, at the first bucket it
+// takes. solve must not keep the buffer, or anything aliasing it, past
+// its return. A solve may still grow *scratch on the heap (a need that
+// was too small); the mapping is freed regardless. The context is
+// checked before every solve, and the error of the bucket earliest in
+// order is returned. solve must write its result at the bucket's own
+// index: scheduling never changes an output.
+func EachBucket(ctx context.Context, order []int, need func(bi int) int, solve func(bi int, scratch *[]float64) error) error {
 	return par.Workers(len(order), len(order), func(next func() (int, bool)) error {
-		scratch := bucketScratch.Get().(*[]float64)
-		defer bucketScratch.Put(scratch)
+		var mapped, scratch []float64
+		defer func() { offheap.Free(mapped) }()
 		for oi, ok := next(); ok; oi, ok = next() {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := solve(order[oi], scratch); err != nil {
+			bi := order[oi]
+			if n := need(bi); n > len(mapped) {
+				offheap.Free(mapped)
+				mapped = offheap.Alloc(n)
+				scratch = mapped
+			}
+			if err := solve(bi, &scratch); err != nil {
 				return err
 			}
 		}

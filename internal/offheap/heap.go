@@ -1,0 +1,17 @@
+//go:build !linux || race
+
+package offheap
+
+// Mapped reports whether Alloc maps memory outside the Go heap.
+const Mapped = false
+
+// Alloc returns a zeroed buffer of n float64s from the heap.
+func Alloc(n int) []float64 {
+	if n <= 0 {
+		return nil
+	}
+	return make([]float64, n)
+}
+
+// Free leaves s to the collector.
+func Free(s []float64) {}

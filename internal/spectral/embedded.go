@@ -34,7 +34,7 @@ const SolverEmbedded = "embedded"
 // ClusterEmbeddedRows runs the reduce half of the embedded solve: plain
 // k-means on already-embedded rows. The returned Result carries labels
 // and inertia only — there is no eigensystem, and Embedding is left nil
-// because emb usually aliases pooled scratch that the caller reuses.
+// because emb usually aliases scratch that the caller reuses or frees.
 func ClusterEmbeddedRows(emb *matrix.Dense, cfg Config) (*Result, error) {
 	n := emb.Rows()
 	if cfg.K <= 0 {
@@ -55,7 +55,7 @@ func ClusterEmbeddedRows(emb *matrix.Dense, cfg Config) (*Result, error) {
 }
 
 // clusterEmbedded runs the full embedded solve for the engine: embed
-// the bucket rows into the pooled scratch, then cluster them. Errors
+// the bucket rows into the caller's scratch, then cluster them. Errors
 // are returned, not silently downgraded to a Gram solve: the plan every
 // driver costs and packs by calls the bucket embedded, and a quiet
 // engine-side switch of route would make the run disagree with it.

@@ -131,12 +131,12 @@ func denseSolverName(n, k int) string {
 
 // ClusterBucket runs spectral clustering on the sub-Gram of the listed
 // rows, choosing the solver by the policy above. scratch is the
-// caller's pooled sub-Gram buffer (grown as needed, reused across
-// buckets): the packed triangle, the landmark cross block or the
-// embedded rows; the sparse path never touches it. The returned stats
-// describe the solver choice, the similarity storage, and the wall
-// time; they are filled even when err != nil, so fallback paths can
-// still be accounted.
+// caller's sub-Gram buffer (grown as needed, reused across buckets):
+// the packed triangle, the landmark cross block or the embedded rows;
+// the sparse path never touches it, and the Result never aliases it.
+// The returned stats describe the solver choice, the similarity
+// storage, and the wall time; they are filled even when err != nil, so
+// fallback paths can still be accounted.
 func ClusterBucket(points *matrix.Dense, indices []int, kf kernel.Kernel, cfg EngineConfig, scratch *[]float64) (*Result, SolveStats, error) {
 	start := time.Now()
 	ni := len(indices)
