@@ -93,6 +93,58 @@ func TestFitPinned(t *testing.T) {
 	}
 }
 
+// mixtureFixture is n rows around k Gaussian centres in d dimensions,
+// with per-dimension scales that differ, the shape of the benchmark's
+// mixtures.
+func mixtureFixture(n, d, k int, seed int64) *matrix.Dense {
+	rng := rand.New(rand.NewSource(seed))
+	centres := make([]float64, k*d)
+	for i := range centres {
+		centres[i] = rng.Float64() * 10
+	}
+	pts := matrix.NewDense(n, d)
+	for i := 0; i < n; i++ {
+		c := centres[rng.Intn(k)*d:][:d]
+		for j, v := range c {
+			pts.Set(i, j, v+rng.NormFloat64()*(0.2+float64(j%5)/10))
+		}
+	}
+	return pts
+}
+
+// TestFitEnsemblePinned pins every table FitEnsemble fits — dimensions
+// and threshold bits, table by table — on the 4-table shape of the
+// corpus workload (d = 11) and on a 16-dimensional mixture, so sharing
+// the fit's work between tables must return exactly the tables it
+// returned when each table was fitted from scratch.
+func TestFitEnsemblePinned(t *testing.T) {
+	cases := []struct {
+		name string
+		pts  *matrix.Dense
+		cfg  Config
+		want uint64
+	}{
+		{"corpus-4096x11", fitFixture(4096, 11, 11), Config{}, 0xa6dfcf6b97c21651},
+		{"corpus-4096x11-uniform", fitFixture(4096, 11, 12), Config{M: 5, Policy: Uniform, Bins: 7, Seed: 9}, 0xc567f0e62fe1b2d6},
+		{"mixture-8192x16", mixtureFixture(8192, 16, 8, 3), Config{Seed: 2}, 0x8fda78f9c9a9b165},
+	}
+	for _, tc := range cases {
+		e, err := FitEnsemble(tc.pts, tc.cfg, EnsembleConfig{Tables: 4, ProbeRadius: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		f := fnv.New64a()
+		var b [8]byte
+		for _, fam := range e.Families() {
+			binary.LittleEndian.PutUint64(b[:], fitHash(fam.(*Hasher)))
+			f.Write(b[:])
+		}
+		if got := f.Sum64(); got != tc.want {
+			t.Errorf("%s: ensemble fit hash %016x, want %016x", tc.name, got, tc.want)
+		}
+	}
+}
+
 // BenchmarkFit fits the default hasher on 65 536 x 16 rows, the shape
 // of a full-sample fit on the shipped TCP mixture.
 func BenchmarkFit(b *testing.B) {
