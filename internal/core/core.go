@@ -175,7 +175,10 @@ type BucketReport struct {
 	// K is the number of clusters extracted from this bucket.
 	K int
 	// GramBytes is the bucket's sub-similarity storage: 4 bytes/entry
-	// for dense solves, the measured CSR footprint for sparse ones.
+	// for dense solves, the measured CSR footprint for sparse ones. A
+	// trivial bucket (SolverTrivial: K = 1, or one cluster per point) is
+	// billed the dense 4·Size² although the solver never builds it,
+	// because the paper's reducer would.
 	GramBytes int64
 	// Solver names the eigensolver the engine chose for this bucket
 	// (spectral.Solver* constants, SolverTrivial, or SolverKMeansFallback).
@@ -197,7 +200,9 @@ type Result struct {
 	Clusters int
 	// Buckets describes the processed partition.
 	Buckets []BucketReport
-	// GramBytes is the total approximated-Gram storage (Figure 6b).
+	// GramBytes is the total approximated-Gram storage (Figure 6b), the
+	// sum of the buckets' GramBytes — trivial buckets' 4·Size² included,
+	// though no trivial bucket is built (DESIGN.md has the shares).
 	GramBytes int64
 	// SignatureBits is the M actually used.
 	SignatureBits int

@@ -66,9 +66,10 @@ func TestResultDeterministicAcrossRunsAndWorkers(t *testing.T) {
 // internal/par the only parallelism dial, and one whose helper count is
 // timing-dependent — swept over 1, 2, 4 and 8 on every route of the
 // driver grid. The mixture hashes to one embedded bucket of more than
-// 4096 rows, so the bucket's k-means crosses parallelUpdateCutoff: its
-// centroid sums must take the block-partial order from n, not from how
-// many goroutines showed up, or a label can flip between thread counts.
+// 4096 rows, so the bucket's k-means updates sixteen and more blocks
+// in parallel: its centroid sums must take the block order, not the
+// order goroutines finished in, or a label can flip between thread
+// counts.
 func TestLabelsIdenticalAcrossProcsOnAllDrivers(t *testing.T) {
 	const n = 4600
 	l := mixture(t, n, 8, 4, 0.08, 19)

@@ -174,6 +174,29 @@ func referenceMedianSigma(points *matrix.Dense, sampleSize int, seed int64) floa
 	return med
 }
 
+// TestDot4MatchesDot: MedianSigma's four-lane dot is the inner product
+// to rounding, and rejects a length mismatch.
+func TestDot4MatchesDot(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 33, 64, 65} {
+		x := make([]float64, n)
+		y := make([]float64, n)
+		for i := range x {
+			x[i], y[i] = rng.NormFloat64(), rng.NormFloat64()
+		}
+		got, want := dot4(x, y), matrix.Dot(x, y)
+		if math.Abs(got-want) > 1e-12*(1+math.Abs(want)) {
+			t.Fatalf("n=%d: dot4 = %v, Dot = %v", n, got, want)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic for length mismatch")
+		}
+	}()
+	dot4([]float64{1}, []float64{1, 2})
+}
+
 func TestMedianSigmaMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		pts := randPoints(90, 6, seed+100)
@@ -267,4 +290,25 @@ func BenchmarkSubGramPacked(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(8*cap(scratch)), "held-B/op")
+}
+
+// BenchmarkSubGramSparse fills the ε-thresholded sub-Gram of 2 048
+// random 16-dimensional rows at σ = 1, ε = 1e-4 — about a tenth of the
+// pairs survive — reporting the fill it emits.
+func BenchmarkSubGramSparse(b *testing.B) {
+	const n = 2048
+	pts := randPoints(n, 16, 7)
+	idxs := rand.New(rand.NewSource(8)).Perm(n)
+	kf := NewGaussian(1)
+	var fill float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		csr, err := SubGramSparse(pts, idxs, kf, 1e-4)
+		if err != nil {
+			b.Fatal(err)
+		}
+		fill = csr.Fill()
+	}
+	b.ReportMetric(fill, "fill")
 }

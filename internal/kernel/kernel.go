@@ -4,14 +4,15 @@
 // kernel; the bandwidth can be fixed or derived from the data by the
 // median-distance heuristic.
 //
-// All Gram construction funnels through the blocked compute engine in
-// fast.go: the kernel the engine recognizes (NewGaussian) is computed
-// from precomputed row norms and unrolled dot products, parallel over
-// row blocks; closure kernels (Func) remain fully supported through the
+// All Gram construction funnels through the one block loop in fast.go:
+// the kernel the engine recognizes (NewGaussian) is computed from
+// precomputed row norms and blocked dot products, parallel over row
+// strips; closure kernels (Func) remain fully supported through the
 // generic per-pair fallback.
 package kernel
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -49,7 +50,9 @@ func MedianSigma(points *matrix.Dense, sampleSize int, seed int64) float64 {
 	}
 	// Each sampled distance is three dot products of the pair's rows,
 	// ||x-y||^2 = ||x||^2 + ||y||^2 - 2 x.y, so no O(N) norm pass is
-	// needed for a few hundred pairs.
+	// needed for a few hundred pairs. They are summed in dot4's four
+	// lanes, not the engine's one chain: sigma scales every kernel value
+	// downstream, and the paper's artifacts are pinned to these bits.
 	dists := make([]float64, 0, pairs)
 	for len(dists) < pairs {
 		i, j := rng.Intn(n), rng.Intn(n)
@@ -57,7 +60,7 @@ func MedianSigma(points *matrix.Dense, sampleSize int, seed int64) float64 {
 			continue
 		}
 		x, y := points.Row(i), points.Row(j)
-		d2 := matrix.Dot4(x, x) + matrix.Dot4(y, y) - 2*matrix.Dot4(x, y)
+		d2 := dot4(x, x) + dot4(y, y) - 2*dot4(x, y)
 		if d2 < 0 {
 			d2 = 0
 		}
@@ -70,12 +73,33 @@ func MedianSigma(points *matrix.Dense, sampleSize int, seed int64) float64 {
 	return med
 }
 
+// dot4 is the inner product of x and y accumulated in four lanes, the
+// order MedianSigma's sampled distances have always been summed in. It
+// panics if the lengths differ.
+func dot4(x, y []float64) float64 {
+	if len(x) != len(y) {
+		matrix.Panicf("kernel: dot4 of lengths %d and %d", len(x), len(y))
+	}
+	var s0, s1, s2, s3 float64
+	i := 0
+	for ; i+4 <= len(x); i += 4 {
+		s0 += x[i] * y[i]
+		s1 += x[i+1] * y[i+1]
+		s2 += x[i+2] * y[i+2]
+		s3 += x[i+3] * y[i+3]
+	}
+	for ; i < len(x); i++ {
+		s0 += x[i] * y[i]
+	}
+	return s0 + s1 + s2 + s3
+}
+
 // Gram computes the full N x N similarity matrix with zero diagonal,
 // matching the paper's reducer (Algorithm 2 sets S[i,i] = 0, the
 // standard spectral-clustering convention of Ng et al.). The Gaussian
 // takes the blocked fast path; all kernels are computed in
-// parallel over block pairs of the upper triangle for large N, each
-// value stored at its mirror in the same pass.
+// parallel over row strips of the upper triangle for large N, each
+// value also stored at its mirror.
 func Gram(points *matrix.Dense, k Kernel) *matrix.Dense {
 	n := points.Rows()
 	s := matrix.NewDense(n, n)
@@ -102,28 +126,13 @@ func GramWithDiagonal(points *matrix.Dense, k Kernel) *matrix.Dense {
 // SubGram computes the similarity matrix restricted to the points whose
 // dataset rows are listed in indices — one DASC bucket's portion of the
 // approximated Gram matrix. Large buckets are computed in parallel over
-// row blocks; the Gaussian additionally takes the blocked fast path
+// row strips; the Gaussian additionally takes the blocked fast path
 // over rows gathered into contiguous scratch.
 func SubGram(points *matrix.Dense, indices []int, k Kernel) *matrix.Dense {
 	n := len(indices)
 	s := matrix.NewDense(n, n)
-	SubGramInto(s, points, indices, k)
-	return s
-}
-
-// SubGramInto computes the sub-Gram of the listed rows into s, which
-// must be len(indices) x len(indices). Every entry of s is overwritten
-// (diagonal included), so callers can hand in pooled, dirty buffers —
-// the per-bucket solve path reuses one backing slice across buckets.
-func SubGramInto(s *matrix.Dense, points *matrix.Dense, indices []int, k Kernel) {
-	n := len(indices)
-	if s.Rows() != n || s.Cols() != n {
-		matrix.Panicf("kernel: SubGramInto %dx%d for %d indices", s.Rows(), s.Cols(), n)
-	}
-	if n == 0 {
-		return
-	}
 	gramInto(s, points, indices, k)
+	return s
 }
 
 // SubGramPacked builds the sub-Gram of the listed rows as its packed
@@ -142,8 +151,35 @@ func SubGramPacked(points *matrix.Dense, indices []int, k Kernel, scratch *[]flo
 	if err != nil {
 		return nil, err
 	}
-	symGramInto(sub, points, indices, k)
+	symFill(sub, points, indices, k)
 	return sub, nil
+}
+
+// CrossGramInto fills dst (a.Rows() × b.Rows()) with the kernel value of
+// every cross pair k(a_i, b_j) — the Nyström algebra's landmark block W
+// (a against itself) and cross block C (spectral.ClusterLandmarkRows,
+// run by the in-bucket landmark solve and the NYST baseline). The
+// diagonal is NOT special-cased: a self pair yields k(x,x), exactly 1
+// for the Gaussian, and a block of a matrix against itself is bitwise
+// symmetric, which the Nyström blocks require.
+func CrossGramInto(dst *matrix.Dense, a, b *matrix.Dense, k Kernel) error {
+	ra, rb := a.Rows(), b.Rows()
+	if dst.Rows() != ra || dst.Cols() != rb {
+		return fmt.Errorf("kernel: cross block %dx%d for %dx%d rows", dst.Rows(), dst.Cols(), ra, rb)
+	}
+	if ra == 0 || rb == 0 {
+		return nil
+	}
+	if a.Cols() != b.Cols() {
+		return fmt.Errorf("kernel: cross operands have %d and %d columns", a.Cols(), b.Cols())
+	}
+	kind, _ := recognize(k)
+	oa, ob := newOperand(a, nil, kind), newOperand(b, nil, kind)
+	defer oa.release()
+	defer ob.release()
+	f := gramFill{k: k, a: oa, b: ob, tile: blockRows, d2max: math.Inf(1), out: rectOut{dst}}
+	f.run()
+	return nil
 }
 
 // GramBytes returns the paper's Eq. 12 storage figure for an N x N Gram

@@ -13,12 +13,13 @@ import (
 // the pre-tile single-pair seeding, a full assignment scan every
 // iteration (strict `<`, ascending index), a separate final inertia
 // sweep, the pre-tile farthest-point repair, and no early stop other
-// than Lloyd's own movement test. It shares with Run only what defines
-// the summation order of the result: accumulate (row order, or
-// fixed-block partial sums under Run's own n rule) and the block-order
-// inertia fold. The bounded production path must reproduce
-// its labels, centroids, iteration count and inertia bit for bit. It
-// also returns how many empty clusters it repaired.
+// than Lloyd's own movement test. It sums as Run does — the centroid
+// sums and the inertia per fixed 256-row block in row order, the block
+// partials in block order — but re-sums every block every iteration,
+// where Run re-sums only the blocks whose labels changed. The bounded
+// production path must reproduce its labels, centroids, iteration count
+// and inertia bit for bit. It also returns how many empty clusters it
+// repaired.
 func referenceLloyd(points *matrix.Dense, cfg Config) (*Result, int) {
 	n := points.Rows()
 	if cfg.MaxIter <= 0 {
@@ -33,9 +34,28 @@ func referenceLloyd(points *matrix.Dense, cfg Config) (*Result, int) {
 	labels := make([]int, n)
 	counts := make([]int, cfg.K)
 	sums := matrix.NewDense(cfg.K, d)
-	var upd *updateScratch
-	if n >= parallelUpdateCutoff {
-		upd = newUpdateScratch(n, cfg.K, d)
+	blockCounts, blockSums := make([]int, cfg.K), matrix.NewDense(cfg.K, d)
+	update := func() {
+		clear(counts)
+		clear(sums.Data())
+		for lo := 0; lo < n; lo += updateBlockRows {
+			clear(blockCounts)
+			clear(blockSums.Data())
+			for i := lo; i < min(lo+updateBlockRows, n); i++ {
+				blockCounts[labels[i]]++
+				row := blockSums.Row(labels[i])
+				for j, v := range points.Row(i) {
+					row[j] += v
+				}
+			}
+			for c := range counts {
+				counts[c] += blockCounts[c]
+				row := sums.Row(c)
+				for j, v := range blockSums.Row(c) {
+					row[j] += v
+				}
+			}
+		}
 	}
 	assign := func() {
 		k := centroids.Rows()
@@ -54,7 +74,7 @@ func referenceLloyd(points *matrix.Dense, cfg Config) (*Result, int) {
 	var iter int
 	for iter = 0; iter < cfg.MaxIter; iter++ {
 		assign()
-		accumulate(points, labels, counts, sums, upd, nil)
+		update()
 		var moved float64
 		for c := 0; c < cfg.K; c++ {
 			if counts[c] == 0 {
@@ -253,8 +273,8 @@ func unitRows(seed int64, n, d, centers int, spread float64) *matrix.Dense {
 
 // TestBoundedMatchesLloydAtRunSizes: the oracle at the sizes the
 // pipeline runs — unit-norm 64-dimensional rows, above
-// 2·assignBlockRows (block-parallel assignment) and, at n = 5000, above
-// parallelUpdateCutoff (block-partial update), at GOMAXPROCS 1 and 4.
+// 2·assignBlockRows (block-parallel assignment and update), at
+// GOMAXPROCS 1 and 4.
 func TestBoundedMatchesLloydAtRunSizes(t *testing.T) {
 	for _, n := range []int{1024, 5000} {
 		for _, k := range []int{2, 10, 41} {
@@ -307,12 +327,9 @@ func TestBoundedMatchesLloydOnTies(t *testing.T) {
 		t.Fatal("the duplicate-point fixture must force empty-cluster repairs")
 	}
 
-	// The same repairs on the block-partial update, which keeps the
-	// partial of every block whose labels did not change: a block a
-	// repair relabels must be re-summed like one the assignment changed.
-	old := parallelUpdateCutoff
-	parallelUpdateCutoff = 64
-	defer func() { parallelUpdateCutoff = old }()
+	// The same repairs over five update blocks, each of which keeps its
+	// partial while its labels do not change: a block a repair relabels
+	// must be re-summed like one the assignment changed.
 	repaired = 0
 	for seed := int64(0); seed < 8; seed++ {
 		for _, procs := range []int{1, 4} {
@@ -323,6 +340,54 @@ func TestBoundedMatchesLloydOnTies(t *testing.T) {
 	}
 	if repaired == 0 {
 		t.Fatal("the block-partial fixture must force empty-cluster repairs")
+	}
+}
+
+// TestBoundedMatchesLloydWithRepairsAtBlockCounts: the oracle on inputs
+// of one, two and sixteen update blocks with K close to n, at GOMAXPROCS
+// 1 and 4. The rows sit on fewer distinct points than K, so seeding
+// duplicates centroids and the empty clusters are repaired. Every run
+// takes the dirty-block update, so a repair that relabels a point
+// without marking its block shows here as centroid bit drift.
+func TestBoundedMatchesLloydWithRepairsAtBlockCounts(t *testing.T) {
+	for _, tc := range []struct{ n, k int }{{200, 150}, {500, 400}, {4000, 2000}} {
+		rng := rand.New(rand.NewSource(int64(tc.n)))
+		sites := make([][2]float64, tc.k-tc.k/16)
+		for i := range sites {
+			sites[i] = [2]float64{rng.NormFloat64(), rng.NormFloat64()}
+		}
+		pts := matrix.NewDense(tc.n, 2)
+		for i := 0; i < tc.n; i++ {
+			site := i // every site is taken, so K - K/16 rows are distinct
+			if i >= len(sites) {
+				site = rng.Intn(len(sites))
+			}
+			copy(pts.Row(i), sites[site][:])
+		}
+		repaired := 0
+		for _, procs := range []int{1, 4} {
+			setProcs(t, procs)
+			_, _, repairs := requireMatchesLloyd(t, pts, Config{K: tc.k, Seed: 1, MaxIter: 3})
+			repaired += repairs
+		}
+		t.Logf("n=%d (%d blocks) K=%d: %d repairs", tc.n, (tc.n+updateBlockRows-1)/updateBlockRows, tc.k, repaired)
+		if repaired == 0 {
+			t.Fatalf("n=%d K=%d: no empty-cluster repair; the fixture must force some", tc.n, tc.k)
+		}
+	}
+
+	// On duplicated rows the repaired point always returns to its site's
+	// older centroid in the next pass, which marks its block changed
+	// anyway. Here a cluster of distinct rows empties in a later
+	// iteration, and the next pass leaves the reseeded point where the
+	// repair put it: only the repair's own mark re-sums its block.
+	pts, err := matrix.NewDenseData(8, 1, []float64{0.007216929948703488, 0.6154057602703045, 1.1424465051196082,
+		-1.1891969330517682, 0.5650537854170565, 0.6582757213711716, -1.221908723347625, -0.24326236281660196})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, repairs := requireMatchesLloyd(t, pts, Config{K: 4, Seed: 98737, MaxIter: 30}); repairs == 0 {
+		t.Fatal("the distinct-row fixture must force an empty-cluster repair")
 	}
 }
 
@@ -357,8 +422,8 @@ func TestDistanceEvalsCorpusShaped(t *testing.T) {
 
 // FuzzRunMatchesLloyd drives the oracle comparison over shape, seed and
 // spread. Odd seeds draw lattice coordinates (duplicates and exact
-// ties), even seeds Gaussian ones; the parallel update cutoff is lowered
-// so that inputs of a few hundred rows reach every block-parallel path.
+// ties), even seeds Gaussian ones; inputs up to 800 rows span up to four
+// update blocks.
 func FuzzRunMatchesLloyd(f *testing.F) {
 	f.Add(uint16(200), uint8(8), uint8(7), int64(3), 2.5)
 	f.Add(uint16(700), uint8(3), uint8(17), int64(4), 1.0)
@@ -386,9 +451,6 @@ func FuzzRunMatchesLloyd(f *testing.F) {
 				}
 			}
 		}
-		old := parallelUpdateCutoff
-		parallelUpdateCutoff = 300
-		defer func() { parallelUpdateCutoff = old }()
 		setProcs(t, 1+int(uint64(seed)>>1%4))
 		requireMatchesLloyd(t, pts, Config{K: k, Seed: seed, MaxIter: 30})
 	})
@@ -425,12 +487,10 @@ func TestRunWorkerDeterminismWithInertia(t *testing.T) {
 	}
 }
 
-// TestParallelCentroidUpdate: the centroid update picks its summation
-// order — row order, or fixed-block partials reduced in block order —
-// from n alone, so labels, iterations, every centroid bit and the
-// inertia bits are the same at every GOMAXPROCS, on both sides of the
-// cutoff: lowered to 64 under a 700-row input, and at its real value
-// under n = 4000 (row order), 4096 and 8192 (block partials).
+// TestParallelCentroidUpdate: the centroid update sums fixed-block
+// partials in block order, so labels, iterations, every centroid bit and
+// the inertia bits are the same at every GOMAXPROCS, at n = 700, 4000,
+// 4096 and 8192.
 func TestParallelCentroidUpdate(t *testing.T) {
 	gauss := func(seed int64, n, d int) *matrix.Dense {
 		rng := rand.New(rand.NewSource(seed))
@@ -477,14 +537,13 @@ func TestParallelCentroidUpdate(t *testing.T) {
 		requireProcsInvariant(gauss(int64(n), n, 16), Config{K: 12, Seed: 7}, 4)
 	}
 
-	old := parallelUpdateCutoff
-	parallelUpdateCutoff = 64
-	defer func() { parallelUpdateCutoff = old }()
 	requireProcsInvariant(gauss(13, 700, 5), Config{K: 6, Seed: 3}, 2, 4, 7)
 }
 
-// TestAccumulateParallelMatchesSequential pins the parallel partial-sum
-// reduction against the sequential accumulation directly.
+// TestAccumulateParallelMatchesSequential pins the block-partial
+// reduction against a plain row-order accumulation, and a call that
+// re-sums only one dirty block against a fresh call that re-sums them
+// all, bit for bit.
 func TestAccumulateParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	n, k, d := 900, 7, 4
@@ -498,12 +557,24 @@ func TestAccumulateParallelMatchesSequential(t *testing.T) {
 	}
 	seqCounts := make([]int, k)
 	seqSums := matrix.NewDense(k, d)
-	accumulate(pts, labels, seqCounts, seqSums, nil, nil)
+	for i, c := range labels {
+		seqCounts[c]++
+		matrix.AXPY(1, pts.Row(i), seqSums.Row(c))
+	}
+	nb := (n + updateBlockRows - 1) / updateBlockRows
+	allDirty := func() []bool {
+		dirty := make([]bool, nb)
+		for b := range dirty {
+			dirty[b] = true
+		}
+		return dirty
+	}
 
 	parCounts := make([]int, k)
 	parSums := matrix.NewDense(k, d)
 	setProcs(t, 4)
-	accumulate(pts, labels, parCounts, parSums, newUpdateScratch(n, k, d), nil)
+	upd := newUpdateScratch(n, k, d)
+	accumulate(pts, labels, parCounts, parSums, upd, allDirty())
 	for c := 0; c < k; c++ {
 		if parCounts[c] != seqCounts[c] {
 			t.Fatalf("count[%d] = %d vs %d", c, parCounts[c], seqCounts[c])
@@ -512,6 +583,27 @@ func TestAccumulateParallelMatchesSequential(t *testing.T) {
 			if math.Abs(parSums.At(c, j)-seqSums.At(c, j)) > 1e-10*(1+math.Abs(seqSums.At(c, j))) {
 				t.Fatalf("sum[%d][%d] = %v vs %v", c, j, parSums.At(c, j), seqSums.At(c, j))
 			}
+		}
+	}
+
+	// Relabel rows of block 2 only and re-sum just that block.
+	for i := 2 * updateBlockRows; i < 2*updateBlockRows+40; i++ {
+		labels[i] = (labels[i] + 1) % k
+	}
+	dirty := make([]bool, nb)
+	dirty[2] = true
+	accumulate(pts, labels, parCounts, parSums, upd, dirty)
+	freshCounts := make([]int, k)
+	freshSums := matrix.NewDense(k, d)
+	accumulate(pts, labels, freshCounts, freshSums, newUpdateScratch(n, k, d), allDirty())
+	for c := 0; c < k; c++ {
+		if parCounts[c] != freshCounts[c] {
+			t.Fatalf("after a dirty-block update: count[%d] = %d vs %d", c, parCounts[c], freshCounts[c])
+		}
+	}
+	for i, v := range freshSums.Data() {
+		if math.Float64bits(parSums.Data()[i]) != math.Float64bits(v) {
+			t.Fatalf("after a dirty-block update: sum word %d = %v vs %v", i, parSums.Data()[i], v)
 		}
 	}
 }

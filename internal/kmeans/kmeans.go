@@ -26,12 +26,12 @@
 // farther than the assigned one, and the evaluated ones are compared in
 // ascending index with a strict `<`, as Lloyd's scan does. This keeps
 // labels byte-identical to the plain implementation, which the DASC
-// determinism guarantees rest on. The assignment pass and, for large
-// inputs, the centroid update run over fixed row blocks on internal/par,
-// with per-block partials reduced in block order — an update partial is
-// kept across iterations and re-summed only when its block's labels
-// changed; empty clusters are repaired by re-seeding from the point
-// farthest from its centroid.
+// determinism guarantees rest on. The assignment pass and the centroid
+// update run over fixed 256-row blocks on internal/par, with per-block
+// partials reduced in block order — an update partial is kept across
+// iterations and re-summed only when its block's labels changed; empty
+// clusters are repaired by re-seeding from the point farthest from its
+// centroid.
 package kmeans
 
 import (
@@ -103,15 +103,6 @@ const (
 	// distances are 24 KiB per worker.
 	pairBatch = 1024
 )
-
-// parallelUpdateCutoff is the point count at which the centroid update
-// switches from the verbatim row-order accumulation to fixed-block
-// partial sums reduced in block order. The choice is made from n alone —
-// never from how many goroutines are available — so every centroid bit
-// is the same at any GOMAXPROCS. Below it the row-order sums (and
-// therefore every centroid bit) match the historical implementation
-// exactly. A var so tests can lower it.
-var parallelUpdateCutoff = 4096
 
 // boundsState carries the distance bounds across iterations.
 //
@@ -350,10 +341,7 @@ func Run(points *matrix.Dense, cfg Config) (*Result, error) {
 	evals := int64(n) * int64(cfg.K)
 	counts := make([]int, cfg.K)
 	sums := matrix.NewDense(cfg.K, d)
-	var upd *updateScratch
-	if n >= parallelUpdateCutoff {
-		upd = newUpdateScratch(n, cfg.K, d)
-	}
+	upd := newUpdateScratch(n, cfg.K, d)
 
 	// stable: the last update repaired no empty cluster and moved every
 	// centroid by a finite amount, so the centroids are exactly the means
@@ -693,7 +681,7 @@ func evalPairs(points, centroids *matrix.Dense, pi, ci []int, out []float64) {
 }
 
 // updateScratch holds the fixed per-block partial counts and sums of
-// the parallel centroid update.
+// the centroid update.
 type updateScratch struct {
 	nb     int
 	counts []int     // nb x k
@@ -709,35 +697,22 @@ func newUpdateScratch(n, k, d int) *updateScratch {
 	}
 }
 
-// accumulate recomputes counts and sums from the current labels. Small
-// inputs (upd == nil) take the historical row-order loop, whose
-// summation order the default configurations depend on bitwise. Large
-// inputs accumulate per fixed 256-row block and reduce the block
-// partials in block order — on one goroutine or many, every sum bit is
-// the same. upd keeps the block partials between calls, so only the
-// blocks dirty marks are re-summed; a block whose labels did not change
-// since its partial was summed has a bit-identical partial. nil dirty
-// re-sums every block.
+// accumulate recomputes counts and sums from the current labels: each
+// fixed 256-row block's partial is summed in row order, and the
+// partials are reduced in block order — on one goroutine or many, every
+// sum bit is the same. upd keeps the block partials between calls, so
+// only the blocks dirty marks are re-summed; a block whose labels did
+// not change since its partial was summed has a bit-identical partial.
 func accumulate(points *matrix.Dense, labels []int, counts []int, sums *matrix.Dense, upd *updateScratch, dirty []bool) {
 	n := points.Rows()
 	k := len(counts)
 	d := sums.Cols()
-	for i := range counts {
-		counts[i] = 0
-	}
-	data := sums.Data()
-	for i := range data {
-		data[i] = 0
-	}
-	if upd == nil {
-		sumRows(points, labels, 0, n, counts, data)
-		return
-	}
-
+	clear(counts)
+	clear(sums.Data())
 	nb := upd.nb
 	// sumRows cannot fail.
 	_ = par.Each(nb, nb, func(b int) error {
-		if dirty != nil && !dirty[b] {
+		if !dirty[b] {
 			return nil
 		}
 		lo := b * updateBlockRows

@@ -137,9 +137,14 @@ var _ Family = (*Ensemble)(nil)
 // Fit's. Additional tables draw from table-derived seeds; when the
 // configured policy is the deterministic TopSpan (which would fit L
 // identical tables), they fall back to SpanWeighted sampling, the
-// paper's Eq. 4 randomized policy.
+// paper's Eq. 4 randomized policy. The rows are transposed and their
+// spans computed once for all tables.
 func FitEnsemble(points *matrix.Dense, cfg Config, ecfg EnsembleConfig) (*Ensemble, error) {
-	base, err := Fit(points, cfg)
+	fit, err := newSpanFit(points, cfg)
+	if err != nil {
+		return nil, err
+	}
+	base, err := fit.hasher(cfg.Policy, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -149,14 +154,12 @@ func FitEnsemble(points *matrix.Dense, cfg Config, ecfg EnsembleConfig) (*Ensemb
 	}
 	families := make([]Family, ecfg.Tables)
 	families[0] = base
+	policy := cfg.Policy
+	if policy == TopSpan {
+		policy = SpanWeighted
+	}
 	for t := 1; t < ecfg.Tables; t++ {
-		derived := cfg
-		derived.M = base.Bits()
-		derived.Seed = cfg.Seed + int64(t)*ensembleSeedStride
-		if derived.Policy == TopSpan {
-			derived.Policy = SpanWeighted
-		}
-		h, err := Fit(points, derived)
+		h, err := fit.hasher(policy, cfg.Seed+int64(t)*ensembleSeedStride)
 		if err != nil {
 			return nil, fmt.Errorf("lsh: table %d: %w", t, err)
 		}

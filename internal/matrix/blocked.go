@@ -1,29 +1,11 @@
 package matrix
 
-// This file holds the cache-blocked micro-kernels under the vectorized
-// Gram engine (internal/kernel): precomputed row norms, a 4-wide
-// unrolled dot product, contiguous row gathering, and a blocked
-// pairwise-dot routine. They exist so the kernel fast paths can turn
-// every pairwise distance into ‖x‖² + ‖y‖² − 2·x·y over contiguous
-// scratch, instead of a closure call plus a subtract-square loop per
-// pair.
-
-// SqNormsInto writes the squared Euclidean norm of every row of m into
-// dst, which must have length m.Rows(), and returns dst — the
-// precomputed ‖x‖² terms of the blocked pairwise-distance
-// factorization. Unlike Norm2 it does not rescale against overflow:
-// the Gram engine feeds values in data ranges (similarity inputs,
-// tf-idf weights) where the plain sum of squares is exact enough and
-// several times faster.
-func SqNormsInto(dst []float64, m *Dense) []float64 {
-	if len(dst) != m.rows {
-		Panicf("matrix: SqNormsInto dst length %d for %d rows", len(dst), m.rows)
-	}
-	for i := 0; i < m.rows; i++ {
-		dst[i] = Dot4(m.Row(i), m.Row(i))
-	}
-	return dst
-}
+// This file holds the cache-blocked micro-kernels under the Gram engine
+// (internal/kernel), the Lanczos mat-vec and k-means: contiguous row
+// gathering, a blocked pairwise-dot routine and blocked squared
+// distances. Each output of a blocked routine is summed in the same
+// single ascending chain as its one-pair form (Dot, SqDist), so a value
+// never depends on the tile or tail loop that produced it.
 
 // GatherRows copies the listed rows of m into dst as a contiguous
 // row-major block of len(indices) rows, growing dst if needed, and
@@ -43,36 +25,13 @@ func GatherRows(dst []float64, m *Dense, indices []int) []float64 {
 	return dst
 }
 
-// Dot4 returns the inner product of x and y accumulated in four
-// parallel lanes (4-wide unrolled). The summation order differs from
-// Dot, so results may differ from it in the last bits; hot paths that
-// tolerate that (the Gram engine, Lanczos matrix-vector products) use
-// Dot4, exact-reproduction paths keep Dot. It panics if the lengths
-// differ.
-func Dot4(x, y []float64) float64 {
-	checkLen("dot4", x, y)
-	var s0, s1, s2, s3 float64
-	i := 0
-	for ; i+4 <= len(x); i += 4 {
-		x0, x1, x2, x3 := x[i], x[i+1], x[i+2], x[i+3]
-		y0, y1, y2, y3 := y[i], y[i+1], y[i+2], y[i+3]
-		s0 += x0 * y0
-		s1 += x1 * y1
-		s2 += x2 * y2
-		s3 += x3 * y3
-	}
-	for ; i < len(x); i++ {
-		s0 += x[i] * y[i]
-	}
-	return s0 + s1 + s2 + s3
-}
-
 // DotBlock computes the pairwise dot products between the rows of two
 // contiguous row-major blocks a (ra x d) and b (rb x d), writing
-// out[i*rb+j] = a_i · b_j. It is the innermost routine of the blocked
-// symmetric Gram engine: both blocks are small enough to stay
-// cache-resident while every cross pair is formed. out must have length
-// ra*rb.
+// out[i*rb+j] = a_i · b_j, bit for bit Dot(a_i, b_j): the 1x4 micro-tile
+// keeps four columns in flight, each its own ascending chain, and the
+// ragged tail calls Dot. It is the innermost routine of the blocked Gram
+// engine: both blocks are small enough to stay cache-resident while
+// every cross pair is formed. out must have length ra*rb.
 func DotBlock(a []float64, ra int, b []float64, rb, d int, out []float64) {
 	if len(a) != ra*d || len(b) != rb*d {
 		Panicf("matrix: DotBlock shapes %d=%dx%d %d=%dx%d", len(a), ra, d, len(b), rb, d)
@@ -105,7 +64,7 @@ func DotBlock(a []float64, ra int, b []float64, rb, d int, out []float64) {
 			orow[j+3] = s3
 		}
 		for ; j < rb; j++ {
-			orow[j] = Dot4(arow, b[j*d:(j+1)*d])
+			orow[j] = Dot(arow, b[j*d:(j+1)*d])
 		}
 	}
 }

@@ -10,48 +10,6 @@ func randomDenseSeed(rows, cols int, seed int64) *Dense {
 	return randomDense(rand.New(rand.NewSource(seed)), rows, cols)
 }
 
-func TestSqNorms(t *testing.T) {
-	m := randomDenseSeed(17, 9, 1)
-	dst := make([]float64, m.Rows())
-	sq := SqNormsInto(dst, m)
-	if &sq[0] != &dst[0] {
-		t.Fatal("SqNormsInto must write into dst")
-	}
-	for i := 0; i < m.Rows(); i++ {
-		want := Dot(m.Row(i), m.Row(i))
-		if math.Abs(sq[i]-want) > 1e-12*math.Abs(want) {
-			t.Fatalf("sq[%d] = %v, want %v", i, sq[i], want)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for wrong dst length")
-		}
-	}()
-	SqNormsInto(make([]float64, 3), m)
-}
-
-func TestDot4MatchesDot(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 33, 64, 65} {
-		x := make([]float64, n)
-		y := make([]float64, n)
-		for i := range x {
-			x[i], y[i] = rng.NormFloat64(), rng.NormFloat64()
-		}
-		got, want := Dot4(x, y), Dot(x, y)
-		if math.Abs(got-want) > 1e-12*(1+math.Abs(want)) {
-			t.Fatalf("n=%d: Dot4 = %v, Dot = %v", n, got, want)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for length mismatch")
-		}
-	}()
-	Dot4([]float64{1}, []float64{1, 2})
-}
-
 func TestGatherRows(t *testing.T) {
 	m := randomDenseSeed(10, 4, 3)
 	idxs := []int{7, 0, 3, 3}
@@ -77,16 +35,19 @@ func TestGatherRows(t *testing.T) {
 	}
 }
 
+// TestDotBlock: every output is Dot of its pair bit for bit, in the
+// micro-tile's columns and the ragged tail's alike.
 func TestDotBlock(t *testing.T) {
 	a := randomDenseSeed(5, 7, 4)
-	b := randomDenseSeed(3, 7, 5)
-	out := make([]float64, 5*3)
-	DotBlock(a.Data(), 5, b.Data(), 3, 7, out)
-	for i := 0; i < 5; i++ {
-		for j := 0; j < 3; j++ {
-			want := Dot(a.Row(i), b.Row(j))
-			if math.Abs(out[i*3+j]-want) > 1e-12*(1+math.Abs(want)) {
-				t.Fatalf("out[%d,%d] = %v, want %v", i, j, out[i*3+j], want)
+	for _, rb := range []int{3, 4, 7, 9} {
+		b := randomDenseSeed(rb, 7, int64(rb))
+		out := make([]float64, 5*rb)
+		DotBlock(a.Data(), 5, b.Data(), rb, 7, out)
+		for i := 0; i < 5; i++ {
+			for j := 0; j < rb; j++ {
+				if want := Dot(a.Row(i), b.Row(j)); math.Float64bits(out[i*rb+j]) != math.Float64bits(want) {
+					t.Fatalf("rb=%d: out[%d,%d] = %v, Dot %v", rb, i, j, out[i*rb+j], want)
+				}
 			}
 		}
 	}
@@ -95,13 +56,9 @@ func TestDotBlock(t *testing.T) {
 			t.Fatal("expected panic for bad out length")
 		}
 	}()
-	DotBlock(a.Data(), 5, b.Data(), 3, 7, make([]float64, 2))
+	DotBlock(a.Data(), 5, a.Data(), 5, 7, make([]float64, 2))
 }
 
-// TestSqDistBlockBitwise: every output of the micro-tiled kernels — the
-// contiguous block and the gathered four-pair form — is Float64bits-equal
-// to SqDist on the same pair, for every tile/tail split (rb 0…9), odd
-// lengths, and non-finite and signed-zero entries; neither allocates.
 func TestSqDistBlockBitwise(t *testing.T) {
 	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, math.MaxFloat64, -math.MaxFloat64, 5e-324}
 	rng := rand.New(rand.NewSource(15))

@@ -58,17 +58,17 @@ func (s *Sym) Row(i int) []float64 {
 	return s.data[o : o+s.n-i]
 }
 
-// RowSums returns the degrees of Eq. 2's D, the row sums of S. Row i
-// is summed in one chain in ascending column order, as a plain loop over
-// the mirrored matrix's row does, so packed and full storage agree bit
-// for bit.
+// RowSums returns the degrees of Eq. 2's D, the row sums of S: MulVec
+// against the all-ones vector, so row i is summed in one chain in
+// ascending column order, as a plain loop over the mirrored matrix's
+// row sums it.
 func (s *Sym) RowSums() []float64 {
 	ones := make([]float64, s.n)
 	for i := range ones {
 		ones[i] = 1
 	}
 	d := make([]float64, s.n)
-	s.mulVec(d, ones, false)
+	s.MulVec(d, ones)
 	return d
 }
 
@@ -89,34 +89,24 @@ func (s *Sym) ScaleSym(d []float64) {
 	}
 }
 
-// MulVec writes dst = S·x, reading each stored entry once: y_i is
+// MulVec writes y = S·x, reading each stored entry once: y_i is
 // accumulated in a register over row i's segment, y_j is scattered.
-// Every output is summed in the order the dense product over the
-// mirrored matrix, DotBlock(x, 1, a, n, n, dst), sums it — ascending
-// column in one chain for the rows of its four-row tiles, Dot4's four
-// lanes for the last n mod 4 rows — so the two agree bit for bit.
-// dst and x have length n and must not alias.
-func (s *Sym) MulVec(dst, x []float64) { s.mulVec(dst, x, true) }
-
-// mulVec is MulVec; lanes false sums every row in one chain instead
-// (RowSums' order). Rows run four at a time: the 4 x 4 corner on the
-// diagonal row by row, then one pass over the columns right of it that
-// carries the four row sums and adds the four scattered terms to each
-// y_j in row order — which is what keeps every y_j in ascending column
-// order. With lanes, columns from n&^3 on take the scatter into y_j
-// (lane 0) and three lane accumulators instead.
-func (s *Sym) mulVec(y, x []float64, lanes bool) {
+// Every output is one chain in ascending column order — the order of
+// Dot over the mirrored matrix's row, and so of the dense product
+// DotBlock(x, 1, a, n, n, y) — so packed storage, full storage and the
+// dense product agree bit for bit. Rows run four at a time: the 4 x 4
+// corner on the diagonal row by row, then one pass over the columns
+// right of it that carries the four row sums and adds the four
+// scattered terms to each y_j in row order, which is what keeps every
+// y_j in ascending column order. y and x have length n and must not
+// alias.
+func (s *Sym) MulVec(y, x []float64) {
 	n := s.n
 	if len(y) != n || len(x) != n {
 		Panicf("matrix: symmetric %d MulVec dst %d x %d", n, len(y), len(x))
 	}
 	clear(y)
 	nt := n &^ 3
-	split := n // columns from split on feed the tail lanes
-	if lanes {
-		split = nt
-	}
-	var tail [3][3]float64 // Dot4 lanes 1–3 of the rows from nt on
 	for i0 := 0; i0 < nt; i0 += 4 {
 		var acc [4]float64
 		for a := 0; a < 4; a++ {
@@ -133,8 +123,8 @@ func (s *Sym) mulVec(y, x []float64, lanes bool) {
 		r0, r1, r2, r3 := s.Row(i0)[4:], s.Row(i0 + 1)[3:], s.Row(i0 + 2)[2:], s.Row(i0 + 3)[1:]
 		x0, x1, x2, x3 := x[i0], x[i0+1], x[i0+2], x[i0+3]
 		a0, a1, a2, a3 := acc[0], acc[1], acc[2], acc[3]
-		xs := x[i0+4 : split]
-		ys, h0, h1, h2, h3 := y[i0+4 : split][:len(xs)], r0[:len(xs)], r1[:len(xs)], r2[:len(xs)], r3[:len(xs)]
+		xs := x[i0+4:]
+		ys, h0, h1, h2, h3 := y[i0+4:][:len(xs)], r0[:len(xs)], r1[:len(xs)], r2[:len(xs)], r3[:len(xs)]
 		for t, xj := range xs {
 			v0, v1, v2, v3 := h0[t], h1[t], h2[t], h3[t]
 			a0 += v0 * xj
@@ -142,19 +132,6 @@ func (s *Sym) mulVec(y, x []float64, lanes bool) {
 			a2 += v2 * xj
 			a3 += v3 * xj
 			ys[t] = ys[t] + v0*x0 + v1*x1 + v2*x2 + v3*x3
-		}
-		for t := len(xs); t < len(r0); t++ {
-			j := i0 + 4 + t
-			v0, v1, v2, v3 := r0[t], r1[t], r2[t], r3[t]
-			a0 += v0 * x[j]
-			a1 += v1 * x[j]
-			a2 += v2 * x[j]
-			a3 += v3 * x[j]
-			l := &tail[j-nt]
-			y[j] += v0 * x0
-			l[0] += v1 * x1
-			l[1] += v2 * x2
-			l[2] += v3 * x3
 		}
 		y[i0], y[i0+1], y[i0+2], y[i0+3] = a0, a1, a2, a3
 	}
@@ -167,8 +144,7 @@ func (s *Sym) mulVec(y, x []float64, lanes bool) {
 				y[i+t] += v * xi
 			}
 		}
-		l := tail[i-nt]
-		y[i] = acc + l[0] + l[1] + l[2]
+		y[i] = acc
 	}
 }
 
