@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -61,9 +62,10 @@ func zeroSolveNanos(pairs []mapreduce.Pair) {
 //
 // The dial puts buckets on both sides of the embed policy: above
 // EmbedCutoff (embedded in the reducer, by either source) and below it
-// with more than one cluster to find (the exact Gram path). The
-// record-carried source ships both as raw 'B' records: the plan changes
-// how a bucket is solved, never what travels.
+// with more than one cluster to find (the exact Gram path). Both sources
+// submit every bucket as its index list; the record-carried source's
+// job expands each into one raw 'B' record of the bucket's rows: the
+// plan changes how a bucket is solved, never what travels.
 func TestCoreJobsElisionMatchesExecution(t *testing.T) {
 	l := mixture(t, 400, 12, 6, 0.05, 60)
 	// The one bucket above the cutoff has K 4: at EmbedDim 14 it takes
@@ -134,13 +136,24 @@ func TestCoreJobsElisionMatchesExecution(t *testing.T) {
 				if buckets := len(captured.inputs[1]); buckets < 4 {
 					t.Fatalf("stage 2 has only %d buckets; the check wants them spread over the reduce partitions", buckets)
 				}
-				if src.name == "shipped" {
-					kinds := map[byte]int{}
-					for _, rec := range captured.inputs[1] {
-						kinds[rec.Value[0]]++
+				x := captured.jobs[1].Expand
+				if (x != nil) != (src.name == "shipped") {
+					t.Fatalf("stage-2 job expands its records: %v", x != nil)
+				}
+				for _, rec := range captured.inputs[1] {
+					ids, err := decodeIndices(rec.Value)
+					if err != nil {
+						t.Fatalf("stage-2 record %s is not an index list: %v", rec.Key, err)
 					}
-					if len(kinds) != 1 || kinds['B'] != len(captured.inputs[1]) {
-						t.Fatalf("stage-2 record kinds %v, want every bucket a raw 'B' record", kinds)
+					if x == nil {
+						continue
+					}
+					var buf bytes.Buffer
+					if err := x.Expand(&buf, rec.Value); err != nil {
+						t.Fatal(err)
+					}
+					if got, _, err := mapreduce.BucketShape(buf.Bytes()); err != nil || got != len(ids) {
+						t.Fatalf("bucket %s of %d points expands to a record of %d (%v), want one raw 'B' record", rec.Key, len(ids), got, err)
 					}
 				}
 				stage1, stage2 := captured.jobs[0], captured.jobs[1]

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/lsh"
 	"repro/internal/mapreduce"
+	"repro/internal/offheap"
 )
 
 // This file is DASC as the paper's two MapReduce jobs (§3.3), written
@@ -91,11 +92,13 @@ func (r *mrRunner) signatures(ctx context.Context, p *Plan) (*lsh.SignatureSet, 
 	return signaturesFromPairs(sigPairs, p.solver.pol.N, len(hashers))
 }
 
+// solve ships each bucket as its index list under its signature; a
+// record-carried source's job expands the list into the bucket's rows
+// only as its reduce task is dispatched.
 func (r *mrRunner) solve(ctx context.Context, p *Plan, part *lsh.Partition) ([]bucketSolution, error) {
 	input := make([]mapreduce.Pair, len(part.Buckets))
-	var scratch []float64
 	for bi, b := range part.Buckets {
-		input[bi] = mapreduce.Pair{Key: fmt.Sprintf("%016x", b.Signature), Value: r.src.encodeBucket(b.Indices, &scratch)}
+		input[bi] = mapreduce.Pair{Key: fmt.Sprintf("%016x", b.Signature), Value: encodeIndices(b.Indices)}
 	}
 	conf := solveConf{Dir: r.src.dir(), Policy: p.solver.pol}
 	labelPairs, err := r.run(ctx, p, newClusterJob(r.src, p.solver), "cluster", conf, input)
@@ -243,6 +246,7 @@ func newLSHJob(src rowSource, c lshConf) (*mapreduce.Job, error) {
 		},
 		Reduce:         mapreduce.IdentityReduceFunc,
 		IdentityReduce: true,
+		Expand:         src.expander(rangeIndices),
 	}, nil
 }
 
@@ -256,15 +260,8 @@ func newClusterJob(src rowSource, solver *bucketSolver) *mapreduce.Job {
 		Map:         mapreduce.IdentityMapFunc, // buckets arrive formed and encoded
 		IdentityMap: true,
 		Reduce: func(key string, values [][]byte, emit mapreduce.Emit) error {
-			// Reducers may run concurrently, so the sub-Gram scratch is
-			// per-invocation; it is still reused across this key's values.
-			var scratch []float64
 			for _, v := range values {
-				b, err := src.openBucket(v)
-				if err != nil {
-					return err
-				}
-				sol, err := solver.solve(b, &scratch)
+				sol, err := solveValue(src, solver, v)
 				if err != nil {
 					return err
 				}
@@ -272,7 +269,26 @@ func newClusterJob(src rowSource, solver *bucketSolver) *mapreduce.Job {
 			}
 			return nil
 		},
+		Expand: src.expander(decodeIndices),
 	}
+}
+
+// solveValue opens one stage-2 value and solves its bucket. The rows and
+// the solve's scratch (the plan's scratchLen) are mapped outside the Go
+// heap for exactly this bucket and unmapped when the solve returns, so a
+// reducer holds one bucket's rows and scratch at a time and leaves the
+// collector nothing to find.
+func solveValue(src rowSource, solver *bucketSolver, v []byte) (bucketSolution, error) {
+	b, err := src.openBucket(v)
+	if err != nil {
+		return bucketSolution{}, err
+	}
+	defer offheap.Free(b.points.Data())
+	ni := len(b.rows)
+	mapped := offheap.Alloc(solver.plan(ni).scratchLen(ni))
+	defer offheap.Free(mapped)
+	scratch := mapped
+	return solver.solve(b, &scratch)
 }
 
 // ---- record codecs: one encoding each ----

@@ -243,8 +243,8 @@ func TestStageRecordCounts(t *testing.T) {
 // a quarter of the benchmark's out-of-core workload — with one Config,
 // and reports the records both stages shipped (map outputs plus output
 // records) per op, the stage-2 shuffle bytes per op (stage2-B/op: index
-// lists for the sharded source, raw bucket rows for the shipped one),
-// and allocs/op.
+// lists for both sources — the shipped one's become rows only as their
+// reduce tasks run), and allocs/op.
 func BenchmarkStages(b *testing.B) {
 	const n, d = 32768, 16
 	l, err := dataset.Mixture(dataset.MixtureConfig{N: n, D: d, K: 64, Noise: 0.03, Seed: 1})

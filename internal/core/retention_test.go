@@ -34,11 +34,11 @@ func allocated(f func()) int64 {
 }
 
 // TestClusterRetainsSolveScratch: the in-process runner solves in
-// scratch lsh.EachBucket maps outside the Go heap, so a warm call
-// allocates, at least once, less than one packed Gram of the largest
-// bucket on the heap, and nothing stays mapped once Run returns. The
-// MapReduce reducers keep their per-invocation scratch (pooling there
-// cost 15–20 %), so every shipped run allocates that Gram afresh.
+// scratch lsh.EachBucket maps outside the Go heap, and a MapReduce
+// reducer maps each bucket's rows and scratch for exactly its solve, so
+// a warm call of either allocates, at least once, less than one packed
+// Gram of the largest bucket on the heap, and nothing stays mapped once
+// Run returns.
 func TestClusterRetainsSolveScratch(t *testing.T) {
 	if !offheap.Mapped {
 		t.Skip("solve scratch is heap memory in this build")
@@ -47,12 +47,11 @@ func TestClusterRetainsSolveScratch(t *testing.T) {
 	l := mixture(t, 1600, 8, 3, 0.03, 5)
 	cfg := Config{K: 3, Seed: 6, M: 2}
 	for _, d := range []struct {
-		name   string
-		run    func() (*Result, error)
-		pooled bool
+		name string
+		run  func() (*Result, error)
 	}{
-		{"inproc", func() (*Result, error) { return Run(bg, Source{Points: l.Points}, cfg) }, true},
-		{"shipped", func() (*Result, error) { return Run(bg, Source{Points: l.Points}, onExec(&mapreduce.Local{}, cfg)) }, false},
+		{"inproc", func() (*Result, error) { return Run(bg, Source{Points: l.Points}, cfg) }},
+		{"shipped", func() (*Result, error) { return Run(bg, Source{Points: l.Points}, onExec(&mapreduce.Local{}, cfg)) }},
 	} {
 		warm, err := d.run()
 		if err != nil {
@@ -80,14 +79,11 @@ func TestClusterRetainsSolveScratch(t *testing.T) {
 			}
 		}
 		t.Logf("%s: largest dense bucket %d rows, packed Gram %d B, least allocated per call %d B", d.name, largest, packed, least)
-		if d.pooled && least >= packed {
-			t.Errorf("%s: a warm call allocated %d B, not below one packed Gram (%d B): the scratch was not reused", d.name, least, packed)
+		if least >= packed {
+			t.Errorf("%s: a warm call allocated %d B, not below one packed Gram (%d B): the solve scratch is on the heap", d.name, least, packed)
 		}
-		if d.pooled && offheap.InUse() != 0 {
+		if offheap.InUse() != 0 {
 			t.Errorf("%s: %d B of scratch still mapped after Run returned", d.name, offheap.InUse())
-		}
-		if !d.pooled && least < packed {
-			t.Errorf("%s: a call allocated %d B, below one packed Gram (%d B): the reducer solve reused a buffer", d.name, least, packed)
 		}
 	}
 }

@@ -3,25 +3,31 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"strconv"
 	"sync"
 
 	"repro/internal/mapreduce"
 	"repro/internal/matrix"
+	"repro/internal/offheap"
 	"repro/internal/shard"
 )
 
 // rowSource answers the questions Run's two MapReduce routes disagree on —
 // all of them forms of "where does a worker get row i":
 //
-//	source      stage-1 record          stage-2 record              workers
-//	recordRows  block of rows by value  indices + raw rows by value any process
-//	shardRows   shard row range         index list                  any process that can open the shard directory
+//	source      stage-1 record          stage-2 record  workers
+//	recordRows  block of rows by value  rows by value   any process
+//	shardRows   shard row range         index list      any process that can open the shard directory
 //
+// The driver holds the same two small records either way — a row range
+// per map task, an index list per bucket — and the record-carried
+// source's expander turns each into the 'B' record of its rows only as
+// its task is dispatched, so no row is copied before a task needs it.
 // Either way a bucket reaches its reducer as raw rows, and the reducer's
 // solve does whatever the plan derives from them (sub-Gram or embedding).
 // The two jobs in mapreduce.go are written against this interface only.
-// Driver-side methods (lshInput, encodeBucket) run on a source built by
+// Driver-side methods (lshInput, expander) run on a source built by
 // Run; mapper/reducer-side methods (eachRow, openBucket) also run on the
 // source a worker process rebuilds from the job Conf (workerSource).
 type rowSource interface {
@@ -32,15 +38,18 @@ type rowSource interface {
 	// lshInput returns the stage-1 input records and how many of them
 	// make one map task.
 	lshInput() (input []mapreduce.Pair, splitSize int)
+	// expander is the Job.Expand of a job whose input records name rows
+	// as decode reads them (decodeRowRange's ranges, decodeIndices'
+	// lists): nil where workers find the rows themselves.
+	expander(decode func([]byte) ([]int, error)) mapreduce.Expander
 	// eachRow decodes one stage-1 input record and calls fn once per row
 	// it stands for, in ascending row order; the row is valid only
 	// during the call.
 	eachRow(value []byte, fn func(idx int, row []float64) error) error
-	// encodeBucket encodes one bucket of the partition as a stage-2
-	// value. scratch is the caller's, reused from bucket to bucket and
-	// dropped with the loop.
-	encodeBucket(indices []int, scratch *[]float64) []byte
-	// openBucket decodes a stage-2 value into the bucket's rows.
+	// openBucket decodes a stage-2 value into the bucket's rows, mapped
+	// outside the Go heap (internal/offheap): the caller frees
+	// b.points.Data() once the bucket is solved. On an error nothing is
+	// left to free.
 	openBucket(value []byte) (bucket, error)
 }
 
@@ -83,10 +92,11 @@ func rowSpan(start, n int) []int {
 // ---- record-carried: rows travel by value ----
 
 // recordRows puts the vectors inside the records (HDFS's input splits
-// analogue), so its jobs carry no pointer into the driver's memory.
-// Every bucket travels as its raw rows, one 'B' record, and an embedded
-// bucket is embedded by the reducer that solves it, exactly as the
-// shard-backed source's is. points is nil on the worker side.
+// analogue), so its jobs carry no pointer into the driver's memory: a
+// task's rows are written into its frame, one raw 'B' record per map
+// task's block or per bucket, and an embedded bucket is embedded by the
+// reducer that solves it, exactly as the shard-backed source's is.
+// points is nil on the worker side.
 type recordRows struct {
 	points *matrix.Dense
 }
@@ -98,51 +108,88 @@ func (s *recordRows) dir() string { return "" }
 // cuts the rows into the tasks one record per row did.
 const blockRows = 1024
 
-// lshInput ships the rows in blocks of blockRows, each one raw 'B'
-// bucket record (the one layout rows travel in; consecutive indices cost
-// a byte each) and one map task.
+// lshInput is one row range of blockRows rows per record and map task;
+// each expands to a raw 'B' bucket record (the one layout rows travel
+// in; consecutive indices cost a byte each).
 func (s *recordRows) lshInput() ([]mapreduce.Pair, int) {
-	n, dim := s.points.Rows(), s.points.Cols()
+	n := s.points.Rows()
 	input := make([]mapreduce.Pair, 0, (n+blockRows-1)/blockRows)
 	for start := 0; start < n; start += blockRows {
-		end := min(start+blockRows, n)
-		rec := make([]byte, 0, 1+2*binary.MaxVarintLen64+(end-start)*(1+8*dim))
-		rec = mapreduce.AppendBucketRows(rec, rowSpan(start, end-start), dim, s.points.Data()[start*dim:end*dim])
-		input = append(input, mapreduce.Pair{Key: strconv.Itoa(len(input)), Value: rec})
+		input = append(input, mapreduce.Pair{Key: strconv.Itoa(len(input)), Value: encodeRowRange(start, min(blockRows, n-start))})
 	}
 	return input, 1
 }
 
-func (s *recordRows) eachRow(value []byte, fn func(idx int, row []float64) error) error {
-	indices, dim, rows, err := mapreduce.ParseBucketRows(value)
-	if err != nil {
-		return err
+func (s *recordRows) expander(decode func([]byte) ([]int, error)) mapreduce.Expander {
+	if s.points == nil {
+		return nil
 	}
-	for i, idx := range indices {
-		if err := fn(idx, rows[i*dim:(i+1)*dim]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return rowRefs{points: s.points, decode: decode}
 }
 
-func (s *recordRows) encodeBucket(indices []int, scratch *[]float64) []byte {
-	ni, dim := len(indices), s.points.Cols()
-	if cap(*scratch) < ni*dim {
-		*scratch = make([]float64, ni*dim)
-	}
-	rows := (*scratch)[:ni*dim]
-	matrix.GatherRows(rows, s.points, indices)
-	return mapreduce.AppendBucketRows(make([]byte, 0, 1+2*binary.MaxVarintLen64+ni*(binary.MaxVarintLen32+8*dim)), indices, dim, rows)
+// eachRow walks a 'B' record a row at a time, so a map task holds its
+// frame and one row, not a parsed copy of the block.
+func (s *recordRows) eachRow(value []byte, fn func(idx int, row []float64) error) error {
+	return mapreduce.EachBucketRow(value, fn)
 }
 
 func (s *recordRows) openBucket(value []byte) (bucket, error) {
-	indices, dim, rows, err := mapreduce.ParseBucketRows(value)
+	n, dim, err := mapreduce.BucketShape(value)
 	if err != nil {
 		return bucket{}, err
 	}
-	pts, err := matrix.NewDenseData(len(indices), dim, rows)
-	return bucket{points: pts, rows: rowSpan(0, len(indices)), ids: indices}, err
+	rows := offheap.Alloc(n * dim)
+	ids := make([]int, 0, n)
+	err = mapreduce.EachBucketRow(value, func(idx int, row []float64) error {
+		copy(rows[len(ids)*dim:], row)
+		ids = append(ids, idx)
+		return nil
+	})
+	var pts *matrix.Dense
+	if err == nil {
+		pts, err = matrix.NewDenseData(n, dim, rows)
+	}
+	if err != nil {
+		offheap.Free(rows)
+		return bucket{}, err
+	}
+	return bucket{points: pts, rows: rowSpan(0, n), ids: ids}, nil
+}
+
+// rowRefs is the record-carried source's mapreduce.Expander: it turns a
+// row reference — a stage-1 row range or a stage-2 index list, as
+// decode reads it — into the raw 'B' record of the rows it names,
+// written straight from the driver's matrix a row at a time.
+type rowRefs struct {
+	points *matrix.Dense
+	decode func([]byte) ([]int, error)
+}
+
+func (x rowRefs) Len(ref []byte) int {
+	ids, err := x.decode(ref)
+	if err != nil {
+		return 0 // Expand reports it
+	}
+	return mapreduce.BucketRowsLen(ids, x.points.Cols())
+}
+
+func (x rowRefs) Expand(w io.Writer, ref []byte) error {
+	ids, err := x.decode(ref)
+	if err != nil {
+		return err
+	}
+	for _, idx := range ids {
+		if idx >= x.points.Rows() {
+			return fmt.Errorf("core: row %d of %d", idx, x.points.Rows())
+		}
+	}
+	return mapreduce.WriteBucketRows(w, ids, x.points.Cols(), func(i int) []float64 { return x.points.Row(ids[i]) })
+}
+
+// rangeIndices reads a stage-1 row range as the list of its rows.
+func rangeIndices(ref []byte) ([]int, error) {
+	start, count, err := decodeRowRange(ref)
+	return rowSpan(start, count), err
 }
 
 // ---- shard-backed: rows stay in shard files ----
@@ -213,9 +260,8 @@ func (s *shardRows) eachRow(value []byte, fn func(idx int, row []float64) error)
 	return s.r.Stream(start, count, fn)
 }
 
-func (s *shardRows) encodeBucket(indices []int, _ *[]float64) []byte {
-	return encodeIndices(indices)
-}
+// expander is nil: workers read the rows from the shards themselves.
+func (s *shardRows) expander(func([]byte) ([]int, error)) mapreduce.Expander { return nil }
 
 // openBucket demand-reads one bucket's rows into a dense ni×d block —
 // the only rows of the matrix this reduce task ever touches. Bucket
@@ -226,9 +272,16 @@ func (s *shardRows) openBucket(value []byte) (bucket, error) {
 	if err != nil {
 		return bucket{}, err
 	}
-	pts := matrix.NewDense(len(indices), s.r.Cols())
-	err = s.r.ReadRowsInto(indices, pts.Row)
-	return bucket{points: pts, rows: rowSpan(0, len(indices)), ids: indices}, err
+	rows := offheap.Alloc(len(indices) * s.r.Cols())
+	pts, err := matrix.NewDenseData(len(indices), s.r.Cols(), rows)
+	if err == nil {
+		err = s.r.ReadRowsInto(indices, pts.Row)
+	}
+	if err != nil {
+		offheap.Free(rows)
+		return bucket{}, err
+	}
+	return bucket{points: pts, rows: rowSpan(0, len(indices)), ids: indices}, nil
 }
 
 // encodeRowRange / decodeRowRange pack a stage-1 input record: one

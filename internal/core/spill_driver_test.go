@@ -17,9 +17,11 @@ func TestSpillEnabledDriversMatchInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A 1KiB budget forces many flushes on the ~200-record stage-1
-	// shuffle while staying fast.
-	cfg := Config{K: 3, Seed: 32, SpillBytes: 1 << 10}
+	// Both stages shuffle index lists — the record-carried source's
+	// buckets are expanded into rows only as their reduce tasks are
+	// dispatched — about 500 bytes of them here, so a 64-byte budget
+	// forces many flushes while staying fast.
+	cfg := Config{K: 3, Seed: 32, SpillBytes: 64}
 
 	check := func(name string, res *Result, err error) {
 		t.Helper()

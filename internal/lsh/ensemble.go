@@ -144,6 +144,7 @@ func FitEnsemble(points *matrix.Dense, cfg Config, ecfg EnsembleConfig) (*Ensemb
 	if err != nil {
 		return nil, err
 	}
+	defer fit.free()
 	base, err := fit.hasher(cfg.Policy, cfg.Seed)
 	if err != nil {
 		return nil, err

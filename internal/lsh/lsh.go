@@ -14,6 +14,7 @@ import (
 	"sort"
 
 	"repro/internal/matrix"
+	"repro/internal/offheap"
 )
 
 // DimensionPolicy selects how hashing dimensions are chosen.
@@ -122,6 +123,7 @@ func Fit(points *matrix.Dense, cfg Config) (*Hasher, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer f.free()
 	return f.hasher(cfg.Policy, cfg.Seed)
 }
 
@@ -142,7 +144,10 @@ type spanFit struct {
 // span selects (and the median fallback of a threshold) reorder columns
 // in place, which changes nothing a later hasher computes from them — a
 // histogram counts the same in any order, and a selected order
-// statistic is the same value.
+// statistic is the same value. It is as large as the rows and lives
+// exactly as long as the fit, so it is mapped outside the Go heap
+// (internal/offheap) and the fit's caller frees it once its hashers are
+// built.
 func newSpanFit(points *matrix.Dense, cfg Config) (*spanFit, error) {
 	n, d := points.Rows(), points.Cols()
 	if n == 0 || d == 0 {
@@ -162,7 +167,7 @@ func newSpanFit(points *matrix.Dense, cfg Config) (*spanFit, error) {
 	if bins < 2 {
 		return nil, fmt.Errorf("lsh: Bins=%d must be >= 2", bins)
 	}
-	cols := make([]float64, n*d)
+	cols := offheap.Alloc(n * d)
 	for i := 0; i < n; i++ {
 		for j, v := range points.Row(i) {
 			cols[j*n+i] = v
@@ -171,6 +176,9 @@ func newSpanFit(points *matrix.Dense, cfg Config) (*spanFit, error) {
 	mins, spans := dimensionSpans(cols, n)
 	return &spanFit{n: n, m: m, bins: bins, cols: cols, mins: mins, spans: spans}, nil
 }
+
+// free releases the transposed rows; no hasher keeps them.
+func (f *spanFit) free() { offheap.Free(f.cols) }
 
 // hasher chooses the fit's dimensions under policy and seed and sets
 // each one's threshold.

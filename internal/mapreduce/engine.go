@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -37,6 +38,15 @@ type taskMsg struct {
 	// worker's reduce task has Records and no load.
 	load        recordStream
 	loadRecords int
+	// expand is the job's Expand on the tasks of the phase its input
+	// records reach first (see Job.Expand): the pool runner expands each
+	// value as the task runs, the wire runner as it writes the frame.
+	// Never shipped: a worker's task arrives expanded.
+	expand Expander
+	// frame is the frame body a worker's Records, Conf and values alias,
+	// mapped outside the Go heap for exactly this task (see
+	// RunWorkerContext). Never shipped.
+	frame []byte
 }
 
 // recordStream delivers key-sorted records to emit, in order and a
@@ -136,7 +146,8 @@ func runJob(ctx context.Context, job *Job, input []Pair, runner taskRunner) (_ [
 		ctr.MapTasks = len(inputSplits)
 		tasks := make([]taskMsg, len(inputSplits))
 		for seq, split := range inputSplits {
-			tasks[seq] = taskMsg{Seq: seq, JobName: job.Name, Phase: "map", Conf: job.Conf, NumReducers: numReducers, Records: split, Flags: flags}
+			tasks[seq] = taskMsg{Seq: seq, JobName: job.Name, Phase: "map", Conf: job.Conf, NumReducers: numReducers, Records: split, Flags: flags,
+				expand: job.Expand}
 		}
 		if err := runner.run(ctx, tasks, sink); err != nil {
 			return nil, nil, err
@@ -166,10 +177,14 @@ func runJob(ctx context.Context, job *Job, input []Pair, runner taskRunner) (_ [
 		}
 	} else {
 		ctr.ReduceTasks = numReducers
+		var expand Expander
+		if job.IdentityMap { // the partitions hold the input records
+			expand = job.Expand
+		}
 		tasks := make([]taskMsg, numReducers)
 		for p := range tasks {
 			tasks[p] = taskMsg{Seq: p, JobName: job.Name, Phase: "reduce", Conf: job.Conf, Flags: flags,
-				load: ss.load(p), loadRecords: ss.partitionRecords(p)}
+				load: ss.load(p), loadRecords: ss.partitionRecords(p), expand: expand}
 		}
 		err := runner.run(ctx, tasks, func(res *resultMsg) error {
 			if len(res.Parts) > 0 {
@@ -209,7 +224,11 @@ func executeTask(ctx context.Context, job *Job, task *taskMsg) resultMsg {
 			if err := ctx.Err(); err != nil {
 				return fail("map", err)
 			}
-			if err := job.Map(rec.Key, emptyToNil(rec.Value), emit); err != nil {
+			value, err := expandValue(task.expand, rec.Value)
+			if err == nil {
+				err = job.Map(rec.Key, emptyToNil(value), emit)
+			}
+			if err != nil {
 				return fail("map", err)
 			}
 		}
@@ -233,6 +252,14 @@ func executeTask(ctx context.Context, job *Job, task *taskMsg) resultMsg {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
+			if task.expand != nil {
+				for i, v := range values {
+					var err error
+					if values[i], err = expandValue(task.expand, v); err != nil {
+						return err
+					}
+				}
+			}
 			return job.Reduce(key, values, emit)
 		})
 		if err != nil {
@@ -246,6 +273,23 @@ func executeTask(ctx context.Context, job *Job, task *taskMsg) resultMsg {
 		return fail("task", fmt.Errorf("unknown phase %q", task.Phase))
 	}
 	return res
+}
+
+// expandValue returns the value ref stands for under x, in a buffer of
+// its own, or ref itself when x is nil.
+func expandValue(x Expander, ref []byte) ([]byte, error) {
+	if x == nil {
+		return ref, nil
+	}
+	n := x.Len(ref)
+	buf := bytes.NewBuffer(make([]byte, 0, n))
+	if err := x.Expand(buf, ref); err != nil {
+		return nil, err
+	}
+	if buf.Len() != n {
+		return nil, fmt.Errorf("expansion of %d bytes, %d announced", buf.Len(), n)
+	}
+	return buf.Bytes(), nil
 }
 
 // sliceLoad is the load form of records that are already resident.

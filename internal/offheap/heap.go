@@ -15,3 +15,14 @@ func Alloc(n int) []float64 {
 
 // Free leaves s to the collector.
 func Free(s []float64) {}
+
+// AllocBytes returns a zeroed buffer of n bytes from the heap.
+func AllocBytes(n int) []byte {
+	if n <= 0 {
+		return nil
+	}
+	return make([]byte, n)
+}
+
+// FreeBytes leaves b to the collector.
+func FreeBytes(b []byte) {}

@@ -16,12 +16,37 @@ const Mapped = true
 // which cut its first-touch faults 512-fold.
 const hugePage = 2 << 20
 
-// mappings are the live mappings by their first float, so Free unmaps
-// exactly the []byte that Mmap returned.
+// The live mappings by the first element of the view handed out, so
+// Free and FreeBytes unmap exactly the []byte that Mmap returned.
 var (
 	mappingsMu sync.Mutex
-	mappings   = map[*float64][]byte{}
+	floatMaps  = map[*float64][]byte{}
+	byteMaps   = map[*byte][]byte{}
 )
+
+// mmap maps n zeroed bytes and counts them, or returns nil if the
+// kernel refuses.
+func mmap(n int) []byte {
+	b, err := syscall.Mmap(-1, 0, n, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if err != nil {
+		return nil
+	}
+	if len(b) >= hugePage {
+		// Advice only: a kernel without transparent huge pages maps
+		// the buffer in base pages.
+		_ = syscall.Madvise(b, syscall.MADV_HUGEPAGE)
+	}
+	count(int64(len(b)))
+	return b
+}
+
+// munmap releases a mapping mmap returned.
+func munmap(b []byte) {
+	if err := syscall.Munmap(b); err != nil {
+		panic("offheap: munmap: " + err.Error()) //lint:ignore panicfree b is exactly what Mmap returned and left the table once, so only a corrupted table fails here
+	}
+	count(-int64(len(b)))
+}
 
 // Alloc returns a zeroed buffer of n float64s. If the kernel refuses
 // the mapping, the buffer comes from the heap, which Free then leaves
@@ -30,22 +55,16 @@ func Alloc(n int) []float64 {
 	if n <= 0 {
 		return nil
 	}
-	b, err := syscall.Mmap(-1, 0, 8*n, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
-	if err != nil {
+	b := mmap(8 * n)
+	if b == nil {
 		return make([]float64, n)
-	}
-	if len(b) >= hugePage {
-		// Advice only: a kernel without transparent huge pages maps
-		// the buffer in base pages.
-		_ = syscall.Madvise(b, syscall.MADV_HUGEPAGE)
 	}
 	// The one unsafe conversion in the module: the mapping's bytes seen
 	// as the float64s they hold. Mmap returns page-aligned memory.
 	s := unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), n)
 	mappingsMu.Lock()
-	mappings[&s[0]] = b
+	floatMaps[&s[0]] = b
 	mappingsMu.Unlock()
-	count(int64(len(b)))
 	return s
 }
 
@@ -58,14 +77,40 @@ func Free(s []float64) {
 	}
 	p := &s[:1][0]
 	mappingsMu.Lock()
-	b, ok := mappings[p]
-	delete(mappings, p)
+	b, ok := floatMaps[p]
+	delete(floatMaps, p)
 	mappingsMu.Unlock()
-	if !ok {
+	if ok {
+		munmap(b)
+	}
+}
+
+// AllocBytes is Alloc for a buffer of n bytes.
+func AllocBytes(n int) []byte {
+	if n <= 0 {
+		return nil
+	}
+	b := mmap(n)
+	if b == nil {
+		return make([]byte, n)
+	}
+	mappingsMu.Lock()
+	byteMaps[&b[0]] = b
+	mappingsMu.Unlock()
+	return b
+}
+
+// FreeBytes is Free for a buffer AllocBytes returned.
+func FreeBytes(b []byte) {
+	if cap(b) == 0 {
 		return
 	}
-	if err := syscall.Munmap(b); err != nil {
-		panic("offheap: munmap: " + err.Error()) //lint:ignore panicfree b is exactly what Mmap returned and left the table once, so only a corrupted table fails here
+	p := &b[:1][0]
+	mappingsMu.Lock()
+	m, ok := byteMaps[p]
+	delete(byteMaps, p)
+	mappingsMu.Unlock()
+	if ok {
+		munmap(m)
 	}
-	count(-int64(len(b)))
 }

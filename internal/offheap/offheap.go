@@ -1,12 +1,12 @@
-// Package offheap hands out float64 scratch whose lifetime its owner
-// knows: a buffer that is born and freed at known points of the
+// Package offheap hands out float64 scratch (Alloc) and byte buffers
+// (AllocBytes) whose lifetime their owner knows: a buffer that is born and freed at known points of the
 // program, not when the collector next runs. On Linux it maps the
 // buffer outside the Go heap, so the buffer neither counts towards the
 // live heap that sets the collector's next goal (twice the live heap)
 // nor stays resident once freed. Everywhere else, and in every build
 // with the race detector — which shadows only memory the Go runtime
 // manages, so scratch it must watch has to live on the heap — Alloc is
-// make and Free does nothing.
+// make and Free (FreeBytes) does nothing.
 //
 // A buffer must be freed exactly once, by its owner, after the last
 // read of it and of anything that aliases it: on Linux a read after

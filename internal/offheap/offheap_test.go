@@ -87,3 +87,41 @@ func TestConcurrentAllocFree(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocBytesAccounting: the byte form maps, counts and frees like
+// the float form, and the two never free each other's buffers.
+func TestAllocBytesAccounting(t *testing.T) {
+	base := InUse()
+	for _, n := range []int{1, 5000, 3 << 20} {
+		b := AllocBytes(n)
+		if len(b) != n {
+			t.Fatalf("AllocBytes(%d): len %d", n, len(b))
+		}
+		for i, v := range b {
+			if v != 0 {
+				t.Fatalf("AllocBytes(%d)[%d] = %d, want 0", n, i, v)
+			}
+			b[i] = byte(i)
+		}
+		want := base
+		if Mapped {
+			want += int64(n)
+		}
+		if got := InUse(); got != want {
+			t.Errorf("AllocBytes(%d): InUse %d, want %d", n, got, want)
+		}
+		FreeBytes(b[:n/2]) // a reslice of the buffer frees all of it
+		if got := InUse(); got != base {
+			t.Errorf("FreeBytes of %d bytes: InUse %d, want %d", n, got, base)
+		}
+	}
+	f := Alloc(8)
+	b := AllocBytes(64)
+	FreeBytes(nil)
+	FreeBytes(make([]byte, 4))
+	Free(f)
+	FreeBytes(b)
+	if got := InUse(); got != base {
+		t.Errorf("InUse %d after freeing both forms, want %d", got, base)
+	}
+}
