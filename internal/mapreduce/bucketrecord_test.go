@@ -1,11 +1,86 @@
 package mapreduce
 
 import (
+	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
 )
+
+// bucketRecord lays one bucket record out through WriteBucketRows, row
+// i being rows[i*dim:(i+1)*dim].
+func bucketRecord(indices []int, dim int, rows []float64) []byte {
+	var buf bytes.Buffer
+	_ = WriteBucketRows(&buf, indices, dim, func(i int) []float64 { return rows[i*dim : (i+1)*dim] }) // a bytes.Buffer does not fail
+	return buf.Bytes()
+}
+
+// decodeBucket decodes a bucket record whole through the decoders the
+// reducers use: BucketShape for its shape, EachBucketRow for its rows.
+func decodeBucket(rec []byte) (indices []int, dim int, rows []float64, err error) {
+	n, dim, err := BucketShape(rec)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	indices, rows = make([]int, 0, n), make([]float64, 0, n*dim)
+	err = EachBucketRow(rec, func(idx int, row []float64) error {
+		indices = append(indices, idx)
+		rows = append(rows, row...)
+		return nil
+	})
+	return indices, dim, rows, err
+}
+
+// bucketRejected is nil when BucketShape and EachBucketRow both refuse
+// rec, and EachBucketRow without calling its fn.
+func bucketRejected(rec []byte) error {
+	if _, _, err := BucketShape(rec); err == nil {
+		return errors.New("BucketShape accepted it")
+	}
+	called := false
+	if err := EachBucketRow(rec, func(int, []float64) error { called = true; return nil }); err == nil || called {
+		return errors.New("EachBucketRow accepted it")
+	}
+	return nil
+}
+
+// malformedBucketRecords is the failure surface of the bucket record
+// decoders: wrong kind (the retired 'E' among them), truncation at
+// every boundary, declared shapes that do not match the payload,
+// indices outside int32, and trailing garbage.
+func malformedBucketRecords() map[string][]byte {
+	good := bucketRecord([]int{4, 9}, 3, []float64{1, 2, 3, 4, 5, 6})
+	return map[string][]byte{
+		"empty":           nil,
+		"wrong kind":      append([]byte{'S'}, good[1:]...),
+		"embedded kind":   append([]byte{'E'}, good[1:]...),
+		"header only":     good[:1],
+		"short counts":    good[:2],
+		"truncated":       good[:len(good)-1],
+		"trailing":        append(append([]byte(nil), good...), 0),
+		"zero points":     bucketRecord(nil, 3, nil),
+		"zero dim":        bucketRecord([]int{1}, 0, nil),
+		"negative index":  bucketRecord([]int{-1}, 1, []float64{0}),
+		"index > int32":   bucketRecord([]int{math.MaxInt32 + 1}, 1, []float64{0}),
+		"count lies":      append([]byte{'B', 0xff, 0xff, 0xff, 0x0f, 3}, good[3:]...),
+		"shape > payload": {'B', 0xff, 0xff, 0xff, 0x7f, 0xff, 0xff, 0xff, 0x3f, 0, 0},
+	}
+}
+
+// deltaBucketRecord is a sorted bucket whose indices take one to three
+// varint bytes each, the record whose every truncation the tests cut.
+func deltaBucketRecord() (indices []int, dim int, rows []float64) {
+	indices = []int{3, 10, 11, 500, 501, 502, 90000}
+	dim = 4
+	rng := rand.New(rand.NewSource(35))
+	rows = make([]float64, len(indices)*dim)
+	for i := range rows {
+		rows[i] = rng.NormFloat64()
+	}
+	return indices, dim, rows
+}
 
 // TestEmbedBucketRoundTrip pins the bucket record codec: every encoded
 // record opens with 'B' and decodes back to the same indices (sorted or
@@ -29,11 +104,14 @@ func TestEmbedBucketRoundTrip(t *testing.T) {
 		if len(rows) > 1 {
 			rows[1] = math.Inf(1)
 		}
-		rec := AppendBucketRows(nil, indices, s.dim, rows)
+		rec := bucketRecord(indices, s.dim, rows)
 		if rec[0] != 'B' {
 			t.Fatalf("record opens with %q, want 'B'", rec[0])
 		}
-		gotIdx, gotDim, gotRows, err := ParseBucketRows(rec)
+		if len(rec) != BucketRowsLen(indices, s.dim) {
+			t.Fatalf("%dx%d: %d-byte record, BucketRowsLen %d", s.n, s.dim, len(rec), BucketRowsLen(indices, s.dim))
+		}
+		gotIdx, gotDim, gotRows, err := decodeBucket(rec)
 		if err != nil {
 			t.Fatalf("%dx%d: %v", s.n, s.dim, err)
 		}
@@ -48,15 +126,19 @@ func TestEmbedBucketRoundTrip(t *testing.T) {
 	}
 }
 
-// TestEmbedBucketAppendsInPlace verifies Append semantics: the record
-// extends dst without clobbering what is already there.
+// TestEmbedBucketAppendsInPlace verifies append semantics: the record
+// extends what its writer already holds without clobbering it.
 func TestEmbedBucketAppendsInPlace(t *testing.T) {
 	prefix := []byte{1, 2, 3}
-	rec := AppendBucketRows(append([]byte(nil), prefix...), []int{7}, 2, []float64{0.5, -0.5})
+	buf := bytes.NewBuffer(append([]byte(nil), prefix...))
+	if err := WriteBucketRows(buf, []int{7}, 2, func(int) []float64 { return []float64{0.5, -0.5} }); err != nil {
+		t.Fatal(err)
+	}
+	rec := buf.Bytes()
 	if string(rec[:3]) != string(prefix) {
 		t.Fatalf("prefix clobbered: %v", rec[:3])
 	}
-	if _, _, _, err := ParseBucketRows(rec[3:]); err != nil {
+	if _, _, _, err := decodeBucket(rec[3:]); err != nil {
 		t.Fatalf("suffix did not parse: %v", err)
 	}
 }
@@ -66,69 +148,45 @@ func TestEmbedBucketAppendsInPlace(t *testing.T) {
 // truncation of the record — which can cut a varint in half — is
 // rejected.
 func TestBucketRowsDeltaIndicesRoundTrip(t *testing.T) {
-	indices := []int{3, 10, 11, 500, 501, 502, 90000}
-	const dim = 4
-	rng := rand.New(rand.NewSource(35))
-	rows := make([]float64, len(indices)*dim)
-	for i := range rows {
-		rows[i] = rng.NormFloat64()
-	}
-	rec := AppendBucketRows(nil, indices, dim, rows)
+	indices, dim, rows := deltaBucketRecord()
+	rec := bucketRecord(indices, dim, rows)
 	if fixed := 1 + 2 + 4*len(indices) + 8*len(rows); len(rec) >= fixed {
 		t.Fatalf("record is %d bytes, no smaller than %d with fixed 4-byte indices", len(rec), fixed)
 	}
-	gotIdx, _, gotRows, err := ParseBucketRows(rec)
+	gotIdx, _, gotRows, err := decodeBucket(rec)
 	if err != nil || !slices.Equal(gotIdx, indices) || !slices.Equal(gotRows, rows) {
 		t.Fatalf("round trip: %v, %v (%v)", gotIdx, gotRows, err)
 	}
 	for cut := 0; cut < len(rec); cut++ {
-		if _, _, _, err := ParseBucketRows(rec[:cut]); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
+		if err := bucketRejected(rec[:cut]); err != nil {
+			t.Fatalf("truncation at %d: %v", cut, err)
 		}
 	}
 }
 
-// TestParseEmbedBucketRejectsMalformed walks the failure surface:
-// wrong kind (the retired 'E' among them), truncation at every boundary,
-// declared shapes that do not match the payload, indices outside int32,
-// and trailing garbage.
+// TestParseEmbedBucketRejectsMalformed walks the failure surface
+// (malformedBucketRecords) through both decoders the reducers use.
 func TestParseEmbedBucketRejectsMalformed(t *testing.T) {
-	good := AppendBucketRows(nil, []int{4, 9}, 3, []float64{1, 2, 3, 4, 5, 6})
-	if _, _, _, err := ParseBucketRows(good); err != nil {
+	if _, _, _, err := decodeBucket(bucketRecord([]int{4, 9}, 3, []float64{1, 2, 3, 4, 5, 6})); err != nil {
 		t.Fatalf("control record: %v", err)
 	}
-	cases := map[string][]byte{
-		"empty":           nil,
-		"wrong kind":      append([]byte{'S'}, good[1:]...),
-		"embedded kind":   append([]byte{'E'}, good[1:]...),
-		"header only":     good[:1],
-		"short counts":    good[:2],
-		"truncated":       good[:len(good)-1],
-		"trailing":        append(append([]byte(nil), good...), 0),
-		"zero points":     AppendBucketRows(nil, nil, 3, nil),
-		"zero dim":        AppendBucketRows(nil, []int{1}, 0, nil),
-		"negative index":  AppendBucketRows(nil, []int{-1}, 1, []float64{0}),
-		"index > int32":   AppendBucketRows(nil, []int{math.MaxInt32 + 1}, 1, []float64{0}),
-		"count lies":      append([]byte{'B', 0xff, 0xff, 0xff, 0x0f, 3}, good[3:]...),
-		"shape > payload": {'B', 0xff, 0xff, 0xff, 0x7f, 0xff, 0xff, 0xff, 0x3f, 0, 0},
-	}
-	for name, buf := range cases {
-		if _, _, _, err := ParseBucketRows(buf); err == nil {
-			t.Errorf("%s: parsed without error", name)
+	for name, buf := range malformedBucketRecords() {
+		if err := bucketRejected(buf); err != nil {
+			t.Errorf("%s: %v", name, err)
 		}
 	}
 }
 
-// FuzzParseEmbedBucket drives the bucket record decoder over arbitrary
-// bytes; a nil error must imply a 'B'-led record with internally
+// FuzzParseEmbedBucket drives the bucket record decoders the reducers
+// use (decodeBucket) over arbitrary bytes; a nil error must imply a 'B'-led record with internally
 // consistent shapes. The 'E'-led seed is a well-formed record under the
 // retired embedded kind byte, which must be refused.
 func FuzzParseEmbedBucket(f *testing.F) {
-	f.Add(append([]byte{'E'}, AppendBucketRows(nil, []int{1, 2}, 2, []float64{1, 2, 3, 4})[1:]...))
-	f.Add(AppendBucketRows(nil, []int{9, 2}, 2, []float64{1, 2, 3, 4}))
+	f.Add(append([]byte{'E'}, bucketRecord([]int{1, 2}, 2, []float64{1, 2, 3, 4})[1:]...))
+	f.Add(bucketRecord([]int{9, 2}, 2, []float64{1, 2, 3, 4}))
 	f.Add([]byte{'B', 0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		idx, dim, rows, err := ParseBucketRows(data)
+		idx, dim, rows, err := decodeBucket(data)
 		if err != nil {
 			return
 		}
