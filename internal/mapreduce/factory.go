@@ -19,7 +19,10 @@ import (
 //
 // Workers build a job once per distinct configuration and cache it.
 
-// JobFactory rebuilds a job from its configuration blob.
+// JobFactory rebuilds a job from its configuration blob. conf is the
+// factory's to keep, not to change: a worker builds from a heap copy of
+// the task's blob, the one its job cache holds, never from the task's
+// frame.
 type JobFactory func(conf []byte) (*Job, error)
 
 // RegisterFactory installs a factory under name, replacing — together
@@ -75,14 +78,15 @@ func resolveJob(name string, conf []byte) (*Job, error) {
 	if !ok {
 		return nil, fmt.Errorf("job %q not registered on worker", name)
 	}
-	job, err := f.(JobFactory)(conf)
+	owned := bytes.Clone(conf) // conf aliases the task's frame on a TCP worker
+	job, err := f.(JobFactory)(owned)
 	if err != nil {
 		return nil, fmt.Errorf("job factory %q: %w", name, err)
 	}
 	if job.Name != name { // a Registered job is its caller's, and already named: not written to
 		job.Name = name
 	}
-	entry.conf = append([]byte(nil), conf...)
+	entry.conf = owned
 	entry.job = job
 	return job, nil
 }

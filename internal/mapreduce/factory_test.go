@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"strconv"
@@ -130,6 +131,38 @@ func TestFactoryBuildCached(t *testing.T) {
 	}
 	if builds.Load() != 2 {
 		t.Fatalf("factory ran %d times, want 2", builds.Load())
+	}
+}
+
+// TestFactoryKeepsConf: a factory may keep its conf. A worker unmaps
+// each task's frame once the task is answered, so a job built from the
+// frame's own conf bytes would read freed memory on the next task; the
+// tasks here grow, so no later frame is mapped where the first was.
+func TestFactoryKeepsConf(t *testing.T) {
+	want := bytes.Repeat([]byte("conf"), 4096)
+	RegisterFactory("factory-keeps-conf", func(conf []byte) (*Job, error) {
+		return &Job{NumReducers: 1, Reduce: IdentityReduceFunc,
+			Map: func(key string, value []byte, emit Emit) error {
+				if !bytes.Equal(conf, want) {
+					return errors.New("the conf kept from the job's build changed")
+				}
+				emit(key, []byte(strconv.Itoa(len(value))))
+				return nil
+			}}, nil
+	})
+	m, stop := startCluster(t, 1)
+	defer stop()
+	input := make([]Pair, 8)
+	for i := range input {
+		input[i] = Pair{Key: strconv.Itoa(i), Value: make([]byte, (i+1)<<14)}
+	}
+	job := &Job{Name: "factory-keeps-conf", Conf: want, SplitSize: 1, Map: IdentityMapFunc, Reduce: IdentityReduceFunc}
+	out, _, err := m.Run(job, input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != len(input) {
+		t.Fatalf("%d outputs for %d inputs", len(out), len(input))
 	}
 }
 

@@ -17,6 +17,13 @@ import (
 // TCP sockets, returning a cleanup function.
 func startCluster(t *testing.T, n int) (*Master, func()) {
 	t.Helper()
+	return startClusterReporting(t, n, func(err error) { t.Errorf("worker: %v", err) })
+}
+
+// startClusterReporting is startCluster with report called on every
+// error a worker returns.
+func startClusterReporting(t *testing.T, n int, report func(error)) (*Master, func()) {
+	t.Helper()
 	m, err := NewMaster("127.0.0.1:0", n)
 	if err != nil {
 		t.Fatal(err)
@@ -27,7 +34,7 @@ func startCluster(t *testing.T, n int) (*Master, func()) {
 		go func() {
 			defer wg.Done()
 			if err := RunWorker(m.Addr()); err != nil {
-				t.Errorf("worker: %v", err)
+				report(err)
 			}
 		}()
 	}
