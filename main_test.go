@@ -1,0 +1,10 @@
+package dasc_test
+
+import (
+	"testing"
+
+	"repro/internal/offheap/offheaptest"
+)
+
+// TestMain fails the suite if a run's bucket scratch, fit or frames was left mapped.
+func TestMain(m *testing.M) { offheaptest.Main(m) }
