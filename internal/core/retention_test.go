@@ -35,7 +35,7 @@ func allocated(f func()) int64 {
 
 // TestClusterRetainsSolveScratch: the in-process runner solves in
 // scratch lsh.EachBucket maps outside the Go heap, and a MapReduce
-// reducer maps each bucket's rows and scratch for exactly its solve, so
+// reduce task maps its buckets' rows and scratch for exactly the task, so
 // a warm call of either allocates, at least once, less than one packed
 // Gram of the largest bucket on the heap, and nothing stays mapped once
 // Run returns.

@@ -202,13 +202,7 @@ func (s *bucketSolver) solve(b bucket, buf *[]float64) (bucketSolution, error) {
 	ni := len(b.rows)
 	pl := s.plan(ni)
 	if pl.Class == classTrivial {
-		labels := make([]int, ni)
-		if pl.K == ni {
-			for i := range labels {
-				labels[i] = i
-			}
-		}
-		return bucketSolution{Labels: labels, K: pl.K, Solver: SolverTrivial, GramBytes: pl.Bytes}, nil
+		return trivialSolution(pl, ni), nil
 	}
 	ecfg := s.engine(pl.K)
 	ecfg.Seed = s.pol.Seed + int64(b.ids[0])
@@ -231,4 +225,17 @@ func (s *bucketSolver) solve(b bucket, buf *[]float64) (bucketSolution, error) {
 	}
 	sol.Labels, sol.Solver = km.Labels, SolverKMeansFallback
 	return sol, nil
+}
+
+// trivialSolution is a trivial bucket's solve, which needs nothing of
+// the bucket but its size: one cluster, or one per point, billed the
+// plan's Gram bytes.
+func trivialSolution(pl bucketPlan, ni int) bucketSolution {
+	labels := make([]int, ni)
+	if pl.K == ni {
+		for i := range labels {
+			labels[i] = i
+		}
+	}
+	return bucketSolution{Labels: labels, K: pl.K, Solver: SolverTrivial, GramBytes: pl.Bytes}
 }

@@ -50,68 +50,83 @@ type Partition struct {
 // the keeper/absorbed distinction is the O(T^2) pairwise comparison of
 // §3.3 with deterministic tie-breaking.
 func PartitionSignatures(sigs []uint64, maxHamming int) *Partition {
-	groups := make(map[uint64][]int)
+	// Count first: each distinct signature's slot and size, and every
+	// point's slot, so each bucket's index list is made once at its size.
+	slotOf := make(map[uint64]int32)
+	var unique []uint64
+	var sizes []int
+	slot := make([]int32, len(sigs))
 	for i, s := range sigs {
-		groups[s] = append(groups[s], i)
-	}
-	unique := make([]uint64, 0, len(groups))
-	for s := range groups {
-		unique = append(unique, s)
+		u, ok := slotOf[s]
+		if !ok {
+			u = int32(len(unique))
+			slotOf[s] = u
+			unique = append(unique, s)
+			sizes = append(sizes, 0)
+		}
+		slot[i] = u
+		sizes[u]++
 	}
 	// Descending bucket size, ascending signature for determinism.
-	sort.Slice(unique, func(a, b int) bool {
-		la, lb := len(groups[unique[a]]), len(groups[unique[b]])
-		if la != lb {
-			return la > lb
+	order := make([]int, len(unique))
+	for u := range order {
+		order[u] = u
+	}
+	sort.Slice(order, func(a, b int) bool {
+		ua, ub := order[a], order[b]
+		if sizes[ua] != sizes[ub] {
+			return sizes[ua] > sizes[ub]
 		}
-		return unique[a] < unique[b]
+		return unique[ua] < unique[ub]
 	})
 
-	absorbedBy := make([]int, len(unique)) // index of keeper, -1 = keeper
-	for i := range absorbedBy {
-		absorbedBy[i] = -1
+	root := make([]int32, len(unique)) // slot of the keeper that absorbed it; itself for a keeper
+	for u := range root {
+		root[u] = int32(u)
 	}
 	if maxHamming >= 0 {
-		for i := 0; i < len(unique); i++ {
-			if absorbedBy[i] != -1 {
+		for a, ua := range order {
+			if root[ua] != int32(ua) {
 				continue // absorbed buckets do not absorb others
 			}
-			for j := i + 1; j < len(unique); j++ {
-				if absorbedBy[j] != -1 {
+			for _, ub := range order[a+1:] {
+				if root[ub] != int32(ub) {
 					continue
 				}
 				var close bool
 				if maxHamming <= 1 {
-					close = NearDuplicate(unique[i], unique[j])
+					close = NearDuplicate(unique[ua], unique[ub])
 				} else {
-					close = HammingDistance(unique[i], unique[j]) <= maxHamming
+					close = HammingDistance(unique[ua], unique[ub]) <= maxHamming
 				}
 				if close {
-					absorbedBy[j] = i
+					root[ub] = int32(ua)
 				}
 			}
 		}
 	}
 
-	keeperIdxs := make(map[int][]int) // keeper position -> point indices
+	// One bucket per keeper, in signature order, sized by what it
+	// absorbed; then the points in ascending order, so every list comes
+	// out sorted.
 	var keepers []int
-	for pos, s := range unique {
-		root := pos
-		if absorbedBy[pos] != -1 {
-			root = absorbedBy[pos]
+	for u := range unique {
+		if root[u] == int32(u) {
+			keepers = append(keepers, u)
+		} else {
+			sizes[root[u]] += sizes[u]
 		}
-		if _, seen := keeperIdxs[root]; !seen && root == pos {
-			keepers = append(keepers, pos)
-		}
-		keeperIdxs[root] = append(keeperIdxs[root], groups[s]...)
 	}
 	sort.Slice(keepers, func(a, b int) bool { return unique[keepers[a]] < unique[keepers[b]] })
-
-	buckets := make([]Bucket, 0, len(keepers))
-	for _, kpos := range keepers {
-		idxs := keeperIdxs[kpos]
-		sort.Ints(idxs)
-		buckets = append(buckets, Bucket{Signature: unique[kpos], Indices: idxs})
+	bucketOf := make([]int32, len(unique))
+	buckets := make([]Bucket, len(keepers))
+	for bi, u := range keepers {
+		bucketOf[u] = int32(bi)
+		buckets[bi] = Bucket{Signature: unique[u], Indices: make([]int, 0, sizes[u])}
+	}
+	for i, u := range slot {
+		b := &buckets[bucketOf[root[u]]]
+		b.Indices = append(b.Indices, i)
 	}
 	return &Partition{Buckets: buckets, Signatures: sigs}
 }
@@ -166,19 +181,15 @@ func (p *Partition) LPTOrder() []int {
 // index: scheduling never changes an output.
 func EachBucket(ctx context.Context, order []int, need func(bi int) int, solve func(bi int, scratch *[]float64) error) error {
 	return par.Workers(len(order), len(order), func(next func() (int, bool)) error {
-		var mapped, scratch []float64
-		defer func() { offheap.Free(mapped) }()
+		var scratch offheap.Scratch
+		defer scratch.Free()
 		for oi, ok := next(); ok; oi, ok = next() {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 			bi := order[oi]
-			if n := need(bi); n > len(mapped) {
-				offheap.Free(mapped)
-				mapped = offheap.Alloc(n)
-				scratch = mapped
-			}
-			if err := solve(bi, &scratch); err != nil {
+			scratch.Reserve(need(bi))
+			if err := solve(bi, &scratch.Buf); err != nil {
 				return err
 			}
 		}

@@ -2,6 +2,7 @@ package lsh
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -210,5 +211,98 @@ func TestPropIdenticalSignaturesShareBucket(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// referencePartition is PartitionSignatures as it was before it counted
+// first: every bucket's list built by append growth per signature, then
+// concatenated per keeper and sorted. The oracle of
+// TestPartitionSignaturesMatchesReference.
+func referencePartition(sigs []uint64, maxHamming int) *Partition {
+	groups := make(map[uint64][]int)
+	for i, s := range sigs {
+		groups[s] = append(groups[s], i)
+	}
+	unique := make([]uint64, 0, len(groups))
+	for s := range groups {
+		unique = append(unique, s)
+	}
+	// Descending bucket size, ascending signature for determinism.
+	sort.Slice(unique, func(a, b int) bool {
+		la, lb := len(groups[unique[a]]), len(groups[unique[b]])
+		if la != lb {
+			return la > lb
+		}
+		return unique[a] < unique[b]
+	})
+
+	absorbedBy := make([]int, len(unique)) // index of keeper, -1 = keeper
+	for i := range absorbedBy {
+		absorbedBy[i] = -1
+	}
+	if maxHamming >= 0 {
+		for i := 0; i < len(unique); i++ {
+			if absorbedBy[i] != -1 {
+				continue // absorbed buckets do not absorb others
+			}
+			for j := i + 1; j < len(unique); j++ {
+				if absorbedBy[j] != -1 {
+					continue
+				}
+				var close bool
+				if maxHamming <= 1 {
+					close = NearDuplicate(unique[i], unique[j])
+				} else {
+					close = HammingDistance(unique[i], unique[j]) <= maxHamming
+				}
+				if close {
+					absorbedBy[j] = i
+				}
+			}
+		}
+	}
+
+	keeperIdxs := make(map[int][]int) // keeper position -> point indices
+	var keepers []int
+	for pos, s := range unique {
+		root := pos
+		if absorbedBy[pos] != -1 {
+			root = absorbedBy[pos]
+		}
+		if _, seen := keeperIdxs[root]; !seen && root == pos {
+			keepers = append(keepers, pos)
+		}
+		keeperIdxs[root] = append(keeperIdxs[root], groups[s]...)
+	}
+	sort.Slice(keepers, func(a, b int) bool { return unique[keepers[a]] < unique[keepers[b]] })
+
+	buckets := make([]Bucket, 0, len(keepers))
+	for _, kpos := range keepers {
+		idxs := keeperIdxs[kpos]
+		sort.Ints(idxs)
+		buckets = append(buckets, Bucket{Signature: unique[kpos], Indices: idxs})
+	}
+	return &Partition{Buckets: buckets, Signatures: sigs}
+}
+
+// TestPartitionSignaturesMatchesReference holds PartitionSignatures to
+// the reference on signatures drawn from few and from many distinct
+// values, at every merge radius the drivers use: same buckets, same
+// signatures, same index lists, in the same order.
+func TestPartitionSignaturesMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{0, 1, 7, 500, 5000} {
+		for _, bits := range []int{2, 5, 12} {
+			sigs := make([]uint64, n)
+			for i := range sigs {
+				sigs[i] = uint64(rng.Intn(1 << bits))
+			}
+			for _, h := range []int{-1, 0, 1, 2, 3} {
+				got, want := PartitionSignatures(sigs, h), referencePartition(sigs, h)
+				if !reflect.DeepEqual(got.Buckets, want.Buckets) {
+					t.Fatalf("n=%d bits=%d maxHamming=%d: buckets differ from the reference", n, bits, h)
+				}
+			}
+		}
 	}
 }

@@ -2,6 +2,8 @@ package mapreduce
 
 import (
 	"bytes"
+	"io"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -40,5 +42,48 @@ func TestReadMappedBoundedByStream(t *testing.T) {
 	c.free(got)
 	if got := offheap.InUse(); got != base {
 		t.Fatalf("%d bytes left mapped after the body was freed", got-base)
+	}
+}
+
+// shortReader hands out its bytes a few at a time: 1, 2, … up to 4 099,
+// then 1 again.
+type shortReader struct {
+	b    []byte
+	next int
+}
+
+func (r *shortReader) Read(p []byte) (int, error) {
+	if len(r.b) == 0 {
+		return 0, io.EOF
+	}
+	r.next = r.next%4099 + 1
+	n := copy(p[:min(len(p), r.next)], r.b)
+	r.b = r.b[n:]
+	return n, nil
+}
+
+// TestReadMappedOffheapShortReads: a mapped frame body that arrives in
+// many short reads, and so grows through every step of readExactly's
+// schedule, comes out byte-identical to the stream, at each size around
+// the first chunk and the page, and is exactly its own bytes mapped
+// until freed.
+func TestReadMappedOffheapShortReads(t *testing.T) {
+	c := &frameCodec{mapBodies: true}
+	base := offheap.InUse()
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{1, 4095, 4097, readChunk, readChunk + 1, 5*readChunk + 333, 1<<21 + 7} {
+		payload := make([]byte, n)
+		rng.Read(payload)
+		got, err := c.read(&shortReader{b: payload}, n)
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("%d-byte body in short reads: differs from the stream (%v)", n, err)
+		}
+		if want := base + int64(n); offheap.Mapped && offheap.InUse() != want {
+			t.Fatalf("%d bytes mapped for a %d-byte body", offheap.InUse()-base, n)
+		}
+		c.free(got)
+		if got := offheap.InUse(); got != base {
+			t.Fatalf("%d bytes left mapped after a %d-byte body was freed", got-base, n)
+		}
 	}
 }

@@ -506,11 +506,14 @@ func (c *frameCodec) recvFrame() ([]byte, int, error) {
 	return body, size, nil
 }
 
-// read reads exactly n bytes from r (see readExactly), into mapped
-// memory on a codec that maps bodies.
+// read reads exactly n bytes from r (see readExactly). On a codec that
+// maps bodies the body is reserved at n bytes outside the Go heap and
+// grown in place on readExactly's schedule, so no byte is copied and no
+// page faulted twice, and what is usable at once stays readExactly's
+// bound.
 func (c *frameCodec) read(r io.Reader, n int) ([]byte, error) {
 	if c.mapBodies {
-		return readGrowing(r, n, offheap.AllocBytes, offheap.FreeBytes)
+		return readGrowing(r, n, offheap.ReserveBytes(n), offheap.GrowBytes, offheap.FreeBytes)
 	}
 	return readExactly(r, n)
 }
@@ -574,17 +577,26 @@ const readChunk = 64 << 10
 // prefix that promises a gigabyte backed by a short stream fails after
 // a few chunks instead of reserving the declared size up front.
 func readExactly(r io.Reader, n int) ([]byte, error) {
-	return readGrowing(r, n, func(n int) []byte { return make([]byte, n) }, func([]byte) {})
+	return readGrowing(r, n, nil, growHeap, func([]byte) {})
 }
 
-// readGrowing is readExactly with its buffers taken from alloc and
-// handed to free as soon as they are outgrown, and on an error.
-func readGrowing(r io.Reader, n int, alloc func(int) []byte, free func([]byte)) ([]byte, error) {
+// growHeap copies b into a new heap buffer of n bytes.
+func growHeap(b []byte, n int) []byte {
+	grown := make([]byte, n)
+	copy(grown, b)
+	return grown
+}
+
+// readGrowing is readExactly's schedule over buf: grow(buf, size)
+// returns buf grown to size bytes with its bytes kept, by a copy
+// (growHeap) or in place (offheap.GrowBytes of a reservation), and free
+// releases the buffer on an error.
+func readGrowing(r io.Reader, n int, buf []byte, grow func([]byte, int) []byte, free func([]byte)) ([]byte, error) {
 	halvings := 0
 	for n>>halvings > readChunk {
 		halvings++
 	}
-	buf := alloc(n >> halvings)
+	buf = grow(buf, n>>halvings)
 	got := 0
 	for {
 		m, err := io.ReadFull(r, buf[got:])
@@ -597,10 +609,7 @@ func readGrowing(r io.Reader, n int, alloc func(int) []byte, free func([]byte)) 
 			return buf, nil
 		}
 		halvings--
-		grown := alloc(n >> halvings)
-		copy(grown, buf)
-		free(buf)
-		buf = grown
+		buf = grow(buf, n>>halvings)
 	}
 }
 
