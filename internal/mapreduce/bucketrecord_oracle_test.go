@@ -144,13 +144,13 @@ func FuzzEachBucketRowMatchesParse(f *testing.F) {
 			}
 		}
 		// Written back, the record is canonical (its varints minimal), so
-		// its length is BucketRowsLen's and it decodes to the same.
+		// its length is bucketRowsLen's and it decodes to the same.
 		var buf bytes.Buffer
 		if err := WriteBucketRows(&buf, idx, dim, func(i int) []float64 { return rows[i*dim : (i+1)*dim] }); err != nil {
 			t.Fatal(err)
 		}
-		if got := BucketRowsLen(idx, dim); got != buf.Len() {
-			t.Fatalf("BucketRowsLen %d for a %d-byte record", got, buf.Len())
+		if got := bucketRowsLen(idx, dim); got != buf.Len() {
+			t.Fatalf("bucketRowsLen %d for a %d-byte record", got, buf.Len())
 		}
 		backIdx, backDim, backRows, err := ParseBucketRows(buf.Bytes())
 		if err != nil || backDim != dim || !slices.Equal(backIdx, idx) || len(backRows) != len(rows) {

@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -108,8 +109,8 @@ func TestEmbedBucketRoundTrip(t *testing.T) {
 		if rec[0] != 'B' {
 			t.Fatalf("record opens with %q, want 'B'", rec[0])
 		}
-		if len(rec) != BucketRowsLen(indices, s.dim) {
-			t.Fatalf("%dx%d: %d-byte record, BucketRowsLen %d", s.n, s.dim, len(rec), BucketRowsLen(indices, s.dim))
+		if len(rec) != bucketRowsLen(indices, s.dim) {
+			t.Fatalf("%dx%d: %d-byte record, bucketRowsLen %d", s.n, s.dim, len(rec), bucketRowsLen(indices, s.dim))
 		}
 		gotIdx, gotDim, gotRows, err := decodeBucket(rec)
 		if err != nil {
@@ -198,4 +199,16 @@ func FuzzParseEmbedBucket(f *testing.F) {
 				len(idx), dim, len(rows))
 		}
 	})
+}
+
+// bucketRowsLen is the length of the bucket record of these indices at
+// dim columns, by BucketRecordLen over their varint deltas.
+func bucketRowsLen(indices []int, dim int) int {
+	var deltas []byte
+	prev := 0
+	for _, idx := range indices {
+		deltas = binary.AppendVarint(deltas, int64(idx-prev))
+		prev = idx
+	}
+	return BucketRecordLen(len(indices), dim, len(deltas))
 }
