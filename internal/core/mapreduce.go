@@ -17,7 +17,7 @@ import (
 )
 
 // This file is DASC as the paper's two MapReduce jobs (§3.3), written
-// once against a rowSource (rowsource.go) and run by one runner on any
+// once against one rowSource (rowsource.go) and run by one runner on any
 // mapreduce.Executor:
 //
 //	stage 1 (Algorithm 1): hash each input record's rows once per table
@@ -33,14 +33,15 @@ import (
 // Both jobs travel as a registered name ("dasc-lsh", "dasc-cluster" —
 // bench/ tells the stages apart by those suffixes) plus a gob Conf, so
 // any process that imports this package can run their tasks. Run's two
-// MapReduce routes differ only in the rowSource they hand the runner:
-// where a worker gets row i.
+// MapReduce routes differ in one bit of the source: whether a shard
+// reader is present. With one, workers read their rows from the shards;
+// without, the driver writes them into each task's frame.
 
 // mrRunner is the MapReduce backend: both stages run as jobs on exec,
 // with src answering where their rows live.
 type mrRunner struct {
 	exec mapreduce.Executor
-	src  rowSource
+	src  *rowSource
 	ctr  mapreduce.Counters
 }
 
@@ -76,7 +77,7 @@ func (r *mrRunner) signatures(ctx context.Context, p *Plan) (*lsh.SignatureSet, 
 	if err != nil {
 		return nil, err
 	}
-	conf := lshConf{Dir: r.src.dir(), Tables: make([]lshTable, len(hashers))}
+	conf := lshConf{Dir: r.src.dir, Tables: make([]lshTable, len(hashers))}
 	for t, h := range hashers {
 		conf.Tables[t] = lshTable{Dims: h.Dimensions(), Thresholds: h.Thresholds()}
 	}
@@ -101,7 +102,7 @@ func (r *mrRunner) solve(ctx context.Context, p *Plan, part *lsh.Partition) ([]b
 	for bi, b := range part.Buckets {
 		input[bi] = mapreduce.Pair{Key: fmt.Sprintf("%016x", b.Signature), Value: encodeIndices(b.Indices)}
 	}
-	conf := solveConf{Dir: r.src.dir(), Policy: p.solver.pol}
+	conf := solveConf{Dir: r.src.dir, Policy: p.solver.pol}
 	labelPairs, err := r.run(ctx, p, newClusterJob(r.src, p.solver), "cluster", conf, input)
 	if err != nil {
 		return nil, err
@@ -195,7 +196,7 @@ type sigGroup struct {
 // in-mapper combining; the reducer passes records through, so the
 // executor's shuffle finishes the per-table signature grouping across
 // map tasks.
-func newLSHJob(src rowSource, c lshConf) (*mapreduce.Job, error) {
+func newLSHJob(src *rowSource, c lshConf) (*mapreduce.Job, error) {
 	if len(c.Tables) == 0 {
 		return nil, fmt.Errorf("core: lsh conf has no tables")
 	}
@@ -247,7 +248,7 @@ func newLSHJob(src rowSource, c lshConf) (*mapreduce.Job, error) {
 		},
 		Reduce:         mapreduce.IdentityReduceFunc,
 		IdentityReduce: true,
-		Expand:         src.expander(rangeIndices),
+		Expand:         src.expander(),
 	}, nil
 }
 
@@ -256,7 +257,7 @@ func newLSHJob(src rowSource, c lshConf) (*mapreduce.Job, error) {
 // record is emitted under its signature. A worker's reduce task holds
 // all its buckets and solves them in one loop (solveTask); a task whose
 // buckets stream in (mapreduce.Local) runs that loop once per group.
-func newClusterJob(src rowSource, solver *bucketSolver) *mapreduce.Job {
+func newClusterJob(src *rowSource, solver *bucketSolver) *mapreduce.Job {
 	return &mapreduce.Job{
 		NumReducers: 4,
 		Map:         mapreduce.IdentityMapFunc, // buckets arrive formed and encoded
@@ -267,7 +268,7 @@ func newClusterJob(src rowSource, solver *bucketSolver) *mapreduce.Job {
 		ReduceTask: func(ctx context.Context, groups []mapreduce.Group, emit mapreduce.Emit) error {
 			return solveTask(ctx, src, solver, groups, emit)
 		},
-		Expand: src.expander(listIndices),
+		Expand: src.expander(),
 	}
 }
 
@@ -281,7 +282,7 @@ func newClusterJob(src rowSource, solver *bucketSolver) *mapreduce.Job {
 // trivial bucket is solved from its size alone: its rows are never
 // copied or read. Every bucket's result is emitted under its own key,
 // so the engine's sorted task output is in key order.
-func solveTask(ctx context.Context, src rowSource, solver *bucketSolver, groups []mapreduce.Group, emit mapreduce.Emit) error {
+func solveTask(ctx context.Context, src bucketOpener, solver *bucketSolver, groups []mapreduce.Group, emit mapreduce.Emit) error {
 	type item struct {
 		key string
 		v   []byte
@@ -546,9 +547,9 @@ func decodeBucketResult(buf []byte, s *bucketSolution) error {
 }
 
 // encodeIndices packs an index list — a stage-1 output value (the rows
-// of one map task that share a signature) and the stage-2 record of the
-// sources whose reducers find the rows themselves — as a uvarint count
-// followed by zigzag-varint deltas. Both lists are sorted ascending, so
+// of one map task that share a signature), every stage-2 input record,
+// and a record-carried stage-1 input record — as a uvarint count
+// followed by zigzag-varint deltas. Every list is sorted ascending, so
 // the deltas are small positive integers and the record costs about one
 // byte per point.
 func encodeIndices(indices []int) []byte {

@@ -11,12 +11,12 @@ import (
 	"repro/internal/offheap"
 )
 
-// openSpy is a rowSource whose openBucket records, per call, where the
+// openSpy is a bucketOpener whose openBucket records, per call, where the
 // rows buffer starts, how long it is and what is mapped at that moment;
 // fail makes the call with that number (from 1) fail after the buffer
 // was handed over, and hook runs at each call.
 type openSpy struct {
-	rowSource
+	*rowSource
 	starts []*float64
 	lens   []int
 	inUse  []int64
@@ -92,7 +92,7 @@ func newTaskFixture(t *testing.T) *taskFixture {
 
 // run runs solveTask over the fixture's groups and checks each bucket's
 // result against its in-process solve, emitted once under its own key.
-func (f *taskFixture) run(t *testing.T, ctx context.Context, src rowSource) error {
+func (f *taskFixture) run(t *testing.T, ctx context.Context, src bucketOpener) error {
 	t.Helper()
 	got := map[string]bucketSolution{}
 	err := solveTask(ctx, src, f.solver, f.groups, func(key string, value []byte) {
@@ -121,7 +121,7 @@ func (f *taskFixture) run(t *testing.T, ctx context.Context, src rowSource) erro
 func TestClusterTaskOffheapMapsOncePerTask(t *testing.T) {
 	f := newTaskFixture(t)
 	base := offheap.InUse()
-	spy := &openSpy{rowSource: &recordRows{}}
+	spy := &openSpy{rowSource: &rowSource{}}
 	if err := f.run(t, bg, spy); err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestClusterTaskOffheapTrivialReadsNothing(t *testing.T) {
 func TestClusterTaskOffheapFreedOnFailureAndCancel(t *testing.T) {
 	f := newTaskFixture(t)
 	base := offheap.InUse()
-	spy := &openSpy{rowSource: &recordRows{}, fail: 2}
+	spy := &openSpy{rowSource: &rowSource{}, fail: 2}
 	if err := f.run(t, bg, spy); !errors.Is(err, errSpyOpen) {
 		t.Fatalf("err = %v, want the failed open's", err)
 	}
@@ -190,7 +190,7 @@ func TestClusterTaskOffheapFreedOnFailureAndCancel(t *testing.T) {
 		t.Fatalf("%d B still mapped after a failed task", got-base)
 	}
 	ctx, cancel := context.WithCancel(bg)
-	spy = &openSpy{rowSource: &recordRows{}, hook: cancel}
+	spy = &openSpy{rowSource: &rowSource{}, hook: cancel}
 	err := f.run(t, ctx, spy)
 	cancel()
 	if !errors.Is(err, context.Canceled) || len(spy.starts) != 1 {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"os/exec"
+	"slices"
 	"testing"
 	"time"
 
@@ -142,8 +143,8 @@ func bucketRecord(indices []int, dim int, rows []float64) []byte {
 }
 
 // TestShippedCodecs pins the record-carried source's stage-1 records:
-// the driver holds one row range of blockRows rows per map task, its
-// expander writes each as the raw 'B' record of those rows, and the
+// the driver holds one index list of blockRows consecutive rows per map
+// task, its expander writes each as the raw 'B' record of those rows, and the
 // rows come back through eachRow in row order, bit for bit; a
 // misaligned or empty block, or one led by the retired embedded kind
 // byte 'E', is refused.
@@ -153,21 +154,21 @@ func TestShippedCodecs(t *testing.T) {
 	for i := range pts.Data() {
 		pts.Data()[i] = vals[i%4] * float64(i+1)
 	}
-	driver := &recordRows{points: pts}
+	driver := pointRows(pts)
 	input, split := driver.lshInput()
 	if split != 1 || len(input) != 2 {
 		t.Fatalf("%d records in splits of %d, want 2 blocks of one task each", len(input), split)
 	}
-	x := driver.expander(rangeIndices)
-	worker := &recordRows{}
-	if worker.expander(rangeIndices) != nil {
+	x := driver.expander()
+	worker := &rowSource{}
+	if worker.expander() != nil {
 		t.Fatal("a worker-side source expands records")
 	}
 	next := 0
 	var blocks [][]byte
 	for i, rec := range input {
-		if start, count, err := decodeRowRange(rec.Value); err != nil || start != i*blockRows || count != min(blockRows, pts.Rows()-start) {
-			t.Fatalf("record %d is rows [%d, +%d) (%v)", i, start, count, err)
+		if ids, err := decodeIndices(rec.Value); err != nil || !slices.Equal(ids, rowSpan(i*blockRows, min(blockRows, pts.Rows()-i*blockRows))) {
+			t.Fatalf("record %d is rows %v (%v)", i, ids, err)
 		}
 		var buf bytes.Buffer
 		if err := x.Expand(&buf, rec.Value); err != nil || buf.Len() != x.Len(rec.Value) {
@@ -238,7 +239,7 @@ func TestShippedJobFactoriesValidateConf(t *testing.T) {
 // each to the largest shipped dimension — and, since it emits only once
 // its whole record is hashed, a short block emits nothing.
 func TestLSHJobRejectsShortRow(t *testing.T) {
-	job, err := newLSHJob(&recordRows{}, lshConf{Tables: []lshTable{
+	job, err := newLSHJob(&rowSource{}, lshConf{Tables: []lshTable{
 		{Dims: []int{0}, Thresholds: []float64{0}},
 		{Dims: []int{1, 3}, Thresholds: []float64{0, 0}},
 	}})
