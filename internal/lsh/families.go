@@ -128,7 +128,7 @@ func (s *SimHash) SignatureMargins(x []float64, margins []float64) uint64 {
 		plane := s.planes.Row(i)
 		var dot float64
 		for j, v := range plane {
-			dot += v * (x[j] - s.center[j])
+			dot += float64(v * (x[j] - s.center[j])) // rounded, never fused
 		}
 		if dot >= 0 {
 			sig |= 1 << uint(i)
@@ -297,7 +297,7 @@ func (s *Spectral) SignatureMargins(x []float64, margins []float64) uint64 {
 		dir := s.directions.Row(i)
 		var dot float64
 		for j, v := range dir {
-			dot += v * (x[j] - s.center[j])
+			dot += float64(v * (x[j] - s.center[j])) // rounded, never fused
 		}
 		if dot > s.medians[i] {
 			sig |= 1 << uint(i)

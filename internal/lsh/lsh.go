@@ -227,7 +227,9 @@ func dimensionSpans(cols []float64, n int) (mins, spans []float64) {
 		// returns exactly the value sorting would place at that index.
 		p05 := matrix.SelectKth(c, int(0.05*float64(n-1)))
 		p95 := matrix.SelectKth(c, int(math.Ceil(0.95*float64(n-1))))
-		spans[j] = (p95 - p05) + 1e-6*full
+		// The explicit conversion rounds the product, which forbids a
+		// fused multiply-add: the span is the same on every CPU.
+		spans[j] = (p95 - p05) + float64(1e-6*full)
 	}
 	return mins, spans
 }
@@ -333,7 +335,8 @@ func valleyThreshold(col []float64, min, span float64, binCount int) float64 {
 		}
 	}
 	if s >= 0 {
-		return min + float64(s)*width
+		// Rounded product, never fused: this threshold decides a bit.
+		return min + float64(float64(s)*width)
 	}
 	// No balanced valley: fall back to the median value along the
 	// column.
