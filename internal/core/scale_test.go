@@ -19,6 +19,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/mapreduce"
 	"repro/internal/metrics"
+	"repro/internal/offheap"
 	"repro/internal/shard"
 )
 
@@ -77,13 +78,15 @@ func (c scaleCase) run(t *testing.T) {
 	cfg := Config{Seed: 1, SpillBytes: c.spill, Compression: c.compress, EmbedDim: 64, EmbedCutoff: 2048}
 	start = time.Now()
 	live := sampleLiveHeap(t, filepath.Join(t.TempDir(), "heap-at-peak.pprof"))
+	offheap.ResetPeak()
 	res, err := Run(bg, Source{Dir: dir}, onExec(exec, cfg))
+	mapped := offheap.ResetPeak() // reducer rows and scratch, solve scratch, worker frames
 	peak := live()
 	if err != nil {
 		t.Fatal(err)
 	}
 	runTime := time.Since(start)
-	t.Logf("%s: %s", c.name, peak)
+	t.Logf("%s: %s; mapped peak=%.1fMB", c.name, peak, float64(mapped)/(1<<20))
 
 	recall, err := metrics.PairRecall(truth, res.Labels)
 	if err != nil {
