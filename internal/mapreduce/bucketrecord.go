@@ -30,22 +30,32 @@ func BucketRecordLen(n, dim, deltaBytes int) int {
 // ascending, so deltas are small and positive); zigzag keeps any order
 // decodable. Row i, taken from row(i) as the record is written, must
 // hold dim values; the codec is pure layout and does not validate
-// semantics beyond that. The record is never whole in memory: only its
-// index deltas and one row at a time are.
+// semantics beyond that.
 func WriteBucketRows(w io.Writer, indices []int, dim int, row func(i int) []float64) error {
-	hdr := append(make([]byte, 0, 1+2*binary.MaxVarintLen64+len(indices)), bucketKind)
-	hdr = binary.AppendUvarint(hdr, uint64(len(indices)))
-	hdr = binary.AppendUvarint(hdr, uint64(dim))
+	deltas := make([]byte, 0, len(indices))
 	prev := 0
 	for _, idx := range indices {
-		hdr = binary.AppendVarint(hdr, int64(idx-prev))
+		deltas = binary.AppendVarint(deltas, int64(idx-prev))
 		prev = idx
 	}
-	if _, err := w.Write(hdr); err != nil {
+	return WriteBucketRecord(w, len(indices), dim, deltas, row)
+}
+
+// WriteBucketRecord is WriteBucketRows for a caller that holds the n
+// index deltas already encoded: deltas is copied into the record as it
+// is, and row is called for i = 0, 1, …, n-1, in that order. The record
+// is never whole in memory: only one row at a time is.
+func WriteBucketRecord(w io.Writer, n, dim int, deltas []byte, row func(i int) []float64) error {
+	out := append(make([]byte, 0, max(1+2*binary.MaxVarintLen64, 8*dim)), bucketKind)
+	out = binary.AppendUvarint(out, uint64(n))
+	out = binary.AppendUvarint(out, uint64(dim))
+	if _, err := w.Write(out); err != nil {
 		return err
 	}
-	out := hdr[:0]
-	for i := range indices {
+	if _, err := w.Write(deltas); err != nil {
+		return err
+	}
+	for i := range n {
 		out = out[:0]
 		for _, v := range row(i) {
 			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
