@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -88,12 +89,13 @@ func testEmbeddedAllDrivers(t *testing.T, l *dataset.Labeled, solver string, cfg
 }
 
 // TestEmbeddedShippedShipsRawRows pins that embedding never changes what
-// travels: the shipped driver's stage-2 records are the buckets' raw
-// rows whether or not the plan embeds them, so the stage-2 shuffle is
-// the same to the byte with the embed on and off (at D = 48 > d′ = 6 or
-// 8, where shipping embedded rows would have been smaller), and the
-// embedded run still solves embedded — on the RFF route at d′ = 6, on the
-// landmark route at 8 — and agrees with the in-process pool.
+// travels: the shipped driver's stage-2 records (stage 2 is the one job
+// it submits) are the buckets' raw rows whether or not the plan embeds
+// them, so the stage-2 shuffle is the same to the byte with the embed on
+// and off (at D = 48 > d′ = 6 or 8, where shipping embedded rows would
+// have been smaller), and the embedded run still solves embedded — on
+// the RFF route at d′ = 6, on the landmark route at 8 — and agrees with
+// the in-process pool.
 func TestEmbeddedShippedShipsRawRows(t *testing.T) {
 	l := mixture(t, 240, 48, 4, 0.03, 40)
 	stage2 := func(cfg Config) (*Result, int64) {
@@ -103,10 +105,10 @@ func TestEmbeddedShippedShipsRawRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(captured.ctrs) != 2 {
-			t.Fatalf("runner submitted %d jobs, want the two DASC stages", len(captured.ctrs))
+		if names := captured.names(); !slices.Equal(names, []string{"dasc-cluster"}) {
+			t.Fatalf("runner submitted %v, want stage 2 alone: stage 1 hashes in the driver", names)
 		}
-		return res, captured.ctrs[1].ShuffleBytes
+		return res, captured.stage("dasc-cluster").ShuffleBytes
 	}
 	_, rawBytes := stage2(Config{K: 4, Seed: 41})
 	for _, route := range []struct {

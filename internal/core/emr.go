@@ -25,7 +25,7 @@ func EMRFlow(ctx context.Context, points *matrix.Dense, cfg Config, beta float64
 	if err != nil {
 		return nil, nil, err
 	}
-	sigs, err := (&localRunner{points: points}).signatures(ctx, p)
+	sigs, err := hashPoints(ctx, p, points)
 	if err != nil {
 		return nil, nil, err
 	}

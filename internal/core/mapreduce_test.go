@@ -74,16 +74,55 @@ func TestClusterMapReduceOverTCP(t *testing.T) {
 	if acc < 0.9 {
 		t.Fatalf("TCP accuracy = %v", acc)
 	}
-	// The driver aggregates executor counters from both stages onto the
-	// result; over TCP that includes real wire traffic.
+	// The driver puts the executor's counters on the result; over TCP
+	// that includes real wire traffic. Stage 1 hashed the resident rows in
+	// the driver, so the one job is stage 2, whose map is an identity: no
+	// map task crosses the wire, its reduce tasks do.
 	if res.MapReduce == nil {
 		t.Fatal("Result.MapReduce not populated by the MapReduce driver")
 	}
-	if res.MapReduce.MapTasks == 0 || res.MapReduce.ReduceTasks == 0 {
-		t.Fatalf("stage counters not aggregated: %+v", res.MapReduce)
+	if res.MapReduce.MapTasks != 0 || res.MapReduce.ReduceTasks == 0 {
+		t.Fatalf("want stage 2's reduce tasks alone: %+v", res.MapReduce)
 	}
 	if res.MapReduce.WireBytesOut <= 0 || res.MapReduce.WireBytesIn <= 0 {
 		t.Fatalf("TCP wire counters not aggregated: %+v", res.MapReduce)
+	}
+}
+
+// TestPointsExecutorRunsStage2Only pins where stage 1 runs: a map runs
+// where its input lives, so a resident matrix is hashed in the driver
+// and a Points run submits only the stage-2 job, on Local and over TCP,
+// while a Dir run's mappers read their own shards in the stage-1 job.
+// Every route labels as the in-process pool does.
+func TestPointsExecutorRunsStage2Only(t *testing.T) {
+	l := mixture(t, 600, 8, 4, 0.03, 26)
+	cfg := Config{K: 4, Seed: 27, Tables: 2, FitSample: 600}
+	want, err := Run(bg, Source{Points: l.Points}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := writeShardDir(t, l.Points, 128)
+	m := loopbackCluster(t, 2)
+	for _, exec := range []mapreduce.Executor{&mapreduce.Local{}, m} {
+		for _, c := range []struct {
+			src  Source
+			jobs []string
+		}{
+			{Source{Points: l.Points}, []string{"dasc-cluster"}},
+			{Source{Dir: dir}, []string{"dasc-lsh", "dasc-cluster"}},
+		} {
+			spy := &capturingExec{exec: exec}
+			res, err := Run(bg, c.src, onExec(spy, cfg))
+			if err != nil {
+				t.Fatalf("%T, dir %q: %v", exec, c.src.Dir, err)
+			}
+			if names := spy.names(); !slices.Equal(names, c.jobs) {
+				t.Errorf("%T, dir %q: submitted %v, want %v", exec, c.src.Dir, names, c.jobs)
+			}
+			if !slices.Equal(res.Labels, want.Labels) {
+				t.Errorf("%T, dir %q: labels differ from the in-process run's", exec, c.src.Dir)
+			}
+		}
 	}
 }
 
@@ -160,14 +199,15 @@ func FuzzBucketResult(f *testing.F) {
 	})
 }
 
-// TestStageRecordCounts pins what the two jobs ship: stage 1 emits, per
-// map task, one record per distinct (table, signature) among the task's
-// rows — counted here from the plan's own hashers over the split each
-// source makes — and stage 2 one record per bucket, on both sources, on
-// Local and over TCP, in memory and spilled. The record-carried source
-// ships its rows in ⌈N/blockRows⌉ blocks.
+// TestStageRecordCounts pins what the jobs ship: on the shard source,
+// stage 1 reads one shard row range per map task and emits, per task,
+// one record per distinct (table, signature) among its rows — counted
+// here from the plan's own hashers — and on both sources stage 2 emits
+// one record per bucket, on Local and over TCP, in memory and spilled.
+// The resident-points source hashes in the driver and submits stage 2
+// alone.
 func TestStageRecordCounts(t *testing.T) {
-	const n, perShard = 2*blockRows + 300, 500
+	const n, perShard = 2348, 500
 	l := mixture(t, n, 8, 16, 0.05, 70)
 	cfg := Config{K: 16, Seed: 71, M: 6, P: -1, Tables: 2, MaxMergedBucket: 100, EmbedDim: 8, EmbedCutoff: 200, FitSample: n}
 	p, err := NewPlan(l.Points, cfg, true)
@@ -178,39 +218,35 @@ func TestStageRecordCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// distinct sums, over tasks of split consecutive rows, the (table,
-	// signature) pairs among each task's rows.
-	distinct := func(split int) int {
-		total := 0
-		for start := 0; start < n; start += split {
-			seen := map[[2]uint64]bool{}
-			for i := start; i < min(start+split, n); i++ {
-				for tab, h := range hashers {
-					seen[[2]uint64{uint64(tab), h.Signature(l.Points.Row(i))}] = true
-				}
+	// stage1 sums, over shards of perShard consecutive rows, the (table,
+	// signature) pairs among each shard's rows.
+	stage1 := 0
+	for start := 0; start < n; start += perShard {
+		seen := map[[2]uint64]bool{}
+		for i := start; i < min(start+perShard, n); i++ {
+			for tab, h := range hashers {
+				seen[[2]uint64{uint64(tab), h.Signature(l.Points.Row(i))}] = true
 			}
-			total += len(seen)
 		}
-		return total
+		stage1 += len(seen)
 	}
 	dir := writeShardDir(t, l.Points, perShard)
 
 	m := loopbackCluster(t, 2)
 
 	for _, src := range []struct {
-		name  string
-		split int // rows per stage-1 input record, and so per map task
-		run   func(Config, mapreduce.Executor) (*Result, error)
+		name string
+		jobs []string
+		run  func(Config, mapreduce.Executor) (*Result, error)
 	}{
-		{"shipped", blockRows, func(c Config, e mapreduce.Executor) (*Result, error) {
+		{"shipped", []string{"dasc-cluster"}, func(c Config, e mapreduce.Executor) (*Result, error) {
 			return Run(bg, Source{Points: l.Points}, onExec(e, c))
 		}},
-		{"sharded", perShard, func(c Config, e mapreduce.Executor) (*Result, error) {
+		{"sharded", []string{"dasc-lsh", "dasc-cluster"}, func(c Config, e mapreduce.Executor) (*Result, error) {
 			return Run(bg, Source{Dir: dir}, onExec(e, c))
 		}},
 	} {
-		stage1 := distinct(src.split)
-		var first [2][3]int // per job: input records, map outputs, output records
+		var first [][3]int // per job: input records, map outputs, output records
 		for _, exec := range []mapreduce.Executor{&mapreduce.Local{}, m} {
 			for _, spill := range []int64{0, 512} {
 				name := fmt.Sprintf("%s/%T/spill=%d", src.name, exec, spill)
@@ -221,30 +257,37 @@ func TestStageRecordCounts(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				var got [2][3]int
-				for i, ctr := range captured.ctrs {
-					got[i] = [3]int{ctr.InputRecords, ctr.MapOutputs, ctr.OutputRecords}
+				if names := captured.names(); !slices.Equal(names, src.jobs) {
+					t.Fatalf("%s: submitted %v, want %v", name, names, src.jobs)
 				}
-				if len(captured.ctrs) != 2 || got[0][0] != (n+src.split-1)/src.split || got[0][1] != stage1 || got[1][2] != len(res.Buckets) {
-					t.Fatalf("%s: jobs counted %v (input, map output, output records); want stage 1 to read %d and emit %d, stage 2 to emit one per bucket (%d)",
-						name, got, (n+src.split-1)/src.split, stage1, len(res.Buckets))
+				var got [][3]int
+				for _, ctr := range captured.ctrs {
+					got = append(got, [3]int{ctr.InputRecords, ctr.MapOutputs, ctr.OutputRecords})
 				}
-				if first == ([2][3]int{}) {
+				if lsh := captured.stage("dasc-lsh"); lsh != nil && (lsh.InputRecords != (n+perShard-1)/perShard || lsh.MapOutputs != stage1) {
+					t.Fatalf("%s: stage 1 read %d records and emitted %d; want one per shard (%d) and %d", name,
+						lsh.InputRecords, lsh.MapOutputs, (n+perShard-1)/perShard, stage1)
+				}
+				if out := captured.stage("dasc-cluster").OutputRecords; out != len(res.Buckets) {
+					t.Fatalf("%s: stage 2 emitted %d records, want one per bucket (%d)", name, out, len(res.Buckets))
+				}
+				if first == nil {
 					first = got
-				} else if got != first {
-					t.Fatalf("%s: jobs counted %v, the first run %v", name, got, first)
+				} else if !slices.Equal(got, first) {
+					t.Fatalf("%s: jobs counted %v (input, map output, output records), the first run %v", name, got, first)
 				}
 			}
 		}
 	}
 }
 
-// BenchmarkStages runs each source's two jobs on Local at 32 768 × 16 —
-// a quarter of the benchmark's out-of-core workload — with one Config,
-// and reports the records both stages shipped (map outputs plus output
-// records) per op, the stage-2 shuffle bytes per op (stage2-B/op: index
-// lists for both sources — the shipped one's become rows only as their
-// reduce tasks run), and allocs/op.
+// BenchmarkStages runs each source's jobs on Local at 32 768 × 16 — a
+// quarter of the benchmark's out-of-core workload — with one Config:
+// both jobs on the sharded source, stage 2 alone on the shipped one,
+// whose stage 1 hashes in the driver. It reports the records the jobs
+// shipped (map outputs plus output records) per op, the stage-2 shuffle
+// bytes per op (stage2-B/op: index lists for both sources — the shipped
+// one's become rows only as their reduce tasks run), and allocs/op.
 func BenchmarkStages(b *testing.B) {
 	const n, d = 32768, 16
 	l, err := dataset.Mixture(dataset.MixtureConfig{N: n, D: d, K: 64, Noise: 0.03, Seed: 1})
@@ -271,7 +314,7 @@ func BenchmarkStages(b *testing.B) {
 					b.Fatal(err)
 				}
 				records += res.MapReduce.MapOutputs + res.MapReduce.OutputRecords
-				stage2 += captured.ctrs[1].ShuffleBytes
+				stage2 += captured.stage("dasc-cluster").ShuffleBytes
 			}
 			b.ReportMetric(float64(records)/float64(b.N), "records/op")
 			b.ReportMetric(float64(stage2)/float64(b.N), "stage2-B/op")

@@ -190,8 +190,9 @@ type Source struct {
 //
 //	Source  Executor  runs on
 //	Points  nil       the in-process pool, in waves within cfg.MemoryBudget
-//	Points  set       the paper's two MapReduce jobs (§3.3), rows inside the records
-//	Dir     any       the two jobs over the shard files, on a mapreduce.Local when nil
+//	Points  set       stage 1 hashed in the driver, as the pool hashes it; the paper's
+//	                  stage-2 job (§3.3) on the executor, rows inside its records
+//	Dir     any       the paper's two jobs over the shard files, on a mapreduce.Local when nil
 //
 // Every route runs one plan through one dataflow, so for a fixed seed
 // they label identically (a Dir run at FitSample >= N). The context is
@@ -199,8 +200,9 @@ type Source struct {
 // returns its error.
 func Run(ctx context.Context, src Source, cfg Config) (*Result, error) {
 	start := time.Now()
-	// A MapReduce route ships the fitted span/threshold hasher to its
-	// workers, so it cannot run a custom Config.Family.
+	// A MapReduce route cannot run a custom Config.Family: a Dir run
+	// ships the fitted span/threshold hasher to its workers, and a Points
+	// run on an Executor keeps the rule, so both sources take one Config.
 	mrRoute := cfg.Executor != nil || src.Dir != ""
 	switch {
 	case (src.Points == nil) == (src.Dir == ""):
@@ -229,7 +231,7 @@ func Run(ctx context.Context, src Source, cfg Config) (*Result, error) {
 		}
 		r, n = &mrRunner{exec: cfg.Executor, src: shards}, shards.r.Rows()
 	case cfg.Executor != nil:
-		r, n = &mrRunner{exec: cfg.Executor, src: pointRows(src.Points)}, src.Points.Rows()
+		r, n = &mrRunner{exec: cfg.Executor, src: &rowSource{points: src.Points}}, src.Points.Rows()
 	default:
 		r, n = &localRunner{points: src.Points, budget: cfg.MemoryBudget}, src.Points.Rows()
 	}

@@ -13,11 +13,14 @@ import (
 
 // FuzzRowSourcesAgree holds Run's two MapReduce routes to one answer for
 // "which rows does this reference name". On the resident-points route
-// the driver expands a reference into the 'B' record its worker decodes;
-// on the shard route the worker reads the rows itself. Through the
-// worker side (eachRow for a stage-1 block, bucketShape and openBucket
-// for a stage-2 index list) both must deliver the matrix's (index, row)
-// bits, or both must refuse the reference. One input picks N ≤ 3 000,
+// the driver expands a reference into the 'B' record its reducer
+// decodes; on the shard route the worker reads the rows itself. Through
+// the worker side (bucketShape and openBucket for a stage-2 index list
+// or a block of consecutive rows; on the shard route, eachRow for a
+// block as a stage-1 row range) both must deliver the matrix's
+// (index, row) bits, or both must refuse the reference. Only the shard
+// route has stage-1 records (the points route hashes in the driver);
+// taken in order, they must be every row. One input picks N ≤ 3 000,
 // the width, the rows per shard, a block [start, start+length) and a
 // sorted index list (each byte a delta); a block or list past the last
 // row, and the list with its last byte cut, are malformed.
@@ -59,17 +62,9 @@ func FuzzRowSourcesAgree(f *testing.F) {
 				_ = v.(*shard.Reader).Close() // a read-only handle
 			}
 		})
-		driver := pointRows(pts)
-		lshJob, err := newLSHJob(driver, lshConf{Tables: []lshTable{{Dims: []int{0}, Thresholds: []float64{0}}}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		stage1, stage2 := lshJob.Expand, newClusterJob(driver, nil).Expand
-		carried, err := workerSource("")
-		if err != nil {
-			t.Fatal(err)
-		}
-		sharded, err := workerSource(dir)
+		stage2 := newClusterJob(&rowSource{points: pts}, nil).Expand
+		carried := &rowSource{} // a worker's record-carried source
+		sharded, err := openShardRows(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,13 +107,13 @@ func FuzzRowSourcesAgree(f *testing.F) {
 				return nil
 			})
 		}
-		open := func(shape func([]byte) (int, int, error), openBucket func([]byte, []float64) (bucket, error), value []byte) (rows, error) {
+		open := func(shape func([]byte) (int, int, error), openBucket func([]byte, []float64) (bucket, error), value []byte, wantN int) (rows, error) {
 			ni, dim, err := shape(value)
 			if err != nil {
 				return rows{}, err
 			}
-			if ni != len(ids) || dim != width {
-				t.Fatalf("bucket shaped %d x %d, want %d x %d", ni, dim, len(ids), width)
+			if ni != wantN || dim != width {
+				t.Fatalf("bucket shaped %d x %d, want %d x %d", ni, dim, wantN, width)
 			}
 			b, err := openBucket(value, make([]float64, ni*dim))
 			if err != nil {
@@ -148,33 +143,25 @@ func FuzzRowSourcesAgree(f *testing.F) {
 			}
 		}
 
-		// Every stage-1 input record of each route, in order, is every row.
-		var viaPoints, viaShards rows
-		in, _ := driver.lshInput()
-		for _, rec := range in {
-			frame, err := expand(stage1, rec.Value)
-			if err == nil {
-				err = each(carried.eachRow, frame, &viaPoints)
-			}
-			if err != nil {
-				t.Fatalf("points stage-1 record %s: %v", rec.Key, err)
-			}
-		}
-		in, _ = sharded.lshInput()
-		for _, rec := range in {
+		// Every stage-1 input record of the shard route, in order, is
+		// every row.
+		var viaShards rows
+		for _, rec := range sharded.lshInput() {
 			if err := each(sharded.eachRow, rec.Value, &viaShards); err != nil {
 				t.Fatalf("shard stage-1 record %s: %v", rec.Key, err)
 			}
 		}
-		all := rowSpan(0, n)
-		agree("stage-1 input", true, viaPoints, nil, viaShards, nil, want(all))
+		if all := want(rowSpan(0, n)); !slices.Equal(viaShards.ids, all.ids) || !slices.Equal(viaShards.bits, all.bits) {
+			t.Fatalf("the shard route's stage-1 records delivered rows %v, want every row", viaShards.ids)
+		}
 
 		// One block of consecutive rows.
 		block := rowSpan(start, length)
-		viaPoints, viaShards = rows{}, rows{}
+		var viaPoints rows
+		viaShards = rows{}
 		frame, pointsErr := expand(stage2, encodeIndices(block))
 		if pointsErr == nil {
-			pointsErr = each(carried.eachRow, frame, &viaPoints)
+			viaPoints, pointsErr = open(carried.bucketShape, carried.openBucket, frame, length)
 		}
 		shardsErr := each(sharded.eachRow, encodeRowRange(start, length), &viaShards)
 		inRange := start+length <= n
@@ -185,9 +172,9 @@ func FuzzRowSourcesAgree(f *testing.F) {
 		list := encodeIndices(ids)
 		frame, pointsErr = expand(stage2, list)
 		if pointsErr == nil {
-			viaPoints, pointsErr = open(carried.bucketShape, carried.openBucket, frame)
+			viaPoints, pointsErr = open(carried.bucketShape, carried.openBucket, frame, len(ids))
 		}
-		viaShards, shardsErr = open(sharded.bucketShape, sharded.openBucket, list)
+		viaShards, shardsErr = open(sharded.bucketShape, sharded.openBucket, list, len(ids))
 		var expect rows
 		if inRange {
 			expect = want(ids)
@@ -197,7 +184,7 @@ func FuzzRowSourcesAgree(f *testing.F) {
 		cut := list[:len(list)-1]
 		frame, pointsErr = expand(stage2, cut)
 		if pointsErr == nil {
-			_, pointsErr = open(carried.bucketShape, carried.openBucket, frame)
+			_, pointsErr = open(carried.bucketShape, carried.openBucket, frame, len(ids))
 		}
 		b, shardsErr := sharded.openBucket(cut, make([]float64, len(ids)*width))
 		if pointsErr == nil || shardsErr == nil {

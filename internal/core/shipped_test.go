@@ -2,11 +2,11 @@ package core
 
 import (
 	"bytes"
-	"fmt"
+	"io"
 	"math"
 	"os"
 	"os/exec"
-	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -142,65 +142,65 @@ func bucketRecord(indices []int, dim int, rows []float64) []byte {
 	return buf.Bytes()
 }
 
-// TestShippedCodecs pins the record-carried source's stage-1 records:
-// the driver holds one index list of blockRows consecutive rows per map
-// task, its expander writes each as the raw 'B' record of those rows, and the
-// rows come back through eachRow in row order, bit for bit; a
-// misaligned or empty block, or one led by the retired embedded kind
-// byte 'E', is refused.
+// TestShippedCodecs pins the record-carried source's stage-2 records
+// (its only records: its stage 1 hashes in the driver). The driver holds
+// one index list per bucket, its expander writes each as the raw 'B'
+// record of those rows, exactly as long as announced, and a worker's
+// bucketShape and openBucket give the rows back in list order, bit for
+// bit; a misaligned or empty record, or one led by the retired embedded
+// kind byte 'E', is refused, and so is a list past the last row.
 func TestShippedCodecs(t *testing.T) {
-	pts := matrix.NewDense(blockRows+3, 4)
+	pts := matrix.NewDense(1027, 4)
 	vals := []float64{1.5, -2.25, math.Copysign(0, -1), 1e-9}
 	for i := range pts.Data() {
 		pts.Data()[i] = vals[i%4] * float64(i+1)
 	}
-	driver := pointRows(pts)
-	input, split := driver.lshInput()
-	if split != 1 || len(input) != 2 {
-		t.Fatalf("%d records in splits of %d, want 2 blocks of one task each", len(input), split)
-	}
-	x := driver.expander()
+	x := (&rowSource{points: pts}).expander()
 	worker := &rowSource{}
 	if worker.expander() != nil {
 		t.Fatal("a worker-side source expands records")
 	}
-	next := 0
-	var blocks [][]byte
-	for i, rec := range input {
-		if ids, err := decodeIndices(rec.Value); err != nil || !slices.Equal(ids, rowSpan(i*blockRows, min(blockRows, pts.Rows()-i*blockRows))) {
-			t.Fatalf("record %d is rows %v (%v)", i, ids, err)
-		}
+	var records [][]byte
+	for _, ids := range [][]int{rowSpan(0, 1024), {3, 4, 900, 1026}, {1026}} {
+		ref := encodeIndices(ids)
 		var buf bytes.Buffer
-		if err := x.Expand(&buf, rec.Value); err != nil || buf.Len() != x.Len(rec.Value) {
-			t.Fatalf("record %d expanded to %d bytes of %d announced (%v)", i, buf.Len(), x.Len(rec.Value), err)
+		if err := x.Expand(&buf, ref); err != nil || buf.Len() != x.Len(ref) {
+			t.Fatalf("%d rows expanded to %d bytes of %d announced (%v)", len(ids), buf.Len(), x.Len(ref), err)
 		}
-		blocks = append(blocks, buf.Bytes())
-		if err := worker.eachRow(buf.Bytes(), func(idx int, row []float64) error {
-			if idx != next {
-				return fmt.Errorf("row %d arrived in place of %d", idx, next)
-			}
-			for j, v := range pts.Row(idx) {
-				if math.Float64bits(row[j]) != math.Float64bits(v) {
-					return fmt.Errorf("row %d col %d = %v, want %v", idx, j, row[j], v)
-				}
-			}
-			next++
-			return nil
-		}); err != nil {
+		records = append(records, buf.Bytes())
+		n, dim, err := worker.bucketShape(buf.Bytes())
+		if err != nil || n != len(ids) || dim != pts.Cols() {
+			t.Fatalf("%d rows shaped %d x %d (%v)", len(ids), n, dim, err)
+		}
+		b, err := worker.openBucket(buf.Bytes(), make([]float64, n*dim))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if next != pts.Rows() {
-		t.Fatalf("%d of %d rows came back", next, pts.Rows())
+		for pos, p := range b.rows {
+			if b.ids[pos] != ids[pos] {
+				t.Fatalf("row %d arrived in place of %d", b.ids[pos], ids[pos])
+			}
+			for j, v := range pts.Row(ids[pos]) {
+				if got := b.points.Row(p)[j]; math.Float64bits(got) != math.Float64bits(v) {
+					t.Fatalf("row %d col %d = %v, want %v", ids[pos], j, got, v)
+				}
+			}
+		}
 	}
 	for name, value := range map[string][]byte{
-		"misaligned": blocks[1][:len(blocks[1])-3],
+		"misaligned": records[1][:len(records[1])-3],
 		"empty":      nil,
-		"embedded":   append([]byte{'E'}, bucketRecord([]int{0}, 1, []float64{1})[1:]...),
+		"embedded":   append([]byte{'E'}, records[2][1:]...),
 	} {
-		if err := worker.eachRow(value, func(int, []float64) error { return nil }); err == nil {
-			t.Errorf("%s block accepted", name)
+		if _, _, err := worker.bucketShape(value); err == nil {
+			t.Errorf("%s record shaped", name)
 		}
+		if _, err := worker.openBucket(value, make([]float64, 1024*4)); err == nil {
+			t.Errorf("%s record opened", name)
+		}
+	}
+	if err := x.Expand(io.Discard, encodeIndices([]int{0, pts.Rows()})); err == nil {
+		t.Error("a list past the last row expanded")
 	}
 }
 
@@ -234,32 +234,69 @@ func TestShippedJobFactoriesValidateConf(t *testing.T) {
 	}
 }
 
-// TestLSHJobRejectsShortRow: rows reach a stage-1 mapper off the wire,
-// and lsh.Hasher.Signature indexes them unchecked, so the mapper holds
-// each to the largest shipped dimension — and, since it emits only once
-// its whole record is hashed, a short block emits nothing.
+// TestLSHJobRejectsShortRow: lsh.Hasher.Signature indexes a row
+// unchecked, so a stage-1 mapper holds each shard row to the largest
+// shipped dimension — and, since it emits only once its whole range is
+// hashed, a range of short rows emits nothing.
 func TestLSHJobRejectsShortRow(t *testing.T) {
-	job, err := newLSHJob(&rowSource{}, lshConf{Tables: []lshTable{
+	conf := lshConf{Tables: []lshTable{
 		{Dims: []int{0}, Thresholds: []float64{0}},
 		{Dims: []int{1, 3}, Thresholds: []float64{0, 0}},
-	}})
+	}}
+	// mapRange maps the one row range of a shard directory of two equal
+	// rows, width wide.
+	mapRange := func(width int) (emitted int, err error) {
+		pts := matrix.NewDense(2, width)
+		for i := range pts.Data() {
+			pts.Data()[i] = 1
+		}
+		src, err := openShardRows(writeShardDir(t, pts, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		job, err := newLSHJob(src, conf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = job.Map("0", src.lshInput()[0].Value, func(string, []byte) { emitted++ })
+		return emitted, err
+	}
+	if emitted, err := mapRange(4); err != nil || emitted != 2 {
+		t.Fatalf("two equal 4-wide rows: err = %v, %d records emitted, want one per table", err, emitted)
+	}
+	if emitted, err := mapRange(3); err == nil || emitted != 0 {
+		t.Fatalf("3-wide rows under a hash on dimension 3: err = %v, %d records emitted", err, emitted)
+	}
+}
+
+// TestLSHTaskWithoutDirFails: stage 1 runs only over shards, so a
+// stage-1 task whose conf names no directory fails its job — on Local,
+// where the task rebuilds its job from the conf as a worker does, and
+// over TCP, where the worker's registered factory refuses the conf.
+func TestLSHTaskWithoutDirFails(t *testing.T) {
+	blob, err := gobEncode(lshConf{Tables: []lshTable{{Dims: []int{0}, Thresholds: []float64{0}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	block := func(width int) []byte {
-		rows := make([]float64, 2*width)
-		for i := range rows {
-			rows[i] = 1
+	job := &mapreduce.Job{
+		Name:      "dasc-lsh",
+		Conf:      blob,
+		SplitSize: 1,
+		Map: func(key string, value []byte, emit mapreduce.Emit) error {
+			j, err := lshJobFromConf(blob)
+			if err != nil {
+				return err
+			}
+			return j.Map(key, value, emit)
+		},
+		Reduce:         mapreduce.IdentityReduceFunc,
+		IdentityReduce: true,
+	}
+	input := []mapreduce.Pair{{Key: "0", Value: encodeRowRange(0, 1)}}
+	for _, exec := range []mapreduce.Executor{&mapreduce.Local{}, loopbackCluster(t, 1)} {
+		out, _, err := exec.Run(job, input)
+		if err == nil || !strings.Contains(err.Error(), "names no shard directory") {
+			t.Errorf("%T: %d records, err = %v; want the job refused for its conf", exec, len(out), err)
 		}
-		return bucketRecord([]int{0, 1}, width, rows)
-	}
-	emitted := 0
-	emit := func(string, []byte) { emitted++ }
-	if err := job.Map("0", block(4), emit); err != nil || emitted != 2 {
-		t.Fatalf("two equal 4-wide rows: err = %v, %d records emitted, want one per table", err, emitted)
-	}
-	emitted = 0
-	if err := job.Map("1", block(3), emit); err == nil || emitted != 0 {
-		t.Fatalf("3-wide rows under a hash on dimension 3: err = %v, %d records emitted", err, emitted)
 	}
 }
