@@ -1,7 +1,8 @@
 // Command dascworker is a standalone MapReduce worker process: it dials
 // the master, serves tasks until the master shuts down, and exits. The
-// DASC jobs core.Run submits to a TCP Master — rows inside the records
-// (core.Source.Points) or in shard files (core.Source.Dir) — are
+// DASC jobs core.Run submits to a TCP Master — the stage-2 job, rows
+// inside its records (core.Source.Points), or both jobs over shard files
+// (core.Source.Dir) — are
 // available to it through the factories registered by the core package,
 // so a real multi-process deployment is:
 //

@@ -1,8 +1,10 @@
-// Distributed: run DASC as the paper's two MapReduce stages on a real
-// master/worker deployment — workers connect to the master over TCP
-// sockets and exchange binary task frames, the in-process equivalent of
-// the paper's Hadoop cluster. The same job also runs on the in-process
-// Local executor to show the two produce identical clusterings.
+// Distributed: run DASC's MapReduce route on a real master/worker
+// deployment — workers connect to the master over TCP sockets and
+// exchange binary task frames, the in-process equivalent of the paper's
+// Hadoop cluster. The rows are resident, so stage 1 hashes them in the
+// driver and the stage-2 job carries each bucket's rows to a reducer.
+// The same job also runs on the in-process Local executor to show the
+// two produce identical clusterings.
 package main
 
 import (
